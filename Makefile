@@ -2,7 +2,7 @@
 
 .PHONY: install test bench bench-smoke lint stats-smoke chaos-smoke \
 	chaos-determinism accountability-smoke replay-smoke policy-smoke \
-	shard-smoke fluid-smoke ops-smoke examples all
+	shard-smoke fluid-smoke ops-smoke perf-smoke examples all
 
 install:
 	python setup.py develop
@@ -25,6 +25,14 @@ bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_eventlog.py
 	PYTHONPATH=src python benchmarks/bench_shard_scaling.py
 	PYTHONPATH=src python benchmarks/bench_fluid.py
+
+# The perf ledger at one-tenth size plus the checks on the harness
+# itself.  run.py exits non-zero on a failed output check or when the
+# untraced and the traced repetition disagree on a sim metric or a
+# digest.  No timing gate: hosted runners cannot resolve one.
+perf-smoke:
+	python3 perf/run.py --quick
+	python -m pytest perf/ -q
 
 # ruff when available; otherwise a full-tree syntax check plus the
 # stdlib-only unused-import checker (the part of ruff we rely on).

@@ -11,7 +11,7 @@ of a flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.net.packet import IP_PROTO_TCP, IP_PROTO_UDP
@@ -62,13 +62,18 @@ class IdsRule:
     tp_dst: Optional[int] = None
     tcp_flags: Optional[str] = None  # exact flag string, e.g. "S"
     severity: str = "high"
+    # Every clause that must match, the shorthand first; built once at
+    # rule load, not per inspected packet.
+    clauses: Tuple[ContentMatch, ...] = field(
+        init=False, compare=False, repr=False
+    )
 
-    def _content_clauses(self) -> Tuple[ContentMatch, ...]:
+    def __post_init__(self) -> None:
         clauses = self.contents
         if self.content is not None:
             clauses = (ContentMatch(self.content, nocase=self.nocase),
                        *clauses)
-        return clauses
+        object.__setattr__(self, "clauses", clauses)
 
     def matches(self, payload: bytes, nw_proto: Optional[int],
                 tp_dst: Optional[int], tcp_flags: Optional[str],
@@ -81,7 +86,7 @@ class IdsRule:
             return False
         if self.tcp_flags is not None and self.tcp_flags != tcp_flags:
             return False
-        clauses = self._content_clauses()
+        clauses = self.clauses
         if not clauses and self.tcp_flags is None:
             # A rule must constrain *something* about the packet body
             # or flags, otherwise it would fire on all traffic.

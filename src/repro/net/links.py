@@ -22,7 +22,7 @@ serialization-completion times, pruned lazily against ``now``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, TYPE_CHECKING
+from typing import Deque, Iterable, TYPE_CHECKING
 
 from repro.net.packet import Ethernet
 
@@ -35,6 +35,7 @@ class _Direction:
     """Transmission state for one direction of a duplex link."""
 
     __slots__ = (
+        "to_port",
         "next_free",
         "pending_done",
         "tx_packets",
@@ -43,7 +44,8 @@ class _Direction:
         "busy_time",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, to_port: "Port") -> None:
+        self.to_port = to_port
         self.next_free = 0.0
         # Serialization-completion times of queued frames, ascending
         # (next_free is monotone).  A slot frees when its frame is
@@ -123,7 +125,9 @@ class Link:
     """A duplex point-to-point link between two ports.
 
     Use :func:`repro.net.node.connect` rather than constructing
-    directly -- it allocates ports and wires both ends.
+    directly -- it allocates the ports.  Construction wires both ends:
+    each port gets the link and the direction it transmits into, so
+    the per-frame path starts from ``port.direction`` with no lookup.
     """
 
     def __init__(
@@ -146,17 +150,18 @@ class Link:
         self.delay_s = delay_s
         self.queue_packets = queue_packets
         self.up = True
-        self._directions: Dict[int, _Direction] = {
-            id(end_a): _Direction(),
-            id(end_b): _Direction(),
-        }
+        for port, peer in ((end_a, end_b), (end_b, end_a)):
+            port.link = self
+            port.direction = _Direction(peer)
+
+    def _direction(self, from_port: "Port") -> _Direction:
+        """The direction transmitting out of ``from_port``."""
+        if from_port is not self.end_a and from_port is not self.end_b:
+            raise ValueError(f"{from_port} is not an end of {self}")
+        return from_port.direction
 
     def other_end(self, port: "Port") -> "Port":
-        if port is self.end_a:
-            return self.end_b
-        if port is self.end_b:
-            return self.end_a
-        raise ValueError(f"{port} is not an end of {self}")
+        return self._direction(port).to_port
 
     def transmit(self, from_port: "Port", frame: Ethernet) -> bool:
         """Serialize ``frame`` out of ``from_port`` toward the peer.
@@ -167,31 +172,37 @@ class Link:
         if not self.up:
             from_port.tx_drops += 1
             return False
-        direction = self._directions[id(from_port)]
-        now = self.sim.now
-        if direction.occupancy(now) >= self.queue_packets:
+        direction = from_port.direction
+        sim = self.sim
+        now = sim.now
+        # _Direction.occupancy, inlined: this is the per-hop hot path.
+        pending = direction.pending_done
+        while pending and pending[0] <= now:
+            pending.popleft()
+        if len(pending) >= self.queue_packets:
             direction.dropped += 1
             from_port.tx_drops += 1
             return False
 
-        tx_time = frame.size * 8.0 / self.bandwidth_bps
-        start = max(now, direction.next_free)
-        done = start + tx_time
+        size = frame.size
+        tx_time = size * 8.0 / self.bandwidth_bps
+        done = direction.next_free
+        if done < now:
+            done = now
+        done += tx_time
         direction.next_free = done
-        direction.pending_done.append(done)
+        pending.append(done)
         direction.busy_time += tx_time
         direction.tx_packets += 1
-        direction.tx_bytes += frame.size
+        direction.tx_bytes += size
         from_port.tx_packets += 1
-        from_port.tx_bytes += frame.size
-
-        to_port = self.other_end(from_port)
-        self.sim.schedule_at(
-            done + self.delay_s, self._deliver, frame, from_port, to_port
+        from_port.tx_bytes += size
+        sim.schedule_at(
+            done + self.delay_s, self._deliver, frame, direction.to_port
         )
         return True
 
-    def _deliver(self, frame: Ethernet, from_port: "Port", to_port: "Port") -> None:
+    def _deliver(self, frame: Ethernet, to_port: "Port") -> None:
         # The queue slot was released when serialization finished (see
         # _Direction.occupancy); delivery only hands the frame over.
         if not self.up or not to_port.enabled:
@@ -217,9 +228,9 @@ class Link:
         """
         plan = HopPlan()
         plan.link = self
-        plan.direction = self._directions[id(from_port)]
+        plan.direction = self._direction(from_port)
         plan.from_port = from_port
-        plan.to_port = self.other_end(from_port)
+        plan.to_port = plan.direction.to_port
         plan.medium = None
         plan.busy_per_packet_s = packet_size * 8.0 / self.bandwidth_bps
         plan.end_offset_s = arrival_offset_s - self.delay_s
@@ -227,7 +238,7 @@ class Link:
 
     def stats(self, from_port: "Port") -> dict:
         """Counters for the direction transmitting out of ``from_port``."""
-        direction = self._directions[id(from_port)]
+        direction = self._direction(from_port)
         return {
             "tx_packets": direction.tx_packets,
             "tx_bytes": direction.tx_bytes,
@@ -246,7 +257,7 @@ class Link:
         elapsed = self.sim.now - window_start
         if elapsed <= 0:
             return 0.0
-        busy = self._directions[id(from_port)].busy_time
+        busy = self._direction(from_port).busy_time
         return min(1.0, busy / elapsed)
 
     def set_up(self, up: bool) -> None:

@@ -25,7 +25,10 @@ class Port:
     def __init__(self, node: "Node", number: int):
         self.node = node
         self.number = number
+        # Both set by the Link constructor: the attached link, and its
+        # transmit state for frames leaving this port.
         self.link: Optional["Link"] = None
+        self.direction = None
         self.enabled = True
         # Counters maintained by the link layer.
         self.tx_packets = 0
@@ -40,9 +43,9 @@ class Port:
 
     def peer(self) -> Optional["Port"]:
         """The port at the far end of the attached link, if any."""
-        if self.link is None:
+        if self.direction is None:
             return None
-        return self.link.other_end(self)
+        return self.direction.to_port
 
     def __repr__(self) -> str:
         return f"<Port {self.node.name}:{self.number}>"
@@ -128,7 +131,4 @@ def connect(
     end_b = node_b.port(port_b) if port_b is not None else node_b.next_free_port()
     if end_a.is_attached or end_b.is_attached:
         raise ValueError(f"port already wired: {end_a} or {end_b}")
-    link = Link(sim, end_a, end_b, bandwidth_bps, delay_s, queue_packets)
-    end_a.link = link
-    end_b.link = link
-    return link
+    return Link(sim, end_a, end_b, bandwidth_bps, delay_s, queue_packets)

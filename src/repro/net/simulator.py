@@ -8,13 +8,17 @@ events, cancellable handles, and helpers for periodic processes.
 
 Determinism matters for reproducibility, so ties are broken by an
 insertion sequence number and no wall-clock time ever leaks in.
+
+The heap holds ``(time, seq, handle)`` tuples, so ordering is the C
+tuple comparison; ``seq`` is unique, which means the comparison is
+always decided before it reaches the handle.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class EventHandle:
@@ -22,7 +26,8 @@ class EventHandle:
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
 
-    def __init__(self, time: float, seq: int, callback: Callable, args: tuple):
+    def __init__(self, time: float, seq: int, callback: Callable, args: tuple,
+                 sim: Optional["Simulator"] = None):
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -31,7 +36,7 @@ class EventHandle:
         # The simulator whose heap still holds this handle; cleared when
         # the event is popped (fired or reaped) so late cancels of dead
         # handles never skew the live-event accounting.
-        self._sim: Optional["Simulator"] = None
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
@@ -42,9 +47,6 @@ class EventHandle:
         if sim is not None:
             self._sim = None
             sim._note_cancelled()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -71,9 +73,12 @@ class Simulator:
     COMPACT_MIN_QUEUE = 64
 
     def __init__(self) -> None:
-        self._queue: List[EventHandle] = []
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute (every
+        #: hop reads it several times); only :meth:`run` writes it, and
+        #: only ever forwards.
+        self.now = 0.0
         self._running = False
         self._cancelled_queued = 0
         self.events_processed = 0
@@ -82,26 +87,29 @@ class Simulator:
         # run loop consults it before every event pop.
         self.fluid = None
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        # ``not >=`` rather than ``<`` so a NaN is rejected too: one
+        # NaN key silently breaks the heap invariant for every event.
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        time = self.now + delay
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args, self)
+        heappush(self._queue, (time, seq, handle))
+        return handle
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if not time >= self.now:
             raise ValueError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
-        handle = EventHandle(time, next(self._seq), callback, args)
-        handle._sim = self
-        heapq.heappush(self._queue, handle)
+        # Same four lines as schedule(): one event per hop goes through
+        # each, and a shared helper would cost both a call.
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args, self)
+        heappush(self._queue, (time, seq, handle))
         return handle
 
     def attach_fluid(self, region) -> None:
@@ -129,10 +137,13 @@ class Simulator:
 
         Without this, cancel/reschedule churn (TCP RTO timers, flow
         pacing) grows the heap without bound until the dead handles
-        surface naturally.
+        surface naturally.  The list is rewritten in place: a callback
+        may cancel its way into a compaction while :meth:`run` holds
+        the queue in a local.
         """
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapq.heapify(self._queue)
+        queue = self._queue
+        queue[:] = [item for item in queue if not item[2].cancelled]
+        heapify(queue)
         self._cancelled_queued = 0
         self.heap_compactions += 1
 
@@ -166,14 +177,15 @@ class Simulator:
                 "jitter is ignored when an explicit start is given;"
                 " fold the phase offset into start instead"
             )
-        first = (self._now + interval + jitter) if start is None else start
+        first = (self.now + interval + jitter) if start is None else start
         series = _PeriodicSeries(self, interval, callback, args)
         series.handle = self.schedule_at(first, series.fire)
-        return series.handle_proxy()
+        return _SeriesHandle(series)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Process events until the queue drains, ``until`` is reached,
-        or ``max_events`` have fired.
+        or ``max_events`` have fired.  The clock only moves forwards:
+        an ``until`` in the past fires nothing and leaves ``now`` alone.
 
         When a fluid region is attached and has suspended flows, their
         analytic state is advanced to each event's timestamp before the
@@ -182,39 +194,44 @@ class Simulator:
         """
         self._running = True
         processed = 0
+        queue = self._queue
         try:
-            while self._queue:
-                if max_events is not None and processed >= max_events:
-                    break
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
+            while queue:
+                head = queue[0]
+                if head[2].cancelled:
+                    heappop(queue)
                     self._cancelled_queued -= 1
                     continue
+                # After the reaping, so a queue holding only cancelled
+                # handles drains (and reaches ``until``) exactly like
+                # one that was compacted empty.
+                if max_events is not None and processed >= max_events:
+                    break
                 fluid = self.fluid
                 if fluid is not None and fluid.active:
-                    horizon = head.time
+                    horizon = head[0]
                     if until is not None and until < horizon:
                         horizon = until
                     if fluid.advance_to(horizon):
                         # A suspended flow re-materialized before the
                         # head event: re-evaluate heap order.
                         continue
-                if until is not None and head.time > until:
-                    self._now = until
+                if until is not None and head[0] > until:
+                    if until > self.now:
+                        self.now = until
                     break
-                event = heapq.heappop(self._queue)
+                event = heappop(queue)[2]
                 event._sim = None
-                self._now = event.time
+                self.now = event.time
                 event.callback(*event.args)
                 processed += 1
                 self.events_processed += 1
             else:
-                if until is not None and until > self._now:
+                if until is not None and until > self.now:
                     fluid = self.fluid
                     if fluid is not None and fluid.active:
                         fluid.advance_to(until)
-                    self._now = until
+                    self.now = until
         finally:
             self._running = False
 
@@ -228,7 +245,7 @@ class Simulator:
         gauges; the event loop itself is untouched)."""
         registry.gauge(
             "sim.now_s", "Current simulated time",
-        ).set_function(lambda: self._now)
+        ).set_function(lambda: self.now)
         registry.gauge(
             "sim.events_processed", "Events fired since construction",
         ).set_function(lambda: self.events_processed)
@@ -241,7 +258,7 @@ class Simulator:
         ).set_function(lambda: self.heap_compactions)
 
     def __repr__(self) -> str:
-        return f"<Simulator t={self._now:.6f} pending={self.pending()}>"
+        return f"<Simulator t={self.now:.6f} pending={self.pending()}>"
 
 
 class _PeriodicSeries:
@@ -262,35 +279,36 @@ class _PeriodicSeries:
         if not self.cancelled:
             self.handle = self.sim.schedule(self.interval, self.fire)
 
-    def handle_proxy(self) -> EventHandle:
-        """A handle whose ``cancel`` stops the whole periodic series and
-        whose ``set_interval`` retunes a live series' period."""
-        series = self
 
-        class _SeriesHandle(EventHandle):
-            __slots__ = ()
+class _SeriesHandle(EventHandle):
+    """What :meth:`Simulator.every` returns: ``cancel`` stops the whole
+    periodic series and ``set_interval`` retunes a live series' period."""
 
-            def cancel(self) -> None:  # noqa: D102 - see EventHandle
-                series.cancelled = True
-                if series.handle is not None:
-                    series.handle.cancel()
-                self.cancelled = True
+    __slots__ = ("_series",)
 
-            def set_interval(self, interval: float) -> None:
-                """Change the series' period; the next occurrence moves
-                to one new interval from now (fault injection uses this
-                to stretch an element's report cadence mid-run)."""
-                if interval <= 0:
-                    raise ValueError(
-                        f"interval must be positive (got {interval})"
-                    )
-                series.interval = interval
-                if series.cancelled:
-                    return
-                if series.handle is not None:
-                    series.handle.cancel()
-                series.handle = series.sim.schedule(interval, series.fire)
+    def __init__(self, series: _PeriodicSeries):
+        first = series.handle
+        assert first is not None
+        super().__init__(first.time, first.seq, series.fire, ())
+        self._series = series
 
-        assert self.handle is not None
-        proxy = _SeriesHandle(self.handle.time, self.handle.seq, self.fire, ())
-        return proxy
+    def cancel(self) -> None:  # noqa: D102 - see EventHandle
+        series = self._series
+        series.cancelled = True
+        if series.handle is not None:
+            series.handle.cancel()
+        self.cancelled = True
+
+    def set_interval(self, interval: float) -> None:
+        """Change the series' period; the next occurrence moves to one
+        new interval from now (fault injection uses this to stretch an
+        element's report cadence mid-run)."""
+        if interval <= 0:
+            raise ValueError(f"interval must be positive (got {interval})")
+        series = self._series
+        series.interval = interval
+        if series.cancelled:
+            return
+        if series.handle is not None:
+            series.handle.cancel()
+        series.handle = series.sim.schedule(interval, series.fire)

@@ -64,7 +64,7 @@ class WirelessLink(Link):
         if not self.up:
             from_port.tx_drops += 1
             return False
-        direction = self._directions[id(from_port)]
+        direction = from_port.direction
         now = self.sim.now
         # Same drop-tail semantics as the wired link: a buffer slot is
         # held until the frame's airtime completes, not until it has
@@ -73,17 +73,17 @@ class WirelessLink(Link):
             direction.dropped += 1
             from_port.tx_drops += 1
             return False
-        done = self.medium.reserve(now, frame.size)
+        size = frame.size
+        done = self.medium.reserve(now, size)
         direction.next_free = done
         direction.pending_done.append(done)
-        direction.busy_time += frame.size * 8.0 / self.medium.bandwidth_bps
+        direction.busy_time += size * 8.0 / self.medium.bandwidth_bps
         direction.tx_packets += 1
-        direction.tx_bytes += frame.size
+        direction.tx_bytes += size
         from_port.tx_packets += 1
-        from_port.tx_bytes += frame.size
-        to_port = self.other_end(from_port)
+        from_port.tx_bytes += size
         self.sim.schedule_at(
-            done + self.delay_s, self._deliver, frame, from_port, to_port
+            done + self.delay_s, self._deliver, frame, direction.to_port
         )
         return True
 
@@ -120,7 +120,5 @@ class WifiAccessPoint(OpenFlowSwitch):
         if ap_port.is_attached or station_port.is_attached:
             raise ValueError("port already wired")
         link = WirelessLink(self.sim, ap_port, station_port, self.medium)
-        ap_port.link = link
-        station_port.link = link
         self.stations.append(station)
         return link

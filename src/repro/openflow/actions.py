@@ -9,6 +9,7 @@ list, which is how OpenFlow 1.0 expresses drops).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.net.packet import Ethernet
 
@@ -103,3 +104,43 @@ class PopPathTag(Action):
 
     def __str__(self) -> str:
         return "pop_path_tag"
+
+
+# Step kinds of a compiled action plan.
+EMIT_PORT, EMIT_FLOOD, EMIT_CONTROLLER, POP_TAG, REWRITE = range(5)
+
+#: ``(kind, arg, hand_over)`` per action, in order.
+ActionPlan = Tuple[Tuple[int, object, bool], ...]
+
+
+def compile_actions(actions: Tuple[Action, ...]) -> ActionPlan:
+    """Compile an action tuple once for the datapath's per-frame loop.
+
+    Which Output may hand over the original frame, and what kind each
+    action is, depend only on the tuple, so a flow entry computes both
+    when it is built (and again on MODIFY) and every frame it forwards
+    reuses them.
+
+    The steps mirror ``actions`` one to one: ``arg`` is the port of an
+    ``EMIT_PORT`` and the action itself of a ``REWRITE`` (anything that
+    is neither an Output nor a PopPathTag, PushPathTag included);
+    ``hand_over`` marks the one emission that may pass the original
+    frame on instead of a clone -- an Output that is the last action,
+    so nothing after it could mutate a frame already in flight.
+    """
+    steps = []
+    last = len(actions) - 1
+    for index, action in enumerate(actions):
+        if isinstance(action, Output):
+            if action.port == CONTROLLER_PORT:
+                kind = EMIT_CONTROLLER
+            elif action.port == FLOOD_PORT:
+                kind = EMIT_FLOOD
+            else:
+                kind = EMIT_PORT
+            steps.append((kind, action.port, index == last))
+        elif isinstance(action, PopPathTag):
+            steps.append((POP_TAG, None, False))
+        else:
+            steps.append((REWRITE, action, False))
+    return tuple(steps)

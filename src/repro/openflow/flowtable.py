@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Ethernet
-from repro.openflow.actions import Action
+from repro.openflow.actions import Action, ActionPlan, compile_actions
 from repro.openflow.match import Match, frame_index_key
 
 DEFAULT_PRIORITY = 100
@@ -66,6 +66,12 @@ class FlowEntry:
     # tie-break) and residency (lazy heap nodes outlive evicted rows).
     seq: int = field(default=0, compare=False, repr=False)
     resident: bool = field(default=False, compare=False, repr=False)
+    # ``actions`` compiled for the datapath; rebuilt by FlowTable.modify,
+    # the one place that replaces an entry's actions.
+    plan: ActionPlan = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.plan = compile_actions(self.actions)
 
     @property
     def is_drop(self) -> bool:
@@ -109,9 +115,33 @@ class _RemovedEntry:
     reason: str
 
 
-def _order_key(entry: FlowEntry) -> Tuple[int, int]:
-    """Linear-scan position: descending priority, then insertion order."""
-    return (-entry.priority, entry.seq)
+def _precedes(entry: FlowEntry, other: FlowEntry) -> bool:
+    """Whether ``entry`` comes before ``other`` in linear-scan order:
+    descending priority, then insertion order."""
+    return entry.priority > other.priority or (
+        entry.priority == other.priority and entry.seq < other.seq
+    )
+
+
+def _scan_position(entries: List[FlowEntry], priority: int, seq: int) -> int:
+    """Where ``(priority, seq)`` sits in a list kept in linear-scan
+    order (descending priority, then insertion order): the index of the
+    resident entry with that pair, or the slot a new one takes.
+
+    A hand-rolled bisection because ``bisect`` has no ``key=`` before
+    Python 3.10; it compares fields, so no key tuples are built.
+    """
+    low, high = 0, len(entries)
+    while low < high:
+        mid = (low + high) // 2
+        entry = entries[mid]
+        if entry.priority > priority or (
+            entry.priority == priority and entry.seq < seq
+        ):
+            low = mid + 1
+        else:
+            high = mid
+    return low
 
 
 class FlowTable:
@@ -131,7 +161,9 @@ class FlowTable:
         # dropped on pop via the entry's residency flag.
         self._heap: List[Tuple[float, int, FlowEntry]] = []
         self._seq = 0
-        self._observed_removals: List[_RemovedEntry] = []
+        #: Entries evicted by lookups and not yet drained through
+        #: :meth:`take_removed`; the datapath tests it per frame.
+        self.pending_removals: List[_RemovedEntry] = []
         self.lookups = 0
         self.matched = 0
         self.exact_hits = 0
@@ -197,16 +229,18 @@ class FlowTable:
         entry.seq = self._seq
         entry.resident = True
         self._by_key[(entry.match, entry.priority)] = entry
-        # Append + stable sort: the list is already sorted, so Timsort
-        # is near-linear, and equal priorities keep insertion order.
-        self._entries.append(entry)
-        self._entries.sort(key=_order_key)
+        # The new entry holds the highest seq, so its slot is after
+        # every entry of its own or a higher priority.
+        self._entries.insert(
+            _scan_position(self._entries, entry.priority, entry.seq), entry
+        )
         key = entry.match.exact_index_key()
         if key is not None:
             self._exact.setdefault(key, []).append(entry)
         else:
-            self._wild.append(entry)
-            self._wild.sort(key=_order_key)
+            self._wild.insert(
+                _scan_position(self._wild, entry.priority, entry.seq), entry
+            )
         deadline = entry.next_deadline()
         if deadline is not None:
             heapq.heappush(self._heap, (deadline, entry.seq, entry))
@@ -215,10 +249,9 @@ class FlowTable:
         """Unlink an entry from every structure (not the heap: its node
         is skipped on pop via the residency flag)."""
         entry.resident = False
-        for index, existing in enumerate(self._entries):
-            if existing is entry:
-                del self._entries[index]
-                break
+        index = _scan_position(self._entries, entry.priority, entry.seq)
+        assert self._entries[index] is entry
+        del self._entries[index]
         if self._by_key.get((entry.match, entry.priority)) is entry:
             del self._by_key[(entry.match, entry.priority)]
         key = entry.match.exact_index_key()
@@ -232,10 +265,9 @@ class FlowTable:
                 if not bucket:
                     del self._exact[key]
         else:
-            for index, existing in enumerate(self._wild):
-                if existing is entry:
-                    del self._wild[index]
-                    break
+            del self._wild[
+                _scan_position(self._wild, entry.priority, entry.seq)
+            ]
 
     def modify(self, match: Match, actions: Tuple[Action, ...], now: float,
                strict_priority: Optional[int] = None) -> int:
@@ -247,11 +279,13 @@ class FlowTable:
         broader entry is never rewritten by a narrower MODIFY.
         """
         count = 0
+        plan = compile_actions(actions)
         for entry in self._entries:
             if strict_priority is not None and entry.priority != strict_priority:
                 continue
             if entry.match.is_subset_of(match):
                 entry.actions = actions
+                entry.plan = plan
                 count += 1
         return count
 
@@ -306,14 +340,14 @@ class FlowTable:
                     heapq.heappush(heap, (deadline, seq, entry))
                 continue
             self._discard(entry)
-            self._observed_removals.append(_RemovedEntry(entry, reason))
+            self.pending_removals.append(_RemovedEntry(entry, reason))
 
     def take_removed(self) -> Sequence[_RemovedEntry]:
         """Drain entries evicted since the last drain (lookup-observed
         expiries awaiting their FlowRemoved)."""
-        if not self._observed_removals:
+        if not self.pending_removals:
             return ()
-        removed, self._observed_removals = self._observed_removals, []
+        removed, self.pending_removals = self.pending_removals, []
         return removed
 
     def expire(self, now: float) -> List[_RemovedEntry]:
@@ -342,24 +376,37 @@ class FlowTable:
     def _lookup_indexed(
         self, frame: Ethernet, in_port: int, now: float
     ) -> Optional[FlowEntry]:
-        self._evict_due(now)
+        heap = self._heap
+        if heap and heap[0][0] <= now:
+            self._evict_due(now)
         best: Optional[FlowEntry] = None
         bucket = self._exact.get(frame_index_key(frame, in_port))
         if bucket:
+            # An entry under the frame's key agrees with it on every
+            # keyed field; dl_vlan is the one match field an indexable
+            # match may set outside the key (see exact_index_key).
+            vlan = frame.vlan
             for entry in bucket:
-                if (best is None or _order_key(entry) < _order_key(best)) \
-                        and entry.match.matches(frame, in_port):
+                wanted = entry.match.dl_vlan
+                if wanted is not None and wanted != vlan:
+                    continue
+                if best is None or _precedes(entry, best):
                     best = entry
         exact = best is not None
-        if self._wild:
-            limit = _order_key(best) if best is not None else None
-            for entry in self._wild:
-                if limit is not None and _order_key(entry) > limit:
-                    break
-                if entry.match.matches(frame, in_port):
-                    best = entry
-                    exact = False
-                    break
+        for entry in self._wild:
+            # Past ``best``'s position in linear-scan order no wildcard
+            # entry can win (``_precedes(best, entry)``, inlined: this
+            # runs for every frame).
+            if best is not None and (
+                entry.priority < best.priority or (
+                    entry.priority == best.priority and entry.seq > best.seq
+                )
+            ):
+                break
+            if entry.match.matches(frame, in_port):
+                best = entry
+                exact = False
+                break
         if best is None:
             self.misses += 1
             return None
@@ -385,19 +432,17 @@ class FlowTable:
             for entry in bucket:
                 if entry.expired(now):
                     continue
-                if (best is None or _order_key(entry) < _order_key(best)) \
+                if (best is None or _precedes(entry, best)) \
                         and entry.match.matches(frame, in_port):
                     best = entry
-        if self._wild:
-            limit = _order_key(best) if best is not None else None
-            for entry in self._wild:
-                if limit is not None and _order_key(entry) > limit:
-                    break
-                if entry.expired(now):
-                    continue
-                if entry.match.matches(frame, in_port):
-                    best = entry
-                    break
+        for entry in self._wild:
+            if best is not None and _precedes(best, entry):
+                break
+            if entry.expired(now):
+                continue
+            if entry.match.matches(frame, in_port):
+                best = entry
+                break
         return best
 
     def record_fluid_hits(

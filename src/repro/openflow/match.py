@@ -16,6 +16,7 @@ from repro.net.packet import (
     IP_PROTO_UDP,
     Ethernet,
     FlowNineTuple,
+    IPv4,
     Tcp,
     Udp,
     extract_nine_tuple,
@@ -208,8 +209,8 @@ def frame_index_key(frame: Ethernet, in_port: int) -> Tuple:
     minus the VLAN tag, with transport ports normalized to None unless
     the IP protocol is TCP/UDP (matching the indexability rule).
     """
-    ip = frame.ip()
-    if ip is None:
+    ip = frame.payload  # Ethernet.ip(), inlined: once per lookup
+    if frame.ethertype != ETH_TYPE_IP or not isinstance(ip, IPv4):
         return (in_port, frame.src, frame.dst, frame.ethertype,
                 None, None, None, None, None)
     tp_src = tp_dst = None

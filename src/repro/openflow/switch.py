@@ -25,11 +25,13 @@ from repro.net.packet import Ethernet
 from repro.openflow import messages as msg
 from repro.openflow import pathproof
 from repro.openflow.actions import (
-    Action,
-    CONTROLLER_PORT,
-    FLOOD_PORT,
+    EMIT_FLOOD,
+    EMIT_PORT,
+    POP_TAG,
+    REWRITE,
+    ActionPlan,
     Output,
-    PopPathTag,
+    compile_actions,
 )
 from repro.openflow.channel import SecureChannel
 from repro.openflow.flowtable import FlowEntry, FlowTable
@@ -42,21 +44,6 @@ DEFAULT_FORWARDING_DELAY_S = 25e-6
 EXPIRY_SWEEP_INTERVAL_S = 1.0
 MAX_BUFFERED_FRAMES = 4096
 MAX_PENDING_REPLIES = 512
-
-
-def _last_emitting_index(actions: Tuple[Action, ...]) -> int:
-    """Index of the final Output action, or -1 when the original frame
-    cannot be handed over (e.g. a rewrite follows the last output and
-    would mutate a frame already in flight)."""
-    last = -1
-    for index, action in enumerate(actions):
-        if isinstance(action, Output):
-            last = index
-    if last >= 0 and any(
-        not isinstance(action, Output) for action in actions[last + 1:]
-    ):
-        return -1
-    return last
 
 
 class OpenFlowSwitch(Node):
@@ -74,7 +61,7 @@ class OpenFlowSwitch(Node):
         self.table = FlowTable()
         self.channel: Optional[SecureChannel] = None
         self.forwarding_delay_s = forwarding_delay_s
-        self._buffers: "OrderedDict[int, Tuple[Ethernet, int]]" = OrderedDict()
+        self._buffers: OrderedDict[int, Tuple[Ethernet, int]] = OrderedDict()
         self._buffer_ids = itertools.count(1)
         # State-bearing messages (FlowRemoved) raised while the channel
         # is down are parked here and flushed on reconnect, so the
@@ -160,33 +147,37 @@ class OpenFlowSwitch(Node):
         self.compromised_port = None
 
     def receive(self, frame: Ethernet, in_port: int) -> None:
-        entry = self.table.lookup(frame, in_port, self.sim.now)
+        table = self.table
+        entry = table.lookup(frame, in_port, self.sim.now)
         # Entries observed expired are evicted by the lookup itself, so
         # table occupancy and FlowRemoved timing always agree with what
         # the datapath honored -- notify the controller immediately
         # instead of waiting for the next sweep tick.
-        for removed in self.table.take_removed():
-            if removed.entry.send_flow_removed:
-                self._send_flow_removed(removed.entry, removed.reason)
+        if table.pending_removals:
+            for removed in table.take_removed():
+                if removed.entry.send_flow_removed:
+                    self._send_flow_removed(removed.entry, removed.reason)
         if entry is None:
             self._punt_to_controller(frame, in_port, reason="no_match")
             return
-        if entry.is_drop:
+        if not entry.actions:
             self.packets_dropped += 1
             return
-        actions = entry.actions
+        plan = entry.plan
         if (
             self.compromised == "skip-waypoint"
             and frame.path_tag is not None
         ):
-            actions = self._skip_waypoint_actions(frame, actions)
+            plan = self._skip_waypoint_plan(frame, entry)
+        # The forwarding delay stays its own event: the output links'
+        # state must be read when the frame leaves, not when it arrives.
         self.sim.schedule(
-            self.forwarding_delay_s, self._apply_actions, frame, in_port, actions
+            self.forwarding_delay_s, self._apply_actions, frame, in_port, plan
         )
 
-    def _skip_waypoint_actions(
-        self, frame: Ethernet, actions: Tuple[Action, ...]
-    ) -> Tuple[Action, ...]:
+    def _skip_waypoint_plan(
+        self, frame: Ethernet, entry: FlowEntry
+    ) -> ActionPlan:
         """The skip-waypoint misbehavior: when the matched rule would
         hand a tagged frame to a locally attached service element,
         forward it straight through as if the element had already
@@ -194,7 +185,7 @@ class OpenFlowSwitch(Node):
         instead of two, which is exactly what breaks the mark chain at
         this switch's position."""
         element_port = None
-        for action in actions:
+        for action in entry.actions:
             if isinstance(action, Output) and action.port > 0:
                 port = self.ports.get(action.port)
                 peer = port.peer() if port is not None else None
@@ -204,59 +195,37 @@ class OpenFlowSwitch(Node):
                     element_port = action.port
                 break
         if element_port is None:
-            return actions
+            return entry.plan
         onward = self.table.lookup(frame, element_port, self.sim.now)
-        if onward is None or onward.is_drop or onward.actions == actions:
-            return actions
+        if onward is None or onward.is_drop or onward.actions == entry.actions:
+            return entry.plan
         self.waypoints_skipped += 1
-        return onward.actions
+        return onward.plan
 
     def _apply_actions(
-        self, frame: Ethernet, in_port: int, actions: Tuple[Action, ...]
+        self, frame: Ethernet, in_port: int, plan: ActionPlan
     ) -> None:
-        if self.compromised == "tag-strip" and frame.path_tag is not None:
+        compromised = self.compromised
+        if compromised == "tag-strip" and frame.path_tag is not None:
             frame.path_tag = None
             self.tags_stripped += 1
         outputs = 0
         stamped = False
-        last_emit = _last_emitting_index(actions)
-        for index, action in enumerate(actions):
-            if isinstance(action, Output):
-                if frame.path_tag is not None and not stamped:
-                    frame.path_tag = frame.path_tag.stamped(
-                        self.path_secret, self.dpid
-                    )
-                    self.path_marks_stamped += 1
-                    stamped = True
-                # Only clone when the frame is emitted again later; the
-                # final emission may hand over the original (fast path).
-                emit = frame if index == last_emit else frame.clone()
-                if action.port == CONTROLLER_PORT:
-                    self._punt_to_controller(emit, in_port, reason="action")
-                elif action.port == FLOOD_PORT:
-                    outputs += self.flood(emit, in_port)
-                else:
-                    out_port = action.port
-                    if (
-                        self.compromised == "misroute"
-                        and frame.path_tag is not None
-                        and self.compromised_port is not None
-                        and self.compromised_port != out_port
-                        and self.compromised_port in self.ports
-                    ):
-                        out_port = self.compromised_port
-                        self.frames_misrouted += 1
-                    if self.send(emit, out_port):
-                        outputs += 1
-            elif isinstance(action, PopPathTag):
-                # Egress: stamp our own mark first, then strip the tag
-                # and report the accumulated chain for verification.
-                if frame.path_tag is not None and not stamped:
-                    frame.path_tag = frame.path_tag.stamped(
-                        self.path_secret, self.dpid
-                    )
-                    self.path_marks_stamped += 1
-                    stamped = True
+        for kind, arg, hand_over in plan:
+            if kind == REWRITE:
+                arg.apply(frame)
+                continue
+            # Every emission and the egress pop carry this switch's
+            # mark: stamp once, before the first of them.
+            if not stamped and frame.path_tag is not None:
+                frame.path_tag = frame.path_tag.stamped(
+                    self.path_secret, self.dpid
+                )
+                self.path_marks_stamped += 1
+                stamped = True
+            if kind == POP_TAG:
+                # Egress: strip the tag and report the accumulated
+                # chain for verification.
                 tag = frame.path_tag
                 frame.path_tag = None
                 if tag is not None:
@@ -267,8 +236,27 @@ class OpenFlowSwitch(Node):
                         descriptor=tag.descriptor,
                         marks=tag.marks,
                     ))
+                continue
+            # Only clone when the frame is emitted again later; the
+            # final emission may hand over the original (fast path).
+            emit = frame if hand_over else frame.clone()
+            if kind == EMIT_PORT:
+                out_port = arg
+                if (
+                    compromised == "misroute"
+                    and frame.path_tag is not None
+                    and self.compromised_port is not None
+                    and self.compromised_port != out_port
+                    and self.compromised_port in self.ports
+                ):
+                    out_port = self.compromised_port
+                    self.frames_misrouted += 1
+                if self.send(emit, out_port):
+                    outputs += 1
+            elif kind == EMIT_FLOOD:
+                outputs += self.flood(emit, in_port)
             else:
-                action.apply(frame)
+                self._punt_to_controller(emit, in_port, reason="action")
         self.packets_forwarded += outputs
 
     def _punt_to_controller(self, frame: Ethernet, in_port: int, reason: str) -> None:
@@ -320,7 +308,13 @@ class OpenFlowSwitch(Node):
 
     def _handle_flow_mod(self, mod: msg.FlowMod) -> None:
         now = self.sim.now
-        if mod.command == msg.FlowMod.ADD:
+        if mod.command == msg.FlowMod.MODIFY and self.table.modify(
+            mod.match, tuple(mod.actions), now
+        ):
+            pass
+        elif mod.command in (msg.FlowMod.ADD, msg.FlowMod.MODIFY):
+            # OpenFlow semantics: MODIFY with no match behaves as ADD,
+            # so both build the entry from every field of the FlowMod.
             self.table.add(
                 FlowEntry(
                     match=mod.match,
@@ -333,21 +327,6 @@ class OpenFlowSwitch(Node):
                 ),
                 now,
             )
-        elif mod.command == msg.FlowMod.MODIFY:
-            modified = self.table.modify(mod.match, tuple(mod.actions), now)
-            if modified == 0:
-                # OpenFlow semantics: MODIFY with no match behaves as ADD.
-                self.table.add(
-                    FlowEntry(
-                        match=mod.match,
-                        actions=tuple(mod.actions),
-                        priority=mod.priority,
-                        idle_timeout=mod.idle_timeout,
-                        hard_timeout=mod.hard_timeout,
-                        cookie=mod.cookie,
-                    ),
-                    now,
-                )
         elif mod.command in (msg.FlowMod.DELETE, msg.FlowMod.DELETE_STRICT):
             strict = mod.command == msg.FlowMod.DELETE_STRICT
             removed = self.table.delete(
@@ -372,7 +351,7 @@ class OpenFlowSwitch(Node):
                         self._apply_actions,
                         frame,
                         in_port,
-                        tuple(mod.actions),
+                        compile_actions(tuple(mod.actions)),
                     )
 
     def _handle_packet_out(self, out: msg.PacketOut) -> None:
@@ -387,7 +366,7 @@ class OpenFlowSwitch(Node):
             return
         self.sim.schedule(
             self.forwarding_delay_s, self._apply_actions, frame, in_port,
-            tuple(out.actions),
+            compile_actions(tuple(out.actions)),
         )
 
     def _handle_port_stats(self, request: msg.PortStatsRequest) -> None:

@@ -1,5 +1,7 @@
 """Unit tests for flow tables: priorities, timeouts, OF semantics."""
 
+import random
+
 import pytest
 
 from repro.net import packet as pkt
@@ -68,6 +70,43 @@ class TestAddSemantics:
         table.add(entry(priority=100), now=0.0)
         table.add(entry(priority=200), now=0.0)
         assert len(table) == 2
+
+
+    def test_bisected_inserts_keep_linear_scan_order(self):
+        """Entries are inserted at (and removed from) a bisected slot;
+        iteration must stay what the stable re-sort produced:
+        descending priority, insertion order within a priority."""
+        rng = random.Random(7)
+        table = FlowTable()
+        for step in range(600):
+            roll = rng.random()
+            match = Match(tp_dst=rng.randrange(40)) if rng.random() < 0.5 \
+                else Match.from_frame(
+                    pkt.make_tcp("m1", "m2", "1.1.1.1", "2.2.2.2", 1000,
+                                 rng.randrange(40)), in_port=1)
+            priority = rng.choice((50, 100, 100, 100, 200))
+            if roll < 0.7:
+                table.add(entry(match=match, priority=priority),
+                          now=float(step))
+            elif roll < 0.85:
+                table.delete(match, strict=True, priority=priority)
+            else:
+                table.delete(Match(tp_dst=rng.randrange(40)))
+            for view in (list(table), list(table.wildcard_entries())):
+                assert view == sorted(
+                    view, key=lambda e: (-e.priority, e.seq))
+            assert set(map(id, table.wildcard_entries())) == {
+                id(e) for e in table
+                if e.match.exact_index_key() is None
+            }
+
+    def test_modify_recompiles_the_action_plan(self):
+        table = FlowTable()
+        table.add(entry(actions=(Output(1),)), now=0.0)
+        table.modify(Match(), (Output(5), Output(6)), now=1.0)
+        hit = table.lookup(frame(), 1, now=2.0)
+        assert hit.actions == (Output(5), Output(6))
+        assert [step[1] for step in hit.plan] == [5, 6]
 
 
 class TestTimeouts:

@@ -248,6 +248,20 @@ class TestFlowRemoved:
         assert removed.reason == "idle" and removed.cookie == 42
         assert len(ctrl.packet_ins) == 1  # the observing frame missed
 
+    def test_modify_as_add_keeps_flow_removed_flag(self, sim, setup):
+        """A MODIFY that matches nothing installs the entry like an ADD
+        would, send_flow_removed included: the controller must hear it
+        expire."""
+        switch, ctrl, a, b, _ = setup
+        ctrl.send_flow_mod(
+            7, msg.FlowMod.MODIFY, Match(), actions=(Output(2),),
+            idle_timeout=1.0, send_flow_removed=True, cookie=41,
+        )
+        sim.run(until=sim.now + 0.2)
+        assert len(switch.table) == 1
+        sim.run(until=5.0)
+        assert [r.cookie for r in ctrl.flow_removed] == [41]
+
     def test_no_notification_without_flag(self, sim, setup):
         switch, ctrl, a, b, _ = setup
         ctrl.send_flow_mod(7, msg.FlowMod.ADD, Match(), actions=(Output(2),),

@@ -43,6 +43,18 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_nan_times_rejected(self, sim):
+        """A NaN compares false both ways; queued, it would silently
+        break the heap invariant for every event around it."""
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(ValueError):
+            sim.every(1.0, lambda: None, start=nan)
+        assert sim.pending() == 0
+
     def test_events_scheduled_during_run_fire(self, sim):
         fired = []
 
@@ -105,6 +117,18 @@ class TestRunUntil:
         sim.run(until=2.0)
         sim.run()
         assert fired == ["later"]
+
+    def test_until_in_the_past_never_rewinds_the_clock(self, sim):
+        fired = []
+        sim.schedule(5.0, fired.append, "later")
+        sim.run(until=2.0)
+        sim.run(until=1.0)  # a later event is pending: the break branch
+        assert sim.now == 2.0
+        assert fired == []
+        sim.run()
+        assert fired == ["later"] and sim.now == 5.0
+        sim.run(until=3.0)  # queue drained: the else branch
+        assert sim.now == 5.0
 
     def test_max_events_bound(self, sim):
         fired = []

@@ -69,7 +69,7 @@ class TestQueueSlotRelease:
         link = connect(sim, a, b, bandwidth_bps=1e6, delay_s=1.0,
                        queue_packets=10)
         a.send(frame_of_size(1250), 1)  # serializes over [0, 10ms]
-        direction = link._directions[id(a.port(1))]
+        direction = a.port(1).direction
         assert direction.occupancy(0.005) == 1
         assert direction.occupancy(0.5) == 0  # on the wire, slot free
 
