@@ -219,19 +219,19 @@ class HostTrackerApp(App):
     # ------------------------------------------------------------------
     # Expiry
 
-    def expire_hosts(self) -> None:
+    def _has_live_session(self, record: HostRecord) -> bool:
         # A host with a live (unblocked) session is demonstrably
         # present even if it has not ARPed lately -- keep it.
+        return any(
+            not session.blocked
+            for session in self.ctx.sessions.sessions_of_user(record.mac)
+        )
+
+    def expire_hosts(self) -> None:
         now = self.ctx.sim.now
-        for record in self.ctx.nib.hosts.values():
-            if now - record.last_seen <= self.ctx.nib.host_timeout_s:
-                continue
-            if any(
-                not session.blocked
-                for session in self.ctx.sessions.sessions_of_user(record.mac)
-            ):
-                record.last_seen = now
-        for record in self.ctx.nib.expire_hosts(now):
+        for record in self.ctx.nib.expire_hosts(
+            now, keep_alive=self._has_live_session
+        ):
             if not record.is_element:
                 self.ctx.log.emit(
                     now, EventKind.HOST_LEAVE, mac=record.mac, ip=record.ip,

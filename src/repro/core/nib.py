@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 DEFAULT_HOST_TIMEOUT_S = 120.0
+_DIGEST_CHUNK = 4096  # rows per sha256 update
 
 
 @dataclass
@@ -69,6 +70,10 @@ class NetworkInformationBase:
         self.links: Dict[Tuple[int, int], LogicalLink] = {}
         self.switches: Dict[int, SwitchRecord] = {}
         self._uplink_ports: Dict[int, set] = {}
+        #: Bumped exactly where a ``location_digest`` row can change
+        #: (never by a ``last_seen`` refresh): an idle NIB does not rehash.
+        self.location_version = 0
+        self._digest_memo: Tuple[int, str] = (-1, "")
 
     # ------------------------------------------------------------------
     # Switches
@@ -106,6 +111,8 @@ class NetworkInformationBase:
         Section III.D.1).
         """
         existing = self.hosts.get(mac)
+        if existing is not None and ip and ip != existing.ip:
+            self._unindex_ip(mac, existing.ip)
         moved = existing is not None and (
             existing.dpid != dpid or existing.port != port
         )
@@ -122,20 +129,31 @@ class NetworkInformationBase:
             self.hosts[mac] = record
             if record.ip:
                 self._hosts_by_ip[record.ip] = mac
+            self.location_version += 1
             return record, True
         existing.last_seen = now
         if ip:
-            existing.ip = ip
+            if ip != existing.ip:
+                existing.ip = ip
+                self.location_version += 1
             self._hosts_by_ip[ip] = mac
-        if is_element:
+        if is_element and not existing.is_element:
             existing.is_element = True
+            self.location_version += 1
         return existing, False
 
     def remove_host(self, mac: str) -> Optional[HostRecord]:
         record = self.hosts.pop(mac, None)
-        if record is not None and record.ip:
-            self._hosts_by_ip.pop(record.ip, None)
+        if record is not None:
+            self._unindex_ip(mac, record.ip)
+            self.location_version += 1
         return record
+
+    def _unindex_ip(self, mac: str, ip: Optional[str]) -> None:
+        """Drop ``ip -> mac`` unless the address has since been
+        re-leased to another host, whose mapping must survive."""
+        if ip and self._hosts_by_ip.get(ip) == mac:
+            del self._hosts_by_ip[ip]
 
     def host_by_mac(self, mac: str) -> Optional[HostRecord]:
         return self.hosts.get(mac)
@@ -144,13 +162,20 @@ class NetworkInformationBase:
         mac = self._hosts_by_ip.get(ip)
         return self.hosts.get(mac) if mac else None
 
-    def expire_hosts(self, now: float) -> List[HostRecord]:
+    def expire_hosts(
+        self, now: float, keep_alive: Optional[Callable[[HostRecord], bool]] = None
+    ) -> List[HostRecord]:
         """Drop hosts not heard from within the timeout (the paper's
-        'removed from the routing table due to ARP packet timeout')."""
-        stale = [
-            record for record in self.hosts.values()
-            if now - record.last_seen > self.host_timeout_s
-        ]
+        'removed from the routing table due to ARP packet timeout').
+        A silent host that ``keep_alive`` vouches for is refreshed
+        instead of dropped."""
+        stale, timeout = [], self.host_timeout_s
+        for record in self.hosts.values():
+            if now - record.last_seen > timeout:
+                if keep_alive is not None and keep_alive(record):
+                    record.last_seen = now
+                else:
+                    stale.append(record)
         for record in stale:
             self.remove_host(record.mac)
         return stale
@@ -234,30 +259,24 @@ class NetworkInformationBase:
     # ------------------------------------------------------------------
     # Replication digest (the shard fabric's NIB exchange unit)
 
-    def location_entries(
-        self, dpids: Optional[Iterable[int]] = None
-    ) -> List[Tuple[str, Optional[str], int, int, bool]]:
-        """The host-location rows as canonical sorted tuples, optionally
-        restricted to hosts homed on the given datapaths."""
-        wanted = None if dpids is None else set(dpids)
-        rows = [
-            (h.mac, h.ip, h.dpid, h.port, h.is_element)
-            for h in self.hosts.values()
-            if wanted is None or h.dpid in wanted
-        ]
-        rows.sort()
-        return rows
-
-    def location_digest(self, dpids: Optional[Iterable[int]] = None) -> str:
-        """sha256 over the canonical location rows.  Two NIBs agree on
-        a dpid set exactly when their digests match -- this is what
-        shards exchange every sync round instead of full tables."""
-        digest = hashlib.sha256()
-        for mac, ip, dpid, port, is_element in self.location_entries(dpids):
-            digest.update(
-                f"{mac} {ip} {dpid} {port} {int(is_element)}\n".encode()
-            )
-        return digest.hexdigest()
+    def location_digest(self) -> str:
+        """sha256 over the host-location rows in MAC order (the MAC is
+        the unique key).  Two NIBs hold the same locations exactly when
+        their digests match -- this is what shards exchange every sync
+        round instead of full tables.  Rehashed only after
+        ``location_version`` moved."""
+        version, hexdigest = self._digest_memo
+        if version != self.location_version:
+            macs = sorted(self.hosts)
+            digest = hashlib.sha256()
+            for start in range(0, len(macs), _DIGEST_CHUNK):
+                digest.update("".join([
+                    f"{h.mac} {h.ip} {h.dpid} {h.port} {int(h.is_element)}\n"
+                    for h in map(self.hosts.__getitem__, macs[start:start + _DIGEST_CHUNK])
+                ]).encode())
+            hexdigest = digest.hexdigest()
+            self._digest_memo = (self.location_version, hexdigest)
+        return hexdigest
 
     # ------------------------------------------------------------------
     # Views

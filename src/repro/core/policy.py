@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.packet import FlowNineTuple
 
@@ -80,6 +80,10 @@ def ip_to_int(ip: str) -> int:
     return value
 
 
+def _prefix_mask(length: int) -> int:
+    return ((1 << length) - 1) << (32 - length) if length else 0
+
+
 @lru_cache(maxsize=4096)
 def parse_cidr(cidr: str) -> Tuple[int, int]:
     """``"a.b.c.d/len"`` as ``(network_int, prefix_len)`` (strict:
@@ -91,23 +95,44 @@ def parse_cidr(cidr: str) -> Tuple[int, int]:
     if length > 32:
         raise ValueError(f"CIDR prefix length out of range: {cidr!r}")
     network = ip_to_int(base)
-    mask = ((1 << length) - 1) << (32 - length) if length else 0
-    if network & ~mask & 0xFFFFFFFF:
+    if network & ~_prefix_mask(length) & 0xFFFFFFFF:
         raise ValueError(f"host bits set in CIDR {cidr!r}")
     return network, length
+
+
+def _cidr_net(cidr: str) -> Tuple[int, int]:
+    """``"a.b.c.d/len"`` as ``(network_int, mask_int)``."""
+    network, length = parse_cidr(cidr)
+    return network, _prefix_mask(length)
+
+
+def _ip_or_none(ip: Optional[str]) -> Optional[int]:
+    """``ip`` as a 32-bit integer; None for None and for non-IPv4
+    strings, the addresses that fall inside no CIDR block."""
+    if ip is None:
+        return None
+    try:
+        return ip_to_int(ip)
+    except ValueError:
+        return None
+
+
+FlowAddrs = Tuple[Optional[int], Optional[int]]
+
+
+def flow_addrs(flow: FlowNineTuple) -> FlowAddrs:
+    """A flow's ``(nw_src, nw_dst)`` parsed once for a whole table
+    scan (see :meth:`FlowSelector.matches`)."""
+    return _ip_or_none(flow.nw_src), _ip_or_none(flow.nw_dst)
 
 
 def cidr_contains(cidr: str, ip: Optional[str]) -> bool:
     """Whether ``ip`` falls inside the CIDR block (False for None or
     non-IPv4 strings)."""
-    if ip is None:
+    value = _ip_or_none(ip)
+    if value is None:
         return False
-    network, length = parse_cidr(cidr)
-    try:
-        value = ip_to_int(ip)
-    except ValueError:
-        return False
-    mask = ((1 << length) - 1) << (32 - length) if length else 0
+    network, mask = _cidr_net(cidr)
     return (value & mask) == network
 
 
@@ -149,13 +174,24 @@ class FlowSelector:
     vlan: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # Malformed CIDR must fail at definition time, not lookup time.
-        if self.src_cidr is not None:
-            parse_cidr(self.src_cidr)
-        if self.dst_cidr is not None:
-            parse_cidr(self.dst_cidr)
+        # Malformed CIDR must fail at definition time, not lookup time;
+        # the parsed (network, mask) pairs stay on the selector so a
+        # lookup compares integers.
+        object.__setattr__(self, "_nets", tuple(
+            None if cidr is None else _cidr_net(cidr)
+            for cidr in (self.src_cidr, self.dst_cidr)
+        ))
 
-    def matches(self, flow: FlowNineTuple) -> bool:
+    def matches(self, flow: FlowNineTuple, addrs: Optional[FlowAddrs] = None) -> bool:
+        """``addrs`` is ``flow_addrs(flow)`` from a caller that scans
+        many selectors for one flow and has parsed it already."""
+        src_net, dst_net = self._nets
+        if src_net is not None or dst_net is not None:
+            src, dst = addrs if addrs is not None else flow_addrs(flow)
+            if src_net is not None and (src is None or src & src_net[1] != src_net[0]):
+                return False
+            if dst_net is not None and (dst is None or dst & dst_net[1] != dst_net[0]):
+                return False
         checks = (
             (self.src_mac, flow.dl_src),
             (self.dst_mac, flow.dl_dst),
@@ -178,12 +214,6 @@ class FlowSelector:
             if flow.nw_dst is None or not _octet_prefix_match(
                 self.dst_ip_prefix, flow.nw_dst
             ):
-                return False
-        if self.src_cidr is not None:
-            if not cidr_contains(self.src_cidr, flow.nw_src):
-                return False
-        if self.dst_cidr is not None:
-            if not cidr_contains(self.dst_cidr, flow.nw_dst):
                 return False
         return True
 
@@ -226,6 +256,16 @@ class Policy:
             raise ValueError(
                 f"policy {self.name!r}: fail_mode requires action=CHAIN"
             )
+
+
+def first_match(rows: Sequence[Policy], flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
+    """The first row (in the given order) whose selector matches, plus
+    the number of rows scanned to find it (all of them on a miss)."""
+    addrs = flow_addrs(flow)
+    for scanned, policy in enumerate(rows, start=1):
+        if policy.selector.matches(flow, addrs):
+            return policy, scanned
+    return None, len(rows)
 
 
 def _table_order(policy: Policy) -> Tuple[int, int]:
@@ -505,10 +545,7 @@ class PolicyTable:
         Side-effect-free: hit accounting is the caller's explicit
         choice via :meth:`record_hit`.
         """
-        for scanned, policy in enumerate(self._policies, start=1):
-            if policy.selector.matches(flow):
-                return policy, scanned
-        return None, len(self._policies)
+        return first_match(self._policies, flow)
 
     def lookup(self, flow: FlowNineTuple) -> Optional[Policy]:
         """The winning policy for a flow, or None (-> default action).

@@ -42,6 +42,7 @@ from repro.core.policy import (
     Policy,
     PolicyAction,
     _table_order,
+    first_match,
     ip_to_int,
     parse_cidr,
 )
@@ -591,10 +592,7 @@ class CompiledPolicyTable:
 
     def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
         """First match plus rows scanned (PolicyTable.match semantics)."""
-        for scanned, policy in enumerate(self._rows, start=1):
-            if policy.selector.matches(flow):
-                return policy, scanned
-        return None, len(self._rows)
+        return first_match(self._rows, flow)
 
     def lookup(self, flow: FlowNineTuple) -> Optional[Policy]:
         return self.match(flow)[0]

@@ -533,7 +533,13 @@ class ShardCoordinator:
         for member in self.members:
             if member.failed or member.shard_id in self._down:
                 continue
-            hello = member.hello(now)
+            with self.metrics.histogram(
+                "sharding.hello_wall_s",
+                "Wall-clock cost of building a shard's hello"
+                " (its NIB digest included)",
+                shard=member.shard_id,
+            ).time():
+                hello = member.hello(now)
             previous = self._hellos.get(member.shard_id)
             self._last_hello[member.shard_id] = now
             self._hellos[member.shard_id] = hello

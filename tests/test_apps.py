@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Policy, PolicyTable, build_livesec_network
-from repro.core.bus import HostMoved, LinkTimedOut, UplinksLost
+from repro.core.bus import HostExpired, HostMoved, LinkTimedOut, UplinksLost
 from repro.core.events import EventKind
 from repro.core.policy import (
     FailMode,
@@ -115,6 +115,51 @@ class TestTopologyApp:
         )
         small_net.controller.bus.publish(UplinksLost(dpids=(1, 2)))
         assert seen == [(1, 2)]
+
+
+class TestHostExpiry:
+    def test_one_pass_keeps_busy_hosts_and_reports_in_nib_order(
+        self, small_net
+    ):
+        controller = small_net.controller
+        nib, sessions = controller.nib, controller.sessions
+        now = small_net.sim.now
+        silent_since = now - nib.host_timeout_s - 1.0
+        for port, (mac, is_element) in enumerate([
+            ("busy", False), ("blocked-only", False), ("idle", False),
+            ("element", True), ("fresh", False),
+        ], start=100):
+            nib.learn_host(mac, f"10.9.0.{port}", dpid=1, port=port,
+                           now=now if mac == "fresh" else silent_since,
+                           is_element=is_element)
+        live = sessions.create(
+            http_nine("busy", "10.9.0.100"), "busy", "gw", None, (), [], now
+        )
+        blocked = sessions.create(
+            http_nine("blocked-only", "10.9.0.101"), "blocked-only", "gw",
+            None, (), [], now,
+        )
+        blocked.blocked = True
+        expired = []
+
+        def on_expired(event):
+            # Every silent host is already out of the NIB when the
+            # first HostExpired goes out.
+            assert nib.host_by_mac("element") is None
+            expired.append(event.record.mac)
+
+        controller.bus.subscribe(HostExpired, on_expired)
+        leaves_before = len(controller.log.query(kind=EventKind.HOST_LEAVE))
+
+        controller.app("host-tracker").expire_hosts()
+
+        assert expired == ["blocked-only", "idle", "element"]
+        leaves = controller.log.query(kind=EventKind.HOST_LEAVE)[leaves_before:]
+        assert [e.data["mac"] for e in leaves] == ["blocked-only", "idle"]
+        assert nib.host_by_mac("busy").last_seen == now
+        assert nib.host_by_mac("fresh") is not None
+        assert sessions.by_id(live.session_id) is live
+        assert sessions.by_id(blocked.session_id) is None  # torn down
 
 
 class TestPolicyEngineApp:

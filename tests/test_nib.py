@@ -1,7 +1,11 @@
 """Unit tests for the Network Information Base."""
 
+import hashlib
+import random
+
 import pytest
 
+from repro.core import nib as nib_module
 from repro.core.nib import NetworkInformationBase
 
 
@@ -56,6 +60,45 @@ class TestHosts:
         nib.learn_host("m1", "10.0.0.1", dpid=1, port=2, now=1.0)
         nib.remove_host("m1")
         assert nib.host_by_ip("10.0.0.1") is None
+
+    def test_ip_change_drops_the_old_index_entry(self, nib):
+        nib.learn_host("aa", "10.0.0.1", dpid=1, port=2, now=1.0)
+        nib.learn_host("aa", "10.0.0.2", dpid=1, port=2, now=2.0)  # refresh
+        assert nib.host_by_ip("10.0.0.1") is None
+        assert nib.host_by_ip("10.0.0.2").mac == "aa"
+        nib.learn_host("aa", "10.0.0.3", dpid=4, port=9, now=3.0)  # move
+        assert nib.host_by_ip("10.0.0.2") is None
+        assert nib.host_by_ip("10.0.0.3").mac == "aa"
+
+    def test_remove_host_keeps_a_re_leased_address(self, nib):
+        nib.learn_host("aa", "10.0.0.1", dpid=1, port=2, now=1.0)
+        nib.learn_host("bb", "10.0.0.1", dpid=1, port=3, now=2.0)
+        nib.remove_host("aa")
+        assert nib.host_by_ip("10.0.0.1").mac == "bb"
+        nib.remove_host("bb")
+        assert nib.host_by_ip("10.0.0.1") is None
+
+    def test_ip_change_keeps_a_re_leased_address(self, nib):
+        nib.learn_host("aa", "10.0.0.1", dpid=1, port=2, now=1.0)
+        nib.learn_host("bb", "10.0.0.1", dpid=1, port=3, now=2.0)
+        nib.learn_host("aa", "10.0.0.2", dpid=1, port=2, now=3.0)
+        assert nib.host_by_ip("10.0.0.1").mac == "bb"
+
+    def test_expiry_refreshes_hosts_the_caller_vouches_for(self, nib):
+        nib.learn_host("busy", None, dpid=1, port=1, now=0.0)
+        nib.learn_host("gone", None, dpid=1, port=2, now=0.0)
+        nib.learn_host("new", None, dpid=1, port=3, now=8.0)
+        asked = []
+
+        def keep_alive(record):
+            asked.append(record.mac)
+            return record.mac == "busy"
+
+        expired = nib.expire_hosts(now=11.0, keep_alive=keep_alive)
+        assert [r.mac for r in expired] == ["gone"]
+        assert asked == ["busy", "gone"]  # only the silent ones
+        assert nib.host_by_mac("busy").last_seen == 11.0
+        assert nib.host_by_mac("new").last_seen == 8.0
 
     def test_user_and_element_views(self, nib):
         nib.learn_host("u1", None, dpid=1, port=1, now=0.0)
@@ -133,3 +176,117 @@ class TestSwitchesAndMesh:
         assert summary["switches"] == 1
         assert summary["hosts"] == 1
         assert summary["elements"] == 1
+
+
+def reference_digest(nib):
+    """The digest as defined before it was memoised: sha256 over the
+    sorted five-tuples, one ``update`` per row."""
+    rows = [
+        (h.mac, h.ip, h.dpid, h.port, h.is_element)
+        for h in nib.hosts.values()
+    ]
+    rows.sort()
+    digest = hashlib.sha256()
+    for mac, ip, dpid, port, is_element in rows:
+        digest.update(
+            f"{mac} {ip} {dpid} {port} {int(is_element)}\n".encode()
+        )
+    return digest.hexdigest(), rows
+
+
+class TestLocationDigest:
+    MACS = [f"02:00:00:00:00:{i:02x}" for i in range(12)]
+    IPS = [f"10.0.0.{i}" for i in range(1, 7)]  # scarce: re-leases happen
+    DPIDS = (1, 2, 3)
+
+    def test_empty_nib(self, nib):
+        assert nib.location_digest() == hashlib.sha256().hexdigest()
+
+    def test_digest_spans_several_hash_updates(self, nib, monkeypatch):
+        monkeypatch.setattr(nib_module, "_DIGEST_CHUNK", 4)
+        for index in range(4 * 3 + 1):
+            nib.learn_host(f"m{index:02d}", f"10.0.1.{index}", dpid=index % 3,
+                           port=index, now=0.0, is_element=index % 5 == 0)
+        assert nib.location_digest() == reference_digest(nib)[0]
+
+    def test_idle_rounds_return_the_memoised_string(self, nib):
+        nib.learn_host("m1", "10.0.0.1", dpid=1, port=2, now=0.0)
+        first = nib.location_digest()
+        nib.learn_host("m1", "10.0.0.1", dpid=1, port=2, now=5.0)
+        assert nib.location_digest() is first
+
+    def _step(self, rng, nib, now):
+        """Apply one random operation; returns whether it is one of the
+        kinds that can never change a digest row."""
+        known = sorted(nib.hosts)
+        kind = rng.choice((
+            "new", "move", "ip", "element", "refresh", "readopt",
+            "remove", "expire", "remove-switch",
+        ))
+        if kind == "new" or not known:
+            nib.learn_host(
+                rng.choice(self.MACS), rng.choice(self.IPS + [None]),
+                rng.choice(self.DPIDS), rng.randint(1, 4), now,
+                is_element=rng.random() < 0.2,
+            )
+            return False
+        host = nib.hosts[rng.choice(known)]
+        if kind == "move":
+            nib.learn_host(host.mac, rng.choice(self.IPS + [None]),
+                           rng.choice(self.DPIDS), rng.randint(1, 4), now)
+        elif kind == "ip":
+            nib.learn_host(host.mac, rng.choice(self.IPS),
+                           host.dpid, host.port, now)
+        elif kind == "element":
+            nib.learn_host(host.mac, None, host.dpid, host.port, now,
+                           is_element=True)
+        elif kind == "refresh":
+            nib.learn_host(host.mac, None, host.dpid, host.port, now)
+            return True
+        elif kind == "readopt":
+            # What ``_advertise_published`` does every sync round.
+            nib.learn_host(host.mac, host.ip, host.dpid, host.port, now,
+                           is_element=host.is_element)
+            return True
+        elif kind == "remove":
+            nib.remove_host(rng.choice(self.MACS))
+        elif kind == "expire":
+            nib.expire_hosts(
+                now, keep_alive=lambda record: record.port % 2 == 0
+            )
+        else:
+            nib.remove_switch(rng.choice(self.DPIDS))
+        return False
+
+    def test_memoised_digest_tracks_every_row_change(self):
+        steps = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            nib = NetworkInformationBase(host_timeout_s=3.0)
+            for dpid in self.DPIDS:
+                nib.add_switch(dpid, f"s{dpid}", (1, 2, 3, 4), now=0.0)
+            now = 0.0
+            digest, rows = reference_digest(nib)
+            assert nib.location_digest() == digest
+            for _ in range(40):
+                now += rng.choice((0.1, 1.0, 2.5))
+                version, cached = nib.location_version, nib.location_digest()
+                row_neutral = self._step(rng, nib, now)
+                new_digest, new_rows = reference_digest(nib)
+                context = (seed, steps)
+                assert nib.location_digest() == new_digest, context
+                # The version moves exactly when a row did: never on a
+                # last_seen refresh or a no-op re-adopt, always on a
+                # join/move/ip/flag change or a removal.
+                changed = new_rows != rows
+                assert (nib.location_version != version) == changed, context
+                if row_neutral:
+                    assert not changed, context
+                if not changed:
+                    assert nib.location_digest() is cached, context
+                for ip in self.IPS:
+                    found = nib.host_by_ip(ip)
+                    assert found is None or found.ip == ip, context
+                digest, rows = new_digest, new_rows
+                steps += 1
+        assert steps >= 300 * 40

@@ -3,7 +3,15 @@ to the live table (same pattern as ``test_properties_flowtable``)."""
 
 import random
 
-from repro.core.policy import Policy, PolicyAction, PolicyTable, FlowSelector
+from repro.core.policy import (
+    FlowSelector,
+    Policy,
+    PolicyAction,
+    PolicyTable,
+    _octet_prefix_match,
+    ip_to_int,
+    parse_cidr,
+)
 from repro.core.policy_compiler import (
     PolicyIntent,
     compile_intents,
@@ -131,6 +139,123 @@ class TestCompiledLiveEquivalence:
                     (hit_l.name if hit_l else None)
                 cases += 1
         assert cases >= 100
+
+
+def reference_cidr_contains(cidr, ip):
+    """``cidr_contains`` as it stood when every table row re-parsed
+    the flow's address."""
+    if ip is None:
+        return False
+    network, length = parse_cidr(cidr)
+    try:
+        value = ip_to_int(ip)
+    except ValueError:
+        return False
+    mask = ((1 << length) - 1) << (32 - length) if length else 0
+    return (value & mask) == network
+
+
+def reference_matches(selector, flow):
+    """``FlowSelector.matches`` before the parse-once change: the
+    oracle for the selector semantics."""
+    checks = (
+        (selector.src_mac, flow.dl_src),
+        (selector.dst_mac, flow.dl_dst),
+        (selector.src_ip, flow.nw_src),
+        (selector.dst_ip, flow.nw_dst),
+        (selector.nw_proto, flow.nw_proto),
+        (selector.tp_src, flow.tp_src),
+        (selector.tp_dst, flow.tp_dst),
+        (selector.vlan, flow.vlan),
+    )
+    for want, got in checks:
+        if want is not None and want != got:
+            return False
+    if selector.src_ip_prefix is not None:
+        if flow.nw_src is None or not _octet_prefix_match(
+            selector.src_ip_prefix, flow.nw_src
+        ):
+            return False
+    if selector.dst_ip_prefix is not None:
+        if flow.nw_dst is None or not _octet_prefix_match(
+            selector.dst_ip_prefix, flow.nw_dst
+        ):
+            return False
+    if selector.src_cidr is not None:
+        if not reference_cidr_contains(selector.src_cidr, flow.nw_src):
+            return False
+    if selector.dst_cidr is not None:
+        if not reference_cidr_contains(selector.dst_cidr, flow.nw_dst):
+            return False
+    return True
+
+
+def reference_table_match(table, flow):
+    for scanned, policy in enumerate(table, start=1):
+        if reference_matches(policy.selector, flow):
+            return policy, scanned
+    return None, len(table)
+
+
+class TestParseOnceMatcher:
+    """``PolicyTable.match`` parses the flow's addresses once and each
+    row compares integers; winner and rows-scanned must equal the
+    row-by-row string semantics, including for addresses that are not
+    IPv4 at all (they fall inside no CIDR, ``0.0.0.0/0`` included)."""
+
+    ODD_ADDRESSES = (None, "", "10.0.0", "300.1.1.1", "10.1.0.2.3",
+                     "::1", "fe80::1", "2001:db8::10.1.0.2", "gateway")
+    generator = TestCompiledLiveEquivalence()
+
+    def _random_flow(self, rng):
+        flow = self.generator._random_flow(rng)
+        if rng.random() < 0.4:
+            flow = flow._replace(nw_src=rng.choice(self.ODD_ADDRESSES))
+        if rng.random() < 0.4:
+            flow = flow._replace(nw_dst=rng.choice(self.ODD_ADDRESSES))
+        return flow
+
+    def test_match_equals_per_row_reference(self):
+        cases = odd = 0
+        for seed in range(60):
+            rng = random.Random(5000 + seed)
+            table = PolicyTable()
+            txn = table.begin()
+            for index in range(rng.randint(1, 12)):
+                txn.add(Policy(
+                    name=f"row-{index}",
+                    selector=self.generator._random_selector(rng),
+                    action=rng.choice((PolicyAction.ALLOW, PolicyAction.DROP)),
+                    priority=rng.choice((50, 100, 100, 200)),
+                ))
+            txn.commit()
+            for _ in range(20):
+                probe = self._random_flow(rng)
+                want, want_scanned = reference_table_match(table, probe)
+                got, got_scanned = table.match(probe)
+                assert got is want, (seed, probe)
+                assert got_scanned == want_scanned, (seed, probe)
+                for policy in table:
+                    # The single-selector entry point parses for itself.
+                    assert policy.selector.matches(probe) == \
+                        reference_matches(policy.selector, probe), (seed, probe)
+                odd += (probe.nw_src in self.ODD_ADDRESSES
+                        or probe.nw_dst in self.ODD_ADDRESSES)
+                cases += 1
+        assert cases >= 1000 and odd >= 300, (cases, odd)
+
+    def test_non_ipv4_matches_no_cidr_but_other_rows_still_win(self):
+        table = PolicyTable()
+        txn = table.begin()
+        txn.add(Policy("everything", FlowSelector(src_cidr="0.0.0.0/0"),
+                       PolicyAction.DROP, priority=200))
+        txn.add(Policy("web", FlowSelector(tp_dst=80), PolicyAction.ALLOW))
+        txn.commit()
+        for src in self.ODD_ADDRESSES:
+            flow = FlowNineTuple(None, "a", "b", 0x0800, src, "10.0.0.2",
+                                 6, 1, 80)
+            hit, scanned = table.match(flow)
+            assert (hit.name, scanned) == ("web", 2), src
 
 
 class TestSelectorRegressions:
