@@ -17,8 +17,7 @@ examples, the Figure 7/8 benches, and ``python -m repro replay``.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.events import EventKind, EventLog, NetworkEvent
@@ -63,6 +62,26 @@ class Snapshot:
     elements: Dict[str, ElementView] = field(default_factory=dict)
     link_loads: Dict[Tuple[int, int], float] = field(default_factory=dict)
     active_attacks: List[dict] = field(default_factory=list)
+
+    def copy(self) -> "Snapshot":
+        """An independent copy (what ``copy.deepcopy`` would return,
+        without its generic walk: six flat containers of two flat
+        dataclasses, one mutable list inside a user)."""
+        return Snapshot(
+            time=self.time,
+            switches=list(self.switches),
+            links=list(self.links),
+            users={
+                mac: replace(user, applications=list(user.applications))
+                for mac, user in self.users.items()
+            },
+            elements={
+                mac: replace(element)
+                for mac, element in self.elements.items()
+            },
+            link_loads=dict(self.link_loads),
+            active_attacks=[dict(attack) for attack in self.active_attacks],
+        )
 
     def online_users(self) -> List[UserView]:
         return [u for u in self.users.values() if u.online]
@@ -124,7 +143,7 @@ class MonitoringComponent:
             self._checkpoints.append(_Checkpoint(
                 seq=event.seq,
                 time=self._state.time,
-                state=copy.deepcopy(self._state),
+                state=self._state.copy(),
             ))
             if len(self._checkpoints) > self.max_checkpoints:
                 # Thin to every second checkpoint (the newest is kept)
@@ -134,8 +153,8 @@ class MonitoringComponent:
                 self.checkpoint_interval *= 2
 
     def snapshot(self) -> Snapshot:
-        """A deep copy of the current world state."""
-        return copy.deepcopy(self._state)
+        """An independent copy of the current world state."""
+        return self._state.copy()
 
     def checkpoints(self) -> List[Tuple[int, float]]:
         """The (seq, time) ladder, oldest first (introspection)."""
@@ -164,7 +183,7 @@ class MonitoringComponent:
         if checkpoint is None:
             state, seq = Snapshot(time=0.0), -1
         else:
-            state, seq = copy.deepcopy(checkpoint.state), checkpoint.seq
+            state, seq = checkpoint.state.copy(), checkpoint.seq
         for event in self.log.events_after(seq):
             if until is not None and event.time > until:
                 break
@@ -205,7 +224,7 @@ class MonitoringComponent:
                 _apply_event(state, pending)
                 pending = next(stream, None)
             previous = moment
-            view = copy.deepcopy(state)
+            view = state.copy()
             view.time = moment
             yield view
 

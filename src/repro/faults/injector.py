@@ -329,7 +329,7 @@ class FaultInjector:
     def _mark(self, kind: str, log=None, **data) -> None:
         # Faults change forwarding behavior out from under any
         # fast-forwarded flows; drop back to packet fidelity first.
-        fluid = getattr(self.net.sim, "fluid", None)
+        fluid = self.net.sim.fluid
         if fluid is not None:
             fluid.materialize_all("fault")
         self._injected[kind].inc()

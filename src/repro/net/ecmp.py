@@ -127,6 +127,7 @@ class EcmpLegacySwitch(LegacySwitch):
 
     def group_port_loads(self, group_ports: Iterable[int]) -> Dict[int, int]:
         """tx_bytes per member of a group (for balance inspection)."""
+        self.sim.settle_fluid()
         return {
             port: self.ports[port].tx_bytes
             for port in group_ports

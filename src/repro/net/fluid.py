@@ -5,10 +5,20 @@ every hop a callback.  That fidelity is wasted during the long steady
 phases of a deployment-scale run -- thousands of CBR flows whose
 per-packet behavior is fully determined by rules that were installed
 during their first-packet punt.  :class:`FluidRegion` detects those
-phases, *suspends* the per-packet emit events, and advances every
-counter the packets would have touched analytically, while the event
-queue shrinks to the sparse control-plane barriers (STP hellos, expiry
-sweeps, stats polls, element daemons).
+phases, *suspends* the per-packet emit events, and accounts for the
+packets analytically, while the event queue shrinks to the sparse
+control-plane barriers (STP hellos, expiry sweeps, stats polls, element
+daemons).
+
+What the packets would have written is two kinds of state.  *Clocks*
+-- the flow's emission cursor, ``next_free`` on every traversed wire
+and radio, ``last_used_at`` on every hit flow entry, the legacy MAC
+refresh time -- are what packet-level code acts on, so they are
+advanced before every event.  *Counters* -- tx/rx/busy/drop totals,
+entry and table hit counts, delivered bytes -- are additive and only
+read by cold paths, so an advance just notes how many packets a flow
+owes them and :meth:`FluidRegion.flush` pays the whole path at once,
+from the readers themselves and whenever ``Simulator.run`` returns.
 
 The contract is equivalence, not approximation:
 
@@ -52,7 +62,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net import packet as pkt
 from repro.net.host import HOST_PORT, Host
-from repro.net.links import fluid_apply
 from repro.net.legacy import MAC_AGING_S, LegacySwitch
 from repro.net.packet import IP_PROTO_TCP
 from repro.openflow.actions import (
@@ -100,7 +109,9 @@ class _SuspendedFlow:
     """A flow whose emit events have been replaced by closed forms."""
 
     __slots__ = ("flow", "walk", "base", "interval", "size", "stop_at",
-                 "max_packets", "rate_bps", "residual", "heap_t")
+                 "max_packets", "rate_bps", "residual", "heap_t",
+                 "wire_clocks", "entry_clocks", "owed_sent",
+                 "owed_delivered")
 
     def __init__(self, flow, walk: _Walk, rate_bps: float) -> None:
         self.flow = flow
@@ -113,6 +124,18 @@ class _SuspendedFlow:
         self.rate_bps = rate_bps
         self.residual = 0.0  # fractional delivery carry (rate policy)
         self.heap_t = 0.0  # emission-heap key; stale entries ignored
+        # What every advance moves: (direction or radio, when a frame
+        # emitted at t has finished serializing there) and (flow entry,
+        # when it arrives at that table).
+        self.wire_clocks = [(p.direction, p.end_offset_s) for p in walk.hops]
+        self.wire_clocks += [
+            (p.medium, p.end_offset_s) for p in walk.hops
+            if p.medium is not None
+        ]
+        self.entry_clocks = [(hit[1], hit[2]) for hit in walk.of_hits]
+        # Packets advanced but not yet paid into the path's counters.
+        self.owed_sent = 0
+        self.owed_delivered = 0
 
 
 def max_min_rates(
@@ -158,8 +181,9 @@ class FluidRegion:
     Opt-in (``build_livesec_network(..., fluid=True)``); the region is
     inert until the first :class:`TrafficFlow` registers.  A periodic
     governor then attempts suspension; the simulator's run loop calls
-    :meth:`advance_to` before every event pop so all callbacks observe
-    counters consistent with the packets that "would have" flown.
+    :meth:`advance_to` before every event pop so all callbacks act on
+    clocks consistent with the packets that "would have" flown, and
+    whatever reads a counter calls :meth:`flush` first.
     """
 
     def __init__(
@@ -191,11 +215,16 @@ class FluidRegion:
         # flow resumes or re-advances; pops discard them lazily.
         self._emissions: List[tuple] = []
         self._heap_seq = 0
+        # Flows holding owed packets, in first-advance order (flush
+        # order is what fixes the float sum in ``busy_time``).
+        self._owing: List[_SuspendedFlow] = []
         # Observability.
         self.fastforwards = 0
         self.time_saved_s = 0.0
         self.packets_synthesized = 0
         self.resumes = 0
+        self.advances = 0
+        self.settles = 0
         self.refusals: Dict[str, int] = {}
         self.materializations: Dict[str, int] = {}
         sim.attach_fluid(self)
@@ -208,10 +237,11 @@ class FluidRegion:
         return bool(self._suspended)
 
     def advance_to(self, horizon: float) -> bool:
-        """Back-fill counters for every suspended flow up to ``horizon``.
+        """Advance every suspended flow's clocks up to ``horizon``.
 
         Called by the run loop before each event pop (and at the end of
-        a bounded run).  Returns True when a flow crossed a validity
+        a bounded run); the counters the same packets are owed wait for
+        :meth:`flush`.  Returns True when a flow crossed a validity
         cap and a resumption event earlier than the pending head may
         now exist -- the caller must re-examine its queue.
         """
@@ -260,7 +290,9 @@ class FluidRegion:
 
     def flow_stopped(self, flow) -> None:
         self.flows.pop(flow, None)
-        self._suspended.pop(flow, None)
+        sf = self._suspended.pop(flow, None)
+        if sf is not None:
+            self._settle(sf)
 
     def tcp_opened(self, conn) -> None:
         """Handshake/teardown state machines need packet fidelity."""
@@ -275,8 +307,9 @@ class FluidRegion:
 
         Invoked before any act that could change forwarding state:
         FlowMods, fault injections, link admin changes, TCP opens, new
-        flows.  Counters are already consistent (the kernel advanced
-        them to the current event's timestamp before dispatch).
+        flows.  Clocks are already consistent (the kernel advanced
+        them to the current event's timestamp before dispatch); each
+        resume settles the flow's counters.
         """
         if not self._suspended:
             return
@@ -291,8 +324,7 @@ class FluidRegion:
 
     def _governor_tick(self) -> None:
         for flow in [f for f in self.flows if not f.running]:
-            del self.flows[flow]
-            self._suspended.pop(flow, None)
+            self.flow_stopped(flow)
         if not self.flows:
             self._governor.cancel()
             self._governor = None
@@ -407,7 +439,7 @@ class FluidRegion:
             if not to_port.enabled:
                 return None, "port-disabled"
             offset += frame.size * 8.0 / link.bandwidth_bps + link.delay_s
-            plan = link.fluid_plan(port, frame.size, offset)
+            plan = link.fluid_plan(port, offset)
             if (self.congestion == "refuse"
                     and plan.direction.occupancy(now) > 0):
                 # A draining drop-tail backlog (e.g. right after an
@@ -554,7 +586,35 @@ class FluidRegion:
 
         emitted = k_end - k0
         if emitted > 0:
-            self._apply_counters(sf, k0, k_end)
+            self.advances += 1
+            flow.packets_sent = k_end
+            delivered = emitted
+            if self.congestion == "rate" and sf.rate_bps < flow.rate_bps:
+                # Bottleneck thinning: deliver the allocated fraction
+                # (with a fractional carry across advances); the
+                # remainder is owed to the first hop's drop counter.
+                exact = emitted * sf.rate_bps / flow.rate_bps + sf.residual
+                delivered = int(exact)
+                sf.residual = exact - delivered
+            if not sf.owed_sent:
+                self._owing.append(sf)
+            sf.owed_sent += emitted
+            sf.owed_delivered += delivered
+            # Emission time of the final synthesized frame: real frames
+            # sent right after a fast-forward queue behind the analytic
+            # traffic, entries idle out and MACs age from its arrival.
+            last_t = base + (k_end - 1) * interval
+            if delivered > 0:
+                for clock, offset in sf.wire_clocks:
+                    end = last_t + offset
+                    if end > clock.next_free:
+                        clock.next_free = end
+                for entry, offset in sf.entry_clocks:
+                    seen = last_t + offset
+                    if seen > entry.last_used_at:
+                        entry.last_used_at = seen
+            for sw, src_mac, in_learn, offset in walk.legacy_hits:
+                sw.mac_table[src_mac] = (in_learn, last_t + offset)
 
         # Keep the flow suspended only while the *next* emission is
         # bounded by the horizon alone; any other boundary (stop, cap,
@@ -569,34 +629,56 @@ class FluidRegion:
             return emitted, False
         return emitted, True
 
-    def _apply_counters(self, sf: _SuspendedFlow, k0: int, k_end: int) -> None:
+    # ------------------------------------------------------------------
+    # Deferred counters
+
+    def flush(self) -> None:
+        """Pay every owed packet into the counters along its path.
+
+        Called by whatever reads a counter while the event loop runs
+        (stats replies, FlowRemoved, link and host accounting, the
+        gauges) and by :meth:`Simulator.run` on its way out, so code
+        outside the loop always reads settled values.
+        """
+        for sf in self._owing:
+            self._settle(sf)
+        self._owing.clear()
+
+    def _settle(self, sf: _SuspendedFlow) -> None:
+        sent = sf.owed_sent
+        if not sent:
+            return
+        delivered = sf.owed_delivered
+        sf.owed_sent = sf.owed_delivered = 0
+        self.settles += 1
         flow = sf.flow
         walk = sf.walk
-        count = k_end - k0
         size = sf.size
-        total = count * size
-        last_t = sf.base + (k_end - 1) * sf.interval
-        delivered = count
-        if self.congestion == "rate" and sf.rate_bps < flow.rate_bps:
-            # Bottleneck thinning: deliver the allocated fraction (with
-            # a fractional carry across advances); the remainder is
-            # charged to the first hop's drop counter.
-            exact = count * sf.rate_bps / flow.rate_bps + sf.residual
-            delivered = int(exact)
-            sf.residual = exact - delivered
-        flow.packets_sent = k_end
-        flow.bytes_sent += total
-        fluid_apply(walk.hops, delivered, size, last_t)
-        if delivered < count:
-            walk.hops[0].direction.dropped += count - delivered
+        flow.bytes_sent += sent * size
+        if delivered < sent:
+            walk.hops[0].direction.dropped += sent - delivered
+        if not delivered:
+            return
         delivered_bytes = delivered * size
-        for sw, entry, offset, exact in walk.of_hits:
-            sw.table.record_fluid_hits(
-                entry, delivered, delivered_bytes, last_t + offset, exact
-            )
+        for plan in walk.hops:
+            busy = delivered * (size * 8.0 / plan.link.bandwidth_bps)
+            direction = plan.direction
+            direction.tx_packets += delivered
+            direction.tx_bytes += delivered_bytes
+            direction.busy_time += busy
+            port = plan.from_port
+            port.tx_packets += delivered
+            port.tx_bytes += delivered_bytes
+            port = direction.to_port
+            port.rx_packets += delivered
+            port.rx_bytes += delivered_bytes
+            medium = plan.medium
+            if medium is not None:
+                medium.busy_time += busy
+                medium.frames += delivered
+        for sw, entry, _offset, exact in walk.of_hits:
+            sw.table.record_fluid_hits(entry, delivered, delivered_bytes, exact)
             sw.packets_forwarded += delivered
-        for sw, src_mac, in_learn, offset in walk.legacy_hits:
-            sw.mac_table[src_mac] = (in_learn, last_t + offset)
         dst = walk.dst
         dst.rx_frames += delivered
         dst.rx_bytes += delivered_bytes
@@ -607,6 +689,7 @@ class FluidRegion:
         """Hand a flow back to the packet-level emit path."""
         flow = sf.flow
         self._suspended.pop(flow, None)
+        self._settle(sf)
         t_next = flow.paced_at(flow.packets_sent)
         flow._pending = self.sim.schedule_at(
             max(self.sim.now, t_next), flow._emit
@@ -618,6 +701,7 @@ class FluidRegion:
     # Observability
 
     def stats(self) -> dict:
+        self.flush()
         return {
             "fastforwards": self.fastforwards,
             "time_saved_s": self.time_saved_s,
@@ -625,6 +709,8 @@ class FluidRegion:
             "suspended_flows": len(self._suspended),
             "registered_flows": len(self.flows),
             "resumes": self.resumes,
+            "advances": self.advances,
+            "settles": self.settles,
             "refusals": dict(self.refusals),
             "materializations": dict(self.materializations),
         }
@@ -642,6 +728,13 @@ class FluidRegion:
             "sim.fluid_packets_synthesized",
             "packets accounted analytically instead of event-by-event",
         ).set_function(lambda: float(self.packets_synthesized))
+        registry.gauge(
+            "sim.fluid_advances", "per-flow analytic back-fills",
+        ).set_function(lambda: float(self.advances))
+        registry.gauge(
+            "sim.fluid_settles",
+            "per-flow payments of owed packets into the path's counters",
+        ).set_function(lambda: float(self.settles))
         registry.gauge(
             "sim.fluid_suspended_flows", "flows currently fast-forwarded",
         ).set_function(lambda: float(len(self._suspended)))

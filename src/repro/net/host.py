@@ -248,6 +248,7 @@ class Host(Node):
 
     def received_bits(self, flow_id: Optional[int] = None) -> int:
         """Total bits received, optionally for one workload flow."""
+        self.sim.settle_fluid()
         if flow_id is None:
             return self.rx_bytes * 8
         return self.rx_bytes_by_flow.get(flow_id, 0) * 8

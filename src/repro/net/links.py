@@ -22,7 +22,7 @@ serialization-completion times, pruned lazily against ``now``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, TYPE_CHECKING
+from typing import Deque, TYPE_CHECKING
 
 from repro.net.packet import Ethernet
 
@@ -65,60 +65,22 @@ class _Direction:
 
 
 class HopPlan:
-    """One hop's precomputed fluid-advance accounting.
+    """One hop of a suspended flow's path, as the fluid kernel sees it.
 
-    Built once per suspension by :meth:`Link.fluid_plan`; applied per
-    analytic advance by :func:`fluid_apply`.  ``end_offset_s`` is when
-    a frame emitted at ``t`` finishes *serializing* on this hop
-    (arrival at the far end minus propagation) -- it advances the
-    direction's ``next_free`` clock so a packet-level frame arriving
-    right after a fast-forward (a new flow's first punt, a
-    materialized resume) waits behind the analytic traffic exactly as
-    it would have behind the real frames.  ``medium`` is the shared
-    radio for wireless hops (None on wired links).
+    Built once per suspension by :meth:`Link.fluid_plan`.
+    ``end_offset_s`` is when a frame emitted at ``t`` finishes
+    *serializing* on this hop (arrival at the far end minus
+    propagation) -- every analytic advance moves the direction's
+    ``next_free`` clock to it, so a packet-level frame arriving right
+    after a fast-forward (a new flow's first punt, a materialized
+    resume) waits behind the analytic traffic exactly as it would have
+    behind the real frames.  ``medium`` is the shared radio for
+    wireless hops (None on wired links), whose clock moves too.  The
+    counters the same traffic is owed are paid later, per path, by
+    :meth:`repro.net.fluid.FluidRegion.flush`.
     """
 
-    __slots__ = (
-        "link", "direction", "from_port", "to_port", "medium",
-        "busy_per_packet_s", "end_offset_s",
-    )
-
-
-def fluid_apply(
-    plans: Iterable[HopPlan], packets: int, packet_size: int, last_t: float
-) -> None:
-    """Account ``packets`` analytically advanced frames on every hop.
-
-    One call per flow-advance (the kernel's hottest path): the loop
-    body is plain counter arithmetic over the precomputed plans.
-    ``last_t`` is the emission time of the final synthesized frame.
-    """
-    if packets <= 0:
-        return
-    total = packets * packet_size
-    for plan in plans:
-        direction = plan.direction
-        direction.tx_packets += packets
-        direction.tx_bytes += total
-        direction.busy_time += packets * plan.busy_per_packet_s
-        end = last_t + plan.end_offset_s
-        if end > direction.next_free:
-            direction.next_free = end
-        port = plan.from_port
-        port.tx_packets += packets
-        port.tx_bytes += total
-        port = plan.to_port
-        port.rx_packets += packets
-        port.rx_bytes += total
-        medium = plan.medium
-        if medium is not None:
-            # The shared radio's airtime and serialization clock
-            # advance too, so real frames sent right after a
-            # fast-forward contend with the synthesized airtime.
-            medium.busy_time += packets * plan.busy_per_packet_s
-            medium.frames += packets
-            if end > medium.next_free:
-                medium.next_free = end
+    __slots__ = ("link", "direction", "from_port", "medium", "end_offset_s")
 
 
 class Link:
@@ -211,34 +173,26 @@ class Link:
         to_port.rx_bytes += frame.size
         to_port.node.receive(frame, to_port.number)
 
-    def fluid_plan(
-        self, from_port: "Port", packet_size: int, arrival_offset_s: float
-    ) -> "HopPlan":
-        """Precompute this hop's analytic accounting for the fluid
-        fast-forward kernel.
+    def fluid_plan(self, from_port: "Port", arrival_offset_s: float) -> "HopPlan":
+        """This hop of a path the fluid fast-forward kernel suspends.
 
         ``arrival_offset_s`` is when a frame emitted at ``t`` arrives
-        at the far end; the plan holds everything :func:`fluid_apply`
-        needs so the per-advance hot loop is pure arithmetic.  The plan
-        keeps link, port and utilization counters identical to what the
-        packet path would have accumulated -- same fields, no events.
-        Queue occupancy is untouched: fluid mode only runs while the
-        traversed links have headroom, so analytic traffic never
-        queues.
+        at the far end.  Queue occupancy is untouched: fluid mode only
+        runs while the traversed links have headroom, so analytic
+        traffic never queues.
         """
         plan = HopPlan()
         plan.link = self
         plan.direction = self._direction(from_port)
         plan.from_port = from_port
-        plan.to_port = plan.direction.to_port
         plan.medium = None
-        plan.busy_per_packet_s = packet_size * 8.0 / self.bandwidth_bps
         plan.end_offset_s = arrival_offset_s - self.delay_s
         return plan
 
     def stats(self, from_port: "Port") -> dict:
         """Counters for the direction transmitting out of ``from_port``."""
         direction = self._direction(from_port)
+        self.sim.settle_fluid()
         return {
             "tx_packets": direction.tx_packets,
             "tx_bytes": direction.tx_bytes,
@@ -257,6 +211,7 @@ class Link:
         elapsed = self.sim.now - window_start
         if elapsed <= 0:
             return 0.0
+        self.sim.settle_fluid()
         busy = self._direction(from_port).busy_time
         return min(1.0, busy / elapsed)
 
@@ -265,7 +220,7 @@ class Link:
         changed = self.up != up
         self.up = up
         if changed:
-            fluid = getattr(self.sim, "fluid", None)
+            fluid = self.sim.fluid
             if fluid is not None:
                 # Suspended flows may traverse this link (a failure
                 # invalidates their paths) or a restored link may

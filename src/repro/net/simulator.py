@@ -116,12 +116,21 @@ class Simulator:
         """Attach a fluid fast-forward region (one per simulator).
 
         The run loop calls ``region.advance_to(horizon)`` before every
-        event, so analytic state is always caught up to ``now`` when a
-        callback reads counters.
+        event, so analytic clocks are always caught up to ``now`` when
+        a callback runs, and ``region.flush()`` when it returns.
         """
         if self.fluid is not None and self.fluid is not region:
             raise RuntimeError("a fluid region is already attached")
         self.fluid = region
+
+    def settle_fluid(self) -> None:
+        """Have the attached fluid region, if any, pay the counters its
+        suspended flows owe (``FluidRegion.flush``).  Every cold path
+        that reports a port, link, table or delivery total from inside
+        the event loop calls this first; :meth:`run` calls it on its
+        way out."""
+        if self.fluid is not None:
+            self.fluid.flush()
 
     # ------------------------------------------------------------------
     # Cancelled-handle accounting
@@ -188,9 +197,11 @@ class Simulator:
         an ``until`` in the past fires nothing and leaves ``now`` alone.
 
         When a fluid region is attached and has suspended flows, their
-        analytic state is advanced to each event's timestamp before the
-        event fires (and to ``until`` before returning), so every
-        callback observes counters consistent with packet-level time.
+        clocks are advanced to each event's timestamp before the event
+        fires (and to ``until`` before returning), so every callback
+        acts on state consistent with packet-level time; the counters
+        the same packets are owed are settled by whoever reads them
+        inside the loop, and here before returning.
         """
         self._running = True
         processed = 0
@@ -234,6 +245,9 @@ class Simulator:
                     self.now = until
         finally:
             self._running = False
+            # Whatever reads a counter outside the loop reads what the
+            # packets so far would have written.
+            self.settle_fluid()
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue (O(1): a

@@ -349,12 +349,12 @@ class TcpConnection:
     def _fluid_block(self) -> None:
         """TCP's RTO/ack timing is stateful per packet: a live
         connection pins the whole simulation at packet fidelity."""
-        fluid = getattr(self.host.sim, "fluid", None)
+        fluid = self.host.sim.fluid
         if fluid is not None:
             fluid.tcp_opened(self)
 
     def _fluid_unblock(self) -> None:
-        fluid = getattr(self.host.sim, "fluid", None)
+        fluid = self.host.sim.fluid
         if fluid is not None:
             fluid.tcp_closed(self)
 

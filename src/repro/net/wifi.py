@@ -87,11 +87,11 @@ class WirelessLink(Link):
         )
         return True
 
-    def fluid_plan(self, from_port, packet_size: int, arrival_offset_s: float):
-        # Same wired-counter plan, plus the shared radio: fluid_apply
-        # then accounts airtime and advances the radio's serialization
-        # clock alongside the per-direction one.
-        plan = super().fluid_plan(from_port, packet_size, arrival_offset_s)
+    def fluid_plan(self, from_port, arrival_offset_s: float):
+        # Same wired plan, plus the shared radio: an advance moves the
+        # radio's serialization clock alongside the per-direction one,
+        # and a settle accounts its airtime.
+        plan = super().fluid_plan(from_port, arrival_offset_s)
         plan.medium = self.medium
         return plan
 

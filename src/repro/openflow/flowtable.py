@@ -188,21 +188,24 @@ class FlowTable:
     # ------------------------------------------------------------------
     # Observability
 
-    def attach_metrics(self, registry, **labels) -> None:
+    def attach_metrics(self, registry, settle=lambda: None, **labels) -> None:
         """Publish index effectiveness through an obs registry.
 
         Hit/miss counts are pull-mode gauges reading the live counters
         (nothing added to the per-frame fast path); the latency
         histogram samples every ``LATENCY_SAMPLE_STRIDE``-th lookup.
+        ``settle`` is the owning datapath's hook (returning None) that
+        collects what a fluid region still owes the hit totals; they
+        are read after it.
         """
         registry.gauge(
             "switch.lookup_exact_hits",
             "Lookups answered by the exact-match hash index", **labels,
-        ).set_function(lambda: self.exact_hits)
+        ).set_function(lambda: settle() or self.exact_hits)
         registry.gauge(
             "switch.lookup_wildcard_hits",
             "Lookups answered by the wildcard list", **labels,
-        ).set_function(lambda: self.wildcard_hits)
+        ).set_function(lambda: settle() or self.wildcard_hits)
         registry.gauge(
             "switch.lookup_misses", "Lookups with no live match", **labels,
         ).set_function(lambda: self.misses)
@@ -446,28 +449,21 @@ class FlowTable:
         return best
 
     def record_fluid_hits(
-        self, entry: FlowEntry, packets: int, total_bytes: int,
-        last_seen: float, exact: Optional[bool] = None,
+        self, entry: FlowEntry, packets: int, total_bytes: int, exact: bool
     ) -> None:
-        """Fold analytically advanced traffic into an entry's counters.
+        """Fold analytically advanced traffic into the hit counters.
 
         Mirrors what ``packets`` calls of :meth:`lookup` would have
-        accumulated: per-entry packet/byte counts, the idle-timeout
-        refresh, and the table's hit statistics.  ``last_seen`` is the
-        arrival time of the final analytic packet at this table;
-        ``exact`` lets the caller precompute the entry's index class
-        once per suspension instead of per advance.
+        accumulated on the entry and the table; the idle-timeout
+        refresh is not here -- the datapath acts on ``last_used_at``,
+        so the fluid kernel moves it at every advance, not at settle
+        time.  ``exact`` is the entry's index class, computed once per
+        suspension.
         """
-        if packets <= 0:
-            return
         entry.packets += packets
         entry.bytes += total_bytes
-        if last_seen > entry.last_used_at:
-            entry.last_used_at = last_seen
         self.lookups += packets
         self.matched += packets
-        if exact is None:
-            exact = entry.match.exact_index_key() is not None
         if exact:
             self.exact_hits += packets
         else:

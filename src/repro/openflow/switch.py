@@ -99,7 +99,8 @@ class OpenFlowSwitch(Node):
 
         Pull-mode gauges keyed by dpid: nothing is added to the
         per-frame fast path, the registry reads the live attributes at
-        snapshot time.
+        snapshot time (the totals a fluid region adds to, once it has
+        settled them).
         """
         self.metrics = registry
         labels = {"dpid": self.dpid}
@@ -116,12 +117,17 @@ class OpenFlowSwitch(Node):
         ).set_function(lambda: self.packet_ins)
         registry.gauge(
             "switch.packets_forwarded", "Frames emitted by actions", **labels,
-        ).set_function(lambda: self.packets_forwarded)
+        ).set_function(
+            # settle_fluid() returns None: the total is read after it.
+            lambda: self.sim.settle_fluid() or self.packets_forwarded
+        )
         registry.gauge(
             "switch.packets_dropped",
             "Frames dropped (drop entries, dead channel)", **labels,
         ).set_function(lambda: self.packets_dropped)
-        self.table.attach_metrics(registry, **labels)
+        self.table.attach_metrics(
+            registry, settle=self.sim.settle_fluid, **labels
+        )
 
     # ------------------------------------------------------------------
     # Data plane
@@ -289,7 +295,7 @@ class OpenFlowSwitch(Node):
             # packet fidelity from this instant on.  PacketOuts and
             # stats polls deliberately do NOT materialize: LLDP beacons
             # and monitor sweeps are periodic background chatter.
-            fluid = getattr(self.sim, "fluid", None)
+            fluid = self.sim.fluid
             if fluid is not None:
                 fluid.materialize_all("flowmod")
             self._handle_flow_mod(message)
@@ -370,6 +376,7 @@ class OpenFlowSwitch(Node):
         )
 
     def _handle_port_stats(self, request: msg.PortStatsRequest) -> None:
+        self.sim.settle_fluid()
         stats = {}
         for number, port in sorted(self.ports.items()):
             if request.port is not None and number != request.port:
@@ -384,6 +391,7 @@ class OpenFlowSwitch(Node):
         self._reply(msg.PortStatsReply(dpid=self.dpid, stats=stats))
 
     def _handle_flow_stats(self, request: msg.FlowStatsRequest) -> None:
+        self.sim.settle_fluid()
         entries = tuple(
             {
                 "match": entry.match,
@@ -404,6 +412,7 @@ class OpenFlowSwitch(Node):
                 self._send_flow_removed(removed.entry, removed.reason)
 
     def _send_flow_removed(self, entry: FlowEntry, reason: str) -> None:
+        self.sim.settle_fluid()
         self._reply(
             msg.FlowRemoved(
                 dpid=self.dpid,

@@ -105,7 +105,7 @@ class TrafficFlow:
         self._started_at = self.sim.now
         if self.duration_s is not None:
             self._stop_at = self.sim.now + self.duration_s
-        fluid = getattr(self.sim, "fluid", None)
+        fluid = self.sim.fluid
         if fluid is not None:
             # A new flow's first packet must punt to the controller at
             # packet fidelity: resume everything, then register as a
@@ -118,7 +118,7 @@ class TrafficFlow:
         if self._pending is not None:
             self._pending.cancel()
             self._pending = None
-        fluid = getattr(self.sim, "fluid", None)
+        fluid = self.sim.fluid
         if fluid is not None:
             fluid.flow_stopped(self)
 
@@ -174,6 +174,7 @@ class TrafficFlow:
     # Accounting ---------------------------------------------------------
 
     def delivered_bytes(self, dst: Host) -> int:
+        self.sim.settle_fluid()  # a suspended flow owes its deliveries
         return dst.rx_bytes_by_flow.get(self.flow_id, 0)
 
     def goodput_bps(self, dst: Host) -> float:

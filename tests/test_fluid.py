@@ -6,10 +6,17 @@ a time: eligibility walks and their refusal reasons, the max-min
 allocator, materialization triggers, and the observability surface.
 """
 
+import random
+
 import pytest
 
 from repro import build_livesec_network
+from repro.core.bus import FlowRemovedIn, FlowStatsIn, PortStatsIn
+from repro.net import packet as pkt
+from repro.net.ecmp import EcmpLegacySwitch
 from repro.net.fluid import FluidRegion, max_min_rates
+from repro.net.host import Host
+from repro.net.node import connect
 from repro.net.simulator import Simulator
 from repro.workloads.flows import CbrUdpFlow
 
@@ -244,6 +251,8 @@ class TestMaterialization:
             net.fluid.materialize_all("test")
             seen["t"] = net.sim.now
             seen["sent"] = flow.packets_sent
+            # The raw total first: a resume settles what the flow owed.
+            seen["raw"] = hosts[1].rx_bytes_by_flow[flow.flow_id]
             seen["delivered"] = flow.delivered_bytes(hosts[1])
 
         # Probe off the emission grid so "strictly before" is
@@ -255,3 +264,409 @@ class TestMaterialization:
             grid += 1
         assert seen["sent"] == grid > before
         assert seen["delivered"] == seen["sent"] * flow.packet_size
+        assert seen["raw"] == seen["delivered"]
+
+
+def emitted_before(flow, t):
+    """Closed-form count of ``flow``'s emissions strictly before ``t``
+    off its ``paced_at`` grid (fix-up loops absorb float rounding)."""
+    k = max(0, int((t - flow.paced_at(0)) / flow.interval_s))
+    while flow.paced_at(k) < t:
+        k += 1
+    while k > 0 and flow.paced_at(k - 1) >= t:
+        k -= 1
+    return k
+
+
+class TestDeferredCounters:
+    """Counters are owed while a flow is suspended and paid by
+    ``FluidRegion.flush()``; every reader inside the event loop must
+    collect first.  Each probe instant reads *one* surface, so a reader
+    that skips the flush cannot hide behind one that did not.
+
+    Background chatter (LLDP rounds, STP hellos) also moves port and
+    switch totals, so each surface is read where only the mix's own
+    packets count -- host-facing ingress, exact-match entries, per-flow
+    delivery -- as the reading when ``net.run`` last returned (always
+    settled) plus the grid count since.
+    """
+
+    PROBES = 22
+
+    def suspended_mix(self):
+        net = build_livesec_network(
+            topology="linear", num_as=2, hosts_per_as=4, fluid=True,
+            idle_timeout_s=60.0, stats_interval_s=None,
+        )
+        net.start()
+        rng = random.Random(7)
+        hosts = endpoints(net)
+        flows = []
+        for index in range(8):
+            src, dst = rng.sample(hosts, 2)
+            flow = CbrUdpFlow(
+                net.sim, src, dst.ip,
+                rate_bps=rng.choice((0.4e6, 0.8e6, 1.6e6)),
+                packet_size=rng.choice((250, 500, 1000)),
+                sport=30000 + index, dport=9000 + index,
+            )
+            # Clear of the governor's 50 ms grid (flow 0 anchors it):
+            # a frame on a wire at a tick refuses the whole mix.
+            flow.start(delay_s=0.0 if index == 0 else
+                       rng.randrange(10) * 0.01 + rng.uniform(0.002, 0.007))
+            flows.append((flow, src, dst))
+        net.run(1.0)
+        assert net.fluid.stats()["suspended_flows"] == 8
+        return net, rng, flows
+
+    def test_every_in_loop_reader_sees_settled_counters(self):
+        net, rng, flows = self.suspended_mix()
+        sim, topo = net.sim, net.topology
+        sent0 = {flow: flow.packets_sent for flow, _src, _dst in flows}
+
+        def grown(t, keep):
+            """(packets, bytes) the flows selected by ``keep`` emitted
+            since the baseline, strictly before ``t``."""
+            packets = total = 0
+            for flow, src, dst in flows:
+                if keep(flow, src, dst):
+                    count = emitted_before(flow, t) - sent0[flow]
+                    packets += count
+                    total += count * flow.packet_size
+            return packets, total
+
+        def access(host):
+            attachment = topo.attachments[host.name]
+            return attachment.switch, attachment.switch_port
+
+        def crosses(switch):
+            return lambda _flow, src, dst: switch in (
+                access(src)[0], access(dst)[0]
+            )
+
+        # Replies as the controller receives them, in request order
+        # (no monitor polling: every reply answers a probe).
+        inbox = {PortStatsIn: [], FlowStatsIn: [], FlowRemovedIn: []}
+        for kind, box in inbox.items():
+            net.controller.bus.subscribe(kind, box.append)
+        awaited = {kind: [] for kind in inbox}
+        forwarded_at_packet_level = {}
+        for switch in topo.as_switches:
+            forwarded_at_packet_level[switch] = 0
+
+            def counted(frame, out_port, switch=switch, send=switch.send):
+                ok = send(frame, out_port)
+                forwarded_at_packet_level[switch] += ok
+                return ok
+
+            switch.send = counted  # LLDP PacketOuts are forwards too
+        failures = []
+
+        def check(name, t, got, expected):
+            if got != expected:
+                failures.append((name, t, got, expected))
+
+        def forward_entries(switch, flow):
+            return [e for e in switch.table if e.match.tp_src == flow.sport]
+
+        # -- the surfaces: each returns nothing, records via check() --
+
+        def port_stats(flow, src, dst):
+            switch, port = access(src)
+            base = dict(vars(switch.ports[port]))
+            latency = net.channels[switch.dpid].latency_s
+
+            def probe():
+                at = sim.now + latency  # when the switch answers
+                packets, total = grown(at, lambda _f, s, _d: s is src)
+                awaited[PortStatsIn].append((at, port, {
+                    "rx_packets": base["rx_packets"] + packets,
+                    "rx_bytes": base["rx_bytes"] + total,
+                }))
+                net.controller.request_port_stats(switch.dpid, port)
+            return probe
+
+        def flow_stats(flow, src, dst):
+            switch, _port = access(src)
+            base = {e.match: (e.packets, e.bytes)
+                    for e in forward_entries(switch, flow)}
+            assert base
+            latency = net.channels[switch.dpid].latency_s
+
+            def probe():
+                at = sim.now + latency
+                packets, total = grown(at, lambda f, _s, _d: f is flow)
+                awaited[FlowStatsIn].append((at, {
+                    match: (had[0] + packets, had[1] + total)
+                    for match, had in base.items()
+                }))
+                net.controller.request_flow_stats(switch.dpid)
+            return probe
+
+        def flow_removed(flow, src, dst):
+            switch, _port = access(dst)
+            entry = forward_entries(switch, flow)[0]
+            base = (entry.packets, entry.bytes)
+
+            def probe():
+                packets, total = grown(sim.now, lambda f, _s, _d: f is flow)
+                awaited[FlowRemovedIn].append(
+                    (sim.now, (base[0] + packets, base[1] + total))
+                )
+                switch._send_flow_removed(entry, "idle")
+            return probe
+
+        def link_stats(flow, src, dst):
+            port = src.ports[1]
+            base = port.link.stats(port)
+
+            def probe():
+                t = sim.now
+                packets, total = grown(t, lambda _f, s, _d: s is src)
+                got = port.link.stats(port)
+                check("Link.stats", t,
+                      (got["tx_packets"], got["tx_bytes"], got["dropped"]),
+                      (base["tx_packets"] + packets,
+                       base["tx_bytes"] + total, 0))
+                check("Link.stats busy_time", t, got["busy_time"],
+                      pytest.approx(base["busy_time"] + total * 8.0
+                                    / port.link.bandwidth_bps))
+            return probe
+
+        def utilization(flow, src, dst):
+            port = src.ports[1]
+            base = port.link.stats(port)["busy_time"]
+
+            def probe():
+                t = sim.now
+                _packets, total = grown(t, lambda _f, s, _d: s is src)
+                busy = base + total * 8.0 / port.link.bandwidth_bps
+                check("Link.utilization", t, port.link.utilization(port, 0.0),
+                      pytest.approx(busy / t))
+            return probe
+
+        def delivered(flow, src, dst):
+            def probe():
+                t = sim.now
+                total = emitted_before(flow, t) * flow.packet_size
+                check("delivered_bytes", t, flow.delivered_bytes(dst), total)
+            return probe
+
+        def goodput(flow, src, dst):
+            def probe():
+                t = sim.now
+                total = emitted_before(flow, t) * flow.packet_size
+                check("goodput_bps", t, flow.goodput_bps(dst),
+                      pytest.approx(total * 8.0 / (t - flow.paced_at(0))))
+            return probe
+
+        def received_bits(flow, src, dst):
+            def probe():
+                t = sim.now
+                count = emitted_before(flow, t)
+                check("Host.received_bits", t,
+                      dst.received_bits(flow.flow_id),
+                      count * flow.packet_size * 8)
+            return probe
+
+        def received_bits_total(flow, src, dst):
+            base = dst.received_bits()
+
+            def probe():
+                t = sim.now
+                _packets, total = grown(t, lambda _f, _s, d: d is dst)
+                check("Host.received_bits()", t, dst.received_bits(),
+                      base + total * 8)
+            return probe
+
+        def region_stats(flow, src, dst):
+            def probe():
+                t = sim.now
+                stats = net.fluid.stats()
+                # stats() settles: the raw totals are current after it.
+                check("FluidRegion.stats", t,
+                      (dst.rx_frames_by_flow[flow.flow_id], flow.bytes_sent),
+                      (emitted_before(flow, t),
+                       emitted_before(flow, t) * flow.packet_size))
+                assert stats["settles"] <= stats["advances"]
+            return probe
+
+        def table_gauge(flow, src, dst):
+            switch, _port = access(dst)
+            base = switch.table.exact_hits
+
+            def probe():
+                t = sim.now
+                packets, _total = grown(t, crosses(switch))
+                gauge = net.metrics_snapshot().get(
+                    "switch.lookup_exact_hits", dpid=switch.dpid
+                )
+                check("switch.lookup_exact_hits", t, gauge.value,
+                      base + packets)
+            return probe
+
+        def switch_gauge(flow, src, dst):
+            switch, _port = access(dst)
+            base = switch.packets_forwarded - forwarded_at_packet_level[switch]
+            gauge = net.controller.metrics.get(
+                "switch.packets_forwarded", dpid=switch.dpid
+            )
+
+            def probe():
+                t = sim.now
+                packets, _total = grown(t, crosses(switch))
+                check("switch.packets_forwarded", t, gauge.value,
+                      base + forwarded_at_packet_level[switch] + packets)
+            return probe
+
+        surfaces = [
+            port_stats, flow_stats, link_stats, utilization, delivered,
+            goodput, received_bits, received_bits_total, region_stats,
+            table_gauge, switch_gauge,
+        ]
+        window = 2.0
+        for index in range(self.PROBES):
+            surface = surfaces[index % len(surfaces)]
+            flow, src, dst = flows[index % len(flows)]
+            sim.schedule(rng.uniform(0.01, window), surface(flow, src, dst))
+        # A FlowRemoved makes the controller tear the session down, so
+        # it goes last.
+        sim.schedule(window + 0.0137, flow_removed(*flows[3]))
+        settles_before = net.fluid.stats()["settles"]
+        net.run(window + 0.1)
+
+        assert failures == []
+        assert net.fluid.stats()["settles"] > settles_before
+        for kind in (PortStatsIn, FlowStatsIn):
+            assert len(inbox[kind]) == len(awaited[kind]) > 0
+        for (at, port, expected), event in zip(
+            awaited[PortStatsIn], inbox[PortStatsIn]
+        ):
+            got = event.message.stats[port]
+            assert {key: got[key] for key in expected} == expected, at
+        for (at, expected), event in zip(
+            awaited[FlowStatsIn], inbox[FlowStatsIn]
+        ):
+            got = {e["match"]: (e["packets"], e["bytes"])
+                   for e in event.message.entries if e["match"] in expected}
+            assert got == expected, at
+        # The probe's own FlowRemoved comes first; the teardown it sets
+        # off deletes (and reports) the session's other entries.
+        (at, expected), removed = (
+            awaited[FlowRemovedIn][0], inbox[FlowRemovedIn][0].message
+        )
+        assert (removed.reason, removed.packets, removed.bytes) == (
+            "idle", *expected
+        ), at
+
+    def test_run_returning_settles(self):
+        # Outside the event loop nothing needs to flush: the plain
+        # attributes are exact whenever ``run`` has returned.
+        net, _rng, flows = self.suspended_mix()
+        owed = net.fluid.settles
+        net.run(0.7331)
+        assert net.fluid.settles > owed
+        for flow, src, dst in flows:
+            count = emitted_before(flow, net.sim.now)
+            assert flow.packets_sent == count
+            assert flow.bytes_sent == count * flow.packet_size
+            assert dst.rx_frames_by_flow[flow.flow_id] == count
+        for host in endpoints(net):
+            sent = sum(f.bytes_sent for f, src, _dst in flows if src is host)
+            # Only ARP precedes the mix on a host's own uplink.
+            assert 0 <= host.ports[1].tx_bytes - sent < 1000
+
+    def test_group_port_loads_settles(self, sim):
+        # A legacy-only path over an ECMP trunk: no controller, no STP,
+        # so the members' loads are the flows' grid counts outright.
+        region = FluidRegion(sim)
+        s1 = EcmpLegacySwitch(sim, "s1", bridge_id=1)
+        s2 = EcmpLegacySwitch(sim, "s2", bridge_id=2)
+        connect(sim, s1, s2, port_a=1, port_b=1)
+        connect(sim, s1, s2, port_a=2, port_b=2)
+        s1.add_ecmp_group([1, 2])
+        s2.add_ecmp_group([1, 2])
+        h1 = Host(sim, "h1", pkt.mac_address(1), pkt.ip_address(1))
+        h2 = Host(sim, "h2", pkt.mac_address(2), pkt.ip_address(2))
+        connect(sim, s1, h1, port_a=3)
+        connect(sim, s2, h2, port_a=3)
+        h1.announce()
+        h2.announce()
+        sim.run(until=0.2)
+        flows = [
+            CbrUdpFlow(sim, h1, h2.ip, rate_bps=1e6, packet_size=500,
+                       sport=40000 + index, dport=9000).start(
+                           delay_s=0.0 if index == 0 else 0.003 + index * 0.01)
+            for index in range(6)
+        ]
+        sim.run(until=1.0)
+        assert region.stats()["suspended_flows"] == len(flows)
+        member_of = {
+            flow: s1.peek_forward(region._probe_frame(flow, h2.mac), 3)
+            for flow in flows
+        }
+        assert set(member_of.values()) == {1, 2}
+        arp_bytes = {
+            port: load - sum(
+                flow.bytes_sent for flow in flows if member_of[flow] == port
+            )
+            for port, load in s1.group_port_loads([1, 2]).items()
+        }
+        seen = []
+
+        def probe():
+            t = sim.now
+            expected = {
+                port: arp_bytes[port] + sum(
+                    emitted_before(flow, t) * flow.packet_size
+                    for flow in flows if member_of[flow] == port
+                )
+                for port in (1, 2)
+            }
+            seen.append((s1.group_port_loads([1, 2]), expected))
+
+        for offset in (0.2113, 0.5171, 0.9007):
+            sim.schedule(offset, probe)
+        sim.run(until=2.0)
+        assert len(seen) == 3
+        for got, expected in seen:
+            assert got == expected
+
+    def test_stop_and_prune_settle_before_forgetting(self):
+        net, _rng, flows = self.suspended_mix()
+        sim = net.sim
+        (stopped, _s, stopped_dst), (pruned, _s2, pruned_dst) = flows[:2]
+        seen = {}
+
+        def raw(flow, dst):
+            # No reader in between: the attributes themselves.
+            return (flow.bytes_sent, dst.rx_frames_by_flow[flow.flow_id],
+                    dst.rx_bytes_by_flow[flow.flow_id])
+
+        def stop():
+            stopped.stop()
+            seen["stop"] = (sim.now, raw(stopped, stopped_dst))
+
+        def finish():
+            # What a flow's own emit path does at its stop boundary;
+            # the governor's next tick finds it no longer running.
+            pruned.running = False
+
+        def after_prune():
+            seen["prune"] = raw(pruned, pruned_dst)
+            seen["registered"] = pruned in net.fluid.flows
+
+        sim.schedule(0.2113, stop)
+        sim.schedule(0.3171, finish)
+        sim.schedule(0.3171 + 2 * net.fluid.governor_interval_s, after_prune)
+        net.run(0.6)
+
+        t, got = seen["stop"]
+        count = emitted_before(stopped, t)
+        assert stopped.packets_sent == count
+        size = stopped.packet_size
+        assert got == (count * size, count, count * size)
+        assert seen["registered"] is False
+        count, size = pruned.packets_sent, pruned.packet_size
+        assert count > emitted_before(pruned, sim.now - 0.6 + 0.3171)
+        assert seen["prune"] == (count * size, count, count * size)
