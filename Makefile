@@ -4,6 +4,21 @@
 	chaos-determinism accountability-smoke replay-smoke policy-smoke \
 	shard-smoke fluid-smoke ops-smoke perf-smoke examples all
 
+# $(call same_digest,<command>,<grep -o pattern>,<label>): run the
+# command twice (output kept in /tmp/<label>-a.txt and -b.txt) and fail
+# unless both runs printed the same, non-empty digest.
+define same_digest
+@$(1) | tee /tmp/$(3)-a.txt
+@$(1) | tee /tmp/$(3)-b.txt
+@a=$$(grep -o '$(2)' /tmp/$(3)-a.txt); \
+b=$$(grep -o '$(2)' /tmp/$(3)-b.txt); \
+if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
+	echo "$(3): digest mismatch: '$$a' vs '$$b'"; exit 1; \
+else \
+	echo "$(3): same digest twice ($$a)"; \
+fi
+endef
+
 install:
 	python setup.py develop
 
@@ -58,45 +73,17 @@ chaos-smoke:
 # variant repeats the check on a 4-shard control plane, where the
 # digest folds every shard's log plus the coordinator's.
 chaos-determinism:
-	@PYTHONPATH=src python -m repro chaos --seed 0 | tee /tmp/chaos-a.txt
-	@PYTHONPATH=src python -m repro chaos --seed 0 | tee /tmp/chaos-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]*' /tmp/chaos-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]*' /tmp/chaos-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "chaos digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "chaos determinism OK ($$a)"; \
-	fi
-	@PYTHONPATH=src python -m repro chaos --seed 0 --shards 4 \
-		| tee /tmp/chaos-shards-a.txt
-	@PYTHONPATH=src python -m repro chaos --seed 0 --shards 4 \
-		| tee /tmp/chaos-shards-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]*' /tmp/chaos-shards-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]*' /tmp/chaos-shards-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "sharded chaos digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "sharded chaos determinism OK ($$a)"; \
-	fi
+	$(call same_digest,PYTHONPATH=src python -m repro chaos --seed 0,digest [0-9a-f]*,chaos)
+	$(call same_digest,PYTHONPATH=src python -m repro chaos --seed 0 --shards 4,digest [0-9a-f]*,chaos-shards)
 
 # Seeded compromised-switch scenario under forwarding accountability:
 # the misbehaving datapath must be convicted and quarantined within
 # bounded sim time, its sessions re-steered, and the event log
 # digest-stable across two same-seed runs.
 accountability-smoke:
-	@PYTHONPATH=src python -m repro chaos --scenario compromised-switch \
-		--variant skip-waypoint --seed 0 --assert-detected \
-		--assert-recovered | tee /tmp/acct-a.txt
-	@PYTHONPATH=src python -m repro chaos --scenario compromised-switch \
-		--variant skip-waypoint --seed 0 --assert-detected \
-		--assert-recovered | tee /tmp/acct-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]*' /tmp/acct-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]*' /tmp/acct-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "accountability digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "accountability determinism OK ($$a)"; \
-	fi
+	$(call same_digest,PYTHONPATH=src python -m repro chaos \
+		--scenario compromised-switch --variant skip-waypoint --seed 0 \
+		--assert-detected --assert-recovered,digest [0-9a-f]*,acct)
 	@grep -q 'quarantined=\[2\]' /tmp/acct-a.txt || \
 		{ echo "compromised dpid 2 was not quarantined"; exit 1; }
 
@@ -120,17 +107,8 @@ shard-smoke:
 # mid-run link flap; the fluid run itself must be digest-stable
 # across two identical invocations.
 fluid-smoke:
-	@PYTHONPATH=src python -m repro fluid --seed 3 --assert-equivalent \
-		| tee /tmp/fluid-a.txt
-	@PYTHONPATH=src python -m repro fluid --seed 3 --assert-equivalent \
-		| tee /tmp/fluid-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/fluid-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/fluid-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "fluid digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "fluid determinism OK ($$a)"; \
-	fi
+	$(call same_digest,PYTHONPATH=src python -m repro fluid --seed 3 \
+		--assert-equivalent,digest [0-9a-f]\{64\},fluid)
 	@PYTHONPATH=src python -m repro fluid --seed 6 --link-flap \
 		--assert-equivalent | tee /tmp/fluid-flap.txt
 	@echo "fluid oracle equivalence OK (steady + link flap)"
@@ -167,19 +145,9 @@ policy-smoke:
 	@grep -q "shadowed" /tmp/policy-conflicts.txt || \
 		{ echo "missing shadowed finding"; exit 1; }
 	@echo "conflicting intent file rejected with both findings"
-	@PYTHONPATH=src python -m repro policy reload \
+	$(call same_digest,PYTHONPATH=src python -m repro policy reload \
 		examples/policies/intents.json \
-		--record /tmp/policy-reload-a.jsonl | tee /tmp/policy-a.txt
-	@PYTHONPATH=src python -m repro policy reload \
-		examples/policies/intents.json \
-		--record /tmp/policy-reload-b.jsonl | tee /tmp/policy-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/policy-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/policy-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "policy reload digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "policy hot-reload OK, digest-stable ($$a)"; \
-	fi
+		--record /tmp/policy-reload.jsonl,digest [0-9a-f]\{64\},policy)
 
 # Runtime app operations end to end: boot a deployment, stop ->
 # reload -> start the monitor app mid-traffic, record the event log,
@@ -187,18 +155,9 @@ policy-smoke:
 # non-zero if the replayed digest diverges from the live one).  Run
 # twice: the journal digest must be identical across same-seed runs.
 ops-smoke:
-	@PYTHONPATH=src python -m repro ops --action cycle \
-		--record /tmp/ops-a.jsonl | tee /tmp/ops-a.txt
-	@PYTHONPATH=src python -m repro ops --action cycle \
-		--record /tmp/ops-b.jsonl | tee /tmp/ops-b.txt
-	@PYTHONPATH=src python -m repro journal /tmp/ops-a.jsonl --digest-only
-	@a=$$(grep -o 'journal digest [0-9a-f]\{64\}' /tmp/ops-a.txt); \
-	b=$$(grep -o 'journal digest [0-9a-f]\{64\}' /tmp/ops-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "ops journal digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "ops lifecycle OK, journal digest-stable ($$a)"; \
-	fi
+	$(call same_digest,PYTHONPATH=src python -m repro ops --action cycle \
+		--record /tmp/ops.jsonl,journal digest [0-9a-f]\{64\},ops)
+	@PYTHONPATH=src python -m repro journal /tmp/ops.jsonl --digest-only
 
 examples:
 	python examples/quickstart.py

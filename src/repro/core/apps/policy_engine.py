@@ -35,6 +35,10 @@ class PolicyDecision:
     policy: Optional[Policy] = None
     waypoints: List[HostRecord] = field(default_factory=list)
     element_macs: Tuple[str, ...] = ()
+    # Set when a chained service type had no healthy element: the fail
+    # mode that produced the verdict (None: the chain resolved, or the
+    # policy chains nothing).
+    fail_mode: Optional[FailMode] = None
 
     @property
     def policy_name(self) -> str:
@@ -90,20 +94,34 @@ class PolicyEngineApp(App):
         if action is not PolicyAction.CHAIN:
             return PolicyDecision(verdict="allow", policy=policy)
         assert policy is not None
+        decision = self.decide_chain(policy, flow, src)
+        if decision.fail_mode is FailMode.OPEN:
+            self.ctx.count("no_element_fallback")
+        return decision
+
+    # ------------------------------------------------------------------
+    # Chain resolution (every steering trigger decides through here)
+
+    def decide_chain(
+        self, policy: Policy, flow: FlowNineTuple, src: HostRecord
+    ) -> PolicyDecision:
+        """Resolve ``policy``'s service chain for one flow, or apply its
+        fail mode when a chained type has no healthy element: *closed*
+        blocks, *open* allows the flow unsteered.  First packets,
+        element failover, quarantine re-steer and cross-shard adoption
+        all decide here, so they cannot drift apart."""
         resolved = self.resolve_chain(policy, flow, src)
         if resolved is None:
-            if self.effective_fail_mode(policy) is FailMode.CLOSED:
-                return PolicyDecision(verdict="block", policy=policy)
-            self.ctx.count("no_element_fallback")
-            return PolicyDecision(verdict="allow", policy=policy)
+            fail_mode = self.effective_fail_mode(policy)
+            return PolicyDecision(
+                verdict="block" if fail_mode is FailMode.CLOSED else "allow",
+                policy=policy, fail_mode=fail_mode,
+            )
         waypoints, element_macs = resolved
         return PolicyDecision(
             verdict="allow", policy=policy,
             waypoints=waypoints, element_macs=tuple(element_macs),
         )
-
-    # ------------------------------------------------------------------
-    # Chain resolution (shared with the failover path)
 
     def resolve_chain(
         self, policy: Policy, flow: FlowNineTuple, src: HostRecord

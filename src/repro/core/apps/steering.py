@@ -1,38 +1,33 @@
-"""Session steering: rule computation, install, failover, teardown.
+"""Session steering: plan -> reconcile -> apply.
 
-The enforcement half of interactive policy enforcement (IV.A): first
-packets become *sessions* -- both directions' flow entries computed
-over the NIB's logical full mesh, steered through the policy engine's
-resolved waypoints, and pushed through the batched install pipeline.
-The same app owns every way a session's rules change afterwards:
-idle-timeout teardown, ingress blocking on attack verdicts, element
-failover re-steering, switch-reconnect resync, and fabric-uplink-loss
-invalidation.
+The enforcement half of interactive policy enforcement (IV.A): "all
+above flow entries can be calculated and enforced simultaneously".
+Every way a session's rules come to exist or change -- first packet,
+element failover, quarantine re-steer, accountability drain,
+cross-shard adoption, reconnect resync, teardown, handoff release --
+selects sessions and then runs the same three steps (DESIGN 3.1).
+The ingress drop of a blocked flow stays outside that cycle on
+purpose: it is no session rule and outlives the session it blocked.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.apps.base import App, AppContext
+from repro.core.apps.policy_engine import PolicyDecision
 from repro.core.bus import (
     AppLifecycleChanged,
-    BarrierReplyIn,
     DataPacketIn,
     ElementExpired,
     FlowBlockRequested,
     FlowRemovedIn,
     HostExpired,
-    HostMoved,
-    LinkDiscovered,
-    LinkTimedOut,
-    PolicyReloaded,
     RemoteRuleOpIn,
     SessionHandoffIn,
     SourceBlockRequested,
     SwitchJoined,
-    SwitchLeft,
     SwitchQuarantined,
     UplinksLost,
 )
@@ -40,9 +35,9 @@ from repro.core.events import EventKind
 from repro.core.nib import HostRecord
 from repro.core.policy import FailMode, Policy
 from repro.core.routing import (
-    PathRuleCache,
     RoutingError,
     RuleSpec,
+    compute_path_rules,
     drop_rule,
     source_block_rule,
 )
@@ -51,7 +46,6 @@ from repro.net.packet import FlowNineTuple, extract_nine_tuple
 from repro.openflow import messages as ofmsg
 from repro.openflow.actions import Output, PopPathTag, PushPathTag
 from repro.openflow.pathproof import PathDescriptor
-from repro.openflow.pipeline import InstallPipeline
 
 FAILOVER_OUTCOMES = ("recovered", "fail-open", "fail-closed", "torn-down")
 
@@ -61,44 +55,17 @@ class SteeringApp(App):
 
     name = "steering"
 
-    def __init__(
-        self,
-        ctx: AppContext,
-        install_timeout_s: float,
-        install_batching: bool = True,
-    ):
+    def __init__(self, ctx: AppContext):
         super().__init__(ctx)
-        self.config = {
-            "install_timeout_s": install_timeout_s,
-            "install_batching": install_batching,
-        }
-        self.pipeline = InstallPipeline(
-            ctx.controller,
-            timeout_s=install_timeout_s,
-            batching=install_batching,
-            metrics=ctx.metrics,
-        )
-        # Ingress rule-computation cache: repeated PacketIns for a
-        # long-lived flow identity (a session idling out and re-forming)
-        # skip the whole path computation.  Any event that can change
-        # the NIB facts the rules embed -- host locations, uplink
-        # ports, the element chain -- invalidates it wholesale.
-        self.rule_cache = PathRuleCache()
         self._setup_metrics()
         self.listen(DataPacketIn, self.on_data_packet)
         self.listen(FlowRemovedIn, self.on_flow_removed)
-        self.listen(BarrierReplyIn, self.on_barrier_reply)
         self.listen(SwitchJoined, self.on_switch_joined)
-        self.listen(SwitchLeft, self.on_switch_left)
         self.listen(HostExpired, self.on_host_expired)
         self.listen(ElementExpired, self.on_element_expired)
         self.listen(UplinksLost, self.on_uplinks_lost)
         self.listen(FlowBlockRequested, self.on_flow_block_requested)
         self.listen(SourceBlockRequested, self.on_source_block_requested)
-        self.listen(LinkDiscovered, self.on_topology_changed)
-        self.listen(LinkTimedOut, self.on_topology_changed)
-        self.listen(HostMoved, self.on_topology_changed)
-        self.listen(PolicyReloaded, self.on_policy_reloaded)
         self.listen(SwitchQuarantined, self.on_switch_quarantined)
         self.listen(SessionHandoffIn, self.on_session_handoff)
         self.listen(RemoteRuleOpIn, self.on_remote_rule_op)
@@ -132,24 +99,6 @@ class SteeringApp(App):
             )
             for outcome in FAILOVER_OUTCOMES
         }
-        # Pull-mode gauges over the cache's own counters: nothing is
-        # added to the session-setup hot path.
-        cache = self.rule_cache
-        registry.gauge(
-            "controller.routing_cache_hits",
-            "Session setups answered from the path-rule cache",
-        ).set_function(lambda: cache.hits)
-        registry.gauge(
-            "controller.routing_cache_misses",
-            "Session setups that computed their path rules",
-        ).set_function(lambda: cache.misses)
-        registry.gauge(
-            "controller.routing_cache_invalidations",
-            "Wholesale cache clears on topology/location change",
-        ).set_function(lambda: cache.invalidations)
-        registry.gauge(
-            "controller.routing_cache_size", "Cached path-rule sets",
-        ).set_function(lambda: len(cache))
 
     # ==================================================================
     # First packets -> sessions
@@ -229,42 +178,99 @@ class SteeringApp(App):
             self._block_flow(flow, src, policy_name=decision.policy_name)
             return
 
-        try:
-            with self._flow_setup_wall_hist.time():
-                self._install_session(
-                    packet_in, flow, src, dst,
-                    decision.waypoints, decision.element_macs,
-                    decision.policy,
+        with self._flow_setup_wall_hist.time():
+            try:
+                # "All above flow entries can be calculated and enforced
+                # simultaneously" -- the ingress FlowMod releases the
+                # buffered first packet through the new actions.
+                session = self._open_session(
+                    flow, src, dst, decision, self.ctx.sessions.next_id(),
+                    self.ctx.sim.now, buffer=packet_in.buffer_id,
                 )
-        except RoutingError:
-            # Topology discovery has not converged; deliver nothing and
-            # let the application retry.
-            self.ctx.count("routing_deferred")
+            except RoutingError:
+                # Topology discovery has not converged; deliver nothing
+                # and let the application retry.
+                self.ctx.count("routing_deferred")
+                return
+            self.ctx.count("flows_installed")
+            self._flow_setup_rules_hist.observe(len(session.rules))
+            self.ctx.log.emit(
+                self.ctx.sim.now, EventKind.FLOW_START,
+                session=session.session_id, user_mac=src.mac,
+                dst_mac=dst.mac, policy=decision.policy_name,
+                rules=len(session.rules),
+            )
+            if session.element_macs:
+                self.ctx.log.emit(
+                    self.ctx.sim.now, EventKind.FLOW_STEERED,
+                    session=session.session_id,
+                    elements=",".join(session.element_macs),
+                )
 
-    def _compute_session_rules(
+    def _open_session(
         self,
         flow: FlowNineTuple,
         src: HostRecord,
         dst: HostRecord,
-        waypoints: List[HostRecord],
+        decision: PolicyDecision,
+        session_id: int,
+        created_at: float,
+        buffer: Optional[int] = None,
+    ) -> Session:
+        """Enter one session into the table and bring its rules up,
+        newly minted (first packet) or under a transferred identity
+        (adoption).  A ``block`` decision -- an adopted session whose
+        chain failed closed -- enters blocked: ingress drop, no path.
+        Raises :class:`RoutingError` before anything is created."""
+        blocked = decision.verdict == "block"
+        rules, descriptor = ([], None) if blocked else self._plan(
+            flow, src, dst, decision.policy, session_id, decision.waypoints
+        )
+        session = self.ctx.sessions.create(
+            flow=flow,
+            src_mac=src.mac,
+            dst_mac=dst.mac,
+            policy_name=decision.policy.name if decision.policy else None,
+            element_macs=decision.element_macs,
+            rules=[],
+            now=created_at,
+            session_id=session_id,
+        )
+        session.path_descriptor = descriptor
+        if blocked:
+            self._block_flow(
+                flow, src, policy_name=decision.policy_name, session=session
+            )
+        else:
+            self._reconcile(session, rules, buffer=buffer)
+        return session
+
+    # ==================================================================
+    # plan: what entries should this session have
+
+    def _plan(
+        self,
+        flow: FlowNineTuple,
+        src: HostRecord,
+        dst: HostRecord,
         policy: Optional[Policy],
         session_id: int,
+        waypoints: Sequence[HostRecord],
     ) -> Tuple[List[RuleSpec], Optional[PathDescriptor]]:
         """Both directions' flow entries for one session (rules[0] is
         the forward ingress entry, the only one arming teardown), plus
         the forward path's accountability descriptor (None when
         accountability is disabled)."""
-        forward = self.rule_cache.path_rules(
+        idle_timeout = self.ctx.controller.idle_timeout_s
+        forward = compute_path_rules(
             self.ctx.nib, flow, src, dst, waypoints,
-            idle_timeout=self.ctx.controller.idle_timeout_s,
-            cookie=session_id,
+            idle_timeout=idle_timeout, cookie=session_id,
         )
         inspect_reply = policy.inspect_reply if policy is not None else False
         reverse_waypoints = list(reversed(waypoints)) if inspect_reply else []
-        reverse = self.rule_cache.path_rules(
+        reverse = compute_path_rules(
             self.ctx.nib, flow.reversed(), dst, src, reverse_waypoints,
-            idle_timeout=self.ctx.controller.idle_timeout_s,
-            cookie=session_id,
+            idle_timeout=idle_timeout, cookie=session_id,
         )
         # Only the *forward* ingress entry arms session teardown.  The
         # reply direction of a one-way flow is legitimately idle; its
@@ -290,16 +296,11 @@ class SteeringApp(App):
         The ingress rule pushes the per-session path descriptor (the
         expected dpid sequence in rule-traversal order: a waypoint's
         switch legitimately appears twice) and the egress rule pops it
-        just before delivery, triggering the proof report.  The cache
-        hands back rules whose action tuples may be shared between
-        sessions, so decorated rules are rebuilt with ``dc_replace``
-        rather than mutated in place -- the descriptor embeds the
-        session id and must be unique per session."""
+        just before delivery, triggering the proof report."""
         descriptor = PathDescriptor.for_path(
             self.ctx.controller.secret, session_id,
             [rule.dpid for rule in forward],
         )
-        forward = list(forward)
         first = forward[0]
         forward[0] = dc_replace(
             first, actions=(PushPathTag(descriptor),) + tuple(first.actions)
@@ -313,104 +314,118 @@ class SteeringApp(App):
         forward[-1] = dc_replace(last, actions=tuple(actions))
         return forward, descriptor
 
-    def _install_session(
-        self,
-        packet_in: ofmsg.PacketIn,
-        flow: FlowNineTuple,
-        src: HostRecord,
-        dst: HostRecord,
-        waypoints: List[HostRecord],
-        element_macs: Tuple[str, ...],
-        policy: Optional[Policy],
-    ) -> None:
-        session_id = self.ctx.sessions.next_id()
-        rules, descriptor = self._compute_session_rules(
-            flow, src, dst, waypoints, policy, session_id
-        )
-        session = self.ctx.sessions.create(
-            flow=flow,
-            src_mac=src.mac,
-            dst_mac=dst.mac,
-            policy_name=policy.name if policy else None,
-            element_macs=element_macs,
-            rules=rules,
-            now=self.ctx.sim.now,
-            session_id=session_id,
-        )
+    def _replan(self, session: Session, element_macs: Sequence[str]) -> bool:
+        """Plan a live session afresh through ``element_macs`` and swap
+        its entries in place.  False, with nothing touched, when the
+        path cannot be computed: an endpoint or waypoint has left the
+        NIB, or discovery has lost an uplink."""
+        src, dst, policy = self._parties(session)
+        waypoints = [self.ctx.nib.host_by_mac(mac) for mac in element_macs]
+        if src is None or dst is None or None in waypoints:
+            return False
+        try:
+            rules, descriptor = self._plan(
+                session.flow, src, dst, policy, session.session_id, waypoints
+            )
+        except RoutingError:
+            return False
+        self._reconcile(session, rules)
+        session.element_macs = tuple(element_macs)
         session.path_descriptor = descriptor
-        # "All above flow entries can be calculated and enforced
-        # simultaneously" -- the ingress FlowMod releases the buffered
-        # first packet through the freshly installed actions.
-        for rule in rules:
-            buffer_id = (
-                packet_in.buffer_id
-                if rule is rules[0] and rule.dpid == packet_in.dpid
-                else None
-            )
-            self._install_rule(rule, buffer_id=buffer_id)
-        self.ctx.count("flows_installed")
-        self._flow_setup_rules_hist.observe(len(rules))
-        self.ctx.log.emit(
-            self.ctx.sim.now, EventKind.FLOW_START,
-            session=session.session_id, user_mac=src.mac, dst_mac=dst.mac,
-            policy=policy.name if policy else "default",
-            rules=len(rules),
+        return True
+
+    def _parties(self, session):
+        """Where a session's (or a handoff record's) endpoints sit now
+        and the policy that governs it; each is None if it has left
+        its table since the session formed."""
+        return (
+            self.ctx.nib.host_by_mac(session.src_mac),
+            self.ctx.nib.host_by_mac(session.dst_mac),
+            self.ctx.policies.get(session.policy_name),
         )
-        if element_macs:
-            self.ctx.log.emit(
-                self.ctx.sim.now, EventKind.FLOW_STEERED,
-                session=session.session_id,
-                elements=",".join(element_macs),
-            )
 
     # ==================================================================
-    # Rule routing: local pipeline vs. inter-shard fabric
+    # reconcile: make the datapaths hold exactly the planned entries
 
-    def _install_rule(self, rule: RuleSpec, buffer_id=None) -> None:
-        """Install one flow entry, routing it over the shard fabric
-        when its datapath is homed to another shard."""
+    def _reconcile(
+        self,
+        session: Session,
+        desired: List[RuleSpec],
+        buffer: Optional[int] = None,
+        only_dpid: Optional[int] = None,
+        skip_rule: Optional[Tuple[int, object]] = None,
+    ) -> int:
+        """Make ``desired`` the session's installed entries; returns
+        how many were asserted.
+
+        Desired entries go in first, in rule order, including those
+        whose (dpid, match, priority) is already installed: the FlowMod
+        ADD *replaces* such an entry rather than deleting it --
+        critically this covers the ingress entry, whose deletion would
+        raise a FlowRemoved carrying the session cookie and tear the
+        session down mid-failover (it is always reused: same flow, same
+        ingress port, same priority).  Installed entries the desired
+        set no longer contains are then deleted, silently.
+
+        Setup reconciles from an empty installed set (``buffer``: the
+        first packet's buffer id, released by the ingress entry -- on
+        the punting switch, where the source was just learned);
+        teardown to an empty desired set (``skip_rule``: the (dpid,
+        match) the datapath already expired); the reconnect resync
+        re-asserts the installed set on ``only_dpid`` alone."""
+        asserted = 0
+        for rule in desired:
+            if only_dpid is not None and rule.dpid != only_dpid:
+                continue
+            self._apply(
+                "add", rule, buffer_id=buffer if rule is desired[0] else None
+            )
+            asserted += 1
+        if session.rules:  # nothing to diff against on session setup
+            keep = {(r.dpid, r.match, r.priority) for r in desired}
+            for rule in session.rules:
+                key = (rule.dpid, rule.match, rule.priority)
+                if key not in keep and key[:2] != skip_rule:
+                    self._apply("delete", rule)
+        session.rules = desired
+        return asserted
+
+    # ==================================================================
+    # apply: one rule op, to whoever owns the datapath
+
+    def _apply(self, op: str, rule: RuleSpec, buffer_id=None) -> None:
+        """Carry out one ``"add"``/``"delete"``: through the install
+        pipeline when this controller holds the datapath's channel,
+        over the shard fabric when another shard does.  Adds are
+        barrier-acked and retried by the pipeline; a delete is a single
+        un-acked FlowMod (a lost one leaves an entry that idles out)."""
         controller = self.ctx.controller
-        shard = controller.shard
-        if shard is not None and rule.dpid not in controller.switches:
-            if shard.install_remote(rule):
+        if rule.dpid in controller.switches:
+            if op == "add":
+                controller.install_pipeline.install(rule, buffer_id=buffer_id)
+            else:
+                controller.send_flow_mod(
+                    rule.dpid,
+                    command=ofmsg.FlowMod.DELETE_STRICT,
+                    match=rule.match,
+                    priority=rule.priority,
+                )
+        elif controller.shard is not None:
+            if controller.shard.remote_rule(op, rule):
                 self.ctx.count("remote_rules_sent")
             else:
                 self.ctx.count("remote_rules_dropped")
-            return
-        self.pipeline.install(rule, buffer_id=buffer_id)
-
-    def _delete_rule(self, rule: RuleSpec) -> None:
-        """Delete one flow entry, locally or over the shard fabric."""
-        controller = self.ctx.controller
-        if rule.dpid in controller.switches:
-            controller.send_flow_mod(
-                rule.dpid,
-                command=ofmsg.FlowMod.DELETE_STRICT,
-                match=rule.match,
-                priority=rule.priority,
-            )
-            return
-        shard = controller.shard
-        if shard is not None:
-            shard.remove_remote(rule)
 
     def on_remote_rule_op(self, event: RemoteRuleOpIn) -> None:
         """Apply a rule op another shard routed to us (we own its
         datapath -- possibly freshly, through re-homing)."""
-        op = event.op
-        rule = op.rule
+        rule = event.op.rule
         if rule.dpid not in self.ctx.controller.switches:
+            # Never forwarded on: a stale owner map must not bounce
+            # the op between shards.
             self.ctx.count("remote_rules_unowned")
             return
-        if op.op == "add":
-            self.pipeline.install(rule)
-        else:
-            self.ctx.controller.send_flow_mod(
-                rule.dpid,
-                command=ofmsg.FlowMod.DELETE_STRICT,
-                match=rule.match,
-                priority=rule.priority,
-            )
+        self._apply(event.op.op, rule)
         self.ctx.count("remote_rules_applied")
 
     def _release_along_session(
@@ -441,8 +456,12 @@ class SteeringApp(App):
         session: Optional[Session] = None,
         attack: Optional[str] = None,
     ) -> None:
-        """Install the ingress drop: the flow dies at the entrance."""
-        self.pipeline.install(drop_rule(
+        """Install the ingress drop: the flow dies at the entrance.
+
+        Not a session rule: it is never in ``session.rules``, so no
+        reconcile pass -- teardown included -- removes it, and it keeps
+        dropping after the session it was raised against has ended."""
+        self._apply("add", drop_rule(
             flow, src, cookie=session.session_id if session else 0,
         ))
         if session is not None:
@@ -462,7 +481,7 @@ class SteeringApp(App):
         )
 
     def on_source_block_requested(self, event: SourceBlockRequested) -> None:
-        self.pipeline.install(source_block_rule(event.mac, event.record))
+        self._apply("add", source_block_rule(event.mac, event.record))
 
     # ==================================================================
     # Teardown
@@ -490,6 +509,20 @@ class SteeringApp(App):
             bytes_=message.bytes,
         )
 
+    def _withdraw(
+        self, session: Session,
+        skip_rule: Optional[Tuple[int, object]] = None,
+    ) -> None:
+        """Drop a session from the table and pull its entries and
+        balancer assignments."""
+        # Out of the table first: the DELETE of the ingress entry
+        # raises a FlowRemoved carrying the session cookie, which must
+        # find nothing to tear down when it arrives.
+        self.ctx.sessions.end(session)
+        self._reconcile(session, [], skip_rule=skip_rule)
+        self.ctx.balancer.release(session.flow)
+        self.ctx.balancer.release(session.reverse_flow)
+
     def teardown_session(
         self,
         session: Session,
@@ -497,103 +530,58 @@ class SteeringApp(App):
         packets: int = 0,
         bytes_: int = 0,
     ) -> None:
-        for rule in session.rules:
-            if skip_rule is not None and (
-                rule.dpid == skip_rule[0] and rule.match == skip_rule[1]
-            ):
-                continue
-            self._delete_rule(rule)
-        self.ctx.balancer.release(session.flow)
-        self.ctx.balancer.release(session.reverse_flow)
-        self.ctx.sessions.end(session)
-        self._session_duration_hist.observe(
-            self.ctx.sim.now - session.created_at
-        )
+        self._withdraw(session, skip_rule)
+        duration = self.ctx.sim.now - session.created_at
+        self._session_duration_hist.observe(duration)
         self.ctx.log.emit(
             self.ctx.sim.now, EventKind.FLOW_END,
             session=session.session_id, user_mac=session.src_mac,
-            packets=packets, bytes=bytes_,
-            duration=self.ctx.sim.now - session.created_at,
+            packets=packets, bytes=bytes_, duration=duration,
         )
+
+    def release_session_for_handoff(self, session: Session) -> None:
+        """Origin-shard half of a cross-shard host move: the session
+        leaves this shard like a teardown -- but with no FLOW_END and
+        no duration sample.  Its identity continues on the destination
+        shard."""
+        self._withdraw(session)
+        self.ctx.count("sessions_handed_off")
 
     def on_host_expired(self, event: HostExpired) -> None:
         for session in self.ctx.sessions.sessions_of_user(event.record.mac):
             self.teardown_session(session)
 
     def on_uplinks_lost(self, event: UplinksLost) -> None:
-        self.rule_cache.clear()
         for dpid in event.dpids:
             for session in list(self.ctx.sessions):
                 if any(rule.dpid == dpid for rule in session.rules):
                     self.teardown_session(session)
 
-    def on_topology_changed(self, event) -> None:
-        """A NIB fact the cached rules embed changed (new/removed link
-        changes uplink ports; a moved host invalidates paths through
-        its old location): drop every memoized path."""
-        self.rule_cache.clear()
-
-    def on_policy_reloaded(self, event: PolicyReloaded) -> None:
-        """New policy table: every memoized ingress decision may now be
-        wrong, so the path-rule cache is invalidated wholesale.
-        Established sessions keep their installed rules -- the paper's
-        interactive model re-consults policy on the *next* first packet,
-        not retroactively."""
-        self.rule_cache.clear()
+    # ==================================================================
+    # Re-steering triggers: select sessions -> plan -> reconcile
 
     def on_app_lifecycle(self, event: AppLifecycleChanged) -> None:
-        """A peer app was stopped/reloaded/removed at runtime.
+        """The *accountability* app was stopped, removed or found
+        crashed: strip path-proof decoration from every accountable
+        session -- waypoint logic must not outlive its auditor.
 
-        The memoized path rules may embed facts the departed app
-        owned, so the cache is invalidated wholesale; and when the
-        *accountability* app leaves, sessions still carrying its proof
-        obligations are drained onto undecorated rules -- waypoint
-        logic must not outlive the app that audits it."""
-        if event.app == self.name:
-            return
-        self.rule_cache.clear()
-        if event.app == "accountability" and event.action in (
+        Each session is re-planned with the accountability gate now off
+        and swapped in place (same chain, same ingress entry -- traffic
+        keeps flowing, just untagged), and its descriptor is dropped so
+        a later accountability restart starts from a clean slate
+        instead of auditing sessions whose proof chain it never
+        armed."""
+        if event.app != "accountability" or event.action not in (
             "stopped", "removed", "crash-detected"
         ):
-            self._drain_accountability()
-
-    def _drain_accountability(self) -> None:
-        """Strip path-proof decoration from every accountable session.
-
-        Each session's rules are recomputed with the accountability
-        gate now off and swapped in place (same chain, same ingress
-        entry -- traffic keeps flowing, just untagged), and its
-        descriptor is dropped so a later accountability restart starts
-        from a clean slate instead of auditing sessions whose proof
-        chain it never armed."""
+            return
         for session in list(self.ctx.sessions):
             if session.path_descriptor is None or session.blocked:
                 continue
-            src = self.ctx.nib.host_by_mac(session.src_mac)
-            dst = self.ctx.nib.host_by_mac(session.dst_mac)
-            waypoints = [
-                self.ctx.nib.host_by_mac(mac)
-                for mac in session.element_macs
-            ]
-            policy = self.ctx.policies.get(session.policy_name)
-            if src is None or dst is None or None in waypoints:
-                # The path can't be recomputed (a endpoint or waypoint
-                # left the NIB); at minimum stop expecting proofs.
+            if not self._replan(session, session.element_macs):
+                # The path can't be recomputed; at minimum stop
+                # expecting proofs.
                 session.path_descriptor = None
-                continue
-            try:
-                new_rules, descriptor = self._compute_session_rules(
-                    session.flow, src, dst, waypoints, policy,
-                    session.session_id,
-                )
-            except RoutingError:
-                session.path_descriptor = None
-                continue
-            self._replace_session_rules(session, new_rules)
-            session.path_descriptor = descriptor
-
-    # ==================================================================
-    # Switch lifecycle: resync and install-abort
 
     def on_switch_joined(self, event: SwitchJoined) -> None:
         """Re-push this datapath's share of the session store.
@@ -605,46 +593,22 @@ class SteeringApp(App):
         replaced in place, with no FlowRemoved.  Stale datapath entries
         for sessions the controller no longer tracks simply idle out.
         """
-        self.rule_cache.clear()
         dpid = event.handle.dpid
-        resynced = 0
-        for session in self.ctx.sessions:
-            if session.blocked:
-                continue
-            for rule in session.rules:
-                if rule.dpid == dpid:
-                    self.pipeline.install(rule)
-                    resynced += 1
+        resynced = sum(
+            self._reconcile(session, session.rules, only_dpid=dpid)
+            for session in self.ctx.sessions
+            if not session.blocked
+        )
         if resynced:
             self._rules_resynced.inc(resynced)
             self.ctx.log.emit(self.ctx.sim.now, EventKind.SWITCH_RESYNC,
                               dpid=dpid, rules=resynced)
 
-    def on_switch_left(self, event: SwitchLeft) -> None:
-        self.rule_cache.clear()
-        # Abort in-flight installs: retrying against a dead channel is
-        # pointless, and a reconnect resyncs the full session state.
-        self.pipeline.abort_datapath(event.handle.dpid)
-
-    def on_barrier_reply(self, event: BarrierReplyIn) -> None:
-        self.pipeline.on_barrier_reply(event.dpid, event.xid)
-
-    # ==================================================================
-    # Element failover
-
     def on_element_expired(self, event: ElementExpired) -> None:
-        # Cached chains through the dead element must not be replayed
-        # by a failover re-steer or a re-forming session.
-        self.rule_cache.clear()
-        affected = [
-            session
-            for session in self.ctx.sessions.sessions_via_element(
-                event.record.mac
-            )
-            if not session.blocked
-        ]
-        for session in affected:
-            self._failover_session(session, event.record.mac)
+        mac = event.record.mac
+        for session in self.ctx.sessions.sessions_via_element(mac):
+            if not session.blocked:
+                self._failover_session(session, mac)
 
     def on_switch_quarantined(self, event: SwitchQuarantined) -> None:
         """A datapath was convicted by the accountability app: stop
@@ -656,34 +620,51 @@ class SteeringApp(App):
         switch is left alone -- the fabric may offer no alternative
         path, and transit stamping still works under a skip-waypoint
         compromise."""
-        self.rule_cache.clear()
-        affected = []
-        for session in self.ctx.sessions:
+        for session in list(self.ctx.sessions):
             if session.blocked:
                 continue
             for mac in session.element_macs:
                 record = self.ctx.nib.host_by_mac(mac)
                 if record is not None and record.dpid == event.dpid:
-                    affected.append((session, mac))
+                    self._failover_session(
+                        session, mac, cause=f"quarantine:{event.reason}"
+                    )
                     break
-        for session, mac in affected:
-            self._failover_session(
-                session, mac, cause=f"quarantine:{event.reason}"
-            )
 
     def _failover_session(
         self, session: Session, dead_mac: str,
         cause: Optional[str] = None,
     ) -> None:
-        """Re-steer a live session whose chain lost an element.
-
-        The chain is re-dispatched through the balancer over the
-        surviving elements; if no healthy element remains the policy's
-        fail mode decides: *open* routes the session directly
-        (uninspected), *closed* blocks it at the ingress.  ``cause``
-        annotates the FLOW_FAILOVER event when the element did not die
-        but its switch was quarantined."""
-        outcome = self._attempt_failover(session, dead_mac)
+        """Re-steer a live session whose chain lost an element: the
+        policy engine re-dispatches the chain over the survivors or
+        applies the fail mode, the session is re-planned (or blocked,
+        or torn down), and the outcome is logged.  ``cause`` annotates
+        the FLOW_FAILOVER event when the element did not die but its
+        switch was quarantined."""
+        src, dst, policy = self._parties(session)
+        # Free the whole chain's assignments before re-resolving:
+        # surviving chain members would otherwise be counted twice
+        # when the balancer assigns the replacement chain.
+        self.ctx.balancer.release(session.flow)
+        self.ctx.balancer.release(session.reverse_flow)
+        outcome = "torn-down"
+        if src is not None and dst is not None and policy is not None:
+            decision = self.peer("policy-engine").decide_chain(
+                policy, session.flow, src
+            )
+            if decision.verdict == "block":
+                self._block_flow(
+                    session.flow, src, policy_name=policy.name,
+                    session=session,
+                )
+                outcome = "fail-closed"
+            elif self._replan(session, decision.element_macs):
+                outcome = (
+                    "fail-open" if decision.fail_mode is FailMode.OPEN
+                    else "recovered"
+                )
+        if outcome == "torn-down":
+            self.teardown_session(session)
         self._failover_counters[outcome].inc()
         data = dict(
             session=session.session_id, dead_element=dead_mac,
@@ -695,151 +676,44 @@ class SteeringApp(App):
             self.ctx.sim.now, EventKind.FLOW_FAILOVER, **data
         )
 
-    def _attempt_failover(self, session: Session, dead_mac: str) -> str:
-        engine = self.peer("policy-engine")
-        src = self.ctx.nib.host_by_mac(session.src_mac)
-        dst = self.ctx.nib.host_by_mac(session.dst_mac)
-        policy = self.ctx.policies.get(session.policy_name)
-        # Free the whole chain's assignments before re-resolving:
-        # surviving chain members would otherwise be counted twice
-        # when the balancer assigns the replacement chain.
-        self.ctx.balancer.release(session.flow)
-        self.ctx.balancer.release(session.reverse_flow)
-        if src is None or dst is None or policy is None:
-            self.teardown_session(session)
-            return "torn-down"
-        resolved = engine.resolve_chain(policy, session.flow, src)
-        if resolved is None:
-            if engine.effective_fail_mode(policy) is FailMode.CLOSED:
-                self._block_flow(
-                    session.flow, src, policy_name=policy.name,
-                    session=session,
-                )
-                return "fail-closed"
-            waypoints: List[HostRecord] = []
-            element_macs: List[str] = []
-            outcome = "fail-open"
-        else:
-            waypoints, element_macs = resolved
-            outcome = "recovered"
-        try:
-            new_rules, descriptor = self._compute_session_rules(
-                session.flow, src, dst, waypoints, policy, session.session_id
-            )
-        except RoutingError:
-            self.teardown_session(session)
-            return "torn-down"
-        self._replace_session_rules(session, new_rules)
-        session.element_macs = tuple(element_macs)
-        session.path_descriptor = descriptor
-        return outcome
-
-    def _replace_session_rules(
-        self, session: Session, new_rules: List[RuleSpec]
-    ) -> None:
-        """Swap a session's installed entries for a new set, in place.
-
-        New entries go in first: an old entry whose (dpid, match,
-        priority) is reused is *replaced* by the FlowMod ADD rather
-        than deleted -- critically this covers the ingress entry, whose
-        deletion would raise a FlowRemoved carrying the session cookie
-        and tear the session down mid-failover.  Old entries not
-        reused are deleted silently (only the ingress entry ever
-        carries ``send_flow_removed``, and it is always reused: same
-        flow, same ingress port, same priority)."""
-        new_keys = {(r.dpid, r.match, r.priority) for r in new_rules}
-        for rule in new_rules:
-            self._install_rule(rule)
-        for rule in session.rules:
-            if (rule.dpid, rule.match, rule.priority) in new_keys:
-                continue
-            self._delete_rule(rule)
-        session.rules = new_rules
-
-    # ==================================================================
-    # Session handoff (shard fabric)
-
-    def release_session_for_handoff(self, session: Session) -> None:
-        """Origin-shard half of a cross-shard host move: pull the
-        session's flow entries and balancer assignments, drop it from
-        the table -- but emit no FLOW_END and take no duration sample.
-        The session's identity continues on the destination shard."""
-        # Remove from the table first: the DELETE of the ingress entry
-        # raises a FlowRemoved carrying the session cookie, which must
-        # find nothing to tear down when it arrives.
-        self.ctx.sessions.end(session)
-        for rule in session.rules:
-            self._delete_rule(rule)
-        self.ctx.balancer.release(session.flow)
-        self.ctx.balancer.release(session.reverse_flow)
-        self.ctx.count("sessions_handed_off")
-
     def on_session_handoff(self, event: SessionHandoffIn) -> None:
-        """Destination-shard half: re-form each transferred session
-        from the mover's new location, preserving its identity (id,
-        created_at, application) and re-resolving its waypoint chain
-        through our balancer so load accounting stays truthful."""
+        """Destination-shard half of a cross-shard host move: re-form
+        each transferred session from the mover's new location,
+        preserving its identity (id, created_at, application) and
+        re-resolving its waypoint chain through our balancer so load
+        accounting stays truthful."""
         handoff = event.handoff
         shard = self.ctx.controller.shard
-        engine = self.peer("policy-engine")
         for record in handoff.records:
-            src = self.ctx.nib.host_by_mac(record.src_mac)
-            dst = self.ctx.nib.host_by_mac(record.dst_mac)
-            policy = (
-                self.ctx.policies.get(record.policy_name)
-                if record.policy_name else None
-            )
+            src, dst, policy = self._parties(record)
             if src is None or dst is None:
                 self.ctx.count("handoff_dropped")
                 continue
             if self.ctx.sessions.lookup(record.flow) is not None:
                 self.ctx.count("handoff_duplicate")
                 continue
-            waypoints: List[HostRecord] = []
-            element_macs: Tuple[str, ...] = ()
+            decision = PolicyDecision(verdict="allow", policy=policy)
             if policy is not None and record.element_macs:
-                resolved = engine.resolve_chain(policy, record.flow, src)
-                if resolved is not None:
-                    chain, macs = resolved
-                    waypoints = chain
-                    element_macs = tuple(macs)
-                elif engine.effective_fail_mode(policy) is FailMode.CLOSED:
-                    session = self.ctx.sessions.create(
-                        flow=record.flow, src_mac=record.src_mac,
-                        dst_mac=record.dst_mac,
-                        policy_name=record.policy_name,
-                        element_macs=(), rules=[],
-                        now=record.created_at,
-                        session_id=record.session_id,
-                    )
-                    self._block_flow(
-                        record.flow, src, policy_name=record.policy_name,
-                        session=session,
-                    )
-                    continue
+                decision = self.peer("policy-engine").decide_chain(
+                    policy, record.flow, src
+                )
             try:
-                rules, descriptor = self._compute_session_rules(
-                    record.flow, src, dst, waypoints, policy,
-                    record.session_id,
+                session = self._open_session(
+                    record.flow, src, dst, decision,
+                    record.session_id, record.created_at,
                 )
             except RoutingError:
                 self.ctx.count("handoff_dropped")
                 continue
-            session = self.ctx.sessions.create(
-                flow=record.flow, src_mac=record.src_mac,
-                dst_mac=record.dst_mac, policy_name=record.policy_name,
-                element_macs=element_macs, rules=rules,
-                now=record.created_at, session_id=record.session_id,
-            )
+            if session.blocked:
+                continue
             session.application = record.application
-            session.path_descriptor = descriptor
-            for rule in rules:
-                self._install_rule(rule)
             if shard is not None and record.conntrack:
                 shard.restore_conntrack(record.conntrack)
             self.ctx.count("sessions_adopted")
             self.ctx.log.emit(
                 self.ctx.sim.now, EventKind.SESSION_HANDOFF,
                 session=record.session_id, user_mac=record.src_mac,
-                from_shard=handoff.from_shard, elements=len(element_macs),
+                from_shard=handoff.from_shard,
+                elements=len(session.element_macs),
             )

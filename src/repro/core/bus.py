@@ -41,7 +41,6 @@ __all__ = [
     "FlowRemovedIn",
     "PortStatsIn",
     "FlowStatsIn",
-    "BarrierReplyIn",
     "PathProofIn",
     "TaggedPacketIn",
     # Domain events published by apps for other apps.
@@ -150,14 +149,6 @@ class FlowStatsIn:
 
 
 @dataclass(frozen=True, eq=False)
-class BarrierReplyIn:
-    """A BarrierReply arrived for the given xid."""
-
-    dpid: int
-    xid: int
-
-
-@dataclass(frozen=True, eq=False)
 class PathProofIn:
     """An egress switch reported a forwarding-accountability proof
     (carries the raw :class:`repro.openflow.messages.PathProofReport`)."""
@@ -235,9 +226,8 @@ class PolicyReloaded:
     """The policy table swapped atomically to a new version.
 
     Carries the :class:`repro.core.policy.PolicyCommit` record of the
-    swap.  Steering invalidates its path-rule cache (established
-    sessions keep their installed rules), policy-engine logs the new
-    version, monitor counts the reload.
+    swap.  Policy-engine logs the new version, monitor counts the
+    reload; established sessions keep their installed rules.
     """
 
     commit: object  # PolicyCommit
@@ -294,7 +284,7 @@ class AppLifecycleChanged:
 
     ``action`` is one of ``started``/``stopped``/``reloaded``/
     ``removed``/``crash-detected``/``restarted``.  Steering reacts by
-    invalidating caches and draining state owned by the departed app;
+    draining session state owned by a departed accountability app;
     the shard fabric surfaces per-shard app churn through it.  The
     ``app`` attribute names the app; ``status`` is its typed
     :class:`~repro.core.apps.base.ServiceStatus` at publish time (None

@@ -22,9 +22,11 @@ shared-state surface:
 
 This class remains the single OpenFlow endpoint: it classifies raw
 protocol input into typed bus events and owns the senders the apps
-borrow.  Flow entries are installed through the batched
+borrow.  One of those senders is the batched
 :class:`~repro.openflow.pipeline.InstallPipeline` (one barrier per
-datapath per tick instead of one per FlowMod).
+datapath per tick instead of one per FlowMod): it lives here, not on
+an app, so its in-flight batches, retry timers and barrier xids
+survive an app restart.
 
 The controller is deliberately reactive: it installs flow entries only
 in response to first packets, keeps all decision logic here in the
@@ -34,8 +36,7 @@ the 4D/OpenFlow separation the paper builds on.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core import messages as svcmsg
 from repro.core.apps import (
@@ -67,7 +68,6 @@ from repro.core.apps.steering import FAILOVER_OUTCOMES
 from repro.core.bus import (
     AppLifecycleChanged,
     ArpIn,
-    BarrierReplyIn,
     DataPacketIn,
     DhcpIn,
     EventBus,
@@ -92,7 +92,7 @@ from repro.core.introspection import (
     setup_controller_metrics,
 )
 from repro.core.loadbalance import LoadBalancer, make_dispatcher
-from repro.core.nib import HostRecord, NetworkInformationBase
+from repro.core.nib import NetworkInformationBase
 from repro.core.policy import PolicyTable
 from repro.core.services import ServiceRegistry
 from repro.core.sessions import SessionTable
@@ -108,6 +108,7 @@ from repro.openflow.controller_base import (
 from repro.openflow.pipeline import (
     DEFAULT_INSTALL_TIMEOUT_S,
     DEFAULT_MAX_ATTEMPTS as INSTALL_MAX_ATTEMPTS,
+    InstallPipeline,
 )
 
 __all__ = [
@@ -141,9 +142,7 @@ class LiveSecController(ControllerBase):
     Parameters mirror the deployment's knobs: the dispatch algorithm
     (``'polling' | 'hash' | 'queuing' | 'minload'``), flow idle
     timeout, the certification secret, and whether/so-often to poll
-    port statistics for the monitoring view.  ``install_batching``
-    selects the barrier-coalescing install pipeline (the default) or
-    the historical one-barrier-per-FlowMod behavior.
+    port statistics for the monitoring view.
     """
 
     def __init__(
@@ -159,8 +158,6 @@ class LiveSecController(ControllerBase):
         lldp_enabled: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         element_timeout_s: Optional[float] = None,
-        install_timeout_s: float = DEFAULT_INSTALL_TIMEOUT_S,
-        install_batching: bool = True,
         event_retention: Optional[int] = None,
         accountability: bool = False,
     ):
@@ -195,7 +192,6 @@ class LiveSecController(ControllerBase):
         self.directory = DirectoryProxy(self.nib)
         self.idle_timeout_s = idle_timeout_s
         self.on_no_element = on_no_element
-        self.install_timeout_s = install_timeout_s
         # Observability: one registry for every subsystem's metrics.
         # Created before the event log so the log's gauges register too.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -204,6 +200,10 @@ class LiveSecController(ControllerBase):
         # last-value-per-key (None keeps the history lossless).
         self.log = EventLog(retention=event_retention, metrics=self.metrics)
         setup_controller_metrics(self)
+        # The one reliable-install path.  Owned here rather than by the
+        # steering app: a restarted app must find the batches it left
+        # in flight, and their BarrierReplies must find them.
+        self.install_pipeline = InstallPipeline(self, metrics=self.metrics)
         # The bus and the apps.  Construction order is the dispatch
         # tie-break order (subscription seq) and ``start()`` order is
         # the timer registration order -- both are part of the
@@ -230,11 +230,7 @@ class LiveSecController(ControllerBase):
             TopologyApp(ctx),
             ServiceDirectoryApp(ctx),
             PolicyEngineApp(ctx),
-            SteeringApp(
-                ctx,
-                install_timeout_s=install_timeout_s,
-                install_batching=install_batching,
-            ),
+            SteeringApp(ctx),
             MonitorApp(ctx, stats_interval_s=stats_interval_s),
         ):
             self._apps[app.name] = app
@@ -252,10 +248,9 @@ class LiveSecController(ControllerBase):
         # schedules.  Armed by start_app_watchdog() -- the fault
         # injector and the ops CLI call it.
         self._app_watchdog = None
-        # Policy lifecycle: table commits become bus events (apps react:
-        # policy-engine logs, steering invalidates its path cache,
-        # monitor counts), and the table's version/deprecation gauges
-        # land on this controller's registry.
+        # Policy lifecycle: table commits become bus events (the
+        # policy engine logs them), and the table's version gauges land
+        # on this controller's registry.
         self.policies.on_commit(self._on_policy_commit)
         self.policies.attach_metrics(self.metrics)
 
@@ -464,25 +459,12 @@ class LiveSecController(ControllerBase):
         return new
 
     @property
-    def install_pipeline(self):
-        """The steering app's batched install pipeline."""
-        return self._steering.pipeline
-
-    @property
-    def _steering(self) -> SteeringApp:
-        return self._apps["steering"]
-
-    @property
     def _host_tracker(self) -> HostTrackerApp:
         return self._apps["host-tracker"]
 
     @property
     def _monitor(self) -> MonitorApp:
         return self._apps["monitor"]
-
-    @property
-    def _service_directory(self) -> ServiceDirectoryApp:
-        return self._apps["service-directory"]
 
     # ==================================================================
     # Observability
@@ -506,18 +488,6 @@ class LiveSecController(ControllerBase):
         callable.  Unsubscribing twice is a no-op."""
         return self._monitor.subscribe_flow_stats(callback)
 
-    @property
-    def flow_stats_listeners(self) -> list:
-        """Deprecated: the bare listener list.  Mutating it still
-        works for one release; use :meth:`subscribe_flow_stats`."""
-        warnings.warn(
-            "flow_stats_listeners is deprecated;"
-            " use subscribe_flow_stats(callback)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._monitor._flow_stats_listeners
-
     # ==================================================================
     # OpenFlow input -> bus events
 
@@ -525,6 +495,9 @@ class LiveSecController(ControllerBase):
         self.bus.publish(SwitchJoined(handle=switch))
 
     def on_switch_leave(self, switch: SwitchHandle) -> None:
+        # Abort in-flight installs: retrying against a dead channel is
+        # pointless, and a reconnect resyncs the full session state.
+        self.install_pipeline.abort_datapath(switch.dpid)
         self.bus.publish(SwitchLeft(handle=switch))
 
     def on_link_discovered(self, link: DiscoveredLink) -> None:
@@ -582,7 +555,7 @@ class LiveSecController(ControllerBase):
         self.bus.publish(FlowStatsIn(message=event))
 
     def on_barrier_reply(self, dpid: int, xid: int) -> None:
-        self.bus.publish(BarrierReplyIn(dpid=dpid, xid=xid))
+        self.install_pipeline.on_barrier_reply(dpid, xid)
 
     # ==================================================================
     # Policy lifecycle: compile, verify, atomic hot-swap
@@ -646,7 +619,7 @@ class LiveSecController(ControllerBase):
         )
 
     # ==================================================================
-    # Back-compat delegations (pre-decomposition public surface)
+    # Delegations the deployment calls
 
     def refresh_announcements(self, force: bool = False) -> None:
         """Re-announce every known host into the legacy fabric (also
@@ -656,19 +629,6 @@ class LiveSecController(ControllerBase):
     def register_port_capacity(self, dpid: int, port: int, bps: float) -> None:
         """Tell the monitor a port's line rate so it can normalize load."""
         self._monitor.register_port_capacity(dpid, port, bps)
-
-    @property
-    def _port_capacity(self) -> Dict[Tuple[int, int], float]:
-        return self._monitor._port_capacity
-
-    def _learn_host(self, mac: str, ip: Optional[str], dpid: int, port: int,
-                    is_element: bool = False) -> HostRecord:
-        return self._host_tracker.learn_host(
-            mac, ip, dpid, port, is_element=is_element
-        )
-
-    def _is_periphery_port(self, dpid: int, port: int) -> Optional[bool]:
-        return self._host_tracker.is_periphery_port(dpid, port)
 
     # ==================================================================
     # Introspection

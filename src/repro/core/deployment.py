@@ -27,6 +27,7 @@ from repro.core.sharding import (
 from repro.core.visualization import MonitoringComponent
 from repro.elements import ELEMENT_TYPES
 from repro.elements.base import ServiceElement
+from repro.net.fattree import fat_tree_topology
 from repro.net.fluid import FluidRegion
 from repro.net.host import Host
 from repro.net.node import connect
@@ -39,24 +40,15 @@ DEFAULT_WARMUP_S = 1.5
 ELEMENT_LINK_BPS = 1e9  # VM virtio into the local OvS
 
 
-@dataclass
-class LiveSecNetwork:
-    """A running LiveSec deployment: substrate + controller + elements."""
+class _Deployment:
+    """What every deployment shape does the same way: lifecycle,
+    element and user management, channel wiring.  The subclasses are
+    the dataclasses holding the state; each says which controller owns
+    a datapath (:meth:`_owner`) and lists them (``controllers``)."""
 
-    sim: Simulator
-    topology: Topology
-    controller: LiveSecController
-    monitoring: MonitoringComponent
-    elements: List[ServiceElement] = field(default_factory=list)
-    channels: Dict[int, SecureChannel] = field(default_factory=dict)
-    # Per-service-type conntrack replication groups: every stateful
-    # firewall of one type shares session state with its replicas.
-    conntrack_groups: Dict[str, ConnTrackReplicationGroup] = field(
-        default_factory=dict
-    )
-    # The attached fast-forward region when built with ``fluid=True``.
-    fluid: Optional[FluidRegion] = None
-    started: bool = False
+    def _owner(self, dpid: int) -> LiveSecController:
+        """The controller currently holding this datapath's channel."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -64,9 +56,9 @@ class LiveSecNetwork:
     def start(self, warmup_s: float = DEFAULT_WARMUP_S) -> None:
         """Run topology discovery to convergence, then bring hosts up.
 
-        After ``start()`` returns, the controller's NIB holds the
-        full-mesh logical topology and every host/element location, so
-        first packets route immediately.
+        After ``start()`` returns, every controller's NIB holds its
+        slice of the logical topology (cross-shard links included) and
+        its hosts' and elements' locations: first packets route at once.
         """
         if self.started:
             raise RuntimeError("already started")
@@ -76,7 +68,8 @@ class LiveSecNetwork:
         # Phase 2: announce elements (their daemons have been reporting
         # already; re-announce so the legacy fabric learns their MACs
         # now that uplinks are known), then hosts.
-        self.controller.refresh_announcements()
+        for controller in self.controllers:
+            controller.refresh_announcements()
         for host in self.topology.hosts:
             host.announce()
         self.sim.run(until=self.sim.now + 0.5)
@@ -95,7 +88,8 @@ class LiveSecNetwork:
         name: Optional[str] = None,
         **element_kwargs,
     ) -> ServiceElement:
-        """Create, wire, and provision one VM-based service element."""
+        """Create, wire, and provision one VM-based service element
+        (certified by whichever controller owns its switch)."""
         try:
             factory = ELEMENT_TYPES[element_type]
         except KeyError:
@@ -115,7 +109,9 @@ class LiveSecNetwork:
             port_a=switch_port,
             port_b=element.next_free_port().number,
         )
-        element.provision(self.controller.registry.issue_certificate(mac))
+        element.provision(
+            self._owner(switch.dpid).registry.issue_certificate(mac)
+        )
         if hasattr(element, "join_replication_group"):
             group = self.conntrack_groups.get(element.service_type)
             if group is None:
@@ -126,6 +122,14 @@ class LiveSecNetwork:
         self._register_capacity(switch)
         return element
 
+    def _add_elements(self, elements: Sequence[Tuple[str, int]]) -> None:
+        """The builders' fleet: ``(element_type, count)`` pairs dealt
+        round-robin over the AS switches."""
+        switches = self.topology.as_switches
+        for element_type, count in elements:
+            for index in range(count):
+                self.add_element(element_type, switches[index % len(switches)])
+
     def elements_of_type(self, element_type: str) -> List[ServiceElement]:
         return [e for e in self.elements if e.service_type == element_type]
 
@@ -135,10 +139,9 @@ class LiveSecNetwork:
     def add_user(self, name: str, switch, wireless: bool = False,
                  bandwidth_bps: float = 100e6) -> Host:
         """Attach a new user host at runtime (it must ``announce()``)."""
-        host = self.topology.add_host(
+        return self.topology.add_host(
             name, switch, bandwidth_bps=bandwidth_bps, wireless=wireless
         )
-        return host
 
     def host(self, name: str) -> Host:
         return self.topology.host_by_name(name)
@@ -157,25 +160,54 @@ class LiveSecNetwork:
         from repro.openflow.pathproof import derive_switch_secret
 
         for switch in self.topology.all_openflow_switches():
+            owner = self._owner(switch.dpid)
             channel = SecureChannel(
-                self.sim, switch, self.controller, latency_s=control_latency_s
+                self.sim, switch, owner, latency_s=control_latency_s
             )
             channel.connect()
             # Per-switch path-proof keys derive from the deployment
             # secret, so a non-default controller secret still verifies.
             switch.path_secret = derive_switch_secret(
-                self.controller.secret, switch.dpid
+                owner.secret, switch.dpid
             )
             self.channels[switch.dpid] = channel
-            switch.attach_metrics(self.controller.metrics)
+            switch.attach_metrics(owner.metrics)
             self._register_capacity(switch)
 
     def _register_capacity(self, switch) -> None:
+        owner = self._owner(switch.dpid)
         for number, port in switch.ports.items():
             if port.link is not None:
-                self.controller.register_port_capacity(
+                owner.register_port_capacity(
                     switch.dpid, number, port.link.bandwidth_bps
                 )
+
+
+@dataclass
+class LiveSecNetwork(_Deployment):
+    """A running LiveSec deployment: substrate + controller + elements."""
+
+    sim: Simulator
+    topology: Topology
+    controller: LiveSecController
+    monitoring: MonitoringComponent
+    elements: List[ServiceElement] = field(default_factory=list)
+    channels: Dict[int, SecureChannel] = field(default_factory=dict)
+    # Per-service-type conntrack replication groups: every stateful
+    # firewall of one type shares session state with its replicas.
+    conntrack_groups: Dict[str, ConnTrackReplicationGroup] = field(
+        default_factory=dict
+    )
+    # The attached fast-forward region when built with ``fluid=True``.
+    fluid: Optional[FluidRegion] = None
+    started: bool = False
+
+    @property
+    def controllers(self) -> List[LiveSecController]:
+        return [self.controller]
+
+    def _owner(self, dpid: int) -> LiveSecController:
+        return self.controller
 
     # ------------------------------------------------------------------
     # Policy lifecycle
@@ -204,7 +236,7 @@ class LiveSecNetwork:
 
 
 @dataclass
-class ShardedDeployment:
+class ShardedDeployment(_Deployment):
     """N controller shards over one physical network.
 
     The thin composition the shard fabric promises: every
@@ -254,117 +286,8 @@ class ShardedDeployment:
             raise KeyError(f"no shard member owns dpid {dpid}")
         return member
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-
-    def start(self, warmup_s: float = DEFAULT_WARMUP_S) -> None:
-        """Discovery warmup, then host bring-up -- every shard converges
-        on its own slice plus the cross-shard links its LLDP punts
-        reveal."""
-        if self.started:
-            raise RuntimeError("already started")
-        self.started = True
-        self.sim.run(until=self.sim.now + warmup_s)
-        for member in self.members:
-            member.controller.refresh_announcements()
-        for host in self.topology.hosts:
-            host.announce()
-        self.sim.run(until=self.sim.now + 0.5)
-
-    def run(self, duration_s: float) -> None:
-        self.sim.run(until=self.sim.now + duration_s)
-
-    # ------------------------------------------------------------------
-    # Element management
-
-    def add_element(
-        self,
-        element_type: str,
-        switch: OpenFlowSwitch,
-        name: Optional[str] = None,
-        **element_kwargs,
-    ) -> ServiceElement:
-        """Create, wire, and provision one element on its owner shard."""
-        try:
-            factory = ELEMENT_TYPES[element_type]
-        except KeyError:
-            raise ValueError(
-                f"unknown element type {element_type!r};"
-                f" choose from {sorted(ELEMENT_TYPES)}"
-            ) from None
-        owner = self.member_of(switch.dpid).controller
-        mac, ip = self.topology.allocator.host_addresses()
-        if name is None:
-            name = f"{element_type}-{len(self.elements) + 1}"
-        element = factory(self.sim, name, mac, ip, **element_kwargs)
-        switch_port = switch.next_free_port().number
-        connect(
-            self.sim, switch, element,
-            bandwidth_bps=ELEMENT_LINK_BPS,
-            delay_s=5e-6,
-            port_a=switch_port,
-            port_b=element.next_free_port().number,
-        )
-        element.provision(owner.registry.issue_certificate(mac))
-        if hasattr(element, "join_replication_group"):
-            group = self.conntrack_groups.get(element.service_type)
-            if group is None:
-                group = ConnTrackReplicationGroup(self.sim)
-                self.conntrack_groups[element.service_type] = group
-            element.join_replication_group(group)
-        self.elements.append(element)
-        self._register_capacity(switch, owner)
-        return element
-
-    def elements_of_type(self, element_type: str) -> List[ServiceElement]:
-        return [e for e in self.elements if e.service_type == element_type]
-
-    # ------------------------------------------------------------------
-    # Host/user management
-
-    def add_user(self, name: str, switch, wireless: bool = False,
-                 bandwidth_bps: float = 100e6) -> Host:
-        return self.topology.add_host(
-            name, switch, bandwidth_bps=bandwidth_bps, wireless=wireless
-        )
-
-    def host(self, name: str) -> Host:
-        return self.topology.host_by_name(name)
-
-    @property
-    def gateway(self) -> Host:
-        gw = self.topology.gateway
-        if gw is None:
-            raise RuntimeError("topology has no gateway")
-        return gw
-
-    # ------------------------------------------------------------------
-    # Internals
-
-    def _connect_channels(self, control_latency_s: float) -> None:
-        from repro.openflow.pathproof import derive_switch_secret
-
-        for switch in self.topology.all_openflow_switches():
-            owner = self.member_of(switch.dpid).controller
-            channel = SecureChannel(
-                self.sim, switch, owner, latency_s=control_latency_s
-            )
-            channel.connect()
-            switch.path_secret = derive_switch_secret(
-                owner.secret, switch.dpid
-            )
-            self.channels[switch.dpid] = channel
-            switch.attach_metrics(owner.metrics)
-            self._register_capacity(switch, owner)
-
-    def _register_capacity(self, switch, controller=None) -> None:
-        if controller is None:
-            controller = self.member_of(switch.dpid).controller
-        for number, port in switch.ports.items():
-            if port.link is not None:
-                controller.register_port_capacity(
-                    switch.dpid, number, port.link.bandwidth_bps
-                )
+    def _owner(self, dpid: int) -> LiveSecController:
+        return self.member_of(dpid).controller
 
     # ------------------------------------------------------------------
     # Introspection
@@ -388,6 +311,16 @@ _TOPOLOGY_BUILDERS = {
 }
 
 
+def _build_topology(sim, topology: str, builders, topology_kwargs) -> Topology:
+    try:
+        builder = builders[topology]
+    except KeyError:
+        raise ValueError(
+            f"unknown topology {topology!r}; choose from {sorted(builders)}"
+        ) from None
+    return builder(sim, **topology_kwargs)
+
+
 def build_livesec_network(
     topology: str = "linear",
     policies: Optional[PolicyTable] = None,
@@ -400,7 +333,6 @@ def build_livesec_network(
     stats_interval_s: Optional[float] = 1.0,
     on_no_element: str = "allow",
     element_timeout_s: Optional[float] = None,
-    install_batching: bool = True,
     event_retention: Optional[int] = None,
     accountability: bool = False,
     fluid: bool = False,
@@ -433,14 +365,7 @@ def build_livesec_network(
         # Deployment config loads run verified: a conflicting file must
         # fail the build, not silently serve insertion-order semantics.
         policies = load_policies(policy_file, verify=True)
-    try:
-        builder = _TOPOLOGY_BUILDERS[topology]
-    except KeyError:
-        raise ValueError(
-            f"unknown topology {topology!r}; choose from"
-            f" {sorted(_TOPOLOGY_BUILDERS)}"
-        ) from None
-    topo = builder(sim, **topology_kwargs)
+    topo = _build_topology(sim, topology, _TOPOLOGY_BUILDERS, topology_kwargs)
     controller = LiveSecController(
         sim,
         policies=policies,
@@ -450,7 +375,6 @@ def build_livesec_network(
         stats_interval_s=stats_interval_s,
         on_no_element=on_no_element,
         element_timeout_s=element_timeout_s,
-        install_batching=install_batching,
         event_retention=event_retention,
         accountability=accountability,
     )
@@ -463,10 +387,7 @@ def build_livesec_network(
         region.attach_metrics(controller.metrics)
         network.fluid = region
     network._connect_channels(control_latency_s)
-    for element_type, count in elements:
-        for index in range(count):
-            switch = topo.as_switches[index % len(topo.as_switches)]
-            network.add_element(element_type, switch)
+    network._add_elements(elements)
     return network
 
 
@@ -483,7 +404,6 @@ def build_sharded_network(
     stats_interval_s: Optional[float] = 1.0,
     on_no_element: str = "allow",
     element_timeout_s: Optional[float] = None,
-    install_batching: bool = True,
     event_retention: Optional[int] = None,
     sync_interval_s: float = SYNC_INTERVAL_S,
     liveness_timeout_s: float = SHARD_LIVENESS_TIMEOUT_S,
@@ -514,26 +434,14 @@ def build_sharded_network(
         )
     if sim is None:
         sim = Simulator()
-    if topology == "fattree":
-        from repro.net.fattree import fat_tree_topology
-
-        topo = fat_tree_topology(sim, **topology_kwargs)
-        k = topology_kwargs.get("k", 4)
-        if num_shards == k:
-            shard_map = ShardMap.per_pod(k)
-        else:
-            shard_map = ShardMap.contiguous(
-                [s.dpid for s in topo.all_openflow_switches()], num_shards
-            )
+    topo = _build_topology(
+        sim, topology, {**_TOPOLOGY_BUILDERS, "fattree": fat_tree_topology},
+        topology_kwargs,
+    )
+    k = topology_kwargs.get("k", 4)
+    if topology == "fattree" and num_shards == k:
+        shard_map = ShardMap.per_pod(k)
     else:
-        try:
-            builder = _TOPOLOGY_BUILDERS[topology]
-        except KeyError:
-            raise ValueError(
-                f"unknown topology {topology!r}; choose from"
-                f" {sorted(_TOPOLOGY_BUILDERS) + ['fattree']}"
-            ) from None
-        topo = builder(sim, **topology_kwargs)
         shard_map = ShardMap.contiguous(
             [s.dpid for s in topo.all_openflow_switches()], num_shards
         )
@@ -563,7 +471,6 @@ def build_sharded_network(
             stats_interval_s=stats_interval_s,
             on_no_element=on_no_element,
             element_timeout_s=element_timeout_s,
-            install_batching=install_batching,
             event_retention=event_retention,
         )
         # Stride the id space so shard i of N mints ids i+1, i+1+N, ...
@@ -581,10 +488,7 @@ def build_sharded_network(
         channels=network.channels,
         register_capacity=network._register_capacity,
     )
-    for element_type, count in elements:
-        for index in range(count):
-            switch = topo.as_switches[index % len(topo.as_switches)]
-            network.add_element(element_type, switch)
+    network._add_elements(elements)
     if topo.gateway is not None:
         attachment = topo.attachments[topo.gateway.name]
         coordinator.publish_host(

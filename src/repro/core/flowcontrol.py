@@ -98,7 +98,9 @@ class AggregateFlowControl:
             # Only ingress entries (matching at a periphery in_port)
             # attribute bytes to the user; transit/egress entries would
             # double count.
-            periphery = self.controller._is_periphery_port(
+            periphery = self.controller.app(
+                "host-tracker"
+            ).is_periphery_port(
                 event.dpid, match.in_port
             ) if match.in_port is not None else False
             if not periphery:

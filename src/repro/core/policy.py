@@ -16,9 +16,9 @@ The live table is *transactional*: every change -- one policy or a
 wholesale compiled swap -- goes through :meth:`PolicyTable.begin` /
 :meth:`PolicyTransaction.commit`, which applies atomically, bumps the
 monotonic version stamp exactly once, and notifies commit subscribers
-(the controller turns those into ``PolicyReloaded`` bus events).  The
-historical ``add``/``remove`` mutators survive as thin compat shims
-over single-operation transactions, counted as deprecated API calls.
+(the controller turns those into ``PolicyReloaded`` bus events).
+:meth:`PolicyTable.add` / :meth:`PolicyTable.remove` are one-row
+transactions over the same path.
 """
 
 from __future__ import annotations
@@ -442,7 +442,6 @@ class PolicyTable:
         self.default_action = default_action
         self.version = 0
         self._commit_callbacks: List[Callable[[PolicyCommit], None]] = []
-        self.deprecated_calls: Dict[str, int] = {"add": 0, "remove": 0}
 
     def __len__(self) -> int:
         return len(self._policies)
@@ -486,37 +485,27 @@ class PolicyTable:
 
     def attach_metrics(self, registry) -> None:
         """Register the table's gauges on an obs registry: the version
-        stamp, the row count, and the deprecated-shim call counters."""
+        stamp and the row count."""
         registry.gauge(
             "policy.version", "Monotonic policy-table version stamp"
         ).set_function(lambda: float(self.version))
         registry.gauge(
             "policy.rows", "Policies in the live table"
         ).set_function(lambda: float(len(self._policies)))
-        for op in ("add", "remove"):
-            registry.gauge(
-                "policy.deprecated_api_calls",
-                "Calls to the deprecated add/remove compat shims",
-                op=op,
-            ).set_function(
-                lambda op=op: float(self.deprecated_calls[op])
-            )
 
     # ------------------------------------------------------------------
-    # Compat shims (pre-transaction public surface)
+    # One-row transactions
 
     def add(self, policy: Policy) -> None:
-        """Deprecated: one-policy transaction.  Prefer
-        ``begin()``/``commit()`` or a compiled reload."""
-        self.deprecated_calls["add"] += 1
+        """Add one policy: ``begin()``, ``add``, ``commit()`` -- one
+        version bump, one commit notification."""
         txn = self.begin(source="legacy:add")
         txn.add(policy)
         txn.commit()
 
     def remove(self, name: str) -> Optional[Policy]:
-        """Deprecated: one-removal transaction.  Prefer
-        ``begin()``/``commit()`` or a compiled reload."""
-        self.deprecated_calls["remove"] += 1
+        """Remove one policy by name in its own transaction; returns
+        it, or None when no such policy exists."""
         txn = self.begin(source="legacy:remove")
         removed = txn.remove(name)
         if removed is None:

@@ -25,7 +25,6 @@ waypoints and to hosts/elements sharing a switch.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
@@ -176,82 +175,6 @@ def compute_path_rules(
     first = rules[0]
     rules[0] = replace(first, send_flow_removed=True)
     return rules
-
-
-class PathRuleCache:
-    """LRU memo for :func:`compute_path_rules`.
-
-    Session setup is the controller's hot path, and the rules it
-    computes are a pure function of the flow identity, the *locations*
-    of the endpoints and waypoints, and the NIB's uplink-port mapping.
-    The first three are the cache key (locations are snapshotted as
-    ``(mac, dpid, port)``, so a host that moves simply keys
-    differently); the uplink mapping is the one hidden dependency, so
-    the owner must :meth:`clear` on topology events (link discovered /
-    timed out, switch left, uplinks lost) -- the steering app wires
-    those, plus host-move and element-failover events for safety.
-
-    Entries are cached cookie-free and re-cookied per session on hit,
-    so one long-lived flow identity re-forming a session skips the
-    whole path computation.
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 (got {max_entries})")
-        self.max_entries = max_entries
-        self._rules: "OrderedDict[tuple, Tuple[RuleSpec, ...]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    @staticmethod
-    def _location(record: HostRecord) -> Tuple[str, int, int]:
-        return (record.mac, record.dpid, record.port)
-
-    def path_rules(
-        self,
-        nib: NetworkInformationBase,
-        flow: FlowNineTuple,
-        src: HostRecord,
-        dst: HostRecord,
-        waypoints: Sequence[HostRecord] = (),
-        idle_timeout: float = DEFAULT_IDLE_TIMEOUT_S,
-        cookie: int = 0,
-    ) -> List[RuleSpec]:
-        """Memoized :func:`compute_path_rules` (same signature/result)."""
-        key = (
-            flow,
-            self._location(src),
-            self._location(dst),
-            tuple(self._location(w) for w in waypoints),
-            idle_timeout,
-        )
-        cached = self._rules.get(key)
-        if cached is None:
-            self.misses += 1
-            cached = tuple(compute_path_rules(
-                nib, flow, src, dst, waypoints,
-                idle_timeout=idle_timeout, cookie=0,
-            ))
-            self._rules[key] = cached
-            if len(self._rules) > self.max_entries:
-                self._rules.popitem(last=False)
-        else:
-            self.hits += 1
-            self._rules.move_to_end(key)
-        if cookie == 0:
-            return list(cached)
-        return [replace(rule, cookie=cookie) for rule in cached]
-
-    def clear(self) -> None:
-        """Drop every cached path (topology/location facts changed)."""
-        if self._rules:
-            self.invalidations += 1
-            self._rules.clear()
 
 
 def drop_rule(

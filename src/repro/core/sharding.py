@@ -294,13 +294,10 @@ class ShardMember:
         """Is a handoff for this host still in flight?"""
         return mac in self.pending_handoff
 
-    def install_remote(self, rule) -> bool:
-        """Route a foreign-dpid rule install through the fabric."""
-        return self.coordinator.remote_rule(self, "add", rule)
-
-    def remove_remote(self, rule) -> bool:
-        """Route a foreign-dpid rule delete through the fabric."""
-        return self.coordinator.remote_rule(self, "delete", rule)
+    def remote_rule(self, op: str, rule) -> bool:
+        """Route a foreign-dpid rule ``"add"``/``"delete"`` through the
+        fabric; False when no live shard owns the datapath."""
+        return self.coordinator.remote_rule(self, op, rule)
 
     def remote_candidates(self, service_type: str) -> List[ElementLoad]:
         """Waypoint candidates homed to other live shards."""
@@ -599,7 +596,7 @@ class ShardCoordinator:
         switch.attach_metrics(target.controller.metrics)
         self.channels[dpid] = channel
         if self._register_capacity is not None:
-            self._register_capacity(switch, target.controller)
+            self._register_capacity(switch)
         self._rehomed.inc()
         self.log.emit(
             now, EventKind.SHARD_REHOME,

@@ -491,3 +491,58 @@ class TestDigestStability:
         cycled = self._run_log(cycle=True).digest(exclude_kinds=exclude)
         plain = self._run_log(cycle=False).digest(exclude_kinds=exclude)
         assert cycled == plain
+
+
+class TestInstallsSurviveSteeringChurn:
+    """The install pipeline is the controller's, not the steering
+    app's: bouncing steering while batches are in flight must neither
+    orphan their retry timers nor lose their BarrierReplies.  (When
+    the app owned it, a restart between barrier and reply re-sent the
+    session's 4 FlowMods blind until the attempt cap: 20 FlowMods,
+    10 barriers, 16 retries, 4 failures on a healthy channel.)"""
+
+    @staticmethod
+    def run_disturbed(disturb, delay_s):
+        """One host-to-host session across 3 switches (4 rules on 2
+        datapaths, so 2 batches); ``disturb(controller)`` fires
+        ``delay_s`` after the first DataPacketIn -- after the barriers
+        went out (same tick), before their replies (1 ms round trip)."""
+        net = build_livesec_network(
+            topology="linear", num_as=3, hosts_per_as=1,
+            stats_interval_s=None,
+        )
+        net.start()
+        controller = net.controller
+        controller.start_app_watchdog()
+        in_flight = []
+
+        def on_first_packet(event):
+            if not in_flight:
+                in_flight.append(True)
+                net.sim.schedule(delay_s, check_and_disturb)
+
+        def check_and_disturb():
+            in_flight.append(controller.install_pipeline.pending_batches())
+            disturb(controller)
+
+        controller.bus.subscribe(DataPacketIn, on_first_packet, app="test")
+        CbrUdpFlow(net.sim, net.host("h1_1"), net.host("h3_1").ip,
+                   rate_bps=1e6, max_packets=3).start()
+        net.run(3.0)
+        assert in_flight[1] == (0, 2)  # both batches were awaiting acks
+        return controller
+
+    @pytest.mark.parametrize("delay_s", [0.0, 0.2e-3])
+    @pytest.mark.parametrize("disturb", [
+        lambda controller: controller.restart_app("steering"),
+        lambda controller: controller.crash_app("steering"),
+        lambda controller: controller.stop_app("steering"),
+    ], ids=["restart", "crash+watchdog", "stop"])
+    def test_in_flight_batches_are_acked_once(self, disturb, delay_s):
+        controller = self.run_disturbed(disturb, delay_s)
+        pipeline = controller.install_pipeline
+        assert pipeline.pending_batches() == (0, 0)
+        assert pipeline.install_retries.value == 0
+        assert pipeline.install_failures.value == 0
+        assert pipeline.flowmods_sent.value == 4
+        assert pipeline.barriers_sent.value == 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Policy, PolicyTable, build_livesec_network
-from repro.core.bus import HostExpired, HostMoved, LinkTimedOut, UplinksLost
+from repro.core.bus import HostExpired, UplinksLost
 from repro.core.events import EventKind
 from repro.core.policy import (
     FailMode,
@@ -69,37 +69,6 @@ class TestComposition:
             len(app.subscriptions()) for app in small_net.controller.apps
         )
         assert per_app == len(bus_edges) > 0
-
-
-class TestSteeringRuleCache:
-    def test_traffic_populates_cache(self, steering_net):
-        net = steering_net
-        HttpFlow(net.sim, net.host("h1_1"), GATEWAY_IP,
-                 rate_bps=4e6, duration_s=1.0).start()
-        net.run(2.0)
-        cache = net.controller.app("steering").rule_cache
-        assert cache.misses > 0
-        assert len(cache) > 0
-
-    @pytest.mark.parametrize("make_event", [
-        lambda net: HostMoved(
-            next(iter(net.controller.nib.hosts.values())),
-            old_dpid=1, old_port=9,
-        ),
-        lambda net: LinkTimedOut(
-            next(iter(net.controller.nib.links.values()))
-        ),
-    ])
-    def test_nib_change_drops_memoized_paths(self, steering_net, make_event):
-        net = steering_net
-        HttpFlow(net.sim, net.host("h1_1"), GATEWAY_IP,
-                 rate_bps=4e6, duration_s=1.0).start()
-        net.run(2.0)
-        cache = net.controller.app("steering").rule_cache
-        assert len(cache) > 0
-        net.controller.bus.publish(make_event(net))
-        assert len(cache) == 0
-        assert cache.invalidations >= 1
 
 
 class TestTopologyApp:

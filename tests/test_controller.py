@@ -1,7 +1,5 @@
 """Integration tests for the LiveSec controller application."""
 
-import pytest
-
 from repro import Policy, PolicyTable, build_livesec_network
 from repro.core.events import EventKind
 from repro.core.policy import FlowSelector, PolicyAction
@@ -249,8 +247,9 @@ class TestHostMobility:
         controller = small_net.controller
         switches = small_net.topology.as_switches
         mac, ip = "00:00:00:00:aa:01", "10.0.99.1"
-        controller._learn_host(mac, ip, switches[0].dpid, 99)
-        controller._learn_host(mac, ip, switches[1].dpid, 98)
+        tracker = controller.app("host-tracker")
+        tracker.learn_host(mac, ip, switches[0].dpid, 99)
+        tracker.learn_host(mac, ip, switches[1].dpid, 98)
         moves = controller.log.query(kind=EventKind.HOST_MOVE)
         assert [(e.data["dpid"], e.data["port"]) for e in moves] == [
             (switches[1].dpid, 98)
@@ -265,8 +264,9 @@ class TestHostMobility:
         controller = small_net.controller
         switch = small_net.topology.as_switches[0]
         mac = "00:00:00:00:aa:02"
-        controller._learn_host(mac, "10.0.99.2", switch.dpid, 97)
-        controller._learn_host(mac, "10.0.99.2", switch.dpid, 97)
+        tracker = controller.app("host-tracker")
+        tracker.learn_host(mac, "10.0.99.2", switch.dpid, 97)
+        tracker.learn_host(mac, "10.0.99.2", switch.dpid, 97)
         assert not controller.log.query(kind=EventKind.HOST_MOVE)
 
 
@@ -296,13 +296,6 @@ class TestFlowStatsSubscription:
         unsubscribe()  # second call must be a no-op
         self._poll_stats(small_net)
         assert seen == []
-
-    def test_legacy_listener_list_is_deprecated_but_works(self, small_net):
-        seen = []
-        with pytest.warns(DeprecationWarning):
-            small_net.controller.flow_stats_listeners.append(seen.append)
-        self._poll_stats(small_net)
-        assert seen
 
 
 class TestMonitoring:

@@ -96,7 +96,7 @@ class TestRuntimeAdditions:
         assert small_net.controller.registry.online_elements("ids")
 
     def test_port_capacities_registered_for_monitoring(self, small_net):
-        capacities = small_net.controller._port_capacity
+        capacities = small_net.controller.app("monitor")._port_capacity
         for switch in small_net.topology.as_switches:
             for number, port in switch.ports.items():
                 if port.link is not None:

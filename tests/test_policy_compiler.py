@@ -299,7 +299,6 @@ class TestTransactions:
         table.on_commit(commits.append)
         table.add(self.pol("a"))
         assert table.version == 1 and len(commits) == 1
-        assert table.deprecated_calls["add"] == 1
         with pytest.raises(ValueError):
             table.add(self.pol("a"))
         assert table.remove("missing") is None
@@ -307,8 +306,7 @@ class TestTransactions:
         assert len(commits) == 1
         removed = table.remove("a")
         assert removed.name == "a"
-        assert table.version == 2
-        assert table.deprecated_calls["remove"] == 2
+        assert table.version == 2 and len(commits) == 2
 
     def test_get_uses_name_index(self):
         table = PolicyTable()
@@ -403,9 +401,6 @@ class TestHotReload:
         sessions_before = len(controller.sessions)
         assert sessions_before > 0
         version_before = controller.policies.version
-        steering = controller.app("steering")
-        assert len(steering.rule_cache) > 0  # warm cache to invalidate
-        invalidations_before = steering.rule_cache.invalidations
         gateway_rx_before = net.gateway.rx_bytes
 
         commit = net.reload_policies({
@@ -425,10 +420,7 @@ class TestHotReload:
         assert len(reload_events) == 1
         assert reload_events[0].commit is commit
         assert commit.added == ("quarantine-lab",)
-        # The steering path cache was invalidated wholesale...
-        assert steering.rule_cache.invalidations == invalidations_before + 1
-        assert len(steering.rule_cache) == 0
-        # ...but established sessions survived the swap.
+        # Established sessions survived the swap.
         assert len(controller.sessions) == sessions_before
         net.run(1.0)
         assert net.gateway.rx_bytes > gateway_rx_before  # traffic flows on
@@ -537,9 +529,6 @@ class TestMetrics:
                          action=PolicyAction.ALLOW))
         assert registry.get("policy.version").snapshot().value == 1.0
         assert registry.get("policy.rows").snapshot().value == 1.0
-        assert registry.get(
-            "policy.deprecated_api_calls", op="add"
-        ).snapshot().value == 1.0
-        assert registry.get(
-            "policy.deprecated_api_calls", op="remove"
-        ).snapshot().value == 0.0
+        # add/remove are plain one-row transactions: nothing counts
+        # them as deprecated any more.
+        assert registry.get("policy.deprecated_api_calls", op="add") is None

@@ -162,7 +162,6 @@ class TestSchemaVersions:
             "intents": [{"name": "x", "action": "allow"}],
         })
         assert table.version == 0
-        assert table.deprecated_calls == {"add": 0, "remove": 0}
 
 
 class TestValidation:

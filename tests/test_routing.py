@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.nib import HostRecord, NetworkInformationBase
 from repro.core.routing import (
-    PathRuleCache,
     RoutingError,
     compute_path_rules,
     drop_rule,
@@ -150,67 +149,6 @@ class TestErrors:
         nib.add_switch(2, "b", (1,), now=0.0)
         with pytest.raises(RoutingError):
             compute_path_rules(nib, flow(), host("hA", 1, 2), host("hB", 2, 2))
-
-
-class TestPathRuleCache:
-    def test_hit_returns_equal_rules(self, nib):
-        cache = PathRuleCache()
-        src, dst = host("hA", 1, 2), host("hB", 2, 3)
-        first = cache.path_rules(nib, flow(), src, dst, cookie=9)
-        again = cache.path_rules(nib, flow(), src, dst, cookie=9)
-        assert again == first
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert first == compute_path_rules(nib, flow(), src, dst, cookie=9)
-
-    def test_hit_recookies_cached_rules(self, nib):
-        """Rules embed the session id as their cookie; a cache hit for
-        a new session must not leak the old session's cookie."""
-        cache = PathRuleCache()
-        src, dst = host("hA", 1, 2), host("hB", 3, 2)
-        element = host("eX", 2, 2, is_element=True)
-        cache.path_rules(nib, flow(), src, dst, waypoints=[element], cookie=7)
-        rules = cache.path_rules(nib, flow(), src, dst, waypoints=[element],
-                                 cookie=8)
-        assert cache.hits == 1
-        assert all(rule.cookie == 8 for rule in rules)
-
-    def test_host_move_changes_key(self, nib):
-        """The key embeds host *locations*, so a moved host misses even
-        though the MAC (and flow) are unchanged."""
-        cache = PathRuleCache()
-        dst = host("hB", 2, 3)
-        cache.path_rules(nib, flow(), host("hA", 1, 2), dst)
-        rules = cache.path_rules(nib, flow(), host("hA", 3, 2), dst)
-        assert cache.misses == 2 and cache.hits == 0
-        assert rules[0].dpid == 3
-
-    def test_clear_counts_only_nonempty(self, nib):
-        cache = PathRuleCache()
-        cache.clear()
-        assert cache.invalidations == 0
-        cache.path_rules(nib, flow(), host("hA", 1, 2), host("hB", 2, 3))
-        cache.clear()
-        assert cache.invalidations == 1 and len(cache) == 0
-        assert cache.misses == 1
-
-    def test_lru_eviction_bounds_size(self, nib):
-        cache = PathRuleCache(max_entries=2)
-        src = host("hA", 1, 2)
-        for port in (3, 4, 5):
-            cache.path_rules(nib, flow(), src, host("hB", 2, port))
-        assert len(cache) == 2
-        # The oldest key (port 3) was evicted: probing it misses.
-        cache.path_rules(nib, flow(), src, host("hB", 2, 3))
-        assert cache.misses == 4 and cache.hits == 0
-
-    def test_routing_errors_never_cached(self):
-        bare = NetworkInformationBase()
-        bare.add_switch(1, "a", (1,), now=0.0)
-        bare.add_switch(2, "b", (1,), now=0.0)
-        cache = PathRuleCache()
-        with pytest.raises(RoutingError):
-            cache.path_rules(bare, flow(), host("hA", 1, 2), host("hB", 2, 2))
-        assert len(cache) == 0
 
 
 class TestDropRules:
