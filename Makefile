@@ -51,6 +51,8 @@ perf-smoke:
 
 # ruff when available; otherwise a full-tree syntax check plus the
 # stdlib-only unused-import checker (the part of ruff we rely on).
+# check_dropped_handles enforces the kernel's calling convention: a
+# `.schedule*(` whose handle is dropped should have been a `.post*(`.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
@@ -59,6 +61,7 @@ lint:
 		python -m compileall -q src tests benchmarks; \
 	fi
 	python scripts/check_unused_imports.py src tests benchmarks
+	python scripts/check_dropped_handles.py src/repro
 
 stats-smoke:
 	PYTHONPATH=src python -m repro stats --quick

@@ -100,7 +100,7 @@ class InlineMiddlebox(Node):
         self._busy_until = start + cost
         self.busy_time_total += cost
         self._queue_bytes += frame.size
-        self.sim.schedule_at(self._busy_until, self._finish, frame, in_port)
+        self.sim.post_at(self._busy_until, self._finish, frame, in_port)
 
     def _finish(self, frame: Ethernet, in_port: int) -> None:
         self._queue_bytes -= frame.size

@@ -143,7 +143,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
     baseline.run(0.5)
     host = baseline.host("h1")
     for index in range(args.pings):
-        baseline.sim.schedule(index * 0.2, host.ping, baseline.gateway.ip)
+        baseline.sim.post(index * 0.2, host.ping, baseline.gateway.ip)
     baseline.run(args.pings * 0.2 + 1.0)
     legacy_ms = (sum(host.ping_rtts) / len(host.ping_rtts) + 2 * wan) * 1e3
 
@@ -151,7 +151,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
     net.start()
     user = net.host("h1_1")
     for index in range(args.pings + 1):
-        net.sim.schedule(index * 0.2, user.ping, GATEWAY_IP)
+        net.sim.post(index * 0.2, user.ping, GATEWAY_IP)
     net.run((args.pings + 1) * 0.2 + 1.0)
     livesec_ms = (
         sum(user.ping_rtts[1:]) / len(user.ping_rtts[1:]) + 2 * wan

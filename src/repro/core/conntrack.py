@@ -250,7 +250,7 @@ class ConnTrackReplicationGroup:
         for member in self.members:
             if member is origin:
                 continue
-            self.sim.schedule(
+            self.sim.post(
                 self.replication_delay_s, self._deliver, member, update
             )
 

@@ -697,13 +697,13 @@ class ShardCoordinator:
         if (old_member is None or old_member.failed
                 or old_shard in self._down):
             # The old owner is gone: nothing to transfer, do not defer.
-            self.sim.schedule(
+            self.sim.post(
                 self.latency_s, self._deliver_handoff, member,
                 SessionHandoff(mac=mac, ip=ip, from_shard=old_shard,
                                to_shard=member.shard_id),
             )
             return
-        self.sim.schedule(
+        self.sim.post(
             self.latency_s, self._request_handoff,
             old_member, member, mac, ip,
         )
@@ -721,7 +721,7 @@ class ShardCoordinator:
             handoff = old_member.collect_handoff(
                 mac, ip, new_member.shard_id
             )
-        self.sim.schedule(
+        self.sim.post(
             self.latency_s, self._deliver_handoff, new_member, handoff
         )
 
@@ -746,7 +746,7 @@ class ShardCoordinator:
             self._rule_drops.inc()
             return False
         self._rule_ops.inc()
-        self.sim.schedule(
+        self.sim.post(
             self.latency_s, target.receive_rule_op,
             RemoteRuleOp(op=op, rule=rule, from_shard=member.shard_id),
         )

@@ -172,7 +172,7 @@ class ServiceElement(Host):
         self._busy_until = done
         self._busy_time_total += cost
         self._queue_bytes += frame.size
-        self.sim.schedule_at(done, self._finish_processing, frame)
+        self.sim.post_at(done, self._finish_processing, frame)
 
     def _processing_cost(self, frame: Ethernet) -> float:
         serialization = frame.size * 8.0 / self.capacity_bps

@@ -256,11 +256,11 @@ class FaultInjector:
         for fault in self.plan:
             if isinstance(fault, ElementCrash):
                 element = self._element(fault.element)
-                sim.schedule_at(fault.at_s, self._crash_element,
+                sim.post_at(fault.at_s, self._crash_element,
                                 element, fault.restart_at_s)
             elif isinstance(fault, ElementHang):
                 element = self._element(fault.element)
-                sim.schedule_at(fault.at_s, self._hang_element,
+                sim.post_at(fault.at_s, self._hang_element,
                                 element, fault.duration_s)
             elif isinstance(fault, ElementSlowReport):
                 element = self._element(fault.element)
@@ -269,20 +269,20 @@ class FaultInjector:
                     if fault.restore_interval_s is not None
                     else element.report_interval_s
                 )
-                sim.schedule_at(fault.at_s, self._slow_element,
+                sim.post_at(fault.at_s, self._slow_element,
                                 element, fault.interval_s)
                 if fault.restore_at_s is not None:
-                    sim.schedule_at(fault.restore_at_s, self._slow_element,
+                    sim.post_at(fault.restore_at_s, self._slow_element,
                                     element, restore)
             elif isinstance(fault, SwitchDisconnect):
                 channel = self._channel(fault.switch)
-                sim.schedule_at(fault.at_s, self._disconnect_switch, channel)
+                sim.post_at(fault.at_s, self._disconnect_switch, channel)
                 if fault.reconnect_at_s is not None:
-                    sim.schedule_at(fault.reconnect_at_s,
+                    sim.post_at(fault.reconnect_at_s,
                                     self._reconnect_switch, channel)
             elif isinstance(fault, LinkFlap):
                 link = self._link(fault.node_a, fault.node_b)
-                sim.schedule_at(fault.at_s, self._flap_link,
+                sim.post_at(fault.at_s, self._flap_link,
                                 link, fault, fault.down_s)
             elif isinstance(fault, ChannelChaos):
                 channels = self._channels(fault.switch)
@@ -296,14 +296,14 @@ class FaultInjector:
                     )
                     for _ in channels
                 ]
-                sim.schedule_at(fault.at_s, self._impair_channels,
+                sim.post_at(fault.at_s, self._impair_channels,
                                 channels, impairments, fault)
                 if fault.until_s is not None:
-                    sim.schedule_at(fault.until_s, self._clear_channels,
+                    sim.post_at(fault.until_s, self._clear_channels,
                                     channels, impairments)
             elif isinstance(fault, ShardCrash):
                 member = self._shard_member(fault.shard)
-                sim.schedule_at(fault.at_s, self._crash_shard,
+                sim.post_at(fault.at_s, self._crash_shard,
                                 member, fault.restart_at_s)
             elif isinstance(fault, AppCrash):
                 controller = self._app_controller(fault)
@@ -311,14 +311,14 @@ class FaultInjector:
                 # perturb schedules that never crash apps); a plan that
                 # crashes apps arms it so recovery can be scored.
                 controller.start_app_watchdog()
-                sim.schedule_at(fault.at_s, self._crash_app,
+                sim.post_at(fault.at_s, self._crash_app,
                                 controller, fault)
             elif isinstance(fault, SwitchCompromise):
                 switch = self._switch(fault.switch)
-                sim.schedule_at(fault.at_s, self._compromise_switch,
+                sim.post_at(fault.at_s, self._compromise_switch,
                                 switch, fault)
                 if fault.restore_at_s is not None:
-                    sim.schedule_at(fault.restore_at_s,
+                    sim.post_at(fault.restore_at_s,
                                     self._restore_switch, switch)
             else:  # pragma: no cover - plan builders prevent this
                 raise TypeError(f"unknown fault {fault!r}")
@@ -345,7 +345,7 @@ class FaultInjector:
         self._fault_kind[element.mac] = "element-crash"
         self._mark("element-crash", element=element.name)
         if restart_at_s is not None:
-            self.net.sim.schedule_at(restart_at_s,
+            self.net.sim.post_at(restart_at_s,
                                      self._restart_element, element)
 
     def _restart_element(self, element) -> None:
@@ -380,7 +380,7 @@ class FaultInjector:
         link.set_up(False)
         self._mark("link-flap", node_a=fault.node_a, node_b=fault.node_b,
                    down_s=down_s)
-        self.net.sim.schedule(down_s, link.set_up, True)
+        self.net.sim.post(down_s, link.set_up, True)
 
     def _impair_channels(self, channels, impairments, fault) -> None:
         for channel, impairment in zip(channels, impairments):
@@ -404,7 +404,7 @@ class FaultInjector:
         )
         self._mark("shard-crash", log=self._coordinator.log, shard=shard)
         if restart_at_s is not None:
-            self.net.sim.schedule_at(restart_at_s,
+            self.net.sim.post_at(restart_at_s,
                                      self._restart_shard, member)
 
     def _restart_shard(self, member) -> None:

@@ -543,7 +543,7 @@ def run_shard_failover_scenario(
         for flow in crashed_flows.values():
             at_crash[flow.flow_id] = gateway.received_bits(flow.flow_id)
 
-    net.sim.schedule_at(SHARD_CRASH_AT_S + 0.05, _sample_goodput)
+    net.sim.post_at(SHARD_CRASH_AT_S + 0.05, _sample_goodput)
 
     # Cross-pod roam: the last edge switch's host moves onto pod 0's
     # second edge switch (dpid 2) -- different shard, so the session

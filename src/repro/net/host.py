@@ -111,7 +111,7 @@ class Host(Node):
         request = pkt.make_arp_request(self.mac, self.ip, dst_ip)
         request.created_at = self.sim.now
         self.send(request, HOST_PORT)
-        self.sim.schedule(
+        self.sim.post(
             self.ARP_RETRY_INTERVAL_S, self._send_arp_request, dst_ip,
             attempt + 1,
         )

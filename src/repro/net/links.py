@@ -159,7 +159,7 @@ class Link:
         direction.tx_bytes += size
         from_port.tx_packets += 1
         from_port.tx_bytes += size
-        sim.schedule_at(
+        sim.post_at(
             done + self.delay_s, self._deliver, frame, direction.to_port
         )
         return True

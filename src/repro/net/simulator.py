@@ -9,16 +9,31 @@ events, cancellable handles, and helpers for periodic processes.
 Determinism matters for reproducibility, so ties are broken by an
 insertion sequence number and no wall-clock time ever leaks in.
 
-The heap holds ``(time, seq, handle)`` tuples, so ordering is the C
-tuple comparison; ``seq`` is unique, which means the comparison is
-always decided before it reaches the handle.
+The heap holds 4-tuples ordered by the C tuple comparison; ``seq`` is
+unique, so the comparison is always decided before it reaches the third
+field.  There are two entry shapes on the one heap:
+
+* ``(time, seq, callback, args)`` -- fire-and-forget, pushed by
+  :meth:`Simulator.post` / :meth:`Simulator.post_at`.  Nothing can
+  cancel it, so nothing but the tuple is allocated.
+* ``(time, seq, handle, None)`` -- cancellable, pushed by
+  :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` (and so by
+  :meth:`Simulator.every`); ``args is None`` is what marks it.
+
+The rule for callers: want to cancel -> ``schedule``, otherwise ->
+``post``.  Both kinds draw ``seq`` from the same counter, so which one
+a call site uses never changes the order events fire in.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
+
+
+_NEVER = float("inf")
 
 
 class EventHandle:
@@ -73,7 +88,7 @@ class Simulator:
     COMPACT_MIN_QUEUE = 64
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[float, int, EventHandle]] = []
+        self._queue: List[Tuple[float, int, Any, Optional[tuple]]] = []
         self._seq = itertools.count()
         #: Current simulated time in seconds.  A plain attribute (every
         #: hop reads it several times); only :meth:`run` writes it, and
@@ -96,7 +111,7 @@ class Simulator:
         time = self.now + delay
         seq = next(self._seq)
         handle = EventHandle(time, seq, callback, args, self)
-        heappush(self._queue, (time, seq, handle))
+        heappush(self._queue, (time, seq, handle, None))
         return handle
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> EventHandle:
@@ -105,12 +120,30 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        # Same four lines as schedule(): one event per hop goes through
-        # each, and a shared helper would cost both a call.
         seq = next(self._seq)
         handle = EventHandle(time, seq, callback, args, self)
-        heappush(self._queue, (time, seq, handle))
+        heappush(self._queue, (time, seq, handle, None))
         return handle
+
+    # The four queueing methods repeat the check and the push: one event
+    # per hop goes through each, and a shared helper would cost a call.
+
+    def post(self, delay: float, callback: Callable, *args: Any) -> None:
+        """:meth:`schedule` without the handle: ``callback(*args)`` runs
+        ``delay`` seconds from now and nothing can cancel it."""
+        if not delay >= 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        heappush(
+            self._queue, (self.now + delay, next(self._seq), callback, args)
+        )
+
+    def post_at(self, time: float, callback: Callable, *args: Any) -> None:
+        """:meth:`schedule_at` without the handle."""
+        if not time >= self.now:
+            raise ValueError(
+                f"cannot schedule at t={time} before current time t={self.now}"
+            )
+        heappush(self._queue, (time, next(self._seq), callback, args))
 
     def attach_fluid(self, region) -> None:
         """Attach a fluid fast-forward region (one per simulator).
@@ -151,7 +184,10 @@ class Simulator:
         the queue in a local.
         """
         queue = self._queue
-        queue[:] = [item for item in queue if not item[2].cancelled]
+        queue[:] = [
+            item for item in queue
+            if item[3] is not None or not item[2].cancelled
+        ]
         heapify(queue)
         self._cancelled_queued = 0
         self.heap_compactions += 1
@@ -203,42 +239,56 @@ class Simulator:
         the same packets are owed are settled by whoever reads them
         inside the loop, and here before returning.
         """
+        if self._running:
+            # The loop below holds the heap and its own counters in
+            # locals; a nested loop would fire events behind its back.
+            raise RuntimeError("Simulator.run() called from inside a callback")
         self._running = True
-        processed = 0
+        # Normalised once so the per-event body compares plain numbers.
+        bounded = until is not None
+        if until is None:
+            until = _NEVER
+        processed = self.events_processed
+        # An int, not _NEVER: ``int >= float`` misses CPython's int
+        # fast path (27 ns against 10 ns, once per event).
+        stop_at = sys.maxsize if max_events is None else processed + max_events
         queue = self._queue
         try:
             while queue:
                 head = queue[0]
-                if head[2].cancelled:
+                args = head[3]
+                if args is None and head[2].cancelled:
                     heappop(queue)
                     self._cancelled_queued -= 1
                     continue
                 # After the reaping, so a queue holding only cancelled
                 # handles drains (and reaches ``until``) exactly like
                 # one that was compacted empty.
-                if max_events is not None and processed >= max_events:
+                if processed >= stop_at:
                     break
+                time = head[0]
                 fluid = self.fluid
                 if fluid is not None and fluid.active:
-                    horizon = head[0]
-                    if until is not None and until < horizon:
-                        horizon = until
-                    if fluid.advance_to(horizon):
+                    if fluid.advance_to(until if until < time else time):
                         # A suspended flow re-materialized before the
                         # head event: re-evaluate heap order.
                         continue
-                if until is not None and head[0] > until:
+                if time > until:
                     if until > self.now:
                         self.now = until
                     break
-                event = heappop(queue)[2]
-                event._sim = None
-                self.now = event.time
-                event.callback(*event.args)
+                heappop(queue)
+                self.now = time
+                if args is None:
+                    event = head[2]
+                    event._sim = None
+                    event.callback(*event.args)
+                else:
+                    head[2](*args)
                 processed += 1
-                self.events_processed += 1
+                self.events_processed = processed
             else:
-                if until is not None and until > self.now:
+                if bounded and until > self.now:
                     fluid = self.fluid
                     if fluid is not None and fluid.active:
                         fluid.advance_to(until)

@@ -82,7 +82,7 @@ class WirelessLink(Link):
         direction.tx_bytes += size
         from_port.tx_packets += 1
         from_port.tx_bytes += size
-        self.sim.schedule_at(
+        self.sim.post_at(
             done + self.delay_s, self._deliver, frame, direction.to_port
         )
         return True

@@ -95,14 +95,14 @@ class SecureChannel:
         self.connected = True
         self.switch.channel = self
         self.switch.on_channel_connected()
-        self.sim.schedule(self.latency_s, self.controller._channel_up, self)
+        self.sim.post(self.latency_s, self.controller._channel_up, self)
 
     def disconnect(self) -> None:
         """Tear the channel down; the controller sees a switch leave."""
         if not self.connected:
             return
         self.connected = False
-        self.sim.schedule(self.latency_s, self.controller._channel_down, self)
+        self.sim.post(self.latency_s, self.controller._channel_down, self)
 
     def inject_faults(self, faults: Optional[ChannelFaults]) -> None:
         """Attach (or with ``None`` clear) a message-level impairment."""
@@ -120,7 +120,7 @@ class SecureChannel:
         self.to_controller_count += 1
         copies, extra = self._deliveries("to_controller")
         for _ in range(copies):
-            self.sim.schedule(
+            self.sim.post(
                 self.latency_s + extra,
                 self.controller._handle_message, self.switch.dpid, message,
             )
@@ -132,7 +132,7 @@ class SecureChannel:
         self.to_switch_count += 1
         copies, extra = self._deliveries("to_switch")
         for _ in range(copies):
-            self.sim.schedule(
+            self.sim.post(
                 self.latency_s + extra, self.switch.handle_of_message, message
             )
 

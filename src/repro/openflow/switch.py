@@ -177,7 +177,7 @@ class OpenFlowSwitch(Node):
             plan = self._skip_waypoint_plan(frame, entry)
         # The forwarding delay stays its own event: the output links'
         # state must be read when the frame leaves, not when it arrives.
-        self.sim.schedule(
+        self.sim.post(
             self.forwarding_delay_s, self._apply_actions, frame, in_port, plan
         )
 
@@ -352,7 +352,7 @@ class OpenFlowSwitch(Node):
             if buffered is not None:
                 frame, in_port = buffered
                 if mod.actions:
-                    self.sim.schedule(
+                    self.sim.post(
                         self.forwarding_delay_s,
                         self._apply_actions,
                         frame,
@@ -370,7 +370,7 @@ class OpenFlowSwitch(Node):
             frame, in_port = buffered
         if frame is None:
             return
-        self.sim.schedule(
+        self.sim.post(
             self.forwarding_delay_s, self._apply_actions, frame, in_port,
             compile_actions(tuple(out.actions)),
         )

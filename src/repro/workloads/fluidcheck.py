@@ -117,8 +117,8 @@ def run_mix(
         # both transitions.  Timed identically in either mode.
         victim = hosts[0].ports[1].link
         down_at = net.sim.now + traffic_s * 0.4
-        net.sim.schedule_at(down_at, victim.set_up, False)
-        net.sim.schedule_at(down_at + 0.3, victim.set_up, True)
+        net.sim.post_at(down_at, victim.set_up, False)
+        net.sim.post_at(down_at + 0.3, victim.set_up, True)
 
     net.run(traffic_s + DRAIN_S)
 

@@ -68,7 +68,7 @@ class TcpTransfer:
         self.completed_at: Optional[float] = None
 
     def start(self, delay_s: float = 0.0) -> "TcpTransfer":
-        self.sim.schedule(delay_s, self._begin)
+        self.sim.post(delay_s, self._begin)
         return self
 
     def _begin(self) -> None:

@@ -52,7 +52,7 @@ class UserBehavior:
         """Announce the host and start the profile's traffic."""
         self.active = True
         self.host.announce()
-        self.sim.schedule(0.2 + self.rng.random() * 0.3, self._start_flow)
+        self.sim.post(0.2 + self.rng.random() * 0.3, self._start_flow)
 
     def _start_flow(self) -> None:
         if not self.active:
@@ -117,7 +117,7 @@ class UserChurn:
     def start(self) -> None:
         self._running = True
         for behavior in self.behaviors:
-            self.sim.schedule(
+            self.sim.post(
                 self.rng.expovariate(1.0 / self.mean_gap_s),
                 self._join, behavior,
             )
@@ -133,7 +133,7 @@ class UserChurn:
             return
         behavior.join()
         self.joins += 1
-        self.sim.schedule(
+        self.sim.post(
             self.rng.expovariate(1.0 / self.mean_session_s),
             self._leave, behavior,
         )
@@ -143,7 +143,7 @@ class UserChurn:
             return
         behavior.leave()
         self.leaves += 1
-        self.sim.schedule(
+        self.sim.post(
             self.rng.expovariate(1.0 / self.mean_gap_s),
             self._join, behavior,
         )

@@ -4,8 +4,8 @@ Two equivalences, each against a deliberately naive reference:
 
 * the event kernel (tuple heap, tombstones, in-place compaction)
   against a sorted-list kernel, over seeded random interleavings of
-  ``schedule`` / ``schedule_at`` / ``cancel`` / ``every`` /
-  ``set_interval`` / ``run(until=, max_events=)``;
+  ``schedule`` / ``schedule_at`` / ``post`` / ``post_at`` / ``cancel`` /
+  ``every`` / ``set_interval`` / ``run(until=, max_events=)``;
 * the switch's compiled action-plan loop against the
   interpreted, isinstance-dispatching datapath it replaced, over random
   action tuples, tagged and untagged frames and every ``compromised``
@@ -97,6 +97,14 @@ class ReferenceKernel:
             raise ValueError(delay)
         return self.schedule_at(self.now + delay, callback, *args)
 
+    # Fire-and-forget is the same event with the handle withheld.
+
+    def post_at(self, time, callback, *args):
+        self.schedule_at(time, callback, *args)
+
+    def post(self, delay, callback, *args):
+        self.schedule(delay, callback, *args)
+
     def every(self, interval, callback, *args, start=None):
         if interval <= 0:
             raise ValueError(interval)
@@ -135,6 +143,10 @@ class ReferenceKernel:
 # the common case, not the exception.
 GRID = (0.0, 0.25, 0.25, 0.5, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0)
 
+QUEUEING_METHODS = ("schedule", "schedule_at", "post", "post_at")
+# Relative to ``now`` for the ``*_at`` forms: NaN and the past.
+BAD_TIMES = (float("nan"), -0.5, -1e-9)
+
 
 def _random_script(rng):
     """A list of top-level operations; handles are named by the index
@@ -143,10 +155,14 @@ def _random_script(rng):
     script = []
     for _ in range(rng.randint(15, 45)):
         roll = rng.random()
-        if roll < 0.34:
+        if roll < 0.20:
             script.append(("schedule", rng.choice(GRID), _behaviour(rng)))
-        elif roll < 0.46:
+        elif roll < 0.34:
+            script.append(("post", rng.choice(GRID), _behaviour(rng)))
+        elif roll < 0.40:
             script.append(("schedule_at", rng.choice(GRID), _behaviour(rng)))
+        elif roll < 0.46:
+            script.append(("post_at", rng.choice(GRID), _behaviour(rng)))
         elif roll < 0.60:
             script.append(("cancel", rng.randrange(1 << 16)))
         elif roll < 0.68:
@@ -160,6 +176,9 @@ def _random_script(rng):
             # force a compaction (COMPACT_MIN_QUEUE is 64).
             script.append(("churn", rng.randint(70, 140),
                            rng.uniform(0.55, 0.95)))
+        elif roll < 0.83:
+            script.append(("reject", rng.choice(QUEUEING_METHODS),
+                           rng.choice(BAD_TIMES)))
         else:
             until = rng.choice((None, rng.choice(GRID), rng.choice(GRID),
                                 -1.0))
@@ -178,7 +197,7 @@ def _behaviour(rng):
     if roll < 0.55:
         return None
     if roll < 0.75:
-        return ("spawn", rng.choice(GRID))
+        return ("spawn", rng.choice(GRID), rng.choice(QUEUEING_METHODS))
     if roll < 0.9:
         return ("cancel", rng.randrange(1 << 16))
     return ("churn", rng.randint(70, 140), rng.uniform(0.55, 0.95))
@@ -208,33 +227,52 @@ class _Driver:
     def _act(self, behaviour):
         kind = behaviour[0]
         if kind == "spawn":
-            self.handles.append(
-                self.kernel.schedule(behaviour[1], self._callback(None))
-            )
+            self._queue(behaviour[2], behaviour[1], None)
         elif kind == "cancel" and self.handles:
             self.handles[behaviour[1] % len(self.handles)].cancel()
         elif kind == "churn":
             self._churn(behaviour[1], behaviour[2])
 
+    def _queue(self, method, delay, behaviour):
+        """Queue one logged event through the named kernel method; a
+        handle, when the method returns one, joins the handle list."""
+        kernel = self.kernel
+        when = kernel.now + delay if method.endswith("_at") else delay
+        handle = getattr(kernel, method)(when, self._callback(behaviour))
+        assert (handle is None) == method.startswith("post")
+        if handle is not None:
+            self.handles.append(handle)
+        return handle
+
     def _churn(self, count, dead_share):
-        fresh = [
-            self.kernel.schedule(GRID[i % len(GRID)] + 4.0,
-                                 self._callback(None))
-            for i in range(count)
-        ]
-        self.handles.extend(fresh)
+        # ``count`` handles of which ``dead_share`` die, as the script
+        # asks, plus a handle-less entry every twentieth -- few enough
+        # that the dead still outnumber half the batch -- so the
+        # compaction this forces sweeps a heap holding both shapes.
+        fresh = []
+        for i in range(count):
+            delay = GRID[i % len(GRID)] + 4.0
+            if i % 20 == 0:
+                self._queue("post", delay, None)
+            fresh.append(self._queue("schedule", delay, None))
         for handle in fresh[: int(count * dead_share)]:
             handle.cancel()
+
+    def _reject(self, method, bad):
+        kernel = self.kernel
+        before = self.observed()
+        when = kernel.now + bad if method.endswith("_at") else bad
+        with pytest.raises(ValueError):
+            getattr(kernel, method)(when, lambda: None)
+        assert self.observed() == before
 
     def apply(self, op):
         kind = op[0]
         kernel = self.kernel
-        if kind == "schedule":
-            self.handles.append(
-                kernel.schedule(op[1], self._callback(op[2])))
-        elif kind == "schedule_at":
-            self.handles.append(
-                kernel.schedule_at(kernel.now + op[1], self._callback(op[2])))
+        if kind in QUEUEING_METHODS:
+            self._queue(kind, op[1], op[2])
+        elif kind == "reject":
+            self._reject(op[1], op[2])
         elif kind == "cancel":
             if self.handles:
                 self.handles[op[1] % len(self.handles)].cancel()
