@@ -61,7 +61,7 @@ lint:
 		python -m compileall -q src tests benchmarks; \
 	fi
 	python scripts/check_unused_imports.py src tests benchmarks
-	python scripts/check_dropped_handles.py src/repro
+	python scripts/check_dropped_handles.py src/repro benchmarks examples
 
 stats-smoke:
 	PYTHONPATH=src python -m repro stats --quick

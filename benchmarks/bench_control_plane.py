@@ -32,7 +32,7 @@ def _first_packet_penalty():
     host = net.host("h1_1")
     rtts = []
     for index in range(21):
-        net.sim.schedule(index * 0.5, host.ping, GATEWAY_IP)
+        net.sim.post(index * 0.5, host.ping, GATEWAY_IP)
     net.run(12.0)
     rtts = host.ping_rtts
     first, rest = rtts[0], rtts[1:]

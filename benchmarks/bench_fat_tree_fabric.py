@@ -39,7 +39,7 @@ def _deploy() -> LiveSecNetwork:
         sim=sim, topology=topo, controller=controller,
         monitoring=MonitoringComponent(controller.log),
     )
-    net._connect_channels(0.5e-3)
+    net._connect_channels()
     net.start()
     return net
 
@@ -84,8 +84,8 @@ def _run():
     far = net3.host("h8_2")
     probe = net3.host("h1_1")
     for index in range(11):
-        net3.sim.schedule(index * 0.2, probe.ping, near.ip)
-        net3.sim.schedule(index * 0.2 + 0.1, probe.ping, far.ip)
+        net3.sim.post(index * 0.2, probe.ping, near.ip)
+        net3.sim.post(index * 0.2 + 0.1, probe.ping, far.ip)
     net3.run(4.0)
     rtts = probe.ping_rtts[2:]  # drop the two setup pings
     near_ms = sum(rtts[0::2]) / len(rtts[0::2]) * 1e3

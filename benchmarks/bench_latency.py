@@ -6,60 +6,21 @@ access the Internet through OpenFlow-enable equipment ... LiveSec only
 increase the average latency by around 10%."
 
 Regenerated rows: average ping RTT over the pure legacy path vs the
-LiveSec path (user -> AS switch -> legacy -> AS switch -> gateway),
-with the first ping excluded from the LiveSec average exactly as a
-steady-state mean would be (the first packet pays the one-time
-controller round trip; the paper reports average latency of an
-established path).
+LiveSec path, measured by the same function ``python -m repro latency``
+prints (:func:`repro.cli.measure_ping_latency`: 0.8 ms WAN each way,
+30 pings 0.2 s apart, the setup ping left out of the LiveSec mean).
 """
 
 import sys
 
-from repro import build_livesec_network
-from repro.baselines import build_traditional_network
 from repro.analysis import format_table
+from repro.cli import measure_ping_latency
 
-from common import GATEWAY_IP, run_once
-
-# One-way WAN delay between the building gateway and the pinged
-# Internet server, applied identically to both architectures.
-WAN_DELAY_S = 0.8e-3
-PINGS = 30
-PING_GAP_S = 0.2
-
-
-def _legacy_rtt_ms() -> float:
-    net = build_traditional_network(num_access=2, hosts_per_access=1,
-                                    with_middlebox=False)
-    net.run(1.0)
-    net.announce_all()
-    net.run(0.5)
-    host = net.host("h1")
-    for index in range(PINGS):
-        net.sim.schedule(index * PING_GAP_S, host.ping, net.gateway.ip)
-    net.run(PINGS * PING_GAP_S + 1.0)
-    rtts = host.ping_rtts
-    assert len(rtts) >= PINGS * 0.9
-    return (sum(rtts) / len(rtts) + 2 * WAN_DELAY_S) * 1e3
-
-
-def _livesec_rtt_ms() -> float:
-    net = build_livesec_network(topology="linear", num_as=2, hosts_per_as=1)
-    net.start()
-    host = net.host("h1_1")
-    for index in range(PINGS + 1):
-        net.sim.schedule(index * PING_GAP_S, host.ping, GATEWAY_IP)
-    net.run((PINGS + 1) * PING_GAP_S + 1.0)
-    rtts = host.ping_rtts[1:]  # steady state: drop the setup ping
-    assert len(rtts) >= PINGS * 0.9
-    return (sum(rtts) / len(rtts) + 2 * WAN_DELAY_S) * 1e3
+from common import run_once
 
 
 def test_e5_latency_overhead(benchmark):
-    def experiment():
-        return _legacy_rtt_ms(), _livesec_rtt_ms()
-
-    legacy_ms, livesec_ms = run_once(benchmark, experiment)
+    legacy_ms, livesec_ms = run_once(benchmark, measure_ping_latency)
     overhead = livesec_ms / legacy_ms - 1.0
     print(file=sys.stderr)
     print(

@@ -98,12 +98,13 @@ def collect_metrics(net):
     """The observability snapshot of any built network, LiveSec or
     baseline, so every bench can report through identical machinery.
 
-    A :class:`LiveSecNetwork` already carries a registry; the
-    traditional and pswitch baselines get one attached on first use.
+    A LiveSec deployment, one controller or sharded, answers
+    ``metrics_snapshot()`` itself; the traditional and pswitch
+    baselines get a registry attached on first use.
     """
     from repro.obs import MetricsRegistry
 
-    if isinstance(net, LiveSecNetwork):
+    if hasattr(net, "metrics_snapshot"):
         return net.metrics_snapshot()
     if getattr(net, "metrics", None) is None:
         net.attach_metrics(MetricsRegistry())

@@ -90,9 +90,9 @@ def main() -> None:
 
     summary = net.status()
     print(
-        f"\nflows blocked: {summary['counters']['flows_blocked']}"
-        f"  sessions live: {summary['sessions']}"
-        f"  certified elements online: {summary['registry']['online']}"
+        f"\nflows blocked: {summary.counters['flows_blocked']}"
+        f"  sessions live: {summary.sessions}"
+        f"  certified elements online: {summary.registry['online']}"
     )
 
 

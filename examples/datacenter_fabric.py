@@ -38,12 +38,12 @@ def main() -> None:
         sim=sim, topology=topo, controller=controller,
         monitoring=MonitoringComponent(controller.log),
     )
-    net._connect_channels(0.5e-3)
+    net._connect_channels()
     # Two IDS elements in different pods.
     net.add_element("ids", topo.as_switches[0])
     net.add_element("ids", topo.as_switches[5])
     net.start()
-    print("fabric up:", net.status()["nib"])
+    print("fabric up:", net.status().nib)
 
     # Cross-pod TCP transfers through the IDS chain.
     server = TcpServer(net.host("h8_2"), port=9000)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro import Policy, PolicyTable, build_livesec_network
 from repro.analysis.ascii_charts import bar_chart
@@ -54,6 +54,33 @@ def _ids_policies(chain=("ids",)) -> PolicyTable:
         service_chain=tuple(chain),
     )).commit()
     return table
+
+
+def _demo_net(num_as: int = 2, elements: int = 1):
+    """The started demo deployment ``stats``, ``apps``, ``policy
+    reload`` and ``ops`` share: linear, two hosts per AS switch, the
+    IDS chain toward the gateway."""
+    net = build_livesec_network(
+        topology="linear", policies=_ids_policies(),
+        num_as=num_as, hosts_per_as=2,
+    )
+    for index in range(elements):
+        net.add_element("ids", net.topology.as_switches[index])
+    net.start()
+    return net
+
+
+def _demo_traffic(net) -> list:
+    """One HTTP flow per user host toward the gateway, starts staggered
+    by 50 ms; returns the started flows."""
+    from repro.workloads import HttpFlow
+
+    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
+    return [
+        HttpFlow(net.sim, host, GATEWAY_IP, rate_bps=2e6,
+                 packet_size=1500).start(delay_s=offset * 0.05)
+        for offset, host in enumerate(hosts)
+    ]
 
 
 def cmd_campus(args: argparse.Namespace) -> int:
@@ -132,31 +159,48 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
+# One-way WAN delay between the building gateway and the pinged
+# Internet server, applied identically to both architectures.
+WAN_DELAY_S = 0.8e-3
+PING_GAP_S = 0.2
+
+
+def measure_ping_latency(pings: int = 30) -> Tuple[float, float]:
+    """E5: average ping RTT in ms, user to Internet server, over the
+    pure legacy path and over the LiveSec path (user -> AS switch ->
+    legacy -> AS switch -> gateway).
+
+    The first LiveSec ping is excluded exactly as a steady-state mean
+    would: it pays the one-time controller round trip, and the paper
+    reports the average latency of an established path."""
     from repro.baselines import build_traditional_network
 
-    wan = 0.8e-3
+    def mean_ms(rtts: List[float]) -> float:
+        if len(rtts) < 0.9 * pings:
+            raise RuntimeError(f"only {len(rtts)} of {pings} pings returned")
+        return (sum(rtts) / len(rtts) + 2 * WAN_DELAY_S) * 1e3
+
     baseline = build_traditional_network(num_access=2, hosts_per_access=1,
                                          with_middlebox=False)
     baseline.run(1.0)
     baseline.announce_all()
     baseline.run(0.5)
     host = baseline.host("h1")
-    for index in range(args.pings):
-        baseline.sim.post(index * 0.2, host.ping, baseline.gateway.ip)
-    baseline.run(args.pings * 0.2 + 1.0)
-    legacy_ms = (sum(host.ping_rtts) / len(host.ping_rtts) + 2 * wan) * 1e3
+    for index in range(pings):
+        baseline.sim.post(index * PING_GAP_S, host.ping, baseline.gateway.ip)
+    baseline.run(pings * PING_GAP_S + 1.0)
 
     net = build_livesec_network(topology="linear", num_as=2, hosts_per_as=1)
     net.start()
     user = net.host("h1_1")
-    for index in range(args.pings + 1):
-        net.sim.post(index * 0.2, user.ping, GATEWAY_IP)
-    net.run((args.pings + 1) * 0.2 + 1.0)
-    livesec_ms = (
-        sum(user.ping_rtts[1:]) / len(user.ping_rtts[1:]) + 2 * wan
-    ) * 1e3
+    for index in range(pings + 1):
+        net.sim.post(index * PING_GAP_S, user.ping, GATEWAY_IP)
+    net.run((pings + 1) * PING_GAP_S + 1.0)
+    return mean_ms(host.ping_rtts), mean_ms(user.ping_rtts[1:])
 
+
+def cmd_latency(args: argparse.Namespace) -> int:
+    legacy_ms, livesec_ms = measure_ping_latency(args.pings)
     overhead = livesec_ms / legacy_ms - 1
     print(f"legacy:  {legacy_ms:.3f} ms")
     print(f"livesec: {livesec_ms:.3f} ms")
@@ -204,23 +248,11 @@ def cmd_loadbalance(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs import format_snapshot, to_json, to_prometheus_text
-    from repro.workloads import HttpFlow
 
     quick = args.quick
     seconds = 1.5 if quick else args.seconds
-    net = build_livesec_network(
-        topology="linear", policies=_ids_policies(),
-        num_as=2 if quick else 4, hosts_per_as=2,
-    )
-    for index in range(1 if quick else 2):
-        net.add_element("ids", net.topology.as_switches[index])
-    net.start()
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
-    flows = [
-        HttpFlow(net.sim, host, GATEWAY_IP, rate_bps=2e6,
-                 packet_size=1500).start(delay_s=offset * 0.05)
-        for offset, host in enumerate(hosts)
-    ]
+    net = _demo_net(num_as=2 if quick else 4, elements=1 if quick else 2)
+    flows = _demo_traffic(net)
     net.run(seconds)
     for flow in flows:
         flow.stop()
@@ -232,7 +264,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     elif args.format == "prometheus":
         print(to_prometheus_text(snapshot), end="")
     else:
-        title = (f"livesec stats: {len(hosts)} hosts,"
+        title = (f"livesec stats: {len(flows)} hosts,"
                  f" {len(net.elements)} element(s), {seconds:g}s of traffic")
         print(format_snapshot(snapshot, title=title))
     return 0
@@ -298,25 +330,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_apps(args: argparse.Namespace) -> int:
-    from repro.workloads import HttpFlow
-
-    net = build_livesec_network(
-        topology="linear", policies=_ids_policies(),
-        num_as=2, hosts_per_as=2,
-    )
-    net.add_element("ids", net.topology.as_switches[0])
-    net.start()
+    net = _demo_net()
     if not args.no_traffic:
         # A short burst of traffic so the per-app counters show the
         # dispatch paths actually taken, not a wall of zeros.
-        hosts = [
-            h for h in net.topology.hosts if h is not net.topology.gateway
-        ]
-        flows = [
-            HttpFlow(net.sim, host, GATEWAY_IP, rate_bps=2e6,
-                     packet_size=1500).start(delay_s=offset * 0.05)
-            for offset, host in enumerate(hosts)
-        ]
+        flows = _demo_traffic(net)
         net.run(1.5)
         for flow in flows:
             flow.stop()
@@ -403,20 +421,9 @@ def cmd_policy_reload(args: argparse.Namespace) -> int:
     from repro.core.events import EventKind
     from repro.core.policy_compiler import PolicyConflictError
     from repro.core.policy_io import PolicyFormatError
-    from repro.workloads import HttpFlow
 
-    net = build_livesec_network(
-        topology="linear", policies=_ids_policies(),
-        num_as=2, hosts_per_as=2,
-    )
-    net.add_element("ids", net.topology.as_switches[0])
-    net.start()
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
-    flows = [
-        HttpFlow(net.sim, host, GATEWAY_IP, rate_bps=2e6,
-                 packet_size=1500).start(delay_s=offset * 0.05)
-        for offset, host in enumerate(hosts)
-    ]
+    net = _demo_net()
+    flows = _demo_traffic(net)
     net.run(1.0)
     sessions_before = len(net.controller.sessions)
     version_before = net.controller.policies.version
@@ -450,22 +457,11 @@ def cmd_ops(args: argparse.Namespace) -> int:
     Prints the typed per-app status table and the session journal's
     stable digest (the ``make ops-smoke`` determinism anchor)."""
     from repro.core.journal import SessionJournal
-    from repro.workloads import HttpFlow
 
-    net = build_livesec_network(
-        topology="linear", policies=_ids_policies(),
-        num_as=2, hosts_per_as=2,
-    )
-    net.add_element("ids", net.topology.as_switches[0])
-    net.start()
+    net = _demo_net()
     journal = SessionJournal.attach(net.controller.log)
     controller = net.controller
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
-    flows = [
-        HttpFlow(net.sim, host, GATEWAY_IP, rate_bps=2e6,
-                 packet_size=1500).start(delay_s=offset * 0.05)
-        for offset, host in enumerate(hosts)
-    ]
+    flows = _demo_traffic(net)
     third = max(0.5, args.seconds / 3.0)
     net.run(third)
     actions: List[str] = []
@@ -705,12 +701,12 @@ def cmd_scale(args: argparse.Namespace) -> int:
     net.start(warmup_s=3.0)
     status = net.status()
     print("paper-scale FIT deployment is up:")
-    print(f"  switches:  {status['nib']['switches']}"
-          f"  (full mesh: {status['nib']['full_mesh']})")
-    print(f"  elements:  {status['registry']['online']} online"
-          f"  {status['registry']['by_type']}")
-    print(f"  hosts:     {status['nib']['hosts'] - status['nib']['elements']}")
-    print(f"  events:    {status['events']}")
+    print(f"  switches:  {status.nib['switches']}"
+          f"  (full mesh: {status.nib['full_mesh']})")
+    print(f"  elements:  {status.registry['online']} online"
+          f"  {status.registry['by_type']}")
+    print(f"  hosts:     {status.nib['hosts'] - status.nib['elements']}")
+    print(f"  events:    {status.events}")
     return 0
 
 

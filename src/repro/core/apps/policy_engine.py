@@ -150,7 +150,9 @@ class PolicyEngineApp(App):
                 # the common case O(local elements).
                 shard = self.ctx.controller.shard
                 if shard is not None:
-                    for candidate in shard.remote_candidates(service_type):
+                    for candidate in shard.coordinator.remote_candidates(
+                        shard, service_type
+                    ):
                         record = self.ctx.nib.host_by_mac(candidate.mac)
                         if record is None or record.dpid in quarantined:
                             continue

@@ -14,7 +14,7 @@ messages -- a malformed payload never reaches the handlers.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core import messages as svcmsg
 from repro.core.apps.base import App, AppContext
@@ -29,6 +29,7 @@ from repro.core.events import EventKind
 from repro.core.nib import HostRecord
 from repro.core.services import CertificateError, ServiceElementRecord
 from repro.core.sessions import Session
+from repro.core.sharding import FederatedElement
 
 REGISTRY_EXPIRY_INTERVAL_S = 1.0
 
@@ -222,28 +223,30 @@ class ServiceDirectoryApp(App):
     # ------------------------------------------------------------------
     # Shard federation
 
-    def directory_export(self) -> list:
+    def directory_export(self) -> List[FederatedElement]:
         """This shard's contribution to the federated directory: every
         online element homed on a switch this shard currently owns,
         with its NIB location and last reported load."""
+        controller = self.ctx.controller
         rows = []
         for mac in sorted(self.ctx.registry.elements):
             record = self.ctx.registry.elements[mac]
             if not record.online:
                 continue
             host = self.ctx.nib.host_by_mac(mac)
-            if host is None or host.dpid not in self.ctx.controller.switches:
+            if host is None or host.dpid not in controller.switches:
                 continue
-            rows.append({
-                "mac": mac,
-                "service_type": record.service_type,
-                "dpid": host.dpid,
-                "port": host.port,
-                "ip": host.ip,
-                "pps": record.pps,
-                "cpu": record.cpu,
-                "active_flows": record.active_flows,
-            })
+            rows.append(FederatedElement(
+                mac=mac,
+                service_type=record.service_type,
+                shard_id=controller.shard.shard_id,
+                dpid=host.dpid,
+                port=host.port,
+                ip=host.ip,
+                pps=record.pps,
+                cpu=record.cpu,
+                active_flows=record.active_flows,
+            ))
         return rows
 
     def remote_element_down(self, mac: str) -> None:

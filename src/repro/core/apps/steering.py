@@ -24,7 +24,6 @@ from repro.core.bus import (
     FlowBlockRequested,
     FlowRemovedIn,
     HostExpired,
-    RemoteRuleOpIn,
     SessionHandoffIn,
     SourceBlockRequested,
     SwitchJoined,
@@ -68,7 +67,6 @@ class SteeringApp(App):
         self.listen(SourceBlockRequested, self.on_source_block_requested)
         self.listen(SwitchQuarantined, self.on_switch_quarantined)
         self.listen(SessionHandoffIn, self.on_session_handoff)
-        self.listen(RemoteRuleOpIn, self.on_remote_rule_op)
         self.listen(AppLifecycleChanged, self.on_app_lifecycle)
 
     def _setup_metrics(self) -> None:
@@ -394,39 +392,17 @@ class SteeringApp(App):
     # apply: one rule op, to whoever owns the datapath
 
     def _apply(self, op: str, rule: RuleSpec, buffer_id=None) -> None:
-        """Carry out one ``"add"``/``"delete"``: through the install
-        pipeline when this controller holds the datapath's channel,
-        over the shard fabric when another shard does.  Adds are
-        barrier-acked and retried by the pipeline; a delete is a single
-        un-acked FlowMod (a lost one leaves an entry that idles out)."""
+        """Carry out one ``"add"``/``"delete"``: on the controller's own
+        sender when it holds the datapath's channel, over the shard
+        fabric -- to the owner shard's sender -- when another does."""
         controller = self.ctx.controller
         if rule.dpid in controller.switches:
-            if op == "add":
-                controller.install_pipeline.install(rule, buffer_id=buffer_id)
-            else:
-                controller.send_flow_mod(
-                    rule.dpid,
-                    command=ofmsg.FlowMod.DELETE_STRICT,
-                    match=rule.match,
-                    priority=rule.priority,
-                )
+            controller.apply_rule(op, rule, buffer_id=buffer_id)
         elif controller.shard is not None:
-            if controller.shard.remote_rule(op, rule):
+            if controller.shard.coordinator.remote_rule(op, rule):
                 self.ctx.count("remote_rules_sent")
             else:
                 self.ctx.count("remote_rules_dropped")
-
-    def on_remote_rule_op(self, event: RemoteRuleOpIn) -> None:
-        """Apply a rule op another shard routed to us (we own its
-        datapath -- possibly freshly, through re-homing)."""
-        rule = event.op.rule
-        if rule.dpid not in self.ctx.controller.switches:
-            # Never forwarded on: a stale owner map must not bounce
-            # the op between shards.
-            self.ctx.count("remote_rules_unowned")
-            return
-        self._apply(event.op.op, rule)
-        self.ctx.count("remote_rules_applied")
 
     def _release_along_session(
         self, packet_in: ofmsg.PacketIn, session: Session

@@ -55,7 +55,6 @@ __all__ = [
     "PathViolation",
     "SwitchQuarantined",
     "SessionHandoffIn",
-    "RemoteRuleOpIn",
     "AppLifecycleChanged",
 ]
 
@@ -294,15 +293,6 @@ class AppLifecycleChanged:
     app: str
     action: str
     status: Optional[object] = None  # ServiceStatus
-
-
-@dataclass(frozen=True, eq=False)
-class RemoteRuleOpIn:
-    """Another shard asked this one -- the owner of the rule's
-    datapath -- to install or delete a flow rule (carries the
-    :class:`repro.core.sharding.RemoteRuleOp`)."""
-
-    op: object  # sharding.RemoteRuleOp
 
 
 # ======================================================================

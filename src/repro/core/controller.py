@@ -88,7 +88,6 @@ from repro.core.events import EventKind, EventLog
 from repro.core.introspection import (
     LEGACY_COUNTER_NAMES,
     ControllerStatus,
-    CountersView,
     setup_controller_metrics,
 )
 from repro.core.loadbalance import LoadBalancer, make_dispatcher
@@ -116,7 +115,6 @@ __all__ = [
     "ControllerStatus",
     "ServiceStatus",
     "DEFAULT_WATCHDOG_INTERVAL_S",
-    "CountersView",
     "LEGACY_COUNTER_NAMES",
     "FAILOVER_OUTCOMES",
     "DEFAULT_SECRET",
@@ -158,7 +156,6 @@ class LiveSecController(ControllerBase):
         lldp_enabled: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         element_timeout_s: Optional[float] = None,
-        event_retention: Optional[int] = None,
         accountability: bool = False,
     ):
         super().__init__(sim, lldp_enabled=lldp_enabled)
@@ -195,10 +192,7 @@ class LiveSecController(ControllerBase):
         # Observability: one registry for every subsystem's metrics.
         # Created before the event log so the log's gauges register too.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # ``event_retention`` bounds event-log memory: segments older
-        # than the N newest sealed ones compact load samples to
-        # last-value-per-key (None keeps the history lossless).
-        self.log = EventLog(retention=event_retention, metrics=self.metrics)
+        self.log = EventLog(metrics=self.metrics)
         setup_controller_metrics(self)
         # The one reliable-install path.  Owned here rather than by the
         # steering app: a restarted app must find the batches it left
@@ -221,7 +215,7 @@ class LiveSecController(ControllerBase):
             directory=self.directory,
             log=self.log,
             metrics=self.metrics,
-            count=self._count,
+            count=self.count,
         )
         self._app_ctx = ctx
         self._apps: Dict[str, App] = {}
@@ -469,17 +463,19 @@ class LiveSecController(ControllerBase):
     # ==================================================================
     # Observability
 
-    def _count(self, name: str, amount: int = 1) -> None:
+    def count(self, name: str, amount: int = 1) -> None:
+        """Bump one diagnostics counter (``controller.<name>``)."""
         self._legacy_counters[name].inc(amount)
 
     @property
-    def counters(self) -> CountersView:
-        """Read-only live view of the legacy diagnostics counters.
-
-        Kept for back-compat with the pre-registry API; new consumers
-        should read ``controller.metrics`` instead.
-        """
-        return self._counters_view
+    def counters(self) -> Dict[str, int]:
+        """The diagnostics counters by short name, read from the
+        registry at call time (``controller.metrics`` holds the same
+        values as ``controller.<name>``)."""
+        return {
+            name: int(counter.value)
+            for name, counter in self._legacy_counters.items()
+        }
 
     def subscribe_flow_stats(
         self, callback: Callable[[ofmsg.FlowStatsReply], None]
@@ -556,6 +552,25 @@ class LiveSecController(ControllerBase):
 
     def on_barrier_reply(self, dpid: int, xid: int) -> None:
         self.install_pipeline.on_barrier_reply(dpid, xid)
+
+    # ==================================================================
+    # The rule sender
+
+    def apply_rule(self, op: str, rule, buffer_id=None) -> None:
+        """Carry out one ``"add"``/``"delete"`` on a datapath this
+        controller holds the channel of -- for its own steering app and
+        for rules another shard routed here alike.  Adds are
+        barrier-acked and retried by the pipeline; a delete is a single
+        un-acked FlowMod (a lost one leaves an entry that idles out)."""
+        if op == "add":
+            self.install_pipeline.install(rule, buffer_id=buffer_id)
+        else:
+            self.send_flow_mod(
+                rule.dpid,
+                command=ofmsg.FlowMod.DELETE_STRICT,
+                match=rule.match,
+                priority=rule.priority,
+            )
 
     # ==================================================================
     # Policy lifecycle: compile, verify, atomic hot-swap
@@ -636,15 +651,14 @@ class LiveSecController(ControllerBase):
     def status(self) -> ControllerStatus:
         """One-call overview used by examples, tests and the CLI.
 
-        The result is a typed :class:`ControllerStatus`; it iterates
-        and indexes like the historical dict, and ``.to_dict()``
-        returns exactly the old shape.
+        The result is a typed :class:`ControllerStatus`; ``.to_dict()``
+        gives the five overview fields as a plain dict.
         """
         return ControllerStatus(
             nib=self.nib.summary(),
             registry=self.registry.summary(),
             sessions=len(self.sessions),
-            counters=dict(self.counters),
+            counters=self.counters,
             events=len(self.log),
             metrics=self.metrics.snapshot(),
         )

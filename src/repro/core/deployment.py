@@ -18,7 +18,6 @@ from repro.core.policy import PolicyTable
 from repro.core.policy_io import load_policies
 from repro.core.sharding import (
     SHARD_LIVENESS_TIMEOUT_S,
-    SYNC_INTERVAL_S,
     ShardCoordinator,
     ShardMap,
     ShardMember,
@@ -33,6 +32,7 @@ from repro.net.host import Host
 from repro.net.node import connect
 from repro.net.simulator import Simulator
 from repro.net.topologies import Topology, fit_building, linear, star
+from repro.obs import MetricsSnapshot
 from repro.openflow.channel import SecureChannel
 from repro.openflow.switch import OpenFlowSwitch
 
@@ -42,12 +42,39 @@ ELEMENT_LINK_BPS = 1e9  # VM virtio into the local OvS
 
 class _Deployment:
     """What every deployment shape does the same way: lifecycle,
-    element and user management, channel wiring.  The subclasses are
-    the dataclasses holding the state; each says which controller owns
-    a datapath (:meth:`_owner`) and lists them (``controllers``)."""
+    element and user management, channel wiring, and the read surface
+    the harnesses above ``core/`` score a run through.  The subclasses
+    are the dataclasses holding the state; each says which controller
+    owns a datapath (:meth:`_owner`) and supplies ``controllers`` (shard
+    order), ``coordinator`` (``None`` on one controller), ``metrics``
+    (the registry deployment-wide instruments register on),
+    :meth:`event_digest` and :meth:`event_lines`."""
 
     def _owner(self, dpid: int) -> LiveSecController:
         """The controller currently holding this datapath's channel."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Read surface
+
+    def metrics_snapshot(self) -> MetricsSnapshot:
+        """Every registry of the deployment -- each controller's, then
+        the fabric's -- merged into one snapshot: counters add up,
+        histograms pool their samples."""
+        registries = [controller.metrics for controller in self.controllers]
+        if self.coordinator is not None:
+            registries.append(self.coordinator.metrics)
+        snapshot = registries[0].snapshot()
+        for registry in registries[1:]:
+            snapshot = snapshot.merge(registry.snapshot())
+        return snapshot
+
+    def event_digest(self) -> str:
+        """The determinism digest two same-seed runs must agree on."""
+        raise NotImplementedError
+
+    def event_lines(self) -> List[str]:
+        """One line per logged event, in digest order."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -156,14 +183,12 @@ class _Deployment:
     # ------------------------------------------------------------------
     # Internals
 
-    def _connect_channels(self, control_latency_s: float) -> None:
+    def _connect_channels(self) -> None:
         from repro.openflow.pathproof import derive_switch_secret
 
         for switch in self.topology.all_openflow_switches():
             owner = self._owner(switch.dpid)
-            channel = SecureChannel(
-                self.sim, switch, owner, latency_s=control_latency_s
-            )
+            channel = SecureChannel(self.sim, switch, owner)
             channel.connect()
             # Per-switch path-proof keys derive from the deployment
             # secret, so a non-default controller secret still verifies.
@@ -202,12 +227,24 @@ class LiveSecNetwork(_Deployment):
     fluid: Optional[FluidRegion] = None
     started: bool = False
 
+    coordinator = None  # one controller: no shard fabric
+
     @property
     def controllers(self) -> List[LiveSecController]:
         return [self.controller]
 
+    @property
+    def metrics(self):
+        return self.controller.metrics
+
     def _owner(self, dpid: int) -> LiveSecController:
         return self.controller
+
+    def event_digest(self) -> str:
+        return self.controller.log.digest()
+
+    def event_lines(self) -> List[str]:
+        return [str(event) for event in self.controller.log.all()]
 
     # ------------------------------------------------------------------
     # Policy lifecycle
@@ -226,13 +263,8 @@ class LiveSecNetwork(_Deployment):
         return self.controller.reload_policies(source)
 
     def status(self):
-        """Controller overview (a :class:`ControllerStatus`; indexes
-        like the historical dict)."""
+        """Controller overview (a :class:`ControllerStatus`)."""
         return self.controller.status()
-
-    def metrics_snapshot(self):
-        """The deployment-wide observability snapshot."""
-        return self.controller.metrics.snapshot()
 
 
 @dataclass
@@ -296,9 +328,17 @@ class ShardedDeployment(_Deployment):
         return self.coordinator.status()
 
     def event_digest(self) -> str:
-        """The determinism digest over every shard's log plus the
-        coordinator's."""
+        """Folds every shard's log plus the coordinator's."""
         return combined_digest(self.members, self.coordinator)
+
+    def event_lines(self) -> List[str]:
+        lines = [
+            f"shard{member.shard_id} {event}"
+            for member in self.members
+            for event in member.controller.log.all()
+        ]
+        lines.extend(f"fabric {event}" for event in self.coordinator.log.all())
+        return lines
 
     def total_sessions_created(self) -> int:
         return sum(c.sessions.created for c in self.controllers)
@@ -327,13 +367,11 @@ def build_livesec_network(
     policy_file: Optional[str] = None,
     dispatcher: str = "minload",
     elements: Sequence[Tuple[str, int]] = (),
-    control_latency_s: float = 0.5e-3,
     idle_timeout_s: float = 5.0,
     host_timeout_s: float = 120.0,
     stats_interval_s: Optional[float] = 1.0,
     on_no_element: str = "allow",
     element_timeout_s: Optional[float] = None,
-    event_retention: Optional[int] = None,
     accountability: bool = False,
     fluid: bool = False,
     fluid_config: Optional[dict] = None,
@@ -375,7 +413,6 @@ def build_livesec_network(
         stats_interval_s=stats_interval_s,
         on_no_element=on_no_element,
         element_timeout_s=element_timeout_s,
-        event_retention=event_retention,
         accountability=accountability,
     )
     monitoring = MonitoringComponent(controller.log)
@@ -386,7 +423,7 @@ def build_livesec_network(
         region = FluidRegion(sim, **(fluid_config or {}))
         region.attach_metrics(controller.metrics)
         network.fluid = region
-    network._connect_channels(control_latency_s)
+    network._connect_channels()
     network._add_elements(elements)
     return network
 
@@ -398,14 +435,11 @@ def build_sharded_network(
     policy_file: Optional[str] = None,
     dispatcher: str = "minload",
     elements: Sequence[Tuple[str, int]] = (),
-    control_latency_s: float = 0.5e-3,
     idle_timeout_s: float = 5.0,
     host_timeout_s: float = 120.0,
     stats_interval_s: Optional[float] = 1.0,
     on_no_element: str = "allow",
     element_timeout_s: Optional[float] = None,
-    event_retention: Optional[int] = None,
-    sync_interval_s: float = SYNC_INTERVAL_S,
     liveness_timeout_s: float = SHARD_LIVENESS_TIMEOUT_S,
     sim: Optional[Simulator] = None,
     **topology_kwargs,
@@ -447,10 +481,7 @@ def build_sharded_network(
         )
 
     coordinator = ShardCoordinator(
-        sim, shard_map,
-        sync_interval_s=sync_interval_s,
-        liveness_timeout_s=liveness_timeout_s,
-        control_latency_s=control_latency_s,
+        sim, shard_map, liveness_timeout_s=liveness_timeout_s
     )
     members: List[ShardMember] = []
     for shard_id in range(num_shards):
@@ -471,7 +502,6 @@ def build_sharded_network(
             stats_interval_s=stats_interval_s,
             on_no_element=on_no_element,
             element_timeout_s=element_timeout_s,
-            event_retention=event_retention,
         )
         # Stride the id space so shard i of N mints ids i+1, i+1+N, ...
         # -- globally unique without coordination, handoff-safe.
@@ -482,7 +512,7 @@ def build_sharded_network(
         sim=sim, topology=topo, shard_map=shard_map,
         coordinator=coordinator, members=members,
     )
-    network._connect_channels(control_latency_s)
+    network._connect_channels()
     coordinator.attach_physical(
         switches={s.dpid: s for s in topo.all_openflow_switches()},
         channels=network.channels,

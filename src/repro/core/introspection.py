@@ -1,23 +1,22 @@
 """Controller introspection surfaces: status, counters, metric wiring.
 
-Everything here preserves the pre-registry public API shapes --
-``controller.counters`` reads like the old plain dict and
-``controller.status()`` indexes like the old ad-hoc dict -- while the
-values come from the one :class:`~repro.obs.MetricsRegistry`.
+The values all come from the one :class:`~repro.obs.MetricsRegistry`;
+``controller.counters`` and ``controller.status()`` are typed reads of
+it, not second copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from repro.obs import MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.controller import LiveSecController
 
-# Legacy diagnostic counter names, preserved verbatim by the
-# ``counters`` back-compat view (registry metric: ``controller.<name>``).
+# Diagnostic counter names as ``controller.counters`` keys them
+# (registry metric: ``controller.<name>``).
 LEGACY_COUNTER_NAMES = (
     "arp_in",
     "service_messages",
@@ -41,40 +40,10 @@ LEGACY_COUNTER_NAMES = (
 )
 
 
-class CountersView(Mapping):
-    """Read-only live view of the legacy diagnostics counters.
-
-    Behaves like the old ``controller.counters`` dict for reads
-    (lookup, iteration, ``dict(...)``), but the values come straight
-    from the metrics registry -- there is exactly one source of truth.
-    """
-
-    __slots__ = ("_counters",)
-
-    def __init__(self, counters: Dict[str, object]):
-        self._counters = counters
-
-    def __getitem__(self, name: str) -> int:
-        return int(self._counters[name].value)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 @dataclass
-class ControllerStatus(Mapping):
-    """Typed result of :meth:`LiveSecController.status`.
-
-    Iterates and indexes like the historical ad-hoc dict (the five
-    legacy keys), so existing ``status()["nib"]`` call sites keep
-    working; the full metrics snapshot rides along as ``.metrics``.
-    """
+class ControllerStatus:
+    """Typed result of :meth:`LiveSecController.status`; the full
+    metrics snapshot rides along as ``.metrics``."""
 
     nib: Dict[str, object]
     registry: Dict[str, object]
@@ -83,27 +52,17 @@ class ControllerStatus(Mapping):
     events: int
     metrics: MetricsSnapshot
 
-    _LEGACY_KEYS = ("nib", "registry", "sessions", "counters", "events")
-
     def to_dict(self) -> dict:
-        """The exact pre-redesign ``status()`` dict shape."""
-        return {key: getattr(self, key) for key in self._LEGACY_KEYS}
-
-    def __getitem__(self, key: str):
-        if key not in self._LEGACY_KEYS:
-            raise KeyError(key)
-        return getattr(self, key)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._LEGACY_KEYS)
-
-    def __len__(self) -> int:
-        return len(self._LEGACY_KEYS)
+        """The overview as a plain dict (everything but ``metrics``)."""
+        return {
+            key: getattr(self, key)
+            for key in ("nib", "registry", "sessions", "counters", "events")
+        }
 
 
 def setup_controller_metrics(controller: "LiveSecController") -> None:
     """Register the controller's own metrics on its registry and hang
-    the legacy-counter view and hot-path histograms off the instance."""
+    the diagnostics counters and hot-path histograms off the instance."""
     registry = controller.metrics
     if hasattr(controller.sim, "attach_metrics"):
         controller.sim.attach_metrics(registry)
@@ -114,7 +73,6 @@ def setup_controller_metrics(controller: "LiveSecController") -> None:
         )
         for name in LEGACY_COUNTER_NAMES
     }
-    controller._counters_view = CountersView(controller._legacy_counters)
     # Hot-path latency histograms (wall clock: control-plane cost).
     controller._packet_in_hists = {
         kind: registry.histogram(

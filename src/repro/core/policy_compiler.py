@@ -568,7 +568,6 @@ class CompiledPolicyTable:
         self,
         rows: Sequence[Policy],
         default_action: PolicyAction = PolicyAction.ALLOW,
-        version_hint: int = 0,
     ):
         if default_action is PolicyAction.CHAIN:
             raise ValueError("default action cannot be CHAIN")
@@ -577,7 +576,6 @@ class CompiledPolicyTable:
         )
         self._by_name: Dict[str, Policy] = {p.name: p for p in self._rows}
         self.default_action = default_action
-        self.version_hint = version_hint
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -29,10 +29,11 @@ as a horizontally scalable service):
 
 Cross-shard concerns are explicit typed protocol, never shared state:
 
-* **Remote rules** (:class:`RemoteRuleOp`): a session whose path
-  crosses a shard boundary has its foreign-dpid rules delivered to the
-  owning shard after ``INTER_SHARD_LATENCY_S`` and installed by *that*
-  shard's pipeline.
+* **Remote rules** (:meth:`ShardMember.receive_rule_op`): a session
+  whose path crosses a shard boundary has its foreign-dpid rules
+  delivered to the owning shard after ``INTER_SHARD_LATENCY_S`` and
+  applied by *that* shard's controller
+  (:meth:`~repro.core.controller.LiveSecController.apply_rule`).
 * **Session handoff** (:class:`SessionHandoff`): a HOST_JOIN/HOST_MOVE
   observed by a shard that is not the host's previous owner triggers
   the handoff protocol -- new sessions for the host are deferred, the
@@ -56,7 +57,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bus import ConnTrackUpdateIn, RemoteRuleOpIn, SessionHandoffIn
+from repro.core.bus import ConnTrackUpdateIn, SessionHandoffIn
 from repro.core.conntrack import CLOSED, five_tuple_of
 from repro.core.events import EventKind, EventLog
 from repro.core.loadbalance import ElementLoad
@@ -71,7 +72,6 @@ __all__ = [
     "ShardHello",
     "SessionHandoffRecord",
     "SessionHandoff",
-    "RemoteRuleOp",
     "FederatedElement",
     "ShardMember",
     "ShardCoordinator",
@@ -210,15 +210,6 @@ class SessionHandoff:
 
 
 @dataclass(frozen=True)
-class RemoteRuleOp:
-    """A flow rule delivered to the shard owning its datapath."""
-
-    op: str  # "add" | "delete"
-    rule: object  # a steering FlowRule
-    from_shard: int
-
-
-@dataclass(frozen=True)
 class FederatedElement:
     """One service element as exported into the federated directory."""
 
@@ -294,15 +285,6 @@ class ShardMember:
         """Is a handoff for this host still in flight?"""
         return mac in self.pending_handoff
 
-    def remote_rule(self, op: str, rule) -> bool:
-        """Route a foreign-dpid rule ``"add"``/``"delete"`` through the
-        fabric; False when no live shard owns the datapath."""
-        return self.coordinator.remote_rule(self, op, rule)
-
-    def remote_candidates(self, service_type: str) -> List[ElementLoad]:
-        """Waypoint candidates homed to other live shards."""
-        return self.coordinator.remote_candidates(self, service_type)
-
     def restore_conntrack(
         self, states: Sequence[Tuple[tuple, str]]
     ) -> None:
@@ -329,10 +311,6 @@ class ShardMember:
             hosts=len(self.controller.nib.hosts),
             sessions=len(self.controller.sessions),
         )
-
-    def directory_export(self) -> List[dict]:
-        directory = self.controller.app("service-directory")
-        return directory.directory_export()
 
     def collect_handoff(
         self, mac: str, ip: Optional[str], to_shard: int
@@ -381,10 +359,20 @@ class ShardMember:
             return
         self.controller.bus.publish(SessionHandoffIn(handoff=handoff))
 
-    def receive_rule_op(self, op: RemoteRuleOp) -> None:
+    def receive_rule_op(self, op: str, rule) -> None:
+        """Apply a rule another shard routed here (we hold its datapath
+        -- possibly freshly, through re-homing) on the controller's own
+        sender: no app sits in the path, so a stopped or crashed
+        steering app on this shard cannot drop it."""
         if self.failed:
             return
-        self.controller.bus.publish(RemoteRuleOpIn(op=op))
+        if rule.dpid not in self.controller.switches:
+            # Never forwarded on: a stale owner map must not bounce
+            # the op between shards.
+            self.controller.count("remote_rules_unowned")
+            return
+        self.controller.apply_rule(op, rule)
+        self.controller.count("remote_rules_applied")
 
     # -- fault surface --------------------------------------------------
 
@@ -406,16 +394,6 @@ class ShardMember:
         self._conntrack.clear()
         self.coordinator.member_restarted(self)
 
-    def app_status(self) -> Dict[str, str]:
-        """Per-app lifecycle state on this shard's controller, by app
-        name -- the fabric's runtime-ops surface: sharded members run
-        their own app sets, and a member can stop/reload an app while
-        its siblings keep theirs running."""
-        return {
-            name: status.state
-            for name, status in self.controller.app_status().items()
-        }
-
 
 # ----------------------------------------------------------------------
 # Coordinator
@@ -429,19 +407,13 @@ class ShardCoordinator:
         sim,
         shard_map: ShardMap,
         metrics: Optional[MetricsRegistry] = None,
-        latency_s: float = INTER_SHARD_LATENCY_S,
-        sync_interval_s: float = SYNC_INTERVAL_S,
         liveness_timeout_s: float = SHARD_LIVENESS_TIMEOUT_S,
-        control_latency_s: float = 0.5e-3,
     ):
         self.sim = sim
         self.shard_map = shard_map
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.log = EventLog(metrics=self.metrics)
-        self.latency_s = latency_s
-        self.sync_interval_s = sync_interval_s
         self.liveness_timeout_s = liveness_timeout_s
-        self.control_latency_s = control_latency_s
         self.members: List[ShardMember] = []
         # Physical surface for re-homing, registered by the deployment.
         self.switches: Dict[int, object] = {}
@@ -488,10 +460,19 @@ class ShardCoordinator:
         return None
 
     def live_members(self) -> List[ShardMember]:
+        """The members that can be talked to: not crashed, not declared
+        down.  The fabric's one liveness predicate."""
         return [
             member for member in self.members
             if not member.failed and member.shard_id not in self._down
         ]
+
+    def _live(self, shard_id: Optional[int]) -> Optional[ShardMember]:
+        """The member with this id, if it is live."""
+        for member in self.live_members():
+            if member.shard_id == shard_id:
+                return member
+        return None
 
     def channels_of(self, member: ShardMember) -> List[SecureChannel]:
         return [
@@ -518,18 +499,16 @@ class ShardCoordinator:
 
     def start(self) -> None:
         self.sim.every(
-            self.sync_interval_s, self._sync_round,
-            start=self.sim.now + self.sync_interval_s,
+            SYNC_INTERVAL_S, self._sync_round,
+            start=self.sim.now + SYNC_INTERVAL_S,
         )
 
     # -- the sync round -------------------------------------------------
 
     def _sync_round(self) -> None:
         now = self.sim.now
-        exports: List[Tuple[ShardMember, List[dict]]] = []
-        for member in self.members:
-            if member.failed or member.shard_id in self._down:
-                continue
+        exports: List[FederatedElement] = []
+        for member in self.live_members():
             with self.metrics.histogram(
                 "sharding.hello_wall_s",
                 "Wall-clock cost of building a shard's hello"
@@ -550,7 +529,9 @@ class ShardCoordinator:
                     nib_digest=hello.nib_digest[:16],
                     hosts=hello.hosts, sessions=hello.sessions,
                 )
-            exports.append((member, member.directory_export()))
+            exports.extend(
+                member.controller.app("service-directory").directory_export()
+            )
         self._check_liveness(now)
         self._refresh_federation(exports)
         self._advertise_published()
@@ -574,8 +555,7 @@ class ShardCoordinator:
             shard=shard_id, dpids=tuple(owned),
             silent_s=round(now - self._last_hello.get(shard_id, 0.0), 6),
         )
-        live = [m.shard_id for m in self.members
-                if not m.failed and m.shard_id not in self._down]
+        live = [m.shard_id for m in self.live_members()]
         if not live:
             return  # nothing left to re-home onto
         for dpid, new_shard in self.shard_map.rehome(shard_id, live):
@@ -588,10 +568,7 @@ class ShardCoordinator:
         target = self.member(new_shard)
         if switch is None or target is None:
             return
-        channel = SecureChannel(
-            self.sim, switch, target.controller,
-            latency_s=self.control_latency_s,
-        )
+        channel = SecureChannel(self.sim, switch, target.controller)
         channel.connect()
         switch.attach_metrics(target.controller.metrics)
         self.channels[dpid] = channel
@@ -609,24 +586,9 @@ class ShardCoordinator:
 
     # -- federated service directory ------------------------------------
 
-    def _refresh_federation(
-        self, exports: List[Tuple[ShardMember, List[dict]]]
-    ) -> None:
+    def _refresh_federation(self, exports: List[FederatedElement]) -> None:
         previous = self._federation
-        fresh: Dict[str, FederatedElement] = {}
-        for member, rows in exports:
-            for row in rows:
-                fresh[row["mac"]] = FederatedElement(
-                    mac=row["mac"],
-                    service_type=row["service_type"],
-                    shard_id=member.shard_id,
-                    dpid=row["dpid"],
-                    port=row["port"],
-                    ip=row.get("ip"),
-                    pps=row.get("pps", 0.0),
-                    cpu=row.get("cpu", 0.0),
-                    active_flows=row.get("active_flows", 0),
-                )
+        fresh = {entry.mac: entry for entry in exports}
         self._federation = fresh
         # Death propagation: an element gone from its origin's export
         # (crashed, expired, or its whole shard died) must stop being a
@@ -652,8 +614,7 @@ class ShardCoordinator:
                 continue
             if entry.shard_id == member.shard_id:
                 continue
-            origin = self.member(entry.shard_id)
-            if origin is None or origin.failed or entry.shard_id in self._down:
+            if self._live(entry.shard_id) is None:
                 continue
             # The borrowing shard needs the element routable in its own
             # NIB before steering can compute a path through it.
@@ -692,19 +653,18 @@ class ShardCoordinator:
         if prior is None or prior[0] == member.shard_id:
             return
         old_shard = prior[0]
-        old_member = self.member(old_shard)
+        old_member = self._live(old_shard)
         member.pending_handoff.add(mac)
-        if (old_member is None or old_member.failed
-                or old_shard in self._down):
+        if old_member is None:
             # The old owner is gone: nothing to transfer, do not defer.
             self.sim.post(
-                self.latency_s, self._deliver_handoff, member,
+                INTER_SHARD_LATENCY_S, self._deliver_handoff, member,
                 SessionHandoff(mac=mac, ip=ip, from_shard=old_shard,
                                to_shard=member.shard_id),
             )
             return
         self.sim.post(
-            self.latency_s, self._request_handoff,
+            INTER_SHARD_LATENCY_S, self._request_handoff,
             old_member, member, mac, ip,
         )
 
@@ -712,7 +672,7 @@ class ShardCoordinator:
         self, old_member: ShardMember, new_member: ShardMember,
         mac: str, ip: Optional[str],
     ) -> None:
-        if old_member.failed:
+        if self._live(old_member.shard_id) is None:
             handoff = SessionHandoff(
                 mac=mac, ip=ip, from_shard=old_member.shard_id,
                 to_shard=new_member.shard_id,
@@ -722,7 +682,7 @@ class ShardCoordinator:
                 mac, ip, new_member.shard_id
             )
         self.sim.post(
-            self.latency_s, self._deliver_handoff, new_member, handoff
+            INTER_SHARD_LATENCY_S, self._deliver_handoff, new_member, handoff
         )
 
     def _deliver_handoff(
@@ -738,17 +698,16 @@ class ShardCoordinator:
 
     # -- remote rules ----------------------------------------------------
 
-    def remote_rule(self, member: ShardMember, op: str, rule) -> bool:
-        owner_shard = self.shard_map.assignments.get(rule.dpid)
-        target = self.member(owner_shard) if owner_shard is not None else None
-        if (target is None or target.failed
-                or owner_shard in self._down):
+    def remote_rule(self, op: str, rule) -> bool:
+        """Route a foreign-dpid rule ``"add"``/``"delete"`` to the shard
+        owning its datapath; False when no live shard does."""
+        target = self._live(self.shard_map.assignments.get(rule.dpid))
+        if target is None:
             self._rule_drops.inc()
             return False
         self._rule_ops.inc()
         self.sim.post(
-            self.latency_s, target.receive_rule_op,
-            RemoteRuleOp(op=op, rule=rule, from_shard=member.shard_id),
+            INTER_SHARD_LATENCY_S, target.receive_rule_op, op, rule
         )
         return True
 
@@ -763,14 +722,18 @@ class ShardCoordinator:
             shards.append({
                 "shard": shard_id,
                 "dpids": self.shard_map.owned_by(shard_id),
-                "live": not member.failed and shard_id not in self._down,
+                "live": self._live(shard_id) is not None,
                 "hosts": hello.hosts if hello else 0,
                 "sessions": hello.sessions if hello else 0,
                 "nib_digest": hello.nib_digest if hello else None,
                 "last_hello": self._last_hello.get(shard_id),
                 # Runtime app lifecycle, per shard: app churn on one
                 # member is visible without asking its controller.
-                "apps": member.app_status(),
+                "apps": {
+                    name: service.state
+                    for name, service
+                    in member.controller.app_status().items()
+                },
             })
         return {
             "num_shards": self.shard_map.num_shards,

@@ -43,13 +43,9 @@ class StatefulFirewallElement(FirewallElement):
 
     service_type = "sfw"
 
-    def __init__(self, sim, name, mac, ip,
-                 conntrack_idle_timeout_s: float = 60.0,
-                 **kwargs):
+    def __init__(self, sim, name, mac, ip, **kwargs):
         super().__init__(sim, name, mac, ip, **kwargs)
-        self.conntrack = ConnTrackTable(
-            idle_timeout_s=conntrack_idle_timeout_s
-        )
+        self.conntrack = ConnTrackTable()
         self.replication_group = None  # set by the deployment
         self.conntrack_hits = 0
         self.acl_evaluations = 0

@@ -27,7 +27,7 @@ risk" set is well defined.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.events import EventKind, NetworkEvent
 from repro.faults.plan import (
@@ -49,6 +49,33 @@ class FaultTargetError(ValueError):
     """A plan names an element/switch/link the network does not have."""
 
 
+# The four families of scored injections.  Per family: the prefix of
+# its ``time_to_detect_s`` / ``time_to_recover_s`` histograms, what is
+# injected, the event that detects it and the one that recovers it.
+_FAMILIES = {
+    "element": (
+        "recovery.", "Element crash",
+        "the controller's ELEMENT_OFFLINE",
+        "each affected session's failover",
+    ),
+    "switch": (
+        "accountability.", "Switch compromise",
+        "its PATH_VIOLATION conviction",
+        "each session's quarantine failover",
+    ),
+    "shard": (
+        "recovery.shard_", "Shard crash",
+        "the coordinator's SHARD_DOWN",
+        "its last switch re-homed",
+    ),
+    "app": (
+        "recovery.app_", "App crash",
+        "the watchdog's crash-detected record",
+        "the watchdog revived it",
+    ),
+}
+
+
 class FaultInjector:
     """Schedules a plan's faults and scores the controller's recovery."""
 
@@ -57,38 +84,16 @@ class FaultInjector:
         self.plan = plan
         self.rng = random.Random(plan.seed)
         self.armed = False
-        # Crash bookkeeping for detection/recovery latency, keyed by
-        # element MAC: when the fault went in, when it was detected.
-        self._injected_at: Dict[str, float] = {}
-        self._detected_at: Dict[str, float] = {}
-        self._fault_kind: Dict[str, str] = {}  # element MAC -> fault kind
-        # Compromised-switch bookkeeping, keyed by dpid: conviction is
-        # a PATH_VIOLATION, recovery a quarantine-attributed failover.
-        self._switch_injected_at: Dict[int, float] = {}
-        self._switch_detected_at: Dict[int, float] = {}
-        # Shard-crash bookkeeping, keyed by shard id: detection is the
-        # coordinator's SHARD_DOWN, recovery the last SHARD_REHOME of
-        # the dead shard's datapaths.
-        self._shard_injected_at: Dict[int, float] = {}
-        self._shard_detected_at: Dict[int, float] = {}
-        self._shard_pending_dpids: Dict[int, set] = {}
-        # App-crash bookkeeping, keyed by app name: detection is the
-        # watchdog's ``crash-detected`` lifecycle record, recovery its
-        # ``restarted`` one.
-        self._app_injected_at: Dict[str, float] = {}
-        self._app_detected_at: Dict[str, float] = {}
-        # Raw sim-clock samples per fault kind, for the per-fault
-        # TTD/TTR table the chaos CLI renders.
-        self._ttd_samples: Dict[str, List[float]] = {}
-        self._ttr_samples: Dict[str, List[float]] = {}
-        # A sharded deployment exposes every shard's controller plus a
-        # fabric-level registry; a classic network just its one
-        # controller.  Recovery scoring subscribes to all of them.
-        self._controllers = list(getattr(net, "controllers", None)
-                                 or [net.controller])
-        self._coordinator = getattr(net, "coordinator", None)
-        registry = (net.metrics if self._coordinator is not None
-                    else net.controller.metrics)
+        # One record per *open* injection -- (family, target) ->
+        # [injected_at, detected_at, kind] -- keyed by element MAC,
+        # compromised dpid, shard id or app name.  A restart closes it.
+        self._open: Dict[Tuple[str, object], list] = {}
+        # Datapaths of a crashed shard still waiting for a new owner.
+        self._pending_dpids: Dict[int, set] = {}
+        # Raw sim-clock samples per fault kind -- (detect, recover) --
+        # for the per-fault TTD/TTR table the chaos CLI renders.
+        self._samples: Dict[str, Tuple[List[float], List[float]]] = {}
+        registry = net.metrics
         self._injected = {
             kind: registry.counter(
                 "faults.injected", "Faults injected by the chaos harness",
@@ -119,50 +124,21 @@ class FaultInjector:
             )
         }
         sim_clock = lambda: net.sim.now  # noqa: E731
-        self._time_to_detect = registry.histogram(
-            "recovery.time_to_detect_s",
-            "Element crash until the controller's ELEMENT_OFFLINE",
-            clock=sim_clock,
-        )
-        self._time_to_recover = registry.histogram(
-            "recovery.time_to_recover_s",
-            "Element crash until each affected session's failover",
-            clock=sim_clock,
-        )
-        self._acct_time_to_detect = registry.histogram(
-            "accountability.time_to_detect_s",
-            "Switch compromise until its PATH_VIOLATION conviction",
-            clock=sim_clock,
-        )
-        self._acct_time_to_recover = registry.histogram(
-            "accountability.time_to_recover_s",
-            "Switch compromise until each session's quarantine failover",
-            clock=sim_clock,
-        )
-        self._shard_time_to_detect = registry.histogram(
-            "recovery.shard_time_to_detect_s",
-            "Shard crash until the coordinator's SHARD_DOWN",
-            clock=sim_clock,
-        )
-        self._shard_time_to_recover = registry.histogram(
-            "recovery.shard_time_to_recover_s",
-            "Shard crash until its last switch re-homed",
-            clock=sim_clock,
-        )
-        self._app_time_to_detect = registry.histogram(
-            "recovery.app_time_to_detect_s",
-            "App crash until the watchdog's crash-detected record",
-            clock=sim_clock,
-        )
-        self._app_time_to_recover = registry.histogram(
-            "recovery.app_time_to_recover_s",
-            "App crash until the watchdog revived it",
-            clock=sim_clock,
-        )
-        for controller in self._controllers:
+        # family -> (time-to-detect, time-to-recover) histograms.
+        self._latency = {}
+        for family, (prefix, what, detected, recovered) in _FAMILIES.items():
+            self._latency[family] = tuple(
+                registry.histogram(
+                    f"{prefix}time_to_{edge}_s", f"{what} until {until}",
+                    clock=sim_clock,
+                )
+                for edge, until in (("detect", detected),
+                                    ("recover", recovered))
+            )
+        for controller in net.controllers:
             controller.log.subscribe(self._on_event)
-        if self._coordinator is not None:
-            self._coordinator.log.subscribe(self._on_event)
+        if net.coordinator is not None:
+            net.coordinator.log.subscribe(self._on_event)
 
     # ------------------------------------------------------------------
     # Target resolution
@@ -204,12 +180,12 @@ class FaultInjector:
         raise FaultTargetError(f"no node named {name!r}")
 
     def _shard_member(self, shard: int):
-        if self._coordinator is None:
+        if self.net.coordinator is None:
             raise FaultTargetError(
                 "shard faults need a sharded deployment (got a"
                 " single-controller network)"
             )
-        member = self._coordinator.member(shard)
+        member = self.net.coordinator.member(shard)
         if member is None:
             raise FaultTargetError(f"no shard {shard}")
         return member
@@ -341,8 +317,7 @@ class FaultInjector:
 
     def _crash_element(self, element, restart_at_s: Optional[float]) -> None:
         element.fail()
-        self._injected_at[element.mac] = self.net.sim.now
-        self._fault_kind[element.mac] = "element-crash"
+        self._opened("element", element.mac, "element-crash")
         self._mark("element-crash", element=element.name)
         if restart_at_s is not None:
             self.net.sim.post_at(restart_at_s,
@@ -350,21 +325,21 @@ class FaultInjector:
 
     def _restart_element(self, element) -> None:
         element.restart()
-        self._injected_at.pop(element.mac, None)
-        self._detected_at.pop(element.mac, None)
+        self._open.pop(("element", element.mac), None)
         self._mark("element-restart", element=element.name)
 
     def _hang_element(self, element, duration_s: float) -> None:
         element.hang(duration_s)
-        self._injected_at[element.mac] = self.net.sim.now
-        self._fault_kind[element.mac] = "element-hang"
+        self._opened("element", element.mac, "element-hang")
         self._mark("element-hang", element=element.name,
                    duration_s=duration_s)
 
     def _slow_element(self, element, interval_s: float) -> None:
         element.set_report_interval(interval_s)
-        self._injected_at.setdefault(element.mac, self.net.sim.now)
-        self._fault_kind.setdefault(element.mac, "element-slow-report")
+        # The restore call lands here too, and a crash or hang still
+        # open on the element keeps its clock: open only a fresh one.
+        if ("element", element.mac) not in self._open:
+            self._opened("element", element.mac, "element-slow-report")
         self._mark("element-slow-report", element=element.name,
                    interval_s=interval_s)
 
@@ -398,11 +373,11 @@ class FaultInjector:
     def _crash_shard(self, member, restart_at_s: Optional[float]) -> None:
         member.fail()
         shard = member.shard_id
-        self._shard_injected_at[shard] = self.net.sim.now
-        self._shard_pending_dpids[shard] = set(
-            self._coordinator.shard_map.owned_by(shard)
+        self._opened("shard", shard, "shard-crash")
+        self._pending_dpids[shard] = set(
+            self.net.coordinator.shard_map.owned_by(shard)
         )
-        self._mark("shard-crash", log=self._coordinator.log, shard=shard)
+        self._mark("shard-crash", log=self.net.coordinator.log, shard=shard)
         if restart_at_s is not None:
             self.net.sim.post_at(restart_at_s,
                                      self._restart_shard, member)
@@ -410,14 +385,13 @@ class FaultInjector:
     def _restart_shard(self, member) -> None:
         member.restart()
         shard = member.shard_id
-        self._shard_injected_at.pop(shard, None)
-        self._shard_detected_at.pop(shard, None)
-        self._shard_pending_dpids.pop(shard, None)
-        self._mark("shard-restart", log=self._coordinator.log, shard=shard)
+        self._open.pop(("shard", shard), None)
+        self._pending_dpids.pop(shard, None)
+        self._mark("shard-restart", log=self.net.coordinator.log, shard=shard)
 
     def _crash_app(self, controller, fault: AppCrash) -> None:
         controller.crash_app(fault.app)
-        self._app_injected_at[fault.app] = self.net.sim.now
+        self._opened("app", fault.app, "app-crash")
         data = {"app": fault.app}
         if fault.shard is not None:
             data["shard"] = fault.shard
@@ -425,7 +399,7 @@ class FaultInjector:
 
     def _compromise_switch(self, switch, fault) -> None:
         switch.compromise(fault.variant, port=fault.port)
-        self._switch_injected_at[switch.dpid] = self.net.sim.now
+        self._opened("switch", switch.dpid, "switch-compromise")
         self._mark("switch-compromise", dpid=switch.dpid,
                    variant=fault.variant)
 
@@ -436,117 +410,87 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Recovery scoring (event-log subscriber)
 
-    def _sample(self, table: Dict[str, List[float]],
-                kind: str, value: float) -> None:
-        table.setdefault(kind, []).append(value)
+    def _opened(self, family: str, target, kind: str) -> None:
+        self._open[(family, target)] = [self.net.sim.now, None, kind]
+
+    def _detected(self, family: str, target, at: float,
+                  once: bool = True) -> bool:
+        """Score a detection against the target's open injection; False
+        when there is none (or, with ``once``, it was detected before)."""
+        record = self._open.get((family, target))
+        if record is None or (once and record[1] is not None):
+            return False
+        record[1] = at
+        self._observe(family, 0, record, at)
+        return True
+
+    def _recovered(self, family: str, target, at: float) -> None:
+        record = self._open.get((family, target))
+        if record is not None:
+            self._observe(family, 1, record, at)
+
+    def _observe(self, family: str, edge: int, record: list,
+                 at: float) -> None:
+        elapsed = at - record[0]
+        self._latency[family][edge].observe(elapsed)
+        self._samples.setdefault(record[2], ([], []))[edge].append(elapsed)
 
     def _on_event(self, event: NetworkEvent) -> None:
         if event.kind == EventKind.ELEMENT_OFFLINE:
             mac = event.data.get("mac")
-            injected = self._injected_at.get(mac)
-            if injected is None:
+            controllers = self.net.controllers
+            # One controller scores *every* ELEMENT_OFFLINE of an open
+            # injection (a slow reporter expires again and again); on a
+            # fabric borrower shards re-log the death a sync round
+            # later (remote_element_down), so only the origin's first
+            # detection is the TTD sample.
+            if not self._detected("element", mac, event.time,
+                                  once=len(controllers) > 1):
                 return
-            if len(self._controllers) > 1 and mac in self._detected_at:
-                # Sharded: borrower shards re-log the death a sync
-                # round later (remote_element_down); only the origin's
-                # first detection is the TTD sample.
-                return
-            self._detected_at[mac] = event.time
-            self._time_to_detect.observe(event.time - injected)
-            self._sample(
-                self._ttd_samples,
-                self._fault_kind.get(mac, "element-crash"),
-                event.time - injected,
-            )
             at_risk = sum(
                 1
-                for controller in self._controllers
+                for controller in controllers
                 for session in controller.sessions.sessions_via_element(mac)
                 if not session.blocked
             )
             self._affected.inc(at_risk)
         elif event.kind == EventKind.FLOW_FAILOVER:
             dead = event.data.get("dead_element")
-            outcome = event.data.get("outcome")
-            counter = self._outcomes.get(outcome)
+            counter = self._outcomes.get(event.data.get("outcome"))
             if counter is not None:
                 counter.inc()
-            injected = self._injected_at.get(dead)
-            if injected is not None:
-                self._time_to_recover.observe(event.time - injected)
-                self._sample(
-                    self._ttr_samples,
-                    self._fault_kind.get(dead, "element-crash"),
-                    event.time - injected,
-                )
+            self._recovered("element", dead, event.time)
             # A quarantine-attributed failover recovers a session off a
             # compromised switch: score it against that injection.
             cause = event.data.get("cause", "")
             if isinstance(cause, str) and cause.startswith("quarantine"):
-                record = None
-                for controller in self._controllers:
+                for controller in self.net.controllers:
                     record = controller.nib.host_by_mac(dead)
                     if record is not None:
+                        self._recovered("switch", record.dpid, event.time)
                         break
-                since = (
-                    self._switch_injected_at.get(record.dpid)
-                    if record is not None else None
-                )
-                if since is not None:
-                    self._acct_time_to_recover.observe(event.time - since)
-                    self._sample(self._ttr_samples, "switch-compromise",
-                                 event.time - since)
         elif event.kind == EventKind.PATH_VIOLATION:
-            dpid = event.data.get("dpid")
-            injected = self._switch_injected_at.get(dpid)
-            if injected is None or dpid in self._switch_detected_at:
-                return
-            self._switch_detected_at[dpid] = event.time
-            self._acct_time_to_detect.observe(event.time - injected)
-            self._sample(self._ttd_samples, "switch-compromise",
-                         event.time - injected)
+            self._detected("switch", event.data.get("dpid"), event.time)
         elif event.kind == EventKind.APP_LIFECYCLE:
             app = event.data.get("app")
-            injected = self._app_injected_at.get(app)
-            if injected is None:
-                return
             action = event.data.get("action")
-            if (action == "crash-detected"
-                    and app not in self._app_detected_at):
-                self._app_detected_at[app] = event.time
-                self._app_time_to_detect.observe(event.time - injected)
-                self._sample(self._ttd_samples, "app-crash",
-                             event.time - injected)
+            if action == "crash-detected":
+                self._detected("app", app, event.time)
             elif action == "restarted":
-                self._app_time_to_recover.observe(event.time - injected)
-                self._sample(self._ttr_samples, "app-crash",
-                             event.time - injected)
-                self._app_injected_at.pop(app, None)
-                self._app_detected_at.pop(app, None)
+                self._recovered("app", app, event.time)
+                self._open.pop(("app", app), None)
         elif event.kind == EventKind.SHARD_DOWN:
-            shard = event.data.get("shard")
-            injected = self._shard_injected_at.get(shard)
-            if injected is None or shard in self._shard_detected_at:
-                return
-            self._shard_detected_at[shard] = event.time
-            self._shard_time_to_detect.observe(event.time - injected)
-            self._sample(self._ttd_samples, "shard-crash",
-                         event.time - injected)
+            self._detected("shard", event.data.get("shard"), event.time)
         elif event.kind == EventKind.SHARD_REHOME:
             shard = event.data.get("shard")
-            pending = self._shard_pending_dpids.get(shard)
+            pending = self._pending_dpids.get(shard)
             if not pending:
                 return
             pending.discard(event.data.get("dpid"))
-            if pending:
-                return
-            # Every datapath of the dead shard has a new owner: the
-            # fabric has recovered from this injection.
-            injected = self._shard_injected_at.get(shard)
-            if injected is not None:
-                self._shard_time_to_recover.observe(event.time - injected)
-                self._sample(self._ttr_samples, "shard-crash",
-                             event.time - injected)
+            if not pending:
+                # Every datapath of the dead shard has a new owner: the
+                # fabric has recovered from this injection.
+                self._recovered("shard", shard, event.time)
 
     # ------------------------------------------------------------------
     # Results
@@ -563,18 +507,14 @@ class FaultInjector:
     def per_fault_latency(self) -> dict:
         """Per-fault-kind detection/recovery latency samples (the
         TTD/TTR table the chaos CLI renders)."""
-        kinds = sorted(set(self._ttd_samples) | set(self._ttr_samples))
         table = {}
-        for kind in kinds:
+        for kind in sorted(self._samples):
             row = {}
-            if self._ttd_samples.get(kind):
-                row["time_to_detect_s"] = self._stats(
-                    self._ttd_samples[kind]
-                )
-            if self._ttr_samples.get(kind):
-                row["time_to_recover_s"] = self._stats(
-                    self._ttr_samples[kind]
-                )
+            for name, samples in zip(
+                ("time_to_detect_s", "time_to_recover_s"), self._samples[kind]
+            ):
+                if samples:
+                    row[name] = self._stats(samples)
             table[kind] = row
         return table
 

@@ -182,39 +182,59 @@ def _hist_summary(snapshot, name: str) -> Dict[str, float]:
     }
 
 
-def _report_inputs(net, record_jsonl: Optional[str]):
-    """``(snapshot, counters, event_lines, digest)`` for scoring a run.
+def _score(
+    net,
+    injector: FaultInjector,
+    *,
+    fail_mode: str,
+    crash: str,
+    duration_s: float,
+    record_jsonl: Optional[str],
+    latency: str = "recovery.",
+    **extra,
+) -> ChaosReport:
+    """Score a finished run, on any deployment shape.
 
-    Classic networks read the one controller; sharded deployments sum
-    the per-shard controller counters, join the shard logs (prefixed,
-    shard order) with the coordinator's, and use the fabric's combined
-    digest.  The recovery/fault histograms live on the injector's
-    registry either way (fabric-level when sharded).  ``record_jsonl``
-    saves shard 0's log -- the replay tool reads one log at a time.
+    ``latency`` is the metric prefix of the scenario's headline
+    time-to-detect / time-to-recover histograms (the injector's fault
+    families); ``extra`` carries the scenario's own report fields.
+    ``record_jsonl`` saves the first controller's log -- the replay
+    tool reads one log at a time.
     """
-    coordinator = getattr(net, "coordinator", None)
-    if coordinator is None:
-        snapshot = net.controller.metrics.snapshot()
-        counters = dict(snapshot.counters())
-        lines = [str(event) for event in net.controller.log.all()]
-        digest = net.controller.log.digest()
-    else:
-        snapshot = net.metrics.snapshot()
-        counters = dict(snapshot.counters())
-        for controller in net.controllers:
-            for name, value in controller.metrics.snapshot().counters().items():
-                counters[name] = counters.get(name, 0) + value
-        lines = []
-        for member in net.members:
-            lines.extend(
-                f"shard{member.shard_id} {event}"
-                for event in member.controller.log.all()
-            )
-        lines.extend(f"fabric {event}" for event in coordinator.log.all())
-        digest = net.event_digest()
+    summary = injector.summary()
+    snapshot = net.metrics_snapshot()
+    counters = snapshot.counters()
+    event_lines = net.event_lines()
     if record_jsonl is not None:
         net.controller.log.save(record_jsonl)
-    return snapshot, counters, lines, digest
+    return ChaosReport(
+        seed=injector.plan.seed,
+        fail_mode=fail_mode,
+        crash=crash,
+        duration_s=duration_s,
+        injected=summary["injected"],
+        affected_sessions=summary["affected_sessions"],
+        recovered_sessions=summary["recovered_sessions"],
+        failed_open_sessions=summary["failed_open_sessions"],
+        blocked_sessions=summary["blocked_sessions"],
+        torn_down_sessions=summary["torn_down_sessions"],
+        unrecovered_sessions=summary["unrecovered_sessions"],
+        time_to_detect_s=_hist_summary(snapshot, latency + "time_to_detect_s"),
+        time_to_recover_s=_hist_summary(
+            snapshot, latency + "time_to_recover_s"
+        ),
+        install_retries=int(counters.get("controller.install_retries", 0)),
+        install_failures=int(counters.get("controller.install_failures", 0)),
+        events=len(event_lines),
+        event_digest=net.event_digest(),
+        event_lines=event_lines,
+        per_fault=summary["per_fault"],
+        path_violations=int(counters.get("accountability.violations", 0)),
+        shards=len(net.controllers),
+        rehomed_switches=int(counters.get("sharding.rehomed_switches", 0)),
+        handoff_sessions=int(counters.get("sharding.handoff_sessions", 0)),
+        **extra,
+    )
 
 
 def chaos_policy_table(fail_mode: str) -> PolicyTable:
@@ -263,27 +283,24 @@ def run_chaos_scenario(
         raise ValueError(f"crash must be one|all (got {crash})")
     if shards < 1:
         raise ValueError(f"shards must be >= 1 (got {shards})")
+    num_as = max(3, shards)
+    deployment = dict(
+        topology="linear",
+        elements=[("ids", num_elements)],
+        num_as=num_as,
+        hosts_per_as=max(1, (num_hosts + num_as - 1) // num_as),
+        element_timeout_s=1.5,
+        dispatcher="polling",
+    )
     if shards > 1:
-        num_as = max(3, shards)
         net = build_sharded_network(
             num_shards=shards,
-            topology="linear",
             policies=lambda: chaos_policy_table(fail_mode),
-            elements=[("ids", num_elements)],
-            num_as=num_as,
-            hosts_per_as=max(1, (num_hosts + num_as - 1) // num_as),
-            element_timeout_s=1.5,
-            dispatcher="polling",
+            **deployment,
         )
     else:
         net = build_livesec_network(
-            topology="linear",
-            policies=chaos_policy_table(fail_mode),
-            elements=[("ids", num_elements)],
-            num_as=3,
-            hosts_per_as=max(1, (num_hosts + 2) // 3),
-            element_timeout_s=1.5,
-            dispatcher="polling",
+            policies=chaos_policy_table(fail_mode), **deployment
         )
     if plan is None:
         plan = FaultPlan(seed=seed)
@@ -310,39 +327,9 @@ def run_chaos_scenario(
         flow.start()
     net.run(duration_s)
 
-    summary = injector.summary()
-    snapshot, counters, event_lines, digest = _report_inputs(
-        net, record_jsonl
-    )
-    return ChaosReport(
-        seed=plan.seed,
-        fail_mode=fail_mode,
-        crash=crash,
-        duration_s=duration_s,
-        injected=summary["injected"],
-        affected_sessions=summary["affected_sessions"],
-        recovered_sessions=summary["recovered_sessions"],
-        failed_open_sessions=summary["failed_open_sessions"],
-        blocked_sessions=summary["blocked_sessions"],
-        torn_down_sessions=summary["torn_down_sessions"],
-        unrecovered_sessions=summary["unrecovered_sessions"],
-        time_to_detect_s=_hist_summary(snapshot, "recovery.time_to_detect_s"),
-        time_to_recover_s=_hist_summary(
-            snapshot, "recovery.time_to_recover_s"
-        ),
-        install_retries=int(counters.get("controller.install_retries", 0)),
-        install_failures=int(counters.get("controller.install_failures", 0)),
-        events=len(event_lines),
-        event_digest=digest,
-        event_lines=event_lines,
-        per_fault=summary["per_fault"],
-        shards=shards,
-        rehomed_switches=int(
-            counters.get("sharding.rehomed_switches", 0)
-        ),
-        handoff_sessions=int(
-            counters.get("sharding.handoff_sessions", 0)
-        ),
+    return _score(
+        net, injector, fail_mode=fail_mode, crash=crash,
+        duration_s=duration_s, record_jsonl=record_jsonl,
     )
 
 
@@ -427,40 +414,11 @@ def run_compromised_switch_scenario(
         ).start()
     net.run(duration_s)
 
-    summary = injector.summary()
-    snapshot = net.controller.metrics.snapshot()
-    counters = snapshot.counters()
-    event_lines = [str(event) for event in net.controller.log.all()]
-    digest = net.controller.log.digest()
-    if record_jsonl is not None:
-        net.controller.log.save(record_jsonl)
-    return ChaosReport(
-        seed=plan.seed,
-        fail_mode="open",
-        crash="compromise",
-        duration_s=duration_s,
-        injected=summary["injected"],
-        affected_sessions=summary["affected_sessions"],
-        recovered_sessions=summary["recovered_sessions"],
-        failed_open_sessions=summary["failed_open_sessions"],
-        blocked_sessions=summary["blocked_sessions"],
-        torn_down_sessions=summary["torn_down_sessions"],
-        unrecovered_sessions=summary["unrecovered_sessions"],
-        time_to_detect_s=_hist_summary(
-            snapshot, "accountability.time_to_detect_s"
-        ),
-        time_to_recover_s=_hist_summary(
-            snapshot, "accountability.time_to_recover_s"
-        ),
-        install_retries=int(counters.get("controller.install_retries", 0)),
-        install_failures=int(counters.get("controller.install_failures", 0)),
-        events=len(event_lines),
-        event_digest=digest,
-        event_lines=event_lines,
-        per_fault=summary["per_fault"],
-        variant=variant,
+    return _score(
+        net, injector, fail_mode="open", crash="compromise",
+        duration_s=duration_s, record_jsonl=record_jsonl,
+        latency="accountability.", variant=variant,
         quarantined_dpids=sorted(net.controller.quarantined_dpids),
-        path_violations=int(counters.get("accountability.violations", 0)),
     )
 
 
@@ -579,41 +537,9 @@ def run_shard_failover_scenario(
         > at_crash.get(flow.flow_id, 0)
     )
 
-    summary = injector.summary()
-    snapshot, counters, event_lines, digest = _report_inputs(
-        net, record_jsonl
-    )
-    return ChaosReport(
-        seed=plan.seed,
-        fail_mode="open",
-        crash="shard",
-        duration_s=duration_s,
-        injected=summary["injected"],
-        affected_sessions=summary["affected_sessions"],
-        recovered_sessions=summary["recovered_sessions"],
-        failed_open_sessions=summary["failed_open_sessions"],
-        blocked_sessions=summary["blocked_sessions"],
-        torn_down_sessions=summary["torn_down_sessions"],
-        unrecovered_sessions=summary["unrecovered_sessions"],
-        time_to_detect_s=_hist_summary(
-            snapshot, "recovery.shard_time_to_detect_s"
-        ),
-        time_to_recover_s=_hist_summary(
-            snapshot, "recovery.shard_time_to_recover_s"
-        ),
-        install_retries=int(counters.get("controller.install_retries", 0)),
-        install_failures=int(counters.get("controller.install_failures", 0)),
-        events=len(event_lines),
-        event_digest=digest,
-        event_lines=event_lines,
-        per_fault=summary["per_fault"],
-        shards=k,
-        rehomed_switches=int(
-            counters.get("sharding.rehomed_switches", 0)
-        ),
-        handoff_sessions=int(
-            counters.get("sharding.handoff_sessions", 0)
-        ),
-        roam_survived=roam_survived,
+    return _score(
+        net, injector, fail_mode="open", crash="shard",
+        duration_s=duration_s, record_jsonl=record_jsonl,
+        latency="recovery.shard_", roam_survived=roam_survived,
         flows_surviving=f"{survivors}/{len(crashed_flows)}",
     )

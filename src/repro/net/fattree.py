@@ -58,7 +58,6 @@ def build_fat_tree(
     sim: Simulator,
     k: int = 4,
     link_bandwidth_bps: float = GIGABIT,
-    bridge_id_base: int = 1000,
 ) -> FatTree:
     """Build a k-ary fat tree (k even, >= 2).
 
@@ -72,7 +71,7 @@ def build_fat_tree(
         raise ValueError(f"k must be even and >= 2 (got {k})")
     half = k // 2
     tree = FatTree(k=k)
-    next_bridge = bridge_id_base
+    next_bridge = 1000
 
     def new_switch(name: str) -> EcmpLegacySwitch:
         nonlocal next_bridge

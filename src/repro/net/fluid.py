@@ -190,7 +190,6 @@ class FluidRegion:
         self,
         sim,
         max_utilization: float = 0.95,
-        governor_interval_s: float = 0.05,
         congestion: str = "refuse",
     ):
         if congestion not in ("refuse", "rate"):
@@ -201,7 +200,7 @@ class FluidRegion:
             )
         self.sim = sim
         self.max_utilization = max_utilization
-        self.governor_interval_s = governor_interval_s
+        self.governor_interval_s = 0.05
         self.congestion = congestion
         self.flows: Dict[object, None] = {}
         self._suspended: Dict[object, _SuspendedFlow] = {}

@@ -546,3 +546,73 @@ class TestInstallsSurviveSteeringChurn:
         assert pipeline.install_failures.value == 0
         assert pipeline.flowmods_sent.value == 4
         assert pipeline.barriers_sent.value == 2
+
+    @staticmethod
+    def two_shards_toward_the_gateway():
+        """2 shards over 4 switches; returns the net, the member owning
+        the gateway's switch and a host on the other shard -- so a flow
+        from that host to the gateway needs its egress rules applied by
+        the owner: 2 remote rule ops."""
+        from repro.core.deployment import build_sharded_network
+
+        net = build_sharded_network(
+            num_shards=2, topology="linear", num_as=4, hosts_per_as=1,
+        )
+        net.start()
+        gateway = net.topology.gateway
+        owner = net.member_of(net.topology.attachments[gateway.name].switch.dpid)
+        far_dpids = set(net.shard_map.dpids()) - set(
+            net.shard_map.owned_by(owner.shard_id)
+        )
+        host = next(
+            h for h in net.topology.hosts
+            if net.topology.attachments[h.name].switch.dpid in far_dpids
+        )
+        return net, owner, host
+
+    @pytest.mark.parametrize("disturb", [
+        lambda controller: controller.stop_app("steering"),
+        lambda controller: (controller.start_app_watchdog(),
+                            controller.crash_app("steering")),
+    ], ids=["stop", "crash+watchdog"])
+    def test_remote_rules_land_without_the_owners_steering_app(self, disturb):
+        """A remote rule op is applied by the owner shard's controller,
+        not by its steering app.  (When it crossed the owner's bus, a
+        stopped steering app dropped 2 of 2 and 0 of 167 frames
+        arrived; a crashed one lost the 0.5 s watchdog window.)"""
+        net, owner, host = self.two_shards_toward_the_gateway()
+        disturb(owner.controller)
+        flow = CbrUdpFlow(net.sim, host, GATEWAY_IP,
+                          rate_bps=1e6, duration_s=2.0).start()
+        net.run(3.0)
+        counters = net.metrics_snapshot().counters()
+        assert counters["sharding.remote_rule_ops"] == 2
+        assert owner.controller.counters["remote_rules_applied"] == 2
+        assert owner.controller.counters["remote_rules_unowned"] == 0
+        # Every frame but the punted first one, which waits on the
+        # inter-shard hop and is released at the ingress only.
+        delivered = flow.delivered_bytes(net.topology.gateway)
+        assert delivered >= (flow.packets_sent - 1) * flow.packet_size
+
+    def test_rule_for_an_unheld_datapath_is_counted_and_not_forwarded(self):
+        """A stale owner map: the op reaches a member that does not
+        hold the rule's datapath.  It installs nothing and is never
+        routed on -- it must not bounce between shards."""
+        from repro.core.routing import RuleSpec
+        from repro.openflow.match import Match
+
+        net, owner, _host = self.two_shards_toward_the_gateway()
+        foreign = next(
+            dpid for dpid in net.shard_map.dpids()
+            if dpid not in owner.controller.switches
+        )
+        rule = RuleSpec(dpid=foreign, match=Match(), actions=(), priority=1)
+        before = net.metrics_snapshot().counters()
+        owner.receive_rule_op("add", rule)
+        net.run(0.1)
+        after = net.metrics_snapshot().counters()
+        assert owner.controller.counters["remote_rules_unowned"] == 1
+        assert owner.controller.counters["remote_rules_applied"] == 0
+        for name in ("sharding.remote_rule_ops", "controller.flowmods_sent",
+                     "controller.remote_rules_sent"):
+            assert after.get(name, 0) == before.get(name, 0), name

@@ -310,8 +310,8 @@ class TestMonitoring:
 
     def test_status_overview(self, small_net):
         status = small_net.status()
-        assert set(status) == {"nib", "registry", "sessions", "counters",
-                               "events"}
+        assert set(status.to_dict()) == {"nib", "registry", "sessions",
+                                         "counters", "events"}
 
 
 class TestServiceMessageChannel:

@@ -78,7 +78,7 @@ class TestLiveSecOverFatTree:
         monitoring = MonitoringComponent(controller.log)
         net = LiveSecNetwork(sim=sim, topology=topo, controller=controller,
                              monitoring=monitoring)
-        net._connect_channels(0.5e-3)
+        net._connect_channels()
         net.start()
         return net
 

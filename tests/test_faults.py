@@ -10,7 +10,7 @@ runs replay event for event.
 
 import pytest
 
-from repro.core.deployment import build_livesec_network
+from repro.core.deployment import build_livesec_network, build_sharded_network
 from repro.core.events import EventKind
 from repro.faults import (
     FaultInjector,
@@ -22,15 +22,25 @@ from repro.faults.scenarios import GATEWAY_IP, chaos_policy_table
 from repro.workloads import CbrUdpFlow
 
 
-def build_net(fail_mode="open", num_elements=2, num_as=2, hosts_per_as=1):
-    return build_livesec_network(
+def build_net(fail_mode="open", num_elements=2, num_as=2, hosts_per_as=1,
+              shards=1):
+    """The steered linear deployment, on one controller or on a fabric
+    of ``shards`` (which needs at least that many switches)."""
+    kwargs = dict(
         topology="linear",
-        policies=chaos_policy_table(fail_mode),
         elements=[("ids", num_elements)],
-        num_as=num_as,
+        num_as=max(num_as, shards),
         hosts_per_as=hosts_per_as,
         element_timeout_s=1.5,
         dispatcher="polling",
+    )
+    if shards == 1:
+        return build_livesec_network(
+            policies=chaos_policy_table(fail_mode), **kwargs
+        )
+    return build_sharded_network(
+        num_shards=shards, policies=lambda: chaos_policy_table(fail_mode),
+        **kwargs
     )
 
 
@@ -258,6 +268,35 @@ class TestHangAndSlowReport:
         assert record.online
 
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_detections_are_filed_under_the_open_injection(self, shards):
+        """Crash -> restart -> slow-report on one element: the restart
+        closes the crash's record, so what the slow reporter costs is
+        filed under ``element-slow-report``, on its own clock.  (The
+        fault kind used to outlive the restart: every later detection
+        landed in the ``element-crash`` row.)"""
+        net = build_net(num_elements=1, shards=shards)
+        element = net.elements[0]
+        plan = (FaultPlan()
+                .element_crash(3.0, element.name, restart_at_s=6.0)
+                .element_slow_report(8.0, element.name, interval_s=4.0))
+        injector = FaultInjector(net, plan)
+        injector.arm()
+        net.start()
+        net.run(18.0)
+        per_fault = injector.summary()["per_fault"]
+        crash = per_fault["element-crash"]["time_to_detect_s"]
+        slow = per_fault["element-slow-report"]["time_to_detect_s"]
+        assert crash["count"] == 1
+        assert crash["max"] <= 3.0  # measured from t=3, not from t=8
+        # The deliberate asymmetry: one controller scores every
+        # ELEMENT_OFFLINE of an open injection (a slow reporter expires
+        # once per report gap); a fabric scores the origin's first
+        # only, because borrower shards re-log the same death.
+        assert slow["count"] == (3 if shards == 1 else 1)
+        assert slow["min"] == pytest.approx(2.0)
+
+
 class TestSwitchDisconnect:
     def test_reconnect_triggers_flow_table_resync(self):
         # Disconnect after the session's rules are on ovs1 (traffic
@@ -298,6 +337,26 @@ class TestDeterminism:
         second = run_chaos_scenario(**kwargs)
         assert first.event_lines == second.event_lines
         assert first.event_digest == second.event_digest
+
+    def test_same_plan_scores_the_same_on_every_shape(self):
+        """One controller, 2 shards, 4 shards: the same element-crash
+        plan yields the same report, bar the shard fields and the log
+        itself (a fabric logs its hellos, so count and digest move)."""
+        shape_specific = {"shards", "rehomed_switches", "handoff_sessions",
+                          "events", "event_digest"}
+        reports = []
+        for shards in (1, 2, 4):
+            plan = FaultPlan(seed=0).element_crash(5.0, "ids-1")
+            report = run_chaos_scenario(plan=plan, shards=shards).to_dict()
+            assert (set(report) & shape_specific == {"events", "event_digest"}
+                    if shards == 1 else report["shards"] == shards)
+            reports.append({
+                key: value for key, value in report.items()
+                if key not in shape_specific
+            })
+        assert reports[0]["affected_sessions"] > 0
+        assert reports[0]["per_fault"]["element-crash"]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_different_seed_diverges_under_chaos(self):
         # The seed only matters where the RNG is drawn: with channel

@@ -6,7 +6,7 @@ combined determinism digest.
 
 import pytest
 
-from repro.core.deployment import build_sharded_network
+from repro.core.deployment import build_livesec_network, build_sharded_network
 from repro.core.sharding import ShardMap, combined_digest
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.scenarios import GATEWAY_IP
@@ -48,6 +48,17 @@ def two_shard_net(**kwargs):
     )
     defaults.update(kwargs)
     return build_sharded_network(**defaults)
+
+
+def net_of_shape(shards, **kwargs):
+    """The 4-switch fabric of :func:`two_shard_net` on one controller
+    or split over ``shards`` shards."""
+    if shards > 1:
+        return two_shard_net(num_shards=shards, **kwargs)
+    return build_livesec_network(
+        topology="linear", policies=ids_policies(), elements=[("ids", 2)],
+        num_as=4, hosts_per_as=1, dispatcher="polling", **kwargs
+    )
 
 
 class TestShardMap:
@@ -222,6 +233,65 @@ class TestDeterminismDigest:
 
     def test_same_seed_runs_share_a_digest(self):
         assert self._digest_of_run() == self._digest_of_run()
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_every_shape_answers_digest_and_lines(self, shards):
+        net = net_of_shape(shards)
+        net.start()
+        CbrUdpFlow(net.sim, net.topology.host_by_name("h1_1"),
+                   GATEWAY_IP, rate_bps=1e6, duration_s=1.0).start()
+        net.run(2.0)
+        logs = [controller.log for controller in net.controllers]
+        assert len(logs) == shards
+        if shards == 1:
+            assert net.coordinator is None
+            assert net.event_digest() == net.controller.log.digest()
+            prefixes = [""]
+        else:
+            assert net.event_digest() == combined_digest(
+                net.members, net.coordinator
+            )
+            prefixes = [f"shard{m.shard_id} " for m in net.members]
+            prefixes.append("fabric ")
+            logs.append(net.coordinator.log)
+        # One line per logged event, shard order first, fabric last.
+        assert net.event_lines() == [
+            prefix + str(event)
+            for prefix, log in zip(prefixes, logs) for event in log.all()
+        ]
+        assert len(net.event_lines()) == sum(len(log) for log in logs)
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_every_shape_merges_every_registry(self, shards):
+        net = net_of_shape(shards)
+        net.start()
+        for name in ("h1_1", "h3_1"):
+            CbrUdpFlow(net.sim, net.topology.host_by_name(name),
+                       GATEWAY_IP, rate_bps=1e6, duration_s=1.0).start()
+        net.run(2.0)
+        registries = [controller.metrics for controller in net.controllers]
+        if shards > 1:
+            registries.append(net.coordinator.metrics)
+            assert net.metrics is net.coordinator.metrics
+        else:
+            assert net.metrics is net.controller.metrics
+        parts = [registry.snapshot() for registry in registries]
+        merged = net.metrics_snapshot()
+        # Counters add up over the registries...
+        totals = {}
+        for part in parts:
+            for name, value in part.counters().items():
+                totals[name] = totals.get(name, 0) + value
+        assert merged.counters() == totals
+        assert totals["controller.flows_installed"] == 2
+        # ...and a histogram every shard keeps pools its samples.
+        rules = merged.get("controller.flow_setup_rules")
+        pooled = sorted(
+            sample for part in parts
+            for metric in part if metric.name == "controller.flow_setup_rules"
+            for sample in metric.samples
+        )
+        assert list(rules.samples) == pooled and rules.count == 2
 
     def test_digest_folds_every_shard_in_order(self):
         net = two_shard_net()

@@ -215,6 +215,18 @@ def cross_shard_adopt(net):
     assert before <= {s.session_id for s in adopted}
 
 
+def remote_setup_past_a_stopped_steering_app(net):
+    """A new session on shard 0 toward the gateway while the steering
+    app of the gateway's owner shard is stopped: the owner's controller
+    applies the remote rules, no app of its in the path."""
+    net.member_of(4).controller.stop_app("steering")
+    before = len(live_sessions(net))
+    CbrUdpFlow(net.sim, net.host("h1_1"), GATEWAY_IP,
+               rate_bps=1e6, duration_s=20.0).start()
+    net.run(0.5)
+    assert len(live_sessions(net)) == before + 1
+
+
 TRIGGERS = [
     # (trigger, shard counts it runs on, build kwargs)
     (first_packet, (1, 2), {}),
@@ -229,6 +241,7 @@ TRIGGERS = [
     # shard's behalf are not in its session store (ROADMAP item 4).
     (switch_reconnect, (1,), {}),
     (cross_shard_adopt, (2,), {}),
+    (remote_setup_past_a_stopped_steering_app, (2, 4), {}),
 ]
 
 
