@@ -131,15 +131,21 @@ def report(results, out=sys.stderr):
     stats = results["fluid_stats"]
     print(
         format_table(
-            ["mode", "wall (s)", "events", "packets synthesized"],
+            # The kernel's own counts sit beside the wall-clock ratio
+            # so a regression is attributable: more events, more
+            # settles, or more clock pulls per settle.
+            ["mode", "wall (s)", "events", "packets synthesized",
+             "settles", "clock reads", "closed forms"],
             [
                 ["packet", results["packet_wall_s"],
-                 results["packet_events"], "-"],
+                 results["packet_events"], "-", "-", "-", "-"],
                 ["fluid", results["fluid_wall_s"], results["fluid_events"],
-                 stats["packets_synthesized"]],
+                 stats["packets_synthesized"], stats["settles"],
+                 stats["clock_reads"], stats["closed_forms"]],
                 ["speedup", f'{results["speedup"]}x',
                  round(results["packet_events"]
-                       / max(1, results["fluid_events"]), 1), "-"],
+                       / max(1, results["fluid_events"]), 1),
+                 "-", "-", "-", "-"],
             ],
             title=f"E19: fluid fast-forward, {results['num_flows']} flows",
         ),

@@ -676,8 +676,9 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     print(f"  fluid: synthesized={stats['packets_synthesized']}"
           f" time_saved={stats['time_saved_s']:.2f}s"
           f" resumes={stats['resumes']}"
-          f" advances={stats['advances']}"
           f" settles={stats['settles']}"
+          f" clock_reads={stats['clock_reads']}"
+          f" closed_forms={stats['closed_forms']}"
           f" refusals={stats['refusals']}"
           f" materializations={stats['materializations']}")
     print(f"  digest {fluid.control_digest}")

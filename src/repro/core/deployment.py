@@ -17,7 +17,6 @@ from repro.core.controller import LiveSecController
 from repro.core.policy import PolicyTable
 from repro.core.policy_io import load_policies
 from repro.core.sharding import (
-    SHARD_LIVENESS_TIMEOUT_S,
     ShardCoordinator,
     ShardMap,
     ShardMember,
@@ -440,7 +439,6 @@ def build_sharded_network(
     stats_interval_s: Optional[float] = 1.0,
     on_no_element: str = "allow",
     element_timeout_s: Optional[float] = None,
-    liveness_timeout_s: float = SHARD_LIVENESS_TIMEOUT_S,
     sim: Optional[Simulator] = None,
     **topology_kwargs,
 ) -> ShardedDeployment:
@@ -480,9 +478,7 @@ def build_sharded_network(
             [s.dpid for s in topo.all_openflow_switches()], num_shards
         )
 
-    coordinator = ShardCoordinator(
-        sim, shard_map, liveness_timeout_s=liveness_timeout_s
-    )
+    coordinator = ShardCoordinator(sim, shard_map)
     members: List[ShardMember] = []
     for shard_id in range(num_shards):
         if policies is None:

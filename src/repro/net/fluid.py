@@ -10,15 +10,19 @@ packets analytically, while the event queue shrinks to the sparse
 control-plane barriers (STP hellos, expiry sweeps, stats polls, element
 daemons).
 
-What the packets would have written is two kinds of state.  *Clocks*
--- the flow's emission cursor, ``next_free`` on every traversed wire
-and radio, ``last_used_at`` on every hit flow entry, the legacy MAC
-refresh time -- are what packet-level code acts on, so they are
-advanced before every event.  *Counters* -- tx/rx/busy/drop totals,
-entry and table hit counts, delivered bytes -- are additive and only
-read by cold paths, so an advance just notes how many packets a flow
-owes them and :meth:`FluidRegion.flush` pays the whole path at once,
-from the readers themselves and whenever ``Simulator.run`` returns.
+What the packets would have written is two kinds of state, and while a
+flow is suspended neither is written: the flow is a pure function of
+time (:func:`sent_before`).  *Clocks* -- the flow's emission cursor,
+``next_free`` on every traversed wire and radio, ``last_used_at`` on
+every hit flow entry, the legacy MAC refresh time -- are what
+packet-level code acts on, so at suspension the flow is indexed under
+every clock it drives (a :class:`ClockShare` on the direction, radio,
+entry or learned MAC) and the four sites that read one ask the share.
+*Counters* -- tx/rx/busy/drop totals, entry and table hit counts,
+delivered bytes -- are additive and only read by cold paths.  A
+*settle* (:meth:`FluidRegion.flush`, from those readers, from every
+way out of suspension and whenever ``Simulator.run`` returns) pays the
+counters and stores the clocks, both at once.
 
 The contract is equivalence, not approximation:
 
@@ -35,8 +39,10 @@ The contract is equivalence, not approximation:
   delivered bytes are exact, not modeled.
 * Suspension is bounded by validity caps: the earliest ARP expiry,
   legacy MAC aging deadline, or flow-entry hard timeout along the
-  path.  Crossing a cap resumes the flow at exactly the emission where
-  the oracle would re-ARP / re-flood / re-punt.
+  path, the flow's own stop time and packet budget.  The first
+  emission past a cap is known at suspension, so an ordinary event
+  there hands the flow back at exactly the emission where the oracle
+  would stop / re-ARP / re-flood / re-punt.
 * Any control-plane act that could change forwarding -- a FlowMod, a
   fault injection, a link admin change, a TCP handshake, a new flow's
   first packet -- *materializes* every suspended flow back to packet
@@ -56,8 +62,8 @@ observed mid-stream are quantized to the switch's 1 s expiry sweep.
 
 from __future__ import annotations
 
-import heapq
 import math
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.net import packet as pkt
@@ -104,14 +110,11 @@ class _Walk:
         self.valid_excl = _INF  # first instant an emission is invalid
 
 
-
 class _SuspendedFlow:
-    """A flow whose emit events have been replaced by closed forms."""
+    """A flow whose emit events have been replaced by a closed form."""
 
-    __slots__ = ("flow", "walk", "base", "interval", "size", "stop_at",
-                 "max_packets", "rate_bps", "residual", "heap_t",
-                 "wire_clocks", "entry_clocks", "owed_sent",
-                 "owed_delivered")
+    __slots__ = ("flow", "walk", "base", "interval", "size", "limit",
+                 "rate_bps", "residual", "clocks", "entry_clocks")
 
     def __init__(self, flow, walk: _Walk, rate_bps: float) -> None:
         self.flow = flow
@@ -119,23 +122,104 @@ class _SuspendedFlow:
         self.base = flow._started_at
         self.interval = flow.interval_s
         self.size = flow.packet_size
-        self.stop_at = flow._stop_at
-        self.max_packets = flow.max_packets
         self.rate_bps = rate_bps
         self.residual = 0.0  # fractional delivery carry (rate policy)
-        self.heap_t = 0.0  # emission-heap key; stale entries ignored
-        # What every advance moves: (direction or radio, when a frame
-        # emitted at t has finished serializing there) and (flow entry,
-        # when it arrives at that table).
-        self.wire_clocks = [(p.direction, p.end_offset_s) for p in walk.hops]
-        self.wire_clocks += [
+        # (direction or radio, when a frame emitted at t has finished
+        # serializing there) and (flow entry, when it arrives at that
+        # table): what the flow is indexed under and a settle stores.
+        self.clocks = [(p.direction, p.end_offset_s) for p in walk.hops]
+        self.clocks += [
             (p.medium, p.end_offset_s) for p in walk.hops
             if p.medium is not None
         ]
         self.entry_clocks = [(hit[1], hit[2]) for hit in walk.of_hits]
-        # Packets advanced but not yet paid into the path's counters.
-        self.owed_sent = 0
-        self.owed_delivered = 0
+        # Index of the first emission the oracle would not simply send
+        # (packet budget, stop time, a validity cap): the flow is
+        # analytic strictly below it.
+        self.limit = (sys.maxsize if flow.max_packets is None
+                      else flow.max_packets)
+        stop_at = _INF if flow._stop_at is None else flow._stop_at
+        self.limit = min(
+            sent_before(self, min(stop_at, walk.valid_excl)),
+            sent_before(self, math.nextafter(walk.valid_incl, _INF)),
+        )
+
+
+def sent_before(sf: _SuspendedFlow, t: float) -> int:
+    """How many packets ``sf``'s flow has emitted strictly before ``t``
+    (its whole lifetime, never past ``sf.limit``).  Side-effect free.
+
+    The emission grid is exactly :meth:`TrafficFlow.paced_at`:
+    closed-form floor first, then fix-up loops so float rounding can
+    never disagree with the per-packet expression the oracle evaluates.
+    This is the only place the grid is evaluated analytically.
+    """
+    limit = sf.limit
+    if t == _INF:
+        return limit
+    base, interval = sf.base, sf.interval
+    floor = sf.flow.packets_sent  # settled: all of these left before t
+    k = int((t - base) / interval) + 1
+    if k > limit:
+        k = limit
+    while k > floor and base + (k - 1) * interval >= t:
+        k -= 1
+    if k < floor:
+        return floor
+    while k < limit and base + k * interval < t:
+        k += 1
+    return k
+
+
+# A frame that finished serializing this long before ``now`` is not
+# holding anything up; far above float error on the grid, far below
+# any frame time.
+_PHASE_SLACK_S = 1e-9
+
+
+class ClockShare:
+    """The suspended flows driving one clock -- a wire direction, a
+    radio, a flow entry, a learned MAC -- as ``{flow: offset}``: a
+    frame the flow emits at ``t`` moves the clock to ``t + offset``.
+
+    The clock's owner holds the share in one slot (None when no
+    suspended flow drives it) and asks it where its stored value is
+    about to matter; nobody writes the clock until a settle.
+    """
+
+    __slots__ = ("region", "members")
+
+    def __init__(self, region: "FluidRegion") -> None:
+        self.region = region
+        self.members: Dict[_SuspendedFlow, float] = {}
+
+    def latest(self, now: float, pending: bool = False) -> float:
+        """Where the frames emitted before ``now`` and not yet settled
+        have moved the clock (0.0 when there are none).
+
+        With ``pending`` the caller only cares about an answer later
+        than ``now`` (a frame still serializing), so a flow whose phase
+        on its pacing grid says its last frame is already through is
+        skipped without evaluating the closed form.  The modulo only
+        filters -- within the slack of a grid point either side it
+        lets the flow through, and the answer always comes from the
+        exact count.
+        """
+        region = self.region
+        region.clock_reads += 1
+        latest = 0.0
+        for sf, offset in self.members.items():
+            if pending:
+                phase = (now - sf.base) % sf.interval
+                if offset + _PHASE_SLACK_S < phase < sf.interval - _PHASE_SLACK_S:
+                    continue
+            region.closed_forms += 1
+            count = sent_before(sf, now)
+            if count > sf.flow.packets_sent:
+                moved = sf.base + (count - 1) * sf.interval + offset
+                if moved > latest:
+                    latest = moved
+        return latest
 
 
 def max_min_rates(
@@ -180,10 +264,10 @@ class FluidRegion:
 
     Opt-in (``build_livesec_network(..., fluid=True)``); the region is
     inert until the first :class:`TrafficFlow` registers.  A periodic
-    governor then attempts suspension; the simulator's run loop calls
-    :meth:`advance_to` before every event pop so all callbacks act on
-    clocks consistent with the packets that "would have" flown, and
-    whatever reads a counter calls :meth:`flush` first.
+    governor then attempts suspension.  The run loop knows nothing of
+    it: a suspended flow costs nothing per event, whoever reads a clock
+    it drives asks its :class:`ClockShare`, and whatever reads a
+    counter calls :meth:`flush` first.
     """
 
     def __init__(
@@ -203,77 +287,33 @@ class FluidRegion:
         self.governor_interval_s = 0.05
         self.congestion = congestion
         self.flows: Dict[object, None] = {}
+        # In suspension order, which is settle order (and so what fixes
+        # the float sum in ``busy_time``).
         self._suspended: Dict[object, _SuspendedFlow] = {}
         self._tcp_active: Dict[object, None] = {}
         self._governor = None
-        self._advanced_to = 0.0
-        # Min-heap of (next emission time, seq, suspended flow):
-        # advance_to only touches flows with emissions due before the
-        # horizon, so the per-event cost scales with traffic crossed,
-        # not with the suspended population.  Entries go stale when a
-        # flow resumes or re-advances; pops discard them lazily.
-        self._emissions: List[tuple] = []
-        self._heap_seq = 0
-        # Flows holding owed packets, in first-advance order (flush
-        # order is what fixes the float sum in ``busy_time``).
-        self._owing: List[_SuspendedFlow] = []
+        # Sim-seconds of closed suspension spans, and when the open one
+        # (``_suspended`` non-empty) began.
+        self._time_saved = 0.0
+        self._saving_since = 0.0
         # Observability.
         self.fastforwards = 0
-        self.time_saved_s = 0.0
         self.packets_synthesized = 0
         self.resumes = 0
-        self.advances = 0
         self.settles = 0
+        self.clock_reads = 0
+        self.closed_forms = 0
         self.refusals: Dict[str, int] = {}
         self.materializations: Dict[str, int] = {}
         sim.attach_fluid(self)
 
-    # ------------------------------------------------------------------
-    # Kernel interface
-
     @property
-    def active(self) -> bool:
-        return bool(self._suspended)
-
-    def advance_to(self, horizon: float) -> bool:
-        """Advance every suspended flow's clocks up to ``horizon``.
-
-        Called by the run loop before each event pop (and at the end of
-        a bounded run); the counters the same packets are owed wait for
-        :meth:`flush`.  Returns True when a flow crossed a validity
-        cap and a resumption event earlier than the pending head may
-        now exist -- the caller must re-examine its queue.
-        """
-        if not self._suspended:
-            return False
-        if horizon <= self._advanced_to:
-            return False
-        rescheduled = False
-        synthesized = 0
-        heap = self._emissions
-        while heap and heap[0][0] < horizon:
-            t, _seq, sf = heapq.heappop(heap)
-            if self._suspended.get(sf.flow) is not sf or sf.heap_t != t:
-                continue  # resumed or already re-advanced; stale entry
-            emitted, keep = self._advance_flow(sf, horizon)
-            synthesized += emitted
-            if keep:
-                self._push_emission(sf)
-            else:
-                next_t = self._resume(sf)
-                if next_t < horizon:
-                    rescheduled = True
-        self.time_saved_s += horizon - self._advanced_to
-        self._advanced_to = horizon
-        if synthesized:
-            self.packets_synthesized += synthesized
-            self.fastforwards += 1
-        return rescheduled
-
-    def _push_emission(self, sf: _SuspendedFlow) -> None:
-        sf.heap_t = sf.base + sf.flow.packets_sent * sf.interval
-        self._heap_seq += 1
-        heapq.heappush(self._emissions, (sf.heap_t, self._heap_seq, sf))
+    def time_saved_s(self) -> float:
+        """Sim-seconds covered while flows were suspended, the still
+        open span included."""
+        if self._suspended:
+            return self._time_saved + (self.sim.now - self._saving_since)
+        return self._time_saved
 
     # ------------------------------------------------------------------
     # Registration / lifecycle hooks
@@ -289,9 +329,9 @@ class FluidRegion:
 
     def flow_stopped(self, flow) -> None:
         self.flows.pop(flow, None)
-        sf = self._suspended.pop(flow, None)
+        sf = self._suspended.get(flow)
         if sf is not None:
-            self._settle(sf)
+            self._release(sf)
 
     def tcp_opened(self, conn) -> None:
         """Handshake/teardown state machines need packet fidelity."""
@@ -306,16 +346,25 @@ class FluidRegion:
 
         Invoked before any act that could change forwarding state:
         FlowMods, fault injections, link admin changes, TCP opens, new
-        flows.  Clocks are already consistent (the kernel advanced
-        them to the current event's timestamp before dispatch); each
-        resume settles the flow's counters.
+        flows.  Every flow is settled -- counters paid, clocks stored
+        -- before the trigger executes.
         """
         if not self._suspended:
             return
-        self.advance_to(self.sim.now)  # no-op unless called outside run()
-        for sf in list(self._suspended.values()):
-            self._resume(sf)
-        self._emissions.clear()
+        self.flush()
+        now = self.sim.now
+        self._time_saved += now - self._saving_since
+        suspended = list(self._suspended.values())
+        self._suspended.clear()
+        for sf in suspended:
+            self._unbind(sf, everyone=True)
+            flow = sf.flow
+            if flow._pending is not None:  # its cap event
+                flow._pending.cancel()
+            flow._pending = self.sim.schedule_at(
+                max(now, flow.paced_at(flow.packets_sent)), flow._emit
+            )
+        self.resumes += len(suspended)
         self.materializations[reason] = self.materializations.get(reason, 0) + 1
 
     # ------------------------------------------------------------------
@@ -344,6 +393,9 @@ class FluidRegion:
         oracle's, so one ineligible flow (or one oversubscribed link)
         refuses the whole attempt under the ``refuse`` policy.
         """
+        if len(self._suspended) == len(self.flows):
+            return
+        self.flush()  # the walk reads raw MAC refresh times
         candidates: List[Tuple[object, _Walk]] = []
         for flow in self.flows:
             if flow in self._suspended:
@@ -353,8 +405,6 @@ class FluidRegion:
                 self._refuse(reason)
                 return
             candidates.append((flow, walk))
-        if not candidates:
-            return
 
         demands: Dict[object, float] = {}
         members: Dict[object, List[object]] = {}
@@ -394,14 +444,63 @@ class FluidRegion:
                     self._refuse("congested")
                     return
 
+        now = self.sim.now
+        if not self._suspended:
+            self._saving_since = now
         for flow, walk in candidates:
             if flow._pending is not None:
                 flow._pending.cancel()
                 flow._pending = None
             sf = _SuspendedFlow(flow, walk, rates[flow])
             self._suspended[flow] = sf
-            self._push_emission(sf)
-        self._advanced_to = self.sim.now
+            self._bind(sf)
+            if sf.limit < sys.maxsize:
+                # ``flow._pending`` holds it, so ``flow.stop()`` cancels it.
+                flow._pending = self.sim.schedule_at(
+                    max(now, flow.paced_at(sf.limit)), self._wake, sf
+                )
+
+    def _wake(self, sf: _SuspendedFlow) -> None:
+        """``sf``'s first emission the oracle would not simply send is
+        due: hand the flow back and let its own emit path stop, re-ARP
+        or re-punt exactly as the packet kernel would."""
+        self._release(sf)
+        self.resumes += 1
+        sf.flow._emit()
+
+    # ------------------------------------------------------------------
+    # The clock index
+
+    def _bind(self, sf: _SuspendedFlow) -> None:
+        """Index ``sf`` under every clock it drives."""
+        for clock, offset in sf.clocks + sf.entry_clocks:
+            if clock.fluid is None:
+                clock.fluid = ClockShare(self)
+            # (Twice through one radio, station to station: the later
+            # pass, which moves its clock furthest, is the one kept.)
+            clock.fluid.members[sf] = offset
+        for sw, src_mac, _in_learn, offset in sf.walk.legacy_hits:
+            if src_mac not in sw.fluid_macs:
+                sw.fluid_macs[src_mac] = ClockShare(self)
+            sw.fluid_macs[src_mac].members[sf] = offset
+
+    def _unbind(self, sf: _SuspendedFlow, everyone: bool = False) -> None:
+        """Take ``sf`` off every clock it drives, O(1) a clock.  With
+        ``everyone`` the other members are leaving too, so each share
+        is dropped whole."""
+        for clock, _offset in sf.clocks + sf.entry_clocks:
+            if everyone:
+                clock.fluid = None
+            elif clock.fluid is not None:  # (an evicted entry's is gone)
+                clock.fluid.members.pop(sf, None)
+                if not clock.fluid.members:
+                    clock.fluid = None
+        for sw, src_mac, _in_learn, _offset in sf.walk.legacy_hits:
+            share = sw.fluid_macs.get(src_mac)
+            if share is not None:
+                share.members.pop(sf, None)
+                if everyone or not share.members:
+                    del sw.fluid_macs[src_mac]
 
     # ------------------------------------------------------------------
     # Path walk (side-effect free)
@@ -545,119 +644,75 @@ class FluidRegion:
         return frame
 
     # ------------------------------------------------------------------
-    # Analytic advance
-
-    def _advance_flow(self, sf: _SuspendedFlow, horizon: float):
-        """Synthesize ``sf``'s emissions strictly before ``horizon``.
-
-        Returns ``(packets_emitted, keep_suspended)``.  The emission
-        grid is exactly :meth:`TrafficFlow.paced_at`; closed-form count
-        first, then a fix-up loop so float rounding can never disagree
-        with the per-packet expression the oracle evaluates.
-        """
-        flow = sf.flow
-        walk = sf.walk
-        base, interval = sf.base, sf.interval
-        k0 = flow.packets_sent
-        bound = horizon
-        if sf.stop_at is not None and sf.stop_at < bound:
-            bound = sf.stop_at
-        if walk.valid_excl < bound:
-            bound = walk.valid_excl
-        k_cap = sf.max_packets if sf.max_packets is not None else None
-
-        k_end = int(math.floor((min(bound, walk.valid_incl) - base) / interval)) + 1
-        if k_end < k0:
-            k_end = k0
-        if k_cap is not None and k_end > k_cap:
-            k_end = k_cap
-        while k_end > k0:
-            t = base + (k_end - 1) * interval
-            if t < bound and t <= walk.valid_incl:
-                break
-            k_end -= 1
-        while k_cap is None or k_end < k_cap:
-            t = base + k_end * interval
-            if t < bound and t <= walk.valid_incl:
-                k_end += 1
-            else:
-                break
-
-        emitted = k_end - k0
-        if emitted > 0:
-            self.advances += 1
-            flow.packets_sent = k_end
-            delivered = emitted
-            if self.congestion == "rate" and sf.rate_bps < flow.rate_bps:
-                # Bottleneck thinning: deliver the allocated fraction
-                # (with a fractional carry across advances); the
-                # remainder is owed to the first hop's drop counter.
-                exact = emitted * sf.rate_bps / flow.rate_bps + sf.residual
-                delivered = int(exact)
-                sf.residual = exact - delivered
-            if not sf.owed_sent:
-                self._owing.append(sf)
-            sf.owed_sent += emitted
-            sf.owed_delivered += delivered
-            # Emission time of the final synthesized frame: real frames
-            # sent right after a fast-forward queue behind the analytic
-            # traffic, entries idle out and MACs age from its arrival.
-            last_t = base + (k_end - 1) * interval
-            if delivered > 0:
-                for clock, offset in sf.wire_clocks:
-                    end = last_t + offset
-                    if end > clock.next_free:
-                        clock.next_free = end
-                for entry, offset in sf.entry_clocks:
-                    seen = last_t + offset
-                    if seen > entry.last_used_at:
-                        entry.last_used_at = seen
-            for sw, src_mac, in_learn, offset in walk.legacy_hits:
-                sw.mac_table[src_mac] = (in_learn, last_t + offset)
-
-        # Keep the flow suspended only while the *next* emission is
-        # bounded by the horizon alone; any other boundary (stop, cap,
-        # validity) hands control back to the oracle's emit path, which
-        # re-ARPs / re-punts / stops exactly as the packet kernel would.
-        t_next = base + k_end * interval
-        if k_cap is not None and k_end >= k_cap:
-            return emitted, False
-        if sf.stop_at is not None and t_next >= sf.stop_at:
-            return emitted, False
-        if t_next >= walk.valid_excl or t_next > walk.valid_incl:
-            return emitted, False
-        return emitted, True
-
-    # ------------------------------------------------------------------
-    # Deferred counters
+    # Settling
 
     def flush(self) -> None:
-        """Pay every owed packet into the counters along its path.
+        """Settle every suspended flow up to now: pay the packets
+        emitted since its last settle into the counters along its path
+        and store the clocks they moved.
 
         Called by whatever reads a counter while the event loop runs
         (stats replies, FlowRemoved, link and host accounting, the
         gauges) and by :meth:`Simulator.run` on its way out, so code
         outside the loop always reads settled values.
         """
-        for sf in self._owing:
-            self._settle(sf)
-        self._owing.clear()
+        self._settle(self._suspended.values())
 
-    def _settle(self, sf: _SuspendedFlow) -> None:
-        sent = sf.owed_sent
-        if not sent:
-            return
-        delivered = sf.owed_delivered
-        sf.owed_sent = sf.owed_delivered = 0
+    def _settle(self, flows) -> None:
+        """One settle pass over ``flows`` (suspended, in suspension
+        order); a flow with no emission since its last settle costs
+        one closed form and nothing else."""
+        now = self.sim.now
+        paid = 0
+        self.closed_forms += len(flows)
+        for sf in flows:
+            count = sent_before(sf, now)
+            sent = count - sf.flow.packets_sent
+            if sent > 0:
+                paid += sent
+                self._pay(sf, count, sent)
+        if paid:
+            self.packets_synthesized += paid
+            self.fastforwards += 1
+
+    def _pay(self, sf: _SuspendedFlow, count: int, sent: int) -> None:
+        """Write what ``sf``'s emissions up to index ``count`` -- the
+        last ``sent`` of them not yet settled -- would have written:
+        the clocks they moved and the counters along the path."""
         self.settles += 1
         flow = sf.flow
         walk = sf.walk
         size = sf.size
+        flow.packets_sent = count
         flow.bytes_sent += sent * size
-        if delivered < sent:
+        delivered = sent
+        if self.congestion == "rate" and sf.rate_bps < flow.rate_bps:
+            # Bottleneck thinning: deliver the allocated fraction (with
+            # a fractional carry across settles); the remainder goes to
+            # the first hop's drop counter.
+            exact = sent * sf.rate_bps / flow.rate_bps + sf.residual
+            delivered = int(exact)
+            sf.residual = exact - delivered
             walk.hops[0].direction.dropped += sent - delivered
+        # Emission time of the final synthesized frame: real frames
+        # sent after the flow resumes queue behind the analytic
+        # traffic, entries idle out and MACs age from its arrival.
+        last_t = sf.base + (count - 1) * sf.interval
+        for sw, src_mac, in_learn, offset in walk.legacy_hits:
+            seen = last_t + offset
+            learned = sw.mac_table.get(src_mac)
+            if learned is None or seen > learned[1]:
+                sw.mac_table[src_mac] = (in_learn, seen)
         if not delivered:
             return
+        for clock, offset in sf.clocks:
+            end = last_t + offset
+            if end > clock.next_free:
+                clock.next_free = end
+        for entry, offset in sf.entry_clocks:
+            seen = last_t + offset
+            if seen > entry.last_used_at:
+                entry.last_used_at = seen
         delivered_bytes = delivered * size
         for plan in walk.hops:
             busy = delivered * (size * 8.0 / plan.link.bandwidth_bps)
@@ -684,17 +739,18 @@ class FluidRegion:
         dst.rx_bytes_by_flow[flow.flow_id] += delivered_bytes
         dst.rx_frames_by_flow[flow.flow_id] += delivered
 
-    def _resume(self, sf: _SuspendedFlow) -> float:
-        """Hand a flow back to the packet-level emit path."""
+    def _release(self, sf: _SuspendedFlow) -> None:
+        """One flow leaves suspension on its own (its cap event, a
+        stop): settled, off its clocks, nothing scheduled for it."""
+        self._settle((sf,))
         flow = sf.flow
-        self._suspended.pop(flow, None)
-        self._settle(sf)
-        t_next = flow.paced_at(flow.packets_sent)
-        flow._pending = self.sim.schedule_at(
-            max(self.sim.now, t_next), flow._emit
-        )
-        self.resumes += 1
-        return t_next
+        del self._suspended[flow]
+        if not self._suspended:
+            self._time_saved += self.sim.now - self._saving_since
+        self._unbind(sf)
+        if flow._pending is not None:  # the cap event (spent, in _wake)
+            flow._pending.cancel()
+            flow._pending = None
 
     # ------------------------------------------------------------------
     # Observability
@@ -708,8 +764,9 @@ class FluidRegion:
             "suspended_flows": len(self._suspended),
             "registered_flows": len(self.flows),
             "resumes": self.resumes,
-            "advances": self.advances,
             "settles": self.settles,
+            "clock_reads": self.clock_reads,
+            "closed_forms": self.closed_forms,
             "refusals": dict(self.refusals),
             "materializations": dict(self.materializations),
         }
@@ -717,7 +774,7 @@ class FluidRegion:
     def attach_metrics(self, registry) -> None:
         registry.gauge(
             "sim.fluid_fastforwards",
-            "advance passes that synthesized at least one packet",
+            "settle passes that paid at least one packet",
         ).set_function(lambda: float(self.fastforwards))
         registry.gauge(
             "sim.fluid_time_saved_s",
@@ -726,14 +783,20 @@ class FluidRegion:
         registry.gauge(
             "sim.fluid_packets_synthesized",
             "packets accounted analytically instead of event-by-event",
-        ).set_function(lambda: float(self.packets_synthesized))
-        registry.gauge(
-            "sim.fluid_advances", "per-flow analytic back-fills",
-        ).set_function(lambda: float(self.advances))
+        ).set_function(lambda: self.flush() or float(self.packets_synthesized))
         registry.gauge(
             "sim.fluid_settles",
-            "per-flow payments of owed packets into the path's counters",
+            "per-flow payments of emitted packets into the path's"
+            " counters and clocks",
         ).set_function(lambda: float(self.settles))
+        registry.gauge(
+            "sim.fluid_clock_reads",
+            "times a clock's reader asked the suspended flows driving it",
+        ).set_function(lambda: float(self.clock_reads))
+        registry.gauge(
+            "sim.fluid_closed_forms",
+            "evaluations of a suspended flow's emission count",
+        ).set_function(lambda: float(self.closed_forms))
         registry.gauge(
             "sim.fluid_suspended_flows", "flows currently fast-forwarded",
         ).set_function(lambda: float(len(self._suspended)))

@@ -80,6 +80,9 @@ class LegacySwitch(Node):
         self.stp_enabled = stp_enabled
         self.flood_lldp = flood_lldp
         self.mac_table: Dict[str, Tuple[int, float]] = {}
+        # MAC -> repro.net.fluid.ClockShare of the suspended flows whose
+        # analytic frames keep it learned here.
+        self.fluid_macs: Dict[str, object] = {}
         # STP state.
         self._best_received: Dict[int, Tuple[_PriorityVector, float]] = {}
         self._root_vector = _PriorityVector(bridge_id, 0, bridge_id, 0)
@@ -204,7 +207,10 @@ class LegacySwitch(Node):
         self.mac_table[frame.src] = (in_port, self.sim.now)
 
         entry = self.mac_table.get(frame.dst)
-        if entry is not None and self.sim.now - entry[1] <= MAC_AGING_S:
+        if entry is not None and (
+            self.sim.now - entry[1] <= MAC_AGING_S
+            or self._refreshed_by_fluid(frame.dst)
+        ):
             out_port, _ = entry
             if out_port != in_port and self.port_is_forwarding(out_port):
                 self.send(frame, out_port)
@@ -224,12 +230,23 @@ class LegacySwitch(Node):
         if not self.port_is_forwarding(in_port):
             return None
         entry = self.mac_table.get(frame.dst)
-        if entry is None or self.sim.now - entry[1] > MAC_AGING_S:
+        if entry is None or (
+            self.sim.now - entry[1] > MAC_AGING_S
+            and not self._refreshed_by_fluid(frame.dst)
+        ):
             return None
         out_port, _ = entry
         if out_port == in_port or not self.port_is_forwarding(out_port):
             return None
         return out_port
+
+    def _refreshed_by_fluid(self, mac: str) -> bool:
+        """Whether a suspended flow's analytic frames have kept ``mac``
+        learned; asked only when its stored refresh time has aged out
+        (nothing writes that time while the flow is suspended)."""
+        share = self.fluid_macs.get(mac)
+        now = self.sim.now
+        return share is not None and now - share.latest(now) <= MAC_AGING_S
 
     def _flood_forwarding(self, frame: Ethernet, in_port: int) -> None:
         for port in self.attached_ports():

@@ -42,11 +42,15 @@ class _Direction:
         "tx_bytes",
         "dropped",
         "busy_time",
+        "fluid",
     )
 
     def __init__(self, to_port: "Port") -> None:
         self.to_port = to_port
         self.next_free = 0.0
+        # repro.net.fluid.ClockShare of the suspended flows whose
+        # analytic frames serialize here; None when there are none.
+        self.fluid = None
         # Serialization-completion times of queued frames, ascending
         # (next_free is monotone).  A slot frees when its frame is
         # fully on the wire -- before propagation completes.
@@ -70,14 +74,16 @@ class HopPlan:
     Built once per suspension by :meth:`Link.fluid_plan`.
     ``end_offset_s`` is when a frame emitted at ``t`` finishes
     *serializing* on this hop (arrival at the far end minus
-    propagation) -- every analytic advance moves the direction's
-    ``next_free`` clock to it, so a packet-level frame arriving right
-    after a fast-forward (a new flow's first punt, a materialized
-    resume) waits behind the analytic traffic exactly as it would have
-    behind the real frames.  ``medium`` is the shared radio for
-    wireless hops (None on wired links), whose clock moves too.  The
-    counters the same traffic is owed are paid later, per path, by
-    :meth:`repro.net.fluid.FluidRegion.flush`.
+    propagation) -- where the analytic traffic moves the direction's
+    ``next_free`` clock, so a packet-level frame sent while a
+    suspended flow's frame is on the wire (background chatter, a new
+    flow's first punt, a materialized resume) waits behind it exactly
+    as it would have behind the real frame.  ``medium`` is the shared
+    radio for wireless hops (None on wired links), whose clock moves
+    too.  Nothing is stored while the flow is suspended: ``transmit``
+    asks the direction's share, and a settle
+    (:meth:`repro.net.fluid.FluidRegion.flush`) stores the clock and
+    pays the counters the same traffic is owed.
     """
 
     __slots__ = ("link", "direction", "from_port", "medium", "end_offset_s")
@@ -149,6 +155,11 @@ class Link:
         size = frame.size
         tx_time = size * 8.0 / self.bandwidth_bps
         done = direction.next_free
+        if direction.fluid is not None:
+            # A suspended flow's frame may still be serializing.
+            busy = direction.fluid.latest(now, pending=True)
+            if busy > done:
+                done = busy
         if done < now:
             done = now
         done += tx_time

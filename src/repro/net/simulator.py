@@ -99,7 +99,7 @@ class Simulator:
         self.events_processed = 0
         self.heap_compactions = 0
         # Attached fluid fast-forward region (see repro.net.fluid); the
-        # run loop consults it before every event pop.
+        # run loop only settles it on the way out.
         self.fluid = None
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
@@ -148,20 +148,21 @@ class Simulator:
     def attach_fluid(self, region) -> None:
         """Attach a fluid fast-forward region (one per simulator).
 
-        The run loop calls ``region.advance_to(horizon)`` before every
-        event, so analytic clocks are always caught up to ``now`` when
-        a callback runs, and ``region.flush()`` when it returns.
+        The run loop never consults it: a suspended flow is a function
+        of time that the readers of its clocks and counters ask, and
+        its validity caps are ordinary events.  :meth:`run` only calls
+        ``region.flush()`` when it returns.
         """
         if self.fluid is not None and self.fluid is not region:
             raise RuntimeError("a fluid region is already attached")
         self.fluid = region
 
     def settle_fluid(self) -> None:
-        """Have the attached fluid region, if any, pay the counters its
-        suspended flows owe (``FluidRegion.flush``).  Every cold path
-        that reports a port, link, table or delivery total from inside
-        the event loop calls this first; :meth:`run` calls it on its
-        way out."""
+        """Have the attached fluid region, if any, settle its suspended
+        flows up to ``now`` (``FluidRegion.flush``: counters paid,
+        clocks stored).  Every cold path that reports a port, link,
+        table or delivery total from inside the event loop calls this
+        first; :meth:`run` calls it on its way out."""
         if self.fluid is not None:
             self.fluid.flush()
 
@@ -232,12 +233,9 @@ class Simulator:
         or ``max_events`` have fired.  The clock only moves forwards:
         an ``until`` in the past fires nothing and leaves ``now`` alone.
 
-        When a fluid region is attached and has suspended flows, their
-        clocks are advanced to each event's timestamp before the event
-        fires (and to ``until`` before returning), so every callback
-        acts on state consistent with packet-level time; the counters
-        the same packets are owed are settled by whoever reads them
-        inside the loop, and here before returning.
+        An attached fluid region costs the loop nothing per event; it
+        is settled before returning, so whatever runs outside the loop
+        reads what the packets so far would have written.
         """
         if self._running:
             # The loop below holds the heap and its own counters in
@@ -267,12 +265,6 @@ class Simulator:
                 if processed >= stop_at:
                     break
                 time = head[0]
-                fluid = self.fluid
-                if fluid is not None and fluid.active:
-                    if fluid.advance_to(until if until < time else time):
-                        # A suspended flow re-materialized before the
-                        # head event: re-evaluate heap order.
-                        continue
                 if time > until:
                     if until > self.now:
                         self.now = until
@@ -289,14 +281,9 @@ class Simulator:
                 self.events_processed = processed
             else:
                 if bounded and until > self.now:
-                    fluid = self.fluid
-                    if fluid is not None and fluid.active:
-                        fluid.advance_to(until)
                     self.now = until
         finally:
             self._running = False
-            # Whatever reads a counter outside the loop reads what the
-            # packets so far would have written.
             self.settle_fluid()
 
     def pending(self) -> int:

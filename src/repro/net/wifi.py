@@ -32,11 +32,14 @@ class AirMedium:
         self.next_free = 0.0
         self.busy_time = 0.0
         self.frames = 0
+        self.fluid = None  # as _Direction.fluid: who has frames on the air
 
     def reserve(self, now: float, size_bytes: int) -> float:
         """Reserve airtime for a frame; returns the completion time."""
         tx_time = size_bytes * 8.0 / self.bandwidth_bps
         start = max(now, self.next_free)
+        if self.fluid is not None:
+            start = max(start, self.fluid.latest(now, pending=True))
         done = start + tx_time
         self.next_free = done
         self.busy_time += tx_time
@@ -88,9 +91,9 @@ class WirelessLink(Link):
         return True
 
     def fluid_plan(self, from_port, arrival_offset_s: float):
-        # Same wired plan, plus the shared radio: an advance moves the
-        # radio's serialization clock alongside the per-direction one,
-        # and a settle accounts its airtime.
+        # Same wired plan, plus the shared radio: the analytic traffic
+        # drives its serialization clock alongside the per-direction
+        # one, and a settle accounts its airtime.
         plan = super().fluid_plan(from_port, arrival_offset_s)
         plan.medium = self.medium
         return plan

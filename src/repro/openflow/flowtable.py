@@ -66,6 +66,10 @@ class FlowEntry:
     # tie-break) and residency (lazy heap nodes outlive evicted rows).
     seq: int = field(default=0, compare=False, repr=False)
     resident: bool = field(default=False, compare=False, repr=False)
+    # repro.net.fluid.ClockShare of the suspended flows whose analytic
+    # packets hit this entry, else None.  FlowMods materialize first, so
+    # an entry that is replaced, modified or deleted never carries one.
+    fluid: Optional[object] = field(default=None, compare=False, repr=False)
     # ``actions`` compiled for the datapath; rebuilt by FlowTable.modify,
     # the one place that replaces an entry's actions.
     plan: ActionPlan = field(init=False, compare=False, repr=False)
@@ -88,7 +92,11 @@ class FlowEntry:
         if self.hard_timeout > 0 and now - self.created_at >= self.hard_timeout:
             return "hard"
         if self.idle_timeout > 0 and now - self.last_used_at >= self.idle_timeout:
-            return "idle"
+            # Nothing stores the hits of suspended flows until a settle;
+            # only here, about to idle out, does anyone need to ask.
+            share = self.fluid
+            if share is None or now - share.latest(now) >= self.idle_timeout:
+                return "idle"
         return None
 
     def next_deadline(self) -> Optional[float]:
@@ -251,6 +259,7 @@ class FlowTable:
     def _discard(self, entry: FlowEntry) -> None:
         """Unlink an entry from every structure (not the heap: its node
         is skipped on pop via the residency flag)."""
+        assert entry.fluid is None, "entry discarded under a suspended flow"
         entry.resident = False
         index = _scan_position(self._entries, entry.priority, entry.seq)
         assert self._entries[index] is entry
@@ -287,6 +296,7 @@ class FlowTable:
             if strict_priority is not None and entry.priority != strict_priority:
                 continue
             if entry.match.is_subset_of(match):
+                assert entry.fluid is None, "entry modified under a suspended flow"
                 entry.actions = actions
                 entry.plan = plan
                 count += 1
@@ -342,6 +352,10 @@ class FlowTable:
                         deadline = math.nextafter(now, math.inf)
                     heapq.heappush(heap, (deadline, seq, entry))
                 continue
+            # A hard timeout can pass under suspended flows: they stop
+            # short of it by themselves (their cap event) and need no
+            # refresh from an entry that is gone.
+            entry.fluid = None
             self._discard(entry)
             self.pending_removals.append(_RemovedEntry(entry, reason))
 
@@ -454,11 +468,10 @@ class FlowTable:
         """Fold analytically advanced traffic into the hit counters.
 
         Mirrors what ``packets`` calls of :meth:`lookup` would have
-        accumulated on the entry and the table; the idle-timeout
-        refresh is not here -- the datapath acts on ``last_used_at``,
-        so the fluid kernel moves it at every advance, not at settle
-        time.  ``exact`` is the entry's index class, computed once per
-        suspension.
+        accumulated on the entry and the table; the same settle stores
+        the idle-timeout refresh (``last_used_at``), which until then
+        :meth:`FlowEntry.expired` asks the entry's share for.  ``exact``
+        is the entry's index class, computed once per suspension.
         """
         entry.packets += packets
         entry.bytes += total_bytes
