@@ -1,6 +1,6 @@
 # Convenience targets for the LiveSec reproduction.
 
-.PHONY: install test bench bench-smoke lint stats-smoke chaos-smoke \
+.PHONY: install test bench experiments bench-smoke lint stats-smoke chaos-smoke \
 	chaos-determinism accountability-smoke replay-smoke policy-smoke \
 	shard-smoke fluid-smoke ops-smoke perf-smoke examples all
 
@@ -27,6 +27,11 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only -s
+
+# Every paper experiment of the catalogue (E1-E14, E20) as the
+# markdown tables EXPERIMENTS.md is pasted from; about 3 minutes.
+experiments:
+	PYTHONPATH=src python -m repro experiment all --format markdown
 
 # Seconds-scale microbenches of the scan-vs-index hot paths, the
 # shard fabric's scaling curve, and the fluid fast-forward kernel;

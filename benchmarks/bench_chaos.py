@@ -1,4 +1,4 @@
-"""E14 (robustness: failure recovery under deterministic chaos).
+"""E21 (robustness: failure recovery under deterministic chaos).
 
 The paper deploys LiveSec on a production campus network (Section V),
 where VM-based service elements *do* die.  This bench scores the
@@ -23,23 +23,17 @@ re-steer its sessions -- deterministically.  Run this file directly
 to ``BENCH_chaos_detect.json`` at the repo root.
 """
 
-import json
 import sys
-from pathlib import Path
 
 from repro.analysis import format_table
 from repro.faults import run_chaos_scenario, run_compromised_switch_scenario
 
-from common import run_once
-
-DETECT_RESULT_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_chaos_detect.json"
-)
+from common import run_once, write_result
 
 COMPROMISE_VARIANTS = ("skip-waypoint", "misroute", "tag-strip")
 
 
-def test_e14_chaos_recovery(benchmark):
+def test_e21_chaos_recovery(benchmark):
     def experiment():
         clean = run_chaos_scenario(seed=7, fail_mode="open", crash="one",
                                    duration_s=12.0)
@@ -75,7 +69,7 @@ def test_e14_chaos_recovery(benchmark):
                 ["install failures",
                  clean.install_failures, lossy.install_failures],
             ],
-            title="E14: failure recovery under chaos",
+            title="E21: failure recovery under chaos",
         ),
         file=sys.stderr,
     )
@@ -162,8 +156,5 @@ def test_e17_compromised_switch_detection(benchmark):
 if __name__ == "__main__":
     detect_results = run_detect_experiment()
     report_detect(detect_results, out=sys.stdout)
-    DETECT_RESULT_PATH.write_text(
-        json.dumps(detect_results, indent=2) + "\n"
-    )
-    print(f"wrote {DETECT_RESULT_PATH}")
+    write_result("chaos_detect", detect_results)
     check_detect(detect_results)

@@ -14,17 +14,15 @@ Runs standalone (``python benchmarks/bench_eventlog.py`` with
 pytest-benchmark like every other bench file.
 """
 
-import json
 import random
 import sys
 import time
-from pathlib import Path
 
 from repro.analysis import format_table
 from repro.core.events import EventKind, EventLog
 from repro.core.visualization import MonitoringComponent
 
-from common import run_once
+from common import run_once, write_result
 
 STREAM_SIZES = (10_000, 100_000)
 SEGMENT_SIZE = 512
@@ -32,7 +30,6 @@ CHECKPOINT_INTERVAL = 512
 RETENTION_SEGMENTS = 4
 REPLAY_PROBES = 12
 SPEEDUP_FLOOR_AT_100K = 5.0
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_eventlog.json"
 
 
 def build_stream(num_events, seed=7):
@@ -193,6 +190,5 @@ def test_e16_event_store(benchmark):
 if __name__ == "__main__":
     bench_results = run_experiment()
     report(bench_results, out=sys.stdout)
-    RESULT_PATH.write_text(json.dumps(bench_results, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+    write_result("eventlog", bench_results)
     check(bench_results)

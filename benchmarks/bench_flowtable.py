@@ -12,10 +12,8 @@ Runs standalone (``python benchmarks/bench_flowtable.py`` with
 pytest-benchmark like every other bench file.
 """
 
-import json
 import sys
 import time
-from pathlib import Path
 
 from repro.analysis import format_table
 from repro.net import packet as pkt
@@ -23,13 +21,12 @@ from repro.openflow.actions import Output
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.match import Match
 
-from common import run_once
+from common import run_once, write_result
 
 TABLE_SIZES = (100, 1000)
 WILDCARD_RULES = 8
 MAX_PROBES = 200
 SPEEDUP_FLOOR_AT_1000 = 5.0
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_flowtable.json"
 
 
 def _ip(index):
@@ -129,6 +126,5 @@ def test_e15_indexed_lookup(benchmark):
 if __name__ == "__main__":
     bench_results = run_experiment()
     report(bench_results, out=sys.stdout)
-    RESULT_PATH.write_text(json.dumps(bench_results, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+    write_result("flowtable", bench_results)
     check(bench_results)

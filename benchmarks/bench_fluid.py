@@ -26,17 +26,15 @@ Runs standalone (``python benchmarks/bench_fluid.py`` with
 ``BENCH_fluid.json``, or under pytest-benchmark.
 """
 
-import json
 import random
 import sys
 import time
-from pathlib import Path
 
 from repro.analysis import format_table
 from repro.core.deployment import build_livesec_network
 from repro.workloads.flows import CbrUdpFlow
 
-from common import run_once
+from common import run_once, write_result
 
 NUM_AS = 8
 HOSTS_PER_AS = 16
@@ -49,7 +47,6 @@ SPEEDUP_FLOOR = 10.0
 #: totals must agree to within the packets in flight at the final cut.
 DELIVERED_TOLERANCE_FRAMES_PER_FLOW = 2
 START_WINDOW_SLOTS = 10  # x 10 ms = the 0.1 s start window
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fluid.json"
 
 
 def start_offset(rng: random.Random, index: int) -> float:
@@ -71,7 +68,7 @@ def run_mode(fluid: bool) -> dict:
     )
     net.start()
     rng = random.Random(19)
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
+    hosts = net.topology.user_hosts
     flows = []
     dsts = []
     for index in range(NUM_FLOWS):
@@ -175,6 +172,5 @@ def test_e19_fluid_fastforward(benchmark):
 if __name__ == "__main__":
     bench_results = run_experiment()
     report(bench_results, out=sys.stdout)
-    RESULT_PATH.write_text(json.dumps(bench_results, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+    write_result("fluid", bench_results)
     check(bench_results)

@@ -26,15 +26,15 @@ pytest-benchmark like every other bench file.
 """
 
 import gc
-import json
 import sys
-from pathlib import Path
 
 from repro.core.deployment import build_sharded_network
 from repro.analysis import format_table
+from repro.net.topologies import GATEWAY_IP
 from repro.workloads import CbrUdpFlow
+from repro.workloads.scenarios import gateway_ids_policies
 
-from common import GATEWAY_IP, ids_chain_policies, run_once
+from common import run_once, write_result
 
 SHARD_COUNTS = (1, 2, 4, 8)
 NUM_SWITCHES = 16
@@ -42,9 +42,6 @@ USERS = 100_000
 FLOWS = 1_200
 FLOW_SPACING_S = 0.003
 SPEEDUP_FLOOR_AT_8 = 3.0
-RESULT_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_shard_scaling.json"
-)
 
 PACKET_KINDS = ("arp", "dhcp", "service", "data")
 
@@ -85,7 +82,7 @@ def run_config(num_shards: int) -> dict:
     net = build_sharded_network(
         num_shards=num_shards,
         topology="linear",
-        policies=ids_chain_policies,
+        policies=gateway_ids_policies,
         elements=[("ids", NUM_SWITCHES)],
         num_as=NUM_SWITCHES,
         hosts_per_as=1,
@@ -101,7 +98,7 @@ def run_config(num_shards: int) -> dict:
     # and the residents out of them.
     gc.collect()
     gc.freeze()
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
+    hosts = net.topology.user_hosts
     before = net.total_sessions_created()
     flows = []
     for index in range(FLOWS):
@@ -188,6 +185,5 @@ def test_e18_shard_scaling(benchmark):
 if __name__ == "__main__":
     bench_results = run_experiment()
     report(bench_results, out=sys.stdout)
-    RESULT_PATH.write_text(json.dumps(bench_results, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+    write_result("shard_scaling", bench_results)
     check(bench_results)

@@ -11,21 +11,13 @@ uplink load split.
 Run with:  python examples/datacenter_fabric.py
 """
 
-from repro import Policy, PolicyTable
+from repro import Policy, PolicyTable, build_livesec_network
 from repro.analysis.ascii_charts import bar_chart
-from repro.core.controller import LiveSecController
-from repro.core.deployment import LiveSecNetwork
 from repro.core.policy import FlowSelector, PolicyAction
-from repro.core.visualization import MonitoringComponent
-from repro.net.fattree import fat_tree_topology
-from repro.net.simulator import Simulator
 from repro.workloads.tcpflows import TcpServer, TcpTransfer
 
 
 def main() -> None:
-    sim = Simulator()
-    topo = fat_tree_topology(sim, k=4, hosts_per_edge=2,
-                             access_bandwidth_bps=1e9)
     policies = PolicyTable()
     policies.begin().add(Policy(
         name="east-west-ids",
@@ -33,12 +25,11 @@ def main() -> None:
         action=PolicyAction.CHAIN,
         service_chain=("ids",),
     )).commit()
-    controller = LiveSecController(sim, policies=policies)
-    net = LiveSecNetwork(
-        sim=sim, topology=topo, controller=controller,
-        monitoring=MonitoringComponent(controller.log),
+    net = build_livesec_network(
+        topology="fattree", policies=policies,
+        k=4, hosts_per_edge=2, access_bandwidth_bps=1e9,
     )
-    net._connect_channels()
+    topo = net.topology
     # Two IDS elements in different pods.
     net.add_element("ids", topo.as_switches[0])
     net.add_element("ids", topo.as_switches[5])

@@ -5,7 +5,6 @@ from repro.analysis.metrics import (
     mbps,
     percentile,
     summarize_latencies,
-    windowed_goodput_bps,
 )
 from repro.analysis.tables import format_table
 
@@ -14,6 +13,5 @@ __all__ = [
     "mbps",
     "percentile",
     "summarize_latencies",
-    "windowed_goodput_bps",
     "format_table",
 ]

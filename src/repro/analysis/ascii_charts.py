@@ -1,35 +1,13 @@
-"""Tiny ASCII chart helpers for terminal output.
+"""Tiny ASCII chart helper for terminal output.
 
 The original WebUI rendered link-load and element-load graphs in
-Flash; the CLI and examples render the same series as sparklines and
-horizontal bar charts so a deployment can be eyeballed from a
-terminal.
+Flash; the examples render the same series as horizontal bar charts so
+a deployment can be eyeballed from a terminal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], maximum: float = None) -> str:
-    """A one-line unicode sparkline of a series.
-
-    >>> sparkline([0, 1, 2, 3])
-    '▁▃▆█'
-    """
-    if not values:
-        return ""
-    top = maximum if maximum is not None else max(values)
-    if top <= 0:
-        return _SPARK_LEVELS[0] * len(values)
-    chars = []
-    for value in values:
-        clamped = min(max(value, 0.0), top)
-        index = round(clamped / top * (len(_SPARK_LEVELS) - 1))
-        chars.append(_SPARK_LEVELS[index])
-    return "".join(chars)
+from typing import Dict
 
 
 def bar_chart(
@@ -54,10 +32,3 @@ def bar_chart(
         rendered = f"{value:g}{unit}"
         lines.append(f"{label.ljust(label_width)}  {bar} {rendered}")
     return "\n".join(lines)
-
-
-def utilization_meter(fraction: float, width: int = 20) -> str:
-    """A [####----] 42% meter for link/CPU utilization."""
-    clamped = min(max(fraction, 0.0), 1.0)
-    filled = round(clamped * width)
-    return f"[{'#' * filled}{'-' * (width - filled)}] {clamped * 100:.0f}%"

@@ -1,8 +1,7 @@
-"""Metrics: throughput, latency summaries, periodic sampling.
+"""Metrics: unit conversion, latency summaries, periodic sampling.
 
-These are the measurement primitives every bench uses to turn raw
-simulator state (byte counters, RTT lists, element loads) into the
-numbers the paper reports.
+The paper experiments' measurement window lives with them, in
+:func:`repro.workloads.experiments.measure`.
 """
 
 from __future__ import annotations
@@ -16,15 +15,6 @@ def mbps(bits: float, seconds: float) -> float:
     if seconds <= 0:
         return 0.0
     return bits / seconds / 1e6
-
-
-def windowed_goodput_bps(
-    bytes_before: int, bytes_after: int, window_s: float
-) -> float:
-    """Delivered rate between two byte-counter snapshots."""
-    if window_s <= 0:
-        return 0.0
-    return (bytes_after - bytes_before) * 8.0 / window_s
 
 
 def percentile(values: Sequence[float], p: float) -> float:

@@ -39,6 +39,25 @@ def format_table(
     return "\n".join(lines)
 
 
+def format_markdown(
+    headers: Sequence[str], rows: Sequence[Sequence[object]]
+) -> str:
+    """The same cells as :func:`format_table`, as a GitHub table.
+
+    >>> print(format_markdown(["a", "b"], [[1, 2.5]]))
+    | a | b |
+    |---|---|
+    | 1 | 2.5 |
+    """
+    lines = ["| " + " | ".join(str(h) for h in headers) + " |",
+             "|" + "---|" * len(headers)]
+    lines.extend(
+        "| " + " | ".join(_cell(value) for value in row) + " |"
+        for row in rows
+    )
+    return "\n".join(lines)
+
+
 def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4g}" if abs(value) < 1000 else f"{value:.0f}"

@@ -3,12 +3,9 @@
 A terminal front door to the reproduction, for poking at the system
 without writing a script:
 
-* ``campus``      -- run the Figure 7/8 campus scenario, render both
-                     moments, optionally dump the monitoring DB to JSON,
-* ``throughput``  -- measure HTTP goodput through N IDS elements (the
-                     E2 configuration),
-* ``latency``     -- the legacy-vs-LiveSec ping comparison (E5),
-* ``loadbalance`` -- per-element load shares under a chosen dispatcher,
+* ``experiment``  -- run paper experiments from the catalogue
+                     (:mod:`repro.workloads.experiments`) by id, or
+                     ``all``; no ids lists them,
 * ``stats``       -- run HTTP traffic and print the controller's
                      observability snapshot (text, JSON, or Prometheus),
 * ``chaos``       -- seeded fault-injection run (element crashes, optional
@@ -17,8 +14,6 @@ without writing a script:
                      as JSONL,
 * ``replay``      -- reconstruct and render any past moment of a recorded
                      run from a JSONL event-log file,
-* ``scale``       -- build the paper-scale FIT deployment and print the
-                     controller's view of it,
 * ``fluid``       -- run a seeded CBR mix under the fluid fast-forward
                      kernel next to the packet-level oracle and diff
                      the outcomes (optionally asserting equivalence),
@@ -34,26 +29,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro import Policy, PolicyTable, build_livesec_network
-from repro.analysis.ascii_charts import bar_chart
-from repro.analysis.metrics import mbps
-from repro.core.policy import FlowSelector, PolicyAction
+from repro import build_livesec_network
 from repro.core.visualization import render_snapshot
-
-GATEWAY_IP = "10.255.255.254"
-
-
-def _ids_policies(chain=("ids",)) -> PolicyTable:
-    table = PolicyTable()
-    table.begin(source="cli").add(Policy(
-        name="inspect-internet",
-        selector=FlowSelector(dst_ip=GATEWAY_IP),
-        action=PolicyAction.CHAIN,
-        service_chain=tuple(chain),
-    )).commit()
-    return table
+from repro.net.topologies import GATEWAY_IP
+from repro.workloads.scenarios import gateway_ids_policies
 
 
 def _demo_net(num_as: int = 2, elements: int = 1):
@@ -61,7 +42,7 @@ def _demo_net(num_as: int = 2, elements: int = 1):
     reload`` and ``ops`` share: linear, two hosts per AS switch, the
     IDS chain toward the gateway."""
     net = build_livesec_network(
-        topology="linear", policies=_ids_policies(),
+        topology="linear", policies=gateway_ids_policies(),
         num_as=num_as, hosts_per_as=2,
     )
     for index in range(elements):
@@ -75,175 +56,60 @@ def _demo_traffic(net) -> list:
     by 50 ms; returns the started flows."""
     from repro.workloads import HttpFlow
 
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
     return [
         HttpFlow(net.sim, host, GATEWAY_IP, rate_bps=2e6,
                  packet_size=1500).start(delay_s=offset * 0.05)
-        for offset, host in enumerate(hosts)
+        for offset, host in enumerate(net.topology.user_hosts)
     ]
 
 
-def cmd_campus(args: argparse.Namespace) -> int:
-    from repro.workloads import AttackWebFlow
-    from repro.workloads.users import UserBehavior
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """Run catalogue entries: print each table, exit 1 on a failed
+    shape check."""
+    import json
 
-    net = build_livesec_network(
-        topology="fit", policies=_ids_policies(("l7", "ids")),
-        num_ovs=3, num_aps=1, wired_users=0, wireless_users=5,
-        host_timeout_s=8.0,
-    )
-    for element_type, index in (("ids", 0), ("ids", 1), ("l7", 0), ("l7", 1)):
-        net.add_element(element_type, net.topology.as_switches[index])
-    net.start()
-    users = [
-        UserBehavior(net.sim, net.host(f"wifi{i + 1}"), GATEWAY_IP,
-                     profile="web" if i < 4 else "ssh", rate_bps=400e3)
-        for i in range(5)
-    ]
-    for user in users:
-        user.join()
-    net.run(6.0)
-    print("--- normal environment (paper Figure 7) ---")
-    print(render_snapshot(net.monitoring.snapshot()))
+    from repro.analysis.tables import format_markdown, format_table
+    from repro.workloads.experiments import BY_ID, CATALOGUE
 
-    users[3].leave()
-    users[0].rate_bps = 2e6
-    users[0].switch_profile("bittorrent")
-    AttackWebFlow(net.sim, users[2].host, GATEWAY_IP, rate_bps=1e6,
-                  duration_s=5.0).start()
-    net.run(12.0)
-    print("\n--- events (paper Figure 8) ---")
-    print(render_snapshot(net.monitoring.snapshot()))
-
-    if args.dump_json:
-        from repro.core.webdb import WebDatabase
-
-        rows = WebDatabase(net.monitoring).dump(args.dump_json)
-        print(f"\nwrote {rows} event rows to {args.dump_json}")
-    return 0
-
-
-def cmd_throughput(args: argparse.Namespace) -> int:
-    from repro.workloads import HttpFlow
-
-    net = build_livesec_network(
-        topology="linear", policies=_ids_policies(),
-        num_as=6, hosts_per_as=2, access_bandwidth_bps=1e9,
-        core_bandwidth_bps=10e9, gateway_bandwidth_bps=10e9,
-    )
-    for index in range(args.elements):
-        net.add_element("ids", net.topology.as_switches[index % 4],
-                        bypass=args.bypass)
-    net.start()
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
-    flows = [
-        HttpFlow(net.sim, host, GATEWAY_IP, rate_bps=250e6,
-                 packet_size=1500).start()
-        for host in hosts[: max(2, 2 * args.elements)]
-    ]
-    net.run(0.5)
-    before = net.gateway.rx_bytes
-    net.run(args.seconds)
-    goodput = mbps((net.gateway.rx_bytes - before) * 8, args.seconds)
-    for flow in flows:
-        flow.stop()
-    mode = "bypass" if args.bypass else "inspected HTTP"
-    print(f"{args.elements} element(s), {mode}: {goodput:.0f} Mbps"
-          f"  (paper: 421 per inspecting element, ~500 bypass)")
-    shares = {
-        element.name: round(element.processed_bytes * 8 / args.seconds / 1e6)
-        for element in net.elements
-    }
-    if shares:
-        print(bar_chart(shares, unit=" Mbps"))
-    return 0
-
-
-# One-way WAN delay between the building gateway and the pinged
-# Internet server, applied identically to both architectures.
-WAN_DELAY_S = 0.8e-3
-PING_GAP_S = 0.2
-
-
-def measure_ping_latency(pings: int = 30) -> Tuple[float, float]:
-    """E5: average ping RTT in ms, user to Internet server, over the
-    pure legacy path and over the LiveSec path (user -> AS switch ->
-    legacy -> AS switch -> gateway).
-
-    The first LiveSec ping is excluded exactly as a steady-state mean
-    would: it pays the one-time controller round trip, and the paper
-    reports the average latency of an established path."""
-    from repro.baselines import build_traditional_network
-
-    def mean_ms(rtts: List[float]) -> float:
-        if len(rtts) < 0.9 * pings:
-            raise RuntimeError(f"only {len(rtts)} of {pings} pings returned")
-        return (sum(rtts) / len(rtts) + 2 * WAN_DELAY_S) * 1e3
-
-    baseline = build_traditional_network(num_access=2, hosts_per_access=1,
-                                         with_middlebox=False)
-    baseline.run(1.0)
-    baseline.announce_all()
-    baseline.run(0.5)
-    host = baseline.host("h1")
-    for index in range(pings):
-        baseline.sim.post(index * PING_GAP_S, host.ping, baseline.gateway.ip)
-    baseline.run(pings * PING_GAP_S + 1.0)
-
-    net = build_livesec_network(topology="linear", num_as=2, hosts_per_as=1)
-    net.start()
-    user = net.host("h1_1")
-    for index in range(pings + 1):
-        net.sim.post(index * PING_GAP_S, user.ping, GATEWAY_IP)
-    net.run((pings + 1) * PING_GAP_S + 1.0)
-    return mean_ms(host.ping_rtts), mean_ms(user.ping_rtts[1:])
-
-
-def cmd_latency(args: argparse.Namespace) -> int:
-    legacy_ms, livesec_ms = measure_ping_latency(args.pings)
-    overhead = livesec_ms / legacy_ms - 1
-    print(f"legacy:  {legacy_ms:.3f} ms")
-    print(f"livesec: {livesec_ms:.3f} ms")
-    print(f"overhead: {overhead * 100:.1f}%  (paper: ~10%)")
-    return 0
-
-
-def cmd_loadbalance(args: argparse.Namespace) -> int:
-    from repro.workloads import HttpFlow
-    from repro.core.loadbalance import load_deviation
-
-    net = build_livesec_network(
-        topology="linear", policies=_ids_policies(),
-        dispatcher=args.dispatcher, num_as=6, hosts_per_as=2,
-        access_bandwidth_bps=1e9, core_bandwidth_bps=10e9,
-        gateway_bandwidth_bps=10e9,
-    )
-    for index in range(4):
-        net.add_element("ids", net.topology.as_switches[index])
-    net.start()
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
-    flows = []
-    for repeat in range(5):
-        for offset, host in enumerate(hosts[:8]):
-            flow = HttpFlow(net.sim, host, GATEWAY_IP, rate_bps=5e6,
-                            packet_size=1500)
-            flow.start(delay_s=repeat * 0.3 + offset * 0.05)
-            flows.append(flow)
-    net.run(2.0)
-    before = [e.processed_packets for e in net.elements]
-    net.run(args.seconds)
-    rates = [
-        (element.processed_packets - b) / args.seconds
-        for element, b in zip(net.elements, before)
-    ]
-    for flow in flows:
-        flow.stop()
-    print(f"dispatcher: {args.dispatcher}")
-    print(bar_chart({e.name: round(r) for e, r in zip(net.elements, rates)},
-                    unit=" pps"))
-    print(f"deviation: {load_deviation(rates) * 100:.1f}%"
-          f"  (paper: <=5% with minload)")
-    return 0
+    if not args.ids:
+        for experiment in CATALOGUE:
+            print(f"{experiment.id:<4} {experiment.section:<8}"
+                  f" {experiment.title}")
+        return 0
+    unknown = [i for i in args.ids if i != "all" and i not in BY_ID]
+    if unknown:
+        print(f"unknown experiment id(s) {unknown};"
+              f" choose from {list(BY_ID)} or 'all'", file=sys.stderr)
+        return 2
+    chosen = CATALOGUE if "all" in args.ids else [BY_ID[i] for i in args.ids]
+    reports = []
+    for experiment in chosen:
+        result = experiment.run()
+        rows = experiment.rows(result)
+        try:
+            experiment.check(result)
+            failure = None
+        except AssertionError as exc:
+            failure = str(exc) or "shape assertion failed"
+        reports.append({
+            "id": experiment.id, "section": experiment.section,
+            "title": experiment.title, "headers": list(experiment.headers),
+            "rows": rows, "failure": failure,
+        })
+        if args.format == "text":
+            print(format_table(experiment.headers, rows,
+                               title=experiment.heading))
+            print()
+        elif args.format == "markdown":
+            print(f"## {experiment.heading}"
+                  f" (Section {experiment.section})\n")
+            print(format_markdown(experiment.headers, rows))
+            print()
+        if failure is not None:
+            print(f"FAIL {experiment.id}: {failure}", file=sys.stderr)
+    if args.format == "json":
+        print(json.dumps(reports, indent=2))
+    return 1 if any(r["failure"] is not None for r in reports) else 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -604,21 +470,20 @@ def cmd_shards(args: argparse.Namespace) -> int:
     net = build_sharded_network(
         num_shards=args.shards,
         topology=args.topology,
-        policies=_ids_policies,
+        policies=gateway_ids_policies,
         elements=[("ids", args.shards)],
         **topology_kwargs,
     )
     net.start()
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
     flows = [
         CbrUdpFlow(net.sim, host, GATEWAY_IP, rate_bps=2e6,
                    duration_s=args.seconds).start()
-        for host in hosts
+        for host in net.topology.user_hosts
     ]
     net.run(args.seconds + 0.5)
     for flow in flows:
         flow.stop()
-    status = net.status()
+    status = net.coordinator.status()
     if args.format == "json":
         import json
 
@@ -694,23 +559,6 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scale(args: argparse.Namespace) -> int:
-    net = build_livesec_network(
-        topology="fit", policies=_ids_policies(),
-        elements=[("ids", 160), ("l7", 40)],
-    )
-    net.start(warmup_s=3.0)
-    status = net.status()
-    print("paper-scale FIT deployment is up:")
-    print(f"  switches:  {status.nib['switches']}"
-          f"  (full mesh: {status.nib['full_mesh']})")
-    print(f"  elements:  {status.registry['online']} online"
-          f"  {status.registry['by_type']}")
-    print(f"  hosts:     {status.nib['hosts'] - status.nib['elements']}")
-    print(f"  events:    {status.events}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -718,30 +566,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    campus = sub.add_parser("campus", help="Figure 7/8 campus scenario")
-    campus.add_argument("--dump-json", metavar="PATH", default=None,
-                        help="write the monitoring DB to a JSON file")
-    campus.set_defaults(func=cmd_campus)
-
-    throughput = sub.add_parser("throughput",
-                                help="HTTP goodput through IDS elements")
-    throughput.add_argument("--elements", type=int, default=2)
-    throughput.add_argument("--seconds", type=float, default=1.5)
-    throughput.add_argument("--bypass", action="store_true")
-    throughput.set_defaults(func=cmd_throughput)
-
-    latency = sub.add_parser("latency", help="legacy vs LiveSec ping RTT")
-    latency.add_argument("--pings", type=int, default=30)
-    latency.set_defaults(func=cmd_latency)
-
-    loadbalance = sub.add_parser("loadbalance",
-                                 help="per-element load shares")
-    loadbalance.add_argument(
-        "--dispatcher", default="minload",
-        choices=["polling", "hash", "queuing", "minload"],
+    experiment = sub.add_parser(
+        "experiment",
+        help="run paper experiments from the catalogue (no ids: list them)",
     )
-    loadbalance.add_argument("--seconds", type=float, default=6.0)
-    loadbalance.set_defaults(func=cmd_loadbalance)
+    experiment.add_argument("ids", nargs="*", metavar="ID",
+                            help="experiment ids (E1 E2 ...) or 'all'")
+    experiment.add_argument("--format", default="text",
+                            choices=["text", "json", "markdown"])
+    experiment.set_defaults(func=cmd_experiment)
 
     stats = sub.add_parser(
         "stats", help="run traffic and print the observability snapshot"
@@ -816,9 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="digest_only",
                         help="print only the event count and sha256 digest")
     replay.set_defaults(func=cmd_replay)
-
-    scale = sub.add_parser("scale", help="paper-scale FIT deployment")
-    scale.set_defaults(func=cmd_scale)
 
     fluid = sub.add_parser(
         "fluid",

@@ -323,9 +323,6 @@ class ShardedDeployment(_Deployment):
     # ------------------------------------------------------------------
     # Introspection
 
-    def status(self) -> dict:
-        return self.coordinator.status()
-
     def event_digest(self) -> str:
         """Folds every shard's log plus the coordinator's."""
         return combined_digest(self.members, self.coordinator)
@@ -347,15 +344,17 @@ _TOPOLOGY_BUILDERS = {
     "linear": linear,
     "star": star,
     "fit": fit_building,
+    "fattree": fat_tree_topology,
 }
 
 
-def _build_topology(sim, topology: str, builders, topology_kwargs) -> Topology:
+def _build_topology(sim, topology: str, topology_kwargs) -> Topology:
     try:
-        builder = builders[topology]
+        builder = _TOPOLOGY_BUILDERS[topology]
     except KeyError:
         raise ValueError(
-            f"unknown topology {topology!r}; choose from {sorted(builders)}"
+            f"unknown topology {topology!r};"
+            f" choose from {sorted(_TOPOLOGY_BUILDERS)}"
         ) from None
     return builder(sim, **topology_kwargs)
 
@@ -379,8 +378,9 @@ def build_livesec_network(
 ) -> LiveSecNetwork:
     """Build (but do not start) a LiveSec deployment.
 
-    ``topology`` is ``'linear' | 'star' | 'fit'`` (kwargs forwarded to
-    the builder in :mod:`repro.net.topologies`).  ``elements`` lists
+    ``topology`` is ``'linear' | 'star' | 'fit' | 'fattree'`` (kwargs
+    forwarded to the builder in :mod:`repro.net.topologies` /
+    :mod:`repro.net.fattree`).  ``elements`` lists
     ``(element_type, count)`` pairs distributed round-robin over the
     AS switches -- e.g. the paper-scale fleet is
     ``[("ids", 160), ("l7", 40)]`` on the ``'fit'`` topology.
@@ -402,7 +402,7 @@ def build_livesec_network(
         # Deployment config loads run verified: a conflicting file must
         # fail the build, not silently serve insertion-order semantics.
         policies = load_policies(policy_file, verify=True)
-    topo = _build_topology(sim, topology, _TOPOLOGY_BUILDERS, topology_kwargs)
+    topo = _build_topology(sim, topology, topology_kwargs)
     controller = LiveSecController(
         sim,
         policies=policies,
@@ -466,10 +466,7 @@ def build_sharded_network(
         )
     if sim is None:
         sim = Simulator()
-    topo = _build_topology(
-        sim, topology, {**_TOPOLOGY_BUILDERS, "fattree": fat_tree_topology},
-        topology_kwargs,
-    )
+    topo = _build_topology(sim, topology, topology_kwargs)
     k = topology_kwargs.get("k", 4)
     if topology == "fattree" and num_shards == k:
         shard_map = ShardMap.per_pod(k)

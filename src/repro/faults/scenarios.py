@@ -15,18 +15,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.deployment import build_livesec_network, build_sharded_network
-from repro.core.policy import (
-    FailMode,
-    FlowSelector,
-    Policy,
-    PolicyAction,
-    PolicyTable,
-)
+from repro.core.policy import PolicyTable
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.net.topologies import GATEWAY_IP
 from repro.workloads import CbrUdpFlow
+from repro.workloads.scenarios import gateway_ids_policies
 
-GATEWAY_IP = "10.255.255.254"
 CRASH_AT_S = 5.0
 
 
@@ -239,16 +234,9 @@ def _score(
 
 def chaos_policy_table(fail_mode: str) -> PolicyTable:
     """The scenario's policy: everything to the gateway rides an IDS
-    chain, with the requested fail mode."""
-    table = PolicyTable()
-    table.begin(source="chaos").add(Policy(
-        name="chaos-ids",
-        selector=FlowSelector(dst_ip=GATEWAY_IP),
-        action=PolicyAction.CHAIN,
-        service_chain=("ids",),
-        fail_mode=FailMode(fail_mode),
-    )).commit()
-    return table
+    chain, with the requested fail mode (``chaos-ids`` is in every
+    pinned chaos digest)."""
+    return gateway_ids_policies("chaos-ids", fail_mode=fail_mode)
 
 
 def run_chaos_scenario(
@@ -318,8 +306,7 @@ def run_chaos_scenario(
     injector = FaultInjector(net, plan)
     injector.arm()
     net.start()
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
-    for host in hosts[:num_hosts]:
+    for host in net.topology.user_hosts[:num_hosts]:
         flow = CbrUdpFlow(
             net.sim, host, GATEWAY_IP,
             rate_bps=2e6, duration_s=duration_s,
@@ -403,9 +390,8 @@ def run_compromised_switch_scenario(
     # it sits on the inspection path purely as an element's home, so a
     # conviction is attributable to forwarding misbehavior alone.
     hosts = [
-        host for host in net.topology.hosts
-        if host is not net.topology.gateway
-        and not host.name.startswith("h2_")
+        host for host in net.topology.user_hosts
+        if not host.name.startswith("h2_")
     ]
     for host in hosts:
         CbrUdpFlow(
@@ -479,13 +465,12 @@ def run_shard_failover_scenario(
     net.start()
 
     gateway = net.topology.gateway
-    hosts = [h for h in net.topology.hosts if h is not gateway]
     flows = {
         host.name: CbrUdpFlow(
             net.sim, host, GATEWAY_IP,
             rate_bps=2e6, duration_s=duration_s,
         ).start()
-        for host in hosts
+        for host in net.topology.user_hosts
     }
 
     # Bytes the gateway has seen per crashed-pod flow, sampled just

@@ -134,7 +134,11 @@ def fat_tree_topology(
     :class:`repro.net.topologies.Topology` (the fat tree's switches are
     exposed through ``topology.legacy``).
     """
-    from repro.net.topologies import GIGABIT as TOPO_GIGABIT, Topology
+    from repro.net.topologies import (
+        GATEWAY_IP,
+        GIGABIT as TOPO_GIGABIT,
+        Topology,
+    )
 
     tree = build_fat_tree(sim, k=k)
     topo = Topology(sim)
@@ -151,6 +155,6 @@ def fat_tree_topology(
     if with_gateway:
         topo.gateway = topo.add_host(
             "gateway", topo.as_switches[0], bandwidth_bps=TOPO_GIGABIT,
-            ip="10.255.255.254",
+            ip=GATEWAY_IP,
         )
     return topo

@@ -30,6 +30,9 @@ GIGABIT = 1e9
 FAST_ETHERNET = 100e6
 CORE_LINK_DELAY_S = 50e-6
 ACCESS_LINK_DELAY_S = 20e-6
+# The gateway host's address in every topology: "the Internet" as seen
+# from a user, and the destination the canned policies select on.
+GATEWAY_IP = "10.255.255.254"
 
 
 class AddressAllocator:
@@ -76,6 +79,11 @@ class Topology:
     def all_openflow_switches(self) -> List[OpenFlowSwitch]:
         """Every OpenFlow datapath: AS switches plus Wi-Fi APs."""
         return list(self.as_switches) + list(self.aps)
+
+    @property
+    def user_hosts(self) -> List[Host]:
+        """Every host but the gateway, in attachment order."""
+        return [host for host in self.hosts if host is not self.gateway]
 
     def host_by_name(self, name: str) -> Host:
         for host in self.hosts:
@@ -218,7 +226,7 @@ def linear(
         gw_switch = topo.as_switches[-1]
         topo.gateway = topo.add_host(
             "gateway", gw_switch, bandwidth_bps=gateway_bandwidth_bps,
-            ip="10.255.255.254",
+            ip=GATEWAY_IP,
         )
     return topo
 
@@ -251,7 +259,7 @@ def star(
             topo.add_host(f"h{index + 1}_{h + 1}", ovs)
     topo.gateway = topo.add_host(
         "gateway", topo.as_switches[0], bandwidth_bps=GIGABIT,
-        ip="10.255.255.254",
+        ip=GATEWAY_IP,
     )
     return topo
 
@@ -303,6 +311,6 @@ def fit_building(
 
     topo.gateway = topo.add_host(
         "gateway", topo.as_switches[0], bandwidth_bps=GIGABIT,
-        ip="10.255.255.254",
+        ip=GATEWAY_IP,
     )
     return topo

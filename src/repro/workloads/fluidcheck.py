@@ -88,7 +88,7 @@ def run_mix(
     )
     net.start()
     rng = random.Random(seed)
-    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
+    hosts = net.topology.user_hosts
 
     flows = []
     dsts = []

@@ -11,13 +11,44 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.deployment import LiveSecNetwork
+from repro.core.policy import (
+    FailMode,
+    FlowSelector,
+    Granularity,
+    Policy,
+    PolicyAction,
+    PolicyTable,
+)
+from repro.net.topologies import GATEWAY_IP
 from repro.workloads.flows import AttackWebFlow, PortScanFlow, VirusDownloadFlow
 from repro.workloads.users import PROFILES, UserBehavior, UserChurn
 
 ATTACK_KINDS = ("web", "portscan", "virus")
+
+
+def gateway_ids_policies(
+    name: str = "inspect-internet",
+    chain: Tuple[str, ...] = ("ids",),
+    granularity: Granularity = Granularity.FLOW,
+    fail_mode: Optional[str] = None,
+) -> PolicyTable:
+    """The canonical 'Internet traffic traverses security' table: one
+    CHAIN policy on everything addressed to the gateway.  The policy
+    name rides session events into recorded digests, so scenarios that
+    pin one pass their own."""
+    table = PolicyTable()
+    table.begin(source="scenario").add(Policy(
+        name=name,
+        selector=FlowSelector(dst_ip=GATEWAY_IP),
+        action=PolicyAction.CHAIN,
+        service_chain=tuple(chain),
+        granularity=granularity,
+        fail_mode=FailMode(fail_mode) if fail_mode else None,
+    )).commit()
+    return table
 
 
 @dataclass
@@ -54,10 +85,6 @@ class CampusDayScenario:
         self.rng = random.Random(seed)
         self.attack_interval_s = attack_interval_s
         self.report = ScenarioReport()
-        hosts = [
-            host for host in net.topology.hosts
-            if host is not net.topology.gateway
-        ]
         self.behaviors = [
             UserBehavior(
                 net.sim, host, server_ip,
@@ -65,7 +92,7 @@ class CampusDayScenario:
                 rng=random.Random(self.rng.random()),
                 rate_bps=user_rate_bps,
             )
-            for host in hosts
+            for host in net.topology.user_hosts
         ]
         self.report.users = len(self.behaviors)
         self.churn = UserChurn(

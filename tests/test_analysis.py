@@ -8,7 +8,6 @@ from repro.analysis import (
     mbps,
     percentile,
     summarize_latencies,
-    windowed_goodput_bps,
 )
 
 
@@ -17,11 +16,6 @@ class TestRates:
         assert mbps(8e6, 1.0) == 8.0
         assert mbps(8e6, 2.0) == 4.0
         assert mbps(1, 0.0) == 0.0
-
-    def test_windowed_goodput(self):
-        assert windowed_goodput_bps(1000, 2000, 1.0) == 8000.0
-        assert windowed_goodput_bps(0, 0, 1.0) == 0.0
-        assert windowed_goodput_bps(0, 100, 0.0) == 0.0
 
 
 class TestPercentile:

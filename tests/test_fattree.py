@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.deployment import LiveSecNetwork
-from repro.core.controller import LiveSecController
-from repro.core.visualization import MonitoringComponent
-from repro.net.fattree import build_fat_tree, fat_tree_topology
-from repro.net.simulator import Simulator
+from repro.core.deployment import build_livesec_network
+from repro.net.fattree import build_fat_tree
 from repro.workloads import CbrUdpFlow
 
 GATEWAY_IP = "10.255.255.254"
@@ -72,13 +69,8 @@ class TestBroadcastSafety:
 
 class TestLiveSecOverFatTree:
     def _deploy(self):
-        sim = Simulator()
-        topo = fat_tree_topology(sim, k=4, hosts_per_edge=1)
-        controller = LiveSecController(sim)
-        monitoring = MonitoringComponent(controller.log)
-        net = LiveSecNetwork(sim=sim, topology=topo, controller=controller,
-                             monitoring=monitoring)
-        net._connect_channels()
+        net = build_livesec_network(topology="fattree", k=4,
+                                    hosts_per_edge=1)
         net.start()
         return net
 

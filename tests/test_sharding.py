@@ -103,7 +103,7 @@ class TestShardedDeployment:
         net.run(1.5)
         assert net.member_of(1).shard_id == 0
         assert net.member_of(4).shard_id == 1
-        status = net.status()
+        status = net.coordinator.status()
         assert status["num_shards"] == 2
         assert status["down"] == []
         by_shard = {row["shard"]: row for row in status["shards"]}
@@ -146,7 +146,7 @@ class TestShardedDeployment:
         CbrUdpFlow(net.sim, src, GATEWAY_IP, rate_bps=1e6,
                    duration_s=1.0).start()
         net.run(2.0)
-        assert net.status()["federated_elements"] == 1
+        assert net.coordinator.status()["federated_elements"] == 1
         sessions = net.member_of(3).controller.sessions.sessions_of_user(
             src.mac
         )
@@ -204,7 +204,7 @@ class TestShardCrashRehome:
         CbrUdpFlow(net.sim, src, GATEWAY_IP, rate_bps=1e6,
                    duration_s=8.0).start()
         net.run(8.0)
-        status = net.status()
+        status = net.coordinator.status()
         assert status["down"] == [1]
         assert status["rehomed_switches"] == 2
         # The map tracked the moves: every ex-shard-1 dpid now answers
