@@ -60,12 +60,12 @@ perf-smoke:
 # `.schedule*(` whose handle is dropped should have been a `.post*(`.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks; \
+		ruff check src tests benchmarks examples; \
 	else \
 		echo "ruff not installed; falling back to compileall"; \
-		python -m compileall -q src tests benchmarks; \
+		python -m compileall -q src tests benchmarks examples; \
 	fi
-	python scripts/check_unused_imports.py src tests benchmarks
+	python scripts/check_unused_imports.py src tests benchmarks examples
 	python scripts/check_dropped_handles.py src/repro benchmarks examples
 
 stats-smoke:
@@ -168,11 +168,11 @@ ops-smoke:
 	@PYTHONPATH=src python -m repro journal /tmp/ops.jsonl --digest-only
 
 examples:
-	python examples/quickstart.py
-	python examples/campus_visualization.py
-	python examples/attack_mitigation.py
-	python examples/load_balancing.py
-	python examples/aggregate_flow_control.py
-	python examples/datacenter_fabric.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/campus_visualization.py
+	PYTHONPATH=src python examples/attack_mitigation.py
+	PYTHONPATH=src python examples/load_balancing.py
+	PYTHONPATH=src python examples/aggregate_flow_control.py
+	PYTHONPATH=src python examples/datacenter_fabric.py
 
 all: install test bench

@@ -65,7 +65,6 @@ def main() -> None:
     net.run(6.0)
 
     # 4. A rogue element without a valid certificate.
-    from repro.core import messages as svcmsg
     from repro.elements import IntrusionDetectionElement
 
     rogue = IntrusionDetectionElement(

@@ -327,6 +327,11 @@ def cmd_ops(args: argparse.Namespace) -> int:
     net = _demo_net()
     journal = SessionJournal.attach(net.controller.log)
     controller = net.controller
+    loaded = [app.name for app in controller.apps]
+    if args.action != "status" and args.app not in loaded:
+        print(f"no app {args.app!r} in the demo deployment;"
+              f" loaded: {', '.join(loaded)}", file=sys.stderr)
+        return 2
     flows = _demo_traffic(net)
     third = max(0.5, args.seconds / 3.0)
     net.run(third)

@@ -59,7 +59,6 @@ class AccountabilityApp(App):
         self.listen(TaggedPacketIn, self.on_tagged_packet)
         # session_id -> sim time of the last *valid* egress proof.
         self._last_proof_at: Dict[int, float] = {}
-        self._proof_counts: Dict[int, int] = {}
         self._proofs_valid = ctx.metrics.counter(
             "accountability.proofs", "Egress path proofs verified",
             result="valid",
@@ -87,9 +86,6 @@ class AccountabilityApp(App):
         if verdict.valid:
             self._proofs_valid.inc()
             self._last_proof_at[descriptor.session_id] = self.ctx.sim.now
-            self._proof_counts[descriptor.session_id] = (
-                self._proof_counts.get(descriptor.session_id, 0) + 1
-            )
             return
         self._proofs_invalid.inc()
         self._raise_violation(
@@ -143,11 +139,10 @@ class AccountabilityApp(App):
                 for dpid in session.dpids_on_path():
                     if dpid not in healthy_dpids:
                         healthy_dpids.append(dpid)
-        # Bound the proof maps to live sessions.
+        # Bound the proof map to live sessions.
         for sid in list(self._last_proof_at):
             if sid not in live_ids:
                 self._last_proof_at.pop(sid, None)
-                self._proof_counts.pop(sid, None)
         if not stalled:
             return
         suspects: Optional[set] = None

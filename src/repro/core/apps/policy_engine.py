@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 from repro.core.apps.base import App, AppContext
 from repro.core.bus import PolicyReloaded
 from repro.core.events import EventKind
+from repro.core.loadbalance import ElementLoad
 from repro.core.nib import HostRecord
 from repro.core.policy import FailMode, Policy, PolicyAction
 from repro.net.packet import FlowNineTuple
@@ -128,36 +129,26 @@ class PolicyEngineApp(App):
     ) -> Optional[Tuple[List[HostRecord], List[str]]]:
         """Pick one element per chained service type via the balancer.
 
-        Elements homed on a quarantined datapath (convicted by the
-        accountability app) are never picked: a compromised switch
-        must not sit on the inspection path of new or re-steered
-        sessions."""
-        quarantined = self.ctx.controller.quarantined_dpids
+        Nothing is charged here: an element's load is the live sessions
+        the session table holds through it, so a chain that resolves
+        only in part (or whose route is later deferred) loads nobody."""
+        shard = self.ctx.controller.shard
         waypoints: List[HostRecord] = []
         element_macs: List[str] = []
         for service_type in policy.service_chain:
-            candidates = self.ctx.registry.candidates(service_type)
-            located = []
-            for candidate in candidates:
-                record = self.ctx.nib.host_by_mac(candidate.mac)
-                if record is None or record.dpid in quarantined:
-                    continue
-                located.append(candidate)
-            if not located:
+            located = self._candidates(
+                self.ctx.registry.online_elements(service_type)
+            )
+            if not located and shard is not None:
                 # Federated fallback: borrow a waypoint homed to another
                 # shard (adopted into our NIB by the coordinator) only
                 # when no local element of the type survives -- keeping
                 # the common case O(local elements).
-                shard = self.ctx.controller.shard
-                if shard is not None:
-                    for candidate in shard.coordinator.remote_candidates(
-                        shard, service_type
-                    ):
-                        record = self.ctx.nib.host_by_mac(candidate.mac)
-                        if record is None or record.dpid in quarantined:
-                            continue
-                        located.append(candidate)
+                located = self._candidates(
+                    shard.coordinator.remote_candidates(shard, service_type)
+                )
             if not located:
+                self.ctx.balancer.release(element_macs)
                 return None
             chosen = self.ctx.balancer.assign(
                 located, flow,
@@ -169,6 +160,30 @@ class PolicyEngineApp(App):
             waypoints.append(record)
             element_macs.append(chosen)
         return waypoints, element_macs
+
+    def _candidates(self, rows) -> List[ElementLoad]:
+        """The dispatchers' input, built here and nowhere else: one
+        :class:`ElementLoad` per registry (or federated) row that the
+        NIB can locate, with the session table's live count and the
+        balancer's pending bias.
+
+        Elements homed on a quarantined datapath (convicted by the
+        accountability app) are never candidates: a compromised switch
+        must not sit on the inspection path of new or re-steered
+        sessions."""
+        quarantined = self.ctx.controller.quarantined_dpids
+        loads = []
+        for row in rows:
+            record = self.ctx.nib.host_by_mac(row.mac)
+            if record is None or record.dpid in quarantined:
+                continue
+            loads.append(ElementLoad(
+                mac=row.mac,
+                reported_pps=row.pps,
+                assigned_flows=self.ctx.sessions.load_of(row.mac),
+                pending=self.ctx.balancer.pending(row.mac),
+            ))
+        return loads
 
     def effective_fail_mode(self, policy: Optional[Policy]) -> FailMode:
         """The fail mode governing a chained policy with no healthy

@@ -244,8 +244,6 @@ class ServiceDirectoryApp(App):
                 port=host.port,
                 ip=host.ip,
                 pps=record.pps,
-                cpu=record.cpu,
-                active_flows=record.active_flows,
             ))
         return rows
 

@@ -328,7 +328,7 @@ class SteeringApp(App):
         except RoutingError:
             return False
         self._reconcile(session, rules)
-        session.element_macs = tuple(element_macs)
+        self.ctx.sessions.resteer(session, element_macs)
         session.path_descriptor = descriptor
         return True
 
@@ -489,15 +489,14 @@ class SteeringApp(App):
         self, session: Session,
         skip_rule: Optional[Tuple[int, object]] = None,
     ) -> None:
-        """Drop a session from the table and pull its entries and
-        balancer assignments."""
+        """Drop a session from the table (which is what stops it
+        loading its elements) and pull its entries."""
         # Out of the table first: the DELETE of the ingress entry
         # raises a FlowRemoved carrying the session cookie, which must
         # find nothing to tear down when it arrives.
         self.ctx.sessions.end(session)
         self._reconcile(session, [], skip_rule=skip_rule)
-        self.ctx.balancer.release(session.flow)
-        self.ctx.balancer.release(session.reverse_flow)
+        self.ctx.balancer.release(session.element_macs)
 
     def teardown_session(
         self,
@@ -618,11 +617,11 @@ class SteeringApp(App):
         the FLOW_FAILOVER event when the element did not die but its
         switch was quarantined."""
         src, dst, policy = self._parties(session)
-        # Free the whole chain's assignments before re-resolving:
-        # surviving chain members would otherwise be counted twice
-        # when the balancer assigns the replacement chain.
-        self.ctx.balancer.release(session.flow)
-        self.ctx.balancer.release(session.reverse_flow)
+        # Off its whole chain before re-resolving: surviving chain
+        # members would otherwise be counted twice when the balancer
+        # assigns the replacement chain.
+        self.ctx.balancer.release(session.element_macs)
+        self.ctx.sessions.resteer(session, ())
         outcome = "torn-down"
         if src is not None and dst is not None and policy is not None:
             decision = self.peer("policy-engine").decide_chain(

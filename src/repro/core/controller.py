@@ -593,15 +593,11 @@ class LiveSecController(ControllerBase):
         Returns the :class:`~repro.core.policy_compiler.CompileResult`.
         """
         from repro.core.policy_compiler import PolicyIntent, compile_intents
-        from repro.core.policy_io import document_to_intents, load_intents
-        from repro.core.policy import PolicyAction
+        from repro.core.policy_io import load_intents
 
         default = self.policies.default_action
-        if isinstance(source, str):
+        if isinstance(source, (str, dict)):
             intents, default = load_intents(source)
-        elif isinstance(source, dict):
-            intents = document_to_intents(source)
-            default = PolicyAction(source.get("default_action", "allow"))
         else:
             intents = list(source)
             if not all(isinstance(i, PolicyIntent) for i in intents):

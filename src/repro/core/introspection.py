@@ -67,6 +67,11 @@ def setup_controller_metrics(controller: "LiveSecController") -> None:
     if hasattr(controller.sim, "attach_metrics"):
         controller.sim.attach_metrics(registry)
     controller.balancer.attach_metrics(registry)
+    registry.gauge(
+        "balancer.flows_assigned", "Live flow-to-element assignments"
+    ).set_function(
+        lambda: sum(len(s.element_macs) for s in controller.sessions)
+    )
     controller._legacy_counters = {
         name: registry.counter(
             f"controller.{name}", f"Legacy diagnostics counter {name!r}"

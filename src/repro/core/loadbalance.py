@@ -7,18 +7,21 @@ different dispatching algorithms such as polling, hash, queuing or
 minimum-load method."
 
 All four dispatchers are implemented.  A :class:`LoadBalancer` wraps a
-dispatcher with assignment book-keeping: it tracks which element every
-live flow was sent to (so flow removal releases capacity), pins users
-to elements under user granularity, and exposes the deviation metric
-the paper evaluates in Section V.B.2.
+dispatcher with the two things only dispatch knows: the pending bias
+(picks made since an element's last load report) and the user pins of
+user granularity.  Which live session loads which element is the
+session table's to say (``SessionTable.load_of``); the policy engine
+puts both into the :class:`ElementLoad` rows the dispatchers rank, and
+:func:`load_deviation` is the metric the paper evaluates in Section
+V.B.2.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.policy import Granularity
 from repro.net.packet import FlowNineTuple
@@ -30,8 +33,7 @@ class ElementLoad:
 
     mac: str
     reported_pps: float  # from the element's last online message
-    reported_cpu: float
-    assigned_flows: int  # controller-side live assignment count
+    assigned_flows: int  # live sessions steered through it
     pending: int  # assignments made since the last load report
 
 
@@ -161,16 +163,12 @@ def make_dispatcher(name: str) -> Dispatcher:
 
 
 class LoadBalancer:
-    """Assignment book-keeping around a dispatcher."""
+    """A dispatcher plus its pending bias and user pins."""
 
     def __init__(self, dispatcher: Dispatcher, metrics=None):
         self.dispatcher = dispatcher
-        # A chained policy assigns the same flow once per service type,
-        # so a flow can hold several element assignments at once.
-        self._flow_assignment: Dict[FlowNineTuple, List[str]] = {}
         self._user_assignment: Dict[str, str] = {}
-        self._assigned_flows: Dict[str, int] = defaultdict(int)
-        self._pending: Dict[str, int] = defaultdict(int)
+        self._pending: Counter = Counter()  # element MAC -> picks
         self.assignments = 0
         self._assign_hist = None
         if metrics is not None:
@@ -179,7 +177,7 @@ class LoadBalancer:
     def attach_metrics(self, registry) -> None:
         """Publish dispatch metrics through an obs registry: assign
         wall time (the dispatcher is on the first-packet hot path) and
-        the live assignment totals."""
+        the assignment total."""
         self._assign_hist = registry.histogram(
             "balancer.assign_s",
             "Wall-clock time to pick an element for a new flow",
@@ -187,9 +185,10 @@ class LoadBalancer:
         registry.gauge(
             "balancer.assignments", "Element assignments made so far"
         ).set_function(lambda: self.assignments)
-        registry.gauge(
-            "balancer.flows_assigned", "Live flow-to-element assignments"
-        ).set_function(lambda: sum(self._assigned_flows.values()))
+
+    def pending(self, mac: str) -> int:
+        """Picks of ``mac`` its load reports have not yet absorbed."""
+        return self._pending[mac]
 
     def assign(
         self,
@@ -217,58 +216,25 @@ class LoadBalancer:
         user: Optional[str],
         granularity: Granularity,
     ) -> str:
-        candidate_macs = {c.mac for c in candidates}
-        for candidate in candidates:
-            candidate.assigned_flows = self._assigned_flows[candidate.mac]
-            candidate.pending = self._pending[candidate.mac]
-
-        if granularity is Granularity.USER and user is not None:
-            pinned = self._user_assignment.get(user)
-            if pinned in candidate_macs:
-                self._record(flow, user, pinned, granularity)
-                return pinned
-
-        choice = self.dispatcher.pick(
-            candidates, flow, user if granularity is Granularity.USER else None
-        )
-        self._record(flow, user, choice.mac, granularity)
-        return choice.mac
-
-    def _record(self, flow: FlowNineTuple, user: Optional[str], mac: str,
-                granularity: Granularity) -> None:
-        self._flow_assignment.setdefault(flow, []).append(mac)
-        self._assigned_flows[mac] += 1
+        pin_user = user if granularity is Granularity.USER else None
+        mac = self._user_assignment.get(pin_user)  # None: flow grain
+        if mac not in {c.mac for c in candidates}:
+            mac = self.dispatcher.pick(candidates, flow, pin_user).mac
         self._pending[mac] += 1
-        if granularity is Granularity.USER and user is not None:
-            self._user_assignment[user] = mac
+        if pin_user is not None:
+            self._user_assignment[pin_user] = mac
         self.assignments += 1
+        return mac
 
-    def release(self, flow: FlowNineTuple) -> Tuple[str, ...]:
-        """A flow ended (FlowRemoved): free all its element
-        assignments (one per chained service type).  Returns the
-        released element MACs, empty if the flow held none.
-
-        Pending counters are released too: a flow torn down before its
-        element's next load report would otherwise leave ``_pending``
-        permanently inflated, biasing the queuing/minimum-load
-        dispatchers away from the element forever.
-        """
-        macs = self._flow_assignment.pop(flow, [])
-        for mac in macs:
-            if self._assigned_flows[mac] > 0:
-                self._assigned_flows[mac] -= 1
+    def release(self, element_macs: Iterable[str]) -> None:
+        """A session left these elements (ended, re-steered) or a
+        partly resolved chain was abandoned: give back their pending
+        bias.  A flow gone before its element's next load report would
+        otherwise keep biasing the queuing/minimum-load dispatchers
+        away from the element until enough reports halve it out."""
+        for mac in element_macs:
             if self._pending[mac] > 0:
                 self._pending[mac] -= 1
-        return tuple(macs)
-
-    def element_of(self, flow: FlowNineTuple) -> Optional[str]:
-        """The flow's first (primary) assigned element, if any."""
-        macs = self._flow_assignment.get(flow)
-        return macs[0] if macs else None
-
-    def elements_of(self, flow: FlowNineTuple) -> Tuple[str, ...]:
-        """All elements assigned to the flow, in chain order."""
-        return tuple(self._flow_assignment.get(flow, ()))
 
     def on_load_report(self, mac: str) -> None:
         """A fresh online message arrived: decay the pending bias.
@@ -282,27 +248,13 @@ class LoadBalancer:
         """
         self._pending[mac] //= 2
 
-    def assigned_flow_counts(self) -> Dict[str, int]:
-        return dict(self._assigned_flows)
-
-    def forget_element(self, mac: str) -> int:
-        """An element went offline: drop its assignments.  Returns how
-        many live flows were orphaned (the controller re-steers them)."""
-        orphaned = 0
-        for flow, macs in list(self._flow_assignment.items()):
-            if mac not in macs:
-                continue
-            orphaned += 1
-            remaining = [m for m in macs if m != mac]
-            if remaining:
-                self._flow_assignment[flow] = remaining
-            else:
-                del self._flow_assignment[flow]
-        self._assigned_flows.pop(mac, None)
+    def forget_element(self, mac: str) -> None:
+        """An element went offline: drop its pending bias and the users
+        pinned to it (steering re-dispatches its sessions; the session
+        table stops counting them as they move)."""
         self._pending.pop(mac, None)
         for user in [u for u, m in self._user_assignment.items() if m == mac]:
             del self._user_assignment[user]
-        return orphaned
 
 
 def load_deviation(loads: Sequence[float]) -> float:

@@ -29,27 +29,22 @@ Two schemas are accepted (``schema_version`` selects; absent means 1):
         ]
       }
 
-Both are strict: unknown top-level, entry or selector fields are
-rejected (the WireCodec convention -- a typo'd field must not silently
-become a match-everything policy).  v2 documents flow through the
-policy compiler, so loading with ``verify=True`` rejects conflicting
+A v1 row *is* a v2 intent without the zone sugar, so one reader,
+:func:`load_intents`, parses both (entries through
+``policy_compiler.intent_from_dict``).  It is strict: unknown
+top-level, entry or selector fields are rejected (a typo'd field must
+not silently become a match-everything policy), and every failure is a
+:class:`PolicyFormatError`.  Documents flow through the policy
+compiler, so loading with ``verify=True`` rejects conflicting
 documents before anything reaches a live table.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.core.policy import (
-    FailMode,
-    FlowSelector,
-    Granularity,
-    Policy,
-    PolicyAction,
-    PolicyTable,
-)
+from repro.core.policy import PolicyAction, PolicyTable
 from repro.core.policy_compiler import (
     PolicyConflictError,
     PolicyIntent,
@@ -61,12 +56,8 @@ from repro.core.policy_compiler import (
 
 SCHEMA_VERSION = 2
 
-_V1_DOCUMENT_FIELDS = {"schema_version", "default_action", "policies"}
-_V2_DOCUMENT_FIELDS = {"schema_version", "default_action", "intents"}
-_V1_ENTRY_FIELDS = {
-    "name", "priority", "action", "service_chain", "granularity",
-    "inspect_reply", "fail_mode", "selector",
-}
+# schema_version -> the key its entries live under.
+_ENTRIES_KEY = {1: "policies", SCHEMA_VERSION: "intents"}
 
 
 class PolicyFormatError(ValueError):
@@ -84,86 +75,43 @@ def table_to_dict(table) -> Dict[str, object]:
     }
 
 
-def _default_action(document: Dict[str, object]) -> PolicyAction:
-    try:
-        default = PolicyAction(document.get("default_action", "allow"))
-    except ValueError as exc:
-        raise PolicyFormatError(str(exc)) from exc
-    if default is PolicyAction.CHAIN:
-        raise PolicyFormatError("default action cannot be 'chain'")
-    return default
+def _read_json(path: str) -> object:
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise PolicyFormatError(f"not valid JSON: {exc}") from exc
 
 
-def _v1_entry_to_policy(entry: dict) -> Policy:
-    if not isinstance(entry, dict) or "name" not in entry:
-        raise PolicyFormatError(f"bad policy entry: {entry!r}")
-    unknown = set(entry) - _V1_ENTRY_FIELDS
-    if unknown:
-        raise PolicyFormatError(
-            f"unknown fields in policy {entry['name']!r}: {sorted(unknown)}"
-        )
-    selector_doc = entry.get("selector", {})
-    selector_fields = {f.name for f in dataclasses.fields(FlowSelector)}
-    unknown = set(selector_doc) - selector_fields
-    if unknown:
-        raise PolicyFormatError(
-            f"unknown selector fields in {entry['name']!r}: {sorted(unknown)}"
-        )
-    try:
-        return Policy(
-            name=str(entry["name"]),
-            selector=FlowSelector(**selector_doc),
-            action=PolicyAction(entry.get("action", "allow")),
-            service_chain=tuple(entry.get("service_chain", ())),
-            granularity=Granularity(entry.get("granularity", "flow")),
-            inspect_reply=bool(entry.get("inspect_reply", True)),
-            priority=int(entry.get("priority", 100)),
-            fail_mode=(
-                FailMode(entry["fail_mode"])
-                if entry.get("fail_mode") is not None else None
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise PolicyFormatError(
-            f"invalid policy {entry.get('name')!r}: {exc}"
-        ) from exc
-
-
-def document_to_intents(document: Dict[str, object]) -> List[PolicyIntent]:
-    """The intents of a v1 or v2 document (v1 rows lift to intents), in
-    file order.  Structural validation only; conflicts are the
+def load_intents(source) -> Tuple[List[PolicyIntent], PolicyAction]:
+    """The one document reader: the intents (in file order) and the
+    default action of a v1 or v2 document, given as a file path or
+    already parsed.  Structural validation only; conflicts are the
     compiler's business."""
+    document = _read_json(source) if isinstance(source, str) else source
     if not isinstance(document, dict):
         raise PolicyFormatError("policy document must be an object")
     version = document.get("schema_version", 1)
-    if version == 1:
-        unknown = set(document) - _V1_DOCUMENT_FIELDS
-        if unknown:
-            raise PolicyFormatError(
-                f"unknown document field(s) {sorted(unknown)}"
-            )
-        entries = document.get("policies", [])
-        if not isinstance(entries, list):
-            raise PolicyFormatError("'policies' must be a list")
-        return [
-            intent_from_policy(_v1_entry_to_policy(entry)) for entry in entries
-        ]
-    if version == SCHEMA_VERSION:
-        unknown = set(document) - _V2_DOCUMENT_FIELDS
-        if unknown:
-            raise PolicyFormatError(
-                f"unknown document field(s) {sorted(unknown)}"
-            )
-        entries = document.get("intents", [])
-        if not isinstance(entries, list):
-            raise PolicyFormatError("'intents' must be a list")
-        try:
-            return [intent_from_dict(entry) for entry in entries]
-        except (TypeError, ValueError) as exc:
-            raise PolicyFormatError(str(exc)) from exc
-    raise PolicyFormatError(
-        f"unsupported schema_version {version!r} (know 1 and {SCHEMA_VERSION})"
-    )
+    key = _ENTRIES_KEY.get(version)
+    if key is None:
+        raise PolicyFormatError(
+            f"unsupported schema_version {version!r}"
+            f" (know 1 and {SCHEMA_VERSION})"
+        )
+    unknown = set(document) - {"schema_version", "default_action", key}
+    if unknown:
+        raise PolicyFormatError(f"unknown document field(s) {sorted(unknown)}")
+    entries = document.get(key, [])
+    if not isinstance(entries, list):
+        raise PolicyFormatError(f"{key!r} must be a list")
+    try:
+        intents = [intent_from_dict(entry) for entry in entries]
+        default = PolicyAction(document.get("default_action", "allow"))
+    except (TypeError, ValueError) as exc:
+        raise PolicyFormatError(str(exc)) from exc
+    if default is PolicyAction.CHAIN:
+        raise PolicyFormatError("default action cannot be 'chain'")
+    return intents, default
 
 
 def table_from_dict(
@@ -175,10 +123,7 @@ def table_from_dict(
     conflict detector and error-severity findings raise
     :class:`PolicyFormatError` -- nothing half-loaded escapes.
     """
-    if not isinstance(document, dict):
-        raise PolicyFormatError("policy document must be an object")
-    default = _default_action(document)
-    intents = document_to_intents(document)
+    intents, default = load_intents(document)
     try:
         result = compile_intents(intents, default_action=default)
     except ValueError as exc:
@@ -203,25 +148,7 @@ def save_policies(table, path: str) -> None:
 
 def load_policies(path: str, verify: bool = False) -> PolicyTable:
     """Read a table from a JSON file (either schema)."""
-    with open(path) as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise PolicyFormatError(f"not valid JSON: {exc}") from exc
-    return table_from_dict(document, verify=verify)
-
-
-def load_intents(path: str):
-    """Read a file's intents + default action (for compile/check paths
-    that want the compiler's full report rather than a table)."""
-    with open(path) as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise PolicyFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise PolicyFormatError("policy document must be an object")
-    return document_to_intents(document), _default_action(document)
+    return table_from_dict(_read_json(path), verify=verify)
 
 
 __all__ = [
@@ -230,7 +157,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "table_to_dict",
     "table_from_dict",
-    "document_to_intents",
     "save_policies",
     "load_policies",
     "load_intents",

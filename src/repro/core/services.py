@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core import messages as svcmsg
-from repro.core.loadbalance import ElementLoad
 
 DEFAULT_LIVENESS_TIMEOUT_S = 5.0
 
@@ -119,10 +118,10 @@ class ServiceRegistry:
     def expire(self, now: float) -> List[ServiceElementRecord]:
         """Mark elements silent beyond the timeout as offline.
 
-        An expired element is excluded from :meth:`candidates` until
-        its next valid online message re-certifies it (at which point
-        it returns as a dispatch candidate; the controller zeroes its
-        balancer pending state when it expires, so it comes back
+        An expired element is excluded from :meth:`online_elements`
+        until its next valid online message re-certifies it (at which
+        point it returns as a dispatch candidate; the controller zeroes
+        its balancer pending state when it expires, so it comes back
         unbiased).
         """
         expired = []
@@ -146,19 +145,6 @@ class ServiceRegistry:
             for record in self.elements.values()
             if record.online
             and (service_type is None or record.service_type == service_type)
-        ]
-
-    def candidates(self, service_type: str) -> List[ElementLoad]:
-        """Dispatcher-ready view of online elements of one service type."""
-        return [
-            ElementLoad(
-                mac=record.mac,
-                reported_pps=record.pps,
-                reported_cpu=record.cpu,
-                assigned_flows=record.active_flows,
-                pending=0,
-            )
-            for record in self.online_elements(service_type)
         ]
 
     def service_types(self) -> List[str]:

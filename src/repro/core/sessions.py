@@ -15,6 +15,7 @@ the right state everywhere.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -105,11 +106,19 @@ class SessionSnapshot:
 
 
 class SessionTable:
-    """Sessions indexed by either direction's 9-tuple and by cookie."""
+    """Sessions indexed by either direction's 9-tuple and by cookie.
+
+    The table is also the only record of which live session loads
+    which service element: :meth:`load_of` is a count over
+    ``element_macs`` kept in step where a session enters
+    (:meth:`create`), changes chain (:meth:`resteer`, the one writer of
+    ``Session.element_macs``) and leaves (:meth:`end`).  The dispatchers
+    rank by it; nothing else mirrors it."""
 
     def __init__(self, start: int = 1, step: int = 1) -> None:
         self._by_flow: Dict[FlowNineTuple, Session] = {}
         self._by_id: Dict[int, Session] = {}
+        self._load: Counter = Counter()  # element MAC -> live sessions
         self._ids = itertools.count(start, step)
         self.created = 0
         self.ended = 0
@@ -155,8 +164,21 @@ class SessionTable:
         self._by_flow[session.flow] = session
         self._by_flow[session.reverse_flow] = session
         self._by_id[session.session_id] = session
+        self._load.update(session.element_macs)
         self.created += 1
         return session
+
+    def resteer(self, session: Session, element_macs) -> None:
+        """Move a live session onto another chain; ``()`` takes it off
+        every element (a chain about to be re-dispatched must not
+        count its own survivors)."""
+        self._load.subtract(session.element_macs)
+        session.element_macs = tuple(element_macs)
+        self._load.update(session.element_macs)
+
+    def load_of(self, element_mac: str) -> int:
+        """Live sessions steered through ``element_mac``."""
+        return self._load[element_mac]
 
     def lookup(self, flow: FlowNineTuple) -> Optional[Session]:
         """The session owning this flow (either direction)."""
@@ -169,6 +191,7 @@ class SessionTable:
         self._by_flow.pop(session.flow, None)
         self._by_flow.pop(session.reverse_flow, None)
         if self._by_id.pop(session.session_id, None) is not None:
+            self._load.subtract(session.element_macs)
             self.ended += 1
 
     def sessions_via_element(self, element_mac: str) -> List[Session]:

@@ -60,7 +60,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.bus import ConnTrackUpdateIn, SessionHandoffIn
 from repro.core.conntrack import CLOSED, five_tuple_of
 from repro.core.events import EventKind, EventLog
-from repro.core.loadbalance import ElementLoad
 from repro.obs import MetricsRegistry
 from repro.openflow.channel import SecureChannel
 
@@ -220,8 +219,6 @@ class FederatedElement:
     port: int
     ip: Optional[str]
     pps: float
-    cpu: float
-    active_flows: int
 
 
 # ----------------------------------------------------------------------
@@ -606,8 +603,10 @@ class ShardCoordinator:
 
     def remote_candidates(
         self, member: ShardMember, service_type: str
-    ) -> List[ElementLoad]:
-        loads: List[ElementLoad] = []
+    ) -> List[FederatedElement]:
+        """Live elements of ``service_type`` homed on *other* shards,
+        each adopted into ``member``'s NIB so it can be a waypoint."""
+        borrowed: List[FederatedElement] = []
         for mac in sorted(self._federation):
             entry = self._federation[mac]
             if entry.service_type != service_type:
@@ -621,14 +620,8 @@ class ShardCoordinator:
             member.adopt_host(
                 entry.mac, entry.ip, entry.dpid, entry.port, is_element=True
             )
-            loads.append(ElementLoad(
-                mac=entry.mac,
-                reported_pps=entry.pps,
-                reported_cpu=entry.cpu,
-                assigned_flows=entry.active_flows,
-                pending=0,
-            ))
-        return loads
+            borrowed.append(entry)
+        return borrowed
 
     def _advertise_published(self) -> None:
         for mac in sorted(self._published):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import sys
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 _NEVER = float("inf")
@@ -101,6 +101,16 @@ class Simulator:
         # Attached fluid fast-forward region (see repro.net.fluid); the
         # run loop only settles it on the way out.
         self.fluid = None
+        self._next_ids: Dict[str, int] = {}
+
+    def next_id(self, name: str, start: int) -> int:
+        """The next value of this run's sequence ``name``, which begins
+        at ``start``.  Flow ids and ephemeral ports are minted here, not
+        from module-level counters: what a run numbers must not depend
+        on what ran before it in the process."""
+        value = self._next_ids.get(name, start)
+        self._next_ids[name] = value + 1
+        return value
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""

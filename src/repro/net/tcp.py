@@ -18,7 +18,6 @@ scaling, no delayed ACKs, receive window assumed ample.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Optional
 
 from repro.net import packet as pkt
@@ -31,8 +30,6 @@ INITIAL_RTO_S = 0.2
 MAX_RTO_S = 5.0
 INITIAL_CWND = 2 * MSS
 DUP_ACK_THRESHOLD = 3
-
-_ephemeral = itertools.count(40000)
 
 
 class TcpConnection:
@@ -105,7 +102,8 @@ class TcpConnection:
         """Open a client connection (sends the SYN immediately)."""
         conn = cls(
             host, peer_ip,
-            local_port if local_port is not None else next(_ephemeral),
+            local_port if local_port is not None
+            else host.sim.next_id("tcp-sport", 40000),
             peer_port,
             on_receive=on_receive,
             on_established=on_established,

@@ -67,8 +67,6 @@ class Experiment:
 # ----------------------------------------------------------------------
 # Shared vocabulary
 
-FIRST_SPORT = 20000
-
 
 def throughput_net(
     num_elements: int,
@@ -121,16 +119,11 @@ def senders_for(net: LiveSecNetwork, count: int) -> List[Host]:
 def start_flows(net, flow_type, sources: Sequence[Tuple[Host, float]],
                 rate_bps: float, **flow_kwargs) -> list:
     """One started ``flow_type`` flow toward the gateway per
-    ``(host, start delay)`` entry -- a host may repeat -- with source
-    ports numbered from :data:`FIRST_SPORT` in list order.  Call once
-    per deployment.  The default allocator
-    (``flows._ephemeral_ports``) is process-wide and the source port is
-    part of what ``HashDispatcher`` hashes, so leaving ports to it
-    makes a table depend on which experiment ran first."""
+    ``(host, start delay)`` entry -- a host may repeat."""
     return [
         flow_type(net.sim, host, GATEWAY_IP, rate_bps=rate_bps,
-                  sport=FIRST_SPORT + index, **flow_kwargs).start(delay_s)
-        for index, (host, delay_s) in enumerate(sources)
+                  **flow_kwargs).start(delay_s)
+        for host, delay_s in sources
     ]
 
 
@@ -1041,9 +1034,8 @@ def _pairwise_goodputs_mbps(pairs: Sequence[Tuple[str, str]]) -> List[float]:
     net = _fabric()
     flows = [
         (CbrUdpFlow(net.sim, net.host(src), net.host(dst).ip,
-                    rate_bps=2 * FABRIC_ACCESS_BPS,
-                    sport=FIRST_SPORT + index).start(), net.host(dst))
-        for index, (src, dst) in enumerate(pairs)
+                    rate_bps=2 * FABRIC_ACCESS_BPS).start(), net.host(dst))
+        for src, dst in pairs
     ]
     [rates] = measure(
         net.run, 0.5, 1.5,

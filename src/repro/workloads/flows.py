@@ -13,20 +13,12 @@ measure goodput without touching headers.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.net.host import Host
 from repro.net.packet import IP_PROTO_TCP, IP_PROTO_UDP
 
-_flow_ids = itertools.count(1)
-_ephemeral_ports = itertools.count(20000)
-
 DEFAULT_PACKET_SIZE = 1500
-
-
-def next_flow_id() -> int:
-    return next(_flow_ids)
 
 
 def attach_udp_echo(host: Host, dport: int = 9000,
@@ -79,9 +71,11 @@ class TrafficFlow:
         self.packet_size = packet_size
         self.duration_s = duration_s
         self.max_packets = max_packets
-        self.sport = sport if sport is not None else next(_ephemeral_ports)
+        self.sport = (
+            sport if sport is not None else sim.next_id("udp-sport", 20000)
+        )
         self.dport = dport if dport is not None else self.default_dport
-        self.flow_id = next_flow_id()
+        self.flow_id = sim.next_id("flow-id", 1)
         self.packets_sent = 0
         self.bytes_sent = 0
         self.running = False

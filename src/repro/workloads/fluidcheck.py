@@ -10,11 +10,6 @@ the kernel promises to preserve:
 * per-flow sent packets/bytes and final running state,
 * the control-plane event-log digest (lifecycle events only --
   ``SAMPLE_KINDS`` load samples lead/lag by in-flight packets).
-
-Two runs in one process share the global flow-id counters, so every
-flow here pins its source port explicitly: the wire 9-tuples -- and
-therefore the controller's session record -- are identical across
-runs regardless of allocator state.
 """
 
 from __future__ import annotations
@@ -104,7 +99,7 @@ def run_mix(
             rate_bps=rng.uniform(0.2e6, max_rate_bps),
             packet_size=rng.choice(_PACKET_SIZES),
             duration_s=duration,
-            sport=30000 + index,  # pinned: wire tuples match across runs
+            sport=30000 + index,  # what the pinned `repro fluid` digests carry
             dport=9000 + index,
         )
         flow.start(delay_s=rng.uniform(0.0, 0.4))

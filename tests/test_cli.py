@@ -160,6 +160,17 @@ class TestOpsCommand:
         out = capsys.readouterr().out
         assert "skipped (same config)" in out
 
+    @pytest.mark.parametrize("action", ["stop", "reload", "restart", "cycle"])
+    def test_ops_on_an_app_not_loaded_exits_2(self, action, capsys):
+        # Used to die with a KeyError traceback from the controller.
+        assert main(["ops", "--action", action,
+                     "--app", "accountability"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "'accountability'" in line
+        assert "monitor" in line and "steering" in line
+
     def test_ops_json_format(self, capsys):
         import json
 

@@ -17,7 +17,6 @@ from repro.workloads import experiments
 from repro.workloads.experiments import (
     BY_ID,
     CATALOGUE,
-    FIRST_SPORT,
     Experiment,
     element_goodput_mbps,
     measure,
@@ -122,7 +121,7 @@ class TestVocabulary:
         second = normal_traffic(throughput_net(4), stagger_s=0.3)
         ports = [flow.sport for flow in first]
         assert ports == [flow.sport for flow in second]
-        assert ports == list(range(FIRST_SPORT, FIRST_SPORT + 40))
+        assert ports == list(range(20000, 20040))
 
 
 class TestExperimentCommand:

@@ -1,4 +1,6 @@
-"""Unit tests for the dispatchers and load-balancer book-keeping."""
+"""Unit tests for the dispatchers and the balancer's pending bias and
+user pins (which session loads which element is the session table's:
+tests/test_sessions.py)."""
 
 import pytest
 
@@ -27,7 +29,7 @@ def flow(tp_src=1000):
 
 def candidates(count=3, pps=0.0):
     return [
-        ElementLoad(mac=f"e{index}", reported_pps=pps, reported_cpu=0.0,
+        ElementLoad(mac=f"e{index}", reported_pps=pps,
                     assigned_flows=0, pending=0)
         for index in range(count)
     ]
@@ -76,7 +78,7 @@ class TestRoundRobin:
         # A whole new candidate set (e.g. after failover re-dispatch):
         # the pick is the first MAC after the cursor, wrapping.
         fresh = [
-            ElementLoad(mac=mac, reported_pps=0.0, reported_cpu=0.0,
+            ElementLoad(mac=mac, reported_pps=0.0,
                         assigned_flows=0, pending=0)
             for mac in ("a9", "e5")
         ]
@@ -142,25 +144,37 @@ class TestLoadBalancer:
     def test_assign_and_release(self):
         balancer = LoadBalancer(RoundRobinDispatcher())
         mac = balancer.assign(candidates(), flow(1))
-        assert balancer.element_of(flow(1)) == mac
-        assert balancer.assigned_flow_counts()[mac] == 1
-        assert balancer.release(flow(1)) == (mac,)
-        assert balancer.assigned_flow_counts()[mac] == 0
-        assert balancer.element_of(flow(1)) is None
+        assert balancer.pending(mac) == 1
+        assert balancer.assignments == 1
+        balancer.release((mac,))
+        assert balancer.pending(mac) == 0
 
-    def test_release_unknown_flow_is_noop(self):
+    def test_assign_leaves_candidates_untouched(self):
+        # The rows are the caller's (the policy engine builds them from
+        # the session table): the balancer ranks them, never edits them.
+        balancer = LoadBalancer(LeastConnectionsDispatcher())
+        pool = candidates(2)
+        pool[0].assigned_flows = 3
+        assert balancer.assign(pool, flow(1)) == "e1"
+        assert balancer.assign(pool, flow(2)) == "e1"
+        assert [(c.assigned_flows, c.pending) for c in pool] == [(3, 0), (0, 0)]
+
+    def test_release_unknown_element_is_noop(self):
         balancer = LoadBalancer(RoundRobinDispatcher())
-        assert balancer.release(flow(1)) == ()
+        balancer.release(())
+        balancer.release(("never-assigned",))
+        assert balancer.pending("never-assigned") == 0
 
     def test_chained_flow_holds_multiple_assignments(self):
+        # A chained policy assigns the same flow once per service type;
+        # every pick is biased, and releasing the chain gives all back.
         balancer = LoadBalancer(RoundRobinDispatcher())
         first = balancer.assign(candidates(), flow(1))
         second = balancer.assign(candidates(), flow(1))
-        assert balancer.elements_of(flow(1)) == (first, second)
-        assert sum(balancer.assigned_flow_counts().values()) == 2
-        released = balancer.release(flow(1))
-        assert sorted(released) == sorted((first, second))
-        assert sum(balancer.assigned_flow_counts().values()) == 0
+        assert first != second
+        assert (balancer.pending(first), balancer.pending(second)) == (1, 1)
+        balancer.release((first, second))
+        assert (balancer.pending(first), balancer.pending(second)) == (0, 0)
 
     def test_no_candidates_raises(self):
         balancer = LoadBalancer(RoundRobinDispatcher())
@@ -193,51 +207,57 @@ class TestLoadBalancer:
         }
         assert len(picks) == 3
 
-    def test_forget_element_orphans_flows(self):
+    def test_forget_element_drops_pending_and_pins(self):
         balancer = LoadBalancer(RoundRobinDispatcher())
         pool = candidates(1)
-        balancer.assign(pool, flow(1))
+        balancer.assign(pool, flow(1), user="alice",
+                        granularity=Granularity.USER)
         balancer.assign(pool, flow(2))
-        orphans = balancer.forget_element("e0")
-        assert orphans == 2
-        assert balancer.element_of(flow(1)) is None
+        assert balancer.pending("e0") == 2
+        balancer.forget_element("e0")
+        # It comes back unbiased, and alice is dispatched afresh.
+        assert balancer.pending("e0") == 0
+        assert balancer.assign(candidates(3), flow(3), user="alice",
+                               granularity=Granularity.USER) == "e1"
 
     def test_load_report_clears_pending(self):
         balancer = LoadBalancer(MinLoadDispatcher())
         pool = candidates(2)
-        balancer.assign(pool, flow(1))
-        mac = balancer.element_of(flow(1))
-        assert balancer._pending[mac] == 1
+        mac = balancer.assign(pool, flow(1))
+        assert balancer.pending(mac) == 1
         balancer.on_load_report(mac)
-        assert balancer._pending[mac] == 0
+        assert balancer.pending(mac) == 0
+        # Halved, not cleared: a report right after a burst does not
+        # yet reflect it.
+        for index in range(5):
+            balancer.assign([pool[0]], flow(10 + index))
+        balancer.on_load_report("e0")
+        assert balancer.pending("e0") == 2
 
     def test_release_frees_pending_too(self):
         # Regression: a flow torn down before the element's next load
-        # report used to leave _pending inflated forever, biasing the
+        # report used to leave the pending bias inflated, steering the
         # queuing/minload dispatchers away from the element.
         balancer = LoadBalancer(LeastConnectionsDispatcher())
         pool = candidates(2)
-        balancer.assign(pool, flow(1))
-        mac = balancer.element_of(flow(1))
-        assert balancer._pending[mac] == 1
-        balancer.release(flow(1))
-        assert balancer._pending[mac] == 0
+        mac = balancer.assign(pool, flow(1))
+        assert balancer.pending(mac) == 1
+        balancer.release((mac,))
+        assert balancer.pending(mac) == 0
         # Short-lived flows churning on one element must not build a
         # permanent bias: after the churn, both elements look equal.
         for index in range(50):
-            balancer.assign(pool, flow(100 + index))
-            balancer.release(flow(100 + index))
-        assert balancer._pending["e0"] == 0
-        assert balancer._pending["e1"] == 0
+            balancer.release((balancer.assign(pool, flow(100 + index)),))
+        assert balancer.pending("e0") == 0
+        assert balancer.pending("e1") == 0
 
     def test_release_after_report_does_not_go_negative(self):
         balancer = LoadBalancer(LeastConnectionsDispatcher())
         pool = candidates(2)
-        balancer.assign(pool, flow(1))
-        mac = balancer.element_of(flow(1))
+        mac = balancer.assign(pool, flow(1))
         balancer.on_load_report(mac)  # pending already decayed to 0
-        balancer.release(flow(1))
-        assert balancer._pending[mac] == 0
+        balancer.release((mac,))
+        assert balancer.pending(mac) == 0
 
 
 class TestDeviationMetric:

@@ -475,6 +475,23 @@ class TestHotReload:
             })
         assert exc.value.findings[0].kind == "unknown-service"
 
+    @pytest.mark.parametrize("default", ["chain", "alow"])
+    def test_bad_default_action_is_a_format_error(self, default):
+        # A parsed document goes through the same reader as a file: a
+        # 'chain' or misspelt default is a PolicyFormatError (it used
+        # to escape check_policies as a bare ValueError).
+        from repro.core.policy_io import PolicyFormatError
+
+        net = self.build_net()
+        document = {"schema_version": 2, "default_action": default,
+                    "intents": [{"name": "x", "action": "allow"}]}
+        version_before = net.controller.policies.version
+        with pytest.raises(PolicyFormatError):
+            net.controller.check_policies(document)
+        with pytest.raises(PolicyFormatError):
+            net.reload_policies(document)
+        assert net.controller.policies.version == version_before
+
     def test_deployment_builds_from_policy_file(self, tmp_path):
         import json
 

@@ -128,7 +128,7 @@ class TestSchemaVersions:
                              "extras": 1})
 
     def test_unknown_entry_field_rejected_v1(self):
-        with pytest.raises(PolicyFormatError, match="unknown fields"):
+        with pytest.raises(PolicyFormatError, match="priority_"):
             table_from_dict({"policies": [
                 {"name": "x", "action": "allow", "priority_": 5},
             ]})

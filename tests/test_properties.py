@@ -185,7 +185,7 @@ class TestBalancerProperties:
             self, dispatcher_name, n_elements, n_flows):
         balancer = LoadBalancer(make_dispatcher(dispatcher_name))
         pool = [
-            ElementLoad(mac=f"e{i}", reported_pps=0, reported_cpu=0,
+            ElementLoad(mac=f"e{i}", reported_pps=0,
                         assigned_flows=0, pending=0)
             for i in range(n_elements)
         ]
@@ -195,13 +195,15 @@ class TestBalancerProperties:
             for i in range(n_flows)
         ]
         macs_set = {c.mac for c in pool}
-        for flow in flows:
-            assert balancer.assign(pool, flow) in macs_set
-        counts = balancer.assigned_flow_counts()
-        assert sum(counts.values()) == n_flows
-        for flow in flows:
-            balancer.release(flow)
-        assert sum(balancer.assigned_flow_counts().values()) == 0
+        picks = [balancer.assign(pool, flow) for flow in flows]
+        assert set(picks) <= macs_set
+        assert sum(balancer.pending(mac) for mac in macs_set) == n_flows
+        # Releasing every pick -- and then some: a release the balancer
+        # never saw assigned -- gives the bias back and never goes
+        # below zero.
+        for mac in picks + sorted(macs_set):
+            balancer.release((mac,))
+        assert all(balancer.pending(mac) == 0 for mac in macs_set)
 
     @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=2,
                     max_size=20))

@@ -75,8 +75,14 @@ class TestSoak:
         net, scenario, report = soak
         net.run(20.0)  # idle timeouts + expiry sweep
         assert len(net.controller.sessions) == 0
-        counts = net.controller.balancer.assigned_flow_counts()
-        assert sum(counts.values()) == 0
+        # ... and with the sessions, the load they put on elements:
+        # the table is the only place it is kept.
+        registry = net.controller.registry
+        assert len(registry.elements) == 5
+        assert all(
+            net.controller.sessions.load_of(mac) == 0
+            for mac in registry.elements
+        )
 
     def test_nib_consistency_after_churn(self, soak):
         net, scenario, report = soak

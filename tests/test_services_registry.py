@@ -108,16 +108,15 @@ class TestLiveness:
     def test_revived_element_is_candidate_again_unbiased(self, registry):
         registry.handle_online(online(registry, pps=500.0, flows=7), now=0.0)
         registry.expire(now=3.0)
-        assert registry.candidates("ids") == []
+        assert registry.online_elements("ids") == []
         registry.handle_online(online(registry, pps=120.0, flows=2), now=4.0)
-        loads = registry.candidates("ids")
-        assert [c.mac for c in loads] == ["e1"]
-        # The candidate view reflects the fresh report and starts with
-        # zero pending dispatches -- no bias carried over from before
-        # the expiry.
-        assert loads[0].reported_pps == 120.0
-        assert loads[0].assigned_flows == 2
-        assert loads[0].pending == 0
+        rows = registry.online_elements("ids")
+        assert [r.mac for r in rows] == ["e1"]
+        # The row the policy engine dispatches over reflects the fresh
+        # report; the bias half (pending dropped at expiry) is the
+        # balancer's: test_forget_element_drops_pending_and_pins.
+        assert rows[0].pps == 120.0
+        assert rows[0].active_flows == 2
 
     def test_expire_only_hits_silent_elements(self, registry):
         registry.handle_online(online(registry, mac="e1"), now=0.0)
@@ -134,17 +133,16 @@ class TestQueries:
                                now=0.0)
         registry.handle_online(online(registry, mac="e2", service_type="l7"),
                                now=0.0)
-        ids_loads = registry.candidates("ids")
-        assert [c.mac for c in ids_loads] == ["e1"]
-        assert registry.candidates("firewall") == []
+        assert [r.mac for r in registry.online_elements("ids")] == ["e1"]
+        assert registry.online_elements("firewall") == []
 
     def test_candidates_carry_load(self, registry):
         registry.handle_online(
             online(registry, pps=777.0, cpu=0.5, flows=3), now=0.0)
-        load = registry.candidates("ids")[0]
-        assert load.reported_pps == 777.0
-        assert load.reported_cpu == 0.5
-        assert load.assigned_flows == 3
+        row = registry.online_elements("ids")[0]
+        assert row.pps == 777.0
+        assert row.cpu == 0.5
+        assert row.active_flows == 3
 
     def test_summary(self, registry):
         registry.handle_online(online(registry, mac="e1"), now=0.0)

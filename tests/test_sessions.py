@@ -1,5 +1,9 @@
 """Unit tests for bidirectional session tracking."""
 
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sessions import SessionTable
 from repro.net.packet import FlowNineTuple
@@ -89,3 +93,49 @@ class TestQueries:
         created = {make_session(table, tp_src=1000 + i).session_id
                    for i in range(3)}
         assert {s.session_id for s in table} == created
+
+
+class TestElementLoad:
+    """The table is the one record of which session loads which
+    element: ``load_of`` is a recount over ``element_macs``, always."""
+
+    def test_create_resteer_end(self):
+        table = SessionTable()
+        session = make_session(table, elements=("e1", "e2"))
+        assert (table.load_of("e1"), table.load_of("e2")) == (1, 1)
+        table.resteer(session, ["e2", "e3"])
+        assert session.element_macs == ("e2", "e3")
+        assert [table.load_of(m) for m in ("e1", "e2", "e3")] == [0, 1, 1]
+        table.resteer(session, ())  # off its chain, still live
+        assert not session.is_steered and len(table) == 1
+        assert [table.load_of(m) for m in ("e1", "e2", "e3")] == [0, 0, 0]
+        table.resteer(session, ("e1",))
+        table.end(session)
+        table.end(session)  # idempotent: un-charged once
+        assert table.load_of("e1") == 0
+        assert table.load_of("never-seen") == 0
+
+    chains = st.lists(st.sampled_from(["e0", "e1", "e2", "e3"]),
+                      max_size=3, unique=True).map(tuple)
+
+    @given(st.lists(st.tuples(st.sampled_from(["create", "resteer", "end"]),
+                              st.integers(0, 30), chains), max_size=60))
+    @settings(max_examples=60)
+    def test_load_is_a_recount_over_element_macs(self, ops):
+        table = SessionTable()
+        live = []
+        for step, (op, pick, chain) in enumerate(ops):
+            if op == "create" or not live:
+                live.append(make_session(table, tp_src=step, elements=chain))
+            elif op == "resteer":
+                table.resteer(live[pick % len(live)], chain)
+            else:
+                table.end(live.pop(pick % len(live)))
+            recount = Counter(m for s in table for m in s.element_macs)
+            assert all(
+                table.load_of(mac) == recount[mac]
+                for mac in ("e0", "e1", "e2", "e3")
+            )
+        for session in live:
+            table.end(session)
+        assert not any(table.load_of(f"e{i}") for i in range(4))

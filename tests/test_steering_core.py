@@ -20,7 +20,13 @@ from repro.core.deployment import (
     build_sharded_network,
 )
 from repro.core.events import EventKind
-from repro.core.policy import FailMode
+from repro.core.policy import (
+    FailMode,
+    FlowSelector,
+    Policy,
+    PolicyAction,
+    PolicyTable,
+)
 from repro.core.routing import FORWARD_PRIORITY
 from repro.faults.scenarios import GATEWAY_IP, chaos_policy_table
 from repro.net.packet import FlowNineTuple
@@ -335,3 +341,99 @@ def test_decide_chain_ladder(fleet, policy_mode, on_no_element,
     assert len(decision.waypoints) == len(decision.element_macs)
     # The first-packet entry point reaches the same verdict.
     assert engine.decide(flow, src).verdict == verdict
+
+
+# -- nothing loads an element but a live session steered through it -------
+
+
+def build_partial_chain(fail_mode):
+    """2 x 2 hosts, two IDS elements and *no* l7 anywhere: port 9000 is
+    chained ids -> l7 (which can only resolve in part), port 9001
+    through ids alone; ``queuing`` ranks by live load."""
+    table = PolicyTable()
+    table.add(Policy(
+        name="ids-then-l7",
+        selector=FlowSelector(dst_ip=GATEWAY_IP, tp_dst=9000),
+        action=PolicyAction.CHAIN, service_chain=("ids", "l7"),
+        fail_mode=FailMode(fail_mode),
+    ))
+    table.add(Policy(
+        name="ids-only",
+        selector=FlowSelector(dst_ip=GATEWAY_IP, tp_dst=9001),
+        action=PolicyAction.CHAIN, service_chain=("ids",),
+    ))
+    net = build_livesec_network(
+        topology="linear", num_as=2, hosts_per_as=2, policies=table,
+        elements=[("ids", 2)], dispatcher="queuing",
+    )
+    net.start()
+    return net
+
+
+def short_flow(net, host, dport):
+    CbrUdpFlow(net.sim, host, GATEWAY_IP, rate_bps=1e6, max_packets=5,
+               dport=dport).start()
+
+
+def ids_loads(net):
+    sessions = net.controller.sessions
+    return [
+        sessions.load_of(mac) for mac in sorted(net.controller.registry.elements)
+    ]
+
+
+def test_partial_chain_fail_closed_charges_nobody():
+    net = build_partial_chain("closed")
+    for host in net.topology.user_hosts:
+        short_flow(net, host, 9000)
+    net.run(1.0)
+    assert len(net.controller.sessions) == 0
+    assert net.controller.counters["flows_blocked"] == 4
+    assert net.metrics_snapshot().get("balancer.flows_assigned").value == 0
+    assert ids_loads(net) == [0, 0]
+
+
+def test_partial_chain_leaves_dispatch_as_on_a_fresh_deployment():
+    """Seen from outside: after one flow whose chain resolved only in
+    part, an ids-only flow lands where it would on a fresh deployment
+    -- the first IDS in MAC order -- not on the second because the
+    first still carries a flow of a session that never existed."""
+    net = build_partial_chain("closed")
+    first, second = sorted(net.controller.registry.elements)
+    short_flow(net, net.host("h1_1"), 9000)
+    net.run(5.0)  # load reports halve any pending bias away
+    short_flow(net, net.host("h2_1"), 9001)
+    net.run(0.5)
+    assert [s.element_macs for s in net.controller.sessions] == [(first,)]
+
+
+def test_partial_chain_fail_open_charges_nobody():
+    """Fail-open sessions are steered through *nothing*: while they
+    live, no element is loaded by them."""
+    net = build_partial_chain("open")
+    for host in net.topology.user_hosts:
+        short_flow(net, host, 9000)
+    net.run(1.0)
+    assert [s.element_macs for s in net.controller.sessions] == [()] * 4
+    assert net.metrics_snapshot().get("balancer.flows_assigned").value == 0
+    assert ids_loads(net) == [0, 0]
+
+
+def test_deferred_route_charges_nobody(monkeypatch):
+    """A first packet whose chain resolves but whose path cannot be
+    computed yet (``routing_deferred``) forms no session, so it must
+    load no element either."""
+    net = build_partial_chain("closed")
+    nib = net.controller.nib
+    gateway_dpid = nib.host_by_mac(net.gateway.mac).dpid
+    uplink_port = nib.uplink_port
+    monkeypatch.setattr(
+        nib, "uplink_port",
+        lambda dpid: None if dpid == gateway_dpid else uplink_port(dpid),
+    )
+    short_flow(net, net.host("h1_1"), 9001)
+    net.run(0.5)
+    assert net.controller.counters["routing_deferred"] >= 1
+    assert len(net.controller.sessions) == 0
+    assert net.metrics_snapshot().get("balancer.flows_assigned").value == 0
+    assert ids_loads(net) == [0, 0]

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import build_livesec_network
 from repro.net.host import Host
 from repro.net.node import connect
 from repro.net.packet import IP_PROTO_TCP, IP_PROTO_UDP
+from repro.net.simulator import Simulator
+from repro.net.tcp import TcpConnection
 from repro.workloads import (
     AttackWebFlow,
     BitTorrentFlow,
@@ -16,6 +19,7 @@ from repro.workloads import (
     UserChurn,
     VirusDownloadFlow,
 )
+from repro.workloads.experiments import GATEWAY_IP, gateway_ids_policies
 
 
 @pytest.fixture
@@ -198,3 +202,51 @@ class TestChurn:
             times1.append(churn1.rng.random())
             times2.append(churn2.rng.random())
         assert times1 == times2
+
+
+class TestRunOwnsItsNumbering:
+    """Flow ids and ephemeral ports are sequences of the run's
+    ``Simulator``: what a run numbers does not depend on what ran
+    before it in the process."""
+
+    @staticmethod
+    def hashed_run():
+        """(sport, flow id) of eight port-less flows on a fresh
+        deployment, and where ``HashDispatcher`` -- which hashes the
+        source port -- sent each."""
+        net = build_livesec_network(
+            topology="linear", num_as=2, hosts_per_as=2,
+            policies=gateway_ids_policies(), elements=[("ids", 3)],
+            dispatcher="hash",
+        )
+        net.start()
+        flows = [
+            CbrUdpFlow(net.sim, host, GATEWAY_IP, rate_bps=1e6,
+                       max_packets=3).start(0.01 * index)
+            for index, host in enumerate(net.topology.user_hosts * 2)
+        ]
+        net.run(0.5)
+        sessions = sorted(net.controller.sessions,
+                          key=lambda s: s.flow.tp_src)
+        return (
+            [(flow.sport, flow.flow_id) for flow in flows],
+            [(s.flow.tp_src, s.element_macs) for s in sessions],
+        )
+
+    def test_same_numbers_and_hash_picks_whatever_ran_before(self, sim, pair):
+        numbers, picks = self.hashed_run()
+        assert numbers == [(20000 + i, 1 + i) for i in range(8)]
+        assert len(picks) == 8
+        assert len({macs for _, macs in picks}) > 1  # the hash spreads
+        a, b = pair
+        for _ in range(5):  # unrelated flows, on an unrelated run
+            CbrUdpFlow(sim, a, b.ip)
+        assert self.hashed_run() == (numbers, picks)
+
+    def test_tcp_ports_start_at_40000_on_every_run(self, sim, pair):
+        a, b = pair
+        first = [TcpConnection.connect(a, b.ip, 80).local_port
+                 for _ in range(3)]
+        assert first == [40000, 40001, 40002]
+        other = Host(Simulator(), "c", "00:00:00:00:00:03", "10.0.0.3")
+        assert TcpConnection.connect(other, b.ip, 80).local_port == 40000
