@@ -58,6 +58,8 @@ perf-smoke:
 # stdlib-only unused-import checker (the part of ruff we rely on).
 # check_dropped_handles enforces the kernel's calling convention: a
 # `.schedule*(` whose handle is dropped should have been a `.post*(`.
+# check_rule_writers keeps one FlowMod writer (controller.apply_rule)
+# and one drop planner (steering's _plan_block) under core/.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
@@ -67,6 +69,7 @@ lint:
 	fi
 	python scripts/check_unused_imports.py src tests benchmarks examples
 	python scripts/check_dropped_handles.py src/repro benchmarks examples
+	python scripts/check_rule_writers.py src/repro/core
 
 stats-smoke:
 	PYTHONPATH=src python -m repro stats --quick

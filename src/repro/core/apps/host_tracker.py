@@ -116,10 +116,7 @@ class HostTrackerApp(App):
                 self.ctx.log.emit(self.ctx.sim.now, kind,
                                   mac=mac, ip=ip, dpid=dpid, port=port)
             if moved:
-                assert prior is not None
-                self.ctx.bus.publish(
-                    HostMoved(record, old_dpid=prior.dpid, old_port=prior.port)
-                )
+                self.ctx.bus.publish(HostMoved(record))
             self.announce_host(record)
         return record
 

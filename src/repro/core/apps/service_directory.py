@@ -19,11 +19,10 @@ from typing import List, Optional
 from repro.core import messages as svcmsg
 from repro.core.apps.base import App, AppContext
 from repro.core.bus import (
+    BlockRequested,
     ConnTrackUpdateIn,
     ElementExpired,
-    FlowBlockRequested,
     ServiceFrameIn,
-    SourceBlockRequested,
 )
 from repro.core.events import EventKind
 from repro.core.nib import HostRecord
@@ -203,8 +202,8 @@ class ServiceDirectoryApp(App):
         )
         if src is None:
             return
-        self.ctx.bus.publish(FlowBlockRequested(
-            flow=flow, src=src, session=session, attack=attack_type,
+        self.ctx.bus.publish(BlockRequested(
+            src=src, flow=flow, session=session, attack=attack_type,
         ))
 
     def _reject_element(self, packet_in, mac: str, reason: str) -> None:
@@ -215,7 +214,7 @@ class ServiceDirectoryApp(App):
                 mac=mac, ip=None, dpid=packet_in.dpid, port=packet_in.in_port,
                 first_seen=self.ctx.sim.now, last_seen=self.ctx.sim.now,
             )
-        self.ctx.bus.publish(SourceBlockRequested(mac=mac, record=record))
+        self.ctx.bus.publish(BlockRequested(src=record))
         self.ctx.log.emit(
             self.ctx.sim.now, EventKind.ELEMENT_REJECTED, mac=mac, reason=reason
         )

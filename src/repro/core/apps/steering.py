@@ -2,30 +2,30 @@
 
 The enforcement half of interactive policy enforcement (IV.A): "all
 above flow entries can be calculated and enforced simultaneously".
-Every way a session's rules come to exist or change -- first packet,
-element failover, quarantine re-steer, accountability drain,
-cross-shard adoption, reconnect resync, teardown, handoff release --
-selects sessions and then runs the same three steps (DESIGN 3.1).
-The ingress drop of a blocked flow stays outside that cycle on
-purpose: it is no session rule and outlives the session it blocked.
+Every way a desired rule comes to exist or change -- first packet,
+element failover, quarantine re-steer, accountability drain, host
+move, cross-shard adoption, reconnect resync, teardown, handoff
+release -- selects owners from the one book (``SessionTable``: the
+sessions, and the blocks that outlive them) and then runs the same
+three steps (DESIGN 3.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.apps.base import App, AppContext
 from repro.core.apps.policy_engine import PolicyDecision
 from repro.core.bus import (
     AppLifecycleChanged,
+    BlockRequested,
     DataPacketIn,
     ElementExpired,
-    FlowBlockRequested,
     FlowRemovedIn,
     HostExpired,
+    HostMoved,
     SessionHandoffIn,
-    SourceBlockRequested,
     SwitchJoined,
     SwitchQuarantined,
     UplinksLost,
@@ -40,7 +40,7 @@ from repro.core.routing import (
     drop_rule,
     source_block_rule,
 )
-from repro.core.sessions import Session
+from repro.core.sessions import Block, Session
 from repro.net.packet import FlowNineTuple, extract_nine_tuple
 from repro.openflow import messages as ofmsg
 from repro.openflow.actions import Output, PopPathTag, PushPathTag
@@ -63,8 +63,8 @@ class SteeringApp(App):
         self.listen(HostExpired, self.on_host_expired)
         self.listen(ElementExpired, self.on_element_expired)
         self.listen(UplinksLost, self.on_uplinks_lost)
-        self.listen(FlowBlockRequested, self.on_flow_block_requested)
-        self.listen(SourceBlockRequested, self.on_source_block_requested)
+        self.listen(HostMoved, self.on_host_moved)
+        self.listen(BlockRequested, self.on_block_requested)
         self.listen(SwitchQuarantined, self.on_switch_quarantined)
         self.listen(SessionHandoffIn, self.on_session_handoff)
         self.listen(AppLifecycleChanged, self.on_app_lifecycle)
@@ -162,8 +162,12 @@ class SteeringApp(App):
         if shard is not None and shard.session_deferred(frame.src):
             self.ctx.count("handoff_deferred")
             return
+        # A flow the book already blocks punted (its drop is in flight,
+        # was lost, or sits at a port the source has left): it is
+        # neither flooded nor given a session, only blocked again here.
+        blocked = self.ctx.sessions.block_for(flow) is not None
         dst = self.ctx.nib.host_by_mac(frame.dst)
-        if dst is None:
+        if dst is None and not blocked:
             # Destination location unknown: fall back to a periphery
             # flood of this one packet; the session forms on a retry.
             host_tracker.periphery_flood(
@@ -172,7 +176,9 @@ class SteeringApp(App):
             return
 
         decision = self.peer("policy-engine").decide(flow, src)
-        if decision.verdict == "block":
+        if decision.verdict == "block" or blocked:
+            # Whatever chain was picked for it serves no session.
+            self.ctx.balancer.release(decision.element_macs)
             self._block_flow(flow, src, policy_name=decision.policy_name)
             return
 
@@ -230,7 +236,6 @@ class SteeringApp(App):
             dst_mac=dst.mac,
             policy_name=decision.policy.name if decision.policy else None,
             element_macs=decision.element_macs,
-            rules=[],
             now=created_at,
             session_id=session_id,
         )
@@ -347,23 +352,26 @@ class SteeringApp(App):
 
     def _reconcile(
         self,
-        session: Session,
+        owner: Union[Session, Block],
         desired: List[RuleSpec],
         buffer: Optional[int] = None,
         only_dpid: Optional[int] = None,
         skip_rule: Optional[Tuple[int, object]] = None,
     ) -> int:
-        """Make ``desired`` the session's installed entries; returns
-        how many were asserted.
+        """Make ``desired`` the installed entries of ``owner`` -- a
+        session or a block, the only writer of either's ``rules`` --
+        and return how many were asserted.
 
         Desired entries go in first, in rule order, including those
         whose (dpid, match, priority) is already installed: the FlowMod
         ADD *replaces* such an entry rather than deleting it --
-        critically this covers the ingress entry, whose deletion would
-        raise a FlowRemoved carrying the session cookie and tear the
-        session down mid-failover (it is always reused: same flow, same
-        ingress port, same priority).  Installed entries the desired
-        set no longer contains are then deleted, silently.
+        this covers the ingress entry of a failover (same flow, same
+        ingress port, same priority), so the flow is never without
+        one.  Installed entries the desired set no longer contains --
+        the stale ingress of a host that moved among them -- are then
+        deleted; the FlowRemoved a deleted ingress entry echoes back
+        names an entry the owner no longer plans and is ignored
+        (:meth:`on_flow_removed`).
 
         Setup reconciles from an empty installed set (``buffer``: the
         first packet's buffer id, released by the ingress entry -- on
@@ -379,13 +387,13 @@ class SteeringApp(App):
                 "add", rule, buffer_id=buffer if rule is desired[0] else None
             )
             asserted += 1
-        if session.rules:  # nothing to diff against on session setup
+        if owner.rules:  # nothing to diff against on setup
             keep = {(r.dpid, r.match, r.priority) for r in desired}
-            for rule in session.rules:
+            for rule in owner.rules:
                 key = (rule.dpid, rule.match, rule.priority)
                 if key not in keep and key[:2] != skip_rule:
                     self._apply("delete", rule)
-        session.rules = desired
+        owner.rules = desired
         return asserted
 
     # ==================================================================
@@ -422,7 +430,28 @@ class SteeringApp(App):
                 return
 
     # ==================================================================
-    # Blocking
+    # Blocking: a block is a desired rule like a session's
+
+    def _plan_block(self, block: Block, at: HostRecord) -> List[RuleSpec]:
+        """The drop entry ``block`` should have while its source sits
+        at ``at``."""
+        if block.flow is None:
+            return [source_block_rule(block.src_mac, at)]
+        return [drop_rule(block.flow, at, cookie=block.cookie)]
+
+    def _block(
+        self, mac: str, flow: Optional[FlowNineTuple], cookie: int,
+        at: Optional[HostRecord],
+    ) -> None:
+        """Enter "drop ``flow`` (None: everything ``mac`` sends) at the
+        entrance" into the book and assert it at ``at``.  A block the
+        book holds already is re-asserted -- and moved there, if its
+        drop sits elsewhere.  ``at`` is None only when an adopted
+        mover left the NIB while its handoff was in flight: the block
+        is kept, and its source's next packet asserts it."""
+        block = self.ctx.sessions.block(mac, flow, cookie)
+        if at is not None:
+            self._reconcile(block, self._plan_block(block, at))
 
     def _block_flow(
         self,
@@ -432,14 +461,11 @@ class SteeringApp(App):
         session: Optional[Session] = None,
         attack: Optional[str] = None,
     ) -> None:
-        """Install the ingress drop: the flow dies at the entrance.
-
-        Not a session rule: it is never in ``session.rules``, so no
-        reconcile pass -- teardown included -- removes it, and it keeps
-        dropping after the session it was raised against has ended."""
-        self._apply("add", drop_rule(
-            flow, src, cookie=session.session_id if session else 0,
-        ))
+        """The flow dies at the entrance, from now on: its block owns
+        the ingress drop, which no session's teardown touches."""
+        self._block(
+            src.mac, flow, session.session_id if session else 0, at=src
+        )
         if session is not None:
             session.blocked = True
         self.ctx.count("flows_blocked")
@@ -450,22 +476,28 @@ class SteeringApp(App):
             data["policy"] = policy_name
         self.ctx.log.emit(self.ctx.sim.now, EventKind.FLOW_BLOCKED, **data)
 
-    def on_flow_block_requested(self, event: FlowBlockRequested) -> None:
-        self._block_flow(
-            event.flow, event.src, policy_name=event.policy,
-            session=event.session, attack=event.attack,
-        )
-
-    def on_source_block_requested(self, event: SourceBlockRequested) -> None:
-        self._apply("add", source_block_rule(event.mac, event.record))
+    def on_block_requested(self, event: BlockRequested) -> None:
+        if event.flow is None:
+            self._block(event.src.mac, None, 0, at=event.src)
+        else:
+            self._block_flow(
+                event.flow, event.src, policy_name="default",
+                session=event.session, attack=event.attack,
+            )
 
     # ==================================================================
     # Teardown
 
     def on_flow_removed(self, event: FlowRemovedIn) -> None:
         message = event.message
+        removed = (message.dpid, message.match)
         session = self.ctx.sessions.by_id(message.cookie)
-        if session is None:
+        if session is None or not any(
+            (rule.dpid, rule.match) == removed for rule in session.rules
+        ):
+            # No session, or an entry it no longer plans -- a re-plan
+            # moved its ingress and this is the echo of our delete, or
+            # (that delete lost) the stale entry idling out: no news.
             return
         if message.packets > 0:
             # The session carried traffic: both endpoints were alive
@@ -480,7 +512,7 @@ class SteeringApp(App):
                     record.last_seen = max(record.last_seen, active_until)
         self.teardown_session(
             session,
-            skip_rule=(message.dpid, message.match),
+            skip_rule=removed,
             packets=message.packets,
             bytes_=message.bytes,
         )
@@ -491,9 +523,6 @@ class SteeringApp(App):
     ) -> None:
         """Drop a session from the table (which is what stops it
         loading its elements) and pull its entries."""
-        # Out of the table first: the DELETE of the ingress entry
-        # raises a FlowRemoved carrying the session cookie, which must
-        # find nothing to tear down when it arrives.
         self.ctx.sessions.end(session)
         self._reconcile(session, [], skip_rule=skip_rule)
         self.ctx.balancer.release(session.element_macs)
@@ -521,6 +550,15 @@ class SteeringApp(App):
         shard."""
         self._withdraw(session)
         self.ctx.count("sessions_handed_off")
+
+    def release_blocks_for_handoff(self, mac: str) -> tuple:
+        """The same for the mover's blocks: out of this book, drops
+        pulled, and the ``(flow, cookie)`` pairs returned for the
+        destination shard to enter into its own."""
+        blocks = self.ctx.sessions.take_blocks(mac)
+        for block in blocks:
+            self._reconcile(block, [])
+        return tuple((block.flow, block.cookie) for block in blocks)
 
     def on_host_expired(self, event: HostExpired) -> None:
         for session in self.ctx.sessions.sessions_of_user(event.record.mac):
@@ -559,25 +597,38 @@ class SteeringApp(App):
                 session.path_descriptor = None
 
     def on_switch_joined(self, event: SwitchJoined) -> None:
-        """Re-push this datapath's share of the session store.
+        """Re-push this datapath's share of the book.
 
         A reconnecting switch's flow table may have lost entries (or
-        the whole switch rebooted): the session store is authoritative,
-        so every live session's rules for this dpid are reinstalled.
+        the whole switch rebooted): the book is authoritative, so every
+        block's and every live session's rules for this dpid are
+        reinstalled -- drops first, and a blocked session's path back
+        under its drop, where it idles out and ends the session.
         ADD semantics make this idempotent -- entries that survived are
         replaced in place, with no FlowRemoved.  Stale datapath entries
         for sessions the controller no longer tracks simply idle out.
         """
         dpid = event.handle.dpid
+        book = self.ctx.sessions
         resynced = sum(
-            self._reconcile(session, session.rules, only_dpid=dpid)
-            for session in self.ctx.sessions
-            if not session.blocked
+            self._reconcile(owner, owner.rules, only_dpid=dpid)
+            for owner in (*book.blocks(), *book)
         )
         if resynced:
             self._rules_resynced.inc(resynced)
             self.ctx.log.emit(self.ctx.sim.now, EventKind.SWITCH_RESYNC,
                               dpid=dpid, rules=resynced)
+
+    def on_host_moved(self, event: HostMoved) -> None:
+        """The mover's blocks follow it to its new port -- the diff
+        deletes the stale drop -- and its sessions, either end, are
+        re-planned in place from where it sits now."""
+        record = event.record
+        for block in self.ctx.sessions.blocks_of(record.mac):
+            self._reconcile(block, self._plan_block(block, record))
+        for session in self.ctx.sessions.sessions_of_user(record.mac):
+            if not self._replan(session, session.element_macs):
+                self.teardown_session(session)
 
     def on_element_expired(self, event: ElementExpired) -> None:
         mac = event.record.mac
@@ -659,6 +710,9 @@ class SteeringApp(App):
         accounting stays truthful."""
         handoff = event.handoff
         shard = self.ctx.controller.shard
+        mover = self.ctx.nib.host_by_mac(handoff.mac)
+        for flow, cookie in handoff.blocks:
+            self._block(handoff.mac, flow, cookie, at=mover)
         for record in handoff.records:
             src, dst, policy = self._parties(record)
             if src is None or dst is None:
@@ -682,6 +736,9 @@ class SteeringApp(App):
                 continue
             if session.blocked:
                 continue
+            session.blocked = (
+                self.ctx.sessions.block_for(record.flow) is not None
+            )
             session.application = record.application
             if shard is not None and record.conntrack:
                 shard.restore_conntrack(record.conntrack)

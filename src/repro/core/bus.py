@@ -47,8 +47,7 @@ __all__ = [
     "HostExpired",
     "HostMoved",
     "ElementExpired",
-    "FlowBlockRequested",
-    "SourceBlockRequested",
+    "BlockRequested",
     "UplinksLost",
     "PolicyReloaded",
     "ConnTrackUpdateIn",
@@ -176,11 +175,9 @@ class HostExpired:
 class HostMoved:
     """A known host was re-learned at a different switch/port (VM
     migration, wired-to-wifi roam).  ``record`` is the updated NIB row;
-    the old location rides along for caches keyed by it."""
+    steering re-plans the mover's sessions and blocks from it."""
 
     record: object
-    old_dpid: int
-    old_port: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,26 +188,18 @@ class ElementExpired:
 
 
 @dataclass(frozen=True, eq=False)
-class FlowBlockRequested:
-    """Some app wants this flow dropped at its ingress switch.
+class BlockRequested:
+    """Some app wants traffic dropped at its ingress switch: ``flow``,
+    or -- ``flow=None`` -- every frame ``src`` sends.
 
-    ``session`` is the affected session when one exists; ``policy``
-    names the policy (or attack) for the FLOW_BLOCKED event log line.
+    ``session`` is the affected session when one exists; ``attack``
+    names what was detected, for the FLOW_BLOCKED event log line.
     """
 
-    flow: object
-    src: object  # ingress HostRecord
+    src: object  # HostRecord locating the ingress
+    flow: Optional[object] = None
     session: Optional[object] = None
-    policy: str = "default"
     attack: Optional[str] = None
-
-
-@dataclass(frozen=True, eq=False)
-class SourceBlockRequested:
-    """Some app wants every frame from this MAC dropped at its ingress."""
-
-    mac: str
-    record: object  # HostRecord locating the ingress
 
 
 @dataclass(frozen=True, eq=False)

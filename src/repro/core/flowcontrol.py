@@ -19,6 +19,7 @@ the enforcement loop is pure control plane:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.core.routing import source_block_rule
@@ -126,18 +127,21 @@ class AggregateFlowControl:
 
     def _penalize(self, mac: str, rate_bps: float, quota: float) -> None:
         record = self.controller.nib.host_by_mac(mac)
-        if record is None:
+        if record is None or any(
+            block.flow is None
+            for block in self.controller.sessions.blocks_of(mac)
+        ):
+            # Unknown, or source-blocked for good: the penalty shares
+            # that drop's match and priority and would replace it with
+            # one that expires.
             return
-        rule = source_block_rule(mac, record)
-        # The penalty entry expires by itself.
-        self.controller.send_flow_mod(
-            rule.dpid,
-            command="add",
-            match=rule.match,
-            actions=rule.actions,
-            priority=rule.priority,
-            hard_timeout=self.penalty_s,
-        )
+        # Through the acked sender, but deliberately not into the
+        # enforcement book: the entry lifts itself after ``penalty_s``,
+        # and a book entry would need an expiry clock nothing else
+        # needs.  A switch that forgets it forgets at most that much.
+        self.controller.apply_rule("add", replace(
+            source_block_rule(mac, record), hard_timeout=self.penalty_s
+        ))
         now = self.controller.sim.now
         self._penalized_until[mac] = now + self.penalty_s
         self.throttle_events += 1

@@ -9,14 +9,16 @@ A :class:`Session` records both directions of one end-to-end
 connection, the policy that governed it, the service elements it was
 steered through, and every flow entry installed for it -- so teardown
 (idle timeout, policy revocation, element failure) can remove exactly
-the right state everywhere.
+the right state everywhere.  A :class:`Block` is the other kind of
+desired rule the table holds: the ingress drop of Section IV.A, which
+outlives the session it was raised against.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.routing import RuleSpec
@@ -72,6 +74,19 @@ class Session:
         )
 
 
+@dataclass
+class Block:
+    """One thing the controller drops at the entrance: ``flow``, or --
+    ``flow=None`` -- everything ``src_mac`` sends.  ``rules`` is where
+    the drop is installed now; steering's reconcile is its one writer,
+    as it is of ``Session.rules``."""
+
+    src_mac: str
+    flow: Optional[FlowNineTuple]
+    cookie: int
+    rules: List[RuleSpec] = field(default_factory=list)
+
+
 @dataclass(frozen=True)
 class SessionSnapshot:
     """A point-in-time typed view of one session (the ``repro ops``
@@ -113,12 +128,19 @@ class SessionTable:
     ``element_macs`` kept in step where a session enters
     (:meth:`create`), changes chain (:meth:`resteer`, the one writer of
     ``Session.element_macs``) and leaves (:meth:`end`).  The dispatchers
-    rank by it; nothing else mirrors it."""
+    rank by it; nothing else mirrors it.
+
+    Beside the sessions sit the :class:`Block` entries: together, the
+    one book of what the controller enforces.  Nothing lifts a block;
+    it leaves this book only with its source, for the book of the shard
+    the source roamed to (:meth:`take_blocks`)."""
 
     def __init__(self, start: int = 1, step: int = 1) -> None:
         self._by_flow: Dict[FlowNineTuple, Session] = {}
         self._by_id: Dict[int, Session] = {}
         self._load: Counter = Counter()  # element MAC -> live sessions
+        # source MAC -> {blocked 9-tuple, or None for the source: Block}
+        self._blocks: Dict[str, Dict[Optional[FlowNineTuple], Block]] = {}
         self._ids = itertools.count(start, step)
         self.created = 0
         self.ended = 0
@@ -146,7 +168,6 @@ class SessionTable:
         dst_mac: str,
         policy_name: Optional[str],
         element_macs: Tuple[str, ...],
-        rules: List[RuleSpec],
         now: float,
         session_id: Optional[int] = None,
     ) -> Session:
@@ -158,7 +179,7 @@ class SessionTable:
             dst_mac=dst_mac,
             policy_name=policy_name,
             element_macs=element_macs,
-            rules=rules,
+            rules=[],
             created_at=now,
         )
         self._by_flow[session.flow] = session
@@ -193,6 +214,36 @@ class SessionTable:
         if self._by_id.pop(session.session_id, None) is not None:
             self._load.subtract(session.element_macs)
             self.ended += 1
+
+    def block(
+        self, src_mac: str, flow: Optional[FlowNineTuple], cookie: int = 0
+    ) -> Block:
+        """The block killing ``flow`` (None: all) of ``src_mac``,
+        entered now unless the book holds it -- or a source block,
+        which covers every flow -- already."""
+        held = self._blocks.setdefault(src_mac, {})
+        block = held.get(None) or held.get(flow)
+        if block is None:
+            block = held[flow] = Block(src_mac, flow, cookie)
+        return block
+
+    def block_for(self, flow: FlowNineTuple) -> Optional[Block]:
+        """The block ``flow`` falls under, if any."""
+        held = self._blocks.get(flow.dl_src)
+        if held is None:
+            return None
+        return held.get(None) or held.get(flow)
+
+    def blocks_of(self, src_mac: str) -> List[Block]:
+        return list(self._blocks.get(src_mac, {}).values())
+
+    def take_blocks(self, src_mac: str) -> List[Block]:
+        """Remove and return the blocks of a source another shard's
+        book answers for from now on."""
+        return list(self._blocks.pop(src_mac, {}).values())
+
+    def blocks(self) -> List[Block]:
+        return [b for held in self._blocks.values() for b in held.values()]
 
     def sessions_via_element(self, element_mac: str) -> List[Session]:
         return [

@@ -38,9 +38,10 @@ Cross-shard concerns are explicit typed protocol, never shared state:
   observed by a shard that is not the host's previous owner triggers
   the handoff protocol -- new sessions for the host are deferred, the
   old shard serializes the host's session records (ids, policy,
-  waypoint MACs, cached conntrack states) and tears down its rules
-  without ending the sessions, and the destination shard re-installs
-  ingress rules from the new location preserving the session ids.
+  waypoint MACs, cached conntrack states) and its blocks, and tears
+  down its rules without ending the sessions; the destination shard
+  re-installs drops and ingress rules from the new location,
+  preserving the session ids.
 * **Directory federation** (:class:`FederatedElement`): steering can
   place waypoints on elements homed to any live shard; an element's
   death propagates to every consumer shard in the next sync round.
@@ -199,13 +200,16 @@ class SessionHandoffRecord:
 
 @dataclass(frozen=True)
 class SessionHandoff:
-    """The transfer unit for one roaming host's established sessions."""
+    """The transfer unit for one roaming host's established sessions
+    and for what is blocked of it: ``blocks`` holds a ``(flow, cookie)``
+    per ingress drop, ``flow=None`` meaning the whole source."""
 
     mac: str
     ip: Optional[str]
     from_shard: int
     to_shard: int
     records: Tuple[SessionHandoffRecord, ...] = ()
+    blocks: Tuple[Tuple[object, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -312,11 +316,15 @@ class ShardMember:
     def collect_handoff(
         self, mac: str, ip: Optional[str], to_shard: int
     ) -> SessionHandoff:
-        """Serialize and release every session of a departing host.
+        """Serialize and release every session and block of a
+        departing host.
 
         The origin shard's rules are deleted (locally and, for
         cross-shard rules, over the fabric) but the sessions are *not*
         ended -- their identity transfers to the destination shard.
+        The host's NIB row goes too: it is no longer ours, and should
+        it come back -- even to the port it left -- that is a join,
+        which hands everything home again.
         """
         steering = self.controller.app("steering")
         sessions = sorted(
@@ -325,8 +333,6 @@ class ShardMember:
         )
         records = []
         for session in sessions:
-            if session.blocked:
-                continue
             states = []
             for key in (five_tuple_of(session.flow),
                         five_tuple_of(session.reverse_flow)):
@@ -345,9 +351,11 @@ class ShardMember:
                 application=session.application,
                 conntrack=tuple(states),
             ))
+        self.controller.nib.remove_host(mac)
         return SessionHandoff(
             mac=mac, ip=ip, from_shard=self.shard_id,
             to_shard=to_shard, records=tuple(records),
+            blocks=steering.release_blocks_for_handoff(mac),
         )
 
     def receive_handoff(self, handoff: SessionHandoff) -> None:

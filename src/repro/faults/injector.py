@@ -41,8 +41,10 @@ from repro.faults.plan import (
     ShardCrash,
     SwitchCompromise,
     SwitchDisconnect,
+    SwitchReboot,
 )
 from repro.openflow.channel import ChannelFaults
+from repro.openflow.match import Match
 
 
 class FaultTargetError(ValueError):
@@ -102,7 +104,8 @@ class FaultInjector:
             for kind in (
                 "element-crash", "element-hang", "element-slow-report",
                 "element-restart", "switch-disconnect", "switch-reconnect",
-                "link-flap", "channel-chaos", "switch-compromise",
+                "switch-reboot", "link-flap", "channel-chaos",
+                "switch-compromise",
                 "switch-restore", "shard-crash", "shard-restart",
                 "app-crash",
             )
@@ -256,6 +259,10 @@ class FaultInjector:
                 if fault.reconnect_at_s is not None:
                     sim.post_at(fault.reconnect_at_s,
                                     self._reconnect_switch, channel)
+            elif isinstance(fault, SwitchReboot):
+                channel = self._channel(fault.switch)
+                sim.post_at(fault.at_s, self._reboot_switch,
+                                channel, fault.down_s)
             elif isinstance(fault, LinkFlap):
                 link = self._link(fault.node_a, fault.node_b)
                 sim.post_at(fault.at_s, self._flap_link,
@@ -350,6 +357,17 @@ class FaultInjector:
     def _reconnect_switch(self, channel) -> None:
         channel.connect()
         self._mark("switch-reconnect", dpid=channel.switch.dpid)
+
+    def _reboot_switch(self, channel, down_s: float) -> None:
+        """A power cycle: the table is gone and nobody is told -- no
+        FlowRemoved raised, none parked for the reconnect."""
+        switch = channel.switch
+        channel.disconnect()
+        # Marked (which settles any fluid flows) before the wipe.
+        self._mark("switch-reboot", dpid=switch.dpid, down_s=down_s)
+        switch.table.delete(Match())
+        switch._pending_replies.clear()
+        self.net.sim.post(down_s, self._reconnect_switch, channel)
 
     def _flap_link(self, link, fault, down_s: float) -> None:
         link.set_up(False)

@@ -18,7 +18,10 @@ fabric):
 * ``element_slow_report`` -- the daemon's online-message cadence is
   stretched (possibly past the controller's liveness timeout).
 * ``switch_disconnect`` -- the secure channel drops (controller sees
-  a switch leave); optionally reconnects later.
+  a switch leave); optionally reconnects later.  The flow table is
+  kept.
+* ``switch_reboot`` -- the switch power-cycles: channel down, flow
+  table gone without a FlowRemoved, channel back after ``down_s``.
 * ``link_flap`` -- a physical link goes down and comes back.
 * ``channel_chaos`` -- the secure channel starts dropping / delaying /
   duplicating individual OpenFlow messages, driven by a seeded RNG.
@@ -74,6 +77,15 @@ class SwitchDisconnect:
     reconnect_at_s: Optional[float] = None
 
     kind = "switch-disconnect"
+
+
+@dataclass(frozen=True)
+class SwitchReboot:
+    at_s: float
+    switch: str  # switch name
+    down_s: float
+
+    kind = "switch-reboot"
 
 
 @dataclass(frozen=True)
@@ -196,6 +208,13 @@ class FaultPlan:
         if reconnect_at_s is not None and reconnect_at_s <= at_s:
             raise ValueError("reconnect must come after the disconnect")
         return self._add(SwitchDisconnect(at_s, switch, reconnect_at_s))
+
+    def switch_reboot(
+        self, at_s: float, switch: str, down_s: float
+    ) -> "FaultPlan":
+        if down_s <= 0:
+            raise ValueError(f"down time must be positive ({down_s})")
+        return self._add(SwitchReboot(at_s, switch, down_s))
 
     def link_flap(
         self, at_s: float, node_a: str, node_b: str, down_s: float

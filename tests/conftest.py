@@ -5,10 +5,31 @@ from __future__ import annotations
 import pytest
 
 from repro import Policy, PolicyTable, build_livesec_network
+from repro.core import messages as svcmsg
 from repro.core.policy import FlowSelector, PolicyAction
+from repro.net import packet as pkt
+from repro.net.host import Host
+from repro.net.node import connect
 from repro.net.simulator import Simulator
 
 GATEWAY_IP = "10.255.255.254"
+REJECTED_MAC = "00:00:00:00:88:88"
+
+
+def attach_rejected_element(net, switch, at_s=None):
+    """Wire an uncertified 'element' to ``switch`` and have it send the
+    controller a garbage service message, now or at ``at_s``: the
+    service directory rejects it and asks for its source to be blocked.
+    Returns the host."""
+    liar = Host(net.sim, "liar", REJECTED_MAC, "10.8.8.8")
+    connect(net.sim, switch, liar, bandwidth_bps=1e9, delay_s=5e-6)
+    frame = pkt.make_udp(
+        liar.mac, svcmsg.CONTROLLER_MAC, liar.ip, svcmsg.CONTROLLER_IP,
+        svcmsg.SERVICE_MESSAGE_PORT, svcmsg.SERVICE_MESSAGE_PORT,
+        payload=b"LIVESEC1|x|GARBAGE",
+    )
+    net.sim.post_at(net.sim.now if at_s is None else at_s, liar.send, frame, 1)
+    return liar
 
 
 @pytest.fixture

@@ -102,11 +102,11 @@ class TestHostExpiry:
                            now=now if mac == "fresh" else silent_since,
                            is_element=is_element)
         live = sessions.create(
-            http_nine("busy", "10.9.0.100"), "busy", "gw", None, (), [], now
+            http_nine("busy", "10.9.0.100"), "busy", "gw", None, (), now
         )
         blocked = sessions.create(
             http_nine("blocked-only", "10.9.0.101"), "blocked-only", "gw",
-            None, (), [], now,
+            None, (), now,
         )
         blocked.blocked = True
         expired = []

@@ -2,7 +2,7 @@
 
 Covers the plan builder's validation, eager target resolution, the
 injector's fault actions (element crash/hang/slow-report, switch
-disconnect+reconnect, channel chaos), the controller's recovery
+disconnect+reconnect, switch reboot, channel chaos), the controller's recovery
 machinery they exercise (failover, resync, barrier-acked retries,
 fail-open/fail-closed), and the determinism contract: two same-seed
 runs replay event for event.
@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.deployment import build_livesec_network, build_sharded_network
 from repro.core.events import EventKind
+from repro.core.routing import DROP_PRIORITY
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -19,7 +20,8 @@ from repro.faults import (
     run_chaos_scenario,
 )
 from repro.faults.scenarios import GATEWAY_IP, chaos_policy_table
-from repro.workloads import CbrUdpFlow
+from repro.workloads import AttackWebFlow, CbrUdpFlow
+from tests.conftest import attach_rejected_element
 
 
 def build_net(fail_mode="open", num_elements=2, num_as=2, hosts_per_as=1,
@@ -90,6 +92,10 @@ class TestFaultPlanBuilder:
     def test_link_down_time_must_be_positive(self):
         with pytest.raises(ValueError):
             FaultPlan().link_flap(1.0, "ovs1", "core", down_s=0.0)
+
+    def test_reboot_down_time_must_be_positive(self):
+        with pytest.raises(ValueError):
+            FaultPlan().switch_reboot(1.0, "ovs1", down_s=0.0)
 
     def test_channel_rates_bounded(self):
         with pytest.raises(ValueError):
@@ -316,6 +322,93 @@ class TestSwitchDisconnect:
         assert EventKind.SWITCH_RESYNC in kinds
         counters = net.controller.metrics.snapshot().counters()
         assert counters.get("controller.rules_resynced", 0) > 0
+
+
+class TestSwitchReboot:
+    """A rebooted switch forgets its table and tells nobody; the
+    controller's book -- blocks included -- puts it back."""
+
+    REBOOT_AT_S, DOWN_S = 5.0, 0.01
+
+    def blocked_sender(self, net, what):
+        """From t=2 on ovs1, sending to the gateway through the IDS for
+        10 s: an attack the IDS blocks on its 4th packet (a flow
+        block), or a 2 Mb/s stream from an uncertified 'element' whose
+        garbage service message at t=2.5 gets its source blocked."""
+        if what == "flow":
+            sender = net.host("h1_1")
+            flow = AttackWebFlow(net.sim, sender, GATEWAY_IP, rate_bps=2e6,
+                                 attack_after=3, duration_s=10.0)
+        else:
+            sender = attach_rejected_element(
+                net, net.topology.as_switches[0], at_s=2.5
+            )
+            sender.announce()
+            flow = CbrUdpFlow(net.sim, sender, GATEWAY_IP, rate_bps=2e6,
+                              duration_s=10.0)
+        flow.start()
+        return sender, flow
+
+    @pytest.mark.parametrize("what", ["flow", "source"])
+    def test_a_block_survives_the_reboot_of_its_switch(self, what):
+        net = build_livesec_network(
+            topology="star", num_as=4, hosts_per_as=1, elements=[("ids", 1)],
+            policies=chaos_policy_table("open"),
+        )
+        plan = FaultPlan().switch_reboot(self.REBOOT_AT_S, "ovs1", self.DOWN_S)
+        injector = FaultInjector(net, plan)
+        injector.arm()
+        net.start()  # t = 2
+        switch = net.topology.as_switches[0]
+        sender, flow = self.blocked_sender(net, what)
+        ids = net.elements[0].mac
+        latency = net.channels[switch.dpid].latency_s
+
+        def drops():
+            return [
+                entry for entry in switch.table
+                if entry.priority >= DROP_PRIORITY
+                and entry.match.dl_src == sender.mac
+            ]
+
+        def run_until(at_s):
+            net.run(at_s - net.sim.now)
+
+        run_until(self.REBOOT_AT_S - 1e-3)
+        assert len(drops()) == 1
+        punts_before = switch.packet_ins
+        at_block = flow.delivered_bytes(net.gateway)
+        assert net.controller.sessions.load_of(ids) == 1
+
+        back_at = self.REBOOT_AT_S + self.DOWN_S
+        run_until(back_at)
+        assert len(switch.table) == 0
+        # One install round trip after the reconnect: the channel-up
+        # reaches the controller, the resync's FlowMods the switch.
+        run_until(back_at + 2 * latency + 1e-6)
+        assert len(drops()) == 1
+        assert injector.summary()["injected"] == {
+            "switch-reboot": 1, "switch-reconnect": 1,
+        }
+        resyncs = net.controller.log.query(kind=EventKind.SWITCH_RESYNC)
+        assert [event.data["dpid"] for event in resyncs] == [switch.dpid]
+
+        # "Block at the entrance", not at the controller: the frames
+        # die on the switch again, so it punts no more than before.
+        run_until(back_at + 6.5)
+        rate_before = punts_before / (self.REBOOT_AT_S - 2.0)
+        rate_after = (switch.packet_ins - punts_before) / 6.5
+        assert rate_after <= 1.2 * rate_before
+        assert flow.delivered_bytes(net.gateway) == at_block
+
+        # The shadowed session went back under its drop, so it idles
+        # out and stops loading the IDS once the sender is quiet (flow
+        # over at t=12; idle timeout 5 s; expiry sweep every 1 s).
+        run_until(12.0 + net.controller.idle_timeout_s + 1.5)
+        assert flow.delivered_bytes(net.gateway) == at_block
+        assert len(net.controller.sessions) == 0
+        assert net.controller.sessions.load_of(ids) == 0
+        assert len(drops()) == 1
 
 
 class TestChannelChaos:

@@ -24,7 +24,6 @@ def make_session(table, tp_src=1000, elements=()):
         dst_mac="mB",
         policy_name="p",
         element_macs=tuple(elements),
-        rules=[],
         now=1.0,
     )
 
@@ -63,7 +62,7 @@ class TestLifecycle:
 
     def test_explicit_session_id(self):
         table = SessionTable()
-        session = table.create(flow(), "mA", "mB", None, (), [], now=0.0,
+        session = table.create(flow(), "mA", "mB", None, (), now=0.0,
                                session_id=42)
         assert table.by_id(42) is session
 
@@ -93,6 +92,55 @@ class TestQueries:
         created = {make_session(table, tp_src=1000 + i).session_id
                    for i in range(3)}
         assert {s.session_id for s in table} == created
+
+
+class TestBlocks:
+    """Blocks sit in the same book as the sessions and outlive them."""
+
+    def test_get_or_create_is_idempotent(self):
+        table = SessionTable()
+        block = table.block("mA", flow(), cookie=7)
+        assert (block.src_mac, block.flow, block.cookie) == ("mA", flow(), 7)
+        assert block.rules == []
+        # Asked again -- under whatever cookie -- the book answers with
+        # the entry it holds.
+        assert table.block("mA", flow(), cookie=9) is block
+        assert table.block("mA", flow(tp_src=2)) is not block
+        assert table.blocks_of("mA") == [block, table.block("mA", flow(2))]
+        assert table.blocks() == table.blocks_of("mA")
+        assert table.blocks_of("mB") == []
+
+    def test_block_for_matches_the_flow_or_its_source(self):
+        table = SessionTable()
+        assert table.block_for(flow()) is None
+        one_flow = table.block("mA", flow())
+        assert table.block_for(flow()) is one_flow
+        assert table.block_for(flow(tp_src=2)) is None
+        assert table.block_for(flow().reversed()) is None
+        source = table.block("mA", None)
+        # A source block covers every flow of the source, also those
+        # the book would otherwise enter one by one.
+        assert table.block_for(flow(tp_src=2)) is source
+        assert table.block("mA", flow(tp_src=3)) is source
+
+    def test_a_block_survives_the_session_it_was_raised_against(self):
+        table = SessionTable()
+        session = make_session(table, elements=("e1",))
+        block = table.block(session.src_mac, session.flow,
+                            cookie=session.session_id)
+        table.end(session)
+        assert len(table) == 0 and table.load_of("e1") == 0
+        assert table.block_for(flow()) is block
+        assert table.blocks_of("mA") == [block]
+
+    def test_blocks_leave_only_with_their_source(self):
+        table = SessionTable()
+        gone = [table.block("mA", flow()), table.block("mA", flow(tp_src=2))]
+        stays = table.block("mB", None)
+        assert table.take_blocks("mA") == gone
+        assert table.take_blocks("mA") == []
+        assert table.block_for(flow()) is None
+        assert table.blocks() == [stays]
 
 
 class TestElementLoad:
