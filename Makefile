@@ -98,13 +98,18 @@ accountability-smoke:
 	@grep -q 'quarantined=\[2\]' /tmp/acct-a.txt || \
 		{ echo "compromised dpid 2 was not quarantined"; exit 1; }
 
-# The shard fabric end to end: boot a 4-shard control plane, then the
-# seeded shard-failover scenario -- a cross-pod roam must hand its
-# established session off intact, and killing a shard must re-home its
-# switches onto the survivors with the crashed pod's flows still
-# delivering bytes afterwards.
+# The shard fabric end to end: boot a 4-shard control plane, where a
+# TCP connection between the first and the last shard's users must
+# complete, then the seeded shard-failover scenario -- a cross-pod roam
+# must hand its established session off intact, and killing a shard
+# must re-home its switches onto the survivors with the crashed pod's
+# flows still delivering bytes afterwards.
 shard-smoke:
-	PYTHONPATH=src python -m repro shards --shards 4
+	@PYTHONPATH=src python -m repro shards --shards 4 \
+		| tee /tmp/shard-fabric.txt
+	@grep -q 'east-west=1/1' /tmp/shard-fabric.txt || \
+		{ echo "a connection between two shards' users did not complete"; \
+		  exit 1; }
 	@PYTHONPATH=src python -m repro chaos --scenario shard-failover \
 		--seed 0 --assert-rehomed | tee /tmp/shard-smoke.txt
 	@grep -q 'roam-survived=True' /tmp/shard-smoke.txt || \

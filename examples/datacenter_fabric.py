@@ -4,20 +4,23 @@
 Section III.B says the Legacy-Switching layer can be a PortLand/VL2-
 class fabric for "elastic scale from 1 host to 100,000".  This example
 runs the full LiveSec stack over a k=4 fat tree of ECMP legacy
-switches, pushes reliable TCP transfers across pods through an IDS
-service chain, and prints per-flow goodput plus the fabric's parallel-
-uplink load split.
+switches with the control plane split per pod -- four controller
+shards, one a pod -- pushes reliable TCP transfers across pods (so
+across shards) through an IDS service chain, and prints per-flow
+goodput plus the fabric's parallel-uplink load split.
 
 Run with:  python examples/datacenter_fabric.py
 """
 
-from repro import Policy, PolicyTable, build_livesec_network
+from repro import Policy, PolicyTable
 from repro.analysis.ascii_charts import bar_chart
+from repro.core.deployment import build_sharded_network
 from repro.core.policy import FlowSelector, PolicyAction
 from repro.workloads.tcpflows import TcpServer, TcpTransfer
 
 
-def main() -> None:
+def east_west_policies() -> PolicyTable:
+    """Every shard's own copy of the one policy."""
     policies = PolicyTable()
     policies.begin().add(Policy(
         name="east-west-ids",
@@ -25,8 +28,12 @@ def main() -> None:
         action=PolicyAction.CHAIN,
         service_chain=("ids",),
     )).commit()
-    net = build_livesec_network(
-        topology="fattree", policies=policies,
+    return policies
+
+
+def main() -> None:
+    net = build_sharded_network(
+        num_shards=4, topology="fattree", policies=east_west_policies,
         k=4, hosts_per_edge=2, access_bandwidth_bps=1e9,
     )
     topo = net.topology
@@ -34,7 +41,7 @@ def main() -> None:
     net.add_element("ids", topo.as_switches[0])
     net.add_element("ids", topo.as_switches[5])
     net.start()
-    print("fabric up:", net.status().nib)
+    print("fabric up:", net.controller.status().nib)  # shard 0's view
 
     # Cross-pod TCP transfers through the IDS chain.
     server = TcpServer(net.host("h8_2"), port=9000)

@@ -460,11 +460,14 @@ def cmd_journal(args: argparse.Namespace) -> int:
 
 
 def cmd_shards(args: argparse.Namespace) -> int:
-    """Boot a sharded control plane, run a little traffic, and print
-    the coordinator's fabric view: ownership, liveness, per-shard NIB
+    """Boot a sharded control plane, run a little traffic -- every
+    user streaming to the gateway, and one answered TCP connection
+    between the first and the last user, shards apart -- and print the
+    coordinator's fabric view: ownership, liveness, per-shard NIB
     digests, and the inter-shard protocol counters."""
     from repro.core.deployment import build_sharded_network
     from repro.workloads import CbrUdpFlow
+    from repro.workloads.tcpflows import TcpServer, TcpTransfer
 
     if args.topology == "fattree":
         topology_kwargs = {"k": 4, "hosts_per_edge": 1}
@@ -485,6 +488,10 @@ def cmd_shards(args: argparse.Namespace) -> int:
                    duration_s=args.seconds).start()
         for host in net.topology.user_hosts
     ]
+    first, last = net.topology.user_hosts[0], net.topology.user_hosts[-1]
+    TcpServer(last, port=8080, response_bytes=2_000)
+    east_west = TcpTransfer(first, last.ip, port=8080,
+                            size_bytes=200_000).start()
     net.run(args.seconds + 0.5)
     for flow in flows:
         flow.stop()
@@ -507,7 +514,8 @@ def cmd_shards(args: argparse.Namespace) -> int:
               f" nib={digest}")
     print(f"  protocol: handoffs={status['handoff_sessions']}"
           f" remote-rule-ops={status['remote_rule_ops']}"
-          f" rehomed-switches={status['rehomed_switches']}")
+          f" rehomed-switches={status['rehomed_switches']}"
+          f" east-west={int(east_west.complete)}/1")
     print(f"  combined digest: {net.event_digest()[:16]}")
     return 0
 

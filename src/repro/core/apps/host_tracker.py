@@ -82,7 +82,9 @@ class HostTrackerApp(App):
                     frame=packet_in.frame,
                 )
             return
-        decision = self.ctx.directory.handle_arp_request(arp)
+        decision = self.ctx.directory.handle_arp_request(
+            arp, target=self.locate(ip=arp.target_ip)
+        )
         if decision.action == "reply":
             assert decision.reply_frame is not None
             self.ctx.controller.send_packet_out(
@@ -94,6 +96,18 @@ class HostTrackerApp(App):
             self.periphery_flood(
                 packet_in.frame, exclude=(packet_in.dpid, packet_in.in_port)
             )
+
+    def locate(self, mac: Optional[str] = None,
+               ip: Optional[str] = None) -> Optional[HostRecord]:
+        """Where a host is, by MAC else by IP: this NIB's row, else --
+        as one shard of a fabric -- the row of the shard that owns it,
+        read from the fabric's location directory and not copied."""
+        nib = self.ctx.nib
+        record = nib.host_by_mac(mac) if mac is not None else nib.host_by_ip(ip)
+        shard = self.ctx.controller.shard
+        if record is None and shard is not None:
+            record = shard.coordinator.locate(shard, mac, ip)
+        return record
 
     def learn_host(self, mac: str, ip: Optional[str], dpid: int, port: int,
                    is_element: bool = False) -> HostRecord:
@@ -131,8 +145,8 @@ class HostTrackerApp(App):
         """Accept a fabric-advertised host location into the NIB.
 
         No join/move events, no announcement: the owning shard already
-        did both.  The adopted record only makes remote destinations
-        and borrowed waypoints routable from this shard."""
+        did both.  The adopted record only makes borrowed waypoints
+        routable from this shard (remote *hosts* :meth:`locate` reads)."""
         record, _ = self.ctx.nib.learn_host(
             mac=mac, ip=ip, dpid=dpid, port=port, now=self.ctx.sim.now,
             is_element=is_element,

@@ -18,12 +18,7 @@ from typing import List, Optional
 
 from repro.core import messages as svcmsg
 from repro.core.apps.base import App, AppContext
-from repro.core.bus import (
-    BlockRequested,
-    ConnTrackUpdateIn,
-    ElementExpired,
-    ServiceFrameIn,
-)
+from repro.core.bus import BlockRequested, ElementExpired, ServiceFrameIn
 from repro.core.events import EventKind
 from repro.core.nib import HostRecord
 from repro.core.services import CertificateError, ServiceElementRecord
@@ -63,7 +58,7 @@ class ServiceDirectoryApp(App):
             elif isinstance(message, svcmsg.ConnTrackMessage):
                 self._handle_conntrack(message)
             else:
-                self._handle_event_report(message)
+                self.handle_event_report(message)
         except CertificateError:
             self._reject_element(packet_in, mac, reason="bad-certificate")
 
@@ -98,8 +93,7 @@ class ServiceDirectoryApp(App):
 
     def _handle_conntrack(self, message: svcmsg.ConnTrackMessage) -> None:
         """A stateful firewall reported a connection-state transition:
-        certify it, log it for the global view, and publish it for
-        observers (accountability, monitoring)."""
+        certify it and log it for the global view."""
         self.ctx.registry.verify_event(message)
         self.ctx.count("conntrack_reports")
         self.ctx.log.emit(
@@ -110,13 +104,21 @@ class ServiceDirectoryApp(App):
                 "" if part is None else str(part) for part in message.conn
             ),
         )
-        self.ctx.bus.publish(ConnTrackUpdateIn(message=message))
 
-    def _handle_event_report(
-        self, message: svcmsg.EventReportMessage
+    def handle_event_report(
+        self, message: svcmsg.EventReportMessage, forwarded: bool = False
     ) -> None:
-        self.ctx.registry.verify_event(message)
+        """Act on a report where its session is: in this book, or -- a
+        borrowed element inspecting another shard's flow -- in the book
+        of the flow's source's shard, handed there (``forwarded``) once
+        verified here, where the element's certificate lives."""
+        if not forwarded:
+            self.ctx.registry.verify_event(message)
         session = self._find_session_for_report(message)
+        shard = self.ctx.controller.shard
+        if (session is None and shard is not None and not forwarded
+                and shard.coordinator.forward_report(shard, message)):
+            return
         if message.kind == "attack":
             self._block_attack(message, session)
         elif message.kind == "protocol":

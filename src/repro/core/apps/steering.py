@@ -166,7 +166,7 @@ class SteeringApp(App):
         # was lost, or sits at a port the source has left): it is
         # neither flooded nor given a session, only blocked again here.
         blocked = self.ctx.sessions.block_for(flow) is not None
-        dst = self.ctx.nib.host_by_mac(frame.dst)
+        dst = host_tracker.locate(mac=frame.dst)
         if dst is None and not blocked:
             # Destination location unknown: fall back to a periphery
             # flood of this one packet; the session forms on a retry.
@@ -339,11 +339,13 @@ class SteeringApp(App):
 
     def _parties(self, session):
         """Where a session's (or a handoff record's) endpoints sit now
-        and the policy that governs it; each is None if it has left
+        -- a remote one read afresh from the shard fabric's directory
+        -- and the policy that governs it; each is None if it has left
         its table since the session formed."""
+        locate = self.peer("host-tracker").locate
         return (
-            self.ctx.nib.host_by_mac(session.src_mac),
-            self.ctx.nib.host_by_mac(session.dst_mac),
+            locate(mac=session.src_mac),
+            locate(mac=session.dst_mac),
             self.ctx.policies.get(session.policy_name),
         )
 
@@ -709,7 +711,6 @@ class SteeringApp(App):
         re-resolving its waypoint chain through our balancer so load
         accounting stays truthful."""
         handoff = event.handoff
-        shard = self.ctx.controller.shard
         mover = self.ctx.nib.host_by_mac(handoff.mac)
         for flow, cookie in handoff.blocks:
             self._block(handoff.mac, flow, cookie, at=mover)
@@ -740,8 +741,6 @@ class SteeringApp(App):
                 self.ctx.sessions.block_for(record.flow) is not None
             )
             session.application = record.application
-            if shard is not None and record.conntrack:
-                shard.restore_conntrack(record.conntrack)
             self.ctx.count("sessions_adopted")
             self.ctx.log.emit(
                 self.ctx.sim.now, EventKind.SESSION_HANDOFF,

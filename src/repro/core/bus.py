@@ -50,7 +50,6 @@ __all__ = [
     "BlockRequested",
     "UplinksLost",
     "PolicyReloaded",
-    "ConnTrackUpdateIn",
     "PathViolation",
     "SwitchQuarantined",
     "SessionHandoffIn",
@@ -174,8 +173,9 @@ class HostExpired:
 @dataclass(frozen=True, eq=False)
 class HostMoved:
     """A known host was re-learned at a different switch/port (VM
-    migration, wired-to-wifi roam).  ``record`` is the updated NIB row;
-    steering re-plans the mover's sessions and blocks from it."""
+    migration, wired-to-wifi roam).  ``record`` is the updated NIB row
+    -- or the shard fabric's directory row, for a move another shard
+    saw; steering re-plans the mover's sessions and blocks from it."""
 
     record: object
 
@@ -219,16 +219,6 @@ class PolicyReloaded:
     """
 
     commit: object  # PolicyCommit
-
-
-@dataclass(frozen=True, eq=False)
-class ConnTrackUpdateIn:
-    """A stateful firewall element reported a connection-state
-    transition over the in-band wire channel (decoded message rides
-    along).  The service directory publishes it after certificate
-    verification; observers log/count it."""
-
-    message: object  # repro.core.messages.ConnTrackMessage
 
 
 @dataclass(frozen=True, eq=False)

@@ -497,8 +497,10 @@ def build_sharded_network(
             element_timeout_s=element_timeout_s,
         )
         # Stride the id space so shard i of N mints ids i+1, i+1+N, ...
-        # -- globally unique without coordination, handoff-safe.
+        # -- globally unique without coordination, handoff-safe -- and
+        # the DHCP pool the same way.
         controller.sessions.reseed(shard_id + 1, num_shards)
+        controller.directory.reseed(shard_id + 1, num_shards)
         members.append(ShardMember(shard_id, controller, coordinator))
 
     network = ShardedDeployment(
@@ -512,11 +514,5 @@ def build_sharded_network(
         register_capacity=network._register_capacity,
     )
     network._add_elements(elements)
-    if topo.gateway is not None:
-        attachment = topo.attachments[topo.gateway.name]
-        coordinator.publish_host(
-            topo.gateway.mac, topo.gateway.ip,
-            attachment.switch.dpid, attachment.switch_port,
-        )
     coordinator.start()
     return network

@@ -13,10 +13,11 @@ the request flooded, and the resulting reply teaches the NIB.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.nib import NetworkInformationBase
+from repro.core.nib import HostRecord, NetworkInformationBase
 from repro.net import packet as pkt
 from repro.net.packet import Arp, Dhcp, Ethernet, ip_address
 
@@ -37,23 +38,34 @@ class DirectoryProxy:
         self.nib = nib
         self.dhcp_pool_base = dhcp_pool_base
         self._dhcp_leases: Dict[str, str] = {}  # mac -> ip
-        self._next_lease = 1
+        self._lease_numbers = itertools.count(1)
         self.arp_replies = 0
         self.arp_floods = 0
         self.dhcp_acks = 0
 
+    def reseed(self, start: int, step: int = 1) -> None:
+        """Re-key the lease sequence: shard ``i`` of ``N`` leases host
+        numbers ``i+1, i+1+N, ...`` of the one pool (the stride of
+        :meth:`SessionTable.reseed`), never another shard's address."""
+        self._lease_numbers = itertools.count(start, step)
+
     # ------------------------------------------------------------------
     # ARP
 
-    def handle_arp_request(self, arp: Arp) -> ArpDecision:
+    def handle_arp_request(
+        self, arp: Arp, target: Optional[HostRecord] = None
+    ) -> ArpDecision:
         """Decide how to resolve a punted ARP request.
 
         Gratuitous ARP (sender == target) is a location announcement,
         not a question: nothing to answer, nothing to flood.
+        ``target``: the asked-for host, if the caller located it (the
+        host tracker looks past this NIB); None: look in the NIB.
         """
         if arp.sender_ip == arp.target_ip:
             return ArpDecision(action="ignore")
-        target = self.nib.host_by_ip(arp.target_ip)
+        if target is None:
+            target = self.nib.host_by_ip(arp.target_ip)
         if target is None:
             self.arp_floods += 1
             return ArpDecision(action="flood")
@@ -88,8 +100,7 @@ class DirectoryProxy:
         existing = self._dhcp_leases.get(mac)
         if existing is not None:
             return existing
-        ip = ip_address(self._next_lease, base=self.dhcp_pool_base)
-        self._next_lease += 1
+        ip = ip_address(next(self._lease_numbers), base=self.dhcp_pool_base)
         self._dhcp_leases[mac] = ip
         return ip
 

@@ -15,17 +15,17 @@ as a horizontally scalable service):
 * :class:`ShardMember` -- one shard: a full ``LiveSecController``
   composition root (its own EventBus, apps, NIB, session table, event
   log, metrics registry) plus the fabric-facing surface (handoff
-  collection/adoption entry points, the deferral set, a conntrack-state
-  cache fed by its elements' in-band reports).
+  collection/adoption entry points, the deferral set).
 * :class:`ShardCoordinator` -- the replicated-state protocol on the
   simulator clock: a periodic sync round in which every live shard
   publishes a :class:`ShardHello` carrying its NIB location digest
   (the replicated-NIB exchange doubling as the liveness heartbeat),
   the federated service directory is refreshed from per-shard exports,
-  published hosts (the gateway) are advertised into every shard, and
-  shards whose hellos go silent past the liveness timeout are declared
-  SHARD_DOWN and their switches re-homed onto the survivors over fresh
-  secure channels.
+  and shards whose hellos go silent past the liveness timeout are
+  declared SHARD_DOWN and their switches re-homed onto the survivors
+  over fresh secure channels.  It also keeps the one book of where a
+  host is: a shard whose NIB does not hold a host reads the owner's
+  row here (:meth:`ShardCoordinator.locate`) and copies nothing.
 
 Cross-shard concerns are explicit typed protocol, never shared state:
 
@@ -37,11 +37,16 @@ Cross-shard concerns are explicit typed protocol, never shared state:
 * **Session handoff** (:class:`SessionHandoff`): a HOST_JOIN/HOST_MOVE
   observed by a shard that is not the host's previous owner triggers
   the handoff protocol -- new sessions for the host are deferred, the
-  old shard serializes the host's session records (ids, policy,
-  waypoint MACs, cached conntrack states) and its blocks, and tears
-  down its rules without ending the sessions; the destination shard
-  re-installs drops and ingress rules from the new location,
-  preserving the session ids.
+  old shard serializes the session records the host is the *source*
+  of (ids, policy, waypoint MACs) and its blocks, and tears down their
+  rules without ending the sessions; the destination shard re-installs
+  drops and ingress rules from the new location, preserving the
+  session ids.  Sessions *toward* the mover stay in their source's
+  book: its shard is told of the move (``HostMoved`` on its bus) and
+  re-plans them in place, as one controller does.
+* **Report forwarding** (:meth:`ShardCoordinator.forward_report`): a
+  verified element report about a session the element's shard does
+  not hold goes to the shard the flow's source sits on.
 * **Directory federation** (:class:`FederatedElement`): steering can
   place waypoints on elements homed to any live shard; an element's
   death propagates to every consumer shard in the next sync round.
@@ -58,9 +63,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bus import ConnTrackUpdateIn, SessionHandoffIn
-from repro.core.conntrack import CLOSED, five_tuple_of
+from repro.core.bus import HostMoved, SessionHandoffIn
 from repro.core.events import EventKind, EventLog
+from repro.core.nib import HostRecord
 from repro.obs import MetricsRegistry
 from repro.openflow.channel import SecureChannel
 
@@ -83,7 +88,7 @@ __all__ = [
 # independent of the OpenFlow channels the chaos harness impairs.
 INTER_SHARD_LATENCY_S = 1e-3
 # Sync-round cadence: hello/digest exchange, federation refresh,
-# published-host advertisement, liveness check.
+# liveness check.
 SYNC_INTERVAL_S = 0.5
 # A shard whose last hello is older than this is declared down.  Two
 # missed rounds plus slack: crash detection lands on the next round
@@ -184,8 +189,7 @@ class ShardHello:
 @dataclass(frozen=True)
 class SessionHandoffRecord:
     """One session serialized for cross-shard transfer: identity,
-    policy, waypoint placement, and the conntrack states the origin
-    shard had cached for its five-tuple."""
+    policy and waypoint placement."""
 
     session_id: int
     flow: object  # FlowNineTuple (forward direction)
@@ -195,7 +199,6 @@ class SessionHandoffRecord:
     element_macs: Tuple[str, ...]
     created_at: float
     application: Optional[str]
-    conntrack: Tuple[Tuple[tuple, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -233,11 +236,10 @@ class ShardMember:
     """One shard of the fabric: a controller plus its protocol surface.
 
     Construction wires the member into its controller
-    (``controller.shard``), subscribes to the controller's event log to
-    observe HOST_JOIN/HOST_MOVE synchronously (the handoff trigger must
-    fire before steering can set up a fresh session for the mover), and
-    caches conntrack states from the shard's firewalls' in-band reports
-    so a handoff can serialize them.
+    (``controller.shard``) and subscribes to the controller's event log
+    to observe HOST_JOIN / HOST_MOVE / HOST_LEAVE synchronously (the
+    handoff trigger must fire before steering can set up a fresh
+    session for the mover).
     """
 
     def __init__(self, shard_id: int, controller, coordinator):
@@ -249,14 +251,8 @@ class ShardMember:
         # steering defers fresh sessions for them until the handoff
         # arrives (or an empty transfer clears them).
         self.pending_handoff: set = set()
-        # Five-tuple -> last reported conntrack state from this shard's
-        # stateful firewalls (the serialized-over-handoff state).
-        self._conntrack: Dict[tuple, str] = {}
         controller.shard = self
         controller.log.subscribe(self._on_log_event)
-        controller.bus.subscribe(
-            ConnTrackUpdateIn, self._on_conntrack, app="shard-fabric"
-        )
         coordinator.register(self)
 
     # -- observation hooks --------------------------------------------
@@ -272,13 +268,8 @@ class ShardMember:
                 dpid=event.data.get("dpid"),
                 port=event.data.get("port"),
             )
-
-    def _on_conntrack(self, event) -> None:
-        message = event.message
-        if message.state == CLOSED:
-            self._conntrack.pop(message.conn, None)
-        else:
-            self._conntrack[message.conn] = message.state
+        elif event.kind == EventKind.HOST_LEAVE:
+            self.coordinator.host_left(self, event.data.get("mac"))
 
     # -- fabric surface used by the apps ------------------------------
 
@@ -286,17 +277,10 @@ class ShardMember:
         """Is a handoff for this host still in flight?"""
         return mac in self.pending_handoff
 
-    def restore_conntrack(
-        self, states: Sequence[Tuple[tuple, str]]
-    ) -> None:
-        """Seed the conntrack cache from a handoff's serialized states,
-        so a further move re-serializes them from here."""
-        for key, state in states:
-            self._conntrack[key] = state
-
     def adopt_host(self, mac, ip, dpid, port, is_element=False):
         """Accept a remote host record into this shard's NIB (no
-        announcement, no HOST_JOIN event -- it is not ours)."""
+        announcement, no HOST_JOIN event -- it is not ours): borrowed
+        waypoints, and residents a harness plants."""
         tracker = self.controller.app("host-tracker")
         return tracker.adopt_remote_host(
             mac, ip, dpid, port, is_element=is_element
@@ -316,29 +300,26 @@ class ShardMember:
     def collect_handoff(
         self, mac: str, ip: Optional[str], to_shard: int
     ) -> SessionHandoff:
-        """Serialize and release every session and block of a
-        departing host.
+        """Serialize and release every block of a departing host and
+        every session it is the source of.
 
         The origin shard's rules are deleted (locally and, for
         cross-shard rules, over the fabric) but the sessions are *not*
         ended -- their identity transfers to the destination shard.
+        Sessions *toward* the mover belong to their own source's book
+        and stay; the ``HostMoved`` that follows re-plans them.
         The host's NIB row goes too: it is no longer ours, and should
         it come back -- even to the port it left -- that is a join,
         which hands everything home again.
         """
         steering = self.controller.app("steering")
         sessions = sorted(
-            self.controller.sessions.sessions_of_user(mac),
+            (s for s in self.controller.sessions.sessions_of_user(mac)
+             if s.src_mac == mac),
             key=lambda s: s.session_id,
         )
         records = []
         for session in sessions:
-            states = []
-            for key in (five_tuple_of(session.flow),
-                        five_tuple_of(session.reverse_flow)):
-                state = self._conntrack.get(key)
-                if state is not None:
-                    states.append((key, state))
             steering.release_session_for_handoff(session)
             records.append(SessionHandoffRecord(
                 session_id=session.session_id,
@@ -349,7 +330,6 @@ class ShardMember:
                 element_macs=tuple(session.element_macs),
                 created_at=session.created_at,
                 application=session.application,
-                conntrack=tuple(states),
             ))
         self.controller.nib.remove_host(mac)
         return SessionHandoff(
@@ -363,6 +343,20 @@ class ShardMember:
         if self.failed:
             return
         self.controller.bus.publish(SessionHandoffIn(handoff=handoff))
+
+    def receive_host_moved(self, record: HostRecord) -> None:
+        """A host sessions of ours may lead to has moved: steering
+        re-plans them in place, as after a local move."""
+        if not self.failed:
+            self.controller.bus.publish(HostMoved(record))
+
+    def receive_report(self, message) -> None:
+        """An element report its home shard verified, about a flow
+        whose source is ours: applied here, never forwarded again."""
+        if not self.failed:
+            self.controller.app("service-directory").handle_event_report(
+                message, forwarded=True
+            )
 
     def receive_rule_op(self, op: str, rule) -> None:
         """Apply a rule another shard routed here (we hold its datapath
@@ -396,7 +390,6 @@ class ShardMember:
         arrives through future re-homing decisions."""
         self.failed = False
         self.pending_handoff.clear()
-        self._conntrack.clear()
         self.coordinator.member_restarted(self)
 
 
@@ -428,11 +421,12 @@ class ShardCoordinator:
         self._last_hello: Dict[int, float] = {}
         self._hellos: Dict[int, ShardHello] = {}
         self._down: Dict[int, float] = {}  # shard -> declared-down time
-        # mac -> (shard_id, dpid, port, ip): the fabric-wide host
-        # location directory fed synchronously from shard logs.
-        self._location: Dict[str, tuple] = {}
+        # mac -> (shard_id, its row there -- None once expired): the
+        # fabric-wide host location directory fed synchronously from
+        # shard logs, read by shards that do not know the host.
+        self._location: Dict[str, Tuple[int, Optional[HostRecord]]] = {}
+        self._mac_by_ip: Dict[str, str] = {}
         self._federation: Dict[str, FederatedElement] = {}
-        self._published: Dict[str, tuple] = {}  # mac -> (ip, dpid, port)
         self._hello_count = self.metrics.counter(
             "sharding.hellos", "Sync-round hello/digest exchanges"
         )
@@ -496,12 +490,6 @@ class ShardCoordinator:
         self.channels = channels
         self._register_capacity = register_capacity
 
-    def publish_host(self, mac: str, ip: Optional[str],
-                     dpid: int, port: int) -> None:
-        """Advertise a well-known host (the gateway) into every shard's
-        NIB each sync round, so cross-shard destinations resolve."""
-        self._published[mac] = (ip, dpid, port)
-
     def start(self) -> None:
         self.sim.every(
             SYNC_INTERVAL_S, self._sync_round,
@@ -539,7 +527,6 @@ class ShardCoordinator:
             )
         self._check_liveness(now)
         self._refresh_federation(exports)
-        self._advertise_published()
 
     def _check_liveness(self, now: float) -> None:
         for member in self.members:
@@ -631,43 +618,93 @@ class ShardCoordinator:
             borrowed.append(entry)
         return borrowed
 
-    def _advertise_published(self) -> None:
-        for mac in sorted(self._published):
-            ip, dpid, port = self._published[mac]
-            owner = self.shard_map.assignments.get(dpid)
-            for member in self.live_members():
-                if member.shard_id == owner:
-                    continue  # the owner learns it from the wire
-                member.adopt_host(mac, ip, dpid, port)
-
     # -- host location + session handoff --------------------------------
+
+    def _row(self, mac, ip) -> tuple:
+        """``(owner, row)`` of a host in the directory, by MAC else by
+        IP: no row once the owner expired it, no owner while its shard
+        is not live (the next owner re-learns the host from the wire)."""
+        if mac is None:
+            mac = self._mac_by_ip.get(ip)
+        shard_id, record = self._location.get(mac, (None, None))
+        if record is None or (ip is not None and record.ip != ip):
+            return None, None
+        return self._live(shard_id), record
+
+    def locate(
+        self, asker: ShardMember, mac=None, ip=None
+    ) -> Optional[HostRecord]:
+        """Where a host another live shard owns is, for ``asker`` to
+        plan toward, not to keep.  Its own it reads in its NIB."""
+        owner, record = self._row(mac, ip)
+        return None if owner in (None, asker) else record
+
+    def forward_report(self, member: ShardMember, message) -> bool:
+        """Route a report ``member`` verified but holds no session for
+        to the live shard the flow's source sits on (``dl_src``, else
+        ``nw_src``: chains of two or more rewrite ``dl_src``); False
+        when that is nobody else."""
+        flow = message.flow
+        if flow is None:
+            return False
+        owner = (self._row(flow.dl_src, None)[0]
+                 or self._row(None, flow.nw_src)[0])
+        if owner in (None, member):
+            return False
+        self.sim.post(INTER_SHARD_LATENCY_S, owner.receive_report, message)
+        return True
 
     def host_seen(self, member: ShardMember, mac, ip, dpid, port) -> None:
         """Synchronous location-directory update from a shard's
         HOST_JOIN/HOST_MOVE.  A host surfacing on a shard that is not
         its previous owner starts the handoff protocol *before*
-        steering can act on the packet that revealed it."""
+        steering can act on the packet that revealed it; a changed
+        port is then news for every shard's sessions toward the host
+        (the observing shard's tracker told its own bus, unless the
+        host is new there)."""
         if mac is None:
             return
-        prior = self._location.get(mac)
-        self._location[mac] = (member.shard_id, dpid, port, ip)
-        if prior is None or prior[0] == member.shard_id:
+        old_shard, prior = self._location.get(mac, (None, None))
+        now = self.sim.now
+        record = HostRecord(mac=mac, ip=ip, dpid=dpid, port=port,
+                            first_seen=now, last_seen=now)
+        self._location[mac] = (member.shard_id, record)
+        if ip is not None:
+            self._mac_by_ip[ip] = mac
+        if old_shard is None:
             return
-        old_shard = prior[0]
-        old_member = self._live(old_shard)
-        member.pending_handoff.add(mac)
-        if old_member is None:
-            # The old owner is gone: nothing to transfer, do not defer.
-            self.sim.post(
-                INTER_SHARD_LATENCY_S, self._deliver_handoff, member,
-                SessionHandoff(mac=mac, ip=ip, from_shard=old_shard,
-                               to_shard=member.shard_id),
-            )
-            return
-        self.sim.post(
-            INTER_SHARD_LATENCY_S, self._request_handoff,
-            old_member, member, mac, ip,
-        )
+        crossed = old_shard != member.shard_id
+        if crossed:
+            old_member = self._live(old_shard)
+            member.pending_handoff.add(mac)
+            if old_member is None:
+                # The old owner is gone: nothing to transfer, do not defer.
+                self.sim.post(
+                    INTER_SHARD_LATENCY_S, self._deliver_handoff, member,
+                    SessionHandoff(mac=mac, ip=ip, from_shard=old_shard,
+                                   to_shard=member.shard_id),
+                )
+            else:
+                self.sim.post(
+                    INTER_SHARD_LATENCY_S, self._request_handoff,
+                    old_member, member, mac, ip,
+                )
+        if prior is None or (prior.dpid, prior.port) != (dpid, port):
+            for other in self.live_members():
+                if crossed or other is not member:
+                    self.sim.post(
+                        INTER_SHARD_LATENCY_S, other.receive_host_moved, record
+                    )
+
+    def host_left(self, member: ShardMember, mac) -> None:
+        """A shard's HOST_LEAVE empties the row, if still its: no port
+        the owner expired is vouched for.  *Whose* the host was stays
+        -- a join elsewhere must still hand its blocks over."""
+        shard_id, record = self._location.get(mac, (None, None))
+        if shard_id == member.shard_id and record is not None:
+            self._location[mac] = (shard_id, None)
+            if self._mac_by_ip.get(record.ip) == mac:
+                del self._mac_by_ip[record.ip]
 
     def _request_handoff(
         self, old_member: ShardMember, new_member: ShardMember,

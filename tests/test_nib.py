@@ -244,7 +244,8 @@ class TestLocationDigest:
             nib.learn_host(host.mac, None, host.dpid, host.port, now)
             return True
         elif kind == "readopt":
-            # What ``_advertise_published`` does every sync round.
+            # What ``remote_candidates`` does to a borrowed element on
+            # every resolve.
             nib.learn_host(host.mac, host.ip, host.dpid, host.port, now,
                            is_element=host.is_element)
             return True

@@ -7,10 +7,13 @@ combined determinism digest.
 import pytest
 
 from repro.core.deployment import build_livesec_network, build_sharded_network
+from repro.core.policy import FlowSelector, Policy, PolicyAction, PolicyTable
 from repro.core.sharding import ShardMap, combined_digest
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.scenarios import GATEWAY_IP
+from repro.net.packet import Dhcp
 from repro.workloads import CbrUdpFlow
+from repro.workloads.tcpflows import TcpServer, TcpTransfer
 
 
 def ids_policies():
@@ -55,10 +58,14 @@ def net_of_shape(shards, **kwargs):
     or split over ``shards`` shards."""
     if shards > 1:
         return two_shard_net(num_shards=shards, **kwargs)
-    return build_livesec_network(
-        topology="linear", policies=ids_policies(), elements=[("ids", 2)],
-        num_as=4, hosts_per_as=1, dispatcher="polling", **kwargs
+    shape = dict(
+        topology="linear", policies=ids_policies, elements=[("ids", 2)],
+        num_as=4, hosts_per_as=1, dispatcher="polling",
     )
+    shape.update(kwargs)
+    if shape["policies"] is not None:
+        shape["policies"] = shape["policies"]()  # one table, not a factory
+    return build_livesec_network(**shape)
 
 
 class TestShardMap:
@@ -154,6 +161,175 @@ class TestShardedDeployment:
         # The waypoint lives on shard 0, so its rule went remote.
         counters = net.metrics.snapshot().counters()
         assert counters["sharding.remote_rule_ops"] > 0
+
+
+def chain_by_port():
+    """Chain by destination *port* alone, so host -> host traffic is
+    steered like gateway-bound traffic."""
+    table = PolicyTable()
+    table.begin(source="test").add(Policy(
+        name="ids-by-port", selector=FlowSelector(tp_dst=9000),
+        action=PolicyAction.CHAIN, service_chain=("ids",),
+    )).commit()
+    return table
+
+
+def all_sessions(net):
+    return [s for controller in net.controllers for s in controller.sessions]
+
+
+class TestEastWest:
+    """Any two hosts of the Access-Switching layer reach each other
+    (III.C.3), whichever shards they sit on: a shard that does not know
+    a host asks the fabric's location directory."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_tcp_to_the_gateway_completes_from_any_shard(self, shards):
+        """The reply direction needs the *gateway's* shard to resolve
+        the client (the parent: 5 unanswered ARP floods, 0 bytes)."""
+        net = net_of_shape(shards, policies=None, elements=[])
+        net.start()
+        server = TcpServer(net.gateway, port=8080)
+        transfer = TcpTransfer(net.host("h1_1"), GATEWAY_IP, port=8080,
+                               size_bytes=200_000).start()
+        net.run(5.0)
+        assert transfer.complete
+        assert server.bytes_received == 200_000
+        assert len(all_sessions(net)) == 1
+        assert net.controllers[-1].directory.arp_floods == 0
+
+    @pytest.mark.parametrize("chained", [False, True])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_two_users_on_different_shards_talk(self, shards, chained):
+        """h1_1 (dpid 1) -> h4_1 (dpid 4): one session, in the book of
+        the *source's* shard, its far-end entries applied by the
+        receiver's shard -- and inspected like on one controller."""
+        net = net_of_shape(
+            shards, policies=chain_by_port if chained else None,
+            elements=[("ids", 1)] if chained else [],
+        )
+        net.start()
+        sender, receiver = net.host("h1_1"), net.host("h4_1")
+        flow = CbrUdpFlow(net.sim, sender, receiver.ip, rate_bps=1e6,
+                          duration_s=3.0, dport=9000)
+        flow.start()
+        net.run(4.0)
+        assert flow.delivered_bytes(receiver) == 375_000
+        assert [len(c.sessions) for c in net.controllers] == (
+            [1] + [0] * (shards - 1)
+        )
+        (session,) = all_sessions(net)
+        assert session.is_steered == chained
+        inspected = [e.processed_packets for e in net.elements]
+        assert inspected == ([flow.packets_sent] if chained else [])
+        if shards > 1:
+            # Two entries at the receiver's switch, none anywhere else
+            # foreign: the IDS sits on the sender's.
+            assert net.coordinator.status()["remote_rule_ops"] == 2
+            # Read, never copied: no NIB holds another shard's host.
+            for member in net.members:
+                assert all(
+                    net.member_of(row.dpid) is member
+                    for row in member.controller.nib.user_hosts()
+                )
+
+    def test_the_data_centre_example_on_the_per_pod_fabric(self):
+        """Cross-pod TCP through an IDS chain on the 4-shard per-pod
+        fat tree delivers what one controller delivers (the parent: 1
+        of 4 connections, the intra-pod one)."""
+        def policies():
+            table = PolicyTable()
+            table.begin().add(Policy(
+                name="east-west-ids",
+                selector=FlowSelector(src_ip_prefix="10.0.",
+                                      dst_ip_prefix="10.0."),
+                action=PolicyAction.CHAIN, service_chain=("ids",),
+            )).commit()
+            return table
+
+        results = []
+        for shards in (1, 4):
+            common = dict(topology="fattree", k=4, hosts_per_edge=1,
+                          access_bandwidth_bps=1e9)
+            if shards == 1:
+                net = build_livesec_network(policies=policies(), **common)
+            else:
+                net = build_sharded_network(
+                    num_shards=shards, policies=policies, **common
+                )
+            net.add_element("ids", net.topology.as_switches[0])
+            net.add_element("ids", net.topology.as_switches[5])
+            net.start()
+            server = TcpServer(net.host("h8_1"), port=9000)
+            transfers = [
+                TcpTransfer(net.host(f"h{index}_1"), net.host("h8_1").ip,
+                            port=9000, size_bytes=300_000).start(0.1 * index)
+                for index in (1, 3, 5, 7)
+            ]
+            net.run(5.0)
+            assert all(t.complete for t in transfers)
+            results.append((
+                server.bytes_received, server.connections_seen,
+                [e.processed_packets for e in net.elements],
+            ))
+        assert results[0][:2] == (1_200_000, 4)
+        assert results[1] == results[0]
+
+
+class TestLocationDirectory:
+    @staticmethod
+    def locate_from(member):
+        """The one read path: a shard's host tracker."""
+        return member.controller.app("host-tracker").locate
+
+    def test_the_directory_forgets_who_left(self):
+        """h4_1 expires on its owner: the other shard stops planning
+        toward the port (an unknown destination floods, as on one
+        controller), until the host is heard again."""
+        net = two_shard_net(policies=None, elements=[], host_timeout_s=2.0)
+        net.start()
+        asker, owner = net.members
+        locate = self.locate_from(asker)
+        silent = net.host("h4_1")
+        at = net.topology.attachments["h4_1"]
+        for found in (locate(ip=silent.ip), locate(mac=silent.mac)):
+            assert (found.mac, found.ip, found.dpid, found.port) == (
+                silent.mac, silent.ip, at.switch.dpid, at.switch_port
+            )
+        net.run(8.0)  # past the timeout and an expiry sweep
+        assert owner.controller.nib.host_by_mac(silent.mac) is None
+        assert locate(mac=silent.mac) is None
+        assert locate(ip=silent.ip) is None
+        silent.announce()
+        net.run(0.1)
+        assert locate(ip=silent.ip).dpid == 4
+        # Read, not copied -- and its own hosts a shard reads in its
+        # NIB, not in the directory.
+        assert asker.controller.nib.host_by_mac(silent.mac) is None
+        assert net.coordinator.locate(owner, mac=silent.mac) is None
+
+    def test_a_dead_shard_vouches_for_nobody(self):
+        net = two_shard_net(policies=None, elements=[])
+        net.start()
+        asker, owner = net.members
+        locate = self.locate_from(asker)
+        assert locate(mac=net.gateway.mac) is not None
+        owner.fail()
+        assert locate(mac=net.gateway.mac) is None
+
+    def test_two_shards_never_lease_the_same_address(self):
+        """One pool, strided like the session ids (the parent offers
+        two clients on two shards 10.1.0.1 each)."""
+        net = two_shard_net(num_shards=4, policies=None, elements=[])
+        offers = [
+            controller.directory.handle_dhcp(
+                Dhcp(opcode="discover", client_mac=f"client-{shard}-{n}")
+            ).offered_ip
+            for shard, controller in enumerate(net.controllers)
+            for n in range(3)
+        ]
+        assert len(set(offers)) == len(offers)
+        assert offers[:3] == ["10.1.0.1", "10.1.0.5", "10.1.0.9"]
 
 
 class TestRoamHandoff:

@@ -53,9 +53,9 @@ def build(shards, fail_mode="open", num_elements=2, accountability=False,
           idle_timeout_s=IDLE_TIMEOUT_S):
     """4 access switches in a line, one host each, gateway on ovs4, an
     IDS on each of the first ``num_elements`` switches; with 2 shards,
-    shard 0 owns dpids {1, 2} and shard 1 owns {3, 4} -- so with the
-    default fleet shard 1 steers through elements borrowed from shard
-    0, and with a third IDS through one of its own."""
+    shard 0 owns dpids {1, 2} and shard 1 owns {3, 4} -- so shard 1
+    steers through elements borrowed from shard 0, which also verify
+    and forward what they report about shard 1's sessions."""
     common = dict(
         topology="linear", num_as=4, hosts_per_as=1,
         elements=[("ids", num_elements)], element_timeout_s=1.5,
@@ -78,23 +78,27 @@ def build(shards, fail_mode="open", num_elements=2, accountability=False,
 # Who is blocked in the population, and where: both on ovs3, which on
 # the 2-shard fabric holds entries of its own shard's sessions only.
 ATTACKER = "h3_1"
-# The fleet that gives ovs3 -- so shard 1 -- an IDS of its own: on the
-# fabric only a shard-local IDS gets an attack blocked (see
-# ``test_an_attack_seen_by_a_borrowed_ids_is_blocked``).
-LOCAL_IDS = {"num_elements": 3}
+# The host -> host flow of the population: across the shard boundary
+# on the fabric (dpid 2 -> dpid 4), in the *sender's* shard's book, and
+# unsteered -- the chain policy selects on the gateway's address.
+EAST_WEST = ("h2_1", "h4_1")
+EAST_WEST_BPS = 1e6
 
 
 def start_flows(net, duration_s=20.0):
-    """One CBR flow per user host; an attack from ``ATTACKER`` that the
-    IDS has blocked, and an uncertified element whose first (garbage)
-    service message got its source blocked, before the first check.
-    (On the fabric the attack is blocked only under ``LOCAL_IDS``: a
-    borrowed IDS reports to its own shard, which does not hold the
-    session -- ROADMAP item 2 (f).)"""
+    """One CBR flow per user host to the gateway and one host to host
+    (kept as ``net.east_west`` for the roam triggers); an attack from
+    ``ATTACKER`` that the IDS has blocked, and an uncertified element
+    whose first (garbage) service message got its source blocked,
+    before the first check."""
     for host in net.topology.hosts:
         if host is not net.topology.gateway:
             CbrUdpFlow(net.sim, host, GATEWAY_IP,
                        rate_bps=1e6, duration_s=duration_s).start()
+    sender, receiver = map(net.host, EAST_WEST)
+    net.east_west = CbrUdpFlow(net.sim, sender, receiver.ip,
+                               rate_bps=EAST_WEST_BPS, duration_s=duration_s)
+    net.east_west.start()
     attack = AttackWebFlow(net.sim, net.host(ATTACKER), GATEWAY_IP,
                            rate_bps=2e6, duration_s=duration_s)
     attack.start()
@@ -105,6 +109,11 @@ def start_flows(net, duration_s=20.0):
 
 def live_sessions(net):
     return [s for c in net.controllers for s in c.sessions]
+
+
+def chained_sessions(net):
+    """The sessions the chain policy selects: everything to the gateway."""
+    return [s for s in live_sessions(net) if s.dst_mac == net.gateway.mac]
 
 
 def blocks(net):
@@ -180,7 +189,7 @@ def failover_outcomes(net):
 def crash_element_in_use(net):
     """Kill one element some session is steered through, then run past
     the liveness timeout so its directory expires it."""
-    mac = live_sessions(net)[0].element_macs[0]
+    mac = chained_sessions(net)[0].element_macs[0]
     next(e for e in net.elements if e.mac == mac).fail()
     net.run(4.0)
 
@@ -189,13 +198,14 @@ def crash_element_in_use(net):
 
 
 def first_packet(net):
-    assert all(s.is_steered for s in live_sessions(net))
+    assert all(s.is_steered for s in chained_sessions(net))
+    assert len(live_sessions(net)) == len(chained_sessions(net)) + 1
 
 
 def failover_recovered(net):
     crash_element_in_use(net)
     assert set(failover_outcomes(net)) == {"recovered"}
-    assert all(s.is_steered for s in live_sessions(net))
+    assert all(s.is_steered for s in chained_sessions(net))
 
 
 def failover_fail_open(net):
@@ -210,7 +220,7 @@ def failover_fail_open(net):
 def failover_fail_closed(net):
     crash_element_in_use(net)
     assert set(failover_outcomes(net)) == {"fail-closed"}
-    assert all(s.blocked for s in live_sessions(net))
+    assert all(s.blocked for s in chained_sessions(net))
 
 
 def quarantine_resteer(net):
@@ -277,14 +287,50 @@ def roam(net, name, to_switch):
     return host
 
 
-def local_roam(net):
-    """h1_1 roams dpid 1 -> dpid 3 under one controller: its session
-    is re-planned in place -- same id, no end, no restart."""
+def roam_keeping_every_session(net, name, to_dpid):
+    """``name`` roams to ``to_dpid`` with an ARP: every session keeps
+    its id -- re-planned in place, or handed to the book of the shard
+    its source sits on now -- with no FLOW_END / FLOW_START pair, and
+    every 1-s window of the host -> host flow after the move delivers."""
     before = set(assert_installed_equals_planned(net))
-    roam(net, "h1_1", net.topology.as_switches[2])
+    starts = len(logged(net, EventKind.FLOW_START))
+    receiver = net.host(EAST_WEST[1])
+    net.topology.move_host(name, net.topology.as_switches[to_dpid - 1])
+    net.host(name).announce()
+    delivered = net.east_west.delivered_bytes(receiver)
+    for _ in range(3):
+        net.run(1.0)
+        window = net.east_west.delivered_bytes(receiver) - delivered
+        delivered += window
+        assert window * 8 >= 0.9 * EAST_WEST_BPS
     assert {s.session_id for s in live_sessions(net)} == before
     assert not logged(net, EventKind.FLOW_END)
-    assert len(logged(net, EventKind.FLOW_START)) == len(before)
+    assert len(logged(net, EventKind.FLOW_START)) == starts
+
+
+def local_roam(net):
+    """h1_1 roams dpid 1 -> dpid 3 under one controller: its session
+    is re-planned in place."""
+    roam_keeping_every_session(net, "h1_1", 3)
+
+
+def dst_roam_within_shard(net):
+    """The host -> host flow's receiver roams dpid 4 -> dpid 3, inside
+    its shard: the fabric tells the *sender's* shard, whose book holds
+    the session, and it re-plans toward the new port."""
+    roam_keeping_every_session(net, EAST_WEST[1], 3)
+
+
+def dst_roam_across_shards(net):
+    """The receiver roams dpid 4 -> dpid 1, onto the sender's shard:
+    its own sessions are handed over, the one toward it stays put."""
+    roam_keeping_every_session(net, EAST_WEST[1], 1)
+
+
+def src_roam_across_shards(net):
+    """The sender roams dpid 2 -> dpid 3: both its sessions follow it
+    into the other shard's book."""
+    roam_keeping_every_session(net, EAST_WEST[0], 3)
 
 
 def blocked_roam(net):
@@ -344,9 +390,12 @@ TRIGGERS = [
     # shard's behalf are not in it (ROADMAP item 2 (a)).  The rebooted
     # switch holds no such entry.
     (switch_reconnect, (1,), {}),
-    (switch_reboot, (1, 2), LOCAL_IDS),
+    (switch_reboot, (1, 2), {}),
     (local_roam, (1,), {}),
-    (blocked_roam, (1, 2), LOCAL_IDS),
+    (dst_roam_within_shard, (1, 2), {}),
+    (dst_roam_across_shards, (1, 2), {}),
+    (src_roam_across_shards, (1, 2), {}),
+    (blocked_roam, (1, 2), {}),
     (cross_shard_adopt, (2,), {}),
     (remote_setup_past_a_stopped_steering_app, (2, 4), {}),
 ]
@@ -387,15 +436,17 @@ def test_teardown_leaves_no_session_entries(shards):
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-@pytest.mark.parametrize("how", ["announced", "silent", "rejoined"])
+@pytest.mark.parametrize("how", ["announced", "silent", "rejoined", "expired"])
 def test_a_block_follows_its_source(shards, how):
     """A blocked attacker changes port (dpid 3 -> dpid 1; across shards
     on the fabric) and keeps sending: exactly one drop for the flow
     exists, at the new port, and not one more byte reaches the gateway
     -- whether the move is announced by an ARP, first shows as a data
     frame after the blocked session idled out, or the host record had
-    meanwhile left the NIB so it shows as a join."""
-    net = build(shards, idle_timeout_s=2.0, **LOCAL_IDS)
+    meanwhile left the NIB so it shows as a join -- dropped by hand, or
+    expired by its owner with a HOST_LEAVE (the fabric's directory then
+    forgets the port, not whose book the host's blocks are in)."""
+    net = build(shards, idle_timeout_s=2.0)
     attacker = net.host(ATTACKER)
     attack = AttackWebFlow(net.sim, attacker, GATEWAY_IP, rate_bps=2e6,
                            duration_s=20.0)
@@ -411,6 +462,11 @@ def test_a_block_follows_its_source(shards, how):
     elif how == "rejoined":
         for controller in net.controllers:
             controller.nib.remove_host(attacker.mac)
+    elif how == "expired":
+        owner = net.controllers[-1]
+        owner.nib.host_by_mac(attacker.mac).last_seen = float("-inf")
+        owner.app("host-tracker").expire_hosts()
+        assert logged(net, EventKind.HOST_LEAVE)
     net.run(6.0)
 
     at = net.topology.attachments[ATTACKER]
@@ -428,7 +484,7 @@ def test_a_block_comes_home_with_its_source():
     back to the very port it left: its old shard forgot it at the
     handoff, so the return is a join there, and the block -- in one
     book at a time -- is handed home again."""
-    net = build(2, idle_timeout_s=2.0, **LOCAL_IDS)
+    net = build(2, idle_timeout_s=2.0)
     attacker = net.host(ATTACKER)
     attack = AttackWebFlow(net.sim, attacker, GATEWAY_IP, rate_bps=2e6,
                            duration_s=20.0)
@@ -530,15 +586,24 @@ def test_a_flow_the_book_blocks_is_neither_charged_nor_flooded(dst_known):
                    for mac in controller.registry.elements)
 
 
-# -- found, not fixed: pinned so a fix has to come and say so --------------
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (f): the IDS reports"
-                   " to its own shard, which holds neither session nor source")
 def test_an_attack_seen_by_a_borrowed_ids_is_blocked():
-    net = build(2)  # both IDS on shard 0, the attacker on shard 1
+    """Both IDS on shard 0, the attacker on shard 1: the IDS reports to
+    its own shard, which verifies the report, holds neither session nor
+    source, and hands it to the shard that does -- the block lands in
+    the source's book, once."""
+    net = build(2)
     start_flows(net)
-    assert drops_for(net, net.host(ATTACKER).mac)
+    at = net.topology.attachments[ATTACKER]
+    assert drops_for(net, net.host(ATTACKER).mac) == [
+        (at.switch.dpid, at.switch_port)
+    ]
+    home = net.member_of(at.switch.dpid).controller
+    assert [b.src_mac for b in home.sessions.blocks()
+            if b.flow is not None] == [net.host(ATTACKER).mac]
+    assert len(logged(net, EventKind.ATTACK_DETECTED)) == 1
+
+
+# -- found, not fixed: pinned so a fix has to come and say so --------------
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (i): a host move is"
