@@ -38,11 +38,12 @@ experiments:
 # each exits non-zero unless the new path beats its reference
 # (indexed vs linear oracle; >=3x aggregate sessions/sec at 8 shards
 # vs 1; >=10x wall-clock at 1000 suspended flows).  Writes
-# BENCH_flowtable.json + BENCH_eventlog.json +
+# BENCH_flowtable.json + BENCH_eventlog.json + BENCH_policy.json +
 # BENCH_shard_scaling.json + BENCH_fluid.json.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_flowtable.py
 	PYTHONPATH=src python benchmarks/bench_eventlog.py
+	PYTHONPATH=src python benchmarks/bench_policy.py
 	PYTHONPATH=src python benchmarks/bench_shard_scaling.py
 	PYTHONPATH=src python benchmarks/bench_fluid.py
 

@@ -134,25 +134,6 @@ class HostTrackerApp(App):
             self.announce_host(record)
         return record
 
-    def adopt_remote_host(
-        self,
-        mac: str,
-        ip: Optional[str],
-        dpid: int,
-        port: int,
-        is_element: bool = False,
-    ) -> HostRecord:
-        """Accept a fabric-advertised host location into the NIB.
-
-        No join/move events, no announcement: the owning shard already
-        did both.  The adopted record only makes borrowed waypoints
-        routable from this shard (remote *hosts* :meth:`locate` reads)."""
-        record, _ = self.ctx.nib.learn_host(
-            mac=mac, ip=ip, dpid=dpid, port=port, now=self.ctx.sim.now,
-            is_element=is_element,
-        )
-        return record
-
     def announce_host(self, record: HostRecord, force: bool = False) -> None:
         """Teach the legacy fabric where this MAC lives by flooding a
         gratuitous ARP out of the host's switch uplink.

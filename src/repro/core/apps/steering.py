@@ -511,6 +511,8 @@ class SteeringApp(App):
             for mac in (session.src_mac, session.dst_mac):
                 record = self.ctx.nib.host_by_mac(mac)
                 if record is not None:
+                    # Forward only: the NIB's idle-sweep bound counts
+                    # on no row ever getting older.
                     record.last_seen = max(record.last_seen, active_until)
         self.teardown_session(
             session,

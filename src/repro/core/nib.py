@@ -74,6 +74,10 @@ class NetworkInformationBase:
         #: (never by a ``last_seen`` refresh): an idle NIB does not rehash.
         self.location_version = 0
         self._digest_memo: Tuple[int, str] = (-1, "")
+        #: No row's ``last_seen`` is older than this (``last_seen`` only
+        #: moves forward), so no sweep before ``_oldest_seen +
+        #: host_timeout_s`` can expire anybody.
+        self._oldest_seen = 0.0
 
     # ------------------------------------------------------------------
     # Switches
@@ -116,6 +120,8 @@ class NetworkInformationBase:
         moved = existing is not None and (
             existing.dpid != dpid or existing.port != port
         )
+        if not self.hosts or now < self._oldest_seen:
+            self._oldest_seen = now
         if existing is None or moved:
             record = HostRecord(
                 mac=mac,
@@ -170,12 +176,18 @@ class NetworkInformationBase:
         A silent host that ``keep_alive`` vouches for is refreshed
         instead of dropped."""
         stale, timeout = [], self.host_timeout_s
+        if now - self._oldest_seen <= timeout:
+            return stale
+        oldest = now
         for record in self.hosts.values():
             if now - record.last_seen > timeout:
                 if keep_alive is not None and keep_alive(record):
                     record.last_seen = now
                 else:
                     stale.append(record)
+            elif record.last_seen < oldest:
+                oldest = record.last_seen
+        self._oldest_seen = oldest
         for record in stale:
             self.remove_host(record.mac)
         return stale

@@ -23,10 +23,12 @@ transactions over the same path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.net.packet import FlowNineTuple
 
@@ -134,6 +136,58 @@ def cidr_contains(cidr: str, ip: Optional[str]) -> bool:
         return False
     network, mask = _cidr_net(cidr)
     return (value & mask) == network
+
+
+_Interval = Tuple[int, int]  # inclusive [lo, hi]
+
+
+def _prefix_interval(prefix: str) -> Optional[_Interval]:
+    """The address interval of an octet-aligned string prefix, or None
+    when the prefix doesn't reduce to whole octets (trailing-dot and
+    bare forms both pad with .0 / .255)."""
+    trimmed = prefix.rstrip(".")
+    if not trimmed:
+        return (0, 0xFFFFFFFF)
+    parts = trimmed.split(".")
+    if len(parts) > 4 or not all(p.isdigit() and int(p) <= 255 for p in parts):
+        return None
+    lo = parts + ["0"] * (4 - len(parts))
+    hi = parts + ["255"] * (4 - len(parts))
+    return (ip_to_int(".".join(lo)), ip_to_int(".".join(hi)))
+
+
+def _cidr_interval(cidr: str) -> _Interval:
+    network, length = parse_cidr(cidr)
+    span = (1 << (32 - length)) - 1 if length < 32 else 0
+    return (network, network + span)
+
+
+def _ip_interval(
+    exact: Optional[str], prefix: Optional[str], cidr: Optional[str]
+) -> Optional[_Interval]:
+    """The tightest address interval a selector side pins, or None when
+    unconstrained (or constrained only by an opaque non-IPv4 string,
+    which the Match layer carries instead).  An empty intersection --
+    e.g. ``src_ip`` outside ``src_cidr`` -- collapses to a reversed
+    interval, which the space algebra reads as unsatisfiable.  Every
+    other result is one CIDR-aligned block: aligned blocks nest or are
+    disjoint, so intersecting them keeps the smallest."""
+    intervals: List[_Interval] = []
+    if exact is not None:
+        value = _ip_or_none(exact)
+        if value is not None:  # else opaque, handled as a Match field
+            intervals.append((value, value))
+    if prefix is not None:
+        bounds = _prefix_interval(prefix)
+        if bounds is not None:
+            intervals.append(bounds)
+    if cidr is not None:
+        intervals.append(_cidr_interval(cidr))
+    if not intervals:
+        return None
+    lo = max(b[0] for b in intervals)
+    hi = min(b[1] for b in intervals)
+    return (lo, hi)
 
 
 def _octet_prefix_match(prefix: str, ip: str) -> bool:
@@ -258,20 +312,187 @@ class Policy:
             )
 
 
-def first_match(rows: Sequence[Policy], flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
-    """The first row (in the given order) whose selector matches, plus
-    the number of rows scanned to find it (all of them on a miss)."""
-    addrs = flow_addrs(flow)
-    for scanned, policy in enumerate(rows, start=1):
-        if policy.selector.matches(flow, addrs):
-            return policy, scanned
-    return None, len(rows)
-
-
 def _table_order(policy: Policy) -> Tuple[int, int]:
     """Match order: highest priority first, most specific breaks ties
     (stable, so insertion order breaks exact ties)."""
     return (-policy.priority, -policy.selector.specificity())
+
+
+# ======================================================================
+# The tuple-space index: one structure, read by lookup and by the verifier
+
+# The exact-valued selector fields a signature may pin, each beside the
+# flow field it is compared with.
+_KEYED_FIELDS = (
+    ("src_mac", "dl_src"), ("dst_mac", "dl_dst"), ("nw_proto", "nw_proto"),
+    ("tp_src", "tp_src"), ("tp_dst", "tp_dst"), ("vlan", "vlan"),
+)
+
+_FLOW_POSITIONS = tuple(
+    FlowNineTuple._fields.index(field) for _, field in _KEYED_FIELDS
+)
+
+# (positions in _KEYED_FIELDS that are pinned, src prefix length, dst
+# prefix length); a side that pins no address has length 0.
+_Signature = Tuple[Tuple[int, ...], int, int]
+# (the pinned values in signature order, src block, dst block), a block
+# being the network address shifted down by its host bits.
+_Key = Tuple[tuple, int, int]
+
+
+def _side_block(
+    exact: Optional[str], prefix: Optional[str], cidr: Optional[str]
+) -> Optional[Tuple[int, int]]:
+    """``(prefix length, block)`` of the one CIDR-aligned block a
+    selector side pins -- ``(0, 0)`` when it pins nothing -- or None
+    when a block does not say everything the side demands: an opaque
+    non-IPv4 exact address, a string prefix that is not whole octets, or
+    constraints that contradict each other."""
+    if exact is not None and _ip_or_none(exact) is None:
+        return None
+    if prefix is not None and _prefix_interval(prefix) is None:
+        return None
+    bounds = _ip_interval(exact, prefix, cidr)
+    if bounds is None:
+        return 0, 0
+    lo, hi = bounds
+    if lo > hi:
+        return None
+    length = 33 - (hi - lo + 1).bit_length()
+    return length, lo >> (32 - length)
+
+
+def _selector_key(selector: FlowSelector) -> Optional[Tuple[_Signature, _Key]]:
+    """Where a selector sits in the index, or None when it cannot be
+    keyed and its row must always be read."""
+    src = _side_block(selector.src_ip, selector.src_ip_prefix, selector.src_cidr)
+    dst = _side_block(selector.dst_ip, selector.dst_ip_prefix, selector.dst_cidr)
+    if src is None or dst is None:
+        return None
+    pinned, values = [], []
+    for position, (name, _) in enumerate(_KEYED_FIELDS):
+        value = getattr(selector, name)
+        if value is not None:
+            pinned.append(position)
+            values.append(value)
+    key = (tuple(values), src[1], dst[1])
+    try:
+        hash(key)
+    except TypeError:  # a document pinned a field to a JSON array
+        return None
+    return (tuple(pinned), src[0], dst[0]), key
+
+
+def _projection(signature: _Signature, other: _Signature):
+    """A key of ``signature`` cut down to what it must share with a key
+    of ``other`` for their rows' match spaces to meet: the values of the
+    fields both pin, and each address block at the shorter prefix."""
+    pinned, src_len, dst_len = signature
+    shared = [at for at, position in enumerate(pinned) if position in other[0]]
+    src_cut = max(src_len - other[1], 0)
+    dst_cut = max(dst_len - other[2], 0)
+
+    def project(key: _Key) -> _Key:
+        values, src, dst = key
+        return tuple([values[at] for at in shared]), src >> src_cut, dst >> dst_cut
+
+    return project
+
+
+class PolicyIndex:
+    """A tuple-space classifier over rows in match order (the scheme
+    Open vSwitch, the paper's AS switch, uses for its own tables).
+
+    Rows are grouped by *signature* -- which exact fields they pin and
+    the prefix length of the address block each side pins -- and every
+    group is a hash from the pinned values to its rows' ranks, ascending.
+    A row whose selector cannot be keyed sits in the residual list,
+    which every reader reads in full.  The index only ever *prunes*:
+    :meth:`match` confirms each candidate with ``FlowSelector.matches``
+    and the verifier hands :meth:`candidate_pairs` to the match-space
+    algebra, so a table whose rows all differ in signature degrades to
+    the scan it replaces and no further.
+    """
+
+    def __init__(self, rows: Sequence[Policy]):
+        self._rows = rows
+        self._groups: Dict[_Signature, Dict[_Key, List[int]]] = {}
+        self._residual: List[int] = []
+        for rank, policy in enumerate(rows):
+            keyed = _selector_key(policy.selector)
+            if keyed is None:
+                self._residual.append(rank)
+            else:
+                signature, key = keyed
+                self._groups.setdefault(signature, {}).setdefault(
+                    key, []
+                ).append(rank)
+        # What one lookup does per signature: the flow fields to read,
+        # the host bits to shift off each address, the hash to probe.
+        self._probes = [
+            (tuple(_FLOW_POSITIONS[position] for position in pinned),
+             32 - src_len, 32 - dst_len, group)
+            for (pinned, src_len, dst_len), group in self._groups.items()
+        ]
+
+    def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
+        """The first row in match order whose selector matches, plus its
+        1-based rank -- the rows a linear scan would have read to find
+        it (all of them on a miss)."""
+        rows = self._rows
+        best = len(rows)
+        src, dst = addrs = flow_addrs(flow)
+        if src is None or dst is None:
+            # Without two IPv4 addresses the flow falls in no block, yet
+            # it can match a row that pins no address -- or, through a
+            # malformed address string, a string prefix: only
+            # ``matches`` can tell, so every row is a candidate.
+            buckets: List[Sequence[int]] = [range(best)]
+        else:
+            buckets = [self._residual]
+            for positions, src_shift, dst_shift, group in self._probes:
+                values = tuple([flow[at] for at in positions]) if positions else ()
+                bucket = group.get((values, src >> src_shift, dst >> dst_shift))
+                if bucket is not None:
+                    buckets.append(bucket)
+        for bucket in buckets:
+            for rank in bucket:
+                if rank >= best:
+                    break
+                if rows[rank].selector.matches(flow, addrs):
+                    best = rank
+                    break
+        if best == len(rows):
+            return None, best
+        return rows[best], best + 1
+
+    def candidate_pairs(self) -> List[Tuple[int, int]]:
+        """Every rank pair ``(i, j)``, ``i < j``, whose match spaces can
+        meet, in ``(i, j)`` order: the rows of one bucket, the rows of
+        two signatures whose shared fields agree and whose blocks nest
+        (one hash join per signature pair), and each residual row with
+        every other row."""
+        pairs: Set[Tuple[int, int]] = set()
+        for (signature, group), (other, other_group) in combinations(
+            self._groups.items(), 2
+        ):
+            project = _projection(other, signature)
+            joined: Dict[_Key, List[int]] = {}
+            for key, ranks in other_group.items():
+                joined.setdefault(project(key), []).extend(ranks)
+            project = _projection(signature, other)
+            for key, ranks in group.items():
+                for j in joined.get(project(key), ()):
+                    pairs.update((i, j) if i < j else (j, i) for i in ranks)
+        for group in self._groups.values():
+            for ranks in group.values():
+                pairs.update(combinations(ranks, 2))
+        for rank in self._residual:
+            pairs.update((other, rank) for other in range(rank))
+            pairs.update(
+                (rank, other) for other in range(rank + 1, len(self._rows))
+            )
+        return sorted(pairs)
 
 
 @dataclass(frozen=True)
@@ -346,10 +567,10 @@ class PolicyTransaction:
         """Stage a wholesale swap: the new row set replaces everything."""
         self._ensure_open()
         new_rows = list(policies)
-        names = [p.name for p in new_rows]
-        duplicates = {n for n in names if names.count(n) > 1}
+        names = Counter(p.name for p in new_rows)
+        duplicates = sorted(n for n, count in names.items() if count > 1)
         if duplicates:
-            raise ValueError(f"duplicate policy names {sorted(duplicates)}")
+            raise ValueError(f"duplicate policy names {duplicates}")
         old_names = {p.name for p in self._table._policies}
         new_names = set(names)
         self._rows = new_rows
@@ -373,9 +594,10 @@ class PolicyTransaction:
     def validate(self, service_types=None) -> list:
         """Conflict findings over the staged table (no commit).
 
-        Delegates to the policy compiler's pairwise detector: the
-        staged rows in match order, plus service-chain reference checks
-        when ``service_types`` is given.  Returns a list of
+        Delegates to the policy compiler's pairwise detector (which
+        reads its pairs off a :class:`PolicyIndex`): the staged rows in
+        match order, plus service-chain reference checks when
+        ``service_types`` is given.  Returns a list of
         :class:`repro.core.policy_compiler.Conflict` findings.
         """
         self._ensure_open()
@@ -405,6 +627,7 @@ class PolicyTransaction:
         rows = sorted(self._rows, key=_table_order)
         table = self._table
         table._policies = rows
+        table._index = PolicyIndex(rows)
         table._by_name = {p.name: p for p in rows}
         table.default_action = self._default
         table.version += 1
@@ -430,14 +653,16 @@ class PolicyTable:
     """Ordered policy lookup: highest priority, then most specific.
 
     Mutation is transactional (:meth:`begin`); the name index makes
-    :meth:`get` O(1); :meth:`match` stays a first-match scan whose
-    row count feeds the ``controller.policy_lookup_scans`` histogram.
+    :meth:`get` O(1); :meth:`match` reads the :class:`PolicyIndex` each
+    commit rebuilds, and the winner's rank feeds the
+    ``controller.policy_lookup_scans`` histogram.
     """
 
     def __init__(self, default_action: PolicyAction = PolicyAction.ALLOW):
         if default_action is PolicyAction.CHAIN:
             raise ValueError("default action cannot be CHAIN")
         self._policies: List[Policy] = []
+        self._index = PolicyIndex(self._policies)
         self._by_name: Dict[str, Policy] = {}
         self.default_action = default_action
         self.version = 0
@@ -528,13 +753,14 @@ class PolicyTable:
 
     def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
         """The winning policy (or None) plus the number of table rows
-        scanned to find it -- the controller feeds the scan count into
-        its ``controller.policy_lookup_scans`` histogram.
+        a scan would have read to find it -- the winner's rank, or the
+        table size on a miss -- which the controller feeds into its
+        ``controller.policy_lookup_scans`` histogram.
 
         Side-effect-free: hit accounting is the caller's explicit
         choice via :meth:`record_hit`.
         """
-        return first_match(self._policies, flow)
+        return self._index.match(flow)
 
     def lookup(self, flow: FlowNineTuple) -> Optional[Policy]:
         """The winning policy for a flow, or None (-> default action).

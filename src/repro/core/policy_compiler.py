@@ -29,6 +29,7 @@ leaving the previously committed table serving).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -41,8 +42,10 @@ from repro.core.policy import (
     Granularity,
     Policy,
     PolicyAction,
+    PolicyIndex,
+    _Interval,
+    _ip_interval,
     _table_order,
-    first_match,
     ip_to_int,
     parse_cidr,
 )
@@ -221,9 +224,6 @@ def normalize_intent(intent: PolicyIntent) -> Policy:
 # ======================================================================
 # Match spaces: Match wildcard algebra + IPv4 intervals
 
-_Interval = Tuple[int, int]  # inclusive [lo, hi]
-
-
 def _selector_match(selector: FlowSelector) -> Match:
     """The exact-valued fields of a selector as a Match (the IP
     constraints live in the interval layer; non-parseable exact IPs
@@ -248,56 +248,6 @@ def _selector_match(selector: FlowSelector) -> Match:
             except ValueError:
                 values[side] = exact  # opaque: interval layer can't see it
     return Match(**values)
-
-
-def _prefix_interval(prefix: str) -> Optional[_Interval]:
-    """The address interval of an octet-aligned string prefix, or None
-    when the prefix doesn't reduce to whole octets (trailing-dot and
-    bare forms both pad with .0 / .255)."""
-    trimmed = prefix.rstrip(".")
-    if not trimmed:
-        return (0, 0xFFFFFFFF)
-    parts = trimmed.split(".")
-    if len(parts) > 4 or not all(p.isdigit() and int(p) <= 255 for p in parts):
-        return None
-    lo = parts + ["0"] * (4 - len(parts))
-    hi = parts + ["255"] * (4 - len(parts))
-    return (ip_to_int(".".join(lo)), ip_to_int(".".join(hi)))
-
-
-def _cidr_interval(cidr: str) -> _Interval:
-    network, length = parse_cidr(cidr)
-    span = (1 << (32 - length)) - 1 if length < 32 else 0
-    return (network, network + span)
-
-
-def _ip_interval(
-    exact: Optional[str], prefix: Optional[str], cidr: Optional[str]
-) -> Optional[_Interval]:
-    """The tightest address interval a selector side pins, or None when
-    unconstrained (or constrained only by an opaque non-IPv4 string,
-    which the Match layer carries instead).  An empty intersection --
-    e.g. ``src_ip`` outside ``src_cidr`` -- collapses to a reversed
-    interval, which the space algebra reads as unsatisfiable."""
-    intervals: List[_Interval] = []
-    if exact is not None:
-        try:
-            value = ip_to_int(exact)
-        except ValueError:
-            pass  # opaque, handled as a Match field
-        else:
-            intervals.append((value, value))
-    if prefix is not None:
-        bounds = _prefix_interval(prefix)
-        if bounds is not None:
-            intervals.append(bounds)
-    if cidr is not None:
-        intervals.append(_cidr_interval(cidr))
-    if not intervals:
-        return None
-    lo = max(b[0] for b in intervals)
-    hi = min(b[1] for b in intervals)
-    return (lo, hi)
 
 
 def _format_interval(bounds: Optional[_Interval], label: str) -> Optional[str]:
@@ -457,18 +407,16 @@ def _effect(policy: Policy) -> Tuple[PolicyAction, Tuple[str, ...]]:
     return (policy.action, policy.service_chain)
 
 
-def verify_rows(
+def _row_findings(
     rows: Sequence[Policy],
-    service_types: Optional[Iterable[str]] = None,
+    spaces: Sequence[_Space],
+    service_types: Optional[Iterable[str]],
 ) -> List[Conflict]:
-    """Pairwise conflict findings over rows already in match order.
-
-    Also flags unsatisfiable selectors and, when ``service_types`` is
-    given, chain references to service types the directory has never
-    heard of."""
+    """What one row gets wrong by itself: an unsatisfiable selector and,
+    when ``service_types`` is given, a chain naming a service type the
+    directory has never heard of."""
     findings: List[Conflict] = []
     known = set(service_types) if service_types is not None else None
-    spaces = [_Space.of(p.selector) for p in rows]
     for policy, space in zip(rows, spaces):
         if space.empty():
             findings.append(Conflict(
@@ -490,56 +438,78 @@ def verify_rows(
                     detail=f"service chain references unknown service"
                            f" type(s) {missing}",
                 ))
-    for i, earlier in enumerate(rows):
-        if spaces[i].empty():
-            continue
-        for j in range(i + 1, len(rows)):
-            later = rows[j]
-            if spaces[j].empty():
-                continue
-            overlap = space_overlap(spaces[i], spaces[j])
-            if overlap is None:
-                continue
-            if space_covers(spaces[i], spaces[j]):
-                # The later row can never fire.
-                if _effect(earlier) == _effect(later):
-                    findings.append(Conflict(
-                        kind="redundant",
-                        severity="warning",
-                        policies=(earlier.name, later.name),
-                        overlap=overlap,
-                        detail=f"{later.name!r} is fully covered by"
-                               f" {earlier.name!r} with the same effect;"
-                               f" it only adds scan weight",
-                    ))
-                else:
-                    findings.append(Conflict(
-                        kind="shadowed",
-                        severity="error",
-                        policies=(earlier.name, later.name),
-                        overlap=overlap,
-                        detail=f"{later.name!r} ({later.action.value}) can"
-                               f" never fire: {earlier.name!r}"
-                               f" ({earlier.action.value}) wins its entire"
-                               f" match space",
-                    ))
-            elif (
-                earlier.priority == later.priority
-                and earlier.action is not later.action
-                and PolicyAction.ALLOW in (earlier.action, later.action)
-            ):
-                # Partial overlap at the same priority with opposed
-                # effects: insertion order, not intent, decides.
-                findings.append(Conflict(
-                    kind="contradictory",
-                    severity="error",
-                    policies=(earlier.name, later.name),
-                    overlap=overlap,
-                    detail=f"{earlier.name!r} ({earlier.action.value}) and"
-                           f" {later.name!r} ({later.action.value}) disagree"
-                           f" on overlapping flows at equal priority"
-                           f" {earlier.priority}; make priorities explicit",
-                ))
+    return findings
+
+
+def _pair_finding(
+    earlier: Policy, later: Policy, earlier_space: _Space, later_space: _Space
+) -> Optional[Conflict]:
+    """The conflict between two rows, ``earlier`` ahead in match order,
+    or None when their spaces are disjoint or their overlap is the
+    legitimate narrow-exception-over-broad-rule idiom."""
+    overlap = space_overlap(earlier_space, later_space)
+    if overlap is None:
+        return None
+    if space_covers(earlier_space, later_space):
+        # The later row can never fire.
+        if _effect(earlier) == _effect(later):
+            return Conflict(
+                kind="redundant",
+                severity="warning",
+                policies=(earlier.name, later.name),
+                overlap=overlap,
+                detail=f"{later.name!r} is fully covered by"
+                       f" {earlier.name!r} with the same effect;"
+                       f" it only adds scan weight",
+            )
+        return Conflict(
+            kind="shadowed",
+            severity="error",
+            policies=(earlier.name, later.name),
+            overlap=overlap,
+            detail=f"{later.name!r} ({later.action.value}) can"
+                   f" never fire: {earlier.name!r}"
+                   f" ({earlier.action.value}) wins its entire"
+                   f" match space",
+        )
+    if (
+        earlier.priority == later.priority
+        and earlier.action is not later.action
+        and PolicyAction.ALLOW in (earlier.action, later.action)
+    ):
+        # Partial overlap at the same priority with opposed
+        # effects: insertion order, not intent, decides.
+        return Conflict(
+            kind="contradictory",
+            severity="error",
+            policies=(earlier.name, later.name),
+            overlap=overlap,
+            detail=f"{earlier.name!r} ({earlier.action.value}) and"
+                   f" {later.name!r} ({later.action.value}) disagree"
+                   f" on overlapping flows at equal priority"
+                   f" {earlier.priority}; make priorities explicit",
+        )
+    return None
+
+
+def verify_rows(
+    rows: Sequence[Policy],
+    service_types: Optional[Iterable[str]] = None,
+) -> List[Conflict]:
+    """Conflict findings over rows already in match order: each row by
+    itself, then every pair whose match spaces meet.
+
+    The index prunes, the algebra decides: a :class:`PolicyIndex` names
+    the pairs whose keyed fields can agree and whose address blocks
+    nest, in the ``(i, j)`` order a loop over all pairs would reach
+    them, and only those go through ``space_overlap`` /
+    ``space_covers``."""
+    spaces = [_Space.of(p.selector) for p in rows]
+    findings = _row_findings(rows, spaces, service_types)
+    for i, j in PolicyIndex(rows).candidate_pairs():
+        finding = _pair_finding(rows[i], rows[j], spaces[i], spaces[j])
+        if finding is not None:
+            findings.append(finding)
     return findings
 
 
@@ -560,9 +530,10 @@ class CompiledPolicyTable:
     """An immutable, verified policy table.
 
     Rows are held in exactly the order a :class:`PolicyTable` would
-    scan them (same stable sort key), so ``match`` is observably
-    identical -- winner *and* scan count -- to the live table the
-    artifact swaps into."""
+    hold them (same stable sort key) under the same
+    :class:`PolicyIndex`, so ``match`` is observably identical --
+    winner *and* scan count -- to the live table the artifact swaps
+    into."""
 
     def __init__(
         self,
@@ -574,6 +545,7 @@ class CompiledPolicyTable:
         self._rows: Tuple[Policy, ...] = tuple(
             sorted(rows, key=_table_order)
         )
+        self._index = PolicyIndex(self._rows)
         self._by_name: Dict[str, Policy] = {p.name: p for p in self._rows}
         self.default_action = default_action
 
@@ -589,8 +561,8 @@ class CompiledPolicyTable:
         return self._by_name.get(name)
 
     def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
-        """First match plus rows scanned (PolicyTable.match semantics)."""
-        return first_match(self._rows, flow)
+        """First match plus its rank (PolicyTable.match semantics)."""
+        return self._index.match(flow)
 
     def lookup(self, flow: FlowNineTuple) -> Optional[Policy]:
         return self.match(flow)[0]
@@ -654,8 +626,8 @@ def compile_intents(
     ``result.ok`` gates whether the artifact should ever reach a live
     table."""
     intents = tuple(intents)
-    names = [i.name for i in intents]
-    duplicates = sorted({n for n in names if names.count(n) > 1})
+    names = Counter(i.name for i in intents)
+    duplicates = sorted(n for n, count in names.items() if count > 1)
     if duplicates:
         raise ValueError(f"duplicate intent names {duplicates}")
     rows = [normalize_intent(intent) for intent in intents]

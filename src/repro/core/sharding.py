@@ -281,10 +281,10 @@ class ShardMember:
         """Accept a remote host record into this shard's NIB (no
         announcement, no HOST_JOIN event -- it is not ours): borrowed
         waypoints, and residents a harness plants."""
-        tracker = self.controller.app("host-tracker")
-        return tracker.adopt_remote_host(
-            mac, ip, dpid, port, is_element=is_element
-        )
+        controller = self.controller
+        return controller.nib.learn_host(
+            mac, ip, dpid, port, controller.sim.now, is_element
+        )[0]
 
     # -- protocol endpoints (called by the coordinator) ----------------
 
@@ -413,6 +413,7 @@ class ShardCoordinator:
         self.log = EventLog(metrics=self.metrics)
         self.liveness_timeout_s = liveness_timeout_s
         self.members: List[ShardMember] = []
+        self._member_by_id: Dict[int, ShardMember] = {}
         # Physical surface for re-homing, registered by the deployment.
         self.switches: Dict[int, object] = {}
         self.channels: Dict[int, SecureChannel] = {}
@@ -451,12 +452,10 @@ class ShardCoordinator:
 
     def register(self, member: ShardMember) -> None:
         self.members.append(member)
+        self._member_by_id[member.shard_id] = member
 
     def member(self, shard_id: int) -> Optional[ShardMember]:
-        for member in self.members:
-            if member.shard_id == shard_id:
-                return member
-        return None
+        return self._member_by_id.get(shard_id)
 
     def live_members(self) -> List[ShardMember]:
         """The members that can be talked to: not crashed, not declared

@@ -97,16 +97,16 @@ class Match:
 
     def wildcard_count(self) -> int:
         """How many of the 12 fields are wildcarded (0 = exact match)."""
-        return sum(1 for f in fields(self) if getattr(self, f.name) is None)
+        return sum(1 for name in _MATCH_FIELDS if getattr(self, name) is None)
 
     def is_subset_of(self, other: "Match") -> bool:
         """True when every frame matching ``self`` also matches ``other``.
 
         Used for OpenFlow's non-strict delete semantics.
         """
-        for f in fields(self):
-            ours = getattr(self, f.name)
-            theirs = getattr(other, f.name)
+        for name in _MATCH_FIELDS:
+            ours = getattr(self, name)
+            theirs = getattr(other, name)
             if theirs is not None and ours != theirs:
                 return False
         return True
@@ -119,9 +119,9 @@ class Match:
         the more specific side's values satisfies both.  The policy
         compiler's conflict detector is built on this.
         """
-        for f in fields(self):
-            ours = getattr(self, f.name)
-            theirs = getattr(other, f.name)
+        for name in _MATCH_FIELDS:
+            ours = getattr(self, name)
+            theirs = getattr(other, name)
             if ours is not None and theirs is not None and ours != theirs:
                 return False
         return True
@@ -135,13 +135,13 @@ class Match:
         overlapping match space".
         """
         values = {}
-        for f in fields(self):
-            ours = getattr(self, f.name)
-            theirs = getattr(other, f.name)
+        for name in _MATCH_FIELDS:
+            ours = getattr(self, name)
+            theirs = getattr(other, name)
             if ours is None:
-                values[f.name] = theirs
+                values[name] = theirs
             elif theirs is None or theirs == ours:
-                values[f.name] = ours
+                values[name] = ours
             else:
                 return None
         return Match(**values)
@@ -195,11 +195,17 @@ class Match:
 
     def __str__(self) -> str:
         set_fields = ", ".join(
-            f"{f.name}={getattr(self, f.name)}"
-            for f in fields(self)
-            if getattr(self, f.name) is not None
+            f"{name}={getattr(self, name)}"
+            for name in _MATCH_FIELDS
+            if getattr(self, name) is not None
         )
         return f"Match({set_fields or 'any'})"
+
+
+#: The twelve field names in declaration order, resolved once: the
+#: field-wise algebra above runs per installed entry on every non-strict
+#: delete and flow-stats request.
+_MATCH_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(Match))
 
 
 def frame_index_key(frame: Ethernet, in_port: int) -> Tuple:

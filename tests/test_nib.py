@@ -100,6 +100,27 @@ class TestHosts:
         assert nib.host_by_mac("busy").last_seen == 11.0
         assert nib.host_by_mac("new").last_seen == 8.0
 
+    def test_sweep_that_can_expire_nobody_reads_no_row(self, nib):
+        """Nothing is stale before the oldest ``last_seen`` plus the
+        timeout, so such a sweep must not walk the book."""
+        class NoWalk(dict):
+            def values(self):
+                raise AssertionError("idle sweep walked the hosts")
+
+        nib.learn_host("a", None, dpid=1, port=1, now=2.0)
+        nib.learn_host("b", None, dpid=1, port=2, now=5.0)
+        walked, nib.hosts = nib.hosts, NoWalk(nib.hosts)
+        assert nib.expire_hosts(now=2.0 + nib.host_timeout_s) == []
+        nib.hosts = walked
+        # The walk that does run recomputes the bound from what is left.
+        assert [r.mac for r in nib.expire_hosts(now=2.5 + nib.host_timeout_s)] == ["a"]
+        nib.hosts = NoWalk(nib.hosts)
+        assert nib.expire_hosts(now=5.0 + nib.host_timeout_s) == []
+        # A row heard from at an earlier instant lowers the bound again.
+        nib.hosts = dict(nib.hosts)
+        nib.learn_host("b", None, dpid=1, port=2, now=1.0)
+        assert [r.mac for r in nib.expire_hosts(now=4.0 + nib.host_timeout_s)] == ["b"]
+
     def test_user_and_element_views(self, nib):
         nib.learn_host("u1", None, dpid=1, port=1, now=0.0)
         nib.learn_host("e1", None, dpid=1, port=2, now=0.0, is_element=True)
@@ -252,9 +273,18 @@ class TestLocationDigest:
         elif kind == "remove":
             nib.remove_host(rng.choice(self.MACS))
         elif kind == "expire":
-            nib.expire_hosts(
-                now, keep_alive=lambda record: record.port % 2 == 0
-            )
+            def keep(record):
+                return record.port % 2 == 0
+
+            # What the full walk expires, whether or not the sweep's
+            # oldest-row bound lets it skip the walk.
+            want = [
+                record.mac for record in nib.hosts.values()
+                if now - record.last_seen > nib.host_timeout_s
+                and not keep(record)
+            ]
+            expired = nib.expire_hosts(now, keep_alive=keep)
+            assert [record.mac for record in expired] == want
         else:
             nib.remove_switch(rng.choice(self.DPIDS))
         return False
