@@ -1,10 +1,10 @@
 """E18 (shard fabric: control-plane scaling at the 100k-user point).
 
 The sharding refactor's reason to exist: one LiveSec controller owns
-the whole dpid space, so every punt, every liveness scan, and every
-NIB digest runs on one core.  Partitioning the fabric into N shards
-puts 1/N of the switches -- and, in a balanced campus, 1/N of the
-users -- behind each controller process.
+the whole dpid space, so every punt and every liveness scan runs on
+one core.  Partitioning the fabric into N shards puts 1/N of the
+switches -- and, in a balanced campus, 1/N of the users -- behind each
+controller process.
 
 The deployment is a 16-switch linear fabric carrying 100k+ simulated
 users (synthetic NIB residents, spread evenly over the edge), with a
@@ -14,10 +14,19 @@ critical-path model of a sharded control plane: each shard is its own
 process, so the fabric's session-setup throughput is the total number
 of sessions divided by the *busiest* shard's control-plane time --
 wall-clock PacketIn handling (the controller's own latency histograms)
-plus the periodic NIB-digest hellos it actually paid for during the run
-(``sharding.hello_wall_s``): the digest is rehashed only on a round
-whose location rows changed, so the 100k residents load the rounds
-after ``populate``, not every round.
+plus the periodic hellos it paid for during the run
+(``sharding.hello_wall_s``).  A hello carries the NIB's location
+*version* and reads no host row, so that term is microseconds whatever
+the population; while it carried a digest of the rows, the one-shard
+row paid a 100k-row rehash that eight shards split eight ways, and part
+of the measured speedup was that split.
+
+The **churn table** counts what a sync round reads: ``CHURN_ROUNDS``
+rounds on one shard with *k* hosts joining between rounds, at a small
+and at the full population -- host rows hashed by the round (none) and
+the hello's wall per round, beside what a round that called
+``nib.location_digest()`` (a *digest-carrying* hello) would read and
+cost: every resident row, whenever one row moved.
 
 Runs standalone (``python benchmarks/bench_shard_scaling.py`` with
 ``PYTHONPATH=src``) for ``make bench-smoke``, writing
@@ -27,9 +36,11 @@ pytest-benchmark like every other bench file.
 
 import gc
 import sys
+import time
 
 from repro.core.deployment import build_sharded_network
 from repro.analysis import format_table
+from repro.core.sharding import SYNC_INTERVAL_S
 from repro.net.topologies import GATEWAY_IP
 from repro.workloads import CbrUdpFlow
 from repro.workloads.scenarios import gateway_ids_policies
@@ -42,14 +53,18 @@ USERS = 100_000
 FLOWS = 1_200
 FLOW_SPACING_S = 0.003
 SPEEDUP_FLOOR_AT_8 = 3.0
+CHURN_POPULATIONS = (1_000, USERS)
+CHURN_JOINS = (0, 1, 100)
+CHURN_ROUNDS = 20
 
 PACKET_KINDS = ("arp", "dhcp", "service", "data")
 
 
-def _populate_users(net) -> None:
-    """Adopt USERS synthetic residents into the owning shards' NIBs,
-    round-robin over the edge -- the 100k-user scale point."""
-    for index in range(USERS):
+def _populate_users(net, first: int = 0, count: int = USERS) -> None:
+    """Adopt ``count`` synthetic residents (numbered from ``first``)
+    into the owning shards' NIBs, round-robin over the edge -- USERS of
+    them is the 100k-user scale point."""
+    for index in range(first, first + count):
         dpid = (index % NUM_SWITCHES) + 1
         member = net.member_of(dpid)
         member.adopt_host(
@@ -78,7 +93,8 @@ def _shard_busy_seconds(member, fabric) -> float:
     return busy + (hellos.sum if hellos is not None else 0.0)
 
 
-def run_config(num_shards: int) -> dict:
+def _populated_fabric(num_shards: int, residents: int = USERS):
+    """The started 16-switch fabric with its residents adopted."""
     net = build_sharded_network(
         num_shards=num_shards,
         topology="linear",
@@ -88,7 +104,12 @@ def run_config(num_shards: int) -> dict:
         hosts_per_as=1,
     )
     net.start()
-    _populate_users(net)
+    _populate_users(net, count=residents)
+    return net
+
+
+def run_config(num_shards: int) -> dict:
+    net = _populated_fabric(num_shards)
     # One simulator process holds every shard's heap.  A full
     # collection would scan all N resident populations and land inside
     # whichever shard's PacketIn span is open -- a pause no shard of
@@ -129,12 +150,78 @@ def run_config(num_shards: int) -> dict:
     }
 
 
+class _DigestMeter:
+    """Counts the host rows ``nib.location_digest`` reads: every one on
+    a call after ``location_version`` moved, none on a memo hit."""
+
+    def __init__(self, nib):
+        self.nib = nib
+        self.digest = nib.location_digest
+        self.hashed_version = None
+        self.rows = 0
+        nib.location_digest = self
+
+    def __call__(self) -> str:
+        if self.hashed_version != self.nib.location_version:
+            self.hashed_version = self.nib.location_version
+            self.rows += len(self.nib.hosts)
+        return self.digest()
+
+
+def run_churn(population: int) -> list:
+    """One shard holding ``population`` residents; per *k* in
+    CHURN_JOINS, CHURN_ROUNDS sync rounds with *k* joins before each."""
+    net = _populated_fabric(1, residents=population)
+    meter = _DigestMeter(net.members[0].controller.nib)
+
+    def hello_seconds() -> float:
+        return net.metrics.snapshot().get("sharding.hello_wall_s", shard=0).sum
+
+    def hellos() -> int:
+        return net.metrics.snapshot().counters()["sharding.hellos"]
+
+    meter.nib.location_digest()  # the planted rows, memoised
+    joined = population
+    rows = []
+    for joins in CHURN_JOINS:
+        rows_before, seconds_before = meter.rows, hello_seconds()
+        hellos_before = hellos()
+        digest_rows = digest_s = 0
+        for _ in range(CHURN_ROUNDS):
+            _populate_users(net, first=joined, count=joins)
+            joined += joins
+            net.run(SYNC_INTERVAL_S)
+            # What a digest-carrying hello adds to this round.
+            before, started = meter.rows, time.perf_counter()
+            meter.nib.location_digest()
+            digest_s += time.perf_counter() - started
+            digest_rows += meter.rows - before
+        round_rows = meter.rows - rows_before - digest_rows
+        round_s = hello_seconds() - seconds_before
+        assert hellos() - hellos_before == CHURN_ROUNDS  # one round a step
+        rows.append({
+            "residents": population,
+            "joins_per_round": joins,
+            "rows_read_per_round": round_rows / CHURN_ROUNDS,
+            "round_ms": round(1e3 * round_s / CHURN_ROUNDS, 4),
+            "digest_rows_read_per_round": digest_rows / CHURN_ROUNDS,
+            "digest_round_ms": round(
+                1e3 * (round_s + digest_s) / CHURN_ROUNDS, 4
+            ),
+        })
+    return rows
+
+
 def run_experiment():
-    results = [run_config(num_shards) for num_shards in SHARD_COUNTS]
-    base = results[0]["sessions_per_s"]
-    for row in results:
+    scaling = [run_config(num_shards) for num_shards in SHARD_COUNTS]
+    base = scaling[0]["sessions_per_s"]
+    for row in scaling:
         row["speedup"] = round(row["sessions_per_s"] / base, 2)
-    return results
+    churn = [
+        row for population in CHURN_POPULATIONS
+        for row in run_churn(population)
+    ]
+    return {"scaling": scaling, "churn": churn}
 
 
 def report(results, out=sys.stderr):
@@ -147,18 +234,34 @@ def report(results, out=sys.stderr):
                 [r["shards"], r["hosts"], r["sessions"],
                  r["busiest_shard_s"], r["sessions_per_s"],
                  f'{r["speedup"]}x', r["remote_rule_ops"]]
-                for r in results
+                for r in results["scaling"]
             ],
             title="E18: session-setup throughput vs shard count"
                   " (critical-path model)",
         ),
         file=out,
     )
+    print(file=out)
+    print(
+        format_table(
+            ["residents", "joins/round", "rows read/round", "hello ms/round",
+             "digest hello: rows read/round", "digest hello: ms/round"],
+            [
+                [r["residents"], r["joins_per_round"],
+                 r["rows_read_per_round"], r["round_ms"],
+                 r["digest_rows_read_per_round"], r["digest_round_ms"]]
+                for r in results["churn"]
+            ],
+            title=f"E18: what a sync round reads under churn"
+                  f" ({CHURN_ROUNDS} rounds, one shard)",
+        ),
+        file=out,
+    )
 
 
 def check(results):
-    by_shards = {r["shards"]: r for r in results}
-    for r in results:
+    by_shards = {r["shards"]: r for r in results["scaling"]}
+    for r in results["scaling"]:
         # The scale point is real: >= 100k users resident in the NIBs,
         # and every run sets up the full flow burst.
         assert r["hosts"] >= USERS, r
@@ -174,6 +277,15 @@ def check(results):
     assert by_shards[8]["sessions_per_s"] >= (
         SPEEDUP_FLOOR_AT_8 * by_shards[1]["sessions_per_s"]
     ), (by_shards[1], by_shards[8])
+    # Counted, not timed: no round reads a host row, whatever the
+    # population and the churn; a digest would read all of them
+    # whenever one moved.
+    for r in results["churn"]:
+        assert r["rows_read_per_round"] == 0, r
+        if r["joins_per_round"]:
+            assert r["digest_rows_read_per_round"] >= r["residents"], r
+        else:
+            assert r["digest_rows_read_per_round"] == 0, r
 
 
 def test_e18_shard_scaling(benchmark):

@@ -18,12 +18,13 @@ DEFAULT_HOST_TIMEOUT_S = 120.0
 _DIGEST_CHUNK = 4096  # rows per sha256 update
 
 
-@dataclass
+@dataclass(slots=True)
 class HostRecord:
     """The routing-table row for one discovered host.
 
     ``dpid``/``port`` give the AS switch and Network-Periphery port the
     host is attached to -- the paper's ``src-sw`` and ``src-sw-inport``.
+    Slotted: a large network holds one per resident.
     """
 
     mac: str
@@ -71,7 +72,9 @@ class NetworkInformationBase:
         self.switches: Dict[int, SwitchRecord] = {}
         self._uplink_ports: Dict[int, set] = {}
         #: Bumped exactly where a ``location_digest`` row can change
-        #: (never by a ``last_seen`` refresh): an idle NIB does not rehash.
+        #: (never by a ``last_seen`` refresh), and never reset: an
+        #: unchanged version means unchanged rows.  It is what a shard's
+        #: hello carries, and the digest's memo key.
         self.location_version = 0
         self._digest_memo: Tuple[int, str] = (-1, "")
         #: No row's ``last_seen`` is older than this (``last_seen`` only
@@ -115,38 +118,33 @@ class NetworkInformationBase:
         Section III.D.1).
         """
         existing = self.hosts.get(mac)
-        if existing is not None and ip and ip != existing.ip:
-            self._unindex_ip(mac, existing.ip)
-        moved = existing is not None and (
-            existing.dpid != dpid or existing.port != port
-        )
         if not self.hosts or now < self._oldest_seen:
             self._oldest_seen = now
-        if existing is None or moved:
+        if existing is None:
+            record = HostRecord(mac, ip or None, dpid, port, now, now, is_element)
+        else:
+            if ip and ip != existing.ip:
+                self._unindex_ip(mac, existing.ip)
+            if existing.dpid == dpid and existing.port == port:
+                existing.last_seen = now
+                if ip:
+                    if ip != existing.ip:
+                        existing.ip = ip
+                        self.location_version += 1
+                    self._hosts_by_ip[ip] = mac
+                if is_element and not existing.is_element:
+                    existing.is_element = True
+                    self.location_version += 1
+                return existing, False
             record = HostRecord(
-                mac=mac,
-                ip=ip or (existing.ip if existing else None),
-                dpid=dpid,
-                port=port,
-                first_seen=existing.first_seen if existing else now,
-                last_seen=now,
-                is_element=is_element or (existing.is_element if existing else False),
+                mac, ip or existing.ip, dpid, port, existing.first_seen, now,
+                is_element or existing.is_element,
             )
-            self.hosts[mac] = record
-            if record.ip:
-                self._hosts_by_ip[record.ip] = mac
-            self.location_version += 1
-            return record, True
-        existing.last_seen = now
-        if ip:
-            if ip != existing.ip:
-                existing.ip = ip
-                self.location_version += 1
-            self._hosts_by_ip[ip] = mac
-        if is_element and not existing.is_element:
-            existing.is_element = True
-            self.location_version += 1
-        return existing, False
+        self.hosts[mac] = record
+        if record.ip:
+            self._hosts_by_ip[record.ip] = mac
+        self.location_version += 1
+        return record, True
 
     def remove_host(self, mac: str) -> Optional[HostRecord]:
         record = self.hosts.pop(mac, None)
@@ -269,14 +267,14 @@ class NetworkInformationBase:
         )
 
     # ------------------------------------------------------------------
-    # Replication digest (the shard fabric's NIB exchange unit)
+    # Location digest (read on demand; rounds carry ``location_version``)
 
     def location_digest(self) -> str:
         """sha256 over the host-location rows in MAC order (the MAC is
         the unique key).  Two NIBs hold the same locations exactly when
-        their digests match -- this is what shards exchange every sync
-        round instead of full tables.  Rehashed only after
-        ``location_version`` moved."""
+        their digests match.  It reads every row, so no periodic path
+        calls it: the reader who asks (``ShardCoordinator.status``)
+        pays, once per ``location_version``."""
         version, hexdigest = self._digest_memo
         if version != self.location_version:
             macs = sorted(self.hosts)

@@ -18,8 +18,8 @@ as a horizontally scalable service):
   collection/adoption entry points, the deferral set).
 * :class:`ShardCoordinator` -- the replicated-state protocol on the
   simulator clock: a periodic sync round in which every live shard
-  publishes a :class:`ShardHello` carrying its NIB location digest
-  (the replicated-NIB exchange doubling as the liveness heartbeat),
+  publishes a :class:`ShardHello` carrying its NIB location version
+  (the change signal doubling as the liveness heartbeat),
   the federated service directory is refreshed from per-shard exports,
   and shards whose hellos go silent past the liveness timeout are
   declared SHARD_DOWN and their switches re-homed onto the survivors
@@ -87,8 +87,8 @@ __all__ = [
 # ops, handoff requests).  Modeled as a dedicated control network,
 # independent of the OpenFlow channels the chaos harness impairs.
 INTER_SHARD_LATENCY_S = 1e-3
-# Sync-round cadence: hello/digest exchange, federation refresh,
-# liveness check.
+# Sync-round cadence: hello exchange, federation refresh, liveness
+# check.
 SYNC_INTERVAL_S = 0.5
 # A shard whose last hello is older than this is declared down.  Two
 # missed rounds plus slack: crash detection lands on the next round
@@ -177,11 +177,13 @@ class ShardMap:
 
 @dataclass(frozen=True)
 class ShardHello:
-    """One shard's sync-round heartbeat: liveness + its NIB digest."""
+    """One shard's sync-round heartbeat: liveness + its NIB's
+    ``location_version`` (moved since the last hello exactly when a
+    host row changed)."""
 
     shard_id: int
     at: float
-    nib_digest: str
+    nib_version: int
     hosts: int
     sessions: int
 
@@ -292,7 +294,7 @@ class ShardMember:
         return ShardHello(
             shard_id=self.shard_id,
             at=now,
-            nib_digest=self.controller.nib.location_digest(),
+            nib_version=self.controller.nib.location_version,
             hosts=len(self.controller.nib.hosts),
             sessions=len(self.controller.sessions),
         )
@@ -429,7 +431,7 @@ class ShardCoordinator:
         self._mac_by_ip: Dict[str, str] = {}
         self._federation: Dict[str, FederatedElement] = {}
         self._hello_count = self.metrics.counter(
-            "sharding.hellos", "Sync-round hello/digest exchanges"
+            "sharding.hellos", "Sync-round hello exchanges"
         )
         self._handoff_count = self.metrics.counter(
             "sharding.handoff_sessions",
@@ -504,7 +506,7 @@ class ShardCoordinator:
             with self.metrics.histogram(
                 "sharding.hello_wall_s",
                 "Wall-clock cost of building a shard's hello"
-                " (its NIB digest included)",
+                " (three O(1) reads, no NIB row)",
                 shard=member.shard_id,
             ).time():
                 hello = member.hello(now)
@@ -512,13 +514,13 @@ class ShardCoordinator:
             self._last_hello[member.shard_id] = now
             self._hellos[member.shard_id] = hello
             self._hello_count.inc()
-            if previous is None or previous.nib_digest != hello.nib_digest:
-                # Log only digest *changes*: the exchange is every
-                # round, but steady state would drown the event log.
+            if previous is None or previous.nib_version != hello.nib_version:
+                # Log only row *changes*: the exchange is every round,
+                # but steady state would drown the event log.
                 self.log.emit(
                     now, EventKind.SHARD_HELLO,
                     shard=member.shard_id,
-                    nib_digest=hello.nib_digest[:16],
+                    nib_version=hello.nib_version,
                     hosts=hello.hosts, sessions=hello.sessions,
                 )
             exports.extend(
@@ -762,7 +764,8 @@ class ShardCoordinator:
                 "live": self._live(shard_id) is not None,
                 "hosts": hello.hosts if hello else 0,
                 "sessions": hello.sessions if hello else 0,
-                "nib_digest": hello.nib_digest if hello else None,
+                # Hashed here, for the reader who asks; no round does.
+                "nib_digest": member.controller.nib.location_digest(),
                 "last_hello": self._last_hello.get(shard_id),
                 # Runtime app lifecycle, per shard: app churn on one
                 # member is visible without asking its controller.

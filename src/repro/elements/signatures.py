@@ -31,16 +31,24 @@ class ContentMatch:
     nocase: bool = False
     offset: int = 0
     depth: Optional[int] = None
+    # ``content`` as searched for (lowered under ``nocase``); built
+    # once at rule load, not per inspected packet.
+    needle: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "needle",
+            self.content.lower() if self.nocase else self.content,
+        )
 
     def matches(self, payload: bytes) -> bool:
-        window = payload[self.offset:]
+        if self.offset:
+            payload = payload[self.offset:]
         if self.depth is not None:
-            window = window[: self.depth]
-        needle = self.content
+            payload = payload[: self.depth]
         if self.nocase:
-            window = window.lower()
-            needle = needle.lower()
-        return needle in window
+            payload = payload.lower()
+        return self.needle in payload
 
 
 @dataclass(frozen=True)

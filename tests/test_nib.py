@@ -121,6 +121,25 @@ class TestHosts:
         nib.learn_host("b", None, dpid=1, port=2, now=1.0)
         assert [r.mac for r in nib.expire_hosts(now=4.0 + nib.host_timeout_s)] == ["b"]
 
+    def test_a_row_is_slotted(self, nib):
+        record, _ = nib.learn_host("m1", "10.0.0.1", dpid=1, port=2, now=0.0)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.shard = 0
+
+    def test_a_roam_keeps_first_seen_and_the_element_flag(self, nib):
+        nib.learn_host("e1", "10.0.0.1", dpid=1, port=2, now=1.0,
+                       is_element=True)
+        record, moved = nib.learn_host("e1", None, dpid=2, port=5, now=4.0)
+        assert moved and nib.host_by_mac("e1") is record
+        assert (record.first_seen, record.last_seen) == (1.0, 4.0)
+        assert record.is_element and record.ip == "10.0.0.1"
+
+    def test_an_empty_address_is_stored_as_none(self, nib):
+        record, _ = nib.learn_host("m1", "", dpid=1, port=2, now=0.0)
+        assert record.ip is None
+        assert nib.host_by_ip("") is None
+
     def test_user_and_element_views(self, nib):
         nib.learn_host("u1", None, dpid=1, port=1, now=0.0)
         nib.learn_host("e1", None, dpid=1, port=2, now=0.0, is_element=True)
@@ -289,13 +308,44 @@ class TestLocationDigest:
             nib.remove_switch(rng.choice(self.DPIDS))
         return False
 
+    def _three_switch_nib(self):
+        nib = NetworkInformationBase(host_timeout_s=3.0)
+        for dpid in self.DPIDS:
+            nib.add_switch(dpid, f"s{dpid}", (1, 2, 3, 4), now=0.0)
+        return nib
+
+    def test_an_unchanged_version_across_a_round_means_unchanged_rows(self):
+        """What the sync round relies on: a hello carries only
+        ``location_version``, and a round of any operations that leaves
+        it where it was has changed no row.  (The converse does not
+        hold over a round -- a host can leave and come back -- and
+        costs one ``SHARD_HELLO`` line, never a missed one.)"""
+        quiet_rounds = rows_came_back = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            nib = self._three_switch_nib()
+            now, steps_left = 0.0, 40
+            while steps_left:
+                version = nib.location_version
+                digest = reference_digest(nib)[0]
+                steps = min(steps_left, rng.randint(1, 4))
+                steps_left -= steps
+                for _ in range(steps):
+                    now += rng.choice((0.1, 1.0, 2.5))
+                    self._step(rng, nib, now)
+                unchanged = reference_digest(nib)[0] == digest
+                if nib.location_version == version:
+                    assert unchanged, (seed, now)
+                    quiet_rounds += 1
+                elif unchanged:
+                    rows_came_back += 1
+        assert quiet_rounds >= 300 and rows_came_back >= 1
+
     def test_memoised_digest_tracks_every_row_change(self):
         steps = 0
         for seed in range(300):
             rng = random.Random(seed)
-            nib = NetworkInformationBase(host_timeout_s=3.0)
-            for dpid in self.DPIDS:
-                nib.add_switch(dpid, f"s{dpid}", (1, 2, 3, 4), now=0.0)
+            nib = self._three_switch_nib()
             now = 0.0
             digest, rows = reference_digest(nib)
             assert nib.location_digest() == digest

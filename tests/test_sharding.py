@@ -7,13 +7,16 @@ combined determinism digest.
 import pytest
 
 from repro.core.deployment import build_livesec_network, build_sharded_network
+from repro.core.events import EventKind
+from repro.core.nib import NetworkInformationBase
 from repro.core.policy import FlowSelector, Policy, PolicyAction, PolicyTable
-from repro.core.sharding import ShardMap, combined_digest
+from repro.core.sharding import SYNC_INTERVAL_S, ShardMap, combined_digest
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.scenarios import GATEWAY_IP
 from repro.net.packet import Dhcp
 from repro.workloads import CbrUdpFlow
 from repro.workloads.tcpflows import TcpServer, TcpTransfer
+from tests.test_nib import reference_digest
 
 
 def ids_policies():
@@ -161,6 +164,125 @@ class TestShardedDeployment:
         # The waypoint lives on shard 0, so its rule went remote.
         counters = net.metrics.snapshot().counters()
         assert counters["sharding.remote_rule_ops"] > 0
+
+
+class TestHelloByVersion:
+    """A hello carries ``nib.location_version``: the round reads no
+    host row, and the digest is hashed for the reader who asks."""
+
+    @staticmethod
+    def plant(member, index, dpid):
+        return member.adopt_host(
+            f"02:fe:00:00:{index >> 8:02x}:{index & 0xFF:02x}",
+            f"172.16.{index >> 8}.{index & 0xFF}", dpid, 2000 + index,
+        )
+
+    @staticmethod
+    def hello_lines(net, shard):
+        return net.coordinator.log.query(
+            kind=EventKind.SHARD_HELLO,
+            where=lambda event: event.data["shard"] == shard,
+        )
+
+    def test_no_round_hashes_a_row_and_status_hashes_once(self, monkeypatch):
+        net = two_shard_net(policies=None, elements=[])
+        net.start()
+        for index in range(10_000):
+            member = net.members[index % 2]
+            self.plant(member, index, dpid=1 + 2 * member.shard_id)
+        asked = []
+        digest = NetworkInformationBase.location_digest
+        monkeypatch.setattr(
+            NetworkInformationBase, "location_digest",
+            lambda nib: asked.append(nib) or digest(nib),
+        )
+        logged = len(net.coordinator.log)
+        for round_ in range(10):
+            for member in net.members:
+                self.plant(member, 10_000 + round_, dpid=2 + 2 * member.shard_id)
+            net.run(SYNC_INTERVAL_S)
+        assert len(net.coordinator.log) == logged + 20  # each join was told
+        assert asked == []
+        nibs = [member.controller.nib for member in net.members]
+        first = [row["nib_digest"] for row in net.coordinator.status()["shards"]]
+        assert asked == nibs
+        assert first == [reference_digest(nib)[0] for nib in nibs]
+        # Nothing moved since: the same strings, not equal ones.
+        again = [row["nib_digest"] for row in net.coordinator.status()["shards"]]
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_a_hello_is_logged_when_a_row_moved(self):
+        net = two_shard_net(policies=None, elements=[])
+        net.start()
+        member = net.members[0]
+        nib, sim = member.controller.nib, net.sim
+
+        def lines_after_a_round():
+            before = len(self.hello_lines(net, 0))
+            net.run(SYNC_INTERVAL_S)
+            return self.hello_lines(net, 0)[before:]
+
+        first_round = min(e.time for e in net.coordinator.log)
+        for shard in (0, 1):
+            first = self.hello_lines(net, shard)[0]
+            assert first.time == first_round
+            assert sorted(first.data) == [
+                "hosts", "nib_version", "sessions", "shard",
+            ]
+        assert lines_after_a_round() == []  # idle
+        resident = nib.host_by_mac(net.host("h1_1").mac)
+        nib.learn_host(resident.mac, resident.ip, resident.dpid,
+                       resident.port, sim.now)
+        assert resident.last_seen == sim.now
+        assert lines_after_a_round() == []  # a refresh moves no row
+        hosts = len(nib.hosts)
+        joined = self.plant(member, 1, dpid=1)
+        line, = lines_after_a_round()
+        assert line.data == dict(
+            shard=0, nib_version=nib.location_version, hosts=hosts + 1,
+            sessions=0,
+        )
+        nib.learn_host(joined.mac, None, 2, 77, sim.now)  # a move
+        assert len(lines_after_a_round()) == 1
+        nib.learn_host(joined.mac, None, 2, 77,
+                       sim.now - nib.host_timeout_s - 1)
+        assert nib.expire_hosts(sim.now)[0].mac == joined.mac
+        line, = lines_after_a_round()
+        assert line.data["hosts"] == hosts
+        nib.remove_switch(2)
+        line, = lines_after_a_round()
+        assert line.data["hosts"] < hosts
+
+    def test_a_restart_is_told_only_if_a_row_moved(self):
+        net = two_shard_net(policies=None, elements=[])
+        net.start()
+        member = net.members[1]
+
+        def lines_of_a_crash(while_down=lambda: None):
+            before = len(self.hello_lines(net, 1))
+            member.fail()
+            while_down()
+            member.restart()
+            net.run(SYNC_INTERVAL_S)
+            return self.hello_lines(net, 1)[before:]
+
+        # The crash drops the shard's channels, and with them its hosts.
+        assert len(lines_of_a_crash()) == 1
+        assert lines_of_a_crash() == []  # nothing left to move
+        assert len(lines_of_a_crash(lambda: self.plant(member, 1, 3))) == 1
+
+    def test_status_hashes_the_rows_it_is_asked_about(self):
+        net = two_shard_net(policies=None, elements=[])
+        net.start()
+        live, dead = net.members
+        dead.fail()
+        net.run(3.0)
+        self.plant(live, 1, dpid=1)  # since the last round
+        status = net.coordinator.status()
+        assert status["down"] == [dead.shard_id]
+        for member, row in zip(net.members, status["shards"]):
+            assert row["live"] is (member is live)
+            assert row["nib_digest"] == reference_digest(member.controller.nib)[0]
 
 
 def chain_by_port():
