@@ -37,7 +37,8 @@ experiments:
 # shard fabric's scaling curve, and the fluid fast-forward kernel;
 # each exits non-zero unless the new path beats its reference
 # (indexed vs linear oracle; >=3x aggregate sessions/sec at 8 shards
-# vs 1; >=10x wall-clock at 1000 suspended flows).  Writes
+# vs 1; >=10x wall-clock at 1000 suspended flows, and 300 / 500 flows
+# with uniform(0, 0.1) starts suspending, delivered == packet).  Writes
 # BENCH_flowtable.json + BENCH_eventlog.json + BENCH_policy.json +
 # BENCH_shard_scaling.json + BENCH_fluid.json.
 bench-smoke:

@@ -536,15 +536,24 @@ class FluidRegion:
             to_port = link.other_end(port)
             if not to_port.enabled:
                 return None, "port-disabled"
-            offset += frame.size * 8.0 / link.bandwidth_bps + link.delay_s
+            tx = frame.size * 8.0 / link.bandwidth_bps
+            offset += tx + link.delay_s
             plan = link.fluid_plan(port, offset)
-            if (self.congestion == "refuse"
-                    and plan.direction.occupancy(now) > 0):
-                # A draining drop-tail backlog (e.g. right after an
-                # overload subsided) would queue-delay -- or drop --
-                # real frames; analytic advance assumes neither.  The
-                # "rate" policy models congestion anyway, so only the
-                # exactness-preserving policy refuses here.
+            pending = plan.direction.pending_done
+            if (self.congestion == "refuse" and pending
+                    and pending[-1] > now + plan.end_offset_s - tx):
+                # A real frame still holds this hop when the flow's
+                # first analytic frame (emitted at >= now) can start
+                # serializing here: a draining drop-tail backlog (e.g.
+                # right after an overload subsided) would queue-delay
+                # -- or drop -- real frames; analytic advance assumes
+                # neither.  A frame done before then cannot meet it,
+                # e.g. one a switch committed to this queue while it
+                # still holds it.  On the first hop this is
+                # ``occupancy(now) > 0`` (not asked of a later instant:
+                # it prunes).  The "rate" policy models congestion
+                # anyway, so only the exactness-preserving policy
+                # refuses here.
                 return None, "queue-backlog"
             walk.hops.append(plan)
             node = to_port.node

@@ -17,6 +17,7 @@ tp_dst)`` and is extracted by :func:`extract_nine_tuple`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
@@ -47,8 +48,14 @@ UDP_HEADER_BYTES = 8
 _packet_ids = itertools.count(1)
 
 
+@functools.lru_cache(maxsize=4096)
 def mac_address(index: int) -> str:
     """Deterministic MAC address for host/switch number ``index``.
+
+    Memoised: the periodic chatter (every BPDU's and LLDP frame's
+    chassis MAC) asks for the same few indices all run long, so each is
+    formatted once and every frame shares the one string.  Bounded, so
+    a build with more nodes than slots only re-formats the cold ones.
 
     >>> mac_address(1)
     '00:00:00:00:00:01'

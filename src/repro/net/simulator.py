@@ -92,7 +92,8 @@ class Simulator:
         self._seq = itertools.count()
         #: Current simulated time in seconds.  A plain attribute (every
         #: hop reads it several times); only :meth:`run` writes it, and
-        #: only ever forwards.
+        #: only ever forwards -- besides :meth:`run_ahead`, which reads
+        #: one callback a later instant and puts it back.
         self.now = 0.0
         self._running = False
         self._cancelled_queued = 0
@@ -154,6 +155,28 @@ class Simulator:
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
         heappush(self._queue, (time, next(self._seq), callback, args))
+
+    def run_ahead(self, delay: float, callback: Callable, *args: Any) -> None:
+        """:meth:`post` for a callback whose inputs no event inside the
+        gap can change: ``callback(*args)`` runs at once with ``now``
+        reading ``now + delay`` -- the same float the posted event would
+        have fired at -- and ``now`` is restored when it returns.
+
+        It costs no event (``events_processed`` does not move), and it
+        is the only writer of ``now`` besides :meth:`run`.  What the
+        callback posts or schedules lands where the posted callback's
+        would have; only a change made by an event *inside* the gap is
+        seen by it before it happened, which is the caller's argument
+        to make (``OpenFlowSwitch._forward``).
+        """
+        if not delay >= 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        now = self.now
+        self.now = now + delay
+        try:
+            callback(*args)
+        finally:
+            self.now = now
 
     def attach_fluid(self, region) -> None:
         """Attach a fluid fast-forward region (one per simulator).

@@ -116,6 +116,14 @@ class WifiAccessPoint(OpenFlowSwitch):
         self.medium = AirMedium(air_bandwidth_bps)
         self.stations: list = []
 
+    def _forward(self, frame, in_port, plan) -> None:
+        # Posted, not run ahead: the stations share this radio and can
+        # reserve air inside the forwarding delay, so the downlink frame
+        # must claim the air when it leaves, behind them.
+        self.sim.post(
+            self.forwarding_delay_s, self._apply_actions, frame, in_port, plan
+        )
+
     def attach_station(self, station: "Host") -> WirelessLink:
         """Associate a wireless host with this AP."""
         ap_port = self.next_free_port()

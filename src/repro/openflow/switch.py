@@ -11,7 +11,11 @@ expired entries.
 The datapath charges a small per-frame ``forwarding_delay_s``
 (software-switch lookup cost).  This is what makes the LiveSec path
 measurably slower than pure legacy switching -- the +10 % latency
-result of Section V.B.3.
+result of Section V.B.3.  The delay is not an event of its own: the
+action stage runs on arrival with the clock reading the departure
+instant (:meth:`OpenFlowSwitch._forward`, ``Simulator.run_ahead``), so
+a switch hop costs one event, the link delivery.  A Wi-Fi AP, whose
+radio stations share, posts it instead (``WifiAccessPoint._forward``).
 """
 
 from __future__ import annotations
@@ -175,9 +179,30 @@ class OpenFlowSwitch(Node):
             and frame.path_tag is not None
         ):
             plan = self._skip_waypoint_plan(frame, entry)
-        # The forwarding delay stays its own event: the output links'
-        # state must be read when the frame leaves, not when it arrives.
-        self.sim.post(
+        # The plan is fixed here, at arrival -- a FlowMod inside the
+        # forwarding delay never changed it -- so the action stage can
+        # run now, as of the frame's departure (see _forward).
+        self._forward(frame, in_port, plan)
+
+    def _forward(self, frame: Ethernet, in_port: int, plan: ActionPlan) -> None:
+        """Charge the forwarding delay and run ``plan`` on ``frame``:
+        the one way a frame leaves the action stage (lookup hit,
+        PacketOut, buffered-frame release on a FlowMod).
+
+        ``run_ahead``, not an event: every reader in the action stage --
+        ``transmit``'s queue prune, ``next_free`` and fluid share, the
+        channel posts for path proofs and punts -- sees the departure
+        instant it would see ``forwarding_delay_s`` from now.  That is
+        exact because the plan is already fixed and a wired egress
+        direction is fed only by this switch, through here, after one
+        constant delay, so frames leave in arrival order at the same
+        instants.  What differs is anything landing inside the gap: a
+        link, port or compromise change, or a lossy-channel draw, is
+        seen by the frame at arrival; a reader of what the stage writes
+        (a port-stats poll, a ``run(until=)`` boundary) finds the frame
+        already sent.  DESIGN 3.2 has the argument.
+        """
+        self.sim.run_ahead(
             self.forwarding_delay_s, self._apply_actions, frame, in_port, plan
         )
 
@@ -352,12 +377,8 @@ class OpenFlowSwitch(Node):
             if buffered is not None:
                 frame, in_port = buffered
                 if mod.actions:
-                    self.sim.post(
-                        self.forwarding_delay_s,
-                        self._apply_actions,
-                        frame,
-                        in_port,
-                        compile_actions(tuple(mod.actions)),
+                    self._forward(
+                        frame, in_port, compile_actions(tuple(mod.actions))
                     )
 
     def _handle_packet_out(self, out: msg.PacketOut) -> None:
@@ -370,10 +391,7 @@ class OpenFlowSwitch(Node):
             frame, in_port = buffered
         if frame is None:
             return
-        self.sim.post(
-            self.forwarding_delay_s, self._apply_actions, frame, in_port,
-            compile_actions(tuple(out.actions)),
-        )
+        self._forward(frame, in_port, compile_actions(tuple(out.actions)))
 
     def _handle_port_stats(self, request: msg.PortStatsRequest) -> None:
         self.sim.settle_fluid()

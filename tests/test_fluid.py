@@ -213,6 +213,43 @@ class TestWalkRefusals:
         walk, reason = net.fluid._walk(flow)
         assert walk is None and reason == "link-down"
 
+    @pytest.mark.parametrize("probe_size, suspends", [(100, True),
+                                                      (1500, False)])
+    def test_a_frame_inside_a_switch_at_a_tick(self, probe_size, suspends):
+        """A frame a switch holds at a governor tick is already in its
+        egress queue (the action stage ran ahead).  It refuses the tick
+        only if it is still serializing there when the flow's first
+        analytic frame can start to: a 100 B frame is long gone by
+        then, 1500 B at 10 Mb/s are not."""
+        sim = Simulator()
+        region = FluidRegion(sim)
+        sw = OpenFlowSwitch(sim, "sw", dpid=1)
+        h1, h2, h3 = hosts = lab_hosts(sim)
+        for host in hosts:
+            connect(sim, sw, host, bandwidth_bps=10e6)  # switch ports 1..3
+        for in_port in (1, 3):
+            sw.table.add(FlowEntry(match=Match(in_port=in_port),
+                                   actions=(Output(2),)), sim.now)
+        flow = CbrUdpFlow(sim, h1, h2.ip, rate_bps=1e6, packet_size=1000,
+                          sport=40000, dport=9000).start(delay_s=0.1)
+        tick = 0.1 + region.governor_interval_s
+        # h3's frame reaches the switch 10 us before the tick.
+        first_hop = probe_size * 8 / 10e6 + 50e-6
+        sim.post_at(tick - 10e-6 - first_hop, h3.send_udp, h2.ip, 5555,
+                    7777, b"", probe_size)
+        seen = {}
+
+        def after_tick():
+            seen["queued"] = sw.ports[2].direction.pending_done[-1] > tick
+            seen["suspended"] = flow in region._suspended
+
+        sim.post_at(tick + 1e-6, after_tick)
+        sim.run(until=0.2)
+        assert seen["queued"]  # the frame was committed inside the switch
+        assert seen["suspended"] is suspends
+        assert ("queue-backlog" in region.refusals) is not suspends
+        assert flow.delivered_bytes(h2) == flow.bytes_sent
+
 
 class TestMaterialization:
     def run_suspended(self):

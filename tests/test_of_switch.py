@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import packet as pkt
 from repro.net.node import Node, connect
+from repro.net.simulator import Simulator
 from repro.openflow import messages as msg
 from repro.openflow.actions import (
     CONTROLLER_PORT,
@@ -13,8 +14,10 @@ from repro.openflow.actions import (
 )
 from repro.openflow.channel import SecureChannel
 from repro.openflow.controller_base import ControllerBase
+from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.switch import OpenFlowSwitch
+from tests import oracles
 
 
 class Sink(Node):
@@ -296,3 +299,104 @@ class TestStats:
         assert len(entries) == 1
         assert entries[0]["cookie"] == 5
         assert entries[0]["packets"] == 1
+
+
+class TimedSink(Node):
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.received = []
+
+    def receive(self, frame, in_port):
+        self.received.append((self.sim.now, frame))
+
+
+class RecordingChannel:
+    """Just enough of a SecureChannel to keep what the switch says."""
+
+    connected = True
+
+    def __init__(self):
+        self.messages = []
+
+    def to_controller(self, message):
+        self.messages.append(message)
+
+
+def bench(switch_class):
+    """A switch on a fresh simulator: in-ports 1 and 2 forward to a
+    timed sink on port 3 over a 1 Gb/s, 50 us link."""
+    sim = Simulator()
+    switch = switch_class(sim, "sw", dpid=7)
+    switch.channel = RecordingChannel()
+    sources = [TimedSink(sim, f"src{port}") for port in (1, 2)]
+    for port, source in zip((1, 2), sources):
+        connect(sim, switch, source, port_a=port)
+    sink = TimedSink(sim, "sink")
+    link = connect(sim, switch, sink, port_a=3)
+    for port in (1, 2):
+        switch.table.add(FlowEntry(match=Match(in_port=port),
+                                   actions=(Output(3),)), sim.now)
+    return sim, switch, sink, link
+
+
+BOTH_DATAPATHS = pytest.mark.parametrize(
+    "switch_class", [OpenFlowSwitch, oracles.PostedForwardingSwitch],
+    ids=["run-ahead", "posted"],
+)
+
+
+class TestForwardingDelay:
+    """The action stage runs at arrival with the clock at departure
+    (``OpenFlowSwitch``); ``oracles.PostedForwardingSwitch`` is the
+    same datapath with the delay as an event of its own."""
+
+    @BOTH_DATAPATHS
+    def test_frames_leave_one_output_in_arrival_order_after_the_delay(
+            self, switch_class):
+        sim, switch, sink, link = bench(switch_class)
+        t0, delay = 0.01, switch.forwarding_delay_s
+        first, middle, last = data_frame(), data_frame(), data_frame()
+        sim.post_at(t0, switch.receive, first, 1)
+        sim.post_at(t0 + 5e-6, switch.handle_of_message, msg.PacketOut(
+            actions=(Output(3),), frame=middle, in_port=2))
+        sim.post_at(t0 + 10e-6, switch.receive, last, 2)
+        sim.run(until=0.1)
+        tx = 200 * 8.0 / link.bandwidth_bps
+        assert sink.received == [
+            (arrival + delay + tx + link.delay_s, frame)
+            for arrival, frame in ((t0, first), (t0 + 5e-6, middle),
+                                   (t0 + 10e-6, last))
+        ]
+
+    @BOTH_DATAPATHS
+    def test_a_link_failing_inside_the_delay(self, switch_class):
+        """The one rule that changed: a link set down 10 us after a
+        frame arrived.  Run ahead, the frame was already committed to
+        the wire (a transmitted frame, lost at delivery); posted, it
+        met the dead link when it left (a transmit drop)."""
+        sim, switch, sink, link = bench(switch_class)
+        sim.post_at(0.01, switch.receive, data_frame(), 1)
+        sim.post_at(0.01 + 10e-6, link.set_up, False)
+        sim.run(until=0.1)
+        port = switch.ports[3]
+        assert sink.received == []
+        committed = switch_class is OpenFlowSwitch
+        assert (port.tx_packets, port.tx_drops) == (
+            (1, 0) if committed else (0, 1))
+        assert switch.packets_forwarded == 1
+
+    @BOTH_DATAPATHS
+    def test_a_port_stats_poll_inside_the_delay(self, switch_class):
+        """What the action stage writes is visible from arrival: a port
+        poll 10 us after a frame arrived counts it sent when run ahead,
+        and not yet when posted."""
+        sim, switch, sink, link = bench(switch_class)
+        sim.post_at(0.01, switch.receive, data_frame(), 1)
+        sim.post_at(0.01 + 10e-6, switch.handle_of_message,
+                    msg.PortStatsRequest())
+        sim.run(until=0.1)
+        [reply] = [m for m in switch.channel.messages
+                   if isinstance(m, msg.PortStatsReply)]
+        counted = 1 if switch_class is OpenFlowSwitch else 0
+        assert reply.stats[3]["tx_packets"] == counted
+        assert switch.ports[3].tx_packets == 1 and len(sink.received) == 1

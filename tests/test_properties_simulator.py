@@ -9,14 +9,18 @@ Two equivalences, each against a deliberately naive reference:
 * the switch's compiled action-plan loop against the
   interpreted, isinstance-dispatching datapath it replaced, over random
   action tuples, tagged and untagged frames and every ``compromised``
-  variant.
+  variant;
+* the run-ahead action stage against the posted forwarding-delay event
+  (``oracles.PostedForwardingSwitch``), over seeded deployments.
 """
 
 import random
 
 import pytest
 
+from repro import build_livesec_network
 from repro.net import packet as pkt
+from repro.net.topologies import GATEWAY_IP
 from repro.net.node import Node, connect
 from repro.net.simulator import Simulator
 from repro.openflow import messages as msg
@@ -34,6 +38,9 @@ from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.pathproof import PathDescriptor, PathTag
 from repro.openflow.switch import COMPROMISE_VARIANTS, OpenFlowSwitch
+from repro.workloads.flows import CbrUdpFlow, HttpFlow, SshFlow
+from repro.workloads.scenarios import gateway_ids_policies
+from tests import oracles
 
 # ----------------------------------------------------------------------
 # Event kernel vs. a sorted-list reference
@@ -625,3 +632,105 @@ class TestCompiledPlanAgainstInterpretedActions:
         assert hand_overs(Output(1), SetDlDst("m")) == [False, False]
         assert hand_overs(Output(1), PopPathTag()) == [False, False]
         assert hand_overs() == []
+
+
+# ----------------------------------------------------------------------
+# Run-ahead action stage vs. the posted forwarding-delay event
+
+RUN_AHEAD_CASES = 24
+MIXES = (
+    (CbrUdpFlow,),
+    (HttpFlow, SshFlow),
+    (CbrUdpFlow, HttpFlow, SshFlow),
+)
+CHAINS = ((), ("ids",), ("l7", "ids"))
+
+
+def _deployment_case(rng):
+    chain = rng.choice(CHAINS)
+    return {
+        "topology": rng.choice(("linear", "fit")),
+        "mix": rng.choice(MIXES),
+        "chain": chain,
+        # Path proofs only ride chained sessions.
+        "accountability": bool(chain) and rng.random() < 0.5,
+        "fluid": rng.random() < 0.5,
+        "flows": rng.randrange(4, 10),
+        "seed": rng.randrange(1 << 30),
+    }
+
+
+def _run_deployment(case, posted):
+    kwargs = (
+        {"num_as": 3, "hosts_per_as": 2} if case["topology"] == "linear"
+        else {"num_ovs": 2, "num_aps": 2, "wired_users": 4,
+              "wireless_users": 3}
+    )
+    chain = case["chain"]
+    net = build_livesec_network(
+        case["topology"],
+        policies=gateway_ids_policies(chain=chain) if chain else None,
+        elements=[(kind, 1) for kind in chain],
+        accountability=case["accountability"],
+        fluid=case["fluid"],
+        # No port polls: one landing inside a gap counts the frame in
+        # the switch as sent (pinned in test_of_switch.py).
+        stats_interval_s=None,
+        **kwargs,
+    )
+    if posted:
+        oracles.post_forwarding_delays(net)
+    net.start()
+    rng = random.Random(case["seed"])
+    hosts = net.topology.user_hosts
+    for _ in range(case["flows"]):
+        src = rng.choice(hosts)
+        if rng.random() < 0.5:
+            dst_ip = GATEWAY_IP
+        else:
+            dst_ip = rng.choice([h for h in hosts if h is not src]).ip
+        rng.choice(case["mix"])(
+            net.sim, src, dst_ip,
+            rate_bps=rng.choice((64e3, 400e3, 2e6)),
+            packet_size=rng.choice((128, 512, 1500)),
+            duration_s=rng.uniform(0.3, 1.5),
+        ).start(rng.uniform(0.0, 0.4))
+    net.run(2.5)
+    nodes = (net.topology.legacy + net.topology.all_openflow_switches()
+             + net.topology.hosts + list(net.elements))
+    return {
+        "latencies": {h.name: h.latencies for h in net.topology.hosts},
+        "rx_bytes_by_flow": {h.name: dict(h.rx_bytes_by_flow)
+                             for h in net.topology.hosts},
+        "ports": {
+            (node.name, number): (port.tx_packets, port.tx_bytes,
+                                  port.rx_packets, port.rx_bytes,
+                                  port.tx_drops)
+            for node in nodes for number, port in node.ports.items()
+        },
+        "digest": net.controller.log.digest(),
+    }
+
+
+class TestRunAheadAgainstPostedForwarding:
+    """``OpenFlowSwitch._forward`` runs the action stage at arrival with
+    the clock reading departure; ``oracles.PostedForwardingSwitch``
+    posts it as an event.  With no fault and no port poll landing inside
+    a 25 us gap the two must be the same network: every latency sample,
+    per-flow byte count, port counter and the controller's event-log
+    digest."""
+
+    def test_seeded_deployments_are_frame_for_frame_identical(self):
+        seen = set()
+        for seed in range(RUN_AHEAD_CASES):
+            case = _deployment_case(random.Random(seed))
+            ahead = _run_deployment(case, posted=False)
+            assert ahead == _run_deployment(case, posted=True), (seed, case)
+            assert sum(map(len, ahead["latencies"].values())) > 0, case
+            seen.add((case["topology"], case["chain"],
+                      case["accountability"], case["fluid"]))
+        # The comparison only counts where each dimension varied.
+        assert {c[0] for c in seen} == {"linear", "fit"}
+        assert {c[1] for c in seen} == set(CHAINS)
+        assert {c[2] for c in seen} == {True, False}
+        assert {c[3] for c in seen} == {True, False}

@@ -5,11 +5,12 @@ import pytest
 from repro.net import packet as pkt
 from repro.net.host import Host
 from repro.net.node import Node, connect
-from repro.net.wifi import AirMedium, WifiAccessPoint
+from repro.net.wifi import WIFI_ONE_WAY_DELAY_S, AirMedium, WifiAccessPoint
 from repro.openflow import messages as msg
 from repro.openflow.actions import Output
 from repro.openflow.channel import SecureChannel
 from repro.openflow.controller_base import ControllerBase
+from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
 
 
@@ -99,6 +100,39 @@ class TestAccessPoint:
         rate_bps = 400 * 1250 * 8 / duration
         assert rate_bps <= 10e6 * 1.1
         assert rate_bps >= 10e6 * 0.8
+
+    def test_a_station_claims_the_air_inside_the_forwarding_delay(self, sim):
+        """The AP accepts a downlink frame; a station sends 50 us later,
+        inside the AP's 100 us forwarding delay.  The station's frame
+        reserved the radio first, so it is on the air first and the
+        downlink frame serializes behind it -- which is why an AP's
+        action stage stays an event of its own."""
+        ap = WifiAccessPoint(sim, "ap", dpid=1, air_bandwidth_bps=10e6)
+        uplink = Sink(sim, "uplink")
+        connect(sim, ap, uplink, port_a=1)
+        station = Sink(sim, "sta")
+        sta_port = ap.attach_station(station).end_a.number
+        ap.table.add(FlowEntry(match=Match(in_port=1),
+                               actions=(Output(sta_port),)), sim.now)
+        ap.table.add(FlowEntry(match=Match(in_port=sta_port),
+                               actions=(Output(1),)), sim.now)
+        tx = 1250 * 8 / 10e6  # 1 ms of air per frame
+        t0 = 0.01
+
+        def frame():
+            return pkt.make_udp("m1", "m2", "1.1.1.1", "2.2.2.2", 5, 6,
+                                size=1250)
+
+        sim.post_at(t0, ap.receive, frame(), 1)
+        sim.post_at(t0 + 50e-6, station.send, frame(), 1)
+        sim.run(until=0.1)
+
+        station_done = t0 + 50e-6 + tx
+        assert ap.medium.frames == 2
+        assert [t for t, _ in station.received] == [
+            pytest.approx(station_done + tx + WIFI_ONE_WAY_DELAY_S, abs=1e-12)
+        ]
+        assert len(uplink.received) == 1
 
     def test_ap_is_openflow_datapath(self, sim):
         ap = WifiAccessPoint(sim, "ap", dpid=42)
