@@ -2,7 +2,7 @@
 
 .PHONY: install test bench experiments bench-smoke lint stats-smoke chaos-smoke \
 	chaos-determinism accountability-smoke replay-smoke policy-smoke \
-	shard-smoke fluid-smoke ops-smoke perf-smoke examples all
+	shard-smoke fluid-smoke ops-smoke perf-smoke audit examples all
 
 # $(call same_digest,<command>,<grep -o pattern>,<label>): run the
 # command twice (output kept in /tmp/<label>-a.txt and -b.txt) and fail
@@ -64,14 +64,22 @@ perf-smoke:
 # and one drop planner (steering's _plan_block) under core/.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests benchmarks examples scripts; \
 	else \
 		echo "ruff not installed; falling back to compileall"; \
-		python -m compileall -q src tests benchmarks examples; \
+		python -m compileall -q src tests benchmarks examples scripts; \
 	fi
-	python scripts/check_unused_imports.py src tests benchmarks examples
+	python scripts/check_unused_imports.py src tests benchmarks examples scripts
 	python scripts/check_dropped_handles.py src/repro benchmarks examples
 	python scripts/check_rule_writers.py src/repro/core
+
+# Which src/repro functions the entry points (ledger, smokes, CLI,
+# examples, benches, catalogue) run, against tier-1 under the same
+# profile hook: prints the per-module table and fails when more
+# functions than the committed ceiling are reached by no entry point.
+# About half an hour on a 2-core host, hence not part of lint.
+audit:
+	python scripts/call_audit.py
 
 stats-smoke:
 	PYTHONPATH=src python -m repro stats --quick

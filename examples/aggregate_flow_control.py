@@ -12,9 +12,8 @@ Run with:  python examples/aggregate_flow_control.py
 
 from repro import build_livesec_network
 from repro.core.flowcontrol import USER_THROTTLED, AggregateFlowControl
+from repro.net.topologies import GATEWAY_IP
 from repro.workloads import CbrUdpFlow
-
-GATEWAY_IP = "10.255.255.254"
 
 
 def main() -> None:

@@ -20,10 +20,9 @@ Run with:  python examples/campus_visualization.py
 from repro import Policy, PolicyTable, build_livesec_network
 from repro.core.policy import FlowSelector, PolicyAction
 from repro.core.visualization import render_snapshot
+from repro.net.topologies import GATEWAY_IP
 from repro.workloads import AttackWebFlow
 from repro.workloads.users import UserBehavior
-
-GATEWAY_IP = "10.255.255.254"
 
 
 def build():

@@ -12,9 +12,8 @@ Run with:  python examples/load_balancing.py
 from repro import Policy, PolicyTable, build_livesec_network
 from repro.core.loadbalance import load_deviation
 from repro.core.policy import FlowSelector, PolicyAction
+from repro.net.topologies import GATEWAY_IP
 from repro.workloads import HttpFlow
-
-GATEWAY_IP = "10.255.255.254"
 
 
 def run_with_dispatcher(dispatcher: str) -> None:

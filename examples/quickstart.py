@@ -8,9 +8,8 @@ Run with:  python examples/quickstart.py
 from repro import Policy, PolicyTable, build_livesec_network
 from repro.core.events import EventKind
 from repro.core.policy import FlowSelector, PolicyAction
+from repro.net.topologies import GATEWAY_IP
 from repro.workloads import AttackWebFlow, HttpFlow
-
-GATEWAY_IP = "10.255.255.254"
 
 
 def main() -> None:

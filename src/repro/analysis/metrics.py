@@ -1,4 +1,4 @@
-"""Metrics: unit conversion, latency summaries, periodic sampling.
+"""Metrics: latency summaries.
 
 The paper experiments' measurement window lives with them, in
 :func:`repro.workloads.experiments.measure`.
@@ -7,14 +7,7 @@ The paper experiments' measurement window lives with them, in
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
-
-
-def mbps(bits: float, seconds: float) -> float:
-    """Bits over a window, in megabits per second."""
-    if seconds <= 0:
-        return 0.0
-    return bits / seconds / 1e6
+from typing import Dict, Sequence
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -48,34 +41,3 @@ def summarize_latencies(latencies: Sequence[float]) -> Dict[str, float]:
         "p95": percentile(latencies, 95),
         "max": max(latencies),
     }
-
-
-class Sampler:
-    """Collect ``fn()`` every ``interval_s`` of simulated time.
-
-    >>> # sampler = Sampler(sim, 1.0, lambda: element.cpu_utilization())
-    >>> # ...run sim... sampler.values -> one reading per second
-    """
-
-    def __init__(self, sim, interval_s: float, fn: Callable[[], float],
-                 start: Optional[float] = None):
-        self.sim = sim
-        self.fn = fn
-        self.times: List[float] = []
-        self.values: List[float] = []
-        self._handle = sim.every(interval_s, self._sample, start=start)
-
-    def _sample(self) -> None:
-        self.times.append(self.sim.now)
-        self.values.append(self.fn())
-
-    def stop(self) -> None:
-        self._handle.cancel()
-
-    def mean(self) -> float:
-        if not self.values:
-            return 0.0
-        return sum(self.values) / len(self.values)
-
-    def last(self) -> Optional[float]:
-        return self.values[-1] if self.values else None

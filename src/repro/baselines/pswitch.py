@@ -117,23 +117,6 @@ class PSwitchNetwork:
     middleboxes: List[InlineMiddlebox]
     hosts: List[Host]
     gateway: Host
-    metrics: Optional[object] = None
-
-    def attach_metrics(self, registry) -> "PSwitchNetwork":
-        """Report this baseline through the same obs registry type a
-        LiveSec run uses (per-middlebox gauges/histograms plus the
-        pswitch steering counters)."""
-        self.metrics = registry
-        self.sim.attach_metrics(registry)
-        for middlebox in self.middleboxes:
-            middlebox.attach_metrics(registry)
-        for pswitch in self.pswitches:
-            registry.gauge(
-                "pswitch.steered",
-                "Frames detoured through the local middlebox",
-                switch=pswitch.name,
-            ).set_function(lambda p=pswitch: p.steered)
-        return self
 
     def host(self, name: str) -> Host:
         for host in self.hosts:

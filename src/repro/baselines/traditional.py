@@ -57,35 +57,6 @@ class InlineMiddlebox(Node):
         self.processed_bytes = 0
         self.dropped_overload = 0
         self.dropped_malicious = 0
-        self._process_hist = None
-
-    def attach_metrics(self, registry) -> None:
-        """Publish this middlebox through an obs registry with the
-        same metric vocabulary LiveSec elements report, so baseline
-        and LiveSec runs export comparably."""
-        labels = {"box": self.name}
-        registry.gauge(
-            "middlebox.processed_packets", "Frames fully processed", **labels,
-        ).set_function(lambda: self.processed_packets)
-        registry.gauge(
-            "middlebox.processed_bytes", "Bytes fully processed", **labels,
-        ).set_function(lambda: self.processed_bytes)
-        registry.gauge(
-            "middlebox.dropped_overload", "Frames dropped queue-full", **labels,
-        ).set_function(lambda: self.dropped_overload)
-        registry.gauge(
-            "middlebox.dropped_malicious", "Frames dropped by IDS rules",
-            **labels,
-        ).set_function(lambda: self.dropped_malicious)
-        registry.gauge(
-            "middlebox.queue_bytes", "Bytes queued awaiting processing",
-            **labels,
-        ).set_function(lambda: self._queue_bytes)
-        self._process_hist = registry.histogram(
-            "middlebox.process_s",
-            "Simulated per-frame processing time (serialization + fixed cost)",
-            **labels,
-        )
 
     def receive(self, frame: Ethernet, in_port: int) -> None:
         if in_port not in (INSIDE_PORT, OUTSIDE_PORT):
@@ -94,8 +65,6 @@ class InlineMiddlebox(Node):
             self.dropped_overload += 1
             return
         cost = frame.size * 8.0 / self.capacity_bps + self.per_packet_cost_s
-        if self._process_hist is not None:
-            self._process_hist.observe(cost)
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + cost
         self.busy_time_total += cost
@@ -141,17 +110,6 @@ class TraditionalNetwork:
     hosts: List[Host]
     middlebox: Optional[InlineMiddlebox]
     gateway: Host
-    metrics: Optional[object] = None
-
-    def attach_metrics(self, registry) -> "TraditionalNetwork":
-        """Report this baseline through the same obs registry type a
-        LiveSec run uses, so benchmarks and the CLI can export both
-        sides with identical machinery."""
-        self.metrics = registry
-        self.sim.attach_metrics(registry)
-        if self.middlebox is not None:
-            self.middlebox.attach_metrics(registry)
-        return self
 
     def host(self, name: str) -> Host:
         for host in self.hosts:

@@ -245,9 +245,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.format == "json":
         import json
 
-        from repro.core.webdb import snapshot_to_dict
-
-        print(json.dumps(snapshot_to_dict(snapshot), indent=2))
+        print(json.dumps(snapshot.to_dict(), indent=2))
         print(f"{len(log)} events, digest {log.digest()}", file=sys.stderr)
     else:
         print(render_snapshot(snapshot))

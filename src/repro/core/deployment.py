@@ -248,11 +248,6 @@ class LiveSecNetwork(_Deployment):
     # ------------------------------------------------------------------
     # Policy lifecycle
 
-    def check_policies(self, source):
-        """Compile + verify a policy document against this deployment's
-        service directory without touching the live table."""
-        return self.controller.check_policies(source)
-
     def reload_policies(self, source):
         """Hot-swap the controller's policy table from a file/document.
 

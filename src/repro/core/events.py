@@ -103,14 +103,6 @@ class NetworkEvent:
     def to_dict(self) -> Dict[str, object]:
         return {"time": self.time, "kind": self.kind, "data": dict(self.data)}
 
-    @classmethod
-    def from_dict(cls, row: Mapping[str, object]) -> "NetworkEvent":
-        return cls(
-            time=float(row["time"]),  # type: ignore[arg-type]
-            kind=str(row["kind"]),
-            data=dict(row.get("data", {})),  # type: ignore[arg-type]
-        )
-
     def json_line(self) -> str:
         """The canonical one-line JSON form (persistence and digests).
 
@@ -374,7 +366,7 @@ class EventLog:
         return result
 
     def segment_stats(self) -> List[Dict[str, object]]:
-        """Per-segment introspection (tests, ``repro replay --segments``)."""
+        """Per-segment introspection (the segmentation tests)."""
         return [
             {
                 "events": len(segment.events),

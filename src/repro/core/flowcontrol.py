@@ -55,12 +55,8 @@ class AggregateFlowControl:
         self._user_bytes_this_round: Dict[str, int] = {}
         self._penalized_until: Dict[str, float] = {}
         self.throttle_events = 0
-        self._unsubscribe = controller.subscribe_flow_stats(self._on_flow_stats)
+        controller.subscribe_flow_stats(self._on_flow_stats)
         controller.sim.every(check_interval_s, self._poll)
-
-    def detach(self) -> None:
-        """Stop observing flow stats (quota enforcement ends)."""
-        self._unsubscribe()
 
     # ------------------------------------------------------------------
     # Configuration

@@ -225,10 +225,6 @@ class NetworkInformationBase:
                 link.src_dpid, link.src_port, link.dst_dpid, link.dst_port, now
             )
 
-    def remove_link(self, src_dpid: int, dst_dpid: int) -> None:
-        self.links.pop((src_dpid, dst_dpid), None)
-        self._recompute_uplinks()
-
     def _recompute_uplinks(self) -> None:
         self._uplink_ports = {}
         for link in self.links.values():

@@ -128,16 +128,6 @@ def flow_addrs(flow: FlowNineTuple) -> FlowAddrs:
     return _ip_or_none(flow.nw_src), _ip_or_none(flow.nw_dst)
 
 
-def cidr_contains(cidr: str, ip: Optional[str]) -> bool:
-    """Whether ``ip`` falls inside the CIDR block (False for None or
-    non-IPv4 strings)."""
-    value = _ip_or_none(ip)
-    if value is None:
-        return False
-    network, mask = _cidr_net(cidr)
-    return (value & mask) == network
-
-
 _Interval = Tuple[int, int]  # inclusive [lo, hi]
 
 
@@ -762,22 +752,7 @@ class PolicyTable:
         """
         return self._index.match(flow)
 
-    def lookup(self, flow: FlowNineTuple) -> Optional[Policy]:
-        """The winning policy for a flow, or None (-> default action).
-
-        Read-only: unlike the historical behavior, looking up a flow
-        no longer increments :attr:`Policy.hits`, so monitoring
-        consumers (``effective_action``, the WebUI) can probe freely.
-        Enforcement paths call :meth:`record_hit` when they act on the
-        match.
-        """
-        return self.match(flow)[0]
-
     def record_hit(self, policy: Policy) -> None:
         """Count one enforcement of ``policy`` (called by the
-        controller when it acts on a lookup result)."""
+        controller when it acts on a match result)."""
         policy.hits += 1
-
-    def effective_action(self, flow: FlowNineTuple) -> PolicyAction:
-        policy = self.lookup(flow)
-        return policy.action if policy is not None else self.default_action

@@ -16,10 +16,10 @@ the selectors' match spaces on the way:
   its coverer's; harmless, but dead weight in the scan.
 
 Match spaces reuse the wildcard algebra of
-:class:`repro.openflow.match.Match` (``is_subset_of`` / ``overlaps`` /
-``intersection``) for the exact-valued fields, extended with integer
-IPv4 intervals so CIDR blocks and octet prefixes participate in
-containment/overlap reasoning rather than being treated as opaque.
+:class:`repro.openflow.match.Match` (``intersection``) for the
+exact-valued fields, extended with integer IPv4 intervals so CIDR
+blocks and octet prefixes participate in containment/overlap
+reasoning rather than being treated as opaque.
 
 A compile never touches any live table: the result is an immutable
 artifact that :meth:`repro.core.policy.PolicyTable.apply_compiled`
@@ -563,13 +563,6 @@ class CompiledPolicyTable:
     def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
         """First match plus its rank (PolicyTable.match semantics)."""
         return self._index.match(flow)
-
-    def lookup(self, flow: FlowNineTuple) -> Optional[Policy]:
-        return self.match(flow)[0]
-
-    def effective_action(self, flow: FlowNineTuple) -> PolicyAction:
-        policy = self.lookup(flow)
-        return policy.action if policy is not None else self.default_action
 
 
 @dataclass

@@ -55,10 +55,6 @@ class RuleSpec:
     cookie: int = 0
     send_flow_removed: bool = False
 
-    def describe(self) -> str:
-        acts = ",".join(str(a) for a in self.actions) or "drop"
-        return f"dpid={self.dpid} {self.match} -> {acts}"
-
 
 def compute_path_rules(
     nib: NetworkInformationBase,

@@ -165,11 +165,6 @@ class ShardMap:
             moves.append((dpid, new_shard))
         return moves
 
-    def to_dict(self) -> Dict[int, List[int]]:
-        return {
-            shard: self.owned_by(shard) for shard in range(self.num_shards)
-        }
-
 
 # ----------------------------------------------------------------------
 # Typed inter-shard messages

@@ -17,7 +17,7 @@ examples, the Figure 7/8 benches, and ``python -m repro replay``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.events import EventKind, EventLog, NetworkEvent
@@ -97,6 +97,26 @@ class Snapshot:
             frozenset((a, b)) in have
             for a in dpids for b in dpids if a != b
         )
+
+    def to_dict(self) -> Dict[str, object]:
+        """The display payload as plain JSON-compatible data: what the
+        paper's Flash front-end fetched from its web database (IV.D),
+        and what ``python -m repro replay --format json`` prints."""
+        return {
+            "time": self.time,
+            "switches": sorted(self.switches),
+            "links": sorted(self.links),
+            "full_mesh": self.full_mesh(),
+            "users": [asdict(user) for user in
+                      sorted(self.users.values(), key=lambda u: u.mac)],
+            "elements": [asdict(element) for element in
+                         sorted(self.elements.values(), key=lambda e: e.mac)],
+            "link_loads": [
+                {"dpid": dpid, "port": port, "utilization": load}
+                for (dpid, port), load in sorted(self.link_loads.items())
+            ],
+            "active_attacks": list(self.active_attacks),
+        }
 
 
 @dataclass

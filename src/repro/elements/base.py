@@ -265,9 +265,6 @@ class ServiceElement(Host):
     # ------------------------------------------------------------------
     # Introspection
 
-    def cpu_utilization(self) -> float:
-        return self.current_load()[0]
-
     def stats(self) -> dict:
         return {
             "service_type": self.service_type,

@@ -59,6 +59,3 @@ class ProtocolIdentificationElement(ServiceElement):
         self._unclassified_counts.pop(flow, None)
         self.classifications += 1
         return [Verdict("protocol", {"application": application})]
-
-    def classified_flows(self) -> Dict[FlowNineTuple, str]:
-        return dict(self._classified)

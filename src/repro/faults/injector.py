@@ -105,8 +105,7 @@ class FaultInjector:
                 "element-crash", "element-hang", "element-slow-report",
                 "element-restart", "switch-disconnect", "switch-reconnect",
                 "switch-reboot", "link-flap", "channel-chaos",
-                "switch-compromise",
-                "switch-restore", "shard-crash", "shard-restart",
+                "switch-compromise", "shard-crash", "shard-restart",
                 "app-crash",
             )
         }
@@ -300,9 +299,6 @@ class FaultInjector:
                 switch = self._switch(fault.switch)
                 sim.post_at(fault.at_s, self._compromise_switch,
                                 switch, fault)
-                if fault.restore_at_s is not None:
-                    sim.post_at(fault.restore_at_s,
-                                    self._restore_switch, switch)
             else:  # pragma: no cover - plan builders prevent this
                 raise TypeError(f"unknown fault {fault!r}")
 
@@ -420,10 +416,6 @@ class FaultInjector:
         self._opened("switch", switch.dpid, "switch-compromise")
         self._mark("switch-compromise", dpid=switch.dpid,
                    variant=fault.variant)
-
-    def _restore_switch(self, switch) -> None:
-        switch.restore_integrity()
-        self._mark("switch-restore", dpid=switch.dpid)
 
     # ------------------------------------------------------------------
     # Recovery scoring (event-log subscriber)

@@ -147,7 +147,6 @@ class SwitchCompromise:
     switch: str  # switch name
     variant: str = "skip-waypoint"
     port: Optional[int] = None  # misroute: divert tagged frames here
-    restore_at_s: Optional[float] = None  # firmware reflash / replacement
 
     kind = "switch-compromise"
 
@@ -269,7 +268,6 @@ class FaultPlan:
         self, at_s: float, switch: str,
         variant: str = "skip-waypoint",
         port: Optional[int] = None,
-        restore_at_s: Optional[float] = None,
     ) -> "FaultPlan":
         if variant not in COMPROMISE_VARIANTS:
             raise ValueError(
@@ -278,11 +276,7 @@ class FaultPlan:
             )
         if variant == "misroute" and port is None:
             raise ValueError("misroute needs the divert port")
-        if restore_at_s is not None and restore_at_s <= at_s:
-            raise ValueError("restore must come after the compromise")
-        return self._add(SwitchCompromise(
-            at_s, switch, variant, port, restore_at_s
-        ))
+        return self._add(SwitchCompromise(at_s, switch, variant, port))
 
     def __len__(self) -> int:
         return len(self.faults)

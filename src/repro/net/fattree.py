@@ -49,10 +49,6 @@ class FatTree:
         """The attachment points for AS switches (one list, pod order)."""
         return [switch for pod in self.edge for switch in pod]
 
-    @property
-    def host_ports_per_edge(self) -> int:
-        return self.k // 2
-
 
 def build_fat_tree(
     sim: Simulator,

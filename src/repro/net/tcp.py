@@ -400,7 +400,3 @@ class TcpListener:
             if self.on_connection is not None:
                 conn.on_established = lambda c: self.on_connection(c)
         conn._on_frame(host, frame)
-
-    def close(self) -> None:
-        for conn in list(self.connections.values()):
-            conn.close()

@@ -317,9 +317,6 @@ class MetricsSnapshot:
     def __init__(self, metrics: Mapping[MetricKey, MetricSnapshot]):
         self._metrics: Dict[MetricKey, MetricSnapshot] = dict(metrics)
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
     def __iter__(self) -> Iterator[MetricSnapshot]:
         return iter(self._metrics.values())
 
@@ -330,13 +327,6 @@ class MetricsSnapshot:
 
     def get(self, name: str, **labels) -> Optional[MetricSnapshot]:
         return self._metrics.get(MetricKey(name, _labels_key(labels)))
-
-    def with_prefix(self, prefix: str) -> "MetricsSnapshot":
-        """The sub-snapshot of metrics whose name starts with ``prefix``."""
-        return MetricsSnapshot({
-            key: metric for key, metric in self._metrics.items()
-            if key.name.startswith(prefix)
-        })
 
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         """Union of two snapshots, merging metrics present in both."""
@@ -408,12 +398,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     # Introspection
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self):
-        return iter(self._metrics.values())
 
     def get(self, name: str, **labels):
         return self._metrics.get(MetricKey(name, _labels_key(labels)))

@@ -95,12 +95,7 @@ class PopPathTag(Action):
     The switch special-cases this action: it removes the tag *and*
     reports the accumulated mark chain to the controller in a
     PathProofReport, which is what the accountability app verifies.
-    ``apply`` covers the degenerate no-switch case (tests applying
-    actions directly): it just strips.
     """
-
-    def apply(self, frame: Ethernet) -> None:
-        frame.path_tag = None
 
     def __str__(self) -> str:
         return "pop_path_tag"

@@ -111,21 +111,6 @@ class Match:
                 return False
         return True
 
-    def overlaps(self, other: "Match") -> bool:
-        """True when some frame could match both (field-wise algebra).
-
-        Two matches are disjoint exactly when some field is pinned to
-        different values on each side; everywhere else a frame carrying
-        the more specific side's values satisfies both.  The policy
-        compiler's conflict detector is built on this.
-        """
-        for name in _MATCH_FIELDS:
-            ours = getattr(self, name)
-            theirs = getattr(other, name)
-            if ours is not None and theirs is not None and ours != theirs:
-                return False
-        return True
-
     def intersection(self, other: "Match") -> Optional["Match"]:
         """The match space common to both, or None when disjoint.
 

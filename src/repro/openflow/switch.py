@@ -151,11 +151,6 @@ class OpenFlowSwitch(Node):
         self.compromised = variant
         self.compromised_port = port
 
-    def restore_integrity(self) -> None:
-        """Undo :meth:`compromise` (operator reimaged the switch)."""
-        self.compromised = None
-        self.compromised_port = None
-
     def receive(self, frame: Ethernet, in_port: int) -> None:
         table = self.table
         entry = table.lookup(frame, in_port, self.sim.now)

@@ -90,9 +90,6 @@ class UserBehavior:
             flow.stop()
         self.flows.clear()
 
-    def total_sent_bytes(self) -> int:
-        return sum(flow.bytes_sent for flow in self.flows)
-
 
 class UserChurn:
     """Poisson join/leave churn over a population of behaviours."""

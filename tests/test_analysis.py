@@ -2,20 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    Sampler,
-    format_table,
-    mbps,
-    percentile,
-    summarize_latencies,
-)
-
-
-class TestRates:
-    def test_mbps(self):
-        assert mbps(8e6, 1.0) == 8.0
-        assert mbps(8e6, 2.0) == 4.0
-        assert mbps(1, 0.0) == 0.0
+from repro.analysis import format_table, percentile, summarize_latencies
 
 
 class TestPercentile:
@@ -55,29 +42,6 @@ class TestLatencySummary:
         summary = summarize_latencies([])
         assert summary["count"] == 0
         assert summary["mean"] == 0.0
-
-
-class TestSampler:
-    def test_periodic_collection(self, sim):
-        values = iter(range(100))
-        sampler = Sampler(sim, 1.0, lambda: float(next(values)))
-        sim.run(until=3.5)
-        assert sampler.values == [0.0, 1.0, 2.0]
-        assert sampler.times == [1.0, 2.0, 3.0]
-        assert sampler.mean() == 1.0
-        assert sampler.last() == 2.0
-
-    def test_stop(self, sim):
-        sampler = Sampler(sim, 1.0, lambda: 1.0)
-        sim.run(until=1.5)
-        sampler.stop()
-        sim.run(until=5.0)
-        assert len(sampler.values) == 1
-
-    def test_empty_sampler(self, sim):
-        sampler = Sampler(sim, 1.0, lambda: 1.0)
-        assert sampler.mean() == 0.0
-        assert sampler.last() is None
 
 
 class TestTable:

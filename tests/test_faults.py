@@ -411,6 +411,47 @@ class TestSwitchReboot:
         assert len(drops()) == 1
 
 
+class TestLinkFlap:
+    def test_the_link_is_down_for_down_s_then_carries_traffic_again(self):
+        net = build_net(num_elements=2)
+        plan = FaultPlan().link_flap(4.0, "ovs1", "core", down_s=0.5)
+        injector = FaultInjector(net, plan)
+        injector.arm()
+        net.start()
+        flow = CbrUdpFlow(net.sim, net.host("h1_1"), GATEWAY_IP,
+                          rate_bps=2e6, duration_s=6.0).start()
+        link = injector._link("ovs1", "core")
+
+        def delivered_at(at_s):
+            net.run(at_s - net.sim.now)
+            return flow.delivered_bytes(net.gateway)
+
+        assert link.up and delivered_at(4.0 - 1e-3) > 0
+        cut = delivered_at(4.0 + 1e-3)
+        assert not link.up
+        assert delivered_at(4.5 - 1e-3) == cut
+        assert not link.up
+        delivered_at(4.5 + 1e-3)
+        assert link.up
+        assert delivered_at(5.0) > cut
+
+        marks = net.controller.log.query(kind=EventKind.FAULT_INJECTED)
+        assert [(e.time, e.data) for e in marks] == [(4.0, {
+            "fault": "link-flap", "node_a": "ovs1", "node_b": "core",
+            "down_s": 0.5,
+        })]
+        summary = injector.summary()
+        assert summary["injected"] == {"link-flap": 1}
+        # No fault family scores a flap: the controller learns of it
+        # only through an LLDP timeout, so no TTD/TTR sample is taken.
+        assert summary["per_fault"] == {}
+        snapshot = net.metrics_snapshot()
+        for prefix in ("recovery.", "accountability.", "recovery.shard_",
+                       "recovery.app_"):
+            for edge in ("detect", "recover"):
+                assert snapshot.get(f"{prefix}time_to_{edge}_s").count == 0
+
+
 class TestChannelChaos:
     def test_lossy_channel_forces_retries_but_recovers(self):
         report = run_chaos_scenario(seed=11, fail_mode="open", crash="one",

@@ -151,7 +151,6 @@ class TestRegistry:
         assert [m.name for m in snap] == ["a.first", "z.last"]
         assert snap.get("z.last").value == 1
         assert snap.get("missing") is None
-        assert len(snap.with_prefix("a.")) == 1
 
     def test_labeled_key_rendering(self):
         registry = MetricsRegistry()

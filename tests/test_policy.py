@@ -66,8 +66,8 @@ class TestTable:
                          action=PolicyAction.ALLOW, priority=10))
         table.add(Policy(name="high", selector=FlowSelector(tp_dst=80),
                          action=PolicyAction.DROP, priority=200))
-        assert table.lookup(flow()).name == "high"
-        assert table.lookup(flow(tp_dst=22)).name == "low"
+        assert table.match(flow())[0].name == "high"
+        assert table.match(flow(tp_dst=22))[0].name == "low"
 
     def test_specificity_breaks_priority_ties(self):
         table = PolicyTable()
@@ -75,12 +75,12 @@ class TestTable:
                          action=PolicyAction.ALLOW, priority=100))
         table.add(Policy(name="narrow", selector=FlowSelector(tp_dst=80),
                          action=PolicyAction.DROP, priority=100))
-        assert table.lookup(flow()).name == "narrow"
+        assert table.match(flow())[0].name == "narrow"
 
     def test_default_action_when_no_match(self):
         table = PolicyTable(default_action=PolicyAction.DROP)
-        assert table.lookup(flow()) is None
-        assert table.effective_action(flow()) is PolicyAction.DROP
+        assert table.match(flow()) == (None, 0)
+        assert table.default_action is PolicyAction.DROP
 
     def test_default_cannot_be_chain(self):
         with pytest.raises(ValueError):
@@ -100,25 +100,24 @@ class TestTable:
                          action=PolicyAction.DROP))
         removed = table.remove("p")
         assert removed.name == "p"
-        assert table.effective_action(flow()) is PolicyAction.ALLOW
+        assert table.match(flow())[0] is None
         assert table.remove("p") is None
 
     def test_lookup_is_side_effect_free(self):
         table = PolicyTable()
         table.add(Policy(name="p", selector=FlowSelector(),
                          action=PolicyAction.ALLOW))
-        table.lookup(flow())
-        table.effective_action(flow())
-        assert table.lookup(flow()).hits == 0
+        table.match(flow())
+        assert table.match(flow())[0].hits == 0
 
     def test_record_hit_counts_enforcements(self):
         table = PolicyTable()
         table.add(Policy(name="p", selector=FlowSelector(),
                          action=PolicyAction.ALLOW))
-        policy = table.lookup(flow())
+        policy = table.match(flow())[0]
         table.record_hit(policy)
         table.record_hit(policy)
-        assert table.lookup(flow()).hits == 2
+        assert table.match(flow())[0].hits == 2
 
     def test_match_reports_rows_scanned(self):
         table = PolicyTable()

@@ -76,7 +76,7 @@ class TestRoundtrip:
         restored = table_from_dict(table_to_dict(table))
         flow = FlowNineTuple(None, "a", "b", 0x0800, "10.0.0.1",
                              "10.255.255.254", 6, 1, 80)
-        assert table.lookup(flow).name == restored.lookup(flow).name
+        assert table.match(flow)[0].name == restored.match(flow)[0].name
 
 
 class TestSchemaVersions:

@@ -516,6 +516,49 @@ class TestShardCrashRehome:
         assert ttd is not None and ttd.count == 1
         assert ttr is not None and ttr.count == 1
 
+    def test_a_restarted_shard_is_live_and_owns_rehomed_switches(self):
+        """Shard 1 of three crashes and restarts empty; when shard 2
+        dies later, shard 1 is one of the survivors its switches are
+        re-homed onto."""
+        net = two_shard_net(num_shards=3, num_as=6)
+        plan = (FaultPlan(seed=1)
+                .shard_crash(4.0, 1, restart_at_s=7.0)
+                .shard_crash(9.0, 2))
+        injector = FaultInjector(net, plan)
+        injector.arm()
+        net.start()
+        CbrUdpFlow(net.sim, net.topology.host_by_name("h1_1"), GATEWAY_IP,
+                   rate_bps=1e6, duration_s=12.0).start()
+        member = net.coordinator.member(1)
+        shard_map = net.coordinator.shard_map
+        assert shard_map.owned_by(1) == [3, 4]
+
+        net.run(7.0 - 1e-3 - net.sim.now)
+        assert member.failed
+        assert net.coordinator.status()["down"] == [1]
+        assert shard_map.owned_by(1) == []
+        net.run(2e-3)
+        assert not member.failed
+        assert net.coordinator.status()["down"] == []
+        net.run(13.0 - net.sim.now)
+        assert net.coordinator.status()["down"] == [2]
+        assert shard_map.owned_by(1) == [5]
+        assert net.channels[5].controller is member.controller
+
+        marks = net.coordinator.log.query(kind=EventKind.FAULT_INJECTED)
+        assert [(e.time, e.data) for e in marks] == [
+            (4.0, {"fault": "shard-crash", "shard": 1}),
+            (7.0, {"fault": "shard-restart", "shard": 1}),
+            (9.0, {"fault": "shard-crash", "shard": 2}),
+        ]
+        assert injector.summary()["injected"] == {
+            "shard-crash": 2, "shard-restart": 1,
+        }
+        snapshot = net.metrics.snapshot()
+        for name in ("recovery.shard_time_to_detect_s",
+                     "recovery.shard_time_to_recover_s"):
+            assert snapshot.get(name).count == 2
+
 
 class TestDeterminismDigest:
     def _digest_of_run(self):

@@ -161,7 +161,7 @@ def assert_installed_equals_planned(net):
     }
     for key, rule in planned.items():
         entry = installed.get(key)
-        assert entry is not None, f"missing {rule.describe()}"
+        assert entry is not None, f"missing {rule}"
         assert entry.cookie == rule.cookie
         assert entry.actions == rule.actions
     for key, entry in installed.items():
