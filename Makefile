@@ -60,8 +60,9 @@ perf-smoke:
 # stdlib-only unused-import checker (the part of ruff we rely on).
 # check_dropped_handles enforces the kernel's calling convention: a
 # `.schedule*(` whose handle is dropped should have been a `.post*(`.
-# check_rule_writers keeps one FlowMod writer (controller.apply_rule)
-# and one drop planner (steering's _plan_block) under core/.
+# check_rule_writers keeps one FlowMod writer (controller.apply_rule),
+# one drop planner (steering's _plan_block) and one writer of the
+# spanning-tree group drop (SteeringApp.on_switch_joined) under core/.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples scripts; \

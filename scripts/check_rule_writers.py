@@ -4,14 +4,18 @@
 
 What the controller enforces is kept in one book and reaches the
 datapath one way: steering's ``_reconcile`` -> ``_apply`` ->
-``LiveSecController.apply_rule``.  Two rules keep it that way:
+``LiveSecController.apply_rule``.  Three rules keep it that way:
 
 * ``.send_flow_mod(`` is called from ``controller.py`` only -- any
   other caller under the core directory writes an entry no book holds;
 * in ``apps/``, ``drop_rule(`` / ``source_block_rule(`` are called from
   the one block planner (``_plan_block``) only -- a drop planned
   anywhere else is a drop the resync, the host-move handler and the
-  handoff do not know about.
+  handoff do not know about;
+* ``bpdu_drop_rule(`` -- the one entry no book holds -- is called from
+  ``SteeringApp.on_switch_joined`` only: written on every join of a
+  datapath, it needs no book, and written anywhere else it is an entry
+  nothing restores.
 
 Usage: python scripts/check_rule_writers.py [CORE_DIR]
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from check_unused_imports import iter_sources
 
@@ -29,29 +33,35 @@ SENDER = "send_flow_mod"
 SENDER_HOME = "controller.py"
 DROP_PLANNERS = {"drop_rule", "source_block_rule"}
 PLANNER_HOME = "_plan_block"
+GROUP_DROP = "bpdu_drop_rule"
+GROUP_DROP_HOME = "SteeringApp.on_switch_joined"
 
 
-def calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, Optional[str]]]:
-    """Every call with the name of its nearest enclosing function."""
-    stack: List[Tuple[ast.AST, Optional[str]]] = [(tree, None)]
+def calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
+    """Every call with the dotted name of the classes and functions
+    enclosing it ("" at module level)."""
+    stack: List[Tuple[ast.AST, str]] = [(tree, "")]
     while stack:
-        node, function = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+        node, scope = stack.pop()
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            scope = f"{scope}.{node.name}" if scope else node.name
         if isinstance(node, ast.Call):
-            yield node, function
-        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+            yield node, scope
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
 
 
 def check_file(path: Path, core: Path) -> List[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     in_apps = "apps" in path.relative_to(core).parts[:-1]
     problems = []
-    for call, function in calls(tree):
+    for call, scope in calls(tree):
         func = call.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(
             func, "id", None
         )
+        function = scope.rpartition(".")[2]
         if name == SENDER and path.name != SENDER_HOME:
             problems.append(
                 f"{path}:{call.lineno}: .{SENDER}() outside {SENDER_HOME};"
@@ -61,6 +71,11 @@ def check_file(path: Path, core: Path) -> List[str]:
             problems.append(
                 f"{path}:{call.lineno}: {name}() outside {PLANNER_HOME}();"
                 " enter a Block and reconcile it"
+            )
+        elif name == GROUP_DROP and scope != GROUP_DROP_HOME:
+            problems.append(
+                f"{path}:{call.lineno}: {name}() outside {GROUP_DROP_HOME}();"
+                " nothing would restore it"
             )
     return sorted(problems)
 

@@ -36,6 +36,7 @@ from repro.core.policy import FailMode, Policy
 from repro.core.routing import (
     RoutingError,
     RuleSpec,
+    bpdu_drop_rule,
     compute_path_rules,
     drop_rule,
     source_block_rule,
@@ -611,8 +612,13 @@ class SteeringApp(App):
         ADD semantics make this idempotent -- entries that survived are
         replaced in place, with no FlowRemoved.  Stale datapath entries
         for sessions the controller no longer tracks simply idle out.
+
+        The spanning-tree group drop goes in first.  It is no book's:
+        derived from the dpid, so a first join, a reconnect, a reboot
+        and a re-home all write it, and not counted as resynced.
         """
         dpid = event.handle.dpid
+        self._apply("add", bpdu_drop_rule(dpid))
         book = self.ctx.sessions
         resynced = sum(
             self._reconcile(owner, owner.rules, only_dpid=dpid)

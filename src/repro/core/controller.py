@@ -536,7 +536,9 @@ class LiveSecController(ControllerBase):
             with self._packet_in_hists["data"].time():
                 self.bus.publish(DataPacketIn(packet_in=event))
             return
-        # Unknown ethertype (e.g. stray BPDUs leaking through): ignore.
+        # No reader: a spanning-tree hello the datapath should have
+        # dropped itself, or another ethertype nobody serves.
+        self.count("packet_ins_unread")
 
     def on_path_proof(self, event: ofmsg.PathProofReport) -> None:
         self.bus.publish(PathProofIn(message=event))

@@ -27,6 +27,7 @@ LEGACY_COUNTER_NAMES = (
     "no_element_fallback",
     "routing_deferred",
     "conntrack_reports",
+    "packet_ins_unread",
     # Shard fabric (all zero in single-controller deployments).
     "handoff_deferred",
     "remote_rules_sent",

@@ -29,12 +29,16 @@ from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 from repro.core.nib import HostRecord, NetworkInformationBase
+from repro.net.legacy import BPDU_MAC
 from repro.net.packet import FlowNineTuple
 from repro.openflow.actions import Action, Output, SetDlDst, SetDlSrc
 from repro.openflow.match import Match
 
 FORWARD_PRIORITY = 100
 DROP_PRIORITY = 200
+# Below every planned entry: a frame with an exact hit stops scanning
+# the wildcard list when it reaches the group drop.
+BPDU_DROP_PRIORITY = 1
 DEFAULT_IDLE_TIMEOUT_S = 5.0
 
 
@@ -193,6 +197,23 @@ def drop_rule(
         idle_timeout=0.0,
         hard_timeout=hard_timeout,
         cookie=cookie,
+    )
+
+
+def bpdu_drop_rule(dpid: int) -> RuleSpec:
+    """Drop the legacy fabric's 802.1D hellos on ``dpid``.
+
+    The AS layer rides on a spanning-tree fabric (III.B) whose bridges
+    send a hello out of every designated port each 50 ms; on an AS
+    switch that is a table miss, a PacketIn, and a frame the controller
+    has no reader for.  Derived from the dpid alone, so every join of
+    the datapath writes it again."""
+    return RuleSpec(
+        dpid=dpid,
+        match=Match(dl_dst=BPDU_MAC),
+        actions=(),
+        priority=BPDU_DROP_PRIORITY,
+        idle_timeout=0.0,
     )
 
 

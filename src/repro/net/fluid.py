@@ -64,6 +64,8 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.net import packet as pkt
@@ -176,6 +178,11 @@ def sent_before(sf: _SuspendedFlow, t: float) -> int:
 # any frame time.
 _PHASE_SLACK_S = 1e-9
 
+# How far the phase index widens its window either side: far above the
+# slack plus the float error of a phase read as a difference of two
+# residues, far below any pacing interval.
+_WINDOW_S = 1e-6
+
 
 class ClockShare:
     """The suspended flows driving one clock -- a wire direction, a
@@ -185,13 +192,25 @@ class ClockShare:
     The clock's owner holds the share in one slot (None when no
     suspended flow drives it) and asks it where its stored value is
     about to matter; nobody writes the clock until a settle.
+    ``members`` is written by :meth:`add` and :meth:`discard` only.
     """
 
-    __slots__ = ("region", "members")
+    __slots__ = ("region", "members", "_phases")
 
     def __init__(self, region: "FluidRegion") -> None:
         self.region = region
         self.members: Dict[_SuspendedFlow, float] = {}
+        # The phase index of the pending read (:meth:`_near_grid`),
+        # built on its first use after a membership change.
+        self._phases: Optional[list] = None
+
+    def add(self, sf: _SuspendedFlow, offset: float) -> None:
+        self.members[sf] = offset
+        self._phases = None
+
+    def discard(self, sf: _SuspendedFlow) -> None:
+        self.members.pop(sf, None)
+        self._phases = None
 
     def latest(self, now: float, pending: bool = False) -> float:
         """Where the frames emitted before ``now`` and not yet settled
@@ -200,15 +219,17 @@ class ClockShare:
         With ``pending`` the caller only cares about an answer later
         than ``now`` (a frame still serializing), so a flow whose phase
         on its pacing grid says its last frame is already through is
-        skipped without evaluating the closed form.  The modulo only
-        filters -- within the slack of a grid point either side it
-        lets the flow through, and the answer always comes from the
-        exact count.
+        skipped without evaluating the closed form, and the phase index
+        skips the flows that are nowhere near a grid point without
+        reading them at all.  Both only filter -- within the slack of a
+        grid point either side they let the flow through, and the
+        answer always comes from the exact count.
         """
         region = self.region
         region.clock_reads += 1
         latest = 0.0
-        for sf, offset in self.members.items():
+        members = self._near_grid(now) if pending else self.members.items()
+        for sf, offset in members:
             if pending:
                 phase = (now - sf.base) % sf.interval
                 if offset + _PHASE_SLACK_S < phase < sf.interval - _PHASE_SLACK_S:
@@ -220,6 +241,64 @@ class ClockShare:
                 if moved > latest:
                     latest = moved
         return latest
+
+    def _near_grid(self, now: float) -> List[Tuple[_SuspendedFlow, float]]:
+        """The members a pending read at ``now`` has to filter.
+
+        Per pacing interval, a member whose residue ``base % interval``
+        lies outside ``[p - widest - w, p + w]`` around ``p = now %
+        interval`` (wrapping at the interval's edge; ``widest`` is the
+        group's largest offset, ``w`` is :data:`_WINDOW_S`) has its
+        phase strictly between its offset plus the slack and the
+        interval minus the slack, so the filter would skip it.  A group
+        whose window covers its whole interval is taken whole.
+        """
+        phases = self._phases
+        if phases is None:
+            phases = self._phases = self._index_phases()
+        near: List[Tuple[_SuspendedFlow, float]] = []
+        for interval, widest, residues, entries in phases:
+            if residues is None:
+                near += entries
+                continue
+            point = now % interval
+            low = point - widest - _WINDOW_S
+            high = point + _WINDOW_S
+            if low >= 0.0 and high < interval:
+                near += entries[
+                    bisect_left(residues, low):bisect_right(residues, high)
+                ]
+                continue
+            # Wrapped: [0, high] and [low, interval), met at most once.
+            if low < 0.0:
+                low += interval
+            else:
+                high -= interval
+            head = bisect_right(residues, high)
+            near += entries[:head]
+            near += entries[max(head, bisect_left(residues, low)):]
+        return near
+
+    def _index_phases(self) -> list:
+        """``(interval, widest offset, sorted residues or None, members
+        in residue order)`` per pacing interval among the members."""
+        groups: Dict[float, list] = {}
+        for sf, offset in self.members.items():
+            groups.setdefault(sf.interval, []).append(
+                (sf.base % sf.interval, sf, offset)
+            )
+        phases = []
+        for interval, rows in groups.items():
+            widest = max(offset for _residue, _sf, offset in rows)
+            rows.sort(key=itemgetter(0))
+            residues = [residue for residue, _sf, _offset in rows]
+            if widest + 2 * _WINDOW_S >= interval:
+                residues = None
+            phases.append((
+                interval, widest, residues,
+                [(sf, offset) for _residue, sf, offset in rows],
+            ))
+        return phases
 
 
 def max_min_rates(
@@ -290,6 +369,9 @@ class FluidRegion:
         # In suspension order, which is settle order (and so what fixes
         # the float sum in ``busy_time``).
         self._suspended: Dict[object, _SuspendedFlow] = {}
+        # The instant ``flush`` last settled every suspended flow at;
+        # None once a flow has been suspended since.
+        self._settled_at: Optional[float] = None
         self._tcp_active: Dict[object, None] = {}
         self._governor = None
         # Sim-seconds of closed suspension spans, and when the open one
@@ -447,6 +529,7 @@ class FluidRegion:
         now = self.sim.now
         if not self._suspended:
             self._saving_since = now
+        self._settled_at = None
         for flow, walk in candidates:
             if flow._pending is not None:
                 flow._pending.cancel()
@@ -478,11 +561,11 @@ class FluidRegion:
                 clock.fluid = ClockShare(self)
             # (Twice through one radio, station to station: the later
             # pass, which moves its clock furthest, is the one kept.)
-            clock.fluid.members[sf] = offset
+            clock.fluid.add(sf, offset)
         for sw, src_mac, _in_learn, offset in sf.walk.legacy_hits:
             if src_mac not in sw.fluid_macs:
                 sw.fluid_macs[src_mac] = ClockShare(self)
-            sw.fluid_macs[src_mac].members[sf] = offset
+            sw.fluid_macs[src_mac].add(sf, offset)
 
     def _unbind(self, sf: _SuspendedFlow, everyone: bool = False) -> None:
         """Take ``sf`` off every clock it drives, O(1) a clock.  With
@@ -492,13 +575,13 @@ class FluidRegion:
             if everyone:
                 clock.fluid = None
             elif clock.fluid is not None:  # (an evicted entry's is gone)
-                clock.fluid.members.pop(sf, None)
+                clock.fluid.discard(sf)
                 if not clock.fluid.members:
                     clock.fluid = None
         for sw, src_mac, _in_learn, _offset in sf.walk.legacy_hits:
             share = sw.fluid_macs.get(src_mac)
             if share is not None:
-                share.members.pop(sf, None)
+                share.discard(sf)
                 if everyone or not share.members:
                     del sw.fluid_macs[src_mac]
 
@@ -664,7 +747,17 @@ class FluidRegion:
         (stats replies, FlowRemoved, link and host accounting, the
         gauges) and by :meth:`Simulator.run` on its way out, so code
         outside the loop always reads settled values.
+
+        A second flush at one instant is free: unless a flow was
+        suspended since (:meth:`_try_suspend`, the only place
+        ``_suspended`` grows), every suspended flow's count at ``now``
+        is what the first one paid it up to, so there is nothing to
+        pay.  The monitor's polls of every switch land at one instant.
         """
+        now = self.sim.now
+        if now == self._settled_at:
+            return
+        self._settled_at = now
         self._settle(self._suspended.values())
 
     def _settle(self, flows) -> None:

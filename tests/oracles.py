@@ -7,10 +7,14 @@ they read every row (pair), so they are the definition of what the
 index may only ever prune towards.  :class:`PostedForwardingSwitch` is
 the datapath whose forwarding delay is an event of its own, which the
 run-ahead action stage must match frame for frame.
+:func:`clock_share_latest` is the read of a fluid clock share that
+visits every member, which the phase index in front of the pending read
+may only prune towards.
 """
 
 from repro.core.policy import flow_addrs
 from repro.core.policy_compiler import _Space, _pair_finding, _row_findings
+from repro.net.fluid import _PHASE_SLACK_S, sent_before
 from repro.openflow.switch import OpenFlowSwitch
 
 
@@ -35,6 +39,26 @@ def verify_rows_all_pairs(rows, service_types=None):
             if finding is not None:
                 findings.append(finding)
     return findings
+
+
+def clock_share_latest(share, now, pending=False):
+    """``ClockShare.latest`` scanning every member: the modulo filter
+    and the closed form, counted on the share's region the same way."""
+    region = share.region
+    region.clock_reads += 1
+    latest = 0.0
+    for sf, offset in share.members.items():
+        if pending:
+            phase = (now - sf.base) % sf.interval
+            if offset + _PHASE_SLACK_S < phase < sf.interval - _PHASE_SLACK_S:
+                continue
+        region.closed_forms += 1
+        count = sent_before(sf, now)
+        if count > sf.flow.packets_sent:
+            moved = sf.base + (count - 1) * sf.interval + offset
+            if moved > latest:
+                latest = moved
+    return latest
 
 
 class PostedForwardingSwitch(OpenFlowSwitch):

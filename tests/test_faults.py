@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.deployment import build_livesec_network, build_sharded_network
 from repro.core.events import EventKind
-from repro.core.routing import DROP_PRIORITY
+from repro.core.routing import DROP_PRIORITY, bpdu_drop_rule
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -387,18 +387,33 @@ class TestSwitchReboot:
         # reaches the controller, the resync's FlowMods the switch.
         run_until(back_at + 2 * latency + 1e-6)
         assert len(drops()) == 1
+        group_drop = bpdu_drop_rule(switch.dpid)
+        assert [
+            entry for entry in switch.table
+            if (entry.match, entry.priority)
+            == (group_drop.match, group_drop.priority)
+        ]
+        unread = net.controller.counters["packet_ins_unread"]
         assert injector.summary()["injected"] == {
             "switch-reboot": 1, "switch-reconnect": 1,
         }
         resyncs = net.controller.log.query(kind=EventKind.SWITCH_RESYNC)
         assert [event.data["dpid"] for event in resyncs] == [switch.dpid]
+        # The resync line counts the book's entries, not the group drop.
+        book = net.controller.sessions
+        assert resyncs[0].data["rules"] == sum(
+            rule.dpid == switch.dpid
+            for owner in (*book.blocks(), *book) for rule in owner.rules
+        )
 
         # "Block at the entrance", not at the controller: the frames
-        # die on the switch again, so it punts no more than before.
+        # die on the switch again, so it punts no more than before --
+        # and the fabric's spanning-tree hellos die there too.
         run_until(back_at + 6.5)
         rate_before = punts_before / (self.REBOOT_AT_S - 2.0)
         rate_after = (switch.packet_ins - punts_before) / 6.5
         assert rate_after <= 1.2 * rate_before
+        assert net.controller.counters["packet_ins_unread"] == unread
         assert flow.delivered_bytes(net.gateway) == at_block
 
         # The shadowed session went back under its drop, so it idles

@@ -313,6 +313,61 @@ class TestMaterialization:
         assert seen["raw"] == seen["delivered"]
 
 
+class TestSameInstantSettles:
+    """The monitor asks every switch for its port stats at one instant:
+    the first reply's settle pays every suspended flow, and the others
+    find nothing owed and cost nothing."""
+
+    def test_a_round_of_polls_costs_one_closed_form_per_flow(self):
+        net = build_livesec_network(
+            topology="linear", num_as=8, hosts_per_as=2, fluid=True,
+            idle_timeout_s=60.0, stats_interval_s=None,
+        )
+        net.start()
+        rng = random.Random(3)
+        hosts = endpoints(net)
+        for index in range(6):
+            src, dst = rng.sample(hosts, 2)
+            CbrUdpFlow(
+                net.sim, src, dst.ip, rate_bps=0.4e6, packet_size=500,
+                sport=30000 + index,
+            ).start(delay_s=0.0 if index == 0 else
+                    rng.randrange(10) * 0.01 + rng.uniform(0.002, 0.007))
+        net.run(1.0)
+        assert net.fluid.stats()["suspended_flows"] == 6
+        costs = []
+
+        def poll_every_switch():
+            before = net.fluid.closed_forms
+            for switch in net.topology.as_switches:
+                switch.handle_of_message(msg.PortStatsRequest())
+            costs.append(net.fluid.closed_forms - before)
+
+        net.sim.post(0.0123, poll_every_switch)
+        net.run(0.1)
+        assert costs == [6]
+
+    def test_a_suspension_at_the_instant_is_settled_again(self):
+        """A flow suspended after a flush at the same instant is not
+        covered by it: the next flush evaluates every flow."""
+        net = fluid_net(idle_timeout_s=60.0, stats_interval_s=None)
+        hosts = endpoints(net)
+        steady_flow(net, hosts[0], hosts[1])
+        net.run(1.0)
+        region = net.fluid
+        region.flush()
+        before = region.closed_forms
+        region.flush()
+        assert region.closed_forms == before
+        region._try_suspend()  # (nothing new: the memo stands)
+        region.flush()
+        assert region.closed_forms == before
+        region.materialize_all("test")
+        region._try_suspend()
+        assert region.stats()["suspended_flows"] == 1
+        assert region.closed_forms > before
+
+
 def emitted_before(flow, t):
     """Closed-form count of ``flow``'s emissions strictly before ``t``
     off its ``paced_at`` grid (fix-up loops absorb float rounding)."""

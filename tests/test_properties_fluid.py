@@ -28,7 +28,10 @@ The closed form itself (``sent_before``) and the modulo pre-filter in
 front of it (``ClockShare.latest(pending=True)``) are checked against
 brute-force references on grid points, one ulp either side of them,
 and anywhere: by hypothesis, and by a fixed sweep dense enough to meet
-every rounding case the fix-ups and the slack exist for.
+every rounding case the fix-ups and the slack exist for.  The phase
+index in front of the filter is checked against the read that visits
+every member (``tests/oracles.clock_share_latest``) under membership
+churn.
 """
 
 import math
@@ -41,8 +44,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.fluid import ClockShare, sent_before
+from repro.net.fluid import ClockShare, FluidRegion, sent_before
 from repro.workloads.fluidcheck import compare_modes
+from tests import oracles
 
 SMALL = dict(num_flows=5, traffic_s=2.5, max_rate_bps=2e6)
 DENSE = dict(num_flows=8, traffic_s=4.0, max_rate_bps=4e6)
@@ -104,6 +108,25 @@ def test_crowd_reads_clocks_in_flight(monkeypatch):
     assert stats["clock_reads"] > len(in_flight) >= 10
 
 
+def test_same_instant_polls_match_oracle(monkeypatch):
+    """The monitor polls all eight switches at one instant each second:
+    every settle after the first at an instant is skipped, and the mix
+    still matches the oracle exactly."""
+    flushes = Counter()
+    flush = FluidRegion.flush
+
+    def counting(region):
+        if region._suspended:
+            flushes[region.sim.now] += 1
+        flush(region)
+
+    monkeypatch.setattr(FluidRegion, "flush", counting)
+    result = compare_modes(7, num_as=8, hosts_per_as=1, **SMALL)
+    assert_equivalent(result)
+    assert result["fluid"].fluid_stats["packets_synthesized"] > 0
+    assert max(flushes.values()) >= 8
+
+
 def test_kernel_actually_engages():
     """Guard against vacuous passes: in a plain steady mix the fluid
     run must really suspend flows and synthesize most of the traffic
@@ -155,12 +178,12 @@ _INTERVALS = st.one_of(
 
 
 @st.composite
-def _members(draw):
+def _members(draw, bases=st.floats(0.0, 10.0)):
     """One suspended flow on a clock: its pacing grid, the hop's offset
     (1 us to beyond an interval) and how much of it is settled."""
     interval = draw(_INTERVALS)
     return SimpleNamespace(
-        base=draw(st.floats(0.0, 10.0)),
+        base=draw(bases),
         interval=interval,
         offset=draw(st.one_of(st.floats(1e-6, 1e-3),
                               st.floats(1e-6, 2.5 * interval))),
@@ -233,7 +256,7 @@ def test_prefilter_never_changes_a_pending_answer(data):
     expected = 0.0
     for member in members:
         sf, count = _suspended(member, now)
-        share.members[sf] = member.offset
+        share.add(sf, member.offset)
         if member.settled_back:  # else: nothing emitted since the settle
             expected = max(expected, member.base
                            + (count - 1) * member.interval + member.offset)
@@ -246,6 +269,63 @@ def test_prefilter_never_changes_a_pending_answer(data):
         assert filtered == unfiltered
     assert region.clock_reads == 2
     assert region.closed_forms - evaluated <= evaluated == len(members)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_phase_index_reads_what_the_scan_reads(data):
+    """Mixed intervals (shared ones among them, and offsets past the
+    interval), bases far from 0, ``now`` on or next to a grid point,
+    and flows joining and leaving the share between reads: every
+    pending read answers what visiting every member answers, after as
+    many closed forms."""
+    bases = st.one_of(st.floats(0.0, 10.0), st.floats(1e3, 1e5))
+    pool = data.draw(st.lists(_members(bases), min_size=1, max_size=12))
+    flows = [_Suspended(m.base, m.interval, 0) for m in pool]
+    region = SimpleNamespace(clock_reads=0, closed_forms=0)
+    share = ClockShare(region)
+    for _ in range(data.draw(st.integers(1, 8))):
+        churn = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=4))
+        for index in churn:
+            if flows[index] in share.members:
+                share.discard(flows[index])
+            else:
+                share.add(flows[index], pool[index].offset)
+        now = data.draw(_instants(data.draw(st.sampled_from(pool))))
+        for member, sf in zip(pool, flows):
+            sf.flow.packets_sent = max(0, _grid_before(
+                member.base, member.interval, now
+            ) - member.settled_back)
+        before = region.closed_forms
+        indexed = share.latest(now, pending=True)
+        evaluated = region.closed_forms - before
+        assert oracles.clock_share_latest(share, now, pending=True) == indexed
+        assert region.closed_forms - before == 2 * evaluated
+
+
+def test_a_pending_read_visits_only_flows_near_their_grid_point():
+    """29 flows on the ledger's 20 ms grid, 0.5 ms apart, 30 us of
+    serialization each: a read on one flow's grid point looks at that
+    flow alone, a read between grid points at nobody."""
+    interval, offset = 250 * 8 / 100e3, 30e-6
+    region = SimpleNamespace(clock_reads=0, closed_forms=0)
+    share = ClockShare(region)
+    flows = [_Suspended(2.0 + i * 5e-4, interval, 0) for i in range(29)]
+    for sf in flows:
+        share.add(sf, offset)
+    for sf in flows:
+        point = sf.base + 4000 * interval
+        assert [near for near, _offset in share._near_grid(point)] == [sf]
+        assert share._near_grid(point + 2.5e-4) == []
+    # Across the interval's edge: a frame emitted 15 us ago is still
+    # serializing; a flow whose next frame is due in 10 us sent its
+    # last almost an interval ago.
+    share = ClockShare(region)
+    before, after = (_Suspended(3.0 + shift, interval, 0)
+                     for shift in (-10e-6, 15e-6))
+    share.add(before, offset)
+    share.add(after, offset)
+    assert [near for near, _ in share._near_grid(10.0 + 5e-6)] == [before]
 
 
 def test_sweep_meets_every_rounding_case():
@@ -274,7 +354,7 @@ def test_sweep_meets_every_rounding_case():
                     phase = (now - base) % interval
                     for offset in (1e-6, 20e-6, now - last + math.ulp(now)):
                         share = ClockShare(region)
-                        share.members[sf] = offset
+                        share.add(sf, offset)
                         pending = share.latest(now, pending=True)
                         if last + offset > now:
                             assert pending == last + offset

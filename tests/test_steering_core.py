@@ -32,12 +32,14 @@ from repro.core.policy import (
     PolicyAction,
     PolicyTable,
 )
-from repro.core.routing import DROP_PRIORITY, FORWARD_PRIORITY
+from repro.core.routing import DROP_PRIORITY, FORWARD_PRIORITY, bpdu_drop_rule
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.scenarios import GATEWAY_IP, chaos_policy_table
 from repro.net.host import HOST_PORT
+from repro.net.legacy import BPDU_MAC
 from repro.net.packet import FlowNineTuple, make_arp_request
 from repro.openflow.channel import ChannelFaults
+from repro.openflow.flowtable import FlowEntry
 from repro.workloads import AttackWebFlow, CbrUdpFlow
 from tests.conftest import REJECTED_MAC, attach_rejected_element
 
@@ -607,6 +609,138 @@ def test_an_attack_seen_by_a_borrowed_ids_is_blocked():
     assert len(logged(net, EventKind.ATTACK_DETECTED)) == 1
 
 
+# -- the spanning-tree group drop: written on every join -------------------
+
+
+def has_group_drop(switch):
+    rule = bpdu_drop_rule(switch.dpid)
+    return any(
+        (entry.match, entry.priority, entry.actions)
+        == (rule.match, rule.priority, ())
+        for entry in switch.table
+    )
+
+
+def unread(net):
+    return sum(c.counters["packet_ins_unread"] for c in net.controllers)
+
+
+def count_hellos(net, switch):
+    """The 802.1D hellos ``switch`` receives from now on."""
+    hellos = []
+    receive = switch.receive
+
+    def counting(frame, in_port):
+        if frame.dst == BPDU_MAC:
+            hellos.append(net.sim.now)
+        receive(frame, in_port)
+
+    switch.receive = counting
+    return hellos
+
+
+@pytest.mark.parametrize("topology,kwargs", [
+    ("linear", dict(num_as=4, hosts_per_as=1)),
+    ("fit", dict(num_ovs=2, num_aps=2, wired_users=2, wireless_users=2)),
+])
+def test_no_punt_goes_unread_after_start(topology, kwargs):
+    """Every datapath, AS switch and Wi-Fi AP alike, holds the group
+    drop, and once ``start()`` returns the controller reads every
+    PacketIn it is sent.  (A datapath's first hello, 0.1-0.3 ms into
+    the run, beats the handshake's 1 ms round trip and is the only
+    unread punt.)"""
+    net = build_livesec_network(topology=topology, **kwargs)
+    hellos = [count_hellos(net, s) for s in net.topology.all_openflow_switches()]
+    net.start()
+    at_start = unread(net)
+    assert at_start <= sum(
+        len([t for t in times if t < 1e-3]) for times in hellos
+    )
+    net.run(2.0)
+    assert unread(net) == at_start
+    assert all(len(times) >= 40 for times in hellos)
+    assert all(map(has_group_drop, net.topology.all_openflow_switches()))
+
+
+def test_a_missing_group_drop_punts_every_hello_unread():
+    net = build(1)
+    switch = net.topology.as_switches[0]
+    hellos = count_hellos(net, switch)
+    before = unread(net)
+    rule = bpdu_drop_rule(switch.dpid)
+    switch.table.delete(rule.match, strict=True, priority=rule.priority)
+    net.run(1.0)
+    # Put back by hand: what is still on the channel lands, nothing more.
+    punted = len(hellos)
+    switch.table.add(
+        FlowEntry(match=rule.match, priority=rule.priority), net.sim.now
+    )
+    net.run(SETTLE_S)
+    assert punted >= 20
+    assert unread(net) - before == punted
+
+
+def test_the_group_drop_comes_back_on_a_rebooted_access_point():
+    net = build_livesec_network(
+        topology="fit", num_ovs=2, num_aps=2, wired_users=2, wireless_users=2,
+    )
+    net.start()
+    ap = net.topology.aps[0]
+    hellos = count_hellos(net, ap)
+    FaultInjector(net, FaultPlan().switch_reboot(
+        net.sim.now + 0.1, ap.name, 0.05
+    )).arm()
+    net.run(0.1 + SETTLE_S)
+    assert not len(ap.table)
+    net.run(0.1)
+    assert has_group_drop(ap)
+    before = unread(net)
+    net.run(1.0)
+    assert len(hellos) >= 20
+    assert unread(net) == before
+
+
+def test_the_group_drop_comes_back_on_the_new_owner():
+    """Shard 1 crashes; its switches lose their tables while orphaned
+    (the drop is gone by hand), and the survivor that takes them over
+    writes the drop again when they join it."""
+    net = build(2)
+    FaultInjector(net, FaultPlan(seed=1).shard_crash(
+        net.sim.now + 0.1, 1
+    )).arm()
+    net.run(0.1 + SETTLE_S)
+    orphans = [s for s in net.topology.as_switches if s.dpid in (3, 4)]
+    for switch in orphans:
+        assert not net.channels[switch.dpid].connected
+        rule = bpdu_drop_rule(switch.dpid)
+        switch.table.delete(rule.match, strict=True, priority=rule.priority)
+    net.run(4.0)
+    assert net.coordinator.status()["rehomed_switches"] == 2
+    for switch in orphans:
+        assert net.channels[switch.dpid].controller is net.controllers[0]
+        assert has_group_drop(switch)
+    hellos = count_hellos(net, orphans[0])
+    before = unread(net)
+    net.run(1.0)
+    assert len(hellos) >= 20
+    assert unread(net) == before
+
+
+def test_the_group_drop_is_harmless_without_a_legacy_bridge():
+    """The fat tree's fabric runs no spanning tree: nothing meets the
+    drop, and a session across it still forms and delivers."""
+    net = build_livesec_network(topology="fattree", k=4, hosts_per_edge=2)
+    net.start()
+    assert all(map(has_group_drop, net.topology.all_openflow_switches()))
+    src, dst = net.topology.user_hosts[0], net.topology.user_hosts[-1]
+    flow = CbrUdpFlow(net.sim, src, dst.ip, rate_bps=1e6, duration_s=1.0)
+    flow.start()
+    net.run(1.5)
+    assert flow.delivered_bytes(dst) == flow.bytes_sent > 0
+    assert unread(net) == 0
+    assert net.controller.counters["flows_installed"] == 1
+
+
 # -- found, not fixed: pinned so a fix has to come and say so --------------
 
 
@@ -785,7 +919,8 @@ def test_deferred_route_charges_nobody(monkeypatch):
     assert ids_loads(net) == [0, 0]
 
 
-# -- one writer, one drop planner (scripts/check_rule_writers.py) ----------
+# -- one writer, one drop planner, one group-drop writer -------------------
+# (scripts/check_rule_writers.py)
 
 RULE_WRITERS = Path(__file__).parent.parent / "scripts/check_rule_writers.py"
 
@@ -816,6 +951,18 @@ def test_the_tree_has_one_flowmod_writer_and_one_drop_planner():
      "def on_source_block_requested(self, event):\n"
      "    self._apply('add', source_block_rule(event.mac, event.record))\n",
      "steering.py:2: source_block_rule() outside _plan_block()"),
+    ("apps/topology.py",
+     "class TopologyApp:\n"
+     "    def on_switch_joined(self, event):\n"
+     "        self._apply('add', bpdu_drop_rule(event.handle.dpid))\n",
+     "topology.py:3: bpdu_drop_rule() outside"
+     " SteeringApp.on_switch_joined()"),
+    ("apps/steering.py",
+     "class SteeringApp:\n"
+     "    def on_switch_reconnected(self, event):\n"
+     "        self._apply('add', bpdu_drop_rule(event.handle.dpid))\n",
+     "steering.py:3: bpdu_drop_rule() outside"
+     " SteeringApp.on_switch_joined()"),
 ])
 def test_a_stray_rule_writer_fails_the_lint(tmp_path, path, source, complaint):
     (tmp_path / "apps").mkdir()
@@ -826,6 +973,10 @@ def test_a_stray_rule_writer_fails_the_lint(tmp_path, path, source, complaint):
     (tmp_path / "apps/planner.py").write_text(
         "def _plan_block(self, block, at):\n"
         "    return [drop_rule(block.flow, at)]\n"
+        "\n\n"
+        "class SteeringApp:\n"
+        "    def on_switch_joined(self, event):\n"
+        "        self._apply('add', bpdu_drop_rule(event.handle.dpid))\n"
     )
     assert check_rule_writers(tmp_path).returncode == 0
     (tmp_path / path).write_text(source)
