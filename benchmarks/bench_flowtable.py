@@ -1,8 +1,8 @@
 """E15 (microbench: indexed vs linear flow-table lookup).
 
 The datapath's hot path is one ``FlowTable.lookup`` per received
-frame.  The table keeps the pre-index reference scan around as
-``_lookup_linear`` (it is the semantic oracle for the equivalence
+frame.  The pre-index reference scan lives on in ``tests/oracles.py``
+as ``lookup_linear`` (it is the semantic oracle for the equivalence
 property test), which makes the ablation exact: identical tables,
 identical probe frames, only the lookup strategy differs.
 
@@ -14,6 +14,8 @@ pytest-benchmark like every other bench file.
 
 import sys
 import time
+from functools import partial
+from pathlib import Path
 
 from repro.analysis import format_table
 from repro.net import packet as pkt
@@ -22,6 +24,9 @@ from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.match import Match
 
 from common import run_once, write_result
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests import oracles  # noqa: E402  (the repo root is not a package path)
 
 TABLE_SIZES = (100, 1000)
 WILDCARD_RULES = 8
@@ -77,10 +82,11 @@ def run_experiment():
     results = []
     for size in TABLE_SIZES:
         table, probes = build_table(size)
+        scan = partial(oracles.lookup_linear, table)
         for frame, in_port in probes:  # warm and sanity-check both paths
             assert table.lookup(frame, in_port, 1.0) is not None
-            assert table._lookup_linear(frame, in_port, 1.0) is not None
-        linear = time_lookups(table._lookup_linear, probes)
+            assert scan(frame, in_port, 1.0) is not None
+        linear = time_lookups(scan, probes)
         indexed = time_lookups(table.lookup, probes)
         results.append({
             "entries": size,

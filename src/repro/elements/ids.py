@@ -10,12 +10,13 @@ thousands.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.elements.base import ServiceElement, Verdict
 from repro.elements.signatures import DEFAULT_IDS_RULES, IdsRule
-from repro.net.packet import Ethernet, FlowNineTuple, Tcp
+from repro.net.packet import Ethernet, FlowNineTuple, Tcp, Udp
 
 PORTSCAN_WINDOW_S = 2.0
 PORTSCAN_THRESHOLD = 15  # distinct destination ports
@@ -36,6 +37,25 @@ class IntrusionDetectionElement(ServiceElement):
         self.rules: Tuple[IdsRule, ...] = tuple(
             rules if rules is not None else DEFAULT_IDS_RULES
         )
+        # The needle screen (Snort's fast-pattern pass): every clause
+        # needle in one alternation per case mode, searched once per
+        # payload before any rule runs.  A rule with a content clause
+        # matches only when each clause's needle lies inside its window,
+        # hence somewhere in the payload; so a payload no screen finds
+        # anything in can only match the rules without one, _bodiless.
+        # An IGNORECASE bytes pattern folds ASCII only, as bytes.lower
+        # does, and an empty needle makes its screen always pass.
+        needles: Dict[bool, Set[bytes]] = {False: set(), True: set()}
+        for rule in self.rules:
+            for clause in rule.clauses:
+                needles[clause.nocase].add(clause.needle)
+        self._screens = tuple(
+            re.compile(b"|".join(map(re.escape, sorted(found))),
+                       re.IGNORECASE if nocase else 0)
+            for nocase, found in needles.items() if found
+        )
+        self._bodiless = tuple(rule for rule in self.rules
+                               if not rule.clauses)
         self._alerted: Set[Tuple[FlowNineTuple, str]] = set()
         # Port-scan state: src ip -> {dst_port: last probe time}.  Kept
         # as a per-port map so the per-packet work is O(1); the windowed
@@ -47,11 +67,21 @@ class IntrusionDetectionElement(ServiceElement):
 
     def inspect(self, frame: Ethernet, flow: FlowNineTuple) -> List[Verdict]:
         verdicts: List[Verdict] = []
-        payload = frame.app_payload()
         transport = frame.transport()
-        tcp_flags = transport.flags if isinstance(transport, Tcp) else None
+        tcp_flags = None
+        payload = b""
+        if isinstance(transport, Tcp):
+            tcp_flags = transport.flags
+            payload = transport.payload
+        elif isinstance(transport, Udp):
+            payload = transport.payload
+        rules = self._bodiless
+        for screen in self._screens:
+            if screen.search(payload) is not None:
+                rules = self.rules
+                break
 
-        for rule in self.rules:
+        for rule in rules:
             if not rule.matches(payload, flow.nw_proto, flow.tp_dst,
                                 tcp_flags, tp_src=flow.tp_src):
                 continue

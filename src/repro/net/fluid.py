@@ -822,9 +822,6 @@ class FluidRegion:
             direction.tx_packets += delivered
             direction.tx_bytes += delivered_bytes
             direction.busy_time += busy
-            port = plan.from_port
-            port.tx_packets += delivered
-            port.tx_bytes += delivered_bytes
             port = direction.to_port
             port.rx_packets += delivered
             port.rx_bytes += delivered_bytes

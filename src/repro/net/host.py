@@ -58,7 +58,6 @@ class Host(Node):
         self.rx_bytes = 0
         self.rx_bytes_by_flow: Dict[Optional[int], int] = defaultdict(int)
         self.rx_frames_by_flow: Dict[Optional[int], int] = defaultdict(int)
-        self.latencies: List[float] = []
         # Ping state: ident -> (sent_at, reply_callback)
         self._pings: Dict[int, Tuple[float, Optional[Callable[[float], None]]]] = {}
         self._ping_ident = 0
@@ -186,18 +185,19 @@ class Host(Node):
         self._app_handlers[(proto, port)] = handler
 
     def receive(self, frame: Ethernet, in_port: int) -> None:
-        if frame.ethertype == pkt.ETH_TYPE_ARP and isinstance(frame.payload, Arp):
-            self._handle_arp(frame.payload)
+        ethertype = frame.ethertype
+        ip = payload = frame.payload
+        if ethertype == pkt.ETH_TYPE_ARP and isinstance(payload, Arp):
+            self._handle_arp(payload)
             return
-        ip = frame.ip()
-        if ip is None or (ip.dst != self.ip and not frame.is_broadcast):
+        # Ethernet.ip(), read in place: this runs for every delivery.
+        if ethertype != pkt.ETH_TYPE_IP or not isinstance(ip, IPv4) or (
+                ip.dst != self.ip and not frame.is_broadcast):
             return
         self.rx_frames += 1
         self.rx_bytes += frame.size
         self.rx_bytes_by_flow[frame.flow_id] += frame.size
         self.rx_frames_by_flow[frame.flow_id] += 1
-        if frame.created_at is not None:
-            self.latencies.append(self.sim.now - frame.created_at)
         segment = ip.payload
         if isinstance(segment, Icmp):
             self._handle_icmp(ip, segment)

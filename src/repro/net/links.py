@@ -168,8 +168,6 @@ class Link:
         direction.busy_time += tx_time
         direction.tx_packets += 1
         direction.tx_bytes += size
-        from_port.tx_packets += 1
-        from_port.tx_bytes += size
         sim.post_at(
             done + self.delay_s, self._deliver, frame, direction.to_port
         )

@@ -30,12 +30,23 @@ class Port:
         self.link: Optional["Link"] = None
         self.direction = None
         self.enabled = True
-        # Counters maintained by the link layer.
-        self.tx_packets = 0
-        self.tx_bytes = 0
+        # Counters maintained by the link layer.  What left the port is
+        # counted once, on its direction (tx_packets / tx_bytes below).
         self.rx_packets = 0
         self.rx_bytes = 0
         self.tx_drops = 0
+
+    @property
+    def tx_packets(self) -> int:
+        """Frames sent out of this port: its link direction's count."""
+        direction = self.direction
+        return 0 if direction is None else direction.tx_packets
+
+    @property
+    def tx_bytes(self) -> int:
+        """Bytes sent out of this port: its link direction's count."""
+        direction = self.direction
+        return 0 if direction is None else direction.tx_bytes
 
     @property
     def is_attached(self) -> bool:

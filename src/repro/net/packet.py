@@ -7,7 +7,9 @@ protocol-identification elements and by the service-element UDP message
 channel).  Packets carry an explicit wire ``size`` in bytes so links can
 compute serialization delay; payload *content* is a plain ``bytes``
 object that need not match ``size`` (benches use large frames with
-small representative payloads).
+small representative payloads).  Every header is a slotted dataclass:
+a frame is built per emission and read at every hop, so it carries no
+per-object ``__dict__`` and a field read is a slot read.
 
 The paper's "9-tuple" (Section III.C.3) is
 ``(vlan, dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto, tp_src,
@@ -83,7 +85,7 @@ def ip_address(index: int, base: str = "10.0.0.0") -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class Lldp:
     """Link Layer Discovery Protocol payload used for topology discovery."""
 
@@ -91,7 +93,7 @@ class Lldp:
     port_id: int  # emitting port number
 
 
-@dataclass
+@dataclass(slots=True)
 class Arp:
     """ARP request/reply payload."""
 
@@ -109,7 +111,7 @@ class Arp:
         return self.opcode == self.REQUEST
 
 
-@dataclass
+@dataclass(slots=True)
 class Dhcp:
     """A minimal DHCP exchange payload (DISCOVER/OFFER/REQUEST/ACK)."""
 
@@ -118,7 +120,7 @@ class Dhcp:
     offered_ip: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Icmp:
     """ICMP echo payload, used by the latency evaluation (Section V.B.3)."""
 
@@ -127,7 +129,7 @@ class Icmp:
     seq: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Tcp:
     """TCP segment.  ``payload`` holds the first bytes the L7 classifier sees."""
 
@@ -139,7 +141,7 @@ class Tcp:
     ack_seq: Optional[int] = None  # cumulative ACK (None = not an ACK)
 
 
-@dataclass
+@dataclass(slots=True)
 class Udp:
     """UDP datagram."""
 
@@ -148,7 +150,7 @@ class Udp:
     payload: bytes = b""
 
 
-@dataclass
+@dataclass(slots=True)
 class IPv4:
     """IPv4 packet."""
 
@@ -160,7 +162,7 @@ class IPv4:
     payload: Union[Tcp, Udp, Icmp, None] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Ethernet:
     """An Ethernet frame: the unit every node and link handles.
 
@@ -177,7 +179,7 @@ class Ethernet:
     vlan: Optional[int] = None
     size: int = 64
     flow_id: Optional[int] = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     created_at: Optional[float] = None
     # Forwarding-accountability tag (SDNsec-style): the ingress switch
     # pushes a per-session path descriptor, every switch on the path

@@ -83,8 +83,6 @@ class WirelessLink(Link):
         direction.busy_time += size * 8.0 / self.medium.bandwidth_bps
         direction.tx_packets += 1
         direction.tx_bytes += size
-        from_port.tx_packets += 1
-        from_port.tx_bytes += size
         self.sim.post_at(
             done + self.delay_s, self._deliver, frame, direction.to_port
         )

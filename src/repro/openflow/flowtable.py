@@ -15,8 +15,8 @@ wildcards (source blocks, table-miss catch-alls) live in a small list
 ordered like the classic linear scan.  A lookup takes the best exact
 candidate, scans the wildcard list only while it could still win, and
 breaks priority ties by insertion sequence -- observably identical to
-the linear reference scan, which is kept as :meth:`_lookup_linear` and
-property-tested against the index.
+the linear reference scan, which ``tests/oracles.lookup_linear`` keeps
+and the property suite compares the index against.
 
 Expiry is driven by a lazy min-heap of (deadline, entry): every lookup
 first evicts the entries whose deadline has passed (so the table never
@@ -80,12 +80,6 @@ class FlowEntry:
     @property
     def is_drop(self) -> bool:
         return not self.actions
-
-    def touch(self, now: float, size: int) -> None:
-        """Record a packet hit."""
-        self.last_used_at = now
-        self.packets += 1
-        self.bytes += size
 
     def expired(self, now: float) -> Optional[str]:
         """'idle', 'hard' or None."""
@@ -381,18 +375,17 @@ class FlowTable:
 
         Expired-but-unevicted entries are evicted first (drain them via
         :meth:`take_removed` for FlowRemoved), so the table's length
-        always agrees with what the datapath honors.
+        always agrees with what the datapath honors.  One function with
+        the hit's counters written in place, because it runs for every
+        frame at every OF hop; every ``LATENCY_SAMPLE_STRIDE``-th call
+        times itself on the latency histogram's clock.
         """
         self.lookups += 1
+        timer = None
         if self._latency_hist is not None and \
                 self.lookups % LATENCY_SAMPLE_STRIDE == 0:
-            with self._latency_hist.time():
-                return self._lookup_indexed(frame, in_port, now)
-        return self._lookup_indexed(frame, in_port, now)
-
-    def _lookup_indexed(
-        self, frame: Ethernet, in_port: int, now: float
-    ) -> Optional[FlowEntry]:
+            timer = self._latency_hist.time()
+            timer.__enter__()
         heap = self._heap
         if heap and heap[0][0] <= now:
             self._evict_due(now)
@@ -426,13 +419,17 @@ class FlowTable:
                 break
         if best is None:
             self.misses += 1
-            return None
-        best.touch(now, frame.size)
-        self.matched += 1
-        if exact:
-            self.exact_hits += 1
         else:
-            self.wildcard_hits += 1
+            best.last_used_at = now
+            best.packets += 1
+            best.bytes += frame.size
+            self.matched += 1
+            if exact:
+                self.exact_hits += 1
+            else:
+                self.wildcard_hits += 1
+        if timer is not None:
+            timer.__exit__()
         return best
 
     def peek(self, frame: Ethernet, in_port: int, now: float) -> Optional[FlowEntry]:
@@ -481,22 +478,6 @@ class FlowTable:
             self.exact_hits += packets
         else:
             self.wildcard_hits += packets
-
-    def _lookup_linear(
-        self, frame: Ethernet, in_port: int, now: float
-    ) -> Optional[FlowEntry]:
-        """The pre-index reference scan, kept verbatim as the semantic
-        oracle: the property suite asserts ``lookup`` is observably
-        identical to this on every frame."""
-        self.lookups += 1
-        for entry in self._entries:
-            if entry.expired(now):
-                continue
-            if entry.match.matches(frame, in_port):
-                entry.touch(now, frame.size)
-                self.matched += 1
-                return entry
-        return None
 
     def __repr__(self) -> str:
         return f"<FlowTable entries={len(self._entries)} lookups={self.lookups}>"

@@ -69,6 +69,8 @@ class TrafficFlow:
         self.dst_ip = dst_ip
         self.rate_bps = rate_bps
         self.packet_size = packet_size
+        # Neither is reassigned, so the pacing step is stored once.
+        self.interval_s = packet_size * 8.0 / rate_bps
         self.duration_s = duration_s
         self.max_packets = max_packets
         self.sport = (
@@ -82,10 +84,6 @@ class TrafficFlow:
         self._started_at: Optional[float] = None
         self._stop_at: Optional[float] = None
         self._pending = None
-
-    @property
-    def interval_s(self) -> float:
-        return self.packet_size * 8.0 / self.rate_bps
 
     def start(self, delay_s: float = 0.0) -> "TrafficFlow":
         """Begin emitting; returns self for chaining."""

@@ -9,12 +9,17 @@ the datapath whose forwarding delay is an event of its own, which the
 run-ahead action stage must match frame for frame.
 :func:`clock_share_latest` is the read of a fluid clock share that
 visits every member, which the phase index in front of the pending read
-may only prune towards.
+may only prune towards.  :func:`lookup_linear` (with :func:`touch`) is
+the flow-table scan the exact index and wildcard list replaced, and
+:func:`ids_inspect_unscreened` the IDS pass over every rule that the
+needle screen may only skip rules of.
 """
 
 from repro.core.policy import flow_addrs
 from repro.core.policy_compiler import _Space, _pair_finding, _row_findings
+from repro.elements.base import Verdict
 from repro.net.fluid import _PHASE_SLACK_S, sent_before
+from repro.net.packet import Tcp
 from repro.openflow.switch import OpenFlowSwitch
 
 
@@ -78,3 +83,60 @@ def post_forwarding_delays(net):
     a :class:`PostedForwardingSwitch` (Wi-Fi APs post already)."""
     for switch in net.topology.as_switches:
         switch.__class__ = PostedForwardingSwitch
+
+
+def touch(entry, now, size):
+    """Record a packet hit on a flow entry."""
+    entry.last_used_at = now
+    entry.packets += 1
+    entry.bytes += size
+
+
+def lookup_linear(table, frame, in_port, now):
+    """``FlowTable.lookup`` as the pre-index scan: the first live entry
+    of the table in linear-scan order (descending priority, then
+    insertion) that matches, touched; expired entries are skipped, not
+    evicted."""
+    table.lookups += 1
+    for entry in table:
+        if entry.expired(now):
+            continue
+        if entry.match.matches(frame, in_port):
+            touch(entry, now, frame.size)
+            table.matched += 1
+            return entry
+    return None
+
+
+def ids_inspect_unscreened(element, frame, flow):
+    """``IntrusionDetectionElement.inspect`` with no needle screen:
+    every rule evaluated in order on every payload."""
+    verdicts = []
+    payload = frame.app_payload()
+    transport = frame.transport()
+    tcp_flags = transport.flags if isinstance(transport, Tcp) else None
+
+    for rule in element.rules:
+        if not rule.matches(payload, flow.nw_proto, flow.tp_dst,
+                            tcp_flags, tp_src=flow.tp_src):
+            continue
+        key = (flow, rule.name)
+        if key in element._alerted:
+            continue
+        element._alerted.add(key)
+        element.alerts += 1
+        verdicts.append(
+            Verdict(
+                "attack",
+                {
+                    "attack": rule.name.replace("|", "/"),
+                    "severity": rule.severity,
+                    "verdict": "malicious",
+                },
+            )
+        )
+
+    scan = element._check_portscan(flow)
+    if scan is not None:
+        verdicts.append(scan)
+    return verdicts

@@ -138,11 +138,15 @@ class TestAccounting:
         assert b.rx_bytes_by_flow[8] == 100
         assert b.received_bits(7) == 6400
 
-    def test_latency_recorded_per_frame(self, sim, pair):
+    def test_frames_counted_per_flow(self, sim, pair):
         a, b = pair
-        a.send_udp(b.ip, 1, 2)
+        a.send_udp(b.ip, 1, 2, size=500, flow_id=7)
+        a.send_udp(b.ip, 1, 2, size=300, flow_id=7)
+        a.send_udp(b.ip, 1, 2, size=100)
         sim.run()
-        assert len(b.latencies) == 1 and b.latencies[0] > 0
+        assert dict(b.rx_frames_by_flow) == {7: 2, None: 1}
+        assert (b.rx_frames, b.rx_bytes) == (3, 900)
+        assert not hasattr(b, "latencies")
 
     def test_frames_for_other_ip_ignored(self, sim, pair):
         a, b = pair

@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro import build_livesec_network
 from repro.net import packet as pkt
+from repro.net.ecmp import EcmpLegacySwitch
+from repro.net.host import Host
 from repro.net.node import Node, connect
 from repro.net.packet import Ethernet
+from repro.net.wifi import AirMedium, WirelessLink
+from repro.openflow import messages as msg
+from repro.workloads.flows import CbrUdpFlow
 
 
 class Sink(Node):
@@ -171,3 +177,105 @@ class TestCountersAndFaults:
             connect(sim, a, b, bandwidth_bps=0)
         with pytest.raises(ValueError):
             connect(sim, a, b, delay_s=-1.0)
+
+
+def assert_one_tx_counter(nodes):
+    """Every port's tx counters are its link direction's (0 unwired)."""
+    for node in nodes:
+        for port in node.ports.values():
+            direction = port.direction
+            expected = (0, 0) if direction is None else (
+                direction.tx_packets, direction.tx_bytes)
+            assert (port.tx_packets, port.tx_bytes) == expected, port
+
+
+class TestOneTxCounter:
+    """What leaves a port is counted once, on its link direction; the
+    port's ``tx_packets`` / ``tx_bytes`` read it there."""
+
+    def test_packet_traffic_wired_and_wireless(self, sim):
+        a, b, c = Sink(sim, "a"), Sink(sim, "b"), Sink(sim, "c")
+        wired = connect(sim, a, b)
+        radio = WirelessLink(sim, a.port(2), c.port(1), AirMedium())
+        for size in (100, 300, 500):
+            a.send(frame_of_size(size), 1)
+            a.send(frame_of_size(size), 2)
+        c.send(frame_of_size(64), 1)
+        sim.run()
+        assert_one_tx_counter((a, b, c))
+        assert (a.port(1).tx_packets, a.port(1).tx_bytes) == (3, 900)
+        assert (a.port(2).tx_packets, c.port(1).tx_bytes) == (3, 64)
+        assert wired.stats(a.port(1))["tx_bytes"] == 900
+        assert radio.stats(c.port(1))["tx_packets"] == 1
+        assert (a.port(7).tx_packets, a.port(7).tx_bytes) == (0, 0)
+        with pytest.raises(AttributeError):
+            a.port(1).tx_packets = 0
+
+    def test_a_link_down_drop_counts_a_drop_only(self, sim):
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        link = connect(sim, a, b)
+        a.send(frame_of_size(500), 1)
+        link.set_up(False)
+        a.send(frame_of_size(500), 1)
+        sim.run()
+        port = a.port(1)
+        assert (port.tx_packets, port.tx_bytes, port.tx_drops) == (1, 500, 1)
+        assert_one_tx_counter((a, b))
+
+    def test_a_fluid_settle_and_the_port_stats_reply(self):
+        net = build_livesec_network("linear", num_as=2, hosts_per_as=2,
+                                    fluid=True, stats_interval_s=None)
+        net.start()
+        src, dst = [h for h in net.topology.hosts
+                    if h is not net.topology.gateway][::3]
+        CbrUdpFlow(net.sim, src, dst.ip, rate_bps=2e6,
+                   packet_size=1000).start()
+        switch = net.topology.as_switches[0]
+        replies, send = [], switch._reply
+
+        def sending(message):  # a port-stats reply as the switch sends it
+            if isinstance(message, msg.PortStatsReply):
+                replies.append(message)
+            send(message)
+
+        switch._reply = sending
+
+        def poll():
+            switch.handle_of_message(msg.PortStatsRequest())
+            for number, stats in replies[-1].stats.items():
+                port = switch.ports[number]
+                assert (stats["tx_packets"], stats["tx_bytes"]) == (
+                    port.direction.tx_packets, port.direction.tx_bytes)
+
+        for at in (0.5, 1.2371, 1.9):
+            net.sim.schedule(at, poll)
+        net.run(2.0)
+        assert net.fluid.stats()["suspended_flows"] == 1
+        assert net.fluid.stats()["settles"] > 0 and len(replies) == 3
+        assert max(stats["tx_packets"]
+                   for stats in replies[-1].stats.values()) > 100
+        assert_one_tx_counter(net.topology.legacy
+                              + net.topology.all_openflow_switches()
+                              + net.topology.hosts)
+
+    def test_ecmp_group_port_loads(self, sim):
+        s1 = EcmpLegacySwitch(sim, "s1", bridge_id=1)
+        s2 = EcmpLegacySwitch(sim, "s2", bridge_id=2)
+        connect(sim, s1, s2, port_a=1, port_b=1)
+        connect(sim, s1, s2, port_a=2, port_b=2)
+        s1.add_ecmp_group([1, 2])
+        s2.add_ecmp_group([1, 2])
+        h1 = Host(sim, "h1", pkt.mac_address(1), pkt.ip_address(1))
+        h2 = Host(sim, "h2", pkt.mac_address(2), pkt.ip_address(2))
+        connect(sim, s1, h1, port_a=3)
+        connect(sim, s2, h2, port_a=3)
+        h2.announce()
+        sim.run(until=0.2)
+        for sport in range(1000, 1040):
+            h1.send_udp(h2.ip, sport, 9000, size=500)
+        sim.run(until=1.0)
+        loads = s1.group_port_loads([1, 2])
+        assert loads == {port: s1.ports[port].direction.tx_bytes
+                         for port in (1, 2)}
+        assert loads[1] > 0 and loads[2] > 0
+        assert_one_tx_counter((s1, s2, h1, h2))

@@ -12,6 +12,7 @@ from repro.net.simulator import Simulator
 from repro.openflow.actions import Output
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.match import Match
+from tests import oracles
 
 
 def frame(tp_dst=80):
@@ -98,7 +99,7 @@ class TestFlowTableProperties:
 
 class TestIndexedLinearEquivalence:
     """The indexed ``lookup`` must be observably identical to the
-    pre-index reference scan (``_lookup_linear``) on every frame, for
+    pre-index reference scan (``oracles.lookup_linear``) on every frame, for
     tables mixing priorities, wildcards and timeouts.
 
     Two tables receive the exact same mutation stream; one is probed
@@ -200,7 +201,8 @@ class TestIndexedLinearEquivalence:
                     probe = self._random_frame(rng)
                     in_port = rng.randint(1, 3)
                     hit = indexed.lookup(probe, in_port, now)
-                    oracle = reference._lookup_linear(probe, in_port, now)
+                    oracle = oracles.lookup_linear(
+                        reference, probe, in_port, now)
                     assert self._signature(hit) == self._signature(oracle), (
                         f"seed={seed} now={now} probe={probe}"
                     )

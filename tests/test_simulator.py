@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
 import random
+import sys
 
 import pytest
 
@@ -352,6 +353,23 @@ def handles_built(monkeypatch):
     return built
 
 
+def forwarding_walk(sim):
+    """host -> link -> OF switch -> link -> legacy -> link -> host, with
+    the switch's entry installed and the bridge's MAC learned; returns
+    the two hosts."""
+    src = Host(sim, "src", pkt.mac_address(1), pkt.ip_address(1))
+    dst = Host(sim, "dst", pkt.mac_address(2), pkt.ip_address(2))
+    access = OpenFlowSwitch(sim, "as", dpid=1)
+    fabric = LegacySwitch(sim, "ls", bridge_id=1, stp_enabled=False)
+    connect(sim, src, access, port_b=1)
+    connect(sim, access, fabric, port_a=2, port_b=1)
+    connect(sim, fabric, dst, port_a=2)
+    access.table.add(
+        FlowEntry(match=Match(in_port=1), actions=(Output(2),)), sim.now)
+    fabric.mac_table[dst.mac] = (2, sim.now)
+    return src, dst
+
+
 class TestHandleBudget:
     """Counts, not timings: the per-hop events are fire-and-forget, so a
     handle is built only where somebody keeps it (flow pacing, timers,
@@ -396,17 +414,7 @@ class TestHandleBudget:
 
     def test_a_forwarded_frame_builds_no_handle(self, sim, handles_built):
         """host -> link -> OF switch -> link -> legacy -> link -> host."""
-        src = Host(sim, "src", pkt.mac_address(1), pkt.ip_address(1))
-        dst = Host(sim, "dst", pkt.mac_address(2), pkt.ip_address(2))
-        access = OpenFlowSwitch(sim, "as", dpid=1)
-        fabric = LegacySwitch(sim, "ls", bridge_id=1, stp_enabled=False)
-        connect(sim, src, access, port_b=1)
-        connect(sim, access, fabric, port_a=2, port_b=1)
-        connect(sim, fabric, dst, port_a=2)
-        access.table.add(
-            FlowEntry(match=Match(in_port=1), actions=(Output(2),)), sim.now)
-        fabric.mac_table[dst.mac] = (2, sim.now)
-
+        src, dst = forwarding_walk(sim)
         handles, events = handles_built[0], sim.events_processed
         src.send(pkt.make_udp(src.mac, dst.mac, src.ip, dst.ip, 5, 6), 1)
         sim.run(until=0.01)  # well before the switch's first expiry sweep
@@ -415,3 +423,39 @@ class TestHandleBudget:
         # ahead inside the first of them, not an event.
         assert sim.events_processed - events == 3
         assert handles_built[0] == handles
+
+
+class TestCallBudget:
+    """Counts, not timings: the Python functions one frame enters on its
+    way host -> OF switch -> legacy -> host (the walk above)."""
+
+    # 31 before the headers were slotted, the port's tx counter became
+    # its direction's, Host.receive read the IP header in place and the
+    # flow-table lookup became one function.
+    CALLS_PER_FRAME = 28
+
+    def test_a_forwarded_frame_enters_at_most_28_functions(self, sim):
+        src, dst = forwarding_walk(sim)
+        frame = pkt.make_udp(src.mac, dst.mac, src.ip, dst.ip, 5, 6)
+        entered = []
+
+        def hook(frame_, event, arg):
+            if event == "call":
+                entered.append(frame_.f_code.co_qualname)
+
+        # Put back whatever profiler was running (a coverage or call
+        # audit hook), not None: it must see the rest of the suite.
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            src.send(frame, 1)
+            sim.run(until=0.01)
+        finally:
+            sys.setprofile(previous)
+        assert dst.rx_frames == 1
+        assert len(entered) <= self.CALLS_PER_FRAME, entered
+        # Each cut stays cut.
+        for gone in ("FlowTable._lookup_indexed", "FlowEntry.touch"):
+            assert gone not in entered
+        # Match.matches's (the entry is a wildcard), not Host.receive's.
+        assert entered.count("Ethernet.ip") <= 1
