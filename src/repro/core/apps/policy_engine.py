@@ -22,7 +22,7 @@ from repro.core.policy import FailMode, Policy, PolicyAction
 from repro.net.packet import FlowNineTuple
 
 
-@dataclass
+@dataclass(slots=True)
 class PolicyDecision:
     """What to do with one first packet.
 
@@ -172,16 +172,17 @@ class PolicyEngineApp(App):
         must not sit on the inspection path of new or re-steered
         sessions."""
         quarantined = self.ctx.controller.quarantined_dpids
+        host_by_mac = self.ctx.nib.host_by_mac
+        load_of = self.ctx.sessions.load_of
+        pending = self.ctx.balancer.pending
         loads = []
         for row in rows:
-            record = self.ctx.nib.host_by_mac(row.mac)
+            record = host_by_mac(row.mac)
             if record is None or record.dpid in quarantined:
                 continue
+            # mac, reported_pps, assigned_flows, pending
             loads.append(ElementLoad(
-                mac=row.mac,
-                reported_pps=row.pps,
-                assigned_flows=self.ctx.sessions.load_of(row.mac),
-                pending=self.ctx.balancer.pending(row.mac),
+                row.mac, row.pps, load_of(row.mac), pending(row.mac)
             ))
         return loads
 

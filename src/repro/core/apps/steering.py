@@ -12,7 +12,6 @@ three steps (DESIGN 3.1).
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.apps.base import App, AppContext
@@ -281,7 +280,7 @@ class SteeringApp(App):
         # expiry must not kill an active session (the teardown deletes
         # the reverse entries anyway, and a late reply packet simply
         # punts and re-forms the session from the other side).
-        reverse[0] = dc_replace(reverse[0], send_flow_removed=False)
+        reverse[0] = reverse[0]._replace(send_flow_removed=False)
         descriptor = None
         # Gate on *active*, not merely enabled: a stopped or crashed
         # accountability app must not keep collecting proof obligations
@@ -306,8 +305,8 @@ class SteeringApp(App):
             [rule.dpid for rule in forward],
         )
         first = forward[0]
-        forward[0] = dc_replace(
-            first, actions=(PushPathTag(descriptor),) + tuple(first.actions)
+        forward[0] = first._replace(
+            actions=(PushPathTag(descriptor),) + tuple(first.actions)
         )
         last = forward[-1]
         actions = list(last.actions)
@@ -315,7 +314,7 @@ class SteeringApp(App):
             if isinstance(actions[index], Output):
                 actions.insert(index, PopPathTag())
                 break
-        forward[-1] = dc_replace(last, actions=tuple(actions))
+        forward[-1] = last._replace(actions=tuple(actions))
         return forward, descriptor
 
     def _replan(self, session: Session, element_macs: Sequence[str]) -> bool:

@@ -19,7 +19,6 @@ the enforcement loop is pure control plane:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.core.routing import source_block_rule
@@ -135,9 +134,10 @@ class AggregateFlowControl:
         # enforcement book: the entry lifts itself after ``penalty_s``,
         # and a book entry would need an expiry clock nothing else
         # needs.  A switch that forgets it forgets at most that much.
-        self.controller.apply_rule("add", replace(
-            source_block_rule(mac, record), hard_timeout=self.penalty_s
-        ))
+        penalty = source_block_rule(mac, record)._replace(
+            hard_timeout=self.penalty_s
+        )
+        self.controller.apply_rule("add", penalty)
         now = self.controller.sim.now
         self._penalized_until[mac] = now + self.penalty_s
         self.throttle_events += 1

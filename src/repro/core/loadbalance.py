@@ -27,7 +27,7 @@ from repro.core.policy import Granularity
 from repro.net.packet import FlowNineTuple
 
 
-@dataclass
+@dataclass(slots=True)
 class ElementLoad:
     """The dispatcher-visible state of one candidate element."""
 
@@ -133,11 +133,11 @@ class MinLoadDispatcher(Dispatcher):
             if c.assigned_flows > 0 and c.reported_pps > 0
         ]
         bias = max([self.pending_bias_pps, *per_flow_estimates])
-
-        def effective_load(c: ElementLoad) -> float:
-            return c.reported_pps + c.pending * bias
-
-        return min(candidates, key=lambda c: (effective_load(c), c.mac))
+        # Effective load, then MAC for a deterministic tie-break.
+        return min(
+            candidates,
+            key=lambda c: (c.reported_pps + c.pending * bias, c.mac),
+        )
 
 
 DISPATCHERS = {
@@ -218,7 +218,7 @@ class LoadBalancer:
     ) -> str:
         pin_user = user if granularity is Granularity.USER else None
         mac = self._user_assignment.get(pin_user)  # None: flow grain
-        if mac not in {c.mac for c in candidates}:
+        if mac is None or mac not in {c.mac for c in candidates}:
             mac = self.dispatcher.pick(candidates, flow, pin_user).mac
         self._pending[mac] += 1
         if pin_user is not None:

@@ -25,8 +25,7 @@ waypoints and to hosts/elements sharing a switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from repro.core.nib import HostRecord, NetworkInformationBase
 from repro.net.legacy import BPDU_MAC
@@ -46,9 +45,11 @@ class RoutingError(Exception):
     """Raised when the NIB lacks the information to route a flow."""
 
 
-@dataclass(frozen=True)
-class RuleSpec:
-    """A flow entry to install on one datapath."""
+class RuleSpec(NamedTuple):
+    """A flow entry to install on one datapath.
+
+    Immutable and built per session, so a NamedTuple (like
+    :class:`Match`): variants are made with ``_replace``."""
 
     dpid: int
     match: Match
@@ -95,6 +96,10 @@ def compute_path_rules(
     # original source before final delivery.
     arrival_dst = flow.dl_dst
     arrival_src = flow.dl_src
+    # Every hop's match is the flow's 9-tuple under the labels it
+    # arrives with (Match.from_nine_tuple's field order): only in_port,
+    # dl_src and dl_dst vary along the path.
+    vlan, _, _, dl_type, nw_src, nw_dst, nw_proto, tp_src, tp_dst = flow
 
     for index in range(len(path) - 1):
         node = path[index]
@@ -102,7 +107,10 @@ def compute_path_rules(
         is_last_hop = index == len(path) - 2
         next_dst = dst.mac if is_last_hop else nxt.mac
 
-        hop_flow = flow._replace(dl_dst=arrival_dst, dl_src=arrival_src)
+        hop_match = Match(
+            node.port, arrival_src, arrival_dst, dl_type, vlan, None,
+            nw_src, nw_dst, nw_proto, None, tp_src, tp_dst,
+        )
         same_switch = node.dpid == nxt.dpid
 
         if same_switch:
@@ -114,15 +122,13 @@ def compute_path_rules(
                 rewrite += (SetDlDst(next_dst),)
             if is_last_hop and arrival_src != flow.dl_src:
                 rewrite += (SetDlSrc(flow.dl_src),)
-            rules.append(
-                RuleSpec(
-                    dpid=node.dpid,
-                    match=Match.from_nine_tuple(hop_flow, in_port=node.port),
-                    actions=rewrite + (Output(nxt.port),),
-                    idle_timeout=idle_timeout,
-                    cookie=cookie,
-                )
-            )
+            rules.append(RuleSpec(
+                dpid=node.dpid,
+                match=hop_match,
+                actions=rewrite + (Output(nxt.port),),
+                idle_timeout=idle_timeout,
+                cookie=cookie,
+            ))
             if not is_last_hop:
                 arrival_dst = next_dst
                 # arrival_src unchanged: local hop, no rewrite.
@@ -143,37 +149,32 @@ def compute_path_rules(
             rewrite += (SetDlSrc(leg_src),)
         if next_dst != arrival_dst:
             rewrite += (SetDlDst(next_dst),)
-        rules.append(
-            RuleSpec(
-                dpid=node.dpid,
-                match=Match.from_nine_tuple(hop_flow, in_port=node.port),
-                actions=rewrite + (Output(out_uplink),),
-                idle_timeout=idle_timeout,
-                cookie=cookie,
-            )
-        )
+        rules.append(RuleSpec(
+            dpid=node.dpid,
+            match=hop_match,
+            actions=rewrite + (Output(out_uplink),),
+            idle_timeout=idle_timeout,
+            cookie=cookie,
+        ))
         at_next_actions: Tuple[Action, ...] = ()
         if is_last_hop and leg_src != flow.dl_src:
             at_next_actions += (SetDlSrc(flow.dl_src),)
-        rules.append(
-            RuleSpec(
-                dpid=nxt.dpid,
-                match=Match.from_nine_tuple(
-                    flow._replace(dl_dst=next_dst, dl_src=leg_src),
-                    in_port=in_uplink,
-                ),
-                actions=at_next_actions + (Output(nxt.port),),
-                idle_timeout=idle_timeout,
-                cookie=cookie,
-            )
-        )
+        rules.append(RuleSpec(
+            dpid=nxt.dpid,
+            match=Match(
+                in_uplink, leg_src, next_dst, dl_type, vlan, None,
+                nw_src, nw_dst, nw_proto, None, tp_src, tp_dst,
+            ),
+            actions=at_next_actions + (Output(nxt.port),),
+            idle_timeout=idle_timeout,
+            cookie=cookie,
+        ))
         arrival_dst = next_dst
         arrival_src = leg_src
 
     if not rules:
         raise RoutingError("empty path")
-    first = rules[0]
-    rules[0] = replace(first, send_flow_removed=True)
+    rules[0] = rules[0]._replace(send_flow_removed=True)
     return rules
 
 

@@ -25,7 +25,7 @@ from repro.core.routing import RuleSpec
 from repro.net.packet import FlowNineTuple
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """One live end-to-end connection managed by the controller."""
 
@@ -74,7 +74,7 @@ class Session:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     """One thing the controller drops at the entrance: ``flow``, or --
     ``flow=None`` -- everything ``src_mac`` sends.  ``rules`` is where

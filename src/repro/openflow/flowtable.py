@@ -43,12 +43,14 @@ DEFAULT_PRIORITY = 100
 LATENCY_SAMPLE_STRIDE = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowEntry:
     """One row of a flow table.
 
     An empty ``actions`` list means drop.  ``idle_timeout`` /
     ``hard_timeout`` of 0 mean "never expires" (OpenFlow convention).
+    Slotted: one is built per FlowMod, and a hit's counter writes are
+    slot writes.
     """
 
     match: Match

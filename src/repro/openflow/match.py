@@ -7,8 +7,7 @@ and ``nw_tos``; :meth:`Match.from_nine_tuple` bridges the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.net.packet import (
     ETH_TYPE_IP,
@@ -23,9 +22,17 @@ from repro.net.packet import (
 )
 
 
-@dataclass(frozen=True)
-class Match:
-    """An OpenFlow 1.0 flow match.  ``None`` means wildcard."""
+class Match(NamedTuple):
+    """An OpenFlow 1.0 flow match.  ``None`` means wildcard.
+
+    A NamedTuple, like :class:`FlowNineTuple`: a session setup builds
+    one per rule, and a tuple is built in one step where a frozen
+    dataclass pays a ``__setattr__`` per field.  Hash, ``repr`` and
+    equality among matches are the frozen dataclass's (the hash of the
+    field tuple, in field order).  Tuple equality ignores the type, so
+    the other NamedTuples of the control plane (``RuleSpec``,
+    ``FlowNineTuple``) have other lengths and never equal a match.
+    """
 
     in_port: Optional[int] = None
     dl_src: Optional[str] = None
@@ -52,46 +59,43 @@ class Match:
     ) -> "Match":
         """Build a match from the paper's 9-tuple flow identity."""
         return cls(
-            in_port=in_port,
-            dl_vlan=nine.vlan,
-            dl_src=nine.dl_src,
-            dl_dst=nine.dl_dst,
-            dl_type=nine.dl_type,
-            nw_src=nine.nw_src,
-            nw_dst=nine.nw_dst,
-            nw_proto=nine.nw_proto,
-            tp_src=nine.tp_src,
-            tp_dst=nine.tp_dst,
+            in_port, nine.dl_src, nine.dl_dst, nine.dl_type, nine.vlan,
+            None, nine.nw_src, nine.nw_dst, nine.nw_proto, None,
+            nine.tp_src, nine.tp_dst,
         )
 
     def matches(self, frame: Ethernet, in_port: int) -> bool:
         """Whether a concrete frame arriving on ``in_port`` matches."""
-        if self.in_port is not None and self.in_port != in_port:
+        # One unpack: a NamedTuple field read is a descriptor call, and
+        # this runs per frame for every wildcard entry a lookup tries.
+        (port, dl_src, dl_dst, dl_type, dl_vlan, _, nw_src, nw_dst,
+         nw_proto, nw_tos, tp_src, tp_dst) = self
+        if port is not None and port != in_port:
             return False
-        if self.dl_src is not None and self.dl_src != frame.src:
+        if dl_src is not None and dl_src != frame.src:
             return False
-        if self.dl_dst is not None and self.dl_dst != frame.dst:
+        if dl_dst is not None and dl_dst != frame.dst:
             return False
-        if self.dl_type is not None and self.dl_type != frame.ethertype:
+        if dl_type is not None and dl_type != frame.ethertype:
             return False
-        if self.dl_vlan is not None and self.dl_vlan != frame.vlan:
+        if dl_vlan is not None and dl_vlan != frame.vlan:
             return False
         ip = frame.ip()
-        if self.nw_src is not None and (ip is None or ip.src != self.nw_src):
+        if nw_src is not None and (ip is None or ip.src != nw_src):
             return False
-        if self.nw_dst is not None and (ip is None or ip.dst != self.nw_dst):
+        if nw_dst is not None and (ip is None or ip.dst != nw_dst):
             return False
-        if self.nw_proto is not None and (ip is None or ip.proto != self.nw_proto):
+        if nw_proto is not None and (ip is None or ip.proto != nw_proto):
             return False
-        if self.nw_tos is not None and (ip is None or ip.tos != self.nw_tos):
+        if nw_tos is not None and (ip is None or ip.tos != nw_tos):
             return False
-        if self.tp_src is not None or self.tp_dst is not None:
+        if tp_src is not None or tp_dst is not None:
             segment = ip.payload if ip is not None else None
             if not isinstance(segment, (Tcp, Udp)):
                 return False
-            if self.tp_src is not None and segment.sport != self.tp_src:
+            if tp_src is not None and segment.sport != tp_src:
                 return False
-            if self.tp_dst is not None and segment.dport != self.tp_dst:
+            if tp_dst is not None and segment.dport != tp_dst:
                 return False
         return True
 
@@ -104,9 +108,7 @@ class Match:
 
         Used for OpenFlow's non-strict delete semantics.
         """
-        for name in _MATCH_FIELDS:
-            ours = getattr(self, name)
-            theirs = getattr(other, name)
+        for ours, theirs in zip(self, other):
             if theirs is not None and ours != theirs:
                 return False
         return True
@@ -119,17 +121,15 @@ class Match:
         inputs match, and is what conflict reports print as "the
         overlapping match space".
         """
-        values = {}
-        for name in _MATCH_FIELDS:
-            ours = getattr(self, name)
-            theirs = getattr(other, name)
+        values = []
+        for ours, theirs in zip(self, other):
             if ours is None:
-                values[name] = theirs
+                values.append(theirs)
             elif theirs is None or theirs == ours:
-                values[name] = ours
+                values.append(ours)
             else:
                 return None
-        return Match(**values)
+        return Match(*values)
 
     def exact_index_key(self) -> Optional[Tuple]:
         """The hash key of a fully-specified match, or None if wildcard.
@@ -146,36 +146,36 @@ class Match:
         ``nw_tos`` are outside the 9-tuple and force the wildcard path
         when set.
         """
-        if self.dl_vlan_pcp is not None or self.nw_tos is not None:
+        (in_port, dl_src, dl_dst, dl_type, _, dl_vlan_pcp, nw_src, nw_dst,
+         nw_proto, nw_tos, tp_src, tp_dst) = self
+        if dl_vlan_pcp is not None or nw_tos is not None:
             return None
         if (
-            self.in_port is None
-            or self.dl_src is None
-            or self.dl_dst is None
-            or self.dl_type is None
+            in_port is None
+            or dl_src is None
+            or dl_dst is None
+            or dl_type is None
         ):
             return None
-        if self.dl_type == ETH_TYPE_IP:
-            if self.nw_src is None or self.nw_dst is None \
-                    or self.nw_proto is None:
+        if dl_type == ETH_TYPE_IP:
+            if nw_src is None or nw_dst is None or nw_proto is None:
                 return None
-            if self.nw_proto in (IP_PROTO_TCP, IP_PROTO_UDP):
-                if self.tp_src is None or self.tp_dst is None:
+            if nw_proto in (IP_PROTO_TCP, IP_PROTO_UDP):
+                if tp_src is None or tp_dst is None:
                     return None
-            elif self.tp_src is not None or self.tp_dst is not None:
+            elif tp_src is not None or tp_dst is not None:
                 return None
         elif (
-            self.nw_src is not None
-            or self.nw_dst is not None
-            or self.nw_proto is not None
-            or self.tp_src is not None
-            or self.tp_dst is not None
+            nw_src is not None
+            or nw_dst is not None
+            or nw_proto is not None
+            or tp_src is not None
+            or tp_dst is not None
         ):
             return None
         return (
-            self.in_port, self.dl_src, self.dl_dst, self.dl_type,
-            self.nw_src, self.nw_dst, self.nw_proto,
-            self.tp_src, self.tp_dst,
+            in_port, dl_src, dl_dst, dl_type,
+            nw_src, nw_dst, nw_proto, tp_src, tp_dst,
         )
 
     def __str__(self) -> str:
@@ -187,10 +187,8 @@ class Match:
         return f"Match({set_fields or 'any'})"
 
 
-#: The twelve field names in declaration order, resolved once: the
-#: field-wise algebra above runs per installed entry on every non-strict
-#: delete and flow-stats request.
-_MATCH_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(Match))
+#: The twelve field names in declaration order.
+_MATCH_FIELDS: Tuple[str, ...] = Match._fields
 
 
 def frame_index_key(frame: Ethernet, in_port: int) -> Tuple:

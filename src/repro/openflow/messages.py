@@ -16,21 +16,27 @@ from repro.openflow.match import Match
 
 
 class Message:
-    """Marker base class for protocol messages."""
+    """Marker base class for protocol messages.
+
+    Messages are built per FlowMod, PacketIn and barrier, so every one
+    is a slotted dataclass; the empty ``__slots__`` here keeps the base
+    from adding a ``__dict__`` back."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # Switch -> controller
 
 
-@dataclass
+@dataclass(slots=True)
 class Hello(Message):
     """Version negotiation, sent on channel establishment."""
 
     version: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class FeaturesReply(Message):
     """The switch's datapath id and port inventory."""
 
@@ -38,7 +44,7 @@ class FeaturesReply(Message):
     ports: Tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketIn(Message):
     """A frame punted to the controller (table miss or explicit send).
 
@@ -53,7 +59,7 @@ class PacketIn(Message):
     reason: str = "no_match"  # "no_match" | "action"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRemoved(Message):
     """Notification that a flow entry expired (idle/hard) or was deleted."""
 
@@ -67,7 +73,7 @@ class FlowRemoved(Message):
     bytes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PortStatsReply(Message):
     """Per-port counters, keyed by port number."""
 
@@ -75,7 +81,7 @@ class PortStatsReply(Message):
     stats: Dict[int, Dict[str, int]] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStatsReply(Message):
     """Per-entry counters for entries covered by the requested match."""
 
@@ -83,7 +89,7 @@ class FlowStatsReply(Message):
     entries: Tuple[dict, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class PathProofReport(Message):
     """The egress switch's forwarding-accountability report.
 
@@ -99,13 +105,13 @@ class PathProofReport(Message):
     marks: Tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class EchoReply(Message):
     dpid: int
     payload: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class BarrierReply(Message):
     dpid: int
     xid: int = 0
@@ -115,7 +121,7 @@ class BarrierReply(Message):
 # Controller -> switch
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowMod(Message):
     """Add/modify/delete flow entries."""
 
@@ -135,7 +141,7 @@ class FlowMod(Message):
     DELETE_STRICT = "delete_strict"
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketOut(Message):
     """Inject a frame (or release a buffered one) through actions."""
 
@@ -145,21 +151,21 @@ class PacketOut(Message):
     in_port: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PortStatsRequest(Message):
     port: Optional[int] = None  # None = all ports
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStatsRequest(Message):
     match: Match = field(default_factory=Match)
 
 
-@dataclass
+@dataclass(slots=True)
 class EchoRequest(Message):
     payload: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class BarrierRequest(Message):
     xid: int = 0

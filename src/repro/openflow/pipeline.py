@@ -44,7 +44,7 @@ DEFAULT_INSTALL_TIMEOUT_S = 0.05
 DEFAULT_MAX_ATTEMPTS = 5
 
 
-@dataclass
+@dataclass(slots=True)
 class _Batch:
     """FlowMods for one datapath awaiting one barrier acknowledgement."""
 

@@ -334,6 +334,7 @@ class OpenFlowSwitch(Node):
 
     def _handle_flow_mod(self, mod: msg.FlowMod) -> None:
         now = self.sim.now
+        added: Optional[FlowEntry] = None
         if mod.command == msg.FlowMod.MODIFY and self.table.modify(
             mod.match, tuple(mod.actions), now
         ):
@@ -341,18 +342,16 @@ class OpenFlowSwitch(Node):
         elif mod.command in (msg.FlowMod.ADD, msg.FlowMod.MODIFY):
             # OpenFlow semantics: MODIFY with no match behaves as ADD,
             # so both build the entry from every field of the FlowMod.
-            self.table.add(
-                FlowEntry(
-                    match=mod.match,
-                    actions=tuple(mod.actions),
-                    priority=mod.priority,
-                    idle_timeout=mod.idle_timeout,
-                    hard_timeout=mod.hard_timeout,
-                    cookie=mod.cookie,
-                    send_flow_removed=mod.send_flow_removed,
-                ),
-                now,
+            added = FlowEntry(
+                match=mod.match,
+                actions=tuple(mod.actions),
+                priority=mod.priority,
+                idle_timeout=mod.idle_timeout,
+                hard_timeout=mod.hard_timeout,
+                cookie=mod.cookie,
+                send_flow_removed=mod.send_flow_removed,
             )
+            self.table.add(added, now)
         elif mod.command in (msg.FlowMod.DELETE, msg.FlowMod.DELETE_STRICT):
             strict = mod.command == msg.FlowMod.DELETE_STRICT
             removed = self.table.delete(
@@ -372,9 +371,11 @@ class OpenFlowSwitch(Node):
             if buffered is not None:
                 frame, in_port = buffered
                 if mod.actions:
-                    self._forward(
-                        frame, in_port, compile_actions(tuple(mod.actions))
-                    )
+                    # An added entry compiled the actions already; a
+                    # MODIFY that rewrote entries in place did not.
+                    plan = (added.plan if added is not None
+                            else compile_actions(tuple(mod.actions)))
+                    self._forward(frame, in_port, plan)
 
     def _handle_packet_out(self, out: msg.PacketOut) -> None:
         frame: Optional[Ethernet] = out.frame

@@ -1,7 +1,5 @@
 """Unit tests for the OpenFlow 12-tuple match."""
 
-import dataclasses
-
 import pytest
 
 from repro.net import packet as pkt
@@ -115,7 +113,7 @@ class TestExactIndexKey:
         exact = Match.from_frame(tcp_frame, in_port=1)
         for field in ("in_port", "dl_src", "dl_dst", "dl_type",
                       "nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst"):
-            widened = dataclasses.replace(exact, **{field: None})
+            widened = exact._replace(**{field: None})
             assert widened.exact_index_key() is None, field
 
     def test_vlan_wildcard_shares_bucket_with_tagged(self, tcp_frame):

@@ -143,10 +143,10 @@ class TestIndexedLinearEquivalence:
         exact = Match.from_frame(self._random_frame(rng),
                                  in_port=rng.randint(1, 3))
         kept = {}
-        for f in dataclasses.fields(exact):
-            value = getattr(exact, f.name)
+        for name in Match._fields:
+            value = getattr(exact, name)
             if value is not None and rng.random() < 0.6:
-                kept[f.name] = value
+                kept[name] = value
         return Match(**kept)
 
     def _random_entry(self, rng):

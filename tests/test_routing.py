@@ -1,5 +1,7 @@
 """Unit tests for two-hop routing and service-chain rule computation."""
 
+import sys
+
 import pytest
 
 from repro.core.nib import HostRecord, NetworkInformationBase
@@ -11,6 +13,7 @@ from repro.core.routing import (
 )
 from repro.net.packet import FlowNineTuple
 from repro.openflow.actions import Output, SetDlDst, SetDlSrc
+from repro.openflow.match import Match
 
 
 def host(mac, dpid, port, is_element=False):
@@ -140,6 +143,61 @@ class TestSteering:
         rules = compute_path_rules(nib, flow(), src, dst,
                                    waypoints=[element], cookie=77)
         assert all(rule.cookie == 77 for rule in rules)
+
+
+class TestHopMatches:
+    def test_every_hop_matches_the_flow_under_its_arrival_labels(self, nib):
+        """Each hop's match is ``Match.from_nine_tuple`` of the flow
+        with the labels it arrives with -- built field by field, so
+        a VLAN-tagged flow checks that no field lands in another's
+        slot."""
+        tagged = flow()._replace(vlan=7)
+        src, dst = host("hA", 1, 2), host("hB", 3, 2)
+        e1, e2 = host("e1", 2, 2), host("e2", 1, 3)
+        for waypoints in ((), (e1,), (e1, e2)):
+            for rule in compute_path_rules(nib, tagged, src, dst, waypoints):
+                m = rule.match
+                labelled = tagged._replace(dl_src=m.dl_src, dl_dst=m.dl_dst)
+                assert m == Match.from_nine_tuple(labelled, m.in_port)
+
+
+class TestPlanCallBudget:
+    """Counts, not timings (like ``test_simulator.TestCallBudget`` for
+    a frame): the Python functions one steered session's plan enters
+    in routing -- the one-waypoint forward path and the direct reverse
+    path, ``flow.reversed()`` included, as ``SteeringApp._plan`` calls
+    them."""
+
+    # 56 while Match and RuleSpec were frozen dataclasses and each hop
+    # went through flow._replace and Match.from_nine_tuple.
+    CALLS_PER_PLAN = 36
+
+    def test_a_session_plan_enters_at_most_36_functions(self, nib):
+        src, dst = host("hA", 1, 2), host("hB", 3, 2)
+        element = host("eX", 2, 2, is_element=True)
+        request = flow()
+        entered = []
+
+        def hook(frame_, event, arg):
+            if event == "call":
+                entered.append(frame_.f_code.co_qualname)
+
+        # Put back whatever profiler was running (a coverage or call
+        # audit hook), not None: it must see the rest of the suite.
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            forward = compute_path_rules(nib, request, src, dst, [element],
+                                         cookie=7)
+            reverse = compute_path_rules(nib, request.reversed(), dst, src,
+                                         cookie=7)
+        finally:
+            sys.setprofile(previous)
+        assert (len(forward), len(reverse)) == (4, 2)
+        assert len(entered) <= self.CALLS_PER_PLAN, entered
+        # Each cut stays cut.
+        for gone in ("Match.from_nine_tuple", "replace"):
+            assert gone not in entered
 
 
 class TestErrors:
