@@ -49,7 +49,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 #: Functions no entry point reaches, stubs excluded; the ratchet.
-CEILING = 160
+CEILING = 159
 
 #: Every non-test entry point, run from the repo root with ``src`` on
 #: ``PYTHONPATH``; ``{tmp}`` is a temporary directory shared by all.

@@ -113,13 +113,12 @@ class HostTrackerApp(App):
                    is_element: bool = False) -> HostRecord:
         """Learn-or-refresh one host location; logs join/move events."""
         # Distinguish a genuine join from a move *before* the NIB
-        # overwrites the record: inferring the difference from the
+        # overwrites the row: inferring the difference from the
         # record's timestamps afterwards mis-labels a host that roams
         # (e.g. wired -> wifi) at the same instant it was first
         # learned, because first_seen == last_seen then looks like a
-        # fresh join.
-        prior = self.ctx.nib.host_by_mac(mac)
-        moved = prior is not None and (prior.dpid != dpid or prior.port != port)
+        # fresh join.  A known host is new again only by moving.
+        moved = mac in self.ctx.nib.hosts
         record, is_new = self.ctx.nib.learn_host(
             mac=mac, ip=ip, dpid=dpid, port=port, now=self.ctx.sim.now,
             is_element=is_element,
@@ -161,7 +160,7 @@ class HostTrackerApp(App):
     def refresh_announcements(self, force: bool = False) -> None:
         """Re-announce every known host into the legacy fabric (also
         called once by the deployment after discovery converges)."""
-        for record in list(self.ctx.nib.hosts.values()):
+        for record in self.ctx.nib.records():
             self.announce_host(record, force=force)
 
     def on_uplinks_lost(self, event: UplinksLost) -> None:

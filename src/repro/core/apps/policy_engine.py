@@ -17,7 +17,7 @@ from repro.core.apps.base import App, AppContext
 from repro.core.bus import PolicyReloaded
 from repro.core.events import EventKind
 from repro.core.loadbalance import ElementLoad
-from repro.core.nib import HostRecord
+from repro.core.nib import ROW_DPID, HostRecord
 from repro.core.policy import FailMode, Policy, PolicyAction
 from repro.net.packet import FlowNineTuple
 
@@ -172,13 +172,13 @@ class PolicyEngineApp(App):
         must not sit on the inspection path of new or re-steered
         sessions."""
         quarantined = self.ctx.controller.quarantined_dpids
-        host_by_mac = self.ctx.nib.host_by_mac
+        located = self.ctx.nib.hosts.get  # its row, read without a record
         load_of = self.ctx.sessions.load_of
         pending = self.ctx.balancer.pending
         loads = []
         for row in rows:
-            record = host_by_mac(row.mac)
-            if record is None or record.dpid in quarantined:
+            at = located(row.mac)
+            if at is None or at[ROW_DPID] in quarantined:
                 continue
             # mac, reported_pps, assigned_flows, pending
             loads.append(ElementLoad(

@@ -509,11 +509,7 @@ class SteeringApp(App):
                 self.ctx.sim.now - self.ctx.controller.idle_timeout_s
             )
             for mac in (session.src_mac, session.dst_mac):
-                record = self.ctx.nib.host_by_mac(mac)
-                if record is not None:
-                    # Forward only: the NIB's idle-sweep bound counts
-                    # on no row ever getting older.
-                    record.last_seen = max(record.last_seen, active_until)
+                self.ctx.nib.touch_host(mac, active_until)
         self.teardown_session(
             session,
             skip_rule=removed,

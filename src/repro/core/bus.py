@@ -173,9 +173,10 @@ class HostExpired:
 @dataclass(frozen=True, eq=False)
 class HostMoved:
     """A known host was re-learned at a different switch/port (VM
-    migration, wired-to-wifi roam).  ``record`` is the updated NIB row
-    -- or the shard fabric's directory row, for a move another shard
-    saw; steering re-plans the mover's sessions and blocks from it."""
+    migration, wired-to-wifi roam).  ``record`` is the mover's
+    ``HostRecord`` value as the NIB learned it -- or the shard fabric's
+    directory row, for a move another shard saw; steering re-plans the
+    mover's sessions and blocks from it."""
 
     record: object
 

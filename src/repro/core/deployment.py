@@ -307,7 +307,9 @@ class ShardedDeployment(_Deployment):
 
     def member_of(self, dpid: int) -> ShardMember:
         """The member currently owning a datapath (tracks re-homing)."""
-        member = self.coordinator.member(self.shard_map.owner(dpid))
+        member = self.coordinator.member_by_id.get(
+            self.shard_map.assignments.get(dpid)
+        )
         if member is None:
             raise KeyError(f"no shard member owns dpid {dpid}")
         return member

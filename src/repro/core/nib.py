@@ -12,19 +12,22 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 DEFAULT_HOST_TIMEOUT_S = 120.0
 _DIGEST_CHUNK = 4096  # rows per sha256 update
 
 
-@dataclass(slots=True)
-class HostRecord:
-    """The routing-table row for one discovered host.
+class HostRecord(NamedTuple):
+    """The routing-table row for one discovered host, as a value.
 
     ``dpid``/``port`` give the AS switch and Network-Periphery port the
     host is attached to -- the paper's ``src-sw`` and ``src-sw-inport``.
-    Slotted: a large network holds one per resident.
+    The NIB stores each row as the exact tuple of these seven fields
+    (``hosts``), which the collector stops tracking, and hands out this
+    view of it; a held record is a snapshot, so re-read it through the
+    NIB to see a later refresh.
     """
 
     mac: str
@@ -34,6 +37,12 @@ class HostRecord:
     first_seen: float
     last_seen: float
     is_element: bool = False
+
+
+#: A row's index of ``HostRecord.dpid``, for readers that test a
+#: location without materialising a record.
+ROW_DPID = 2
+_as_record = partial(tuple.__new__, HostRecord)
 
 
 @dataclass
@@ -66,7 +75,15 @@ class NetworkInformationBase:
 
     def __init__(self, host_timeout_s: float = DEFAULT_HOST_TIMEOUT_S):
         self.host_timeout_s = host_timeout_s
-        self.hosts: Dict[str, HostRecord] = {}  # keyed by MAC
+        #: mac -> the host's row, the exact tuple of ``HostRecord``'s
+        #: fields: atomic values only, so the collector untracks every
+        #: row and, at its next full pass, the dict.  Only the NIB
+        #: writes it; readers take ``HostRecord`` views.
+        self.hosts: Dict[str, tuple] = {}
+        #: mac -> ``last_seen`` of a row heard from since it was
+        #: written.  A refresh lands here, an atomic column: storing a
+        #: fresh tuple in ``hosts`` would re-track the whole dict.
+        self._seen: Dict[str, float] = {}
         self._hosts_by_ip: Dict[str, str] = {}  # ip -> mac
         self.links: Dict[Tuple[int, int], LogicalLink] = {}
         self.switches: Dict[int, SwitchRecord] = {}
@@ -96,7 +113,7 @@ class NetworkInformationBase:
         for key in [k for k in self.links if dpid in k]:
             del self.links[key]
         self._recompute_uplinks()
-        for mac in [m for m, h in self.hosts.items() if h.dpid == dpid]:
+        for mac in [m for m, row in self.hosts.items() if row[ROW_DPID] == dpid]:
             self.remove_host(mac)
 
     # ------------------------------------------------------------------
@@ -117,38 +134,70 @@ class NetworkInformationBase:
         a host that moved to a different switch/port (VM migration,
         Section III.D.1).
         """
-        existing = self.hosts.get(mac)
-        if not self.hosts or now < self._oldest_seen:
+        fields, is_new = self.store_host(mac, ip, dpid, port, now, is_element)
+        return _as_record(fields), is_new
+
+    def store_host(
+        self,
+        mac: str,
+        ip: Optional[str],
+        dpid: int,
+        port: int,
+        now: float,
+        is_element: bool = False,
+    ) -> Tuple[tuple, bool]:
+        """:meth:`learn_host` without building the record, for callers
+        that plant hosts by the hundred thousand and read nothing back:
+        returns the host's fields as a plain tuple, and ``is_new``.  A
+        refresh that changes no other field only writes the
+        ``last_seen`` column.
+        """
+        hosts = self.hosts
+        existing = hosts.get(mac)
+        if not hosts or now < self._oldest_seen:
             self._oldest_seen = now
         if existing is None:
-            record = HostRecord(mac, ip or None, dpid, port, now, now, is_element)
+            row = (mac, ip or None, dpid, port, now, now, is_element)
         else:
-            if ip and ip != existing.ip:
-                self._unindex_ip(mac, existing.ip)
-            if existing.dpid == dpid and existing.port == port:
-                existing.last_seen = now
+            _, old_ip, old_dpid, old_port, first_seen, _, was_element = existing
+            if ip and ip != old_ip:
+                self._unindex_ip(mac, old_ip)
+            row = (mac, ip or old_ip, dpid, port, first_seen, now,
+                   is_element or was_element)
+            if old_dpid == dpid and old_port == port:
                 if ip:
-                    if ip != existing.ip:
-                        existing.ip = ip
-                        self.location_version += 1
                     self._hosts_by_ip[ip] = mac
-                if is_element and not existing.is_element:
-                    existing.is_element = True
-                    self.location_version += 1
-                return existing, False
-            record = HostRecord(
-                mac, ip or existing.ip, dpid, port, existing.first_seen, now,
-                is_element or existing.is_element,
-            )
-        self.hosts[mac] = record
-        if record.ip:
-            self._hosts_by_ip[record.ip] = mac
+                # A new address and a new element flag each move the
+                # version; a bare refresh writes only the column.
+                changed = (bool(ip) and ip != old_ip) + (
+                    is_element and not was_element)
+                if changed:
+                    hosts[mac] = row
+                    self._seen.pop(mac, None)
+                    self.location_version += changed
+                else:
+                    self._seen[mac] = now
+                return row, False
+            self._seen.pop(mac, None)
+        hosts[mac] = row
+        if row[1]:
+            self._hosts_by_ip[row[1]] = mac
         self.location_version += 1
-        return record, True
+        return row, True
+
+    def touch_host(self, mac: str, at: float) -> None:
+        """Heard from at ``at``, if that is later than its ``last_seen``:
+        forward only, since the idle-sweep bound counts on no row ever
+        getting older."""
+        row = self.hosts.get(mac)  # row[5]: last_seen when written
+        if row is not None and at > self._seen.get(mac, row[5]):
+            self._seen[mac] = at
 
     def remove_host(self, mac: str) -> Optional[HostRecord]:
-        record = self.hosts.pop(mac, None)
+        record = self.host_by_mac(mac)
         if record is not None:
+            del self.hosts[mac]
+            self._seen.pop(mac, None)
             self._unindex_ip(mac, record.ip)
             self.location_version += 1
         return record
@@ -160,11 +209,21 @@ class NetworkInformationBase:
             del self._hosts_by_ip[ip]
 
     def host_by_mac(self, mac: str) -> Optional[HostRecord]:
-        return self.hosts.get(mac)
+        """The host's record: its row, with ``last_seen`` from the
+        column when it has been heard from since the row was written."""
+        row = self.hosts.get(mac)
+        if row is None:
+            return None
+        seen = self._seen.get(mac)
+        return _as_record(row if seen is None else row[:5] + (seen, row[6]))
 
     def host_by_ip(self, ip: str) -> Optional[HostRecord]:
         mac = self._hosts_by_ip.get(ip)
-        return self.hosts.get(mac) if mac else None
+        return self.host_by_mac(mac) if mac else None
+
+    def records(self) -> List[HostRecord]:
+        """Every host's record, in learning order."""
+        return [self.host_by_mac(mac) for mac in self.hosts]
 
     def expire_hosts(
         self, now: float, keep_alive: Optional[Callable[[HostRecord], bool]] = None
@@ -176,15 +235,17 @@ class NetworkInformationBase:
         stale, timeout = [], self.host_timeout_s
         if now - self._oldest_seen <= timeout:
             return stale
-        oldest = now
-        for record in self.hosts.values():
-            if now - record.last_seen > timeout:
+        oldest, seen = now, self._seen
+        for mac, row in self.hosts.items():
+            last_seen = seen.get(mac, row[5])
+            if now - last_seen > timeout:
+                record = self.host_by_mac(mac)
                 if keep_alive is not None and keep_alive(record):
-                    record.last_seen = now
+                    seen[mac] = now
                 else:
                     stale.append(record)
-            elif record.last_seen < oldest:
-                oldest = record.last_seen
+            elif last_seen < oldest:
+                oldest = last_seen
         self._oldest_seen = oldest
         for record in stale:
             self.remove_host(record.mac)
@@ -277,8 +338,9 @@ class NetworkInformationBase:
             digest = hashlib.sha256()
             for start in range(0, len(macs), _DIGEST_CHUNK):
                 digest.update("".join([
-                    f"{h.mac} {h.ip} {h.dpid} {h.port} {int(h.is_element)}\n"
-                    for h in map(self.hosts.__getitem__, macs[start:start + _DIGEST_CHUNK])
+                    f"{mac} {ip} {dpid} {port} {int(is_element)}\n"
+                    for mac, ip, dpid, port, _, _, is_element in map(
+                        self.hosts.__getitem__, macs[start:start + _DIGEST_CHUNK])
                 ]).encode())
             hexdigest = digest.hexdigest()
             self._digest_memo = (self.location_version, hexdigest)
@@ -288,16 +350,16 @@ class NetworkInformationBase:
     # Views
 
     def user_hosts(self) -> Iterable[HostRecord]:
-        return [h for h in self.hosts.values() if not h.is_element]
+        return [h for h in self.records() if not h.is_element]
 
     def element_hosts(self) -> Iterable[HostRecord]:
-        return [h for h in self.hosts.values() if h.is_element]
+        return [h for h in self.records() if h.is_element]
 
     def summary(self) -> dict:
         return {
             "switches": len(self.switches),
             "links": len(self.links),
             "hosts": len(self.hosts),
-            "elements": sum(1 for h in self.hosts.values() if h.is_element),
+            "elements": len(self.element_hosts()),
             "full_mesh": self.is_full_mesh(),
         }

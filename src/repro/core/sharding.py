@@ -136,10 +136,6 @@ class ShardMap:
             shard_map.assignments[dpid] = (dpid - 1) // half
         return shard_map
 
-    def owner(self, dpid: int) -> int:
-        """The shard currently owning this datapath."""
-        return self.assignments[dpid]
-
     def owned_by(self, shard: int) -> List[int]:
         """This shard's datapaths, ascending."""
         return sorted(
@@ -274,14 +270,14 @@ class ShardMember:
         """Is a handoff for this host still in flight?"""
         return mac in self.pending_handoff
 
-    def adopt_host(self, mac, ip, dpid, port, is_element=False):
-        """Accept a remote host record into this shard's NIB (no
+    def adopt_host(self, mac, ip, dpid, port, is_element=False) -> None:
+        """Accept a remote host row into this shard's NIB (no
         announcement, no HOST_JOIN event -- it is not ours): borrowed
         waypoints, and residents a harness plants."""
         controller = self.controller
-        return controller.nib.learn_host(
+        controller.nib.store_host(
             mac, ip, dpid, port, controller.sim.now, is_element
-        )[0]
+        )
 
     # -- protocol endpoints (called by the coordinator) ----------------
 
@@ -410,7 +406,9 @@ class ShardCoordinator:
         self.log = EventLog(metrics=self.metrics)
         self.liveness_timeout_s = liveness_timeout_s
         self.members: List[ShardMember] = []
-        self._member_by_id: Dict[int, ShardMember] = {}
+        #: shard id -> member; ``ShardedDeployment.member_of`` reads it
+        #: with ``shard_map.assignments`` in one step.
+        self.member_by_id: Dict[int, ShardMember] = {}
         # Physical surface for re-homing, registered by the deployment.
         self.switches: Dict[int, object] = {}
         self.channels: Dict[int, SecureChannel] = {}
@@ -421,7 +419,9 @@ class ShardCoordinator:
         self._down: Dict[int, float] = {}  # shard -> declared-down time
         # mac -> (shard_id, its row there -- None once expired): the
         # fabric-wide host location directory fed synchronously from
-        # shard logs, read by shards that do not know the host.
+        # shard logs, read by shards that do not know the host.  A row
+        # is a HostRecord value, so ``locate`` and ``HostMoved`` hand
+        # out the directory's own.
         self._location: Dict[str, Tuple[int, Optional[HostRecord]]] = {}
         self._mac_by_ip: Dict[str, str] = {}
         self._federation: Dict[str, FederatedElement] = {}
@@ -449,10 +449,10 @@ class ShardCoordinator:
 
     def register(self, member: ShardMember) -> None:
         self.members.append(member)
-        self._member_by_id[member.shard_id] = member
+        self.member_by_id[member.shard_id] = member
 
     def member(self, shard_id: int) -> Optional[ShardMember]:
-        return self._member_by_id.get(shard_id)
+        return self.member_by_id.get(shard_id)
 
     def live_members(self) -> List[ShardMember]:
         """The members that can be talked to: not crashed, not declared

@@ -108,17 +108,18 @@ class SecureChannel:
         """Attach (or with ``None`` clear) a message-level impairment."""
         self.faults = faults
 
-    def _deliveries(self, direction: str) -> Tuple[int, float]:
-        if self.faults is None:
-            return 1, 0.0
-        return self.faults.plan_delivery(direction)
-
     def to_controller(self, message: Message) -> None:
         """Deliver a switch-originated message after the channel latency."""
         if not self.connected:
             return
         self.to_controller_count += 1
-        copies, extra = self._deliveries("to_controller")
+        if self.faults is None:
+            self.sim.post(
+                self.latency_s,
+                self.controller._handle_message, self.switch.dpid, message,
+            )
+            return
+        copies, extra = self.faults.plan_delivery("to_controller")
         for _ in range(copies):
             self.sim.post(
                 self.latency_s + extra,
@@ -130,7 +131,10 @@ class SecureChannel:
         if not self.connected:
             return
         self.to_switch_count += 1
-        copies, extra = self._deliveries("to_switch")
+        if self.faults is None:
+            self.sim.post(self.latency_s, self.switch.handle_of_message, message)
+            return
+        copies, extra = self.faults.plan_delivery("to_switch")
         for _ in range(copies):
             self.sim.post(
                 self.latency_s + extra, self.switch.handle_of_message, message

@@ -12,8 +12,15 @@ visits every member, which the phase index in front of the pending read
 may only prune towards.  :func:`lookup_linear` (with :func:`touch`) is
 the flow-table scan the exact index and wildcard list replaced, and
 :func:`ids_inspect_unscreened` the IDS pass over every rule that the
-needle screen may only skip rules of.
+needle screen may only skip rules of.  :class:`MutableHostTable` is the
+NIB's routing table as it was when a row was a mutable record written in
+place, which the tuple rows and their ``last_seen`` column must match
+call for call.
 """
+
+import hashlib
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.policy import flow_addrs
 from repro.core.policy_compiler import _Space, _pair_finding, _row_findings
@@ -140,3 +147,120 @@ def ids_inspect_unscreened(element, frame, flow):
     if scan is not None:
         verdicts.append(scan)
     return verdicts
+
+
+@dataclass(slots=True)
+class MutableHostRecord:
+    """The routing-table row the NIB used to hand out and write in place."""
+
+    mac: str
+    ip: Optional[str]
+    dpid: int
+    port: int
+    first_seen: float
+    last_seen: float
+    is_element: bool = False
+
+
+class MutableHostTable:
+    """The host half of ``NetworkInformationBase`` with mutable records:
+    ``learn_host``, ``remove_host``, the lookups, the idle sweep and
+    ``remove_switch``'s cascade as they were, plus steering's
+    forward-only ``last_seen`` write as ``touch_host``.  The digest is
+    hashed on every call (the memo is the NIB's business)."""
+
+    def __init__(self, host_timeout_s):
+        self.host_timeout_s = host_timeout_s
+        self.hosts = {}
+        self._hosts_by_ip = {}
+        self.location_version = 0
+        self._oldest_seen = 0.0
+
+    def remove_switch(self, dpid):
+        for mac in [m for m, h in self.hosts.items() if h.dpid == dpid]:
+            self.remove_host(mac)
+
+    def learn_host(self, mac, ip, dpid, port, now, is_element=False):
+        existing = self.hosts.get(mac)
+        if not self.hosts or now < self._oldest_seen:
+            self._oldest_seen = now
+        if existing is None:
+            record = MutableHostRecord(mac, ip or None, dpid, port, now, now,
+                                       is_element)
+        else:
+            if ip and ip != existing.ip:
+                self._unindex_ip(mac, existing.ip)
+            if existing.dpid == dpid and existing.port == port:
+                existing.last_seen = now
+                if ip:
+                    if ip != existing.ip:
+                        existing.ip = ip
+                        self.location_version += 1
+                    self._hosts_by_ip[ip] = mac
+                if is_element and not existing.is_element:
+                    existing.is_element = True
+                    self.location_version += 1
+                return existing, False
+            record = MutableHostRecord(
+                mac, ip or existing.ip, dpid, port, existing.first_seen, now,
+                is_element or existing.is_element,
+            )
+        self.hosts[mac] = record
+        if record.ip:
+            self._hosts_by_ip[record.ip] = mac
+        self.location_version += 1
+        return record, True
+
+    def touch_host(self, mac, at):
+        record = self.hosts.get(mac)
+        if record is not None:
+            record.last_seen = max(record.last_seen, at)
+
+    def remove_host(self, mac):
+        record = self.hosts.pop(mac, None)
+        if record is not None:
+            self._unindex_ip(mac, record.ip)
+            self.location_version += 1
+        return record
+
+    def _unindex_ip(self, mac, ip):
+        if ip and self._hosts_by_ip.get(ip) == mac:
+            del self._hosts_by_ip[ip]
+
+    def host_by_mac(self, mac):
+        return self.hosts.get(mac)
+
+    def host_by_ip(self, ip):
+        mac = self._hosts_by_ip.get(ip)
+        return self.hosts.get(mac) if mac else None
+
+    def records(self):
+        return list(self.hosts.values())
+
+    def expire_hosts(self, now, keep_alive=None):
+        stale, timeout = [], self.host_timeout_s
+        if now - self._oldest_seen <= timeout:
+            return stale
+        oldest = now
+        for record in self.hosts.values():
+            if now - record.last_seen > timeout:
+                if keep_alive is not None and keep_alive(record):
+                    record.last_seen = now
+                else:
+                    stale.append(record)
+            elif record.last_seen < oldest:
+                oldest = record.last_seen
+        self._oldest_seen = oldest
+        for record in stale:
+            self.remove_host(record.mac)
+        return stale
+
+    def location_digest(self):
+        digest = hashlib.sha256()
+        for mac in sorted(self.hosts):
+            h = self.hosts[mac]
+            digest.update(
+                f"{h.mac} {h.ip} {h.dpid} {h.port} {int(h.is_element)}\n"
+                .encode()
+            )
+        return digest.hexdigest()

@@ -73,7 +73,7 @@ class TestChannelLoss:
     def test_switch_leave_cleans_nib(self, small_net):
         channel = small_net.channels[1]
         hosts_on_1 = [
-            r.mac for r in small_net.controller.nib.hosts.values()
+            r.mac for r in small_net.controller.nib.records()
             if r.dpid == 1
         ]
         assert hosts_on_1

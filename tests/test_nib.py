@@ -1,12 +1,13 @@
 """Unit tests for the Network Information Base."""
 
+import gc
 import hashlib
 import random
 
 import pytest
 
 from repro.core import nib as nib_module
-from repro.core.nib import NetworkInformationBase
+from repro.core.nib import HostRecord, NetworkInformationBase
 
 
 @pytest.fixture
@@ -20,8 +21,8 @@ class TestHosts:
                                         now=5.0)
         assert is_new
         assert record.first_seen == record.last_seen == 5.0
-        assert nib.host_by_mac("m1") is record
-        assert nib.host_by_ip("10.0.0.1") is record
+        assert nib.host_by_mac("m1") == record
+        assert nib.host_by_ip("10.0.0.1") == record
 
     def test_refresh_updates_last_seen_only(self, nib):
         nib.learn_host("m1", "10.0.0.1", dpid=1, port=2, now=5.0)
@@ -41,7 +42,7 @@ class TestHosts:
         nib.learn_host("m1", None, dpid=1, port=2, now=1.0)
         record, _ = nib.learn_host("m1", "10.0.0.9", dpid=1, port=2, now=2.0)
         assert record.ip == "10.0.0.9"
-        assert nib.host_by_ip("10.0.0.9") is record
+        assert nib.host_by_ip("10.0.0.9") == record
 
     def test_element_flag_is_sticky(self, nib):
         nib.learn_host("m1", None, dpid=1, port=2, now=1.0, is_element=True)
@@ -102,36 +103,54 @@ class TestHosts:
 
     def test_sweep_that_can_expire_nobody_reads_no_row(self, nib):
         """Nothing is stale before the oldest ``last_seen`` plus the
-        timeout, so such a sweep must not walk the book."""
+        timeout, so such a sweep must not walk the book: neither the
+        rows nor the ``last_seen`` column."""
         class NoWalk(dict):
-            def values(self):
+            def _walked(self, *args):
                 raise AssertionError("idle sweep walked the hosts")
+
+            values = items = keys = __iter__ = get = __getitem__ = _walked
+
+        def sweep_walking_nothing(now):
+            rows, column = nib.hosts, nib._seen
+            nib.hosts, nib._seen = NoWalk(rows), NoWalk(column)
+            try:
+                return nib.expire_hosts(now)
+            finally:
+                nib.hosts, nib._seen = rows, column
 
         nib.learn_host("a", None, dpid=1, port=1, now=2.0)
         nib.learn_host("b", None, dpid=1, port=2, now=5.0)
-        walked, nib.hosts = nib.hosts, NoWalk(nib.hosts)
-        assert nib.expire_hosts(now=2.0 + nib.host_timeout_s) == []
-        nib.hosts = walked
+        assert sweep_walking_nothing(2.0 + nib.host_timeout_s) == []
         # The walk that does run recomputes the bound from what is left.
         assert [r.mac for r in nib.expire_hosts(now=2.5 + nib.host_timeout_s)] == ["a"]
-        nib.hosts = NoWalk(nib.hosts)
-        assert nib.expire_hosts(now=5.0 + nib.host_timeout_s) == []
+        assert sweep_walking_nothing(5.0 + nib.host_timeout_s) == []
         # A row heard from at an earlier instant lowers the bound again.
-        nib.hosts = dict(nib.hosts)
         nib.learn_host("b", None, dpid=1, port=2, now=1.0)
         assert [r.mac for r in nib.expire_hosts(now=4.0 + nib.host_timeout_s)] == ["b"]
 
-    def test_a_row_is_slotted(self, nib):
+    def test_a_row_is_an_untracked_value(self, nib):
+        """The NIB stores an exact tuple of atomic values, which the
+        collector untracks; what it hands out is an immutable
+        ``HostRecord`` equal to it."""
         record, _ = nib.learn_host("m1", "10.0.0.1", dpid=1, port=2, now=0.0)
+        nib.learn_host("m1", None, dpid=1, port=2, now=3.0)  # a refresh
+        gc.collect()
+        row = nib.hosts["m1"]
+        assert type(row) is tuple and not gc.is_tracked(row)
+        assert type(record) is HostRecord and tuple(record) == row
+        assert nib.host_by_mac("m1") == record._replace(last_seen=3.0)
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):
             record.shard = 0
+        with pytest.raises(AttributeError):
+            record.last_seen = 9.0
 
     def test_a_roam_keeps_first_seen_and_the_element_flag(self, nib):
         nib.learn_host("e1", "10.0.0.1", dpid=1, port=2, now=1.0,
                        is_element=True)
         record, moved = nib.learn_host("e1", None, dpid=2, port=5, now=4.0)
-        assert moved and nib.host_by_mac("e1") is record
+        assert moved and nib.host_by_mac("e1") == record
         assert (record.first_seen, record.last_seen) == (1.0, 4.0)
         assert record.is_element and record.ip == "10.0.0.1"
 
@@ -145,6 +164,59 @@ class TestHosts:
         nib.learn_host("e1", None, dpid=1, port=2, now=0.0, is_element=True)
         assert [r.mac for r in nib.user_hosts()] == ["u1"]
         assert [r.mac for r in nib.element_hosts()] == ["e1"]
+
+
+def adopt_residents(nib, count, now=0.0):
+    """``count`` residents the way a harness plants them on a shard
+    (``ShardMember.adopt_host``): one ``store_host`` each."""
+    for index in range(count):
+        nib.store_host(
+            "02:fe:00:{:02x}:{:02x}:{:02x}".format(
+                (index >> 16) & 0xFF, (index >> 8) & 0xFF, index & 0xFF),
+            "172.{}.{}.{}".format(
+                16 + (index >> 16), (index >> 8) & 0xFF, index & 0xFF),
+            1 + index % 16, 2000 + index, now,
+        )
+
+
+class TestCollector:
+    """Counts, not timings: a resident costs the collector nothing."""
+
+    RESIDENTS = 20_000
+
+    def test_residents_are_not_tracked(self, nib):
+        gc.collect()
+        before = len(gc.get_objects())
+        adopt_residents(nib, self.RESIDENTS)
+        gc.collect()
+        assert not any(gc.is_tracked(row) for row in nib.hosts.values())
+        assert not gc.is_tracked(nib.hosts)
+        grown = len(gc.get_objects()) - before
+        assert grown < self.RESIDENTS // 100, grown
+
+    def test_refreshes_do_not_re_track_the_rows(self, nib):
+        """A refresh, a forward ``touch_host`` and a keep-alive sweep
+        write the ``last_seen`` column, never a fresh row into the row
+        dict (which would put all of it back into generation 0)."""
+        adopt_residents(nib, self.RESIDENTS)
+        gc.collect()
+        assert not gc.is_tracked(nib.hosts)
+        macs = sorted(nib.hosts)[:100]
+        for mac in macs[:50]:
+            host = nib.host_by_mac(mac)
+            nib.learn_host(mac, host.ip, host.dpid, host.port, now=4.0)
+        for mac in macs[50:]:
+            nib.touch_host(mac, 6.0)
+        kept = nib.expire_hosts(now=20.0, keep_alive=lambda record: True)
+        gc.collect(0)
+        assert kept == [] and len(nib.hosts) == self.RESIDENTS
+        assert nib.host_by_mac(macs[0]).last_seen == 20.0
+        assert not gc.is_tracked(nib.hosts)
+        assert not gc.is_tracked(nib._seen)
+        # What the trap looks like: a row that does change (a move) is
+        # a fresh tuple, and the dict is tracked again.
+        nib.learn_host(macs[0], None, 99, 1, now=21.0)
+        assert gc.is_tracked(nib.hosts)
 
 
 class TestLinks:
@@ -223,7 +295,7 @@ def reference_digest(nib):
     sorted five-tuples, one ``update`` per row."""
     rows = [
         (h.mac, h.ip, h.dpid, h.port, h.is_element)
-        for h in nib.hosts.values()
+        for h in nib.records()
     ]
     rows.sort()
     digest = hashlib.sha256()
@@ -270,7 +342,7 @@ class TestLocationDigest:
                 is_element=rng.random() < 0.2,
             )
             return False
-        host = nib.hosts[rng.choice(known)]
+        host = nib.host_by_mac(rng.choice(known))
         if kind == "move":
             nib.learn_host(host.mac, rng.choice(self.IPS + [None]),
                            rng.choice(self.DPIDS), rng.randint(1, 4), now)
@@ -298,7 +370,7 @@ class TestLocationDigest:
             # What the full walk expires, whether or not the sweep's
             # oldest-row bound lets it skip the walk.
             want = [
-                record.mac for record in nib.hosts.values()
+                record.mac for record in nib.records()
                 if now - record.last_seen > nib.host_timeout_s
                 and not keep(record)
             ]

@@ -1,4 +1,4 @@
-"""Value semantics of the control plane's per-session NamedTuples.
+"""Value semantics of the control plane's NamedTuples.
 
 ``Match`` and ``RuleSpec`` were frozen dataclasses.  Sets and dicts
 keyed by them (the flow table's ``(match, priority)`` index, the keep
@@ -7,11 +7,14 @@ log and journal digests, so the NamedTuples must keep what the
 dataclasses had: the hash of the field tuple in field order, field-wise
 replacement, the printed forms, and no equality across value types.
 The oracles are frozen dataclasses with the same names and fields.
+``HostRecord``, the NIB's routing-table row, was a mutable record; as
+a NamedTuple it needs a length of its own and the field-tuple hash.
 """
 
 import dataclasses
 import random
 
+from repro.core.nib import HostRecord, NetworkInformationBase
 from repro.core.routing import RuleSpec
 from repro.net.packet import FlowNineTuple
 from repro.openflow.actions import Output, SetDlDst, SetDlSrc
@@ -201,6 +204,30 @@ def test_no_value_type_equals_another():
                     if type(a) is not type(b):
                         assert a != b and not a == b
             assert len({nine, match, rule}) == 3
+
+
+def test_a_host_record_is_a_seven_field_value():
+    """``HostRecord`` is the NIB's value of a routing-table row: seven
+    fields, a length no other control-plane NamedTuple has (so no
+    ``Match``, ``RuleSpec`` or ``FlowNineTuple`` ever equals one), and
+    the hash of its field tuple, which is the stored row itself."""
+    lengths = [len(kind._fields)
+               for kind in (HostRecord, Match, RuleSpec, FlowNineTuple)]
+    assert lengths == [7, 12, 8, 9]
+    nib = NetworkInformationBase()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for index in range(VALUES_PER_SEED):
+            mac = rng.choice(MACS)
+            nib.learn_host(mac, rng.choice(IPS + (None,)), rng.randint(1, 4),
+                           rng.randint(1, 48), float(index),
+                           rng.random() < 0.2)
+            record = nib.host_by_mac(mac)
+            row = tuple(getattr(record, name) for name in HostRecord._fields)
+            assert len(record) == 7
+            assert hash(record) == hash(row)
+            if record.last_seen == nib.hosts[mac][5]:
+                assert record == nib.hosts[mac]
 
 
 def test_reconcile_keys_dedupe_as_with_dataclasses():

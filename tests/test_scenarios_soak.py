@@ -89,7 +89,7 @@ class TestSoak:
         nib = net.controller.nib
         assert nib.is_full_mesh()
         # Every host record points at a real switch.
-        for record in nib.hosts.values():
+        for record in nib.records():
             assert record.dpid in nib.switches
 
     def test_event_log_replay_matches_live(self, soak):

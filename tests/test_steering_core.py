@@ -744,7 +744,7 @@ def test_the_group_drop_is_harmless_without_a_legacy_bridge():
 # -- found, not fixed: pinned so a fix has to come and say so --------------
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (i): a host move is"
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: a host move is"
                    " believed on an unauthenticated sender MAC")
 def test_a_forged_arp_does_not_move_a_live_session():
     """h2_1 sends one gratuitous ARP in h1_1's name.  Before HostMoved
