@@ -49,7 +49,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 #: Functions no entry point reaches, stubs excluded; the ratchet.
-CEILING = 159
+CEILING = 158
 
 #: Every non-test entry point, run from the repo root with ``src`` on
 #: ``PYTHONPATH``; ``{tmp}`` is a temporary directory shared by all.
@@ -257,20 +257,17 @@ VERDICTS: Dict[str, str] = {
     "repro.core.policy:PolicyTable.remove": "keep: as PolicyTable.add",
     "repro.core.policy:PolicyTable.__iter__": "keep: rows in match order,"
     " which the compiled == live tests compare",
+    "repro.core.policy:PolicyTable.serving": "keep: the version-0 table"
+    " load_policies returns; only tests and policy_file builds load one",
     "repro.core.policy:PolicyTable.on_commit.unsubscribe": "keep: the"
     " detach half of a subscription",
     "repro.core.policy:PolicyTransaction": "keep: the transactional"
     " policy API (remove / validate / abort)",
-    "repro.core.policy_compiler:CompiledPolicyTable.get": "keep: the"
-    " PolicyTable read surface the compiled table mirrors",
-    "repro.core.policy_compiler:intent_to_dict": "keep: writer half of"
-    " the v2 document the CLI reads; round-trip tests pin the reader",
-    "repro.core.policy_compiler:intent_from_policy": "keep: as"
-    " intent_to_dict",
-    "repro.core.policy_io:table_to_dict": "keep: as intent_to_dict",
+    "repro.core.policy_io:table_to_dict": "keep: writer half of the v2"
+    " document the CLI reads; round-trip tests pin the reader",
     "repro.core.policy_io:table_from_dict": "keep: reader paired with"
     " table_to_dict",
-    "repro.core.policy_io:save_policies": "keep: as intent_to_dict",
+    "repro.core.policy_io:save_policies": "keep: as table_to_dict",
     "repro.core.policy_io:load_policies": "keep: as table_from_dict",
     # -- read surfaces and container protocol --
     "repro.core.events:EventLog.tail": "keep: the log's newest-n read",

@@ -23,9 +23,8 @@ entry point used by the examples and benchmarks.
 
 from repro.core.controller import LiveSecController
 from repro.core.deployment import LiveSecNetwork, build_livesec_network
-from repro.core.policy import Policy, PolicyAction, PolicyTable
+from repro.core.policy import CompiledPolicyTable, Policy, PolicyAction, PolicyTable
 from repro.core.policy_compiler import (
-    CompiledPolicyTable,
     CompileResult,
     PolicyConflictError,
     PolicyIntent,

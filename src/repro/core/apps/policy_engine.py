@@ -82,10 +82,6 @@ class PolicyEngineApp(App):
         """The full first-packet pipeline: match, resolve, fail-mode."""
         policy, scanned = self.ctx.policies.match(flow)
         self._policy_scan_hist.observe(scanned)
-        if policy is not None:
-            # Hit accounting is the engine's call, not the lookup's:
-            # read-only consumers must not inflate hits.
-            self.ctx.policies.record_hit(policy)
         action = (
             policy.action if policy is not None
             else self.ctx.policies.default_action

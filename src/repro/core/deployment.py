@@ -446,8 +446,9 @@ def build_sharded_network(
     everywhere else a balanced contiguous split of the dpid space.
 
     ``policies`` must be a zero-argument *factory* (each shard needs
-    its own mutable table) unless ``num_shards == 1``; ``policy_file``
-    is loaded once per shard instead.  Elements are distributed
+    its own table, for its own version and commit subscribers) unless
+    ``num_shards == 1``; ``policy_file`` is loaded once per shard
+    instead.  Elements are distributed
     round-robin over the AS switches and provisioned by whichever
     shard owns their switch.
     """
@@ -459,7 +460,8 @@ def build_sharded_network(
             and num_shards > 1):
         raise ValueError(
             "with num_shards > 1, pass policies as a factory callable:"
-            " each shard needs its own PolicyTable instance"
+            " each shard needs its own PolicyTable, for its own version"
+            " and commit subscribers"
         )
     if sim is None:
         sim = Simulator()

@@ -12,11 +12,15 @@ of each flow, highest priority first; the first match wins.  The
 default when nothing matches is configurable and defaults to allow
 (plain end-to-end routing).
 
-The live table is *transactional*: every change -- one policy or a
-wholesale compiled swap -- goes through :meth:`PolicyTable.begin` /
-:meth:`PolicyTransaction.commit`, which applies atomically, bumps the
-monotonic version stamp exactly once, and notifies commit subscribers
-(the controller turns those into ``PolicyReloaded`` bus events).
+A table is one immutable value, :class:`CompiledPolicyTable`: the rows
+in match order, the :class:`PolicyIndex` over them, the by-name map
+and the default action.  The live :class:`PolicyTable` is a version
+stamp and a pointer to the artifact it serves.  Every change -- one
+policy through :meth:`PolicyTable.begin` /
+:meth:`PolicyTransaction.commit`, or a compiled artifact through
+:meth:`PolicyTable.apply_compiled` -- swaps the pointer atomically,
+bumps the version exactly once, and notifies commit subscribers (the
+controller turns those into ``PolicyReloaded`` bus events).
 :meth:`PolicyTable.add` / :meth:`PolicyTable.remove` are one-row
 transactions over the same path.
 """
@@ -24,7 +28,7 @@ transactions over the same path.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -275,9 +279,10 @@ class FlowSelector:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Policy:
-    """One row of the global policy table."""
+    """One row of the global policy table: an immutable value, so the
+    artifact a compile verified is the row a lookup returns."""
 
     name: str
     selector: FlowSelector
@@ -287,7 +292,6 @@ class Policy:
     inspect_reply: bool = True
     priority: int = 100
     fail_mode: Optional[FailMode] = None
-    hits: int = 0
 
     def __post_init__(self) -> None:
         if self.action is PolicyAction.CHAIN and not self.service_chain:
@@ -485,6 +489,68 @@ class PolicyIndex:
         return sorted(pairs)
 
 
+def _name_map(rows: Sequence[Policy]) -> Dict[str, Policy]:
+    """``name -> row`` over ``rows``; two rows of one name are refused."""
+    by_name = {p.name: p for p in rows}
+    if len(by_name) != len(rows):
+        names = Counter(p.name for p in rows)
+        duplicates = sorted(n for n, count in names.items() if count > 1)
+        raise ValueError(f"duplicate policy names {duplicates}")
+    return by_name
+
+
+def _name_changes(
+    before: Iterable[Policy], after: Iterable[Policy]
+) -> Tuple[List[str], List[str]]:
+    """A wholesale swap's ``added`` / ``removed`` names, each sorted."""
+    old = {p.name for p in before}
+    new = {p.name for p in after}
+    return sorted(new - old), sorted(old - new)
+
+
+class CompiledPolicyTable:
+    """An immutable policy table, and the only table value: the rows in
+    match order (:func:`_table_order`), the :class:`PolicyIndex` over
+    them, the by-name map and the default action.  ``compile_intents``
+    returns one, every commit builds one, and a :class:`PolicyTable`
+    serves whichever one it points at."""
+
+    def __init__(
+        self,
+        rows: Iterable[Policy],
+        default_action: PolicyAction = PolicyAction.ALLOW,
+    ):
+        if default_action is PolicyAction.CHAIN:
+            raise ValueError("default action cannot be CHAIN")
+        self._rows: Tuple[Policy, ...] = tuple(sorted(rows, key=_table_order))
+        self._index = PolicyIndex(self._rows)
+        self._by_name = _name_map(self._rows)
+        self._default = default_action
+
+    @property
+    def default_action(self) -> PolicyAction:
+        """What flows no row matches get (never CHAIN)."""
+        return self._default
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def get(self, name: Optional[str]) -> Optional[Policy]:
+        """The row registered under ``name``, or None (including for
+        ``name=None``, the default-routed sessions' policy label)."""
+        return None if name is None else self._by_name.get(name)
+
+    def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
+        """The winning row (or None) plus the number of rows a scan
+        would have read to find it -- the winner's rank, or the table
+        size on a miss -- which the controller feeds into its
+        ``controller.policy_lookup_scans`` histogram.  Side-effect-free."""
+        return self._index.match(flow)
+
+
 @dataclass(frozen=True)
 class PolicyCommit:
     """The record of one atomic table swap, handed to commit
@@ -501,18 +567,19 @@ class PolicyCommit:
 class PolicyTransaction:
     """Staged changes against a :class:`PolicyTable`.
 
-    All mutation happens on a private copy; the live table is untouched
-    until :meth:`commit`, which swaps the whole row set in atomically
-    (one version bump, one commit notification) -- or never, if the
-    transaction is aborted or :meth:`commit` with ``verify=True``
-    rejects it.  ``validate()`` reports structural problems and
-    pairwise conflicts without committing anything.
+    All mutation happens on a private copy of the rows; the live table
+    is untouched until :meth:`commit` swaps in the next
+    :class:`CompiledPolicyTable` (one version bump, one commit
+    notification) -- or never, if the transaction is aborted or
+    :meth:`commit` with ``verify=True`` rejects it.  ``validate()``
+    reports structural problems and pairwise conflicts without
+    committing anything.
     """
 
     def __init__(self, table: "PolicyTable", source: str = "api"):
         self._table = table
         self.source = source
-        self._rows: List[Policy] = list(table._policies)
+        self._rows: List[Policy] = list(table)
         self._by_name: Dict[str, Policy] = {p.name: p for p in self._rows}
         self._default = table.default_action
         self._added: List[str] = []
@@ -557,16 +624,9 @@ class PolicyTransaction:
         """Stage a wholesale swap: the new row set replaces everything."""
         self._ensure_open()
         new_rows = list(policies)
-        names = Counter(p.name for p in new_rows)
-        duplicates = sorted(n for n, count in names.items() if count > 1)
-        if duplicates:
-            raise ValueError(f"duplicate policy names {duplicates}")
-        old_names = {p.name for p in self._table._policies}
-        new_names = set(names)
+        self._by_name = _name_map(new_rows)
         self._rows = new_rows
-        self._by_name = {p.name: p for p in new_rows}
-        self._added = sorted(new_names - old_names)
-        self._removed = sorted(old_names - new_names)
+        self._added, self._removed = _name_changes(self._table, new_rows)
         if default_action is not None:
             self.set_default_action(default_action)
         return self
@@ -584,55 +644,41 @@ class PolicyTransaction:
     def validate(self, service_types=None) -> list:
         """Conflict findings over the staged table (no commit).
 
-        Delegates to the policy compiler's pairwise detector (which
-        reads its pairs off a :class:`PolicyIndex`): the staged rows in
-        match order, plus service-chain reference checks when
-        ``service_types`` is given.  Returns a list of
-        :class:`repro.core.policy_compiler.Conflict` findings.
+        Delegates to the policy compiler's pairwise detector over the
+        :class:`CompiledPolicyTable` a commit would swap in, plus
+        service-chain reference checks when ``service_types`` is given.
+        Returns a list of :class:`repro.core.policy_compiler.Conflict`
+        findings.
         """
         self._ensure_open()
         from repro.core.policy_compiler import verify_rows
 
         return verify_rows(
-            sorted(self._rows, key=_table_order), service_types=service_types
+            CompiledPolicyTable(self._rows, self._default),
+            service_types=service_types,
         )
 
     def commit(self, verify: bool = False) -> PolicyCommit:
         """Apply the staged changes atomically.
 
-        With ``verify=True`` the transaction first runs
-        :meth:`validate` and refuses to commit on any error-severity
-        finding (raising ``PolicyConflictError``), leaving the live
-        table untouched.  On success the row set, name index and
-        default action swap in as one step, the version bumps exactly
-        once, and commit subscribers fire.
+        The staged rows and default action become the next
+        :class:`CompiledPolicyTable`.  With ``verify=True`` the
+        compiler's pairwise detector runs over it first, and any
+        error-severity finding refuses the commit (raising
+        ``PolicyConflictError``), leaving the live table untouched.  On
+        success the table swaps to the artifact, the version bumps
+        exactly once, and commit subscribers fire.
         """
         self._ensure_open()
+        compiled = CompiledPolicyTable(self._rows, self._default)
         if verify:
-            from repro.core.policy_compiler import PolicyConflictError
+            from repro.core.policy_compiler import PolicyConflictError, verify_rows
 
-            errors = [f for f in self.validate() if f.severity == "error"]
+            errors = [f for f in verify_rows(compiled) if f.severity == "error"]
             if errors:
                 raise PolicyConflictError(errors)
-        rows = sorted(self._rows, key=_table_order)
-        table = self._table
-        table._policies = rows
-        table._index = PolicyIndex(rows)
-        table._by_name = {p.name: p for p in rows}
-        table.default_action = self._default
-        table.version += 1
         self._closed = True
-        commit = PolicyCommit(
-            version=table.version,
-            added=tuple(self._added),
-            removed=tuple(self._removed),
-            source=self.source,
-            policies=len(rows),
-            default_action=self._default,
-        )
-        for callback in list(table._commit_callbacks):
-            callback(commit)
-        return commit
+        return self._table._swap(compiled, self._added, self._removed, self.source)
 
     def abort(self) -> None:
         """Discard the staged changes; the table never sees them."""
@@ -640,29 +686,36 @@ class PolicyTransaction:
 
 
 class PolicyTable:
-    """Ordered policy lookup: highest priority, then most specific.
-
-    Mutation is transactional (:meth:`begin`); the name index makes
-    :meth:`get` O(1); :meth:`match` reads the :class:`PolicyIndex` each
-    commit rebuilds, and the winner's rank feeds the
-    ``controller.policy_lookup_scans`` histogram.
+    """The live policy table: a monotonic version stamp, a pointer to
+    the :class:`CompiledPolicyTable` it serves, and the commit
+    subscribers.  Lookups read the artifact the pointer names; a commit
+    (:meth:`begin`) or :meth:`apply_compiled` swaps the pointer in one
+    step, so a lookup sees one version or the next, never a mix.
     """
 
     def __init__(self, default_action: PolicyAction = PolicyAction.ALLOW):
-        if default_action is PolicyAction.CHAIN:
-            raise ValueError("default action cannot be CHAIN")
-        self._policies: List[Policy] = []
-        self._index = PolicyIndex(self._policies)
-        self._by_name: Dict[str, Policy] = {}
-        self.default_action = default_action
+        self._compiled = CompiledPolicyTable((), default_action)
         self.version = 0
         self._commit_callbacks: List[Callable[[PolicyCommit], None]] = []
 
+    @classmethod
+    def serving(cls, compiled: CompiledPolicyTable) -> "PolicyTable":
+        """A table at version 0 that serves ``compiled`` -- a loaded
+        document, which no commit produced and no subscriber hears of."""
+        table = cls(compiled.default_action)
+        table._compiled = compiled
+        return table
+
+    @property
+    def default_action(self) -> PolicyAction:
+        """What flows no row matches get; changed only by a commit."""
+        return self._compiled.default_action
+
     def __len__(self) -> int:
-        return len(self._policies)
+        return len(self._compiled)
 
     def __iter__(self):
-        return iter(self._policies)
+        return iter(self._compiled)
 
     # ------------------------------------------------------------------
     # Transactions
@@ -687,16 +740,31 @@ class PolicyTable:
 
         return unsubscribe
 
-    def apply_compiled(self, compiled, source: str = "compiler") -> PolicyCommit:
-        """Atomically swap in a compiled table (rows are copied with
-        fresh hit counters, so the compiled artifact stays pristine and
-        re-appliable)."""
-        txn = self.begin(source=source)
-        txn.replace_all(
-            [dc_replace(policy, hits=0) for policy in compiled],
+    def apply_compiled(
+        self, compiled: CompiledPolicyTable, source: str = "compiler"
+    ) -> PolicyCommit:
+        """Atomically swap in a compiled table: the table serves the
+        artifact itself (its rows are immutable, so nothing is copied
+        and the artifact stays re-appliable, to this table or another)."""
+        added, removed = _name_changes(self, compiled)
+        return self._swap(compiled, added, removed, source)
+
+    def _swap(self, compiled: CompiledPolicyTable, added: Sequence[str],
+              removed: Sequence[str], source: str) -> PolicyCommit:
+        """Point at ``compiled``, bump the version, notify subscribers."""
+        self._compiled = compiled
+        self.version += 1
+        commit = PolicyCommit(
+            version=self.version,
+            added=tuple(added),
+            removed=tuple(removed),
+            source=source,
+            policies=len(compiled),
             default_action=compiled.default_action,
         )
-        return txn.commit()
+        for callback in list(self._commit_callbacks):
+            callback(commit)
+        return commit
 
     def attach_metrics(self, registry) -> None:
         """Register the table's gauges on an obs registry: the version
@@ -706,7 +774,7 @@ class PolicyTable:
         ).set_function(lambda: float(self.version))
         registry.gauge(
             "policy.rows", "Policies in the live table"
-        ).set_function(lambda: float(len(self._policies)))
+        ).set_function(lambda: float(len(self)))
 
     # ------------------------------------------------------------------
     # One-row transactions
@@ -734,25 +802,9 @@ class PolicyTable:
     # Lookup
 
     def get(self, name: Optional[str]) -> Optional[Policy]:
-        """The policy registered under ``name``, or None (including for
-        ``name=None``, the default-routed sessions' policy label).
-        O(1) via the name index the transaction API maintains."""
-        if name is None:
-            return None
-        return self._by_name.get(name)
+        """:meth:`CompiledPolicyTable.get` on the served artifact."""
+        return self._compiled.get(name)
 
     def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
-        """The winning policy (or None) plus the number of table rows
-        a scan would have read to find it -- the winner's rank, or the
-        table size on a miss -- which the controller feeds into its
-        ``controller.policy_lookup_scans`` histogram.
-
-        Side-effect-free: hit accounting is the caller's explicit
-        choice via :meth:`record_hit`.
-        """
-        return self._index.match(flow)
-
-    def record_hit(self, policy: Policy) -> None:
-        """Count one enforcement of ``policy`` (called by the
-        controller when it acts on a match result)."""
-        policy.hits += 1
+        """:meth:`CompiledPolicyTable.match` on the served artifact."""
+        return self._compiled.match(flow)

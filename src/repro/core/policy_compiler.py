@@ -31,21 +31,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.net.packet import FlowNineTuple
 from repro.openflow.match import Match
 
 from repro.core.policy import (
+    CompiledPolicyTable,
     FailMode,
     FlowSelector,
     Granularity,
     Policy,
     PolicyAction,
-    PolicyIndex,
     _Interval,
     _ip_interval,
-    _table_order,
     ip_to_int,
     parse_cidr,
 )
@@ -136,51 +134,6 @@ def intent_from_dict(entry: dict) -> PolicyIntent:
         priority=int(entry.get("priority", 100)),
         fail_mode=FailMode(fail_mode) if fail_mode is not None else None,
         description=str(entry.get("description", "")),
-    )
-
-
-def intent_to_dict(intent: PolicyIntent) -> dict:
-    """The JSON form of an intent (only non-default fields emitted, so
-    files stay reviewable)."""
-    doc: dict = {"name": intent.name, "action": intent.action.value}
-    selector = {
-        name: getattr(intent.selector, name)
-        for name in sorted(_SELECTOR_FIELDS)
-        if getattr(intent.selector, name) is not None
-    }
-    if selector:
-        doc["selector"] = selector
-    if intent.src_zone is not None:
-        doc["src_zone"] = intent.src_zone
-    if intent.dst_zone is not None:
-        doc["dst_zone"] = intent.dst_zone
-    if intent.service_chain:
-        doc["service_chain"] = list(intent.service_chain)
-    if intent.granularity is not Granularity.FLOW:
-        doc["granularity"] = intent.granularity.value
-    if not intent.inspect_reply:
-        doc["inspect_reply"] = False
-    if intent.priority != 100:
-        doc["priority"] = intent.priority
-    if intent.fail_mode is not None:
-        doc["fail_mode"] = intent.fail_mode.value
-    if intent.description:
-        doc["description"] = intent.description
-    return doc
-
-
-def intent_from_policy(policy: Policy) -> PolicyIntent:
-    """Lift a normalized row back to intent form (used when emitting
-    the v2 schema for a table built through the row-level API)."""
-    return PolicyIntent(
-        name=policy.name,
-        action=policy.action,
-        selector=policy.selector,
-        service_chain=policy.service_chain,
-        granularity=policy.granularity,
-        inspect_reply=policy.inspect_reply,
-        priority=policy.priority,
-        fail_mode=policy.fail_mode,
     )
 
 
@@ -493,20 +446,21 @@ def _pair_finding(
 
 
 def verify_rows(
-    rows: Sequence[Policy],
+    table: CompiledPolicyTable,
     service_types: Optional[Iterable[str]] = None,
 ) -> List[Conflict]:
-    """Conflict findings over rows already in match order: each row by
+    """Conflict findings over a table's rows in match order: each row by
     itself, then every pair whose match spaces meet.
 
-    The index prunes, the algebra decides: a :class:`PolicyIndex` names
-    the pairs whose keyed fields can agree and whose address blocks
-    nest, in the ``(i, j)`` order a loop over all pairs would reach
-    them, and only those go through ``space_overlap`` /
-    ``space_covers``."""
+    The index prunes, the algebra decides: the table's own
+    :class:`PolicyIndex` names the pairs whose keyed fields can agree
+    and whose address blocks nest, in the ``(i, j)`` order a loop over
+    all pairs would reach them, and only those go through
+    ``space_overlap`` / ``space_covers``."""
+    rows = table._rows
     spaces = [_Space.of(p.selector) for p in rows]
     findings = _row_findings(rows, spaces, service_types)
-    for i, j in PolicyIndex(rows).candidate_pairs():
+    for i, j in table._index.candidate_pairs():
         finding = _pair_finding(rows[i], rows[j], spaces[i], spaces[j])
         if finding is not None:
             findings.append(finding)
@@ -523,46 +477,7 @@ class PolicyConflictError(ValueError):
 
 
 # ======================================================================
-# The compiled artifact
-
-
-class CompiledPolicyTable:
-    """An immutable, verified policy table.
-
-    Rows are held in exactly the order a :class:`PolicyTable` would
-    hold them (same stable sort key) under the same
-    :class:`PolicyIndex`, so ``match`` is observably identical --
-    winner *and* scan count -- to the live table the artifact swaps
-    into."""
-
-    def __init__(
-        self,
-        rows: Sequence[Policy],
-        default_action: PolicyAction = PolicyAction.ALLOW,
-    ):
-        if default_action is PolicyAction.CHAIN:
-            raise ValueError("default action cannot be CHAIN")
-        self._rows: Tuple[Policy, ...] = tuple(
-            sorted(rows, key=_table_order)
-        )
-        self._index = PolicyIndex(self._rows)
-        self._by_name: Dict[str, Policy] = {p.name: p for p in self._rows}
-        self.default_action = default_action
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def get(self, name: Optional[str]) -> Optional[Policy]:
-        if name is None:
-            return None
-        return self._by_name.get(name)
-
-    def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
-        """First match plus its rank (PolicyTable.match semantics)."""
-        return self._index.match(flow)
+# Compiling
 
 
 @dataclass
@@ -625,5 +540,5 @@ def compile_intents(
         raise ValueError(f"duplicate intent names {duplicates}")
     rows = [normalize_intent(intent) for intent in intents]
     table = CompiledPolicyTable(rows, default_action=default_action)
-    findings = verify_rows(list(table), service_types=service_types)
+    findings = verify_rows(table, service_types=service_types)
     return CompileResult(table=table, findings=findings, intents=intents)

@@ -44,14 +44,13 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Tuple
 
-from repro.core.policy import PolicyAction, PolicyTable
+from repro.core.policy import Granularity, PolicyAction, PolicyTable
 from repro.core.policy_compiler import (
+    _SELECTOR_FIELDS,
     PolicyConflictError,
     PolicyIntent,
     compile_intents,
     intent_from_dict,
-    intent_from_policy,
-    intent_to_dict,
 )
 
 SCHEMA_VERSION = 2
@@ -65,13 +64,34 @@ class PolicyFormatError(ValueError):
 
 
 def table_to_dict(table) -> Dict[str, object]:
-    """Serialize a table (live or compiled) as a v2 intent document."""
+    """Serialize a table (live or compiled) as a v2 intent document,
+    one intent per row.  Only non-default fields are emitted, so files
+    stay reviewable; a row's zones are already its selector's CIDRs."""
+    intents = []
+    for policy in table:
+        entry: dict = {"name": policy.name, "action": policy.action.value}
+        selector = {
+            name: getattr(policy.selector, name)
+            for name in sorted(_SELECTOR_FIELDS)
+            if getattr(policy.selector, name) is not None
+        }
+        if selector:
+            entry["selector"] = selector
+        if policy.service_chain:
+            entry["service_chain"] = list(policy.service_chain)
+        if policy.granularity is not Granularity.FLOW:
+            entry["granularity"] = policy.granularity.value
+        if not policy.inspect_reply:
+            entry["inspect_reply"] = False
+        if policy.priority != 100:
+            entry["priority"] = policy.priority
+        if policy.fail_mode is not None:
+            entry["fail_mode"] = policy.fail_mode.value
+        intents.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
         "default_action": table.default_action.value,
-        "intents": [
-            intent_to_dict(intent_from_policy(policy)) for policy in table
-        ],
+        "intents": intents,
     }
 
 
@@ -117,7 +137,8 @@ def load_intents(source) -> Tuple[List[PolicyIntent], PolicyAction]:
 def table_from_dict(
     document: Dict[str, object], verify: bool = False
 ) -> PolicyTable:
-    """Deserialize a table, validating every field.
+    """Deserialize a table, validating every field.  The table serves
+    the compiled document at version 0: loading is not a commit.
 
     With ``verify=True`` the document also runs through the compiler's
     conflict detector and error-severity findings raise
@@ -133,10 +154,7 @@ def table_from_dict(
             "policy document rejected by conflict verification:\n"
             + "\n".join(f"  {f}" for f in result.errors)
         )
-    table = PolicyTable(default_action=default)
-    table.apply_compiled(result.table, source="policy_io")
-    table.version = 0  # a freshly loaded table starts at version zero
-    return table
+    return PolicyTable.serving(result.table)
 
 
 def save_policies(table, path: str) -> None:

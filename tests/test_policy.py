@@ -105,19 +105,17 @@ class TestTable:
 
     def test_lookup_is_side_effect_free(self):
         table = PolicyTable()
-        table.add(Policy(name="p", selector=FlowSelector(),
-                         action=PolicyAction.ALLOW))
-        table.match(flow())
-        assert table.match(flow())[0].hits == 0
-
-    def test_record_hit_counts_enforcements(self):
-        table = PolicyTable()
-        table.add(Policy(name="p", selector=FlowSelector(),
-                         action=PolicyAction.ALLOW))
-        policy = table.match(flow())[0]
-        table.record_hit(policy)
-        table.record_hit(policy)
-        assert table.match(flow())[0].hits == 2
+        policy = Policy(name="p", selector=FlowSelector(),
+                        action=PolicyAction.ALLOW)
+        table.add(policy)
+        before = list(table)
+        version = table.version
+        for _ in range(3):
+            assert table.match(flow()) == (policy, 1)
+        assert list(table) == before and before[0] is policy
+        assert table.version == version
+        assert policy == Policy(name="p", selector=FlowSelector(),
+                                action=PolicyAction.ALLOW)
 
     def test_match_reports_rows_scanned(self):
         table = PolicyTable()

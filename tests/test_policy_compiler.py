@@ -4,6 +4,7 @@ transactional PolicyTable API (ISSUE 6)."""
 import pytest
 
 from repro.core.policy import (
+    CompiledPolicyTable,
     FlowSelector,
     Policy,
     PolicyAction,
@@ -12,7 +13,6 @@ from repro.core.policy import (
     parse_cidr,
 )
 from repro.core.policy_compiler import (
-    CompiledPolicyTable,
     PolicyConflictError,
     PolicyIntent,
     compile_intents,
@@ -328,16 +328,56 @@ class TestTransactions:
                    src_zone="10.1.0.0/16"),
             intent("lo", PolicyAction.ALLOW, priority=100),
         ])
-        for policy in result.table:
-            policy.hits = 7  # dirty the artifact
         table = PolicyTable()
         commit = table.apply_compiled(result.table)
         assert commit.version == 1
         assert [p.name for p in table] == ["hi", "lo"]
-        assert all(p.hits == 0 for p in table)
-        # The artifact's own rows were copied, not aliased.
-        table.record_hit(table.get("hi"))
-        assert result.table.get("hi").hits == 7
+
+    def test_a_table_serves_the_artifact_rows(self):
+        result = compile_intents([
+            intent("hi", PolicyAction.DROP, priority=200,
+                   src_zone="10.1.0.0/16"),
+            intent("lo", PolicyAction.ALLOW, priority=100),
+        ], default_action=PolicyAction.DROP)
+        table = PolicyTable()
+        table.apply_compiled(result.table)
+        assert all(live is row for live, row in zip(table, result.table))
+        assert table.get("hi") is result.table.get("hi")
+        assert table.default_action is PolicyAction.DROP
+        # A commit serves the very rows it was handed, too.
+        row = Policy(name="extra", selector=FlowSelector(),
+                     action=PolicyAction.ALLOW, priority=1)
+        table.add(row)
+        assert table.get("extra") is row and list(table)[-1] is row
+
+    def test_one_artifact_serves_two_tables_alike(self):
+        result = compile_intents([
+            intent("hi", PolicyAction.DROP, priority=200,
+                   src_zone="10.1.0.0/16"),
+            intent("web", PolicyAction.ALLOW, priority=150,
+                   selector=FlowSelector(tp_dst=80)),
+            intent("lo", PolicyAction.ALLOW, priority=100),
+        ])
+        first, second = PolicyTable(), PolicyTable()
+        first.apply_compiled(result.table)
+        second.apply_compiled(result.table)
+        for probe in (flow(src="10.1.2.3"), flow(dport=80),
+                      flow(dport=22), flow(src="10.1.2.3", dport=80)):
+            hit = first.match(probe)
+            assert hit == second.match(probe) == result.table.match(probe)
+            assert hit[0] is second.match(probe)[0]
+
+    def test_default_action_changes_only_by_commit(self):
+        table = PolicyTable()
+        commits = []
+        table.on_commit(commits.append)
+        with pytest.raises(AttributeError):
+            table.default_action = PolicyAction.DROP
+        assert table.default_action is PolicyAction.ALLOW
+        commit = table.begin().set_default_action(PolicyAction.DROP).commit()
+        assert table.default_action is PolicyAction.DROP
+        assert commit.default_action is PolicyAction.DROP
+        assert table.version == 1 and commits == [commit]
 
     def test_validate_reports_without_committing(self):
         table = PolicyTable()

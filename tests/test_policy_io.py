@@ -1,6 +1,7 @@
 """Tests for policy-table persistence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,50 @@ from repro.core.policy_io import (
     table_from_dict,
     table_to_dict,
 )
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "policies"
+
+# What save_policies writes for examples/policies/intents.json: its
+# rows in match order, zones as selector CIDRs, default fields omitted.
+SAVED_INTENTS = """\
+{
+  "schema_version": 2,
+  "default_action": "allow",
+  "intents": [
+    {
+      "name": "inspect-internet",
+      "action": "chain",
+      "selector": {
+        "dst_ip": "10.255.255.254"
+      },
+      "service_chain": [
+        "l7",
+        "ids"
+      ],
+      "priority": 200
+    },
+    {
+      "name": "quarantine-lab",
+      "action": "drop",
+      "selector": {
+        "src_cidr": "10.66.0.0/16"
+      },
+      "priority": 150
+    },
+    {
+      "name": "east-west-web",
+      "action": "allow",
+      "selector": {
+        "dst_cidr": "10.0.0.0/16",
+        "nw_proto": 6,
+        "src_cidr": "10.0.0.0/16",
+        "tp_dst": 80
+      }
+    }
+  ]
+}
+"""
 
 
 @pytest.fixture
@@ -47,15 +92,7 @@ class TestRoundtrip:
         restored = table_from_dict(table_to_dict(table))
         assert restored.default_action is PolicyAction.DROP
         assert len(restored) == len(table)
-        original = {p.name: p for p in table}
-        for policy in restored:
-            src = original[policy.name]
-            assert policy.selector == src.selector
-            assert policy.action == src.action
-            assert policy.service_chain == src.service_chain
-            assert policy.granularity == src.granularity
-            assert policy.inspect_reply == src.inspect_reply
-            assert policy.priority == src.priority
+        assert list(restored) == list(table)
 
     def test_file_roundtrip(self, table, tmp_path):
         path = str(tmp_path / "policies.json")
@@ -159,9 +196,24 @@ class TestSchemaVersions:
     def test_loaded_table_starts_at_version_zero(self):
         table = table_from_dict({
             "schema_version": 2,
+            "default_action": "drop",
             "intents": [{"name": "x", "action": "allow"}],
         })
         assert table.version == 0
+        assert table.default_action is PolicyAction.DROP
+        commits = []
+        table.on_commit(commits.append)
+        commit = table.begin().add(Policy(
+            name="y", selector=FlowSelector(), action=PolicyAction.DROP,
+            priority=1,
+        )).commit()
+        assert table.version == commit.version == 1 and commits == [commit]
+        assert commit.added == ("y",) and commit.policies == 2
+
+    def test_save_writes_the_example_document_bytes(self, tmp_path):
+        path = tmp_path / "saved.json"
+        save_policies(load_policies(str(EXAMPLES / "intents.json")), str(path))
+        assert path.read_text() == SAVED_INTENTS
 
 
 class TestValidation:

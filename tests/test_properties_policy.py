@@ -8,6 +8,7 @@ import os
 import random
 
 from repro.core.policy import (
+    CompiledPolicyTable,
     FlowSelector,
     Policy,
     PolicyAction,
@@ -336,7 +337,7 @@ class TestPolicyIndex:
             table.add(rows[-1])
             table.remove(rng.choice(rows).name)
             cases += self._assert_matches_oracle(table, rng, (seed, "add/remove"))
-            compiled = policy_compiler.CompiledPolicyTable(rows)
+            compiled = CompiledPolicyTable(rows)
             cases += self._assert_matches_oracle(compiled, rng, (seed, "compiled"))
             table.apply_compiled(compiled)
             assert [p.name for p in table] == [p.name for p in compiled]
@@ -347,12 +348,12 @@ class TestPolicyIndex:
         findings = 0
         for seed in range(self.TABLES):
             rng = random.Random(9000 + seed)
-            rows = list(policy_compiler.CompiledPolicyTable(
+            table = CompiledPolicyTable(
                 self._random_rows(rng, rng.randint(1, 14))
-            ))
-            got = verify_rows(rows, service_types=("ids",))
+            )
+            got = verify_rows(table, service_types=("ids",))
             assert got == oracles.verify_rows_all_pairs(
-                rows, service_types=("ids",)
+                list(table), service_types=("ids",)
             ), seed
             findings += len(got)
         assert findings >= 1000, findings  # the tables are messy on purpose
@@ -365,8 +366,8 @@ class TestPolicyIndex:
         assert documents
         for path in documents:
             intents, default = load_intents(path)
-            rows = list(compile_intents(intents, default_action=default).table)
-            assert verify_rows(rows) == oracles.verify_rows_all_pairs(rows), path
+            table = compile_intents(intents, default_action=default).table
+            assert verify_rows(table) == oracles.verify_rows_all_pairs(list(table)), path
 
     def _zone_table(self, zones):
         """The perf ledger's population: one gateway chain after

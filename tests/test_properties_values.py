@@ -9,12 +9,17 @@ replacement, the printed forms, and no equality across value types.
 The oracles are frozen dataclasses with the same names and fields.
 ``HostRecord``, the NIB's routing-table row, was a mutable record; as
 a NamedTuple it needs a length of its own and the field-tuple hash.
+``Policy``, the policy table's row, is a frozen dataclass: no writes,
+field equality, and never equal to a tuple of its fields.
 """
 
 import dataclasses
 import random
 
+import pytest
+
 from repro.core.nib import HostRecord, NetworkInformationBase
+from repro.core.policy import FailMode, FlowSelector, Granularity, Policy, PolicyAction
 from repro.core.routing import RuleSpec
 from repro.net.packet import FlowNineTuple
 from repro.openflow.actions import Output, SetDlDst, SetDlSrc
@@ -254,3 +259,69 @@ def test_reconcile_keys_dedupe_as_with_dataclasses():
             key = (probe.dpid, Match(*probe.match), probe.priority)
             old_key = (probe.dpid, frozen(probe.match), probe.priority)
             assert (key in keep) == (old_key in oracle)
+
+
+def random_policy(rng):
+    action = rng.choice(tuple(PolicyAction))
+    chain = action is PolicyAction.CHAIN
+    return Policy(
+        name=rng.choice(("a", "b")),
+        selector=FlowSelector(**{
+            name: rng.choice(pool) for name, pool in (
+                ("dst_ip", IPS), ("tp_dst", POOLS["tp_dst"]),
+                ("src_cidr", ("10.0.0.0/8", "192.168.0.0/16")),
+            ) if rng.random() < 0.5
+        }),
+        action=action,
+        service_chain=rng.choice((("ids",), ("l7", "ids"))) if chain else (),
+        inspect_reply=rng.random() < 0.5,
+        priority=rng.choice((100, 200)),
+        fail_mode=rng.choice((None, FailMode.CLOSED)) if chain else None,
+    )
+
+
+def policy_fields(policy):
+    return tuple(getattr(policy, f.name) for f in dataclasses.fields(Policy))
+
+
+def test_a_policy_takes_no_attribute_write():
+    """A row is shared by every table that serves its artifact, so no
+    field can be rewritten and no attribute (a hit counter) added."""
+    policy = Policy(name="p", selector=FlowSelector(),
+                    action=PolicyAction.ALLOW)
+    for name in [f.name for f in dataclasses.fields(Policy)] + ["hits"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(policy, name, 1)
+    assert not hasattr(policy, "hits")
+    assert policy_fields(policy) == (
+        "p", FlowSelector(), PolicyAction.ALLOW, (), Granularity.FLOW,
+        True, 100, None,
+    )
+
+
+def test_policy_equality_is_field_equality():
+    twins = 0
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        pool = [random_policy(rng) for _ in range(60)]
+        for a in pool:
+            rebuilt = Policy(*policy_fields(a))
+            assert rebuilt == a and rebuilt is not a
+            for b in pool:
+                assert (a == b) == (policy_fields(a) == policy_fields(b))
+                twins += a is not b and a == b
+    assert twins > 0  # the pools are small enough to repeat a row
+
+
+def test_a_policy_equals_no_tuple_of_its_fields():
+    """Eight fields, ``RuleSpec``'s length: the type-blind equality of
+    a NamedTuple would make a row equal to a tuple or a ``RuleSpec`` of
+    the same items; a dataclass compares the type first."""
+    assert len(dataclasses.fields(Policy)) == len(RuleSpec._fields) == 8
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for _ in range(VALUES_PER_SEED):
+            policy = random_policy(rng)
+            items = policy_fields(policy)
+            for other in (items, list(items), RuleSpec(*items)):
+                assert policy != other and not policy == other
