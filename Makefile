@@ -63,6 +63,8 @@ perf-smoke:
 # check_rule_writers keeps one FlowMod writer (controller.apply_rule),
 # one drop planner (steering's _plan_block) and one writer of the
 # spanning-tree group drop (SteeringApp.on_switch_joined) under core/.
+# check_process_counters keeps what a run numbers the run's: no
+# itertools.count made at import time under src/repro.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples scripts; \
@@ -73,6 +75,7 @@ lint:
 	python scripts/check_unused_imports.py src tests benchmarks examples scripts
 	python scripts/check_dropped_handles.py src/repro benchmarks examples
 	python scripts/check_rule_writers.py src/repro/core
+	python scripts/check_process_counters.py src/repro
 
 # Which src/repro functions the entry points (ledger, smokes, CLI,
 # examples, benches, catalogue) run, against tier-1 under the same

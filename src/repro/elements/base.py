@@ -252,7 +252,6 @@ class ServiceElement(Host):
             dport=svcmsg.SERVICE_MESSAGE_PORT,
             payload=payload,
         )
-        frame.created_at = self.sim.now
         self.send(frame, HOST_PORT)
 
     def _expire_flows(self, max_idle_s: float = 10.0) -> None:

@@ -723,17 +723,14 @@ class FluidRegion:
         (payload content is irrelevant to matching)."""
         src = flow.src
         if flow.proto == IP_PROTO_TCP:
-            frame = pkt.make_tcp(
+            return pkt.make_tcp(
                 src.mac, dst_mac, src.ip, flow.dst_ip, flow.sport, flow.dport,
-                b"", "", flow.packet_size, vlan=src.vlan,
+                b"", "", flow.packet_size, src.vlan, flow.flow_id,
             )
-        else:
-            frame = pkt.make_udp(
-                src.mac, dst_mac, src.ip, flow.dst_ip, flow.sport, flow.dport,
-                b"", flow.packet_size, vlan=src.vlan,
-            )
-        frame.flow_id = flow.flow_id
-        return frame
+        return pkt.make_udp(
+            src.mac, dst_mac, src.ip, flow.dst_ip, flow.sport, flow.dport,
+            b"", flow.packet_size, src.vlan, flow.flow_id,
+        )
 
     # ------------------------------------------------------------------
     # Settling

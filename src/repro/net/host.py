@@ -72,9 +72,7 @@ class Host(Node):
         LiveSec discovers hosts from their first ARP frame; calling
         this after wiring the host models the join event.
         """
-        frame = pkt.make_arp_request(self.mac, self.ip, self.ip)
-        frame.created_at = self.sim.now
-        self.send(frame, HOST_PORT)
+        self.send(pkt.make_arp_request(self.mac, self.ip, self.ip), HOST_PORT)
 
     # ------------------------------------------------------------------
     # Sending
@@ -108,7 +106,6 @@ class Host(Node):
             self._arp_pending.pop(dst_ip, None)  # unreachable: give up
             return
         request = pkt.make_arp_request(self.mac, self.ip, dst_ip)
-        request.created_at = self.sim.now
         self.send(request, HOST_PORT)
         self.sim.post(
             self.ARP_RETRY_INTERVAL_S, self._send_arp_request, dst_ip,
@@ -125,13 +122,10 @@ class Host(Node):
         flow_id: Optional[int] = None,
     ) -> None:
         """Send one UDP datagram (resolving the destination MAC first)."""
-        frame = pkt.make_udp(
+        self.resolve_and_send(pkt.make_udp(
             self.mac, pkt.BROADCAST_MAC, self.ip, dst_ip, sport, dport,
-            payload, size, vlan=self.vlan,
-        )
-        frame.created_at = self.sim.now
-        frame.flow_id = flow_id
-        self.resolve_and_send(frame, dst_ip)
+            payload, size, self.vlan, flow_id,
+        ), dst_ip)
 
     def send_tcp(
         self,
@@ -144,21 +138,10 @@ class Host(Node):
         flow_id: Optional[int] = None,
     ) -> None:
         """Send one TCP segment (resolving the destination MAC first)."""
-        frame = pkt.make_tcp(
-            self.mac,
-            pkt.BROADCAST_MAC,
-            self.ip,
-            dst_ip,
-            sport,
-            dport,
-            payload,
-            flags,
-            size,
-            vlan=self.vlan,
-        )
-        frame.created_at = self.sim.now
-        frame.flow_id = flow_id
-        self.resolve_and_send(frame, dst_ip)
+        self.resolve_and_send(pkt.make_tcp(
+            self.mac, pkt.BROADCAST_MAC, self.ip, dst_ip, sport, dport,
+            payload, flags, size, self.vlan, flow_id,
+        ), dst_ip)
 
     def ping(
         self, dst_ip: str, on_reply: Optional[Callable[[float], None]] = None
@@ -173,7 +156,6 @@ class Host(Node):
         frame = pkt.make_icmp_echo(
             self.mac, pkt.BROADCAST_MAC, self.ip, dst_ip, ident=ident
         )
-        frame.created_at = self.sim.now
         self.resolve_and_send(frame, dst_ip)
         return ident
 
@@ -215,7 +197,6 @@ class Host(Node):
             self._flush_pending(arp.sender_ip, arp.sender_mac)
         if arp.is_request and arp.target_ip == self.ip and arp.sender_ip != self.ip:
             reply = pkt.make_arp_reply(self.mac, self.ip, arp.sender_mac, arp.sender_ip)
-            reply.created_at = self.sim.now
             self.send(reply, HOST_PORT)
 
     def _flush_pending(self, ip: str, mac: str) -> None:
@@ -235,7 +216,6 @@ class Host(Node):
                 ident=icmp.ident,
                 seq=icmp.seq,
             )
-            reply.created_at = self.sim.now
             self.resolve_and_send(reply, ip.src)
         elif icmp.kind == "echo-reply":
             state = self._pings.pop(icmp.ident, None)

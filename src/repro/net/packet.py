@@ -9,7 +9,11 @@ compute serialization delay; payload *content* is a plain ``bytes``
 object that need not match ``size`` (benches use large frames with
 small representative payloads).  Every header is a slotted dataclass:
 a frame is built per emission and read at every hop, so it carries no
-per-object ``__dict__`` and a field read is a slot read.
+per-object ``__dict__`` and a field read is a slot read.  The
+per-packet builders (:func:`make_udp`, :func:`make_tcp`,
+:meth:`Ethernet.clone`) pass every field positionally, so the declared
+field order of each header is part of its interface, and a header
+carries no field that nothing reads.
 
 The paper's "9-tuple" (Section III.C.3) is
 ``(vlan, dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto, tp_src,
@@ -18,10 +22,9 @@ tp_dst)`` and is extracted by :func:`extract_nine_tuple`.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import functools
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 # EtherTypes
@@ -46,8 +49,6 @@ ETH_HEADER_BYTES = 18  # 14 + 4 FCS
 IP_HEADER_BYTES = 20
 TCP_HEADER_BYTES = 20
 UDP_HEADER_BYTES = 8
-
-_packet_ids = itertools.count(1)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -157,7 +158,6 @@ class IPv4:
     src: str
     dst: str
     proto: int
-    ttl: int = 64
     tos: int = 0
     payload: Union[Tcp, Udp, Icmp, None] = None
 
@@ -179,8 +179,6 @@ class Ethernet:
     vlan: Optional[int] = None
     size: int = 64
     flow_id: Optional[int] = None
-    packet_id: int = field(default_factory=_packet_ids.__next__)
-    created_at: Optional[float] = None
     # Forwarding-accountability tag (SDNsec-style): the ingress switch
     # pushes a per-session path descriptor, every switch on the path
     # appends a keyed mark, the egress strips it and reports the chain.
@@ -189,21 +187,16 @@ class Ethernet:
     path_tag: Optional[object] = None
 
     def clone(self) -> "Ethernet":
-        """Deep copy with a fresh packet id (used when flooding).
+        """Deep copy (used when flooding): no header object is shared.
 
-        Hand-rolled rather than ``dataclasses.replace``: cloning is on
-        the per-packet fast path of every flood and multi-port output.
+        Positional and hand-rolled: cloning is on the per-packet fast
+        path of every flood and multi-port output.
         """
+        payload = self.payload
         return Ethernet(
-            src=self.src,
-            dst=self.dst,
-            ethertype=self.ethertype,
-            payload=_clone_payload(self.payload) if self.payload else None,
-            vlan=self.vlan,
-            size=self.size,
-            flow_id=self.flow_id,
-            created_at=self.created_at,
-            path_tag=self.path_tag,
+            self.src, self.dst, self.ethertype,
+            _clone_payload(payload) if payload is not None else None,
+            self.vlan, self.size, self.flow_id, self.path_tag,
         )
 
     @property
@@ -229,42 +222,40 @@ class Ethernet:
 
     def __repr__(self) -> str:
         proto = type(self.payload).__name__ if self.payload is not None else "raw"
-        return (
-            f"<Ethernet#{self.packet_id} {self.src}->{self.dst}"
-            f" {proto} {self.size}B>"
-        )
+        return f"<Ethernet {self.src}->{self.dst} {proto} {self.size}B>"
 
 
 def _clone_payload(payload):
-    # IPv4/TCP/UDP dominate the fast path; copy them by hand and fall
-    # back to dataclasses.replace for the rare control payloads.
-    if isinstance(payload, IPv4):
+    # Every header the model defines is copied by hand, positionally:
+    # IPv4/TCP/UDP on every flood of data, LLDP on every flood of the
+    # fabric's discovery.  Only a payload type defined elsewhere (the
+    # legacy fabric's BPDU) takes the generic shallow copy.
+    kind = type(payload)
+    if kind is IPv4:
+        segment = payload.payload
         return IPv4(
-            src=payload.src,
-            dst=payload.dst,
-            proto=payload.proto,
-            ttl=payload.ttl,
-            tos=payload.tos,
-            payload=_clone_payload(payload.payload) if payload.payload else None,
+            payload.src, payload.dst, payload.proto, payload.tos,
+            _clone_payload(segment) if segment is not None else None,
         )
-    if isinstance(payload, Tcp):
+    if kind is Udp:
+        return Udp(payload.sport, payload.dport, payload.payload)
+    if kind is Tcp:
         return Tcp(
-            sport=payload.sport,
-            dport=payload.dport,
-            flags=payload.flags,
-            seq=payload.seq,
-            payload=payload.payload,
-            ack_seq=payload.ack_seq,
+            payload.sport, payload.dport, payload.flags, payload.seq,
+            payload.payload, payload.ack_seq,
         )
-    if isinstance(payload, Udp):
-        return Udp(
-            sport=payload.sport, dport=payload.dport, payload=payload.payload
+    if kind is Lldp:
+        return Lldp(payload.chassis_id, payload.port_id)
+    if kind is Arp:
+        return Arp(
+            payload.opcode, payload.sender_mac, payload.sender_ip,
+            payload.target_mac, payload.target_ip,
         )
-    clone = dataclasses.replace(payload)
-    inner = getattr(payload, "payload", None)
-    if dataclasses.is_dataclass(inner) and not isinstance(inner, type):
-        clone.payload = _clone_payload(inner)
-    return clone
+    if kind is Icmp:
+        return Icmp(payload.kind, payload.ident, payload.seq)
+    if kind is Dhcp:
+        return Dhcp(payload.opcode, payload.client_mac, payload.offered_ip)
+    return copy.copy(payload)
 
 
 class FlowNineTuple(NamedTuple):
@@ -282,17 +273,16 @@ class FlowNineTuple(NamedTuple):
 
     def reversed(self) -> "FlowNineTuple":
         """The 9-tuple of the reply direction of the same session."""
-        return FlowNineTuple(
-            vlan=self.vlan,
-            dl_src=self.dl_dst,
-            dl_dst=self.dl_src,
-            dl_type=self.dl_type,
-            nw_src=self.nw_dst,
-            nw_dst=self.nw_src,
-            nw_proto=self.nw_proto,
-            tp_src=self.tp_dst,
-            tp_dst=self.tp_src,
-        )
+        (vlan, dl_src, dl_dst, dl_type, nw_src, nw_dst, nw_proto,
+         tp_src, tp_dst) = self
+        return _as_nine_tuple((vlan, dl_dst, dl_src, dl_type, nw_dst,
+                               nw_src, nw_proto, tp_dst, tp_src))
+
+
+# The NamedTuple's generated ``__new__`` is a Python function that
+# takes keywords; a frame's 9-tuple is built from a plain tuple in
+# field order instead, at C speed.
+_as_nine_tuple = functools.partial(tuple.__new__, FlowNineTuple)
 
 
 def extract_nine_tuple(frame: Ethernet) -> FlowNineTuple:
@@ -301,26 +291,18 @@ def extract_nine_tuple(frame: Ethernet) -> FlowNineTuple:
     Non-IP frames yield wildcarded (None) network/transport fields; IP
     frames without TCP/UDP yield wildcarded port fields.
     """
-    nw_src = nw_dst = None
-    nw_proto = None
-    tp_src = tp_dst = None
-    ip = frame.ip()
-    if ip is not None:
-        nw_src, nw_dst, nw_proto = ip.src, ip.dst, ip.proto
-        segment = ip.payload
-        if isinstance(segment, (Tcp, Udp)):
-            tp_src, tp_dst = segment.sport, segment.dport
-    return FlowNineTuple(
-        vlan=frame.vlan,
-        dl_src=frame.src,
-        dl_dst=frame.dst,
-        dl_type=frame.ethertype,
-        nw_src=nw_src,
-        nw_dst=nw_dst,
-        nw_proto=nw_proto,
-        tp_src=tp_src,
-        tp_dst=tp_dst,
-    )
+    ip = frame.payload  # Ethernet.ip(), read in place
+    if frame.ethertype != ETH_TYPE_IP or type(ip) is not IPv4:
+        return _as_nine_tuple((frame.vlan, frame.src, frame.dst,
+                               frame.ethertype, None, None, None, None,
+                               None))
+    segment = ip.payload
+    if type(segment) is Udp or type(segment) is Tcp:
+        return _as_nine_tuple((frame.vlan, frame.src, frame.dst,
+                               ETH_TYPE_IP, ip.src, ip.dst, ip.proto,
+                               segment.sport, segment.dport))
+    return _as_nine_tuple((frame.vlan, frame.src, frame.dst, ETH_TYPE_IP,
+                           ip.src, ip.dst, ip.proto, None, None))
 
 
 def make_udp(
@@ -333,23 +315,16 @@ def make_udp(
     payload: bytes = b"",
     size: Optional[int] = None,
     vlan: Optional[int] = None,
+    flow_id: Optional[int] = None,
 ) -> Ethernet:
     """Convenience constructor for a UDP-over-IP Ethernet frame."""
-    wire = size if size is not None else (
-        ETH_HEADER_BYTES + IP_HEADER_BYTES + UDP_HEADER_BYTES + len(payload)
-    )
+    if size is None:
+        size = (ETH_HEADER_BYTES + IP_HEADER_BYTES + UDP_HEADER_BYTES
+                + len(payload))
     return Ethernet(
-        src=src_mac,
-        dst=dst_mac,
-        ethertype=ETH_TYPE_IP,
-        vlan=vlan,
-        size=wire,
-        payload=IPv4(
-            src=src_ip,
-            dst=dst_ip,
-            proto=IP_PROTO_UDP,
-            payload=Udp(sport=sport, dport=dport, payload=payload),
-        ),
+        src_mac, dst_mac, ETH_TYPE_IP,
+        IPv4(src_ip, dst_ip, IP_PROTO_UDP, 0, Udp(sport, dport, payload)),
+        vlan, size, flow_id,
     )
 
 
@@ -364,23 +339,17 @@ def make_tcp(
     flags: str = "",
     size: Optional[int] = None,
     vlan: Optional[int] = None,
+    flow_id: Optional[int] = None,
 ) -> Ethernet:
     """Convenience constructor for a TCP-over-IP Ethernet frame."""
-    wire = size if size is not None else (
-        ETH_HEADER_BYTES + IP_HEADER_BYTES + TCP_HEADER_BYTES + len(payload)
-    )
+    if size is None:
+        size = (ETH_HEADER_BYTES + IP_HEADER_BYTES + TCP_HEADER_BYTES
+                + len(payload))
     return Ethernet(
-        src=src_mac,
-        dst=dst_mac,
-        ethertype=ETH_TYPE_IP,
-        vlan=vlan,
-        size=wire,
-        payload=IPv4(
-            src=src_ip,
-            dst=dst_ip,
-            proto=IP_PROTO_TCP,
-            payload=Tcp(sport=sport, dport=dport, flags=flags, payload=payload),
-        ),
+        src_mac, dst_mac, ETH_TYPE_IP,
+        IPv4(src_ip, dst_ip, IP_PROTO_TCP, 0,
+             Tcp(sport, dport, flags, 0, payload)),
+        vlan, size, flow_id,
     )
 
 

@@ -156,7 +156,6 @@ class TcpConnection:
             segment.flags = (segment.flags + "A") if "A" not in segment.flags \
                 else segment.flags
             segment.ack_seq = self._rcv_nxt  # type: ignore[attr-defined]
-        frame.created_at = self.sim.now
         self.host.resolve_and_send(frame, self.peer_ip)
 
     # ------------------------------------------------------------------

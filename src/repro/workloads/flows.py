@@ -186,7 +186,7 @@ class CbrUdpFlow(TrafficFlow):
     default_dport = 9000
 
     def payload_for(self, index: int) -> bytes:
-        return b"CBRDATA" + bytes(str(index), "ascii")
+        return b"CBRDATA%d" % index
 
 
 class HttpFlow(TrafficFlow):
@@ -204,7 +204,7 @@ class HttpFlow(TrafficFlow):
             return (
                 f"GET {self.url} HTTP/1.1\r\nHost: server\r\n\r\n".encode()
             )
-        return b"HTTP/1.1 200 OK payload segment " + bytes(str(index), "ascii")
+        return b"HTTP/1.1 200 OK payload segment %d" % index
 
     def flags_for(self, index: int) -> str:
         return "S" if index == 0 else ""

@@ -163,13 +163,12 @@ class TestCountersAndFaults:
         sim.run()
         assert sent == 2
         assert leaves[0].received == []
-        received_ids = {
-            frame.packet_id
-            for leaf in leaves[1:]
-            for _, frame, _ in leaf.received
-        }
-        assert original.packet_id not in received_ids
-        assert len(received_ids) == 2
+        received = [
+            frame for leaf in leaves[1:] for _, frame, _ in leaf.received
+        ]
+        assert len(received) == 2
+        assert all(frame is not original for frame in received)
+        assert received[0] is not received[1]
 
     def test_bad_link_parameters_rejected(self, sim):
         a, b = Sink(sim, "a"), Sink(sim, "b")

@@ -196,7 +196,7 @@ class TestFlowModAndForwarding:
         switch.receive(frame, 3)
         sim.run(until=sim.now + 0.2)
         assert len(a.received) == 1 and len(b.received) == 1
-        assert a.received[0][0].packet_id != b.received[0][0].packet_id
+        assert a.received[0][0] is not b.received[0][0]
 
     def test_delete_then_miss(self, sim, setup):
         switch, ctrl, a, b, _ = setup

@@ -459,3 +459,55 @@ class TestCallBudget:
             assert gone not in entered
         # Match.matches's (the entry is a wildcard), not Host.receive's.
         assert entered.count("Ethernet.ip") <= 1
+
+
+def entered_by(fn, *args):
+    """The Python functions ``fn(*args)`` enters, itself included, under
+    the same ``sys.setprofile`` hook as :class:`TestCallBudget`."""
+    entered = []
+
+    def hook(frame_, event, arg):
+        if event == "call":
+            entered.append(
+                (frame_.f_code.co_qualname, frame_.f_code.co_filename))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+class TestConstructionBudget:
+    """Counts, not timings: what building, cloning and classifying one
+    frame costs in Python function entries."""
+
+    def test_make_udp_enters_itself_and_three_inits(self):
+        entered = entered_by(
+            pkt.make_udp, "m1", "m2", "1.1.1.1", "2.2.2.2", 5, 6, b"x",
+            250, None, 7,
+        )
+        names = [name for name, _ in entered]
+        assert names[0] == "make_udp"
+        # Ethernet, IPv4 and Udp; a dataclass __init__ is compiled from
+        # a string, so it carries no module file.
+        assert len(names) == 4, names
+        assert all(name.endswith("__init__") and filename == "<string>"
+                   for name, filename in entered[1:])
+
+    def test_extract_nine_tuple_enters_one(self):
+        """Three at the keyword build: ``Ethernet.ip`` and the
+        NamedTuple's generated ``__new__`` came on top."""
+        frame = pkt.make_udp("m1", "m2", "1.1.1.1", "2.2.2.2", 5, 6)
+        assert [name for name, _ in entered_by(
+            pkt.extract_nine_tuple, frame)] == ["extract_nine_tuple"]
+
+    def test_lldp_clone_enters_at_most_four_and_never_replace(self):
+        """Seven through ``dataclasses.replace``."""
+        frame = pkt.make_lldp(chassis_id=3, port_id=2)
+        entered = entered_by(frame.clone)
+        assert len(entered) <= 4, entered
+        assert not any(filename.endswith("dataclasses.py")
+                       for _, filename in entered)
