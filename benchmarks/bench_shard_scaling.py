@@ -22,8 +22,8 @@ row paid a 100k-row rehash that eight shards split eight ways, and part
 of the measured speedup was that split.
 
 The **churn table** counts what a sync round reads: ``CHURN_ROUNDS``
-rounds on one shard with *k* hosts joining between rounds, at a small
-and at the full population -- host rows hashed by the round (none) and
+rounds on one shard of two with *k* hosts joining between rounds, at a
+small and at the full population on that shard -- host rows hashed by the round (none) and
 the hello's wall per round, beside what a round that called
 ``nib.location_digest()`` (a *digest-carrying* hello) would read and
 cost: every resident row, whenever one row moved.
@@ -38,7 +38,7 @@ import gc
 import sys
 import time
 
-from repro.core.deployment import build_sharded_network
+from repro.core.deployment import build_livesec_network
 from repro.analysis import format_table
 from repro.core.sharding import SYNC_INTERVAL_S
 from repro.net.topologies import GATEWAY_IP
@@ -60,14 +60,15 @@ CHURN_ROUNDS = 20
 PACKET_KINDS = ("arp", "dhcp", "service", "data")
 
 
-def _populate_users(net, first: int = 0, count: int = USERS) -> None:
+def _populate_users(net, first: int = 0, count: int = USERS,
+                    switches: int = NUM_SWITCHES) -> None:
     """Adopt ``count`` synthetic residents (numbered from ``first``)
-    into the owning shards' NIBs, round-robin over the edge -- USERS of
-    them is the 100k-user scale point."""
+    into the owning shards' NIBs, round-robin over the first
+    ``switches`` of the edge -- USERS of them over all of it is the
+    100k-user scale point."""
     for index in range(first, first + count):
-        dpid = (index % NUM_SWITCHES) + 1
-        member = net.member_of(dpid)
-        member.adopt_host(
+        dpid = (index % switches) + 1
+        net.owner(dpid).adopt_host(
             "02:fe:{:02x}:{:02x}:{:02x}:{:02x}".format(
                 (index >> 24) & 0xFF, (index >> 16) & 0xFF,
                 (index >> 8) & 0xFF, index & 0xFF,
@@ -80,22 +81,28 @@ def _populate_users(net, first: int = 0, count: int = USERS) -> None:
         )
 
 
-def _shard_busy_seconds(member, fabric) -> float:
-    """One shard's control-plane seconds, both as measured during the
-    run: PacketIn handling plus the hellos of every sync round."""
-    snapshot = member.controller.metrics.snapshot()
+def _shard_busy_seconds(controller, fabric) -> float:
+    """One controller's control-plane seconds, both as measured during
+    the run: PacketIn handling plus, on a fabric, the hellos of every
+    sync round."""
+    snapshot = controller.metrics.snapshot()
     busy = 0.0
     for kind in PACKET_KINDS:
         metric = snapshot.get("controller.packet_in_latency_s", kind=kind)
         if metric is not None:
             busy += metric.sum
-    hellos = fabric.get("sharding.hello_wall_s", shard=member.shard_id)
+    if controller.shard is None:
+        return busy
+    hellos = fabric.get("sharding.hello_wall_s",
+                        shard=controller.shard.shard_id)
     return busy + (hellos.sum if hellos is not None else 0.0)
 
 
-def _populated_fabric(num_shards: int, residents: int = USERS):
-    """The started 16-switch fabric with its residents adopted."""
-    net = build_sharded_network(
+def _populated_fabric(num_shards: int, residents: int = USERS,
+                      switches: int = NUM_SWITCHES):
+    """The started 16-switch fabric with its residents adopted over the
+    first ``switches`` of the edge."""
+    net = build_livesec_network(
         num_shards=num_shards,
         topology="linear",
         policies=gateway_ids_policies,
@@ -104,7 +111,7 @@ def _populated_fabric(num_shards: int, residents: int = USERS):
         hosts_per_as=1,
     )
     net.start()
-    _populate_users(net, count=residents)
+    _populate_users(net, count=residents, switches=switches)
     return net
 
 
@@ -137,7 +144,8 @@ def run_config(num_shards: int) -> dict:
     fabric = net.metrics.snapshot()
     counters = fabric.counters()
     busiest = max(
-        _shard_busy_seconds(member, fabric) for member in net.members
+        _shard_busy_seconds(controller, fabric)
+        for controller in net.controllers
     )
     hosts_known = sum(len(c.nib.hosts) for c in net.controllers)
     return {
@@ -169,16 +177,20 @@ class _DigestMeter:
 
 
 def run_churn(population: int) -> list:
-    """One shard holding ``population`` residents; per *k* in
-    CHURN_JOINS, CHURN_ROUNDS sync rounds with *k* joins before each."""
-    net = _populated_fabric(1, residents=population)
-    meter = _DigestMeter(net.members[0].controller.nib)
+    """Shard 0 of two holding ``population`` residents (all on its own
+    switches); per *k* in CHURN_JOINS, CHURN_ROUNDS sync rounds with *k*
+    joins before each."""
+    own = NUM_SWITCHES // 2  # shard 0's half of the contiguous split
+    net = _populated_fabric(2, residents=population, switches=own)
+    meter = _DigestMeter(net.controller.nib)
 
     def hello_seconds() -> float:
         return net.metrics.snapshot().get("sharding.hello_wall_s", shard=0).sum
 
     def hellos() -> int:
-        return net.metrics.snapshot().counters()["sharding.hellos"]
+        return net.metrics.snapshot().get(
+            "sharding.hello_wall_s", shard=0
+        ).count
 
     meter.nib.location_digest()  # the planted rows, memoised
     joined = population
@@ -188,7 +200,7 @@ def run_churn(population: int) -> list:
         hellos_before = hellos()
         digest_rows = digest_s = 0
         for _ in range(CHURN_ROUNDS):
-            _populate_users(net, first=joined, count=joins)
+            _populate_users(net, first=joined, count=joins, switches=own)
             joined += joins
             net.run(SYNC_INTERVAL_S)
             # What a digest-carrying hello adds to this round.
@@ -253,7 +265,7 @@ def report(results, out=sys.stderr):
                 for r in results["churn"]
             ],
             title=f"E18: what a sync round reads under churn"
-                  f" ({CHURN_ROUNDS} rounds, one shard)",
+                  f" ({CHURN_ROUNDS} rounds, shard 0 of two)",
         ),
         file=out,
     )

@@ -87,7 +87,7 @@ def main() -> None:
     for event in net.controller.log.query(kind=EventKind.ELEMENT_REJECTED):
         print(" ", event)
 
-    summary = net.status()
+    summary = net.controller.status()
     print(
         f"\nflows blocked: {summary.counters['flows_blocked']}"
         f"  sessions live: {summary.sessions}"

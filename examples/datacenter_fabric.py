@@ -14,7 +14,7 @@ Run with:  python examples/datacenter_fabric.py
 
 from repro import Policy, PolicyTable
 from repro.analysis.ascii_charts import bar_chart
-from repro.core.deployment import build_sharded_network
+from repro.core.deployment import build_livesec_network
 from repro.core.policy import FlowSelector, PolicyAction
 from repro.workloads.tcpflows import TcpServer, TcpTransfer
 
@@ -32,7 +32,7 @@ def east_west_policies() -> PolicyTable:
 
 
 def main() -> None:
-    net = build_sharded_network(
+    net = build_livesec_network(
         num_shards=4, topology="fattree", policies=east_west_policies,
         k=4, hosts_per_edge=2, access_bandwidth_bps=1e9,
     )

@@ -33,7 +33,7 @@ def main() -> None:
         hosts_per_as=2,
     )
     net.start()
-    print("deployment up:", net.status().nib)
+    print("deployment up:", net.controller.status().nib)
 
     # 3. A well-behaved web flow: steered through the IDS, delivered.
     alice = net.host("h1_1")

@@ -301,7 +301,7 @@ VERDICTS: Dict[str, str] = {
     " the checkpoint ladder the replay tests bound",
     "repro.core.visualization:MonitoringComponent.replay_series": "wire:"
     " the WebUI's history scrub; item 3's endpoint",
-    "repro.core.deployment:_Deployment.add_user": "keep: attach a host"
+    "repro.core.deployment:LiveSecNetwork.add_user": "keep: attach a host"
     " at runtime; the roaming tests use it",
     "repro.obs.export:from_json": "keep: reader of the JSON exporter;"
     " round-trip tests",

@@ -292,7 +292,7 @@ def cmd_policy_reload(args: argparse.Namespace) -> int:
     sessions_before = len(net.controller.sessions)
     version_before = net.controller.policies.version
     try:
-        commit = net.reload_policies(args.file)
+        commit = net.controller.reload_policies(args.file)
     except (PolicyConflictError, PolicyFormatError) as exc:
         print(f"reload rejected; table v{version_before} keeps serving:")
         print(exc, file=sys.stderr)
@@ -463,7 +463,6 @@ def cmd_shards(args: argparse.Namespace) -> int:
     between the first and the last user, shards apart -- and print the
     coordinator's fabric view: ownership, liveness, per-shard NIB
     digests, and the inter-shard protocol counters."""
-    from repro.core.deployment import build_sharded_network
     from repro.workloads import CbrUdpFlow
     from repro.workloads.tcpflows import TcpServer, TcpTransfer
 
@@ -473,7 +472,7 @@ def cmd_shards(args: argparse.Namespace) -> int:
         topology_kwargs = {
             "num_as": max(3, args.shards), "hosts_per_as": 1,
         }
-    net = build_sharded_network(
+    net = build_livesec_network(
         num_shards=args.shards,
         topology=args.topology,
         policies=gateway_ids_policies,
@@ -557,7 +556,7 @@ def cmd_fluid(args: argparse.Namespace) -> int:
           f" closed_forms={stats['closed_forms']}"
           f" refusals={stats['refusals']}"
           f" materializations={stats['materializations']}")
-    print(f"  digest {fluid.control_digest}")
+    print(f"  digest {' '.join(fluid.control_digests)}")
     if not result["equivalent"]:
         print(f"  NOT EQUIVALENT: digests_equal={result['digests_equal']}"
               f" flow_mismatches={len(result['flow_mismatches'])}")
@@ -568,6 +567,25 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     elif args.assert_equivalent:
         print("  equivalent: fluid run matches the packet oracle")
     return 0
+
+
+def _count_at_least(minimum: int):
+    """An argparse ``type=``: an integer no smaller than ``minimum``, so
+    a bad count is a usage error (exit 2), not a traceback."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum} (got {value})"
+            )
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
                             " adversarial under forwarding accountability;"
                             " shard-failover roams a host across pods then"
                             " kills a controller shard")
-    chaos.add_argument("--shards", type=int, default=1,
+    chaos.add_argument("--shards", type=_count_at_least(1), default=1,
                        help="run the element-crash scenario on a sharded"
                             " control plane with this many shards")
     chaos.add_argument("--assert-rehomed", action="store_true",
@@ -684,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         "shards",
         help="boot a sharded control plane and print the fabric status",
     )
-    shards.add_argument("--shards", type=int, default=4,
+    shards.add_argument("--shards", type=_count_at_least(2), default=4,
                         help="number of controller shards")
     shards.add_argument("--topology", default="linear",
                         choices=["linear", "fattree"],

@@ -169,7 +169,7 @@ class LiveSecController(ControllerBase):
         self.accountability_enabled = accountability
         self.secret = secret
         # The shard fabric hook: a ShardMember when this controller is
-        # one shard of a ShardedDeployment, None standalone.  Steering
+        # one shard of a LiveSecNetwork's fabric, None standalone.  Steering
         # routes foreign-dpid rules and handoff deferrals through it;
         # the policy engine borrows federated waypoint candidates.
         self.shard = None
@@ -642,6 +642,12 @@ class LiveSecController(ControllerBase):
     def register_port_capacity(self, dpid: int, port: int, bps: float) -> None:
         """Tell the monitor a port's line rate so it can normalize load."""
         self._monitor.register_port_capacity(dpid, port, bps)
+
+    def adopt_host(self, mac, ip, dpid, port, is_element=False) -> None:
+        """Accept a host row this controller did not learn from the wire
+        (no announcement, no HOST_JOIN event -- it is not ours): a
+        shard's borrowed waypoints, and residents a harness plants."""
+        self.nib.store_host(mac, ip, dpid, port, self.sim.now, is_element)
 
     # ==================================================================
     # Introspection

@@ -270,15 +270,6 @@ class ShardMember:
         """Is a handoff for this host still in flight?"""
         return mac in self.pending_handoff
 
-    def adopt_host(self, mac, ip, dpid, port, is_element=False) -> None:
-        """Accept a remote host row into this shard's NIB (no
-        announcement, no HOST_JOIN event -- it is not ours): borrowed
-        waypoints, and residents a harness plants."""
-        controller = self.controller
-        controller.nib.store_host(
-            mac, ip, dpid, port, controller.sim.now, is_element
-        )
-
     # -- protocol endpoints (called by the coordinator) ----------------
 
     def hello(self, now: float) -> ShardHello:
@@ -406,8 +397,8 @@ class ShardCoordinator:
         self.log = EventLog(metrics=self.metrics)
         self.liveness_timeout_s = liveness_timeout_s
         self.members: List[ShardMember] = []
-        #: shard id -> member; ``ShardedDeployment.member_of`` reads it
-        #: with ``shard_map.assignments`` in one step.
+        #: shard id -> member; ``LiveSecNetwork.owner`` reads it with
+        #: ``shard_map.assignments`` in one step.
         self.member_by_id: Dict[int, ShardMember] = {}
         # Physical surface for re-homing, registered by the deployment.
         self.switches: Dict[int, object] = {}
@@ -608,7 +599,7 @@ class ShardCoordinator:
                 continue
             # The borrowing shard needs the element routable in its own
             # NIB before steering can compute a path through it.
-            member.adopt_host(
+            member.controller.adopt_host(
                 entry.mac, entry.ip, entry.dpid, entry.port, is_element=True
             )
             borrowed.append(entry)

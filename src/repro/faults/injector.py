@@ -1,9 +1,9 @@
 """The fault injector: arms a :class:`FaultPlan` against a live network.
 
 The injector resolves the plan's named targets (elements, switches,
-link endpoints) against a built :class:`LiveSecNetwork`, schedules
-every fault on the simulator clock, and measures the controller's
-recovery from the outside:
+link endpoints) against a built :class:`LiveSecNetwork` (one
+controller or a shard fabric), schedules every fault on the simulator
+clock, and measures the controllers' recovery from the outside:
 
 * ``faults.injected{kind}`` -- injections performed;
 * ``faults.affected_sessions`` -- sessions steered through an element

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.deployment import build_livesec_network, build_sharded_network
+from repro.core.deployment import build_livesec_network
 from repro.core.policy import PolicyTable
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -269,8 +269,6 @@ def run_chaos_scenario(
         raise ValueError(f"fail_mode must be open|closed (got {fail_mode})")
     if crash not in ("one", "all"):
         raise ValueError(f"crash must be one|all (got {crash})")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1 (got {shards})")
     num_as = max(3, shards)
     deployment = dict(
         topology="linear",
@@ -280,16 +278,11 @@ def run_chaos_scenario(
         element_timeout_s=1.5,
         dispatcher="polling",
     )
-    if shards > 1:
-        net = build_sharded_network(
-            num_shards=shards,
-            policies=lambda: chaos_policy_table(fail_mode),
-            **deployment,
-        )
-    else:
-        net = build_livesec_network(
-            policies=chaos_policy_table(fail_mode), **deployment
-        )
+    net = build_livesec_network(
+        num_shards=shards,
+        policies=lambda: chaos_policy_table(fail_mode),
+        **deployment,
+    )
     if plan is None:
         plan = FaultPlan(seed=seed)
         targets = (
@@ -440,7 +433,7 @@ def run_shard_failover_scenario(
     """
     if k < 2 or k % 2:
         raise ValueError(f"k must be even and >= 2 (got {k})")
-    net = build_sharded_network(
+    net = build_livesec_network(
         num_shards=k,
         topology="fattree",
         k=k,
@@ -494,25 +487,20 @@ def run_shard_failover_scenario(
     roamer_name = f"h{k * k // 2}_1"
     roamer = net.topology.host_by_name(roamer_name)
     net.sim.run(until=ROAM_AT_S)
-    old_owner = net.member_of(net.topology.attachments[roamer_name]
-                              .switch.dpid)
+    old_owner = net.owner(net.topology.attachments[roamer_name].switch.dpid)
     roam_session_ids = {
         session.session_id
-        for session in old_owner.controller.sessions.sessions_of_user(
-            roamer.mac
-        )
+        for session in old_owner.sessions.sessions_of_user(roamer.mac)
     }
     destination = next(s for s in net.topology.as_switches if s.dpid == 2)
     net.topology.move_host(roamer_name, destination)
     roamer.announce()
     net.sim.run(until=max(duration_s, SHARD_CRASH_AT_S + 4.0))
 
-    new_owner = net.member_of(2)
+    new_owner = net.owner(2)
     adopted_ids = {
         session.session_id
-        for session in new_owner.controller.sessions.sessions_of_user(
-            roamer.mac
-        )
+        for session in new_owner.sessions.sessions_of_user(roamer.mac)
         if not session.blocked
     }
     roam_survived = bool(roam_session_ids & adopted_ids)

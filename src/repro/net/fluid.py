@@ -341,8 +341,9 @@ def max_min_rates(
 class FluidRegion:
     """Flow-level fast-forward attached to a :class:`Simulator`.
 
-    Opt-in (``build_livesec_network(..., fluid=True)``); the region is
-    inert until the first :class:`TrafficFlow` registers.  A periodic
+    Opt-in (``build_livesec_network(..., fluid=True)``, at any
+    ``num_shards``); the region is inert until the first
+    :class:`TrafficFlow` registers.  A periodic
     governor then attempts suspension.  The run loop knows nothing of
     it: a suspended flow costs nothing per event, whoever reads a clock
     it drives asks its :class:`ClockShare`, and whatever reads a

@@ -278,7 +278,8 @@ def fit_building(
     10 OvS in two wiring closets, 20 OF Wi-Fi APs in meeting rooms,
     ~50 users, a redundant two-switch Gigabit core, and the building
     gateway.  Service elements (200 VMs, 20 per OvS) are attached by
-    :func:`repro.core.deployment.build_livesec_network`.
+    :func:`repro.core.deployment.build_livesec_network`, each certified
+    by whichever controller (or shard) owns its OvS.
     """
     topo = Topology(sim)
     core_a = topo.add_legacy_switch("core-a", bridge_id=1)

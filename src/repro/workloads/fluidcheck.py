@@ -8,15 +8,16 @@ the kernel promises to preserve:
 
 * per-flow delivered bytes and frames at the destination hosts,
 * per-flow sent packets/bytes and final running state,
-* the control-plane event-log digest (lifecycle events only --
-  ``SAMPLE_KINDS`` load samples lead/lag by in-flight packets).
+* every controller's control-plane event-log digest (lifecycle events
+  only -- ``SAMPLE_KINDS`` load samples lead/lag by in-flight packets),
+  on one controller or on each shard of a fabric.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.deployment import build_livesec_network
 from repro.core.events import SAMPLE_KINDS, EventKind
@@ -36,10 +37,9 @@ class MixResult:
 
     mode: str
     flows: List[Dict[str, object]] = field(default_factory=list)
-    control_digest: str = ""
-    lifecycle_digest: str = ""  # control digest minus flow-end stats
+    control_digests: Tuple[str, ...] = ()  # one per controller
+    lifecycle_digests: Tuple[str, ...] = ()  # minus flow-end stats
     flow_ends: List[tuple] = field(default_factory=list)
-    full_digest: str = ""
     events_processed: int = 0
     fluid_stats: Optional[dict] = None
 
@@ -65,6 +65,7 @@ def run_mix(
     max_rate_bps: float = 4e6,
     link_flap: bool = False,
     congestion: str = "refuse",
+    num_shards: int = 1,
 ) -> MixResult:
     """One seeded CBR mix, at packet fidelity or with fluid attached.
 
@@ -72,7 +73,8 @@ def run_mix(
     drawn from ``random.Random(seed)`` so a (seed, config) pair builds
     the identical wire workload in both modes.  ``link_flap`` downs a
     core-facing access link mid-run and restores it, exercising both
-    the drop path and the fault materialization hook.
+    the drop path and the fault materialization hook.  ``num_shards``
+    splits the control plane (it needs ``num_as >= num_shards``).
     """
     net = build_livesec_network(
         topology="linear",
@@ -80,6 +82,7 @@ def run_mix(
         hosts_per_as=hosts_per_as,
         fluid=fluid,
         fluid_config={"congestion": congestion},
+        num_shards=num_shards,
     )
     net.start()
     rng = random.Random(seed)
@@ -127,18 +130,19 @@ def run_mix(
             "delivered_bytes": flow.delivered_bytes(dst),
             "running": flow.running,
         })
-    log = net.controller.log
-    result.control_digest = log.control_digest()
-    result.lifecycle_digest = log.digest(
-        exclude_kinds=set(SAMPLE_KINDS) | {EventKind.FLOW_END}
+    logs = [controller.log for controller in net.controllers]
+    result.control_digests = tuple(log.control_digest() for log in logs)
+    result.lifecycle_digests = tuple(
+        log.digest(exclude_kinds=set(SAMPLE_KINDS) | {EventKind.FLOW_END})
+        for log in logs
     )
     result.flow_ends = [
         (event.time, event.data.get("session"), event.data.get("user_mac"),
          event.data.get("duration"), event.data.get("packets"),
          event.data.get("bytes"))
+        for log in logs
         for event in log.all() if event.kind == EventKind.FLOW_END
     ]
-    result.full_digest = log.digest()
     result.events_processed = net.sim.events_processed
     if net.fluid is not None:
         result.fluid_stats = net.fluid.stats()
@@ -161,7 +165,8 @@ def compare_modes(
     counters, so with a nonzero tolerance the digest comparison
     excludes FLOW_END events and instead diffs them field-by-field,
     exact on timing/session/duration and tolerant only on the
-    packet/byte stats.
+    packet/byte stats.  ``kwargs`` go to :func:`run_mix`; with
+    ``num_shards`` every shard's digests are compared.
     """
     packet = run_mix(seed, fluid=False, **kwargs)
     fluid = run_mix(seed, fluid=True, **kwargs)
@@ -175,10 +180,10 @@ def compare_modes(
             continue
         mismatches.append({"packet": row_p, "fluid": row_f})
     if delivered_tolerance_frames == 0:
-        digests_equal = packet.control_digest == fluid.control_digest
+        digests_equal = packet.control_digests == fluid.control_digests
     else:
         digests_equal = (
-            packet.lifecycle_digest == fluid.lifecycle_digest
+            packet.lifecycle_digests == fluid.lifecycle_digests
             and _flow_ends_match(
                 packet.flow_ends, fluid.flow_ends,
                 delivered_tolerance_frames,

@@ -406,9 +406,7 @@ class TestSteeringDrain:
 
 class TestShardLifecycle:
     def test_coordinator_status_shows_per_shard_apps(self):
-        from repro.core.deployment import build_sharded_network
-
-        net = build_sharded_network(
+        net = build_livesec_network(
             num_shards=2, topology="linear", num_as=3, hosts_per_as=1,
         )
         net.start()
@@ -556,14 +554,14 @@ class TestInstallsSurviveSteeringChurn:
         the gateway's switch and a host on the other shard -- so a flow
         from that host to the gateway needs its egress rules applied by
         the owner: 2 remote rule ops."""
-        from repro.core.deployment import build_sharded_network
-
-        net = build_sharded_network(
+        net = build_livesec_network(
             num_shards=2, topology="linear", num_as=4, hosts_per_as=1,
         )
         net.start()
         gateway = net.topology.gateway
-        owner = net.member_of(net.topology.attachments[gateway.name].switch.dpid)
+        owner = net.owner(
+            net.topology.attachments[gateway.name].switch.dpid
+        ).shard
         far_dpids = set(net.shard_map.dpids()) - set(
             net.shard_map.owned_by(owner.shard_id)
         )

@@ -32,6 +32,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv,message", [
+        (["chaos", "--shards", "0"], "must be at least 1 (got 0)"),
+        (["shards", "--shards", "1"], "must be at least 2 (got 1)"),
+        (["shards", "--shards", "0"], "must be at least 2 (got 0)"),
+        (["shards", "--shards", "two"], "invalid int value: 'two'"),
+    ])
+    def test_a_bad_shard_count_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --shards: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_stats_quick_prints_hot_path_histograms(self, capsys):

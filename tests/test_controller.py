@@ -309,7 +309,7 @@ class TestMonitoring:
         assert any(e.data["utilization"] > 0.01 for e in loads)
 
     def test_status_overview(self, small_net):
-        status = small_net.status()
+        status = small_net.controller.status()
         assert set(status.to_dict()) == {"nib", "registry", "sessions",
                                          "counters", "events"}
 

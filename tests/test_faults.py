@@ -10,7 +10,7 @@ runs replay event for event.
 
 import pytest
 
-from repro.core.deployment import build_livesec_network, build_sharded_network
+from repro.core.deployment import build_livesec_network
 from repro.core.events import EventKind
 from repro.core.routing import DROP_PRIORITY, bpdu_drop_rule
 from repro.faults import (
@@ -36,11 +36,7 @@ def build_net(fail_mode="open", num_elements=2, num_as=2, hosts_per_as=1,
         element_timeout_s=1.5,
         dispatcher="polling",
     )
-    if shards == 1:
-        return build_livesec_network(
-            policies=chaos_policy_table(fail_mode), **kwargs
-        )
-    return build_sharded_network(
+    return build_livesec_network(
         num_shards=shards, policies=lambda: chaos_policy_table(fail_mode),
         **kwargs
     )

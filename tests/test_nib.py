@@ -168,7 +168,7 @@ class TestHosts:
 
 def adopt_residents(nib, count, now=0.0):
     """``count`` residents the way a harness plants them on a shard
-    (``ShardMember.adopt_host``): one ``store_host`` each."""
+    (``LiveSecController.adopt_host``): one ``store_host`` each."""
     for index in range(count):
         nib.store_host(
             "02:fe:00:{:02x}:{:02x}:{:02x}".format(

@@ -443,7 +443,7 @@ class TestHotReload:
         version_before = controller.policies.version
         gateway_rx_before = net.gateway.rx_bytes
 
-        commit = net.reload_policies({
+        commit = net.controller.reload_policies({
             "schema_version": 2,
             "default_action": "allow",
             "intents": [
@@ -479,7 +479,7 @@ class TestHotReload:
         gateway_rx_before = net.gateway.rx_bytes
 
         with pytest.raises(PolicyConflictError) as exc:
-            net.reload_policies({
+            net.controller.reload_policies({
                 "schema_version": 2,
                 "intents": [
                     {"name": "allow-web", "action": "allow",
@@ -505,7 +505,7 @@ class TestHotReload:
     def test_reload_rejects_unknown_service_chain(self):
         net = self.build_net()
         with pytest.raises(PolicyConflictError) as exc:
-            net.reload_policies({
+            net.controller.reload_policies({
                 "schema_version": 2,
                 "intents": [
                     {"name": "inspect", "action": "chain",
@@ -529,7 +529,7 @@ class TestHotReload:
         with pytest.raises(PolicyFormatError):
             net.controller.check_policies(document)
         with pytest.raises(PolicyFormatError):
-            net.reload_policies(document)
+            net.controller.reload_policies(document)
         assert net.controller.policies.version == version_before
 
     def test_deployment_builds_from_policy_file(self, tmp_path):

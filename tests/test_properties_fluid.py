@@ -19,6 +19,9 @@ and a fourth family puts a crowd on the wires:
   frames keep meeting analytic ones still serializing -- the clock
   readers' pull, exercised at the deployment level.
 
+The small and fault tiers run again on 2- and 4-shard control planes
+(40 and 16 seeds each, four switches), comparing every shard's digest.
+
 Plus targeted scenarios: a shared bottleneck that must *refuse*
 fast-forward, and sanity checks that the kernel actually engages and
 the crowd really reads clocks in flight (a suite that silently never
@@ -81,6 +84,24 @@ def test_link_flap_mix_matches_oracle(seed):
     assert_equivalent(
         compare_modes(seed, delivered_tolerance_frames=2, **FLAP)
     )
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("seed", range(40))
+def test_small_mix_matches_oracle_on_shards(seed, shards):
+    """Every shard's control digest matches the oracle's."""
+    result = compare_modes(seed, num_as=4, num_shards=shards, **SMALL)
+    assert len(result["fluid"].control_digests) == shards
+    assert_equivalent(result)
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("seed", range(300, 316))
+def test_link_flap_mix_matches_oracle_on_shards(seed, shards):
+    assert_equivalent(compare_modes(
+        seed, delivered_tolerance_frames=2, num_as=4, num_shards=shards,
+        **FLAP,
+    ))
 
 
 @pytest.mark.parametrize("seed", range(400, 416))

@@ -12,7 +12,7 @@ the reply direction crosses the fabric too.
 
 import random
 
-from repro.core.deployment import build_livesec_network, build_sharded_network
+from repro.core.deployment import build_livesec_network
 from repro.core.events import EventKind
 from repro.core.policy import (
     FailMode,
@@ -170,7 +170,7 @@ def test_sharded_outcomes_match_single_controller_oracle():
     expected, expected_bytes, expected_blocks, expected_created = run_cases(
         oracle, cases
     )
-    sharded = build_sharded_network(
+    sharded = build_livesec_network(
         num_shards=NUM_SHARDS, policies=oracle_policies, **shape
     )
     actual, actual_bytes, actual_blocks, actual_created = run_cases(

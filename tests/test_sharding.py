@@ -6,7 +6,7 @@ combined determinism digest.
 
 import pytest
 
-from repro.core.deployment import build_livesec_network, build_sharded_network
+from repro.core.deployment import build_livesec_network
 from repro.core.events import EventKind
 from repro.core.nib import NetworkInformationBase
 from repro.core.policy import FlowSelector, Policy, PolicyAction, PolicyTable
@@ -42,7 +42,8 @@ def ids_policies():
 
 def two_shard_net(**kwargs):
     """2 shards over a 4-switch linear fabric: shard 0 owns dpids
-    {1, 2}, shard 1 owns {3, 4} (and the gateway, on ovs4)."""
+    {1, 2}, shard 1 owns {3, 4} (and the gateway, on ovs4).  The same
+    fabric takes any ``num_shards`` up to 4, one controller included."""
     defaults = dict(
         num_shards=2,
         topology="linear",
@@ -53,22 +54,7 @@ def two_shard_net(**kwargs):
         dispatcher="polling",
     )
     defaults.update(kwargs)
-    return build_sharded_network(**defaults)
-
-
-def net_of_shape(shards, **kwargs):
-    """The 4-switch fabric of :func:`two_shard_net` on one controller
-    or split over ``shards`` shards."""
-    if shards > 1:
-        return two_shard_net(num_shards=shards, **kwargs)
-    shape = dict(
-        topology="linear", policies=ids_policies, elements=[("ids", 2)],
-        num_as=4, hosts_per_as=1, dispatcher="polling",
-    )
-    shape.update(kwargs)
-    if shape["policies"] is not None:
-        shape["policies"] = shape["policies"]()  # one table, not a factory
-    return build_livesec_network(**shape)
+    return build_livesec_network(**defaults)
 
 
 class TestShardMap:
@@ -111,8 +97,8 @@ class TestShardedDeployment:
         net = two_shard_net()
         net.start()
         net.run(1.5)
-        assert net.member_of(1).shard_id == 0
-        assert net.member_of(4).shard_id == 1
+        assert net.owner(1).shard.shard_id == 0
+        assert net.owner(4).shard.shard_id == 1
         status = net.coordinator.status()
         assert status["num_shards"] == 2
         assert status["down"] == []
@@ -136,8 +122,7 @@ class TestShardedDeployment:
         CbrUdpFlow(net.sim, src, GATEWAY_IP, rate_bps=1e6,
                    duration_s=1.0).start()
         net.run(2.0)
-        owner = net.member_of(1)
-        sessions = owner.controller.sessions.sessions_of_user(src.mac)
+        sessions = net.owner(1).sessions.sessions_of_user(src.mac)
         assert sessions and not any(s.blocked for s in sessions)
         counters = net.metrics.snapshot().counters()
         assert counters["sharding.remote_rule_ops"] > 0
@@ -146,7 +131,7 @@ class TestShardedDeployment:
     def test_federated_directory_spans_shards(self):
         # All ids elements on shard 0's switches: shard 1 must still
         # be able to steer through them via the federation.
-        net = build_sharded_network(
+        net = build_livesec_network(
             num_shards=2, topology="linear", policies=ids_policies,
             elements=[], num_as=4, hosts_per_as=1, dispatcher="polling",
         )
@@ -157,9 +142,7 @@ class TestShardedDeployment:
                    duration_s=1.0).start()
         net.run(2.0)
         assert net.coordinator.status()["federated_elements"] == 1
-        sessions = net.member_of(3).controller.sessions.sessions_of_user(
-            src.mac
-        )
+        sessions = net.owner(3).sessions.sessions_of_user(src.mac)
         assert sessions and not any(s.blocked for s in sessions)
         # The waypoint lives on shard 0, so its rule went remote.
         counters = net.metrics.snapshot().counters()
@@ -173,7 +156,7 @@ class TestHelloByVersion:
     @staticmethod
     def plant(member, index, dpid):
         mac = f"02:fe:00:00:{index >> 8:02x}:{index & 0xFF:02x}"
-        member.adopt_host(
+        member.controller.adopt_host(
             mac, f"172.16.{index >> 8}.{index & 0xFF}", dpid, 2000 + index,
         )
         return member.controller.nib.host_by_mac(mac)
@@ -310,7 +293,7 @@ class TestEastWest:
     def test_tcp_to_the_gateway_completes_from_any_shard(self, shards):
         """The reply direction needs the *gateway's* shard to resolve
         the client (the parent: 5 unanswered ARP floods, 0 bytes)."""
-        net = net_of_shape(shards, policies=None, elements=[])
+        net = two_shard_net(num_shards=shards, policies=None, elements=[])
         net.start()
         server = TcpServer(net.gateway, port=8080)
         transfer = TcpTransfer(net.host("h1_1"), GATEWAY_IP, port=8080,
@@ -327,8 +310,8 @@ class TestEastWest:
         """h1_1 (dpid 1) -> h4_1 (dpid 4): one session, in the book of
         the *source's* shard, its far-end entries applied by the
         receiver's shard -- and inspected like on one controller."""
-        net = net_of_shape(
-            shards, policies=chain_by_port if chained else None,
+        net = two_shard_net(
+            num_shards=shards, policies=chain_by_port if chained else None,
             elements=[("ids", 1)] if chained else [],
         )
         net.start()
@@ -352,7 +335,7 @@ class TestEastWest:
             # Read, never copied: no NIB holds another shard's host.
             for member in net.members:
                 assert all(
-                    net.member_of(row.dpid) is member
+                    net.owner(row.dpid) is member.controller
                     for row in member.controller.nib.user_hosts()
                 )
 
@@ -374,12 +357,9 @@ class TestEastWest:
         for shards in (1, 4):
             common = dict(topology="fattree", k=4, hosts_per_edge=1,
                           access_bandwidth_bps=1e9)
-            if shards == 1:
-                net = build_livesec_network(policies=policies(), **common)
-            else:
-                net = build_sharded_network(
-                    num_shards=shards, policies=policies, **common
-                )
+            net = build_livesec_network(
+                num_shards=shards, policies=policies, **common
+            )
             net.add_element("ids", net.topology.as_switches[0])
             net.add_element("ids", net.topology.as_switches[5])
             net.start()
@@ -463,10 +443,10 @@ class TestRoamHandoff:
         CbrUdpFlow(net.sim, roamer, GATEWAY_IP, rate_bps=1e6,
                    duration_s=6.0).start()
         net.run(1.5)
-        old_owner = net.member_of(1)
+        old_owner = net.owner(1)
         before = {
             s.session_id
-            for s in old_owner.controller.sessions.sessions_of_user(
+            for s in old_owner.sessions.sessions_of_user(
                 roamer.mac
             )
             if not s.blocked
@@ -476,18 +456,18 @@ class TestRoamHandoff:
         net.topology.move_host("h1_1", net.topology.as_switches[2])
         roamer.announce()
         net.run(2.5)
-        new_owner = net.member_of(3)
-        assert new_owner.shard_id != old_owner.shard_id
+        new_owner = net.owner(3)
+        assert new_owner.shard.shard_id != old_owner.shard.shard_id
         after = {
             s.session_id
-            for s in new_owner.controller.sessions.sessions_of_user(
+            for s in new_owner.sessions.sessions_of_user(
                 roamer.mac
             )
             if not s.blocked
         }
         # The handoff carried the session records: same ids, new home.
         assert before & after
-        assert not new_owner.pending_handoff
+        assert not new_owner.shard.pending_handoff
         counters = net.metrics.snapshot().counters()
         assert counters["sharding.handoff_sessions"] >= len(before & after)
 
@@ -509,7 +489,7 @@ class TestShardCrashRehome:
         # The map tracked the moves: every ex-shard-1 dpid now answers
         # to shard 0, over a fresh secure channel.
         for dpid in (3, 4):
-            assert net.member_of(dpid).shard_id == 0
+            assert net.owner(dpid).shard.shard_id == 0
             assert net.channels[dpid].controller is net.controllers[0]
         snapshot = net.metrics.snapshot()
         ttd = snapshot.get("recovery.shard_time_to_detect_s")
@@ -578,7 +558,7 @@ class TestDeterminismDigest:
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_every_shape_answers_digest_and_lines(self, shards):
-        net = net_of_shape(shards)
+        net = two_shard_net(num_shards=shards)
         net.start()
         CbrUdpFlow(net.sim, net.topology.host_by_name("h1_1"),
                    GATEWAY_IP, rate_bps=1e6, duration_s=1.0).start()
@@ -605,7 +585,7 @@ class TestDeterminismDigest:
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_every_shape_merges_every_registry(self, shards):
-        net = net_of_shape(shards)
+        net = two_shard_net(num_shards=shards)
         net.start()
         for name in ("h1_1", "h3_1"):
             CbrUdpFlow(net.sim, net.topology.host_by_name(name),

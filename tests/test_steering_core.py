@@ -20,10 +20,7 @@ import pytest
 
 from repro.core.apps.policy_engine import PolicyDecision
 from repro.core.bus import SwitchQuarantined
-from repro.core.deployment import (
-    build_livesec_network,
-    build_sharded_network,
-)
+from repro.core.deployment import build_livesec_network
 from repro.core.events import EventKind
 from repro.core.policy import (
     FailMode,
@@ -63,16 +60,10 @@ def build(shards, fail_mode="open", num_elements=2, accountability=False,
         elements=[("ids", num_elements)], element_timeout_s=1.5,
         dispatcher="polling", idle_timeout_s=idle_timeout_s,
     )
-    if shards == 1:
-        net = build_livesec_network(
-            policies=chaos_policy_table(fail_mode),
-            accountability=accountability, **common,
-        )
-    else:
-        net = build_sharded_network(
-            num_shards=shards,
-            policies=lambda: chaos_policy_table(fail_mode), **common,
-        )
+    net = build_livesec_network(
+        num_shards=shards, policies=lambda: chaos_policy_table(fail_mode),
+        accountability=accountability, **common,
+    )
     net.start()
     return net
 
@@ -349,20 +340,14 @@ def cross_shard_adopt(net):
     roamer = net.host("h1_1")
     before = {
         s.session_id
-        for s in net.member_of(1).controller.sessions.sessions_of_user(
-            roamer.mac
-        )
+        for s in net.owner(1).sessions.sessions_of_user(roamer.mac)
     }
     assert before
     net.topology.move_host("h1_1", net.topology.as_switches[2])
     roamer.announce()
     net.run(0.5)
-    assert not net.member_of(1).controller.sessions.sessions_of_user(
-        roamer.mac
-    )
-    adopted = net.member_of(3).controller.sessions.sessions_of_user(
-        roamer.mac
-    )
+    assert not net.owner(1).sessions.sessions_of_user(roamer.mac)
+    adopted = net.owner(3).sessions.sessions_of_user(roamer.mac)
     assert before <= {s.session_id for s in adopted}
 
 
@@ -370,7 +355,7 @@ def remote_setup_past_a_stopped_steering_app(net):
     """A new session on shard 0 toward the gateway while the steering
     app of the gateway's owner shard is stopped: the owner's controller
     applies the remote rules, no app of its in the path."""
-    net.member_of(4).controller.stop_app("steering")
+    net.owner(4).stop_app("steering")
     before = len(live_sessions(net))
     CbrUdpFlow(net.sim, net.host("h1_1"), GATEWAY_IP,
                rate_bps=1e6, duration_s=20.0).start()
@@ -603,7 +588,7 @@ def test_an_attack_seen_by_a_borrowed_ids_is_blocked():
     assert drops_for(net, net.host(ATTACKER).mac) == [
         (at.switch.dpid, at.switch_port)
     ]
-    home = net.member_of(at.switch.dpid).controller
+    home = net.owner(at.switch.dpid)
     assert [b.src_mac for b in home.sessions.blocks()
             if b.flow is not None] == [net.host(ATTACKER).mac]
     assert len(logged(net, EventKind.ATTACK_DETECTED)) == 1
