@@ -83,7 +83,10 @@ class Host(Node):
         entry = self.arp_table.get(dst_ip)
         if entry is not None and self.sim.now - entry[1] <= self.arp_timeout_s:
             frame.dst = entry[0]
-            self.send(frame, HOST_PORT)
+            # Node.send, read in place: once per resolved frame.
+            transmit = self.egress.get(HOST_PORT)
+            if transmit is not None:
+                transmit(frame)
             return
         already_pending = bool(self._arp_pending[dst_ip])
         self._arp_pending[dst_ip].append(frame)

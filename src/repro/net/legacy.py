@@ -175,7 +175,8 @@ class LegacySwitch(Node):
         return "designated" if ours.key() < received[0].key() else "blocked"
 
     def port_is_forwarding(self, port_number: int) -> bool:
-        """Whether STP allows data frames on the port."""
+        """Whether STP allows data frames on the port (:meth:`receive`
+        asks ``_port_role`` in place: twice per frame)."""
         return self._port_role(port_number) != "blocked"
 
     def spanning_tree_state(self) -> dict:
@@ -199,7 +200,7 @@ class LegacySwitch(Node):
             if self.stp_enabled and isinstance(frame.payload, Bpdu):
                 self._handle_bpdu(frame.payload, in_port)
             return
-        if not self.port_is_forwarding(in_port):
+        if self._port_role(in_port) == "blocked":
             return
         if frame.ethertype == pkt.ETH_TYPE_LLDP and not self.flood_lldp:
             return
@@ -212,7 +213,8 @@ class LegacySwitch(Node):
             or self._refreshed_by_fluid(frame.dst)
         ):
             out_port, _ = entry
-            if out_port != in_port and self.port_is_forwarding(out_port):
+            if out_port != in_port and \
+                    self._port_role(out_port) != "blocked":
                 self.send(frame, out_port)
             return
         self._flood_forwarding(frame, in_port)

@@ -22,6 +22,7 @@ serialization-completion times, pruned lazily against ``now``.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Deque, TYPE_CHECKING
 
 from repro.net.packet import Ethernet
@@ -107,9 +108,11 @@ class Link:
         delay_s: float,
         queue_packets: int,
     ):
-        if bandwidth_bps <= 0:
+        # ``not >`` / ``not >=`` so a NaN is rejected too: transmit
+        # pushes its delivery unchecked (a NaN key breaks the heap).
+        if not bandwidth_bps > 0:
             raise ValueError(f"bandwidth must be positive (got {bandwidth_bps})")
-        if delay_s < 0:
+        if not delay_s >= 0:
             raise ValueError(f"delay must be non-negative (got {delay_s})")
         self.sim = sim
         self.end_a = end_a
@@ -168,15 +171,18 @@ class Link:
         direction.busy_time += tx_time
         direction.tx_packets += 1
         direction.tx_bytes += size
-        sim.post_at(
-            done + self.delay_s, self._deliver, frame, direction.to_port
-        )
+        # Simulator.post_at, inlined: ``done >= now`` and the delay was
+        # checked non-negative at construction, so there is no past to
+        # reject.
+        heappush(sim._queue, (done + self.delay_s, next(sim._seq),
+                              self._deliver, (frame, direction.to_port)))
         return True
 
     def _deliver(self, frame: Ethernet, to_port: "Port") -> None:
         # The queue slot was released when serialization finished (see
         # _Direction.occupancy); delivery only hands the frame over.
-        if not self.up or not to_port.enabled:
+        # Port.enabled's field, read in place: once per delivery.
+        if not self.up or not to_port._enabled:
             return
         to_port.rx_packets += 1
         to_port.rx_bytes += frame.size

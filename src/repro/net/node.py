@@ -6,11 +6,17 @@ Wi-Fi AP, service element -- is a :class:`Node` with numbered
 ports; sending out a port hands the frame to the link, which models
 serialization and propagation before delivering it to the peer node's
 :meth:`Node.receive`.
+
+Whether a port can send -- attached and enabled -- is decided when its
+wiring changes, not per frame: :meth:`Port._update_egress` keeps the
+node's ``egress`` table (port number -> the link's transmit bound to
+that port) current, and every sender reads it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, TYPE_CHECKING
+from functools import partial
+from typing import Callable, Dict, Iterable, Optional, TYPE_CHECKING
 
 from repro.net.packet import Ethernet
 
@@ -20,21 +26,58 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Port:
-    """One attachment point of a node.  At most one link per port."""
+    """One attachment point of a node.  At most one link per port.
+
+    ``link`` and ``enabled`` are properties: writing either updates the
+    node's ``egress`` entry for the port.
+    """
 
     def __init__(self, node: "Node", number: int):
         self.node = node
         self.number = number
-        # Both set by the Link constructor: the attached link, and its
-        # transmit state for frames leaving this port.
-        self.link: Optional["Link"] = None
+        # Set through ``link`` by the Link constructor, with
+        # ``direction``: its transmit state for frames leaving this
+        # port, which outlives an unplug (it holds the tx counters).
+        self._link: Optional["Link"] = None
         self.direction = None
+        # Through the property, like every later write: the egress
+        # decision is made in one place from the port's first state on.
         self.enabled = True
         # Counters maintained by the link layer.  What left the port is
         # counted once, on its direction (tx_packets / tx_bytes below).
         self.rx_packets = 0
         self.rx_bytes = 0
         self.tx_drops = 0
+
+    @property
+    def link(self) -> Optional["Link"]:
+        """The attached link; ``None`` once unplugged."""
+        return self._link
+
+    @link.setter
+    def link(self, link: Optional["Link"]) -> None:
+        self._link = link
+        self._update_egress()
+
+    @property
+    def enabled(self) -> bool:
+        """Whether the port sends and accepts frames."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, enabled: bool) -> None:
+        self._enabled = enabled
+        self._update_egress()
+
+    def _update_egress(self) -> None:
+        """The one place the port's send decision is made: the node's
+        ``egress`` maps the port to its link's transmit while the port
+        is attached and enabled, and does not hold it otherwise."""
+        egress = self.node.egress
+        if self._link is not None and self._enabled:
+            egress[self.number] = partial(self._link.transmit, self)
+        else:
+            egress.pop(self.number, None)
 
     @property
     def tx_packets(self) -> int:
@@ -50,11 +93,12 @@ class Port:
 
     @property
     def is_attached(self) -> bool:
-        return self.link is not None
+        return self._link is not None
 
     def peer(self) -> Optional["Port"]:
-        """The port at the far end of the attached link, if any."""
-        if self.direction is None:
+        """The port at the far end of the attached link, if any: an
+        unplugged port has none, though it keeps its direction."""
+        if self._link is None:
             return None
         return self.direction.to_port
 
@@ -69,6 +113,10 @@ class Node:
         self.sim = sim
         self.name = name
         self.ports: Dict[int, Port] = {}
+        #: Port number -> ``transmit(frame)`` for each port that can
+        #: send (written by :meth:`Port._update_egress` only).  What the
+        #: datapaths emit through instead of :meth:`send`.
+        self.egress: Dict[int, Callable[[Ethernet], bool]] = {}
 
     def port(self, number: int) -> Port:
         """The port with the given number, creating it on first use."""
@@ -91,12 +139,16 @@ class Node:
         """Transmit ``frame`` from ``out_port``.
 
         Returns False when the port has no link or is disabled (the
-        frame is silently discarded, as real hardware would).
+        frame is silently discarded, as real hardware would); a frame
+        the link then drops still counts as sent.  The public egress
+        and the override point (``EcmpLegacySwitch.send``); the OF
+        action stage and a host's resolved send read ``egress`` in
+        place.
         """
-        port = self.ports.get(out_port)
-        if port is None or port.link is None or not port.enabled:
+        transmit = self.egress.get(out_port)
+        if transmit is None:
             return False
-        port.link.transmit(port, frame)
+        transmit(frame)
         return True
 
     def flood(self, frame: Ethernet, in_port: Optional[int] = None) -> int:

@@ -14,8 +14,12 @@ unique, so the comparison is always decided before it reaches the third
 field.  There are two entry shapes on the one heap:
 
 * ``(time, seq, callback, args)`` -- fire-and-forget, pushed by
-  :meth:`Simulator.post` / :meth:`Simulator.post_at`.  Nothing can
-  cancel it, so nothing but the tuple is allocated.
+  :meth:`Simulator.post` / :meth:`Simulator.post_at`, and by the two
+  link transmits (``Link.transmit``, ``WirelessLink.transmit``), which
+  push their delivery themselves: one per hop, and its time (the end of
+  serialization plus a non-negative propagation delay) cannot lie
+  before ``now``.  Nothing can cancel it, so nothing but the tuple is
+  allocated.
 * ``(time, seq, handle, None)`` -- cancellable, pushed by
   :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` (and so by
   :meth:`Simulator.every`); ``args is None`` is what marks it.
@@ -23,6 +27,11 @@ field.  There are two entry shapes on the one heap:
 The rule for callers: want to cancel -> ``schedule``, otherwise ->
 ``post``.  Both kinds draw ``seq`` from the same counter, so which one
 a call site uses never changes the order events fire in.
+
+The clock, ``Simulator.now``, has two writers: :meth:`Simulator.run`,
+which only moves it forwards, and ``OpenFlowSwitch._forward``, which
+sets it to the departure instant for one switch's action stage and
+puts it back.
 """
 
 from __future__ import annotations
@@ -91,12 +100,14 @@ class Simulator:
         self._queue: List[Tuple[float, int, Any, Optional[tuple]]] = []
         self._seq = itertools.count()
         #: Current simulated time in seconds.  A plain attribute (every
-        #: hop reads it several times); only :meth:`run` writes it, and
-        #: only ever forwards -- besides :meth:`run_ahead`, which reads
-        #: one callback a later instant and puts it back.
+        #: hop reads it several times); :meth:`run` writes it, and only
+        #: ever forwards -- besides ``OpenFlowSwitch._forward``, which
+        #: reads its action stage a later instant and puts it back.
         self.now = 0.0
         self._running = False
         self._cancelled_queued = 0
+        #: Events fired since construction; stored when :meth:`run`
+        #: returns (the loop counts in a local).
         self.events_processed = 0
         self.heap_compactions = 0
         # Attached fluid fast-forward region (see repro.net.fluid); the
@@ -136,8 +147,8 @@ class Simulator:
         heappush(self._queue, (time, seq, handle, None))
         return handle
 
-    # The four queueing methods repeat the check and the push: one event
-    # per hop goes through each, and a shared helper would cost a call.
+    # The four queueing methods repeat the check and the push: a shared
+    # helper would cost a call on every one of them.
 
     def post(self, delay: float, callback: Callable, *args: Any) -> None:
         """:meth:`schedule` without the handle: ``callback(*args)`` runs
@@ -155,28 +166,6 @@ class Simulator:
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
         heappush(self._queue, (time, next(self._seq), callback, args))
-
-    def run_ahead(self, delay: float, callback: Callable, *args: Any) -> None:
-        """:meth:`post` for a callback whose inputs no event inside the
-        gap can change: ``callback(*args)`` runs at once with ``now``
-        reading ``now + delay`` -- the same float the posted event would
-        have fired at -- and ``now`` is restored when it returns.
-
-        It costs no event (``events_processed`` does not move), and it
-        is the only writer of ``now`` besides :meth:`run`.  What the
-        callback posts or schedules lands where the posted callback's
-        would have; only a change made by an event *inside* the gap is
-        seen by it before it happened, which is the caller's argument
-        to make (``OpenFlowSwitch._forward``).
-        """
-        if not delay >= 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        now = self.now
-        self.now = now + delay
-        try:
-            callback(*args)
-        finally:
-            self.now = now
 
     def attach_fluid(self, region) -> None:
         """Attach a fluid fast-forward region (one per simulator).
@@ -268,7 +257,9 @@ class Simulator:
 
         An attached fluid region costs the loop nothing per event; it
         is settled before returning, so whatever runs outside the loop
-        reads what the packets so far would have written.
+        reads what the packets so far would have written.  Likewise
+        ``events_processed`` is stored on the way out: a callback
+        inside the loop reads the count as of this call's start.
         """
         if self._running:
             # The loop below holds the heap and its own counters in
@@ -311,11 +302,11 @@ class Simulator:
                 else:
                     head[2](*args)
                 processed += 1
-                self.events_processed = processed
             else:
                 if bounded and until > self.now:
                     self.now = until
         finally:
+            self.events_processed = processed
             self._running = False
             self.settle_fluid()
 

@@ -9,6 +9,7 @@ from any station serializes through one :class:`AirMedium`.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING
 
 from repro.net.links import Link
@@ -26,7 +27,7 @@ class AirMedium:
     """The shared radio: one transmitter at a time, fixed capacity."""
 
     def __init__(self, bandwidth_bps: float = PANTOU_AIR_BPS):
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:  # a NaN too, as Link's
             raise ValueError(f"bandwidth must be positive (got {bandwidth_bps})")
         self.bandwidth_bps = bandwidth_bps
         self.next_free = 0.0
@@ -68,7 +69,8 @@ class WirelessLink(Link):
             from_port.tx_drops += 1
             return False
         direction = from_port.direction
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         # Same drop-tail semantics as the wired link: a buffer slot is
         # held until the frame's airtime completes, not until it has
         # also crossed the propagation delay.
@@ -83,9 +85,9 @@ class WirelessLink(Link):
         direction.busy_time += size * 8.0 / self.medium.bandwidth_bps
         direction.tx_packets += 1
         direction.tx_bytes += size
-        self.sim.post_at(
-            done + self.delay_s, self._deliver, frame, direction.to_port
-        )
+        # The delivery is pushed as in Link.transmit: never in the past.
+        heappush(sim._queue, (done + self.delay_s, next(sim._seq),
+                              self._deliver, (frame, direction.to_port)))
         return True
 
     def fluid_plan(self, from_port, arrival_offset_s: float):

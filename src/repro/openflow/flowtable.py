@@ -32,7 +32,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.net.packet import Ethernet
+from repro.net.packet import (
+    ETH_TYPE_IP,
+    IP_PROTO_TCP,
+    IP_PROTO_UDP,
+    Ethernet,
+    IPv4,
+    Tcp,
+    Udp,
+)
 from repro.openflow.actions import Action, ActionPlan, compile_actions
 from repro.openflow.match import Match, frame_index_key
 
@@ -392,7 +400,22 @@ class FlowTable:
         if heap and heap[0][0] <= now:
             self._evict_due(now)
         best: Optional[FlowEntry] = None
-        bucket = self._exact.get(frame_index_key(frame, in_port))
+        # frame_index_key, inlined: once per frame at every OF hop.
+        ip = frame.payload
+        if frame.ethertype != ETH_TYPE_IP or not isinstance(ip, IPv4):
+            key = (in_port, frame.src, frame.dst, frame.ethertype,
+                   None, None, None, None, None)
+        else:
+            proto = ip.proto
+            segment = ip.payload
+            if (proto == IP_PROTO_TCP or proto == IP_PROTO_UDP) and \
+                    isinstance(segment, (Tcp, Udp)):
+                key = (in_port, frame.src, frame.dst, ETH_TYPE_IP,
+                       ip.src, ip.dst, proto, segment.sport, segment.dport)
+            else:
+                key = (in_port, frame.src, frame.dst, ETH_TYPE_IP,
+                       ip.src, ip.dst, proto, None, None)
+        bucket = self._exact.get(key)
         if bucket:
             # An entry under the frame's key agrees with it on every
             # keyed field; dl_vlan is the one match field an indexable

@@ -13,9 +13,12 @@ The datapath charges a small per-frame ``forwarding_delay_s``
 measurably slower than pure legacy switching -- the +10 % latency
 result of Section V.B.3.  The delay is not an event of its own: the
 action stage runs on arrival with the clock reading the departure
-instant (:meth:`OpenFlowSwitch._forward`, ``Simulator.run_ahead``), so
-a switch hop costs one event, the link delivery.  A Wi-Fi AP, whose
-radio stations share, posts it instead (``WifiAccessPoint._forward``).
+instant (:meth:`OpenFlowSwitch._forward` sets ``sim.now`` ahead and
+restores it -- the one writer of the clock besides ``Simulator.run``),
+so a switch hop costs one event, the link delivery, which the port's
+transmit (the node's ``egress`` entry) pushes onto the queue.  A Wi-Fi
+AP, whose radio stations share, posts the stage instead
+(``WifiAccessPoint._forward``).
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ class OpenFlowSwitch(Node):
         dpid: int,
         forwarding_delay_s: float = DEFAULT_FORWARDING_DELAY_S,
     ):
+        # ``not >=`` so a NaN is rejected too: _forward moves the clock
+        # by it unchecked.
+        if not forwarding_delay_s >= 0:
+            raise ValueError(
+                f"forwarding delay must be non-negative"
+                f" (got {forwarding_delay_s})"
+            )
         super().__init__(sim, name)
         self.dpid = dpid
         self.table = FlowTable()
@@ -184,10 +194,14 @@ class OpenFlowSwitch(Node):
         the one way a frame leaves the action stage (lookup hit,
         PacketOut, buffered-frame release on a FlowMod).
 
-        ``run_ahead``, not an event: every reader in the action stage --
-        ``transmit``'s queue prune, ``next_free`` and fluid share, the
-        channel posts for path proofs and punts -- sees the departure
-        instant it would see ``forwarding_delay_s`` from now.  That is
+        Not an event: the stage runs at once with ``sim.now`` reading
+        the departure instant -- the very float a posted stage would
+        fire at -- and the clock is restored when it returns or raises.
+        Every reader in the action stage -- ``transmit``'s queue prune,
+        ``next_free`` and fluid share, the channel posts for path proofs
+        and punts -- sees the instant it would see
+        ``forwarding_delay_s`` from now, and what it posts lands where a
+        posted stage's would.  That is
         exact because the plan is already fixed and a wired egress
         direction is fed only by this switch, through here, after one
         constant delay, so frames leave in arrival order at the same
@@ -197,9 +211,13 @@ class OpenFlowSwitch(Node):
         (a port-stats poll, a ``run(until=)`` boundary) finds the frame
         already sent.  DESIGN 3.2 has the argument.
         """
-        self.sim.run_ahead(
-            self.forwarding_delay_s, self._apply_actions, frame, in_port, plan
-        )
+        sim = self.sim
+        now = sim.now
+        sim.now = now + self.forwarding_delay_s
+        try:
+            self._apply_actions(frame, in_port, plan)
+        finally:
+            sim.now = now
 
     def _skip_waypoint_plan(
         self, frame: Ethernet, entry: FlowEntry
@@ -232,6 +250,7 @@ class OpenFlowSwitch(Node):
         self, frame: Ethernet, in_port: int, plan: ActionPlan
     ) -> None:
         compromised = self.compromised
+        egress = self.egress
         if compromised == "tag-strip" and frame.path_tag is not None:
             frame.path_tag = None
             self.tags_stripped += 1
@@ -277,7 +296,10 @@ class OpenFlowSwitch(Node):
                 ):
                     out_port = self.compromised_port
                     self.frames_misrouted += 1
-                if self.send(emit, out_port):
+                # Node.send, read in place: once per emission.
+                transmit = egress.get(out_port)
+                if transmit is not None:
+                    transmit(emit)
                     outputs += 1
             elif kind == EMIT_FLOOD:
                 outputs += self.flood(emit, in_port)

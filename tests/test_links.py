@@ -177,6 +177,49 @@ class TestCountersAndFaults:
         with pytest.raises(ValueError):
             connect(sim, a, b, delay_s=-1.0)
 
+    def test_nan_link_parameters_rejected(self, sim):
+        """The transmit pushes its delivery unchecked: a NaN delay or
+        bandwidth would be a NaN heap key."""
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        for bad in ({"bandwidth_bps": float("nan")},
+                    {"delay_s": float("nan")}):
+            with pytest.raises(ValueError):
+                connect(sim, a, b, **bad)
+        with pytest.raises(ValueError):
+            AirMedium(float("nan"))
+
+
+class TestEgress:
+    """A node's ``egress`` holds exactly the ports that can send:
+    attached and enabled, re-decided on every write of either."""
+
+    def test_a_disabled_port_sends_nothing_until_re_enabled(self, sim):
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        connect(sim, a, b)
+        port = a.port(1)
+        assert set(a.egress) == {1}
+        port.enabled = False
+        assert a.egress == {} and a.send(frame_of_size(100), 1) is False
+        port.enabled = True
+        assert a.send(frame_of_size(100), 1) is True
+        sim.run()
+        assert len(b.received) == 1 and port.tx_packets == 1
+
+    def test_a_disabled_port_accepts_nothing(self, sim):
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        connect(sim, a, b)
+        a.send(frame_of_size(100), 1)
+        b.port(1).enabled = False
+        sim.run()
+        assert b.received == [] and b.port(1).rx_packets == 0
+
+    def test_only_wired_ports_have_an_entry(self, sim):
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        a.port(3)
+        connect(sim, a, b, port_a=5)
+        assert set(a.egress) == {5} and set(b.egress) == {1}
+        assert a.port(3).peer() is None
+
 
 def assert_one_tx_counter(nodes):
     """Every port's tx counters are its link direction's (0 unwired)."""

@@ -400,3 +400,73 @@ class TestForwardingDelay:
         counted = 1 if switch_class is OpenFlowSwitch else 0
         assert reply.stats[3]["tx_packets"] == counted
         assert switch.ports[3].tx_packets == 1 and len(sink.received) == 1
+
+
+class TestForwardStage:
+    """``OpenFlowSwitch._forward`` runs the action stage at once with the
+    clock at the departure instant, and puts the clock back."""
+
+    def test_the_stage_reads_the_departure_instant(self):
+        sim, switch, sink, link = bench(OpenFlowSwitch)
+        seen, after = [], []
+        apply = switch._apply_actions
+
+        def stage(frame, in_port, plan):
+            seen.append(sim.now)
+            apply(frame, in_port, plan)
+
+        switch._apply_actions = stage
+
+        def arrive():
+            switch.receive(data_frame(), 1)
+            after.append(sim.now)
+
+        sim.post(1.0, arrive)
+        sim.run(until=1.0)  # before the switch's first expiry sweep
+        assert seen == [1.0 + switch.forwarding_delay_s]
+        assert after == [1.0]
+        # The stage is no event: only ``arrive`` fired.
+        assert sim.events_processed == 1
+        assert switch.ports[3].tx_packets == 1
+
+    def test_the_clock_is_restored_when_the_stage_raises(self):
+        sim, switch, sink, link = bench(OpenFlowSwitch)
+
+        def boom(frame, in_port, plan):
+            raise KeyError("x")
+
+        switch._apply_actions = boom
+        with pytest.raises(KeyError):
+            switch.receive(data_frame(), 1)
+        assert sim.now == 0.0
+
+    def test_what_the_stage_posts_lands_where_a_posted_stages_would(self):
+        """Run ahead or posted (``oracles.PostedForwardingSwitch``), the
+        stage's own posts fire at the same instants, in the same
+        order."""
+        def drive(switch_class):
+            sim, switch, sink, link = bench(switch_class)
+            fired = []
+
+            def stage(frame, in_port, plan):
+                tag = "a" if in_port == 1 else "b"
+                sim.post(1e-3, lambda: fired.append((tag, sim.now)))
+                sim.post_at(sim.now + 2e-3,
+                            lambda: fired.append((tag + "-at", sim.now)))
+
+            switch._apply_actions = stage
+            sim.post(0.5, switch.receive, data_frame(), 1)
+            sim.post(0.5 + 1e-5, switch.receive, data_frame(), 2)
+            sim.run(until=0.6)
+            return fired
+
+        posted = drive(oracles.PostedForwardingSwitch)
+        assert posted == drive(OpenFlowSwitch)
+        assert [tag for tag, _ in posted] == ["a", "b", "a-at", "b-at"]
+
+    def test_the_constructor_rejects_a_negative_or_nan_delay(self, sim):
+        for delay in (-1e-9, float("nan")):
+            with pytest.raises(ValueError):
+                OpenFlowSwitch(sim, "sw", dpid=1, forwarding_delay_s=delay)
+        assert OpenFlowSwitch(
+            sim, "sw", dpid=1, forwarding_delay_s=0.0).forwarding_delay_s == 0

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import packet as pkt
+from repro.net.legacy import BPDU_MAC, ETH_TYPE_BPDU, Bpdu
 from repro.net.node import Node, connect
 from repro.net.simulator import Simulator
 from repro.openflow.actions import Output
 from repro.openflow.flowtable import FlowEntry, FlowTable
-from repro.openflow.match import Match
+from repro.openflow.match import Match, frame_index_key
 from tests import oracles
 
 
@@ -227,6 +228,77 @@ class TestIndexedLinearEquivalence:
                                      in_port=rng.randint(1, 3))
             table.add(FlowEntry(match=match, actions=(Output(1),)), now=0.0)
         assert table.wildcard_entries() == ()
+
+
+class _AskedKeys(dict):
+    """An exact-index dict that records every key it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+class TestOneKeyTwoDerivations:
+    """``FlowTable.lookup`` builds the exact-match key in place; ``peek``
+    and the fluid walk call ``frame_index_key``.  Seeded frames of every
+    kind the datapath sees must give both the same key."""
+
+    MACS = ("m1", "m2", "m3")
+    IPS = ("1.1.1.1", "2.2.2.2", "3.3.3.3")
+
+    def _random_frame(self, rng):
+        src, dst = rng.choice(self.MACS), rng.choice(self.MACS)
+        nw_src, nw_dst = rng.choice(self.IPS), rng.choice(self.IPS)
+        kind = rng.choice(("arp", "lldp", "bpdu", "icmp", "tcp", "udp",
+                           "other-proto", "bare-l4", "ip-no-header"))
+        if kind == "arp":
+            return pkt.make_arp_request(src, nw_src, nw_dst)
+        if kind == "lldp":
+            return pkt.make_lldp(rng.randint(1, 9), rng.randint(1, 9))
+        if kind == "bpdu":
+            return pkt.Ethernet(src, BPDU_MAC, ETH_TYPE_BPDU,
+                                Bpdu(1, 0, rng.randint(1, 9), 1))
+        if kind == "icmp":
+            return pkt.make_icmp_echo(src, dst, nw_src, nw_dst)
+        if kind in ("tcp", "udp"):
+            maker = pkt.make_tcp if kind == "tcp" else pkt.make_udp
+            return maker(src, dst, nw_src, nw_dst, rng.randint(1, 65535),
+                         rng.randint(1, 65535),
+                         vlan=rng.choice((None, None, 7, 42)))
+        if kind == "other-proto":
+            # IPv4 carrying neither TCP nor UDP (GRE).
+            return pkt.Ethernet(src, dst, pkt.ETH_TYPE_IP,
+                                pkt.IPv4(nw_src, nw_dst, 47),
+                                rng.choice((None, 7)))
+        if kind == "bare-l4":
+            # A TCP/UDP protocol number with no segment behind it.
+            return pkt.Ethernet(src, dst, pkt.ETH_TYPE_IP, pkt.IPv4(
+                nw_src, nw_dst,
+                rng.choice((pkt.IP_PROTO_TCP, pkt.IP_PROTO_UDP))))
+        # The IP ethertype with no IPv4 header.
+        return pkt.Ethernet(src, dst, pkt.ETH_TYPE_IP, None)
+
+    def test_lookup_asks_the_index_for_frame_index_key(self):
+        kinds = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            frame = self._random_frame(rng)
+            in_port = rng.randint(1, 4)
+            table = FlowTable()
+            table._exact = asked = _AskedKeys()
+            table.lookup(frame, in_port, 0.0)
+            assert asked.asked == [frame_index_key(frame, in_port)], (
+                f"seed={seed} frame={frame}")
+            kinds.add((frame.ethertype, frame.vlan is not None))
+        # Every ethertype, tagged and untagged IP.
+        assert {ethertype for ethertype, _ in kinds} == {
+            pkt.ETH_TYPE_ARP, pkt.ETH_TYPE_LLDP, ETH_TYPE_BPDU,
+            pkt.ETH_TYPE_IP}
+        assert (pkt.ETH_TYPE_IP, True) in kinds
 
 
 class TestLinkProperties:

@@ -8,9 +8,11 @@ import pytest
 from repro import build_livesec_network
 from repro.net import packet as pkt
 from repro.net.host import Host
+from repro.net.ecmp import EcmpLegacySwitch
 from repro.net.legacy import LegacySwitch
 from repro.net.node import connect
-from repro.net.simulator import EventHandle, Simulator, _PeriodicSeries
+from repro.net.simulator import EventHandle, _PeriodicSeries
+from repro.net.wifi import WifiAccessPoint, WirelessLink
 from repro.openflow.actions import Output
 from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
@@ -292,52 +294,6 @@ class TestPeriodic:
         assert sim.pending() == 1
 
 
-class TestRunAhead:
-    def test_the_callback_reads_the_later_instant_and_now_is_restored(
-            self, sim):
-        seen = []
-        sim.post(1.0, lambda: sim.run_ahead(
-            25e-6, lambda: seen.append(sim.now)))
-        sim.run()
-        assert seen == [1.0 + 25e-6]
-        assert sim.now == 1.0
-        assert sim.events_processed == 1
-
-    def test_what_it_posts_lands_where_the_posted_callback_would(self):
-        """``post(d, cb)`` and ``run_ahead(d, cb)`` put ``cb``'s own
-        posts at the same instants, in the same order."""
-        def drive(forward):
-            sim = Simulator()
-            fired = []
-
-            def stage(tag):
-                sim.post(1e-3, lambda: fired.append((tag, sim.now)))
-                sim.post_at(sim.now + 2e-3,
-                            lambda: fired.append((tag + "-at", sim.now)))
-
-            sim.post(0.5, forward(sim), 25e-6, stage, "a")
-            sim.post(0.5 + 1e-5, forward(sim), 25e-6, stage, "b")
-            sim.run()
-            return fired
-
-        posted = drive(lambda sim: sim.post)
-        assert posted == drive(lambda sim: sim.run_ahead)
-        assert [tag for tag, _ in posted] == ["a", "b", "a-at", "b-at"]
-
-    def test_now_is_restored_when_the_callback_raises(self, sim):
-        def boom():
-            raise KeyError("x")
-
-        with pytest.raises(KeyError):
-            sim.run_ahead(1.0, boom)
-        assert sim.now == 0.0
-
-    def test_rejects_a_negative_or_nan_delay(self, sim):
-        for delay in (-1e-9, float("nan")):
-            with pytest.raises(ValueError):
-                sim.run_ahead(delay, lambda: None)
-
-
 @pytest.fixture
 def handles_built(monkeypatch):
     """A one-item list counting every ``EventHandle`` constructed
@@ -419,46 +375,117 @@ class TestHandleBudget:
         src.send(pkt.make_udp(src.mac, dst.mac, src.ip, dst.ip, 5, 6), 1)
         sim.run(until=0.01)  # well before the switch's first expiry sweep
         assert dst.rx_frames == 1
-        # Three link deliveries; the switch's forwarding delay is run
-        # ahead inside the first of them, not an event.
+        # Three link deliveries; the switch's action stage runs inside
+        # the first of them (OpenFlowSwitch._forward), not an event.
         assert sim.events_processed - events == 3
         assert handles_built[0] == handles
 
 
+def entered_sending(sim, src, frame):
+    """The Python functions ``src.send(frame, 1)`` and the run that
+    carries the frame to its end enter, by qualified name."""
+    entered = []
+
+    def hook(frame_, event, arg):
+        if event == "call":
+            entered.append(frame_.f_code.co_qualname)
+
+    # Put back whatever profiler was running (a coverage or call audit
+    # hook), not None: it must see the rest of the suite.
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        src.send(frame, 1)
+        sim.run(until=0.01)
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
 class TestCallBudget:
     """Counts, not timings: the Python functions one frame enters on its
-    way host -> OF switch -> legacy -> host (the walk above)."""
+    way host -> OF switch -> legacy -> host (the walk above), and on two
+    sibling walks through a Wi-Fi station port and an ECMP group."""
 
-    # 31 before the headers were slotted, the port's tx counter became
-    # its direction's, Host.receive read the IP header in place and the
-    # flow-table lookup became one function.
-    CALLS_PER_FRAME = 28
+    # Host send 2 (Node.send, the test's entry, and the transmit), the
+    # loop 2, OF hop 8, legacy hop 6, host receive 2 (DESIGN 3.2, "What
+    # a hop costs").
+    CALLS_PER_FRAME = 20
+    # Wired host -> Wi-Fi AP -> station: the AP posts its stage, and
+    # the wireless transmit reserves the air.
+    CALLS_PER_WIFI_FRAME = 17
+    # Host -> ECMP bridge (a two-port group) -> bridge -> host: the
+    # send override hashes the frame's 9-tuple (its generator is
+    # entered once per field and once to finish, 10 of the 34).
+    CALLS_PER_ECMP_FRAME = 34
 
     def test_a_forwarded_frame_enters_at_most_28_functions(self, sim):
+        """Twenty since the per-hop trampolines went."""
         src, dst = forwarding_walk(sim)
         frame = pkt.make_udp(src.mac, dst.mac, src.ip, dst.ip, 5, 6)
-        entered = []
-
-        def hook(frame_, event, arg):
-            if event == "call":
-                entered.append(frame_.f_code.co_qualname)
-
-        # Put back whatever profiler was running (a coverage or call
-        # audit hook), not None: it must see the rest of the suite.
-        previous = sys.getprofile()
-        sys.setprofile(hook)
-        try:
-            src.send(frame, 1)
-            sim.run(until=0.01)
-        finally:
-            sys.setprofile(previous)
+        entered = entered_sending(sim, src, frame)
         assert dst.rx_frames == 1
         assert len(entered) <= self.CALLS_PER_FRAME, entered
         # Each cut stays cut.
-        for gone in ("FlowTable._lookup_indexed", "FlowEntry.touch"):
+        for gone in ("FlowTable._lookup_indexed", "FlowEntry.touch",
+                     "Simulator.post_at", "Simulator.run_ahead",
+                     "frame_index_key", "LegacySwitch.port_is_forwarding"):
             assert gone not in entered
+        # The test's entry and the bridge's hop: the OF action stage
+        # transmits through its egress table.
+        assert entered.count("Node.send") == 2
         # Match.matches's (the entry is a wildcard), not Host.receive's.
         assert entered.count("Ethernet.ip") <= 1
+
+    def test_a_frame_to_a_wifi_station_reserves_the_air(self, sim):
+        src = Host(sim, "src", pkt.mac_address(1), pkt.ip_address(1))
+        station = Host(sim, "sta", pkt.mac_address(2), pkt.ip_address(2),
+                       wireless=True)
+        ap = WifiAccessPoint(sim, "ap", dpid=1)
+        connect(sim, src, ap, port_b=1)
+        ap.attach_station(station)
+        [station_port] = [number for number, port in ap.ports.items()
+                          if isinstance(port.link, WirelessLink)]
+        ap.table.add(FlowEntry(match=Match(in_port=1),
+                               actions=(Output(station_port),)), sim.now)
+        frame = pkt.make_udp(src.mac, station.mac, src.ip, station.ip, 5, 6)
+        entered = entered_sending(sim, src, frame)
+        assert station.rx_frames == 1
+        assert len(entered) <= self.CALLS_PER_WIFI_FRAME, entered
+        assert entered.count("WirelessLink.transmit") == 1
+        assert entered.count("AirMedium.reserve") == 1
+        assert ap.medium.frames == 1
+        # The AP posts its stage; no trampoline came back with it.
+        assert "Simulator.post" in entered
+        for gone in ("Simulator.post_at", "Simulator.run_ahead"):
+            assert gone not in entered
+
+    def test_a_frame_through_an_ecmp_group_takes_the_hashed_member(
+            self, sim):
+        src = Host(sim, "src", pkt.mac_address(1), pkt.ip_address(1))
+        dst = Host(sim, "dst", pkt.mac_address(2), pkt.ip_address(2))
+        ecmp = EcmpLegacySwitch(sim, "ecmp", bridge_id=1)
+        fabric = LegacySwitch(sim, "ls", bridge_id=2, stp_enabled=False)
+        connect(sim, src, ecmp, port_b=1)
+        for member in (2, 3):
+            connect(sim, ecmp, fabric, port_a=member, port_b=member - 1)
+        connect(sim, fabric, dst, port_a=3)
+        ecmp.add_ecmp_group([2, 3])
+        ecmp.mac_table[dst.mac] = (2, sim.now)
+        fabric.mac_table[dst.mac] = (3, sim.now)
+        # A frame whose hash picks the group's second member.
+        frame = next(
+            frame for frame in (
+                pkt.make_udp(src.mac, dst.mac, src.ip, dst.ip, sport, 6)
+                for sport in range(5, 100))
+            if ecmp._pick_member(frame, (2, 3)) == 3)
+        entered = entered_sending(sim, src, frame)
+        assert dst.rx_frames == 1
+        assert len(entered) <= self.CALLS_PER_ECMP_FRAME, entered
+        assert "EcmpLegacySwitch.send" in entered
+        assert "EcmpLegacySwitch._pick_member" in entered
+        assert (ecmp.ports[2].tx_packets, ecmp.ports[3].tx_packets) == (0, 1)
+        assert ecmp.ecmp_balanced == 1
 
 
 def entered_by(fn, *args):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import build_livesec_network
+from repro.net import packet as pkt
 from repro.net.topologies import (
     AddressAllocator,
     Topology,
@@ -52,6 +54,43 @@ class TestLinear:
         topo = linear(sim)
         with pytest.raises(KeyError):
             topo.host_by_name("nope")
+
+
+class TestMoveHost:
+    def test_the_old_port_is_unplugged_and_sends_nothing(self):
+        net = build_livesec_network("linear", num_as=2, hosts_per_as=2)
+        topo, sim = net.topology, net.sim
+        old = topo.attachments["h1_1"]
+        host, switch = old.host, old.switch
+        old_port = switch.ports[old.switch_port]
+        host_port = old_port.peer()
+        assert host_port.node is host
+
+        def to_host():
+            return pkt.make_udp("m2", host.mac, "10.9.9.9", host.ip, 6, 5)
+
+        assert switch.send(to_host(), old.switch_port) is True
+        sim.run(until=0.001)
+        assert old_port.tx_packets == 1 and host.rx_frames == 1
+
+        topo.move_host("h1_1", topo.as_switches[1])
+        assert old_port.link is None and not old_port.is_attached
+        assert old_port.peer() is None
+        # The unplugged port keeps its tx counters.
+        assert old_port.tx_packets == 1
+        new = topo.attachments["h1_1"]
+        new_port = new.switch.ports[new.switch_port]
+        assert new_port.peer() is host_port
+
+        # A frame sent out of the old port is neither transmitted nor
+        # delivered; the host's port sends over its new link.
+        assert switch.send(to_host(), old.switch_port) is False
+        assert host.send(pkt.make_udp(host.mac, "m2", host.ip, "10.9.9.9",
+                                      5, 6), host_port.number) is True
+        sim.run(until=0.01)
+        assert old_port.tx_packets == 1 and old_port.tx_drops == 0
+        assert host.rx_frames == 1
+        assert new_port.rx_packets == 1
 
 
 class TestStar:
