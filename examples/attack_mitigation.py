@@ -2,8 +2,8 @@
 """End-to-end attack mitigation: full-mesh security coverage.
 
 Unlike a gateway middlebox, LiveSec inspects *east-west* traffic too:
-this scenario chains a firewall and an IDS on host-to-host flows
-inside the network, then shows four attack classes being caught:
+this scenario chains a virus scanner and an IDS on host-to-host
+flows inside the network, then shows four attack classes being caught:
 
 1. a SQL-injection attempt against an internal web server,
 2. a port scan swept across an internal host,

@@ -7,9 +7,9 @@ are verified against the element's certificate and turned into
 blocking or log events.  Malformed or uncertified traffic gets the
 offending source blocked at its ingress switch.
 
-Decoding itself lives in the versioned codecs of
-:mod:`repro.core.messages`; this app only handles *decoded, typed*
-messages -- a malformed payload never reaches the handlers.
+Decoding itself lives in the codec of :mod:`repro.core.messages`;
+this app only handles *decoded, typed* messages -- a malformed
+payload never reaches the handlers.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ class ServiceDirectoryApp(App):
         try:
             if isinstance(message, svcmsg.OnlineMessage):
                 self._handle_online(packet_in, message)
-            elif isinstance(message, svcmsg.ConnTrackMessage):
-                self._handle_conntrack(message)
             else:
                 self.handle_event_report(message)
         except CertificateError:
@@ -91,20 +89,6 @@ class ServiceDirectoryApp(App):
             flows=message.active_flows,
         )
 
-    def _handle_conntrack(self, message: svcmsg.ConnTrackMessage) -> None:
-        """A stateful firewall reported a connection-state transition:
-        certify it and log it for the global view."""
-        self.ctx.registry.verify_event(message)
-        self.ctx.count("conntrack_reports")
-        self.ctx.log.emit(
-            self.ctx.sim.now, EventKind.CONNTRACK_STATE,
-            element=message.element_mac,
-            state=message.state,
-            conn=",".join(
-                "" if part is None else str(part) for part in message.conn
-            ),
-        )
-
     def handle_event_report(
         self, message: svcmsg.EventReportMessage, forwarded: bool = False
     ) -> None:
@@ -134,7 +118,7 @@ class ServiceDirectoryApp(App):
                 element=message.element_mac,
             )
         else:
-            # Other service results (virus, content, ...) are logged as
+            # Other service results (virus scans) are logged as
             # attacks for blocking purposes only when flagged malicious.
             if message.detail.get("verdict") == "malicious":
                 self._block_attack(message, session)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.conntrack import ConnTrackReplicationGroup
 from repro.core.controller import LiveSecController
 from repro.core.policy import PolicyTable
 from repro.core.policy_io import load_policies
@@ -65,12 +64,6 @@ class LiveSecNetwork:
     monitoring: Optional[MonitoringComponent] = None
     elements: List[ServiceElement] = field(default_factory=list)
     channels: Dict[int, SecureChannel] = field(default_factory=dict)
-    # Per-service-type conntrack replication groups: every stateful
-    # firewall of one type shares session state with its replicas,
-    # fabric-wide (replication is element to element).
-    conntrack_groups: Dict[str, ConnTrackReplicationGroup] = field(
-        default_factory=dict
-    )
     # The attached fast-forward region when built with ``fluid=True``.
     fluid: Optional[FluidRegion] = None
     started: bool = False
@@ -206,12 +199,6 @@ class LiveSecNetwork:
         element.provision(
             self.owner(switch.dpid).registry.issue_certificate(mac)
         )
-        if hasattr(element, "join_replication_group"):
-            group = self.conntrack_groups.get(element.service_type)
-            if group is None:
-                group = ConnTrackReplicationGroup(self.sim)
-                self.conntrack_groups[element.service_type] = group
-            element.join_replication_group(group)
         self.elements.append(element)
         self._register_capacity(switch)
         return element

@@ -65,7 +65,6 @@ class EventKind:
     FAULT_INJECTED = "fault-injected"
     PATH_VIOLATION = "path-violation"
     SWITCH_QUARANTINED = "switch-quarantined"
-    CONNTRACK_STATE = "conntrack-state"
     SHARD_HELLO = "shard-hello"
     SHARD_DOWN = "shard-down"
     SHARD_REHOME = "shard-rehome"

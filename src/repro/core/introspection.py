@@ -26,7 +26,6 @@ LEGACY_COUNTER_NAMES = (
     "orphan_chain_frames",
     "no_element_fallback",
     "routing_deferred",
-    "conntrack_reports",
     "packet_ins_unread",
     # Shard fabric (all zero in single-controller deployments).
     "handoff_deferred",

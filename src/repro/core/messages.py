@@ -17,10 +17,8 @@ bad certificate are rejected and the offending element's traffic is
 dropped at its ingress switch (the paper's certification mechanism).
 
 The wire format is a pipe-separated ASCII encoding -- human-readable in
-packet dumps, trivially parseable, and versioned by the leading magic:
-each supported version is one :class:`WireCodec` in the
-:data:`CODECS` registry, keyed by its magic, and :func:`decode`
-dispatches on the payload's prefix.  Parsing is *strict*: duplicate
+packet dumps, trivially parseable, and versioned by the leading magic,
+which :func:`decode` checks first.  Parsing is *strict*: duplicate
 keys, unknown fields, and out-of-range load values are format errors,
 not silently accepted -- a report that passed certification but lied
 about its shape must not feed garbage into the load balancer.
@@ -56,7 +54,7 @@ class OnlineMessage:
 
     element_mac: str
     certificate: str
-    service_type: str  # "ids" | "l7" | "firewall" | ...
+    service_type: str  # "ids" | "l7" | "virus"
     cpu: float  # 0..1 utilization
     memory: float  # 0..1 footprint
     pps: float  # processed packets per second
@@ -74,23 +72,7 @@ class EventReportMessage:
     detail: Dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
-class ConnTrackMessage:
-    """A stateful firewall's connection-state transition report.
-
-    ``conn`` is the connection's IP five-tuple
-    ``(nw_src, nw_dst, nw_proto, tp_src, tp_dst)``; ``state`` is
-    NEW/ESTABLISHED/CLOSED.  Bounded chatter: elements report
-    transitions, never per-packet hits.
-    """
-
-    element_mac: str
-    certificate: str
-    state: str
-    conn: tuple  # (nw_src, nw_dst, nw_proto, tp_src, tp_dst)
-
-
-ServiceMessage = Union[OnlineMessage, EventReportMessage, ConnTrackMessage]
+ServiceMessage = Union[OnlineMessage, EventReportMessage]
 
 
 class MessageFormatError(ValueError):
@@ -104,7 +86,6 @@ class MessageFormatError(ValueError):
 
 _ONLINE_REQUIRED = ("mac", "type", "cpu", "mem", "pps")
 _ONLINE_OPTIONAL = ("flows",)
-_CONNTRACK_STATES = ("NEW", "ESTABLISHED", "CLOSED")
 
 
 def is_service_message(payload: bytes) -> bool:
@@ -145,27 +126,14 @@ def encode_event(message: EventReportMessage) -> bytes:
     return "|".join(parts).encode()
 
 
-def encode_conntrack(message: ConnTrackMessage) -> bytes:
-    parts = [
-        MAGIC.decode(),
-        message.certificate,
-        "CONNTRACK",
-        f"mac={message.element_mac}",
-        f"state={message.state}",
-        f"conn={_encode_conn(message.conn)}",
-    ]
-    return "|".join(parts).encode()
-
-
 def decode(payload: bytes) -> ServiceMessage:
     """Parse a service message payload.
 
-    Returns an :class:`OnlineMessage`, :class:`EventReportMessage` or
-    :class:`ConnTrackMessage`.  Raises :class:`MessageFormatError` on
-    malformed input (the controller treats those as illegitimate
-    traffic): bad magic, unknown kind, duplicate or unknown fields,
-    truncated flow tuples, and out-of-range load values are all
-    rejected.
+    Returns an :class:`OnlineMessage` or :class:`EventReportMessage`.
+    Raises :class:`MessageFormatError` on malformed input (the
+    controller treats those as illegitimate traffic): bad magic,
+    unknown kind, duplicate or unknown fields, truncated flow tuples,
+    and out-of-range load values are all rejected.
     """
     try:
         text = payload.decode()
@@ -183,8 +151,6 @@ def decode(payload: bytes) -> ServiceMessage:
         return _decode_online(certificate, kv)
     if kind == "EVENT":
         return _decode_event(certificate, kv)
-    if kind == "CONNTRACK":
-        return _decode_conntrack(certificate, kv)
     raise MessageFormatError(f"unknown message kind {kind!r}")
 
 
@@ -243,21 +209,6 @@ def _decode_event(
         kind=event_kind,
         flow=flow,
         detail=detail,
-    )
-
-
-def _decode_conntrack(
-    certificate: str, kv: Dict[str, str]
-) -> ConnTrackMessage:
-    _check_inventory(kv, ("mac", "state", "conn"), ())
-    state = kv["state"]
-    if state not in _CONNTRACK_STATES:
-        raise MessageFormatError(f"bad CONNTRACK state {state!r}")
-    return ConnTrackMessage(
-        element_mac=kv["mac"],
-        certificate=certificate,
-        state=state,
-        conn=_decode_conn(kv["conn"]),
     )
 
 
@@ -321,24 +272,3 @@ def _decode_flow(text: str) -> Optional[FlowNineTuple]:
     except ValueError as exc:
         raise MessageFormatError(f"bad flow tuple {text!r}") from exc
 
-
-def _encode_conn(conn: tuple) -> str:
-    if len(conn) != 5:
-        raise ValueError(f"bad five-tuple {conn!r}")
-    return ",".join("" if item is None else str(item) for item in conn)
-
-
-def _decode_conn(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 5:
-        raise MessageFormatError(f"bad five-tuple {text!r}")
-    try:
-        return (
-            parts[0] or None,
-            parts[1] or None,
-            int(parts[2]) if parts[2] else None,
-            int(parts[3]) if parts[3] else None,
-            int(parts[4]) if parts[4] else None,
-        )
-    except ValueError as exc:
-        raise MessageFormatError(f"bad five-tuple {text!r}") from exc

@@ -11,41 +11,25 @@ capacity model so overload is observable.
 * :mod:`repro.elements.ids` -- Snort-like intrusion detection,
 * :mod:`repro.elements.l7filter` -- l7-filter-like protocol
   identification,
-* :mod:`repro.elements.firewall` -- stateless ACL firewall,
-* :mod:`repro.elements.stateful_firewall` -- SDFW-style stateful
-  distributed firewall with replicated connection tracking,
 * :mod:`repro.elements.scanner` -- virus scanning,
-* :mod:`repro.elements.content` -- content inspection / DLP,
 * :mod:`repro.elements.signatures` -- the rule/pattern definitions.
 """
 
 from repro.elements.base import ServiceElement
 from repro.elements.ids import IntrusionDetectionElement
 from repro.elements.l7filter import ProtocolIdentificationElement
-from repro.elements.firewall import FirewallElement
-from repro.elements.stateful_firewall import StatefulFirewallElement
 from repro.elements.scanner import VirusScanElement
-from repro.elements.content import ContentInspectionElement
-from repro.elements.ratelimit import RateAnomalyElement
 
 ELEMENT_TYPES = {
     "ids": IntrusionDetectionElement,
     "l7": ProtocolIdentificationElement,
-    "firewall": FirewallElement,
-    "sfw": StatefulFirewallElement,
     "virus": VirusScanElement,
-    "content": ContentInspectionElement,
-    "ddos": RateAnomalyElement,
 }
 
 __all__ = [
     "ServiceElement",
     "IntrusionDetectionElement",
     "ProtocolIdentificationElement",
-    "FirewallElement",
-    "StatefulFirewallElement",
     "VirusScanElement",
-    "ContentInspectionElement",
-    "RateAnomalyElement",
     "ELEMENT_TYPES",
 ]

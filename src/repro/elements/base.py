@@ -36,7 +36,7 @@ class Verdict:
     """What an inspection pass concluded about one frame."""
 
     def __init__(self, kind: str, detail: Optional[Dict[str, str]] = None):
-        self.kind = kind  # "attack" | "protocol" | "virus" | "content"
+        self.kind = kind  # "attack" | "protocol" | "virus"
         self.detail = detail or {}
 
     def __repr__(self) -> str:

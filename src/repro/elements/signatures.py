@@ -179,14 +179,6 @@ VIRUS_SIGNATURES: Tuple[Tuple[str, bytes], ...] = (
     ("JS.Sim.Downloader", b"eval(unescape('%73%69%6d'))"),
 )
 
-# Content-inspection keywords (DLP-style).
-CONTENT_KEYWORDS: Tuple[bytes, ...] = (
-    b"CONFIDENTIAL-INTERNAL-ONLY",
-    b"SSN:",
-    b"credit_card_number=",
-)
-
-
 def classify_l7(payload: bytes) -> Optional[str]:
     """The l7-filter decision for a first-payload buffer, or None."""
     for name, signature in L7_PATTERNS:

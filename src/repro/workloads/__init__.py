@@ -17,7 +17,6 @@ from repro.workloads.flows import (
     SshFlow,
     TrafficFlow,
     VirusDownloadFlow,
-    attach_udp_echo,
 )
 from repro.workloads.users import UserBehavior, UserChurn
 
@@ -32,5 +31,4 @@ __all__ = [
     "VirusDownloadFlow",
     "UserBehavior",
     "UserChurn",
-    "attach_udp_echo",
 ]

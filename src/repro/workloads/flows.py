@@ -21,27 +21,6 @@ from repro.net.packet import IP_PROTO_TCP, IP_PROTO_UDP
 DEFAULT_PACKET_SIZE = 1500
 
 
-def attach_udp_echo(host: Host, dport: int = 9000,
-                    payload: bytes = b"ECHO") -> None:
-    """Make ``host`` answer every UDP datagram to ``dport`` with a
-    datagram back to the sender (ports swapped, same flow id).
-
-    Workload flows are one-way; tests that need reply-direction
-    traffic through the service chain -- e.g. the stateful firewall's
-    ESTABLISHED promotion -- attach this to the destination host.
-    """
-
-    def _echo(receiver: Host, frame) -> None:
-        ip = frame.ip()
-        segment = ip.payload
-        receiver.send_udp(
-            ip.src, sport=segment.dport, dport=segment.sport,
-            payload=payload, flow_id=frame.flow_id,
-        )
-
-    host.on_app(IP_PROTO_UDP, dport, _echo)
-
-
 class TrafficFlow:
     """A paced, fixed-rate flow of frames from ``src`` to ``dst_ip``."""
 

@@ -16,11 +16,17 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_livesec_network(topology="torus")
 
-    def test_unknown_element_type_rejected(self):
+    @pytest.mark.parametrize(
+        "element_type", ["quantum-ids", "firewall", "sfw", "content", "ddos"]
+    )
+    def test_unknown_element_type_rejected(self, element_type):
         net = build_livesec_network(topology="linear", num_as=2,
                                     hosts_per_as=1)
-        with pytest.raises(ValueError):
-            net.add_element("quantum-ids", net.topology.as_switches[0])
+        with pytest.raises(ValueError) as error:
+            net.add_element(element_type, net.topology.as_switches[0])
+        assert str(error.value).endswith(
+            "choose from ['ids', 'l7', 'virus']"
+        )
 
     def test_elements_distributed_round_robin(self):
         net = build_livesec_network(

@@ -4,14 +4,11 @@ import pytest
 
 from repro.core import messages as svcmsg
 from repro.elements import (
-    ContentInspectionElement,
-    FirewallElement,
     IntrusionDetectionElement,
     ProtocolIdentificationElement,
     VirusScanElement,
 )
 from repro.elements.base import ServiceElement
-from repro.elements.firewall import AclRule
 from repro.net import packet as pkt
 from repro.net.node import Node, connect
 
@@ -260,40 +257,6 @@ class TestL7:
         assert reports[0].detail["application"] == "unknown"
 
 
-class TestFirewall:
-    def test_deny_rule_reports_attack(self, sim):
-        element = FirewallElement(
-            sim, "e", "00:00:00:00:00:02", "10.0.0.2",
-            acl=[AclRule(action="deny", tp_dst=23)],
-        )
-        collector = wire(sim, element)
-        element.receive(frame_to(element, dport=23), 1)
-        element.receive(frame_to(element, dport=80), 1)
-        sim.run(until=1.0)
-        reports = [m for m in collector.service_messages
-                   if isinstance(m, svcmsg.EventReportMessage)]
-        assert len(reports) == 1
-        assert element.denies == 1
-
-    def test_first_match_wins(self, sim):
-        element = FirewallElement(
-            sim, "e", "m", "ip",
-            acl=[AclRule(action="allow", src_ip_prefix="10.0."),
-                 AclRule(action="deny")],
-        )
-        from repro.net.packet import FlowNineTuple
-
-        inside = FlowNineTuple(None, "a", "b", 0x0800, "10.0.0.1",
-                               "10.0.0.2", 6, 1, 2)
-        outside = inside._replace(nw_src="192.168.0.1")
-        assert element.evaluate(inside) == "allow"
-        assert element.evaluate(outside) == "deny"
-
-    def test_default_action_validated(self, sim):
-        with pytest.raises(ValueError):
-            FirewallElement(sim, "e", "m", "ip", default_action="maybe")
-
-
 class TestVirusScanner:
     def test_signature_in_single_packet(self, sim):
         element = VirusScanElement(sim, "e", "00:00:00:00:00:02", "10.0.0.2")
@@ -322,29 +285,6 @@ class TestVirusScanner:
         element.receive(frame_to(element, payload=b"innocent bytes"), 1)
         sim.run(until=1.0)
         assert element.detections == 0
-
-
-class TestContentInspection:
-    def test_keyword_reported_as_suspicious(self, sim):
-        element = ContentInspectionElement(sim, "e", "00:00:00:00:00:02",
-                                           "10.0.0.2")
-        collector = wire(sim, element)
-        element.receive(
-            frame_to(element, payload=b"leak CONFIDENTIAL-INTERNAL-ONLY"), 1)
-        sim.run(until=1.0)
-        reports = [m for m in collector.service_messages
-                   if isinstance(m, svcmsg.EventReportMessage)]
-        assert reports[0].detail["verdict"] == "suspicious"
-
-    def test_block_on_match_mode(self, sim):
-        element = ContentInspectionElement(sim, "e", "00:00:00:00:00:02",
-                                           "10.0.0.2", block_on_match=True)
-        collector = wire(sim, element)
-        element.receive(frame_to(element, payload=b"SSN: 123-45-6789"), 1)
-        sim.run(until=1.0)
-        reports = [m for m in collector.service_messages
-                   if isinstance(m, svcmsg.EventReportMessage)]
-        assert reports[0].detail["verdict"] == "malicious"
 
 
 class TestIdsRuleLanguage:
