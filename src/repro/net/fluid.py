@@ -19,9 +19,12 @@ packet-level code acts on, so at suspension the flow is indexed under
 every clock it drives (a :class:`ClockShare` on the direction, radio,
 entry or learned MAC) and the four sites that read one ask the share.
 *Counters* -- tx/rx/busy/drop totals, entry and table hit counts,
-delivered bytes -- are additive and only read by cold paths.  A
-*settle* (:meth:`FluidRegion.flush`, from those readers, from every
-way out of suspension and whenever ``Simulator.run`` returns) pays the
+delivered bytes -- are additive and only read by cold paths.  The
+OpenFlow stats replies, the one periodic reader, add what the flows
+indexed under a direction or an entry owe it
+(:meth:`ClockShare.owed`) and write nothing.  A *settle*
+(:meth:`FluidRegion.flush`, from the other readers, from every way out
+of suspension and whenever ``Simulator.run`` returns) pays the
 counters and stores the clocks, both at once.
 
 The contract is equivalence, not approximation:
@@ -242,6 +245,15 @@ class ClockShare:
                     latest = moved
         return latest
 
+    def owed(self) -> Tuple[int, int]:
+        """The frames and bytes the members owe the counters kept
+        beside this clock -- a direction's tx and its far port's rx, an
+        entry's hits: what a settle now would add to them
+        (:meth:`FluidRegion.owed`).  Exact for a direction or an entry,
+        which a walk crosses at most once; not for a radio, which a
+        station-to-station flow crosses twice."""
+        return self.region.owed(self.members)
+
     def _near_grid(self, now: float) -> List[Tuple[_SuspendedFlow, float]]:
         """The members a pending read at ``now`` has to filter.
 
@@ -346,8 +358,9 @@ class FluidRegion:
     :class:`TrafficFlow` registers.  A periodic
     governor then attempts suspension.  The run loop knows nothing of
     it: a suspended flow costs nothing per event, whoever reads a clock
-    it drives asks its :class:`ClockShare`, and whatever reads a
-    counter calls :meth:`flush` first.
+    it drives asks its :class:`ClockShare`, a stats reply adds what the
+    share owes a counter (:meth:`ClockShare.owed`), and whatever else
+    reads a counter calls :meth:`flush` first.
     """
 
     def __init__(
@@ -373,6 +386,10 @@ class FluidRegion:
         # The instant ``flush`` last settled every suspended flow at;
         # None once a flow has been suspended since.
         self._settled_at: Optional[float] = None
+        # What each suspended flow owes at ``_owed_at`` (:meth:`owed`),
+        # emptied by every settle.
+        self._owed: Dict[_SuspendedFlow, int] = {}
+        self._owed_at: Optional[float] = None
         self._tcp_active: Dict[object, None] = {}
         self._governor = None
         # Sim-seconds of closed suspension spans, and when the open one
@@ -454,8 +471,6 @@ class FluidRegion:
     # Suspension
 
     def _governor_tick(self) -> None:
-        for flow in [f for f in self.flows if not f.running]:
-            self.flow_stopped(flow)
         if not self.flows:
             self._governor.cancel()
             self._governor = None
@@ -623,7 +638,14 @@ class FluidRegion:
             tx = frame.size * 8.0 / link.bandwidth_bps
             offset += tx + link.delay_s
             plan = link.fluid_plan(port, offset)
-            pending = plan.direction.pending_done
+            direction = plan.direction
+            for hop in walk.hops:
+                if hop.direction is direction:
+                    # A settle would pay this direction twice (and the
+                    # entry whose one output led here), but its share
+                    # holds the flow once: an owed read would fall short.
+                    return None, "revisit"
+            pending = direction.pending_done
             if (self.congestion == "refuse" and pending
                     and pending[-1] > now + plan.end_offset_s - tx):
                 # A real frame still holds this hop when the flow's
@@ -742,15 +764,16 @@ class FluidRegion:
         and store the clocks they moved.
 
         Called by whatever reads a counter while the event loop runs
-        (stats replies, FlowRemoved, link and host accounting, the
-        gauges) and by :meth:`Simulator.run` on its way out, so code
-        outside the loop always reads settled values.
+        (FlowRemoved, link and host accounting, the gauges), by every
+        way out of suspension and by :meth:`Simulator.run` on its way
+        out, so code outside the loop always reads settled values.
+        The stats replies read :meth:`owed` instead.
 
         A second flush at one instant is free: unless a flow was
         suspended since (:meth:`_try_suspend`, the only place
         ``_suspended`` grows), every suspended flow's count at ``now``
         is what the first one paid it up to, so there is nothing to
-        pay.  The monitor's polls of every switch land at one instant.
+        pay.
         """
         now = self.sim.now
         if now == self._settled_at:
@@ -764,6 +787,7 @@ class FluidRegion:
         one closed form and nothing else."""
         now = self.sim.now
         paid = 0
+        self._owed.clear()
         self.closed_forms += len(flows)
         for sf in flows:
             count = sent_before(sf, now)
@@ -785,14 +809,8 @@ class FluidRegion:
         size = sf.size
         flow.packets_sent = count
         flow.bytes_sent += sent * size
-        delivered = sent
-        if self.congestion == "rate" and sf.rate_bps < flow.rate_bps:
-            # Bottleneck thinning: deliver the allocated fraction (with
-            # a fractional carry across settles); the remainder goes to
-            # the first hop's drop counter.
-            exact = sent * sf.rate_bps / flow.rate_bps + sf.residual
-            delivered = int(exact)
-            sf.residual = exact - delivered
+        delivered, sf.residual = self._delivered(sf, sent)
+        if delivered < sent:
             walk.hops[0].direction.dropped += sent - delivered
         # Emission time of the final synthesized frame: real frames
         # sent after the flow resumes queue behind the analytic
@@ -835,6 +853,44 @@ class FluidRegion:
         dst.rx_bytes += delivered_bytes
         dst.rx_bytes_by_flow[flow.flow_id] += delivered_bytes
         dst.rx_frames_by_flow[flow.flow_id] += delivered
+
+    def _delivered(self, sf: _SuspendedFlow, sent: int) -> Tuple[int, float]:
+        """How many of ``sent`` more emissions of ``sf`` arrive, and the
+        fractional carry after them.  All of them, except under the
+        ``rate`` policy on a flow allocated below its demand: bottleneck
+        thinning delivers the allocated fraction, carrying the fraction
+        across settles, and the rest are first-hop drops."""
+        flow = sf.flow
+        if self.congestion == "rate" and sf.rate_bps < flow.rate_bps:
+            exact = sent * sf.rate_bps / flow.rate_bps + sf.residual
+            delivered = int(exact)
+            return delivered, exact - delivered
+        return sent, sf.residual
+
+    def owed(self, flows) -> Tuple[int, int]:
+        """The frames and bytes ``flows`` (suspended) have delivered
+        along their paths since their last settle: what a settle now
+        would add to a counter they all cross, thinned as :meth:`_pay`
+        thins, with nothing written.  One closed form per flow per
+        instant: each answer is kept until ``now`` moves or a settle
+        pays (a suspension settles first, and a flow suspended since is
+        not in the memo)."""
+        now = self.sim.now
+        memo = self._owed
+        if self._owed_at != now:
+            memo.clear()
+            self._owed_at = now
+        frames = total = 0
+        for sf in flows:
+            delivered = memo.get(sf)
+            if delivered is None:
+                self.closed_forms += 1
+                delivered = memo[sf] = self._delivered(
+                    sf, sent_before(sf, now) - sf.flow.packets_sent
+                )[0]
+            frames += delivered
+            total += delivered * sf.size
+        return frames, total
 
     def _release(self, sf: _SuspendedFlow) -> None:
         """One flow leaves suspension on its own (its cap event, a

@@ -232,17 +232,14 @@ class ControllerBase:
             return
         if lldp.chassis_id == event.dpid:
             return  # our own advertisement reflected back
-        link = DiscoveredLink(
-            src_dpid=lldp.chassis_id,
-            src_port=lldp.port_id,
-            dst_dpid=event.dpid,
-            dst_port=event.in_port,
-        )
-        key = (link.src_dpid, link.src_port, link.dst_dpid, link.dst_port)
-        fresh = key not in self.links
+        key = (lldp.chassis_id, lldp.port_id, event.dpid, event.in_port)
+        known = self.links.get(key)
+        if known is not None:  # a re-confirmation: refresh, build nothing
+            self.links[key] = (known[0], self.sim.now)
+            return
+        link = DiscoveredLink(*key)
         self.links[key] = (link, self.sim.now)
-        if fresh:
-            self.on_link_discovered(link)
+        self.on_link_discovered(link)
 
     def _expire_links(self) -> None:
         now = self.sim.now

@@ -53,6 +53,19 @@ MAX_BUFFERED_FRAMES = 4096
 MAX_PENDING_REPLIES = 512
 
 
+def _with_owed(packets: int, total: int, clock) -> Tuple[int, int]:
+    """A stored frame and byte count plus what the suspended flows
+    driving ``clock`` (a link direction or a flow entry; None for an
+    unwired port) owe it, through its fluid share
+    (``repro.net.fluid.ClockShare.owed``): the settled value, read
+    without settling."""
+    share = None if clock is None else clock.fluid
+    if share is None:
+        return packets, total
+    owed_packets, owed_bytes = share.owed()
+    return packets + owed_packets, total + owed_bytes
+
+
 class OpenFlowSwitch(Node):
     """An OpenFlow-enabled switch (AS switch in LiveSec terms)."""
 
@@ -412,35 +425,48 @@ class OpenFlowSwitch(Node):
         self._forward(frame, in_port, compile_actions(tuple(out.actions)))
 
     def _handle_port_stats(self, request: msg.PortStatsRequest) -> None:
-        self.sim.settle_fluid()
+        fluid = self.sim.fluid
         stats = {}
         for number, port in sorted(self.ports.items()):
             if request.port is not None and number != request.port:
                 continue
+            tx_packets, tx_bytes = port.tx_packets, port.tx_bytes
+            rx_packets, rx_bytes = port.rx_packets, port.rx_bytes
+            if fluid is not None:
+                # Frames out of this port are counted on its direction,
+                # frames into it on the peer's.
+                peer = port.peer()
+                tx_packets, tx_bytes = _with_owed(
+                    tx_packets, tx_bytes, port.direction)
+                rx_packets, rx_bytes = _with_owed(
+                    rx_packets, rx_bytes, peer and peer.direction)
             stats[number] = {
-                "tx_packets": port.tx_packets,
-                "tx_bytes": port.tx_bytes,
-                "rx_packets": port.rx_packets,
-                "rx_bytes": port.rx_bytes,
+                "tx_packets": tx_packets,
+                "tx_bytes": tx_bytes,
+                "rx_packets": rx_packets,
+                "rx_bytes": rx_bytes,
                 "tx_drops": port.tx_drops,
             }
         self._reply(msg.PortStatsReply(dpid=self.dpid, stats=stats))
 
     def _handle_flow_stats(self, request: msg.FlowStatsRequest) -> None:
-        self.sim.settle_fluid()
-        entries = tuple(
-            {
+        fluid = self.sim.fluid
+        entries = []
+        for entry in self.table:
+            if not entry.match.is_subset_of(request.match):
+                continue
+            packets, total = entry.packets, entry.bytes
+            if fluid is not None:
+                packets, total = _with_owed(packets, total, entry)
+            entries.append({
                 "match": entry.match,
                 "priority": entry.priority,
                 "cookie": entry.cookie,
-                "packets": entry.packets,
-                "bytes": entry.bytes,
+                "packets": packets,
+                "bytes": total,
                 "age_s": self.sim.now - entry.created_at,
-            }
-            for entry in self.table
-            if entry.match.is_subset_of(request.match)
-        )
-        self._reply(msg.FlowStatsReply(dpid=self.dpid, entries=entries))
+            })
+        self._reply(msg.FlowStatsReply(dpid=self.dpid, entries=tuple(entries)))
 
     def _sweep_expired(self) -> None:
         for removed in self.table.expire(self.sim.now):

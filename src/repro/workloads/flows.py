@@ -109,10 +109,10 @@ class TrafficFlow:
         if not self.running:
             return
         if self._stop_at is not None and self.sim.now >= self._stop_at:
-            self.running = False
+            self.stop()
             return
         if self.max_packets is not None and self.packets_sent >= self.max_packets:
-            self.running = False
+            self.stop()
             return
         payload = self.payload_for(self.packets_sent)
         if self.proto == IP_PROTO_TCP:
@@ -256,8 +256,10 @@ class PortScanFlow(TrafficFlow):
         # A scan changes destination port per probe, so each probe is
         # its own 9-tuple: emit directly rather than through the paced
         # single-flow path.
-        if not self.running or self.packets_sent >= self.ports:
-            self.running = False
+        if not self.running:
+            return
+        if self.packets_sent >= self.ports:
+            self.stop()
             return
         port = 1000 + self.packets_sent
         self.src.send_tcp(

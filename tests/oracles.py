@@ -12,7 +12,11 @@ visits every member, which the phase index in front of the pending read
 may only prune towards.  :func:`lookup_linear` (with :func:`touch`) is
 the flow-table scan the exact index and wildcard list replaced, and
 :func:`ids_inspect_unscreened` the IDS pass over every rule that the
-needle screen may only skip rules of.  :class:`MutableHostTable` is the
+needle screen may only skip rules of.  :func:`settled_port_stats` and
+:func:`settled_flow_stats` are the OpenFlow stats replies as they were
+built when a reply settled every suspended fluid flow and then read the
+stored counters, which the replies' read of what those flows owe must
+match.  :class:`MutableHostTable` is the
 NIB's routing table as it was when a row was a mutable record written in
 place, which the tuple rows and their ``last_seen`` column must match
 call for call.
@@ -71,6 +75,40 @@ def clock_share_latest(share, now, pending=False):
             if moved > latest:
                 latest = moved
     return latest
+
+
+def settled_port_stats(switch, port=None):
+    """A port-stats reply's ``stats``, settle first: the fluid region
+    pays every suspended flow, then the stored counters are read."""
+    switch.sim.settle_fluid()
+    return {
+        number: {
+            "tx_packets": each.tx_packets,
+            "tx_bytes": each.tx_bytes,
+            "rx_packets": each.rx_packets,
+            "rx_bytes": each.rx_bytes,
+            "tx_drops": each.tx_drops,
+        }
+        for number, each in sorted(switch.ports.items())
+        if port is None or number == port
+    }
+
+
+def settled_flow_stats(switch, match):
+    """A flow-stats reply's ``entries``, settle first."""
+    switch.sim.settle_fluid()
+    return tuple(
+        {
+            "match": entry.match,
+            "priority": entry.priority,
+            "cookie": entry.cookie,
+            "packets": entry.packets,
+            "bytes": entry.bytes,
+            "age_s": switch.sim.now - entry.created_at,
+        }
+        for entry in switch.table
+        if entry.match.is_subset_of(match)
+    )
 
 
 class PostedForwardingSwitch(OpenFlowSwitch):

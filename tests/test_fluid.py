@@ -23,7 +23,7 @@ from repro.net.node import connect
 from repro.net.simulator import Simulator
 from repro.net.wifi import AirMedium, WirelessLink
 from repro.openflow import messages as msg
-from repro.openflow.actions import Output
+from repro.openflow.actions import Output, SetDlDst
 from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.switch import OpenFlowSwitch
@@ -159,6 +159,32 @@ class TestSuspension:
 
 
 class TestWalkRefusals:
+    def test_a_walk_crossing_one_direction_twice_is_refused(self):
+        """A rewrite can send a frame back over a wire it has crossed:
+        a settle would pay that direction (and the entry whose one
+        output led there) twice while its share holds the flow once,
+        so a stats reply's owed read would come up short."""
+        sim = Simulator()
+        region = FluidRegion(sim)
+        sw = OpenFlowSwitch(sim, "sw", dpid=1)
+        legacy = LegacySwitch(sim, "legacy", bridge_id=1, stp_enabled=False)
+        h1, h2 = lab_hosts(sim, 2)
+        connect(sim, sw, legacy, port_a=1, port_b=1)
+        connect(sim, sw, legacy, port_a=2, port_b=2)
+        connect(sim, sw, h1, port_a=3)
+        connect(sim, legacy, h2, port_a=3)
+        hairpin = pkt.mac_address(9)  # the legacy switch sends it back
+        legacy.mac_table[hairpin] = (2, sim.now)
+        legacy.mac_table[h2.mac] = (3, sim.now)
+        sw.table.add(FlowEntry(match=Match(in_port=3),
+                               actions=(SetDlDst(hairpin), Output(1))), sim.now)
+        sw.table.add(FlowEntry(match=Match(in_port=2, dl_dst=hairpin),
+                               actions=(SetDlDst(h2.mac), Output(1))), sim.now)
+        flow = CbrUdpFlow(sim, h1, h2.ip, rate_bps=1e6, packet_size=1000)
+        flow.running, flow._started_at, flow.packets_sent = True, sim.now, 1
+        walk, reason = region._walk(flow)
+        assert walk is None and reason == "revisit"
+
     def test_cold_flow_refused(self):
         net = fluid_net()
         hosts = endpoints(net)
@@ -394,7 +420,10 @@ class TestDeferredCounters:
 
     PROBES = 22
 
-    def suspended_mix(self):
+    def suspended_mix(self, durations=None):
+        """Eight CBR flows, all suspended at 1.0 s; ``durations`` maps
+        a flow's index to its ``duration_s`` (the rest never stop)."""
+        durations = durations or {}
         net = build_livesec_network(
             topology="linear", num_as=2, hosts_per_as=4, fluid=True,
             idle_timeout_s=60.0, stats_interval_s=None,
@@ -410,6 +439,7 @@ class TestDeferredCounters:
                 rate_bps=rng.choice((0.4e6, 0.8e6, 1.6e6)),
                 packet_size=rng.choice((250, 500, 1000)),
                 sport=30000 + index, dport=9000 + index,
+                duration_s=durations.get(index),
             )
             # Clear of the governor's 50 ms grid (flow 0 anchors it):
             # a frame on a wire at a tick refuses the whole mix.
@@ -737,9 +767,15 @@ class TestDeferredCounters:
             assert got == expected
 
     def test_stop_and_prune_settle_before_forgetting(self):
-        net, _rng, flows = self.suspended_mix()
-        sim = net.sim
-        (stopped, _s, stopped_dst), (pruned, _s2, pruned_dst) = flows[:2]
+        """``stop()`` and a flow's own stop boundary (its cap event
+        wakes it and its emit path stops it) both settle the flow and
+        take it off the region at that instant, not at a later
+        governor tick."""
+        net, _rng, flows = self.suspended_mix(durations={1: 1.3})
+        sim, region = net.sim, net.fluid
+        (stopped, _s, stopped_dst), (finished, _s2, finished_dst) = flows[:2]
+        ends_at = finished.paced_at(region._suspended[finished].limit)
+        assert sim.now < ends_at
         seen = {}
 
         def raw(flow, dst):
@@ -751,18 +787,13 @@ class TestDeferredCounters:
             stopped.stop()
             seen["stop"] = (sim.now, raw(stopped, stopped_dst))
 
-        def finish():
-            # What a flow's own emit path does at its stop boundary;
-            # the governor's next tick finds it no longer running.
-            pruned.running = False
-
-        def after_prune():
-            seen["prune"] = raw(pruned, pruned_dst)
-            seen["registered"] = pruned in net.fluid.flows
+        def after_finish():  # at the instant, after its cap event
+            seen["finish"] = raw(finished, finished_dst)
+            seen["registered"] = (stopped in region.flows,
+                                  finished in region.flows)
 
         sim.schedule(0.2113, stop)
-        sim.schedule(0.3171, finish)
-        sim.schedule(0.3171 + 2 * net.fluid.governor_interval_s, after_prune)
+        sim.schedule_at(ends_at, after_finish)
         net.run(0.6)
 
         t, got = seen["stop"]
@@ -770,10 +801,11 @@ class TestDeferredCounters:
         assert stopped.packets_sent == count
         size = stopped.packet_size
         assert got == (count * size, count, count * size)
-        assert seen["registered"] is False
-        count, size = pruned.packets_sent, pruned.packet_size
-        assert count > emitted_before(pruned, sim.now - 0.6 + 0.3171)
-        assert seen["prune"] == (count * size, count, count * size)
+        assert seen["registered"] == (False, False)
+        assert not finished.running
+        count, size = finished.packets_sent, finished.packet_size
+        assert count == emitted_before(finished, finished._stop_at)
+        assert seen["finish"] == (count * size, count, count * size)
 
 
 def lab_hosts(sim, count=3):

@@ -283,7 +283,13 @@ class TestOneTxCounter:
         switch._reply = sending
 
         def poll():
+            # The reply reads what the suspended flow owes and writes
+            # nothing; settling at that instant stores the same counts
+            # on the directions.
+            settles = net.fluid.settles
             switch.handle_of_message(msg.PortStatsRequest())
+            assert net.fluid.settles == settles
+            net.sim.settle_fluid()
             for number, stats in replies[-1].stats.items():
                 port = switch.ports[number]
                 assert (stats["tx_packets"], stats["tx_bytes"]) == (

@@ -22,6 +22,14 @@ and a fourth family puts a crowd on the wires:
 The small and fault tiers run again on 2- and 4-shard control planes
 (40 and 16 seeds each, four switches), comparing every shard's digest.
 
+The OpenFlow stats replies, which read what suspended flows owe rather
+than settling them, are checked against settle-then-read
+(``tests/oracles.settled_port_stats`` / ``settled_flow_stats``) on a
+Wi-Fi mix and a ``congestion="rate"`` mix, at random instants and right
+after a settle, a suspension or a cap event's release; and a run polled
+by the monitor and by flow control ends exactly where one whose replies
+settle first ends.
+
 Plus targeted scenarios: a shared bottleneck that must *refuse*
 fast-forward, and sanity checks that the kernel actually engages and
 the crowd really reads clocks in flight (a suite that silently never
@@ -47,7 +55,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.fluid import ClockShare, FluidRegion, sent_before
+from repro import build_livesec_network
+from repro.core.flowcontrol import AggregateFlowControl
+from repro.net.fluid import ClockShare, sent_before
+from repro.openflow import messages as msg
+from repro.openflow.match import Match
+from repro.openflow.switch import OpenFlowSwitch
+from repro.workloads.flows import CbrUdpFlow
 from repro.workloads.fluidcheck import compare_modes
 from tests import oracles
 
@@ -131,21 +145,23 @@ def test_crowd_reads_clocks_in_flight(monkeypatch):
 
 def test_same_instant_polls_match_oracle(monkeypatch):
     """The monitor polls all eight switches at one instant each second:
-    every settle after the first at an instant is skipped, and the mix
+    the replies made while flows are suspended read what those flows
+    owe (the first computes it, the rest find it kept), and the mix
     still matches the oracle exactly."""
-    flushes = Counter()
-    flush = FluidRegion.flush
+    replies = Counter()
+    reply = OpenFlowSwitch._handle_port_stats
 
-    def counting(region):
-        if region._suspended:
-            flushes[region.sim.now] += 1
-        flush(region)
+    def counting(switch, request):
+        fluid = switch.sim.fluid  # (None in the packet-level run)
+        if fluid is not None and fluid._suspended:
+            replies[switch.sim.now] += 1
+        reply(switch, request)
 
-    monkeypatch.setattr(FluidRegion, "flush", counting)
+    monkeypatch.setattr(OpenFlowSwitch, "_handle_port_stats", counting)
     result = compare_modes(7, num_as=8, hosts_per_as=1, **SMALL)
     assert_equivalent(result)
     assert result["fluid"].fluid_stats["packets_synthesized"] > 0
-    assert max(flushes.values()) >= 8
+    assert max(replies.values()) >= 8
 
 
 def test_kernel_actually_engages():
@@ -185,6 +201,197 @@ def test_rate_policy_mix_keeps_wire_schedule():
     two policies coincide, so an uncongested rate-policy mix still
     matches the oracle exactly."""
     assert_equivalent(compare_modes(5, congestion="rate", **SMALL))
+
+
+# ----------------------------------------------------------------------
+# Stats replies read what suspended flows owe
+
+STATS_MIXES = {
+    # Stations and wired users behind two OvS and two Wi-Fi APs.
+    "wifi": dict(topology="fit", num_ovs=2, num_aps=2, wired_users=2,
+                 wireless_users=4, redundant_core=False),
+    # The rate policy, with flow 0 over its access link's capacity.
+    "rate": dict(topology="linear", num_as=3, hosts_per_as=2,
+                 fluid_config={"congestion": "rate"}),
+}
+
+
+def stats_mix(kind, seed, stats_interval_s=None):
+    """A started deployment carrying six seeded CBR flows; every odd one
+    stops on its own, so its cap event wakes it mid-run."""
+    net = build_livesec_network(
+        fluid=True, idle_timeout_s=60.0, stats_interval_s=stats_interval_s,
+        **STATS_MIXES[kind],
+    )
+    net.start()
+    rng = random.Random(seed)
+    hosts = net.topology.user_hosts
+    flows = []
+    for index in range(6):
+        src, dst = rng.sample(hosts, 2)
+        rate = rng.uniform(0.2e6, 2e6)
+        if kind == "rate" and index == 0:
+            rate = 120e6  # thinned to the bottleneck share
+        flow = CbrUdpFlow(
+            net.sim, src, dst.ip, rate_bps=rate,
+            packet_size=rng.choice((256, 512, 1500)),
+            duration_s=rng.uniform(1.0, 3.0) if index % 2 else None,
+            sport=30000 + index, dport=9000 + index,
+        )
+        flow.start(delay_s=rng.uniform(0.0, 0.4))
+        flows.append((flow, dst))
+    return net, flows
+
+
+def poll_round(net):
+    """Every OF datapath's port-stats and flow-stats reply at ``now``,
+    as the datapath sends them."""
+    replies = []
+    for switch in net.topology.all_openflow_switches():
+        sent = []
+        switch._reply = sent.append
+        try:
+            switch.handle_of_message(msg.PortStatsRequest())
+            switch.handle_of_message(msg.FlowStatsRequest())
+        finally:
+            del switch._reply
+        replies.append((switch, sent[0].stats, sent[1].entries))
+    return replies
+
+
+@pytest.mark.parametrize("kind", sorted(STATS_MIXES))
+@pytest.mark.parametrize("seed", range(6))
+def test_stats_replies_match_the_settled_oracle(kind, seed):
+    """At random instants, and at instants where a settle, a suspension
+    or a cap event's release came first (with a round of replies read
+    before it at that instant too), every OF port's four counters and
+    every entry's packets and bytes equal what settling and then
+    reading gives, and the round settles nothing."""
+    net, _flows = stats_mix(kind, seed)
+    sim, region = net.sim, net.fluid
+    rng = random.Random(seed)
+    probes = Counter()  # rounds checked, per probe kind
+    paid = Counter()  # of those, rounds whose flows owed something
+
+    def check(kind_of_probe):
+        probes[kind_of_probe] += 1
+        settles = region.settles
+        suspended = list(region._suspended.values())
+        replies = poll_round(net)
+        assert region.settles == settles
+        for switch, ports, entries in replies:
+            assert ports == oracles.settled_port_stats(switch)
+            assert entries == oracles.settled_flow_stats(switch, Match())
+        if region.settles > settles:
+            paid[kind_of_probe] += 1
+            paid["over the air"] += any(
+                plan.medium is not None for sf in suspended
+                for plan in sf.walk.hops
+            )
+            paid["thinned"] += any(
+                sf.rate_bps < sf.flow.rate_bps for sf in suspended
+            )
+
+    def after_a_settle():
+        poll_round(net)
+        sim.settle_fluid()
+        check("settle")
+
+    try_suspend, wake = region._try_suspend, region._wake
+
+    def suspending():
+        suspended = len(region._suspended)
+        poll_round(net)
+        try_suspend()
+        if len(region._suspended) > suspended:
+            check("suspension")
+
+    def waking(sf):
+        poll_round(net)
+        wake(sf)
+        check("wake")
+
+    region._try_suspend, region._wake = suspending, waking
+    for _ in range(12):
+        sim.post(rng.uniform(0.5, 4.0), check, "random")
+        sim.post(rng.uniform(0.5, 4.0), after_a_settle)
+    net.run(4.0)
+    assert region.packets_synthesized > 0
+    assert len(probes) == 4, probes
+    assert paid["random"] > 0 and paid["wake"] > 0, paid
+    assert paid["over the air" if kind == "wifi" else "thinned"] > 0, paid
+
+
+def run_totals(net, flows):
+    """What a run leaves behind: the event log, every OF port's and
+    entry's counters, every flow's sent and delivered counts, and the
+    fluid region's totals (not its settle counts)."""
+    stats = net.fluid.stats()
+    return {
+        "digest": net.controller.log.digest(),
+        "ports": [
+            (switch.dpid, number, port.tx_packets, port.tx_bytes,
+             port.rx_packets, port.rx_bytes, port.tx_drops,
+             port.direction and port.direction.dropped)
+            for switch in net.topology.all_openflow_switches()
+            for number, port in sorted(switch.ports.items())
+        ],
+        "entries": [
+            (switch.dpid, entry.match, entry.packets, entry.bytes)
+            for switch in net.topology.all_openflow_switches()
+            for entry in switch.table
+        ],
+        "flows": [
+            (flow.packets_sent, flow.bytes_sent,
+             dst.rx_frames_by_flow.get(flow.flow_id, 0),
+             dst.rx_bytes_by_flow.get(flow.flow_id, 0))
+            for flow, dst in flows
+        ],
+        "fluid": {key: stats[key] for key in (
+            "packets_synthesized", "time_saved_s", "resumes", "refusals",
+            "materializations",
+        )},
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(STATS_MIXES))
+def test_polled_run_ends_where_settling_replies_end_it(kind, monkeypatch):
+    """The monitor's port-stats poll and flow control's flow-stats poll
+    (with a quota some flows break) answered by reads end a run exactly
+    where replies that settle first end it: same event log, same
+    counters, same synthesized packets -- in fewer settles."""
+
+    def run(settling):
+        with monkeypatch.context() as patch:
+            if settling:
+                patch.setattr(
+                    OpenFlowSwitch, "_handle_port_stats",
+                    lambda switch, request: switch._reply(msg.PortStatsReply(
+                        dpid=switch.dpid,
+                        stats=oracles.settled_port_stats(switch, request.port),
+                    )),
+                )
+                patch.setattr(
+                    OpenFlowSwitch, "_handle_flow_stats",
+                    lambda switch, request: switch._reply(msg.FlowStatsReply(
+                        dpid=switch.dpid,
+                        entries=oracles.settled_flow_stats(
+                            switch, request.match),
+                    )),
+                )
+            net, flows = stats_mix(kind, 5, stats_interval_s=1.0)
+            control = AggregateFlowControl(
+                net.controller, default_quota_bps=1.5e6
+            )
+            net.run(6.0)
+            return (run_totals(net, flows), net.fluid.settles,
+                    control.throttle_events)
+
+    read, read_settles, throttled = run(False)
+    settled, settled_settles, _throttled = run(True)
+    assert read == settled
+    assert read["fluid"]["packets_synthesized"] > 0 and throttled > 0
+    assert read_settles < settled_settles
 
 
 # ----------------------------------------------------------------------
