@@ -3,9 +3,9 @@
 The monitoring pillar's scaling claim: at paper scale the event log
 sees per-tick ELEMENT_LOAD/LINK_LOAD churn, so the WebUI's replay and
 query paths cannot afford O(whole-history) work per frame.  Both new
-paths keep their pre-change implementations as oracles --
-``EventLog._query_linear`` and ``MonitoringComponent._replay_linear``
--- which makes the ablation exact: identical event streams, identical
+paths keep their pre-change implementations as oracles in
+``tests/oracles.py`` -- ``query_linear`` and ``replay_linear`` --
+which makes the ablation exact: identical event streams, identical
 probes, only the strategy differs.
 
 Runs standalone (``python benchmarks/bench_eventlog.py`` with
@@ -17,12 +17,16 @@ pytest-benchmark like every other bench file.
 import random
 import sys
 import time
+from pathlib import Path
 
 from repro.analysis import format_table
 from repro.core.events import EventKind, EventLog
 from repro.core.visualization import MonitoringComponent
 
 from common import run_once, write_result
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests import oracles  # noqa: E402  (the repo root is not a package path)
 
 STREAM_SIZES = (10_000, 100_000)
 SEGMENT_SIZE = 512
@@ -108,8 +112,8 @@ def run_experiment():
             {"since": horizon * 0.98},
         ] * 2
         for probe in query_probes:  # semantic sanity before timing
-            assert log.query(**probe) == log._query_linear(**probe)
-        query_linear = time_ops(lambda p: log._query_linear(**p),
+            assert log.query(**probe) == oracles.query_linear(log, **probe)
+        query_linear = time_ops(lambda p: oracles.query_linear(log, **p),
                                 query_probes)
         query_segmented = time_ops(lambda p: log.query(**p), query_probes)
 
@@ -118,9 +122,11 @@ def run_experiment():
                          for __ in range(REPLAY_PROBES)]
         for probe in replay_probes[:3]:
             assert monitoring.replay(probe) == \
-                monitoring._replay_linear(probe)
-        replay_linear = time_ops(monitoring._replay_linear, replay_probes,
-                                 min_seconds=0.5)
+                oracles.replay_linear(monitoring, probe)
+        replay_linear = time_ops(
+            lambda p: oracles.replay_linear(monitoring, p), replay_probes,
+            min_seconds=0.5,
+        )
         replay_ckpt = time_ops(monitoring.replay, replay_probes,
                                min_seconds=0.5)
 

@@ -182,12 +182,7 @@ class PolicyEngineApp(App):
             ))
         return loads
 
-    def effective_fail_mode(self, policy: Optional[Policy]) -> FailMode:
+    def effective_fail_mode(self, policy: Policy) -> FailMode:
         """The fail mode governing a chained policy with no healthy
-        element: the policy's own, else inherited from the controller's
-        ``on_no_element`` default."""
-        if policy is not None and policy.fail_mode is not None:
-            return policy.fail_mode
-        if self.ctx.controller.on_no_element == "drop":
-            return FailMode.CLOSED
-        return FailMode.OPEN
+        element: the policy's own, open when it sets none."""
+        return policy.fail_mode or FailMode.OPEN

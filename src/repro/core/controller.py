@@ -152,17 +152,10 @@ class LiveSecController(ControllerBase):
         idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
         host_timeout_s: float = 120.0,
         stats_interval_s: Optional[float] = DEFAULT_STATS_INTERVAL_S,
-        on_no_element: str = "allow",
-        lldp_enabled: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
         element_timeout_s: Optional[float] = None,
         accountability: bool = False,
     ):
-        super().__init__(sim, lldp_enabled=lldp_enabled)
-        if on_no_element not in ("allow", "drop"):
-            raise ValueError(
-                f"on_no_element must be allow|drop, got {on_no_element}"
-            )
+        super().__init__(sim)
         # Forwarding accountability (SDNsec-style path proofs).  Off by
         # default: tag stamping adds per-frame work and per-session
         # egress reports, and existing deterministic digests predate it.
@@ -188,10 +181,9 @@ class LiveSecController(ControllerBase):
         self.sessions = SessionTable()
         self.directory = DirectoryProxy(self.nib)
         self.idle_timeout_s = idle_timeout_s
-        self.on_no_element = on_no_element
         # Observability: one registry for every subsystem's metrics.
         # Created before the event log so the log's gauges register too.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.log = EventLog(metrics=self.metrics)
         setup_controller_metrics(self)
         # The one reliable-install path.  Owned here rather than by the

@@ -290,11 +290,9 @@ def build_livesec_network(
     idle_timeout_s: float = 5.0,
     host_timeout_s: float = 120.0,
     stats_interval_s: Optional[float] = 1.0,
-    on_no_element: str = "allow",
     element_timeout_s: Optional[float] = None,
     accountability: bool = False,
     fluid: bool = False,
-    fluid_config: Optional[dict] = None,
     num_shards: int = 1,
     sim: Optional[Simulator] = None,
     **topology_kwargs,
@@ -321,8 +319,7 @@ def build_livesec_network(
 
     ``fluid=True`` attaches a :class:`~repro.net.fluid.FluidRegion`:
     steady CBR phases are fast-forwarded analytically while anything
-    control-plane-visible stays at packet fidelity (``fluid_config``
-    forwards kwargs such as ``max_utilization`` / ``congestion``).
+    control-plane-visible stays at packet fidelity.
     ``accountability=True`` turns on path proofs, on one controller
     only.
 
@@ -374,7 +371,6 @@ def build_livesec_network(
             idle_timeout_s=idle_timeout_s,
             host_timeout_s=host_timeout_s,
             stats_interval_s=stats_interval_s,
-            on_no_element=on_no_element,
             element_timeout_s=element_timeout_s,
             accountability=accountability,
         )
@@ -395,7 +391,7 @@ def build_livesec_network(
         ),
     )
     if fluid:
-        network.fluid = FluidRegion(sim, **(fluid_config or {}))
+        network.fluid = FluidRegion(sim)
         network.fluid.attach_metrics(network.metrics)
     network._connect_channels()
     if coordinator is not None:

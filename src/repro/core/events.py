@@ -324,28 +324,6 @@ class EventLog:
                 result.append(event)
         return result
 
-    def _query_linear(
-        self,
-        kind: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        where: Optional[Callable[[NetworkEvent], bool]] = None,
-    ) -> List[NetworkEvent]:
-        """The pre-segmentation reference scan (oracle for tests and
-        the E16 bench): same semantics, no segment skipping."""
-        result = []
-        for event in self:
-            if kind is not None and event.kind != kind:
-                continue
-            if since is not None and event.time < since:
-                continue
-            if until is not None and event.time > until:
-                continue
-            if where is not None and not where(event):
-                continue
-            result.append(event)
-        return result
-
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for segment in self._segments:

@@ -58,8 +58,7 @@ class FailMode(Enum):
     ``OPEN`` keeps traffic flowing uninspected (availability over
     inspection); ``CLOSED`` blocks the governed flows at their ingress
     switch until an element returns (inspection over availability).
-    A policy without an explicit mode inherits the controller-wide
-    ``on_no_element`` default.
+    A policy without an explicit mode fails open.
     """
 
     OPEN = "open"

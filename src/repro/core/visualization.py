@@ -211,18 +211,6 @@ class MonitoringComponent:
             seq = event.seq
         return state, seq
 
-    def _replay_linear(self, until: Optional[float] = None) -> Snapshot:
-        """The pre-checkpoint reference fold from t=0 (oracle for the
-        equivalence property tests and the E16 bench)."""
-        state = Snapshot(time=0.0)
-        for event in self.log:
-            if until is not None and event.time > until:
-                break
-            _apply_event(state, event)
-        if until is not None:
-            state.time = until
-        return state
-
     def replay_series(self, times: List[float]) -> Iterator[Snapshot]:
         """Snapshots at each requested time.
 

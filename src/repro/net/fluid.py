@@ -35,11 +35,10 @@ The contract is equivalence, not approximation:
   element, no app handler at the destination, exactly one Output per
   rule).  Anything else -- floods, punts, path tags, scans, TCP
   machinery -- *refuses* fast-forward and stays at packet fidelity.
-* Under the default ``congestion="refuse"`` policy the region also
-  refuses unless max-min fair allocation over every traversed link
-  direction gives *every* candidate its full demand under the
-  ``max_utilization`` headroom: no drops can occur, so synthesized
-  delivered bytes are exact, not modeled.
+* The region also refuses unless every traversed link direction and
+  radio carries a summed demand (suspended flows included) within
+  :data:`MAX_UTILIZATION` of its capacity: no drops can occur, so
+  synthesized delivered bytes are exact, not modeled.
 * Suspension is bounded by validity caps: the earliest ARP expiry,
   legacy MAC aging deadline, or flow-entry hard timeout along the
   path, the flow's own stop time and packet budget.  The first
@@ -57,7 +56,7 @@ mode reproduces the oracle's per-flow emission schedule exactly.
 
 Known approximations (documented in DESIGN.md): per-packet latency
 samples at the destination host are not synthesized, queue-occupancy
-gauges read empty while suspended (the refuse policy guarantees the
+gauges read empty while suspended (the headroom check guarantees the
 oracle's queues were transient anyway), and FlowRemoved notifications
 for *other* sessions' entries that the oracle's datapath would have
 observed mid-stream are quantized to the switch's 1 s expiry sweep.
@@ -91,6 +90,11 @@ _INF = float("inf")
 # of the timeout are refused (the oracle would be racing expiry).
 IDLE_REFRESH_FRACTION = 0.5
 
+# Suspension is refused unless every link direction and radio on the
+# candidates' paths keeps its summed demand within this share of its
+# capacity.
+MAX_UTILIZATION = 0.95
+
 MAX_HOPS = 64
 
 
@@ -119,16 +123,14 @@ class _SuspendedFlow:
     """A flow whose emit events have been replaced by a closed form."""
 
     __slots__ = ("flow", "walk", "base", "interval", "size", "limit",
-                 "rate_bps", "residual", "clocks", "entry_clocks")
+                 "clocks", "entry_clocks")
 
-    def __init__(self, flow, walk: _Walk, rate_bps: float) -> None:
+    def __init__(self, flow, walk: _Walk) -> None:
         self.flow = flow
         self.walk = walk
         self.base = flow._started_at
         self.interval = flow.interval_s
         self.size = flow.packet_size
-        self.rate_bps = rate_bps
-        self.residual = 0.0  # fractional delivery carry (rate policy)
         # (direction or radio, when a frame emitted at t has finished
         # serializing there) and (flow entry, when it arrives at that
         # table): what the flow is indexed under and a settle stores.
@@ -313,43 +315,6 @@ class ClockShare:
         return phases
 
 
-def max_min_rates(
-    demands: Dict[object, float],
-    constraints: List[Tuple[float, List[object]]],
-) -> Dict[object, float]:
-    """Progressive-filling max-min fair allocation.
-
-    ``demands`` maps a flow key to its offered rate; each constraint is
-    ``(capacity_bps, member_keys)``.  Rates rise uniformly until a flow
-    reaches its demand or a constraint saturates (freezing its active
-    members).  Returns the per-key allocated rate.
-    """
-    rates = {key: 0.0 for key in demands}
-    active = set(demands)
-    cons = [(cap, [k for k in keys if k in demands]) for cap, keys in constraints]
-    eps = 1e-9
-    while active:
-        delta = min(demands[k] - rates[k] for k in active)
-        for cap, keys in cons:
-            live = [k for k in keys if k in active]
-            if not live:
-                continue
-            slack = cap - sum(rates[k] for k in keys)
-            delta = min(delta, slack / len(live))
-        if delta > 0:
-            for k in active:
-                rates[k] += delta
-        frozen = {k for k in active if rates[k] >= demands[k] - eps}
-        for cap, keys in cons:
-            if any(k in active for k in keys):
-                if cap - sum(rates[k] for k in keys) <= cap * eps:
-                    frozen.update(k for k in keys if k in active)
-        if not frozen:
-            break  # defensive: should be unreachable
-        active -= frozen
-    return rates
-
-
 class FluidRegion:
     """Flow-level fast-forward attached to a :class:`Simulator`.
 
@@ -363,22 +328,9 @@ class FluidRegion:
     reads a counter calls :meth:`flush` first.
     """
 
-    def __init__(
-        self,
-        sim,
-        max_utilization: float = 0.95,
-        congestion: str = "refuse",
-    ):
-        if congestion not in ("refuse", "rate"):
-            raise ValueError(f"unknown congestion policy {congestion!r}")
-        if not 0.0 < max_utilization <= 1.0:
-            raise ValueError(
-                f"max_utilization must be in (0, 1] (got {max_utilization})"
-            )
+    def __init__(self, sim):
         self.sim = sim
-        self.max_utilization = max_utilization
         self.governor_interval_s = 0.05
-        self.congestion = congestion
         self.flows: Dict[object, None] = {}
         # In suspension order, which is settle order (and so what fixes
         # the float sum in ``busy_time``).
@@ -489,7 +441,7 @@ class FluidRegion:
         Exactness demands all-or-nothing: a packet-level flow sharing a
         link with suspended ones would see less contention than the
         oracle's, so one ineligible flow (or one oversubscribed link)
-        refuses the whole attempt under the ``refuse`` policy.
+        refuses the whole attempt.
         """
         if len(self._suspended) == len(self.flows):
             return
@@ -504,43 +456,25 @@ class FluidRegion:
                 return
             candidates.append((flow, walk))
 
-        demands: Dict[object, float] = {}
-        members: Dict[object, List[object]] = {}
+        # Every candidate keeps its full rate iff no direction or radio
+        # is asked for more than its headroom (a radio once per
+        # crossing, so a station-to-station flow counts twice).
+        paths = [(flow.rate_bps, walk.hops) for flow, walk in candidates]
+        paths += [(sf.flow.rate_bps, sf.walk.hops)
+                  for sf in self._suspended.values()]
+        demand: Dict[object, float] = {}
         capacity: Dict[object, float] = {}
-        for flow, walk in candidates:
-            demands[flow] = flow.rate_bps
-            for plan in walk.hops:
+        for rate, hops in paths:
+            for plan in hops:
                 medium = plan.medium
-                if medium is not None:
-                    key = ("air", id(medium))
-                    capacity[key] = medium.bandwidth_bps
-                else:
-                    key = ("dir", id(plan.link), id(plan.from_port))
-                    capacity[key] = plan.link.bandwidth_bps
-                members.setdefault(key, []).append(flow)
-        for sf in self._suspended.values():
-            demands[sf.flow] = sf.rate_bps
-            for plan in sf.walk.hops:
-                medium = plan.medium
-                key = (("air", id(medium)) if medium is not None
-                       else ("dir", id(plan.link), id(plan.from_port)))
-                capacity.setdefault(
-                    key,
-                    medium.bandwidth_bps if medium is not None
-                    else plan.link.bandwidth_bps,
-                )
-                members.setdefault(key, []).append(sf.flow)
-
-        constraints = [
-            (capacity[key] * self.max_utilization, flows)
-            for key, flows in members.items()
-        ]
-        rates = max_min_rates(demands, constraints)
-        if self.congestion == "refuse":
-            for flow, _walk in candidates:
-                if rates[flow] < demands[flow] * (1.0 - 1e-9):
-                    self._refuse("congested")
-                    return
+                key = plan.direction if medium is None else medium
+                demand[key] = demand.get(key, 0.0) + rate
+                capacity[key] = (plan.link if medium is None
+                                 else medium).bandwidth_bps
+        for key, total in demand.items():
+            if total > capacity[key] * MAX_UTILIZATION:
+                self._refuse("congested")
+                return
 
         now = self.sim.now
         if not self._suspended:
@@ -550,7 +484,7 @@ class FluidRegion:
             if flow._pending is not None:
                 flow._pending.cancel()
                 flow._pending = None
-            sf = _SuspendedFlow(flow, walk, rates[flow])
+            sf = _SuspendedFlow(flow, walk)
             self._suspended[flow] = sf
             self._bind(sf)
             if sf.limit < sys.maxsize:
@@ -646,8 +580,7 @@ class FluidRegion:
                     # holds the flow once: an owed read would fall short.
                     return None, "revisit"
             pending = direction.pending_done
-            if (self.congestion == "refuse" and pending
-                    and pending[-1] > now + plan.end_offset_s - tx):
+            if pending and pending[-1] > now + plan.end_offset_s - tx:
                 # A real frame still holds this hop when the flow's
                 # first analytic frame (emitted at >= now) can start
                 # serializing here: a draining drop-tail backlog (e.g.
@@ -657,9 +590,7 @@ class FluidRegion:
                 # e.g. one a switch committed to this queue while it
                 # still holds it.  On the first hop this is
                 # ``occupancy(now) > 0`` (not asked of a later instant:
-                # it prunes).  The "rate" policy models congestion
-                # anyway, so only the exactness-preserving policy
-                # refuses here.
+                # it prunes).
                 return None, "queue-backlog"
             walk.hops.append(plan)
             node = to_port.node
@@ -807,11 +738,9 @@ class FluidRegion:
         flow = sf.flow
         walk = sf.walk
         size = sf.size
+        sent_bytes = sent * size
         flow.packets_sent = count
-        flow.bytes_sent += sent * size
-        delivered, sf.residual = self._delivered(sf, sent)
-        if delivered < sent:
-            walk.hops[0].direction.dropped += sent - delivered
+        flow.bytes_sent += sent_bytes
         # Emission time of the final synthesized frame: real frames
         # sent after the flow resumes queue behind the analytic
         # traffic, entries idle out and MACs age from its arrival.
@@ -821,8 +750,6 @@ class FluidRegion:
             learned = sw.mac_table.get(src_mac)
             if learned is None or seen > learned[1]:
                 sw.mac_table[src_mac] = (in_learn, seen)
-        if not delivered:
-            return
         for clock, offset in sf.clocks:
             end = last_t + offset
             if end > clock.next_free:
@@ -831,50 +758,35 @@ class FluidRegion:
             seen = last_t + offset
             if seen > entry.last_used_at:
                 entry.last_used_at = seen
-        delivered_bytes = delivered * size
         for plan in walk.hops:
-            busy = delivered * (size * 8.0 / plan.link.bandwidth_bps)
+            busy = sent * (size * 8.0 / plan.link.bandwidth_bps)
             direction = plan.direction
-            direction.tx_packets += delivered
-            direction.tx_bytes += delivered_bytes
+            direction.tx_packets += sent
+            direction.tx_bytes += sent_bytes
             direction.busy_time += busy
             port = direction.to_port
-            port.rx_packets += delivered
-            port.rx_bytes += delivered_bytes
+            port.rx_packets += sent
+            port.rx_bytes += sent_bytes
             medium = plan.medium
             if medium is not None:
                 medium.busy_time += busy
-                medium.frames += delivered
+                medium.frames += sent
         for sw, entry, _offset, exact in walk.of_hits:
-            sw.table.record_fluid_hits(entry, delivered, delivered_bytes, exact)
-            sw.packets_forwarded += delivered
+            sw.table.record_fluid_hits(entry, sent, sent_bytes, exact)
+            sw.packets_forwarded += sent
         dst = walk.dst
-        dst.rx_frames += delivered
-        dst.rx_bytes += delivered_bytes
-        dst.rx_bytes_by_flow[flow.flow_id] += delivered_bytes
-        dst.rx_frames_by_flow[flow.flow_id] += delivered
-
-    def _delivered(self, sf: _SuspendedFlow, sent: int) -> Tuple[int, float]:
-        """How many of ``sent`` more emissions of ``sf`` arrive, and the
-        fractional carry after them.  All of them, except under the
-        ``rate`` policy on a flow allocated below its demand: bottleneck
-        thinning delivers the allocated fraction, carrying the fraction
-        across settles, and the rest are first-hop drops."""
-        flow = sf.flow
-        if self.congestion == "rate" and sf.rate_bps < flow.rate_bps:
-            exact = sent * sf.rate_bps / flow.rate_bps + sf.residual
-            delivered = int(exact)
-            return delivered, exact - delivered
-        return sent, sf.residual
+        dst.rx_frames += sent
+        dst.rx_bytes += sent_bytes
+        dst.rx_bytes_by_flow[flow.flow_id] += sent_bytes
+        dst.rx_frames_by_flow[flow.flow_id] += sent
 
     def owed(self, flows) -> Tuple[int, int]:
-        """The frames and bytes ``flows`` (suspended) have delivered
-        along their paths since their last settle: what a settle now
-        would add to a counter they all cross, thinned as :meth:`_pay`
-        thins, with nothing written.  One closed form per flow per
-        instant: each answer is kept until ``now`` moves or a settle
-        pays (a suspension settles first, and a flow suspended since is
-        not in the memo)."""
+        """The frames and bytes ``flows`` (suspended) have sent along
+        their paths since their last settle: what a settle now would
+        add to a counter they all cross, with nothing written.  One
+        closed form per flow per instant: each answer is kept until
+        ``now`` moves or a settle pays (a suspension settles first, and
+        a flow suspended since is not in the memo)."""
         now = self.sim.now
         memo = self._owed
         if self._owed_at != now:
@@ -882,14 +794,12 @@ class FluidRegion:
             self._owed_at = now
         frames = total = 0
         for sf in flows:
-            delivered = memo.get(sf)
-            if delivered is None:
+            sent = memo.get(sf)
+            if sent is None:
                 self.closed_forms += 1
-                delivered = memo[sf] = self._delivered(
-                    sf, sent_before(sf, now) - sf.flow.packets_sent
-                )[0]
-            frames += delivered
-            total += delivered * sf.size
+                sent = memo[sf] = sent_before(sf, now) - sf.flow.packets_sent
+            frames += sent
+            total += sent * sf.size
         return frames, total
 
     def _release(self, sf: _SuspendedFlow) -> None:

@@ -72,12 +72,22 @@ class Port:
     def _update_egress(self) -> None:
         """The one place the port's send decision is made: the node's
         ``egress`` maps the port to its link's transmit while the port
-        is attached and enabled, and does not hold it otherwise."""
+        is attached and enabled, and does not hold it otherwise.
+
+        A change hands every suspended flow back to packet level: a
+        suspended path is only valid for the wiring it was walked on."""
         egress = self.node.egress
-        if self._link is not None and self._enabled:
-            egress[self.number] = partial(self._link.transmit, self)
+        link = self._link if self._enabled else None
+        bound = egress.get(self.number)
+        if (None if bound is None else bound.func.__self__) is link:
+            return
+        fluid = self.node.sim.fluid
+        if fluid is not None:
+            fluid.materialize_all("rewire")
+        if link is None:
+            del egress[self.number]
         else:
-            egress.pop(self.number, None)
+            egress[self.number] = partial(link.transmit, self)
 
     @property
     def tx_packets(self) -> int:

@@ -64,7 +64,6 @@ def run_mix(
     traffic_s: float = 4.0,
     max_rate_bps: float = 4e6,
     link_flap: bool = False,
-    congestion: str = "refuse",
     num_shards: int = 1,
 ) -> MixResult:
     """One seeded CBR mix, at packet fidelity or with fluid attached.
@@ -81,7 +80,6 @@ def run_mix(
         num_as=num_as,
         hosts_per_as=hosts_per_as,
         fluid=fluid,
-        fluid_config={"congestion": congestion},
         num_shards=num_shards,
     )
     net.start()

@@ -19,15 +19,20 @@ stored counters, which the replies' read of what those flows owe must
 match.  :class:`MutableHostTable` is the
 NIB's routing table as it was when a row was a mutable record written in
 place, which the tuple rows and their ``last_seen`` column must match
-call for call.
+call for call.  :func:`query_linear` is the event-log scan the segment
+skipping replaced, and :func:`replay_linear` the monitoring fold from
+t=0 the checkpoints replaced (both also timed by
+``benchmarks/bench_eventlog.py``).
 """
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, List, Optional
 
+from repro.core.events import NetworkEvent
 from repro.core.policy import flow_addrs
 from repro.core.policy_compiler import _Space, _pair_finding, _row_findings
+from repro.core.visualization import Snapshot, _apply_event
 from repro.elements.base import Verdict
 from repro.net.fluid import _PHASE_SLACK_S, sent_before
 from repro.net.packet import Tcp
@@ -302,3 +307,39 @@ class MutableHostTable:
                 .encode()
             )
         return digest.hexdigest()
+
+
+def query_linear(
+    log,
+    kind: Optional[str] = None,
+    since: Optional[float] = None,
+    until: Optional[float] = None,
+    where: Optional[Callable[[NetworkEvent], bool]] = None,
+) -> List[NetworkEvent]:
+    """The pre-segmentation reference scan of ``log``: the semantics
+    of :meth:`EventLog.query`, no segment skipping."""
+    result = []
+    for event in log:
+        if kind is not None and event.kind != kind:
+            continue
+        if since is not None and event.time < since:
+            continue
+        if until is not None and event.time > until:
+            continue
+        if where is not None and not where(event):
+            continue
+        result.append(event)
+    return result
+
+
+def replay_linear(monitoring, until: Optional[float] = None) -> Snapshot:
+    """The pre-checkpoint reference fold from t=0 of ``monitoring``'s
+    log: what :meth:`MonitoringComponent.replay` must return."""
+    state = Snapshot(time=0.0)
+    for event in monitoring.log:
+        if until is not None and event.time > until:
+            break
+        _apply_event(state, event)
+    if until is not None:
+        state.time = until
+    return state

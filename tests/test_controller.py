@@ -1,8 +1,10 @@
 """Integration tests for the LiveSec controller application."""
 
+from dataclasses import replace
+
 from repro import Policy, PolicyTable, build_livesec_network
 from repro.core.events import EventKind
-from repro.core.policy import FlowSelector, PolicyAction
+from repro.core.policy import FailMode, FlowSelector, PolicyAction
 from repro.workloads import AttackWebFlow, CbrUdpFlow, HttpFlow
 
 GATEWAY_IP = "10.255.255.254"
@@ -130,9 +132,10 @@ class TestPolicyEnforcement:
         assert attacks[0].data["user_mac"] == src.mac
 
     def test_no_element_fallback_allow(self, ids_policy_table):
+        # The policy sets no fail mode: it fails open.
         net = build_livesec_network(
             topology="linear", policies=ids_policy_table,
-            num_as=2, hosts_per_as=1, on_no_element="allow",
+            num_as=2, hosts_per_as=1,
         )
         net.start()
         flow = CbrUdpFlow(net.sim, net.host("h1_1"), GATEWAY_IP,
@@ -143,9 +146,12 @@ class TestPolicyEnforcement:
         assert net.controller.counters["no_element_fallback"] == 1
 
     def test_no_element_fallback_drop(self, ids_policy_table):
+        policy = replace(ids_policy_table.get("inspect-internet"),
+                         fail_mode=FailMode.CLOSED)
+        ids_policy_table.begin(source="test").replace_all([policy]).commit()
         net = build_livesec_network(
             topology="linear", policies=ids_policy_table,
-            num_as=2, hosts_per_as=1, on_no_element="drop",
+            num_as=2, hosts_per_as=1,
         )
         net.start()
         flow = CbrUdpFlow(net.sim, net.host("h1_1"), GATEWAY_IP,

@@ -54,10 +54,6 @@ class TestBuild:
                                     hosts_per_as=1)
         assert net.sim is sim
 
-    def test_invalid_on_no_element(self):
-        with pytest.raises(ValueError):
-            build_livesec_network(topology="linear", on_no_element="retry")
-
 
 class TestLifecycle:
     def test_start_twice_rejected(self, small_net):
@@ -162,9 +158,9 @@ class TestOneDeployment:
     def test_fluid_attaches_at_every_shard_count(self, shards):
         net = build_livesec_network(
             topology="linear", num_as=4, hosts_per_as=1, num_shards=shards,
-            fluid=True, fluid_config={"congestion": "rate"},
+            fluid=True,
         )
-        assert net.fluid.congestion == "rate"
+        assert net.sim.fluid is net.fluid
         names = {metric.name for metric in net.metrics.snapshot()}
         assert "sim.fluid_fastforwards" in names
 

@@ -9,6 +9,7 @@ from repro.core.visualization import (
     render_snapshot,
 )
 from repro.obs import MetricsRegistry
+from tests import oracles
 
 
 class TestEventLog:
@@ -103,7 +104,7 @@ class TestSegmentation:
             {"kind": "missing"},
             {"where": lambda e: e.data["i"] % 2 == 0},
         ):
-            assert log.query(**kwargs) == log._query_linear(**kwargs)
+            assert log.query(**kwargs) == oracles.query_linear(log, **kwargs)
 
     def test_counts_by_kind_consistent_across_rotation(self):
         log = EventLog(segment_size=2)
@@ -342,7 +343,7 @@ class TestCheckpoints:
         self._emit_hosts(log, 20)
         log.emit(25.0, EventKind.HOST_LEAVE, mac="m3")
         for until in (None, 0.0, 7.5, 19.0, 25.0, 99.0, -1.0):
-            assert mon.replay(until) == mon._replay_linear(until)
+            assert mon.replay(until) == oracles.replay_linear(mon, until)
 
     def test_replay_folds_only_the_delta(self):
         log = EventLog(segment_size=8)
@@ -371,7 +372,7 @@ class TestCheckpoints:
         assert mon.checkpoint_interval > 2
         # Thinned or not, replay stays exact.
         for until in (3.0, 50.5, 199.0):
-            assert mon.replay(until) == mon._replay_linear(until)
+            assert mon.replay(until) == oracles.replay_linear(mon, until)
 
     def test_monitoring_has_no_database_copy(self):
         log = EventLog()

@@ -2,8 +2,8 @@
 
 The oracle-equivalence property suite (test_properties_fluid.py) does
 the heavy lifting; these tests pin the kernel's mechanics one piece at
-a time: eligibility walks and their refusal reasons, the max-min
-allocator, materialization triggers, and the observability surface.
+a time: eligibility walks and their refusal reasons, the headroom
+check, materialization triggers, and the observability surface.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ from repro import build_livesec_network
 from repro.core.bus import FlowRemovedIn, FlowStatsIn, PortStatsIn
 from repro.net import packet as pkt
 from repro.net.ecmp import EcmpLegacySwitch
-from repro.net.fluid import ClockShare, FluidRegion, max_min_rates
+from repro.net.fluid import ClockShare, FluidRegion
 from repro.net.host import Host
 from repro.net.legacy import MAC_AGING_S, LegacySwitch
 from repro.net.links import _Direction
@@ -47,41 +47,7 @@ def steady_flow(net, src, dst, rate_bps=2e6, **kwargs):
                       packet_size=1000, **kwargs).start()
 
 
-class TestMaxMinRates:
-    def test_unconstrained_demands_are_met(self):
-        rates = max_min_rates({"a": 5.0, "b": 3.0}, [(100.0, ["a", "b"])])
-        assert rates == {"a": 5.0, "b": 3.0}
-
-    def test_saturated_link_splits_fairly(self):
-        rates = max_min_rates({"a": 10.0, "b": 10.0}, [(12.0, ["a", "b"])])
-        assert rates["a"] == pytest.approx(6.0)
-        assert rates["b"] == pytest.approx(6.0)
-
-    def test_small_demand_frees_share_for_big_one(self):
-        rates = max_min_rates({"a": 4.0, "b": 10.0}, [(12.0, ["a", "b"])])
-        assert rates["a"] == pytest.approx(4.0)
-        assert rates["b"] == pytest.approx(8.0)
-
-    def test_multi_constraint_bottleneck(self):
-        # b is pinched on its private 2-unit link even though the
-        # shared one has room; a takes the slack of the shared link.
-        rates = max_min_rates(
-            {"a": 10.0, "b": 10.0},
-            [(12.0, ["a", "b"]), (2.0, ["b"])],
-        )
-        assert rates["b"] == pytest.approx(2.0)
-        assert rates["a"] == pytest.approx(10.0)
-
-
 class TestConstruction:
-    def test_unknown_congestion_policy_rejected(self):
-        with pytest.raises(ValueError):
-            FluidRegion(Simulator(), congestion="drop")
-
-    def test_bad_utilization_rejected(self):
-        with pytest.raises(ValueError):
-            FluidRegion(Simulator(), max_utilization=1.5)
-
     def test_double_attach_rejected(self):
         sim = Simulator()
         FluidRegion(sim)
@@ -123,7 +89,7 @@ class TestSuspension:
 
     def test_oversubscribed_path_refused(self):
         # Both flows squeeze through one 100 Mbps access link; demand
-        # exceeds the 0.95 headroom cap, so the refuse policy keeps
+        # exceeds the 0.95 headroom cap, so the region keeps
         # everything at packet fidelity.
         net = fluid_net()
         hosts = endpoints(net)
@@ -132,7 +98,7 @@ class TestSuspension:
         net.run(1.0)
         stats = net.fluid.stats()
         # Depending on timing the walk sees the standing drop-tail
-        # backlog ("queue-backlog") or the allocator sees the
+        # backlog ("queue-backlog") or the headroom check sees the
         # oversubscription ("congested"); either way, no suspension.
         refused = (stats["refusals"].get("congested", 0)
                    + stats["refusals"].get("queue-backlog", 0))
@@ -140,22 +106,38 @@ class TestSuspension:
         assert stats["suspended_flows"] == 0
         assert stats["packets_synthesized"] == 0
 
-    def test_rate_policy_suspends_and_accounts_drops(self):
+    @staticmethod
+    def uneven_demands(fluid):
+        """Three flows out of one host at uneven rates, on gigabit
+        access links: their summed demand is under a tenth of any
+        capacity on their paths."""
         net = build_livesec_network(
-            topology="linear", num_as=2, hosts_per_as=2, fluid=True,
-            fluid_config={"congestion": "rate"},
+            topology="linear", num_as=2, hosts_per_as=2, fluid=fluid,
+            access_bandwidth_bps=1e9,
         )
         net.start()
-        hosts = endpoints(net)
-        flow = steady_flow(net, hosts[0], hosts[1], rate_bps=150e6)
-        net.run(1.5)
-        stats = net.fluid.stats()
-        assert stats["packets_synthesized"] > 0
-        # Thinned to the bottleneck share: fewer bytes arrive than
-        # were sent, and the gap shows up as first-hop drops.
-        assert flow.delivered_bytes(hosts[1]) < flow.bytes_sent
-        access = hosts[0].ports[1].link
-        assert access.stats(hosts[0].ports[1])["dropped"] > 0
+        src, *dsts = endpoints(net)
+        rates = (48496641.79219705, 33373258.928988237, 1828460.31324845)
+        flows = [
+            CbrUdpFlow(net.sim, src, dst.ip, rate_bps=rate,
+                       packet_size=1500, duration_s=1.2).start()
+            for dst, rate in zip(dsts, rates)
+        ]
+        net.run(1.0)
+        if fluid:
+            stats = net.fluid.stats()
+            assert stats["suspended_flows"] == 3
+            assert "congested" not in stats["refusals"]
+        net.run(0.5)
+        return [(flow.packets_sent, dst.rx_frames_by_flow[flow.flow_id])
+                for flow, dst in zip(flows, dsts)]
+
+    def test_uneven_demands_with_headroom_all_suspend(self):
+        """Rates that rise by float steps to one another's must not
+        read as a shortfall: every demand fits, so all three suspend
+        and deliver what the packet kernel delivers."""
+        assert (self.uneven_demands(fluid=True)
+                == self.uneven_demands(fluid=False))
 
 
 class TestWalkRefusals:
@@ -313,6 +295,38 @@ class TestMaterialization:
         net.fluid.tcp_closed(conn)
         net.run(0.5)
         assert net.fluid.stats()["suspended_flows"] == 1
+
+    @staticmethod
+    def moved_destination(fluid):
+        """One CBR flow between the two hosts of the first AS switch;
+        at 1.0 s the destination is re-plugged into the other AS
+        switch, and the flow's installed path now leads to an empty
+        port."""
+        net = build_livesec_network(
+            topology="linear", num_as=2, hosts_per_as=2, fluid=fluid,
+            idle_timeout_s=60.0,
+        )
+        net.start()
+        src, dst = endpoints(net)[:2]
+        flow = steady_flow(net, src, dst)
+        net.run(1.0)
+        if fluid:
+            assert net.fluid.stats()["suspended_flows"] == 1
+        topo = net.topology
+        there = topo.attachments[dst.name].switch
+        topo.move_host(dst.name, next(
+            sw for sw in topo.as_switches if sw is not there
+        ))
+        net.run(2.0)
+        return net, (flow.packets_sent, dst.rx_frames_by_flow[flow.flow_id])
+
+    def test_rewiring_a_port_materializes(self):
+        """A suspended flow must not keep delivering over a wire that
+        was unplugged under it."""
+        packet = self.moved_destination(fluid=False)[1]
+        net, fluid = self.moved_destination(fluid=True)
+        assert fluid == packet
+        assert net.fluid.stats()["materializations"].get("rewire") == 1
 
     def test_counters_are_current_at_materialization(self):
         net, hosts, flow = self.run_suspended()

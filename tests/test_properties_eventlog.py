@@ -1,10 +1,10 @@
 """Property tests: the segmented/checkpointed event store against the
 pre-change flat-list oracle.
 
-Two oracles are kept on the shipped classes precisely for this file
-and the E16 bench: ``EventLog._query_linear`` (full scan, no segment
-skipping) and ``MonitoringComponent._replay_linear`` (fold from t=0,
-no checkpoints).  Over randomized event streams:
+Two oracles in ``tests/oracles.py`` serve this file and the E16
+bench: ``query_linear`` (full scan, no segment skipping) and
+``replay_linear`` (fold from t=0, no checkpoints).  Over randomized
+event streams:
 
 * checkpointed ``replay(until)`` must equal the linear fold exactly,
 * segmented ``query`` must equal the linear scan exactly (lossless
@@ -22,6 +22,7 @@ import random
 
 from repro.core.events import SAMPLE_KINDS, EventKind, EventLog
 from repro.core.visualization import MonitoringComponent
+from tests import oracles
 
 NUM_STREAMS = 250
 
@@ -117,7 +118,7 @@ class TestCheckpointedReplayEquivalence:
                 log.emit(when, kind, **data)
             for until in probe_times(rng, log.all()):
                 checkpointed = mon.replay(until)
-                linear = mon._replay_linear(until)
+                linear = oracles.replay_linear(mon, until)
                 assert checkpointed == linear, (
                     f"seed={seed} until={until}"
                 )
@@ -158,11 +159,12 @@ class TestSegmentedQueryEquivalence:
                  "until": rng.uniform(0, horizon)},
             ]
             for kwargs in queries:
-                assert log.query(**kwargs) == log._query_linear(**kwargs), (
+                linear = oracles.query_linear(log, **kwargs)
+                assert log.query(**kwargs) == linear, (
                     f"seed={seed} query={kwargs}"
                 )
             assert log.counts_by_kind() == {
-                kind: len(log._query_linear(kind=kind))
+                kind: len(oracles.query_linear(log, kind=kind))
                 for kind in log.counts_by_kind()
             }
 

@@ -766,20 +766,18 @@ def only_on_quarantined_switch(net):
 
 
 @pytest.mark.parametrize(
-    "fleet,policy_mode,on_no_element,verdict,fail_mode,steered", [
-        (one_healthy, "closed", "allow", "allow", None, True),
-        (no_elements, "open", "drop", "allow", FailMode.OPEN, False),
-        (no_elements, "closed", "allow", "block", FailMode.CLOSED, False),
-        # A policy without its own fail mode inherits the controller's.
-        (no_elements, None, "allow", "allow", FailMode.OPEN, False),
-        (no_elements, None, "drop", "block", FailMode.CLOSED, False),
+    "fleet,policy_mode,verdict,fail_mode,steered", [
+        (one_healthy, "closed", "allow", None, True),
+        (no_elements, "open", "allow", FailMode.OPEN, False),
+        (no_elements, "closed", "block", FailMode.CLOSED, False),
+        # A policy without its own fail mode fails open.
+        (no_elements, None, "allow", FailMode.OPEN, False),
         # A convicted switch's elements count as absent.
-        (only_on_quarantined_switch, "closed", "allow",
+        (only_on_quarantined_switch, "closed",
          "block", FailMode.CLOSED, False),
     ],
 )
-def test_decide_chain_ladder(fleet, policy_mode, on_no_element,
-                             verdict, fail_mode, steered):
+def test_decide_chain_ladder(fleet, policy_mode, verdict, fail_mode, steered):
     table = chaos_policy_table("open")
     policy = replace(
         table.get("chaos-ids"),
@@ -788,7 +786,6 @@ def test_decide_chain_ladder(fleet, policy_mode, on_no_element,
     table.begin(source="test").replace_all([policy]).commit()
     net = build_livesec_network(
         topology="linear", num_as=2, hosts_per_as=1, policies=table,
-        on_no_element=on_no_element,
     )
     net.start()
     fleet(net)
