@@ -104,13 +104,19 @@ chaos-determinism:
 # Seeded compromised-switch scenario under forwarding accountability:
 # the misbehaving datapath must be convicted and quarantined within
 # bounded sim time, its sessions re-steered, and the event log
-# digest-stable across two same-seed runs.
+# digest-stable across two same-seed runs -- on one controller and on
+# two shards, where evidence and the quarantine cross the fabric.
 accountability-smoke:
 	$(call same_digest,PYTHONPATH=src python -m repro chaos \
 		--scenario compromised-switch --variant skip-waypoint --seed 0 \
 		--assert-detected --assert-recovered,digest [0-9a-f]*,acct)
 	@grep -q 'quarantined=\[2\]' /tmp/acct-a.txt || \
 		{ echo "compromised dpid 2 was not quarantined"; exit 1; }
+	$(call same_digest,PYTHONPATH=src python -m repro chaos \
+		--scenario compromised-switch --variant skip-waypoint --seed 0 \
+		--shards 2 --assert-detected --assert-recovered,digest [0-9a-f]*,acct-shards)
+	@grep -q 'quarantined=\[2\]' /tmp/acct-shards-a.txt || \
+		{ echo "compromised dpid 2 was not quarantined on 2 shards"; exit 1; }
 
 # The shard fabric end to end: boot a 4-shard control plane, where a
 # TCP connection between the first and the last shard's users must

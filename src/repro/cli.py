@@ -144,13 +144,22 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
 
     if args.scenario == "compromised-switch":
-        report = run_compromised_switch_scenario(
-            seed=args.seed,
-            variant=args.variant,
-            duration_s=args.duration,
-            record_jsonl=args.record,
-        )
+        try:
+            report = run_compromised_switch_scenario(
+                seed=args.seed,
+                variant=args.variant,
+                duration_s=args.duration,
+                record_jsonl=args.record,
+                shards=args.shards,
+            )
+        except ValueError as exc:  # more shards than its 3 AS switches
+            print(f"compromised-switch: {exc}", file=sys.stderr)
+            return 2
     elif args.scenario == "shard-failover":
+        if args.shards != 1:
+            print("shard-failover takes no --shards: it runs one shard per"
+                  " pod of a k=4 fat tree", file=sys.stderr)
+            return 2
         report = run_shard_failover_scenario(
             seed=args.seed,
             duration_s=args.duration,
@@ -641,8 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
                             " shard-failover roams a host across pods then"
                             " kills a controller shard")
     chaos.add_argument("--shards", type=_count_at_least(1), default=1,
-                       help="run the element-crash scenario on a sharded"
-                            " control plane with this many shards")
+                       help="run element-crash or compromised-switch (at"
+                            " most 3) on a control plane with this many"
+                            " shards; shard-failover fixes its own")
     chaos.add_argument("--assert-rehomed", action="store_true",
                        dest="assert_rehomed",
                        help="exit 1 unless a dead shard's switches re-homed"

@@ -10,18 +10,21 @@ chain back to the controller.  This app is the verifier:
   against the descriptor; the first divergent mark attributes the
   violation to a datapath,
 * **stray tagged frames** (:class:`~repro.core.bus.TaggedPacketIn`)
-  mean a frame left its expected path before the egress strip -- the
-  last switch that stamped validly is the misrouter,
+  punted anywhere but their next expected hop mean a frame left its
+  expected path before the egress strip -- the last switch that
+  stamped validly is the misrouter,
 * a periodic **absence audit** catches tag-stripping switches that
   never let a proof complete: sessions whose proofs went silent vote
   for the datapaths they share, datapaths on still-healthy paths are
   exonerated, and what remains is accused of ``proof-silence``.
 
+On a shard fabric both kinds of evidence reach the app on the shard
+that holds the session (the owner of the descriptor's ingress dpid).
 A violation immediately quarantines the datapath
-(``controller.quarantined_dpids``): the policy engine stops placing
-waypoints there and the steering app reroutes the sessions that
-traverse it.  Detection latency is therefore the time-to-detect the
-chaos harness measures.
+(:meth:`~repro.core.controller.LiveSecController.quarantine`), on every
+live shard: the policy engine stops placing waypoints there and the
+steering app reroutes the sessions that traverse it.  Detection
+latency is therefore the time-to-detect the chaos harness measures.
 
 The absence audit attributes by elimination, so its precision depends
 on path diversity: with no healthy path sharing a suspect's links it
@@ -36,7 +39,6 @@ from repro.core.apps.base import App, AppContext
 from repro.core.bus import (
     PathProofIn,
     PathViolation,
-    SwitchQuarantined,
     TaggedPacketIn,
 )
 from repro.core.events import EventKind
@@ -95,16 +97,26 @@ class AccountabilityApp(App):
 
     def on_tagged_packet(self, event: TaggedPacketIn) -> None:
         """A frame still carrying its tag was punted off-path: the last
-        switch whose mark verifies is the one that misrouted it."""
+        switch whose mark verifies is the one that misrouted it.
+
+        A frame whose marks are all valid and which punts at exactly
+        the next hop of its descriptor was forwarded correctly and met
+        a table miss there -- on a fabric, a session's remote entries
+        land one inter-shard hop after its first frame -- so it
+        convicts nobody."""
         descriptor = event.tag.descriptor
+        marks = event.tag.marks
         expected = pathproof.expected_marks(
             self.ctx.controller.secret, descriptor
         )
         prefix = 0
-        for got, want in zip(event.tag.marks, expected):
+        for got, want in zip(marks, expected):
             if got != want:
                 break
             prefix += 1
+        if (prefix == len(marks) < len(descriptor.dpids)
+                and event.packet_in.dpid == descriptor.dpids[prefix]):
+            return
         if prefix >= 1:
             offender = descriptor.dpids[prefix - 1]
         else:
@@ -179,9 +191,8 @@ class AccountabilityApp(App):
             dpid=dpid, reason=reason, session_id=session_id,
             evidence=evidence,
         ))
-        controller.quarantined_dpids[dpid] = reason
-        self.ctx.log.emit(
-            self.ctx.sim.now, EventKind.SWITCH_QUARANTINED,
-            dpid=dpid, reason=reason,
-        )
-        self.ctx.bus.publish(SwitchQuarantined(dpid=dpid, reason=reason))
+        controller.quarantine(dpid, reason)
+        if controller.shard is not None:
+            controller.shard.coordinator.quarantine_elsewhere(
+                controller.shard, dpid, reason
+            )

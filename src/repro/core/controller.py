@@ -81,6 +81,7 @@ from repro.core.bus import (
     ServiceFrameIn,
     SwitchJoined,
     SwitchLeft,
+    SwitchQuarantined,
     TaggedPacketIn,
 )
 from repro.core.directory import DirectoryProxy
@@ -332,6 +333,20 @@ class LiveSecController(ControllerBase):
         app = self._apps.get("accountability")
         return app is not None and app.state == APP_RUNNING
 
+    def quarantine(self, dpid: int, reason: str) -> None:
+        """Stop trusting a convicted datapath: the one writer of
+        ``quarantined_dpids``.  The convicting accountability app calls
+        it, and on a fabric the coordinator repeats it on every other
+        live shard; a dpid already booked is left as it is."""
+        if dpid in self.quarantined_dpids:
+            return
+        self.quarantined_dpids[dpid] = reason
+        self.log.emit(
+            self.sim.now, EventKind.SWITCH_QUARANTINED,
+            dpid=dpid, reason=reason,
+        )
+        self.bus.publish(SwitchQuarantined(dpid=dpid, reason=reason))
+
     def stop_app(self, name: str) -> App:
         """Stop a running app in place: every bus subscription removed,
         every periodic timer cancelled.  The app stays registered (its
@@ -520,8 +535,9 @@ class LiveSecController(ControllerBase):
             # evidence of misrouting (the PopPathTag egress rule never
             # ran); it must never be steered as a fresh first packet.
             with self._packet_in_hists["data"].time():
-                self.bus.publish(
-                    TaggedPacketIn(packet_in=event, tag=frame.path_tag)
+                self._to_holder(
+                    frame.path_tag.descriptor,
+                    TaggedPacketIn(packet_in=event, tag=frame.path_tag),
                 )
             return
         if frame.ip() is not None:
@@ -533,7 +549,17 @@ class LiveSecController(ControllerBase):
         self.count("packet_ins_unread")
 
     def on_path_proof(self, event: ofmsg.PathProofReport) -> None:
-        self.bus.publish(PathProofIn(message=event))
+        self._to_holder(event.descriptor, PathProofIn(message=event))
+
+    def _to_holder(self, descriptor, event) -> None:
+        """Publish path evidence on the bus of the controller holding
+        its session: the owner of the descriptor's ingress dpid -- over
+        the fabric when another live shard owns it, else here."""
+        shard = self.shard
+        if shard is None or not shard.coordinator.post_to_owner(
+            shard, descriptor.dpids[0], event
+        ):
+            self.bus.publish(event)
 
     def on_flow_removed(self, event: ofmsg.FlowRemoved) -> None:
         self.bus.publish(FlowRemovedIn(message=event))

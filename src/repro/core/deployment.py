@@ -320,8 +320,7 @@ def build_livesec_network(
     ``fluid=True`` attaches a :class:`~repro.net.fluid.FluidRegion`:
     steady CBR phases are fast-forwarded analytically while anything
     control-plane-visible stays at packet fidelity.
-    ``accountability=True`` turns on path proofs, on one controller
-    only.
+    ``accountability=True`` turns on path proofs at any shard count.
 
     Call :meth:`LiveSecNetwork.start` before sending traffic.
     """
@@ -335,13 +334,6 @@ def build_livesec_network(
                 "with num_shards > 1, pass policies as a factory callable:"
                 " each shard needs its own PolicyTable, for its own version"
                 " and commit subscribers"
-            )
-        if accountability:
-            raise ValueError(
-                "accountability needs one controller: on a shard fabric a"
-                " path-proof report lands on the egress switch's owner,"
-                " which need not hold the session, so honest switches"
-                " would be convicted for proof silence"
             )
     if sim is None:
         sim = Simulator()

@@ -47,6 +47,12 @@ Cross-shard concerns are explicit typed protocol, never shared state:
 * **Report forwarding** (:meth:`ShardCoordinator.forward_report`): a
   verified element report about a session the element's shard does
   not hold goes to the shard the flow's source sits on.
+* **Path evidence and quarantines**
+  (:meth:`ShardCoordinator.post_to_owner`,
+  :meth:`ShardCoordinator.quarantine_elsewhere`): a path proof or a
+  tagged punt goes to the shard holding the session -- the owner of
+  its descriptor's ingress dpid -- and a conviction there quarantines
+  the switch on every live shard.
 * **Directory federation** (:class:`FederatedElement`): steering can
   place waypoints on elements homed to any live shard; an element's
   death propagates to every consumer shard in the next sync round.
@@ -328,11 +334,12 @@ class ShardMember:
             return
         self.controller.bus.publish(SessionHandoffIn(handoff=handoff))
 
-    def receive_host_moved(self, record: HostRecord) -> None:
-        """A host sessions of ours may lead to has moved: steering
-        re-plans them in place, as after a local move."""
+    def receive(self, event) -> None:
+        """A bus event another shard sent us -- a ``HostMoved`` for
+        sessions of ours toward the mover, path evidence about a
+        session we hold -- published here as if seen locally."""
         if not self.failed:
-            self.controller.bus.publish(HostMoved(record))
+            self.controller.bus.publish(event)
 
     def receive_report(self, message) -> None:
         """An element report its home shard verified, about a flow
@@ -677,11 +684,10 @@ class ShardCoordinator:
                     old_member, member, mac, ip,
                 )
         if prior is None or (prior.dpid, prior.port) != (dpid, port):
+            moved = HostMoved(record)
             for other in self.live_members():
                 if crossed or other is not member:
-                    self.sim.post(
-                        INTER_SHARD_LATENCY_S, other.receive_host_moved, record
-                    )
+                    self.sim.post(INTER_SHARD_LATENCY_S, other.receive, moved)
 
     def host_left(self, member: ShardMember, mac) -> None:
         """A shard's HOST_LEAVE empties the row, if still its: no port
@@ -721,12 +727,16 @@ class ShardCoordinator:
         )
         member.receive_handoff(handoff)
 
-    # -- remote rules ----------------------------------------------------
+    # -- remote rules, path evidence and quarantines --------------------
+
+    def _owner(self, dpid: int) -> Optional[ShardMember]:
+        """The live shard holding this datapath, if any."""
+        return self._live(self.shard_map.assignments.get(dpid))
 
     def remote_rule(self, op: str, rule) -> bool:
         """Route a foreign-dpid rule ``"add"``/``"delete"`` to the shard
         owning its datapath; False when no live shard does."""
-        target = self._live(self.shard_map.assignments.get(rule.dpid))
+        target = self._owner(rule.dpid)
         if target is None:
             self._rule_drops.inc()
             return False
@@ -735,6 +745,28 @@ class ShardCoordinator:
             INTER_SHARD_LATENCY_S, target.receive_rule_op, op, rule
         )
         return True
+
+    def post_to_owner(self, member: ShardMember, dpid: int, event) -> bool:
+        """Send a bus event to the live shard owning ``dpid``; False
+        when that is ``member`` itself or nobody live."""
+        target = self._owner(dpid)
+        if target is None or target is member:
+            return False
+        self.sim.post(INTER_SHARD_LATENCY_S, target.receive, event)
+        return True
+
+    def quarantine_elsewhere(
+        self, member: ShardMember, dpid: int, reason: str
+    ) -> None:
+        """A switch ``member`` convicted is quarantined on every other
+        live shard too: none places waypoints there any more, and each
+        re-steers its own sessions through elements homed on it."""
+        for other in self.live_members():
+            if other is not member:
+                self.sim.post(
+                    INTER_SHARD_LATENCY_S, other.controller.quarantine,
+                    dpid, reason,
+                )
 
     # -- introspection ---------------------------------------------------
 

@@ -336,6 +336,7 @@ def run_compromised_switch_scenario(
     duration_s: float = 12.0,
     num_elements: int = 3,
     record_jsonl: Optional[str] = None,
+    shards: int = 1,
 ) -> ChaosReport:
     """A compromised data plane under forwarding accountability.
 
@@ -358,10 +359,17 @@ def run_compromised_switch_scenario(
     Detection raises PATH_VIOLATION, quarantines the dpid, and the
     controller re-steers the affected sessions onto replicas homed on
     honest switches; the per-fault TTD/TTR table scores the loop.
+
+    ``shards`` splits the three AS switches over up to three controller
+    shards.  At two, the compromised switch's shard is not the one
+    holding the sessions it lies about, so evidence and the quarantine
+    cross the fabric; at three, each shard dispatches to its own local
+    IDS and no session's chain crosses the compromised switch.
     """
     net = build_livesec_network(
+        num_shards=shards,
         topology="linear",
-        policies=chaos_policy_table("open"),
+        policies=lambda: chaos_policy_table("open"),
         elements=[("ids", num_elements)],
         num_as=3,
         hosts_per_as=2,
@@ -397,7 +405,9 @@ def run_compromised_switch_scenario(
         net, injector, fail_mode="open", crash="compromise",
         duration_s=duration_s, record_jsonl=record_jsonl,
         latency="accountability.", variant=variant,
-        quarantined_dpids=sorted(net.controller.quarantined_dpids),
+        quarantined_dpids=sorted(set().union(
+            *(controller.quarantined_dpids for controller in net.controllers)
+        )),
     )
 
 

@@ -69,6 +69,23 @@ class TestCommands:
         assert 'livesec_controller_packet_in_latency_s{kind="data"' in out
 
 
+class TestChaosShards:
+    def test_compromised_switch_honours_shards(self, capsys):
+        assert main(["chaos", "--scenario", "compromised-switch",
+                     "--shards", "2", "--duration", "6.0",
+                     "--assert-detected"]) == 0
+        out = capsys.readouterr().out
+        assert "shards=2" in out
+        assert "quarantined=[2]" in out
+
+    def test_shard_failover_refuses_a_shard_count(self, capsys):
+        assert main(["chaos", "--scenario", "shard-failover",
+                     "--shards", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one shard per pod" in captured.err
+
+
 class TestReplayCommand:
     @pytest.fixture
     def recording(self, tmp_path):

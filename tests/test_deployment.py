@@ -144,16 +144,6 @@ class TestOneDeployment:
         with pytest.raises(ValueError, match="factory callable"):
             build_livesec_network(num_shards=2, policies=PolicyTable())
 
-    def test_path_proofs_on_shards_raise_a_named_error(self):
-        """A proof report lands on the egress switch's owner, which need
-        not hold the session: on three shards the compromised-switch
-        scenario convicted honest switches for proof silence."""
-        with pytest.raises(ValueError, match="accountability needs one"
-                           " controller.*convicted for proof silence"):
-            build_livesec_network(num_shards=2, accountability=True)
-        net = build_livesec_network(num_shards=1, accountability=True)
-        assert net.controller.app("accountability") is not None
-
     @pytest.mark.parametrize("shards", [1, 2])
     def test_fluid_attaches_at_every_shard_count(self, shards):
         net = build_livesec_network(

@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.apps.policy_engine import PolicyDecision
-from repro.core.bus import SwitchQuarantined
 from repro.core.deployment import build_livesec_network
 from repro.core.events import EventKind
 from repro.core.policy import (
@@ -220,8 +219,7 @@ def quarantine_resteer(net):
     controller = net.controller
     mac = next(iter(controller.sessions)).element_macs[0]
     dpid = controller.nib.host_by_mac(mac).dpid
-    controller.quarantined_dpids[dpid] = "test"
-    controller.bus.publish(SwitchQuarantined(dpid=dpid, reason="test"))
+    controller.quarantine(dpid, "test")
     assert "recovered" in failover_outcomes(net)
     for session in controller.sessions:
         for waypoint in session.element_macs:
@@ -762,7 +760,7 @@ def one_healthy(net):
 def only_on_quarantined_switch(net):
     one_healthy(net)
     dpid = net.topology.as_switches[1].dpid
-    net.controller.quarantined_dpids[dpid] = "test"
+    net.controller.quarantine(dpid, "test")
 
 
 @pytest.mark.parametrize(
