@@ -118,16 +118,17 @@ accountability-smoke:
 	@grep -q 'quarantined=\[2\]' /tmp/acct-shards-a.txt || \
 		{ echo "compromised dpid 2 was not quarantined on 2 shards"; exit 1; }
 
-# The shard fabric end to end: boot a 4-shard control plane, where a
-# TCP connection between the first and the last shard's users must
-# complete, then the seeded shard-failover scenario -- a cross-pod roam
-# must hand its established session off intact, and killing a shard
-# must re-home its switches onto the survivors with the crashed pod's
-# flows still delivering bytes afterwards.
+# The shard fabric end to end: boot a 4-shard control plane twice,
+# where a TCP connection between the first and the last shard's users
+# must complete and both runs must print the same combined digest (a
+# first frame's release waits on posted events), then the seeded
+# shard-failover scenario -- a cross-pod roam must hand its established
+# session off intact, and killing a shard must re-home its switches
+# onto the survivors with the crashed pod's flows still delivering
+# bytes afterwards.
 shard-smoke:
-	@PYTHONPATH=src python -m repro shards --shards 4 \
-		| tee /tmp/shard-fabric.txt
-	@grep -q 'east-west=1/1' /tmp/shard-fabric.txt || \
+	$(call same_digest,PYTHONPATH=src python -m repro shards --shards 4,combined digest: [0-9a-f]*,shard-fabric)
+	@grep -q 'east-west=1/1' /tmp/shard-fabric-a.txt || \
 		{ echo "a connection between two shards' users did not complete"; \
 		  exit 1; }
 	@PYTHONPATH=src python -m repro chaos --scenario shard-failover \

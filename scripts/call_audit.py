@@ -276,8 +276,6 @@ VERDICTS: Dict[str, str] = {
     " user_hosts",
     "repro.core.services:ServiceRegistry.is_element": "keep: one-line"
     " query the registry tests read",
-    "repro.core.sharding:ShardMap.dpids": "keep: one-line query the shard"
-    " tests read",
     "repro.core.apps.monitor:MonitorApp.subscribe_flow_stats.unsubscribe":
     "keep: the detach half of a subscription",
     "repro.core.visualization:MonitoringComponent.checkpoints": "keep:"

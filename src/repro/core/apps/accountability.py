@@ -101,9 +101,8 @@ class AccountabilityApp(App):
 
         A frame whose marks are all valid and which punts at exactly
         the next hop of its descriptor was forwarded correctly and met
-        a table miss there -- on a fabric, a session's remote entries
-        land one inter-shard hop after its first frame -- so it
-        convicts nobody."""
+        a table miss there -- its entry's FlowMod was lost (a barrier
+        can outrun it) or is late -- so it convicts nobody."""
         descriptor = event.tag.descriptor
         marks = event.tag.marks
         expected = pathproof.expected_marks(

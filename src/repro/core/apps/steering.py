@@ -41,6 +41,7 @@ from repro.core.routing import (
     source_block_rule,
 )
 from repro.core.sessions import Block, Session
+from repro.core.sharding import INTER_SHARD_LATENCY_S
 from repro.net.packet import FlowNineTuple, extract_nine_tuple
 from repro.openflow import messages as ofmsg
 from repro.openflow.actions import Output, PopPathTag, PushPathTag
@@ -111,10 +112,14 @@ class SteeringApp(App):
         flow = extract_nine_tuple(frame)
 
         if periphery is not True:
-            # A transit copy flooded through the legacy fabric, or a
-            # punt from a switch whose uplink is still undiscovered.
-            # Deliver locally if the destination sits on this switch,
-            # but never install state or learn locations from it.
+            # A transit copy flooded through the legacy fabric, a punt
+            # from a switch whose uplink is still undiscovered, or a
+            # frame whose entry here was lost: no first frame outruns a
+            # remote entry (_reconcile), but a lossy channel can drop a
+            # FlowMod whose barrier is acked anyway (ROADMAP item 2 (d);
+            # every relay of campus_chaos seed 0, at an element's or the
+            # gateway's switch).  Deliver locally if the destination
+            # sits on this switch; never install state or learn from it.
             self.ctx.count("transit_ignored")
             dst = self.ctx.nib.host_by_mac(frame.dst)
             if (
@@ -380,14 +385,27 @@ class SteeringApp(App):
         the punting switch, where the source was just learned);
         teardown to an empty desired set (``skip_rule``: the (dpid,
         match) the datapath already expired); the reconnect resync
-        re-asserts the installed set on ``only_dpid`` alone."""
+        re-asserts the installed set on ``only_dpid`` alone.  The
+        ingress goes last: when a later hop is another shard's, it
+        waits one inter-shard hop for that op (``Session.ready_at``),
+        the order equal-latency channels give one controller for free."""
+        controller = self.ctx.controller
+        lag = 0.0
+        if only_dpid is None and controller.shard is not None and any(
+            rule.dpid not in controller.switches for rule in desired[1:]
+        ):
+            lag = INTER_SHARD_LATENCY_S
+            owner.ready_at = self.ctx.sim.now + lag
         asserted = 0
         for rule in desired:
             if only_dpid is not None and rule.dpid != only_dpid:
                 continue
-            self._apply(
-                "add", rule, buffer_id=buffer if rule is desired[0] else None
-            )
+            if lag and rule is desired[0]:
+                self.ctx.sim.post_at(owner.ready_at, self._apply_ingress,
+                                     owner, desired, buffer)
+            else:
+                self._apply("add", rule,
+                            buffer_id=buffer if rule is desired[0] else None)
             asserted += 1
         if owner.rules:  # nothing to diff against on setup
             keep = {(r.dpid, r.match, r.priority) for r in desired}
@@ -414,12 +432,24 @@ class SteeringApp(App):
             else:
                 self.ctx.count("remote_rules_dropped")
 
+    def _apply_ingress(self, session: Session, desired, buffer) -> None:
+        """``desired``'s held-back ingress entry, unless a later
+        reconcile replaced the plan meanwhile."""
+        if session.rules is desired:
+            self._apply("add", desired[0], buffer_id=buffer)
+
     def _release_along_session(
         self, packet_in: ofmsg.PacketIn, session: Session
     ) -> None:
         """A packet of an already-installed session was punted (it raced
-        the FlowMods): push it through the session's ingress actions."""
+        the FlowMods): push it through the session's ingress actions --
+        no earlier than the ingress entry itself goes out."""
         if session.blocked or packet_in.buffer_id is None:
+            return
+        if session.ready_at > self.ctx.sim.now:
+            self.ctx.sim.post_at(session.ready_at,
+                                 self._release_along_session, packet_in,
+                                 session)
             return
         for rule in session.rules:
             if rule.dpid == packet_in.dpid and rule.match.matches(

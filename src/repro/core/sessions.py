@@ -43,6 +43,8 @@ class Session:
     # Forwarding accountability: the expected forward-path descriptor
     # stamped into this session's ingress rule (None when disabled).
     path_descriptor: Optional[object] = None
+    # When its ingress entry goes out (later on a fabric; steering).
+    ready_at: float = 0.0
 
     @property
     def is_steered(self) -> bool:

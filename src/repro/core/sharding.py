@@ -148,9 +148,6 @@ class ShardMap:
             dpid for dpid, owner in self.assignments.items() if owner == shard
         )
 
-    def dpids(self) -> List[int]:
-        return sorted(self.assignments)
-
     def rehome(
         self, dead_shard: int, live_shards: Sequence[int]
     ) -> List[Tuple[int, int]]:
@@ -567,8 +564,16 @@ class ShardCoordinator:
         )
 
     def member_restarted(self, member: ShardMember) -> None:
+        """Live again; it books each quarantine a live peer holds (one
+        it missed while down included) one inter-shard hop later."""
         self._down.pop(member.shard_id, None)
         self._last_hello[member.shard_id] = self.sim.now
+        for other in self.live_members():
+            for dpid, reason in other.controller.quarantined_dpids.items():
+                self.sim.post(
+                    INTER_SHARD_LATENCY_S, member.controller.quarantine,
+                    dpid, reason,
+                )
 
     # -- federated service directory ------------------------------------
 

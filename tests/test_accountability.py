@@ -6,6 +6,7 @@ the quarantine -> re-steer reaction.
 
 import pytest
 
+from repro.core.bus import TaggedPacketIn
 from repro.core.deployment import build_livesec_network
 from repro.core.events import EventKind
 from repro.faults import run_compromised_switch_scenario
@@ -127,8 +128,8 @@ class TestStrayTagEvidence:
     ):
         # Marks from dpids 1 and 2, all valid: the next hop is
         # descriptor.dpids[2] == 2.  There the frame was forwarded
-        # correctly and met a table miss (on a fabric, the remote entry
-        # is one hop late); anywhere else dpid 2 misrouted it.
+        # correctly and met a table miss (the entry's FlowMod was lost
+        # or is late); anywhere else dpid 2 misrouted it.
         net = build_accountable_net()
         net.start()
         net.run(1.0)
@@ -214,6 +215,21 @@ class TestCompromisedSwitchScenario:
         assert first.event_digest == second.event_digest
 
 
+def build_accountable_shards():
+    """``build_accountable_net`` on two shards: dpids 1-2 and 3."""
+    return build_livesec_network(
+        num_shards=2,
+        topology="linear",
+        policies=lambda: chaos_policy_table("open"),
+        elements=[("ids", 3)],
+        num_as=3,
+        hosts_per_as=1,
+        element_timeout_s=1.5,
+        dispatcher="polling",
+        accountability=True,
+    )
+
+
 def quarantined_by_shard(report):
     """Each shard's quarantined dpids, read off its own event log."""
     booked = {}
@@ -259,18 +275,54 @@ class TestPathProofsOnShards:
             assert report.path_violations == 0
             assert report.quarantined_dpids == []
 
+    def test_honest_shards_lose_no_first_tagged_frame(self):
+        """No switch lies, so no tagged frame punts anywhere: the first
+        frame of each cross-shard session waits for the remote entries
+        instead of meeting a miss at the next hop (the parent lost it
+        there, at dpid 3)."""
+        net = build_accountable_shards()
+        tagged = []
+        for controller in net.controllers:
+            controller.bus.subscribe(TaggedPacketIn, tagged.append)
+        net.start()
+        flows = [
+            CbrUdpFlow(net.sim, host, GATEWAY_IP, rate_bps=2e6,
+                       max_packets=20).start()
+            for host in net.topology.user_hosts
+        ]
+        net.run(1.0)
+        assert tagged == []
+        assert net.coordinator.status()["remote_rule_ops"] > 0
+        crossing = [
+            session for session in net.controllers[0].sessions
+            if any(net.owner(rule.dpid) is not net.controllers[0]
+                   for rule in session.rules)
+        ]
+        assert crossing
+        assert [flow.delivered_bytes(net.gateway) for flow in flows] == [
+            20 * flow.packet_size for flow in flows
+        ]
+
+    def test_a_restarted_shard_books_what_it_missed(self):
+        """A conviction fanned out while shard 1 was down reaches it
+        when it restarts, one inter-shard hop later (the parent: shard 0
+        books {2}, the restarted shard 1 books nothing)."""
+        net = build_accountable_shards()
+        convicting, restarted = net.controllers
+        net.start()
+        net.run(1.0)
+        restarted.shard.fail()
+        net.run(0.5)
+        convicting.quarantine(2, "mark-mismatch")
+        net.run(0.5)
+        assert restarted.quarantined_dpids == {}
+        restarted.shard.restart()
+        net.run(3.0)
+        assert restarted.quarantined_dpids == {2: "mark-mismatch"}
+        assert convicting.quarantined_dpids == {2: "mark-mismatch"}
+
     def test_a_conviction_fans_out_and_resteers_elsewhere(self):
-        net = build_livesec_network(
-            num_shards=2,
-            topology="linear",
-            policies=lambda: chaos_policy_table("open"),
-            elements=[("ids", 3)],
-            num_as=3,
-            hosts_per_as=1,
-            element_timeout_s=1.5,
-            dispatcher="polling",
-            accountability=True,
-        )
+        net = build_accountable_shards()
         net.start()
         for host in net.topology.user_hosts:
             CbrUdpFlow(

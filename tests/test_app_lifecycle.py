@@ -562,7 +562,7 @@ class TestInstallsSurviveSteeringChurn:
         owner = net.owner(
             net.topology.attachments[gateway.name].switch.dpid
         ).shard
-        far_dpids = set(net.shard_map.dpids()) - set(
+        far_dpids = set(net.shard_map.assignments) - set(
             net.shard_map.owned_by(owner.shard_id)
         )
         host = next(
@@ -604,7 +604,7 @@ class TestInstallsSurviveSteeringChurn:
 
         net, owner, _host = self.two_shards_toward_the_gateway()
         foreign = next(
-            dpid for dpid in net.shard_map.dpids()
+            dpid for dpid in sorted(net.shard_map.assignments)
             if dpid not in owner.controller.switches
         )
         rule = RuleSpec(dpid=foreign, match=Match(), actions=(), priority=1)
