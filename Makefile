@@ -169,7 +169,7 @@ replay-smoke:
 # The policy-compiler lifecycle end to end: the sample intent file
 # compiles clean, the seeded conflicting file is rejected with its
 # structured report, and a mid-scenario hot-reload is digest-stable
-# across two identical runs.
+# across two identical runs and re-decides the live sessions it changes.
 policy-smoke:
 	PYTHONPATH=src python -m repro policy check examples/policies/intents.json
 	@if PYTHONPATH=src python -m repro policy check \
@@ -185,6 +185,8 @@ policy-smoke:
 	$(call same_digest,PYTHONPATH=src python -m repro policy reload \
 		examples/policies/intents.json \
 		--record /tmp/policy-reload.jsonl,digest [0-9a-f]\{64\},policy)
+	@grep -q "sessions re-decided: [1-9]" /tmp/policy-a.txt || \
+		{ echo "the reload re-decided no live session"; exit 1; }
 
 # Runtime app operations end to end: boot a deployment, stop ->
 # reload -> start the monitor app mid-traffic, record the event log,

@@ -289,8 +289,8 @@ def cmd_policy_check(args: argparse.Namespace) -> int:
 
 def cmd_policy_reload(args: argparse.Namespace) -> int:
     """Demonstrate a hot-reload mid-scenario: traffic runs under the
-    baseline table, the file swaps in atomically, established sessions
-    survive, and the event log records exactly one POLICY_CHANGED."""
+    baseline table, the file swaps in atomically (one POLICY_CHANGED),
+    and every live session whose policy it changes is re-decided."""
     from repro.core.events import EventKind
     from repro.core.policy_compiler import PolicyConflictError
     from repro.core.policy_io import PolicyFormatError
@@ -301,7 +301,7 @@ def cmd_policy_reload(args: argparse.Namespace) -> int:
     sessions_before = len(net.controller.sessions)
     version_before = net.controller.policies.version
     try:
-        commit = net.controller.reload_policies(args.file)
+        (commit,) = net.reload_policies(args.file)
     except (PolicyConflictError, PolicyFormatError) as exc:
         print(f"reload rejected; table v{version_before} keeps serving:")
         print(exc, file=sys.stderr)
@@ -311,11 +311,15 @@ def cmd_policy_reload(args: argparse.Namespace) -> int:
         flow.stop()
     net.run(net.controller.idle_timeout_s + 1.0)
     changes = net.controller.log.query(kind=EventKind.POLICY_CHANGED)
+    redecided = net.controller.log.query(
+        kind=EventKind.FLOW_FAILOVER,
+        where=lambda e: e.data.get("cause") == f"policy:v{commit.version}",
+    )
     print(f"reloaded {args.file}:"
           f" v{version_before} -> v{commit.version}"
           f" ({commit.policies} policies,"
           f" +{len(commit.added)}/-{len(commit.removed)})")
-    print(f"sessions preserved across swap: {sessions_before}"
+    print(f"sessions re-decided: {len(redecided)} of {sessions_before}"
           f" (policy-changed events: {len(changes)})")
     if args.record:
         net.controller.log.save(args.record)

@@ -47,7 +47,9 @@ class PolicyDecision:
 
 
 class PolicyEngineApp(App):
-    """Resolves policies into enforceable decisions."""
+    """Resolves policies into enforceable decisions: a first packet's,
+    and a live session's re-decide after its element died, its switch
+    was quarantined or a commit changed what its winning row does."""
 
     name = "policy-engine"
 
@@ -64,7 +66,8 @@ class PolicyEngineApp(App):
 
     def on_policy_reloaded(self, event: PolicyReloaded) -> None:
         """Record the atomic swap in the event log: the new version and
-        which policies came and went."""
+        which policies came and went (steering re-decides the sessions
+        it changes, after this line)."""
         commit = event.commit
         self.ctx.log.emit(
             self.ctx.sim.now, EventKind.POLICY_CHANGED,
@@ -82,6 +85,24 @@ class PolicyEngineApp(App):
         """The full first-packet pipeline: match, resolve, fail-mode."""
         policy, scanned = self.ctx.policies.match(flow)
         self._policy_scan_hist.observe(scanned)
+        decision = self.decide_chain(policy, flow, src)
+        if decision.fail_mode is FailMode.OPEN:
+            self.ctx.count("no_element_fallback")
+        return decision
+
+    # ------------------------------------------------------------------
+    # Row resolution (every steering trigger decides through here)
+
+    def decide_chain(
+        self, policy: Optional[Policy], flow: FlowNineTuple, src: HostRecord
+    ) -> PolicyDecision:
+        """What ``policy`` -- None: the table's default action -- does
+        to one flow: drop blocks, allow routes plainly, and a chain
+        resolves, or applies its fail mode when a chained type has no
+        healthy element: *closed* blocks, *open* allows the flow
+        unsteered.  First packets, element failover, quarantine
+        re-steer, a commit's re-decide and cross-shard adoption all
+        decide here, so they cannot drift apart."""
         action = (
             policy.action if policy is not None
             else self.ctx.policies.default_action
@@ -90,23 +111,6 @@ class PolicyEngineApp(App):
             return PolicyDecision(verdict="block", policy=policy)
         if action is not PolicyAction.CHAIN:
             return PolicyDecision(verdict="allow", policy=policy)
-        assert policy is not None
-        decision = self.decide_chain(policy, flow, src)
-        if decision.fail_mode is FailMode.OPEN:
-            self.ctx.count("no_element_fallback")
-        return decision
-
-    # ------------------------------------------------------------------
-    # Chain resolution (every steering trigger decides through here)
-
-    def decide_chain(
-        self, policy: Policy, flow: FlowNineTuple, src: HostRecord
-    ) -> PolicyDecision:
-        """Resolve ``policy``'s service chain for one flow, or apply its
-        fail mode when a chained type has no healthy element: *closed*
-        blocks, *open* allows the flow unsteered.  First packets,
-        element failover, quarantine re-steer and cross-shard adoption
-        all decide here, so they cannot drift apart."""
         resolved = self.resolve_chain(policy, flow, src)
         if resolved is None:
             fail_mode = self.effective_fail_mode(policy)

@@ -3,9 +3,9 @@
 The enforcement half of interactive policy enforcement (IV.A): "all
 above flow entries can be calculated and enforced simultaneously".
 Every way a desired rule comes to exist or change -- first packet,
-element failover, quarantine re-steer, accountability drain, host
-move, cross-shard adoption, reconnect resync, teardown, handoff
-release -- selects owners from the one book (``SessionTable``: the
+element failover, quarantine re-steer, policy commit, accountability
+drain, host move, cross-shard adoption, reconnect resync, teardown,
+handoff release -- selects owners from the one book (``SessionTable``: the
 sessions, and the blocks that outlive them) and then runs the same
 three steps (DESIGN 3.1).
 """
@@ -24,6 +24,7 @@ from repro.core.bus import (
     FlowRemovedIn,
     HostExpired,
     HostMoved,
+    PolicyReloaded,
     SessionHandoffIn,
     SwitchJoined,
     SwitchQuarantined,
@@ -31,7 +32,7 @@ from repro.core.bus import (
 )
 from repro.core.events import EventKind
 from repro.core.nib import HostRecord
-from repro.core.policy import FailMode, Policy
+from repro.core.policy import FailMode, Policy, PolicyAction
 from repro.core.routing import (
     RoutingError,
     RuleSpec,
@@ -48,6 +49,15 @@ from repro.openflow.actions import Output, PopPathTag, PushPathTag
 from repro.openflow.pathproof import PathDescriptor
 
 FAILOVER_OUTCOMES = ("recovered", "fail-open", "fail-closed", "torn-down")
+
+
+def _effect(policy: Optional[Policy], default: PolicyAction) -> tuple:
+    """What a winning row -- None: the table's ``default`` -- does to
+    a flow; two rows of one effect decide every flow alike."""
+    if policy is None or policy.action is not PolicyAction.CHAIN:
+        return (policy.action if policy is not None else default,)
+    return (policy.service_chain, policy.granularity,
+            policy.inspect_reply, policy.fail_mode)
 
 
 class SteeringApp(App):
@@ -67,6 +77,7 @@ class SteeringApp(App):
         self.listen(HostMoved, self.on_host_moved)
         self.listen(BlockRequested, self.on_block_requested)
         self.listen(SwitchQuarantined, self.on_switch_quarantined)
+        self.listen(PolicyReloaded, self.on_policy_reloaded)
         self.listen(SessionHandoffIn, self.on_session_handoff)
         self.listen(AppLifecycleChanged, self.on_app_lifecycle)
 
@@ -93,7 +104,8 @@ class SteeringApp(App):
         self._failover_counters = {
             outcome: registry.counter(
                 "controller.failover",
-                "Sessions re-steered after an element went offline",
+                "Live sessions re-decided: an element went offline, its"
+                " switch was quarantined or a commit changed its policy",
                 outcome=outcome,
             )
             for outcome in FAILOVER_OUTCOMES
@@ -239,7 +251,7 @@ class SteeringApp(App):
             flow=flow,
             src_mac=src.mac,
             dst_mac=dst.mac,
-            policy_name=decision.policy.name if decision.policy else None,
+            policy=decision.policy,
             element_macs=decision.element_macs,
             now=created_at,
             session_id=session_id,
@@ -327,13 +339,14 @@ class SteeringApp(App):
         its entries in place.  False, with nothing touched, when the
         path cannot be computed: an endpoint or waypoint has left the
         NIB, or discovery has lost an uplink."""
-        src, dst, policy = self._parties(session)
+        src, dst = self._parties(session)
         waypoints = [self.ctx.nib.host_by_mac(mac) for mac in element_macs]
         if src is None or dst is None or None in waypoints:
             return False
         try:
             rules, descriptor = self._plan(
-                session.flow, src, dst, policy, session.session_id, waypoints
+                session.flow, src, dst, session.policy, session.session_id,
+                waypoints,
             )
         except RoutingError:
             return False
@@ -344,15 +357,10 @@ class SteeringApp(App):
 
     def _parties(self, session):
         """Where a session's (or a handoff record's) endpoints sit now
-        -- a remote one read afresh from the shard fabric's directory
-        -- and the policy that governs it; each is None if it has left
-        its table since the session formed."""
+        -- a remote one read afresh from the shard fabric's directory;
+        each is None if it has left the NIB since the session formed."""
         locate = self.peer("host-tracker").locate
-        return (
-            locate(mac=session.src_mac),
-            locate(mac=session.dst_mac),
-            self.ctx.policies.get(session.policy_name),
-        )
+        return locate(mac=session.src_mac), locate(mac=session.dst_mac)
 
     # ==================================================================
     # reconcile: make the datapaths hold exactly the planned entries
@@ -669,7 +677,8 @@ class SteeringApp(App):
         mac = event.record.mac
         for session in self.ctx.sessions.sessions_via_element(mac):
             if not session.blocked:
-                self._failover_session(session, mac)
+                self._failover_session(session, session.policy,
+                                       dead_element=mac)
 
     def on_switch_quarantined(self, event: SwitchQuarantined) -> None:
         """A datapath was convicted by the accountability app: stop
@@ -688,34 +697,58 @@ class SteeringApp(App):
                 record = self.ctx.nib.host_by_mac(mac)
                 if record is not None and record.dpid == event.dpid:
                     self._failover_session(
-                        session, mac, cause=f"quarantine:{event.reason}"
+                        session, session.policy, dead_element=mac,
+                        cause=f"quarantine:{event.reason}",
                     )
                     break
 
+    def on_policy_reloaded(self, event: PolicyReloaded) -> None:
+        """A commit re-decides each live session whose flow's winning
+        row -- or the default, when none wins -- now does something
+        other than the row it was decided under (:func:`_effect`).  A
+        winner of the same effect (a rename, a priority or selector
+        change) is only re-pointed: no log line, no FlowMod.  Blocks
+        are never lifted; a blocked session is left as it is."""
+        table = self.ctx.policies
+        cause = f"policy:v{event.commit.version}"
+        for session in list(self.ctx.sessions):
+            if session.blocked:
+                continue
+            winner, _ = table.match(session.flow)
+            # Live and unblocked, so a default it was decided under allowed.
+            if _effect(winner, table.default_action) == _effect(
+                session.policy, PolicyAction.ALLOW
+            ):
+                session.policy = winner
+            else:
+                self._failover_session(session, winner, cause=cause)
+
     def _failover_session(
-        self, session: Session, dead_mac: str,
-        cause: Optional[str] = None,
+        self, session: Session, policy: Optional[Policy], **why
     ) -> None:
-        """Re-steer a live session whose chain lost an element: the
-        policy engine re-dispatches the chain over the survivors or
-        applies the fail mode, the session is re-planned (or blocked,
-        or torn down), and the outcome is logged.  ``cause`` annotates
-        the FLOW_FAILOVER event when the element did not die but its
-        switch was quarantined."""
-        src, dst, policy = self._parties(session)
+        """Re-decide a live session under ``policy`` (None: the default
+        action): its own row when its chain lost an element
+        (``dead_element``, with a ``cause`` when its switch was
+        quarantined rather than the element dead), a commit's winner
+        otherwise (``cause=policy:v<N>``).  The policy engine decides
+        afresh -- re-dispatching a chain over the survivors or applying
+        the fail mode -- and the session is re-planned (or blocked, or
+        torn down) and the outcome logged."""
+        src, dst = self._parties(session)
         # Off its whole chain before re-resolving: surviving chain
         # members would otherwise be counted twice when the balancer
         # assigns the replacement chain.
         self.ctx.balancer.release(session.element_macs)
         self.ctx.sessions.resteer(session, ())
+        session.policy = policy
         outcome = "torn-down"
-        if src is not None and dst is not None and policy is not None:
+        if src is not None and dst is not None:
             decision = self.peer("policy-engine").decide_chain(
                 policy, session.flow, src
             )
             if decision.verdict == "block":
                 self._block_flow(
-                    session.flow, src, policy_name=policy.name,
+                    session.flow, src, policy_name=decision.policy_name,
                     session=session,
                 )
                 outcome = "fail-closed"
@@ -727,14 +760,10 @@ class SteeringApp(App):
         if outcome == "torn-down":
             self.teardown_session(session)
         self._failover_counters[outcome].inc()
-        data = dict(
-            session=session.session_id, dead_element=dead_mac,
-            outcome=outcome, user_mac=session.src_mac,
-        )
-        if cause is not None:
-            data["cause"] = cause
         self.ctx.log.emit(
-            self.ctx.sim.now, EventKind.FLOW_FAILOVER, **data
+            self.ctx.sim.now, EventKind.FLOW_FAILOVER,
+            session=session.session_id, outcome=outcome,
+            user_mac=session.src_mac, **why,
         )
 
     def on_session_handoff(self, event: SessionHandoffIn) -> None:
@@ -748,7 +777,8 @@ class SteeringApp(App):
         for flow, cookie in handoff.blocks:
             self._block(handoff.mac, flow, cookie, at=mover)
         for record in handoff.records:
-            src, dst, policy = self._parties(record)
+            src, dst = self._parties(record)
+            policy = record.policy
             if src is None or dst is None:
                 self.ctx.count("handoff_dropped")
                 continue

@@ -593,7 +593,7 @@ class LiveSecController(ControllerBase):
             )
 
     # ==================================================================
-    # Policy lifecycle: compile, verify, atomic hot-swap
+    # Policy lifecycle: commits onto the bus, compile + verify
 
     def _on_policy_commit(self, commit) -> None:
         self.bus.publish(PolicyReloaded(commit=commit))
@@ -628,25 +628,6 @@ class LiveSecController(ControllerBase):
             intents,
             default_action=default,
             service_types=self._known_service_types(),
-        )
-
-    def reload_policies(self, source):
-        """Hot-swap the live policy table from ``source``.
-
-        The document compiles and verifies first; error findings raise
-        :class:`~repro.core.policy_compiler.PolicyConflictError` and the
-        previously committed table keeps serving.  A clean compile swaps
-        in atomically -- one version bump, one ``PolicyReloaded`` event
-        -- without touching established sessions.  Returns the
-        :class:`~repro.core.policy.PolicyCommit` record."""
-        from repro.core.policy_compiler import PolicyConflictError
-
-        result = self.check_policies(source)
-        if not result.ok:
-            raise PolicyConflictError(result.errors)
-        label = source if isinstance(source, str) else "reload"
-        return self.policies.apply_compiled(
-            result.table, source=f"reload:{label}"
         )
 
     # ==================================================================

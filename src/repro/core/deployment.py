@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.controller import LiveSecController
-from repro.core.policy import PolicyTable
+from repro.core.policy import PolicyCommit, PolicyTable
 from repro.core.policy_io import load_policies
 from repro.core.sharding import (
     ShardCoordinator,
@@ -164,6 +164,31 @@ class LiveSecNetwork:
     def run(self, duration_s: float) -> None:
         """Advance the simulation by ``duration_s`` seconds."""
         self.sim.run(until=self.sim.now + duration_s)
+
+    def reload_policies(self, source) -> List[PolicyCommit]:
+        """Hot-swap the policy table from ``source`` (what
+        ``check_policies`` reads) at every shard count.  It compiles and
+        verifies once -- error findings raise
+        :class:`~repro.core.policy_compiler.PolicyConflictError` and
+        every table keeps serving -- then commits the one artifact on
+        each live controller, in shard order, and each re-decides the
+        live sessions of its own book the commit changes.  Returns the
+        commits."""
+        from repro.core.policy_compiler import PolicyConflictError
+
+        result = self.controller.check_policies(source)
+        if not result.ok:
+            raise PolicyConflictError(result.errors)
+        label = source if isinstance(source, str) else "reload"
+        live = self.controllers if self.coordinator is None else [
+            member.controller for member in self.coordinator.live_members()
+        ]
+        return [
+            controller.policies.apply_compiled(
+                result.table, source=f"reload:{label}"
+            )
+            for controller in live
+        ]
 
     # ------------------------------------------------------------------
     # Element management

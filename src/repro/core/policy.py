@@ -13,9 +13,9 @@ default when nothing matches is configurable and defaults to allow
 (plain end-to-end routing).
 
 A table is one immutable value, :class:`CompiledPolicyTable`: the rows
-in match order, the :class:`PolicyIndex` over them, the by-name map
-and the default action.  The live :class:`PolicyTable` is a version
-stamp and a pointer to the artifact it serves.  Every change -- one
+in match order, the :class:`PolicyIndex` over them and the default
+action.  The live :class:`PolicyTable` is a version stamp and a
+pointer to the artifact it serves.  Every change -- one
 policy through :meth:`PolicyTable.begin` /
 :meth:`PolicyTransaction.commit`, or a compiled artifact through
 :meth:`PolicyTable.apply_compiled` -- swaps the pointer atomically,
@@ -509,10 +509,10 @@ def _name_changes(
 
 class CompiledPolicyTable:
     """An immutable policy table, and the only table value: the rows in
-    match order (:func:`_table_order`), the :class:`PolicyIndex` over
-    them, the by-name map and the default action.  ``compile_intents``
-    returns one, every commit builds one, and a :class:`PolicyTable`
-    serves whichever one it points at."""
+    match order (:func:`_table_order`, names unique), the
+    :class:`PolicyIndex` over them and the default action.
+    ``compile_intents`` returns one, every commit builds one, and a
+    :class:`PolicyTable` serves whichever one it points at."""
 
     def __init__(
         self,
@@ -523,7 +523,7 @@ class CompiledPolicyTable:
             raise ValueError("default action cannot be CHAIN")
         self._rows: Tuple[Policy, ...] = tuple(sorted(rows, key=_table_order))
         self._index = PolicyIndex(self._rows)
-        self._by_name = _name_map(self._rows)
+        _name_map(self._rows)  # refuses two rows of one name
         self._default = default_action
 
     @property
@@ -536,11 +536,6 @@ class CompiledPolicyTable:
 
     def __iter__(self):
         return iter(self._rows)
-
-    def get(self, name: Optional[str]) -> Optional[Policy]:
-        """The row registered under ``name``, or None (including for
-        ``name=None``, the default-routed sessions' policy label)."""
-        return None if name is None else self._by_name.get(name)
 
     def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
         """The winning row (or None) plus the number of rows a scan
@@ -693,7 +688,8 @@ class PolicyTable:
     """
 
     def __init__(self, default_action: PolicyAction = PolicyAction.ALLOW):
-        self._compiled = CompiledPolicyTable((), default_action)
+        # The artifact served; only a commit re-points it.
+        self.compiled = CompiledPolicyTable((), default_action)
         self.version = 0
         self._commit_callbacks: List[Callable[[PolicyCommit], None]] = []
 
@@ -702,19 +698,19 @@ class PolicyTable:
         """A table at version 0 that serves ``compiled`` -- a loaded
         document, which no commit produced and no subscriber hears of."""
         table = cls(compiled.default_action)
-        table._compiled = compiled
+        table.compiled = compiled
         return table
 
     @property
     def default_action(self) -> PolicyAction:
         """What flows no row matches get; changed only by a commit."""
-        return self._compiled.default_action
+        return self.compiled.default_action
 
     def __len__(self) -> int:
-        return len(self._compiled)
+        return len(self.compiled)
 
     def __iter__(self):
-        return iter(self._compiled)
+        return iter(self.compiled)
 
     # ------------------------------------------------------------------
     # Transactions
@@ -751,7 +747,7 @@ class PolicyTable:
     def _swap(self, compiled: CompiledPolicyTable, added: Sequence[str],
               removed: Sequence[str], source: str) -> PolicyCommit:
         """Point at ``compiled``, bump the version, notify subscribers."""
-        self._compiled = compiled
+        self.compiled = compiled
         self.version += 1
         commit = PolicyCommit(
             version=self.version,
@@ -800,10 +796,6 @@ class PolicyTable:
     # ------------------------------------------------------------------
     # Lookup
 
-    def get(self, name: Optional[str]) -> Optional[Policy]:
-        """:meth:`CompiledPolicyTable.get` on the served artifact."""
-        return self._compiled.get(name)
-
     def match(self, flow: FlowNineTuple) -> Tuple[Optional[Policy], int]:
         """:meth:`CompiledPolicyTable.match` on the served artifact."""
-        return self._compiled.match(flow)
+        return self.compiled.match(flow)

@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.policy import Policy
 from repro.core.routing import RuleSpec
 from repro.net.packet import FlowNineTuple
 
@@ -34,7 +35,7 @@ class Session:
     reverse_flow: FlowNineTuple
     src_mac: str
     dst_mac: str
-    policy_name: Optional[str]
+    policy: Optional[Policy]  # the row it was decided under
     element_macs: Tuple[str, ...]
     rules: List[RuleSpec]
     created_at: float
@@ -66,7 +67,7 @@ class Session:
             session_id=self.session_id,
             src_mac=self.src_mac,
             dst_mac=self.dst_mac,
-            policy=self.policy_name,
+            policy=self.policy.name if self.policy is not None else None,
             element_macs=tuple(self.element_macs),
             rules=len(self.rules),
             created_at=self.created_at,
@@ -168,7 +169,7 @@ class SessionTable:
         flow: FlowNineTuple,
         src_mac: str,
         dst_mac: str,
-        policy_name: Optional[str],
+        policy: Optional[Policy],
         element_macs: Tuple[str, ...],
         now: float,
         session_id: Optional[int] = None,
@@ -179,7 +180,7 @@ class SessionTable:
             reverse_flow=flow.reversed(),
             src_mac=src_mac,
             dst_mac=dst_mac,
-            policy_name=policy_name,
+            policy=policy,
             element_macs=element_macs,
             rules=[],
             created_at=now,

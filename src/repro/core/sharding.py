@@ -191,7 +191,7 @@ class SessionHandoffRecord:
     flow: object  # FlowNineTuple (forward direction)
     src_mac: str
     dst_mac: str
-    policy_name: str
+    policy: object  # Optional[Policy], the row it was decided under
     element_macs: Tuple[str, ...]
     created_at: float
     application: Optional[str]
@@ -313,7 +313,7 @@ class ShardMember:
                 flow=session.flow,
                 src_mac=session.src_mac,
                 dst_mac=session.dst_mac,
-                policy_name=session.policy_name,
+                policy=session.policy,
                 element_macs=tuple(session.element_macs),
                 created_at=session.created_at,
                 application=session.application,
@@ -564,16 +564,25 @@ class ShardCoordinator:
         )
 
     def member_restarted(self, member: ShardMember) -> None:
-        """Live again; it books each quarantine a live peer holds (one
-        it missed while down included) one inter-shard hop later."""
+        """Live again; one inter-shard hop later it books each
+        quarantine a live peer holds and commits the policy artifact
+        the first live peer serves (a quarantine or a reload it missed
+        while down included)."""
         self._down.pop(member.shard_id, None)
         self._last_hello[member.shard_id] = self.sim.now
-        for other in self.live_members():
+        peers = [m for m in self.live_members() if m is not member]
+        for other in peers:
             for dpid, reason in other.controller.quarantined_dpids.items():
                 self.sim.post(
                     INTER_SHARD_LATENCY_S, member.controller.quarantine,
                     dpid, reason,
                 )
+        if peers:
+            table = member.controller.policies
+            self.sim.post(
+                INTER_SHARD_LATENCY_S, table.apply_compiled,
+                peers[0].controller.policies.compiled, "shard-restart",
+            )
 
     # -- federated service directory ------------------------------------
 

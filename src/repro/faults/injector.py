@@ -464,8 +464,9 @@ class FaultInjector:
                 if not session.blocked
             )
             self._affected.inc(at_risk)
-        elif event.kind == EventKind.FLOW_FAILOVER:
-            dead = event.data.get("dead_element")
+        elif (event.kind == EventKind.FLOW_FAILOVER
+              and "dead_element" in event.data):  # not a commit's
+            dead = event.data["dead_element"]
             counter = self._outcomes.get(event.data.get("outcome"))
             if counter is not None:
                 counter.inc()

@@ -349,9 +349,9 @@ def run_compromised_switch_scenario(
     * ``skip-waypoint``: it bypasses its local element (inspection
       evasion) -- caught by the egress proof, whose mark chain is one
       stamp short exactly at the compromised dpid;
-    * ``misroute``: it diverts tagged frames out its core uplink --
-      caught when the off-path frame punts at another switch still
-      carrying its tag;
+    * ``misroute``: it diverts tagged frames out its core uplink, where
+      the legacy core loses them -- caught by the absence audit when
+      its sessions' proofs go silent (no stray tagged frame punts);
     * ``tag-strip``: it strips proof state entirely -- caught by the
       absence audit when its sessions' proofs go silent while paths
       avoiding the switch stay healthy.

@@ -263,6 +263,19 @@ class TestPathProofsOnShards:
         assert two.recovered_sessions == one.recovered_sessions
         assert two.unrecovered_sessions == one.unrecovered_sessions
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_misroute_is_convicted_by_the_absence_audit(self, shards):
+        """dpid 2's diverted frames die in the legacy core, so no stray
+        tagged frame punts anywhere: the proof silence convicts it."""
+        report = run_compromised_switch_scenario(
+            seed=0, variant="misroute", duration_s=9.0, shards=shards
+        )
+        (line,) = [
+            line for line in report.event_lines
+            if EventKind.PATH_VIOLATION in line
+        ]
+        assert "dpid=2 evidence=audit reason=proof-silence" in line
+
     def test_three_shards_route_no_session_through_the_liar(self):
         """On three shards every switch is its own shard, and each shard
         dispatches to its own local IDS: no session's chain crosses the

@@ -146,8 +146,8 @@ class TestPolicyEnforcement:
         assert net.controller.counters["no_element_fallback"] == 1
 
     def test_no_element_fallback_drop(self, ids_policy_table):
-        policy = replace(ids_policy_table.get("inspect-internet"),
-                         fail_mode=FailMode.CLOSED)
+        (row,) = ids_policy_table
+        policy = replace(row, fail_mode=FailMode.CLOSED)
         ids_policy_table.begin(source="test").replace_all([policy]).commit()
         net = build_livesec_network(
             topology="linear", policies=ids_policy_table,

@@ -204,7 +204,7 @@ class TestConflictTriads:
 
 
 class TestCompiledTable:
-    def test_match_semantics_and_get(self):
+    def test_match_semantics(self):
         result = compile_intents([
             intent("first", PolicyAction.DROP, src_zone="10.1.0.0/16",
                    priority=200),
@@ -215,8 +215,7 @@ class TestCompiledTable:
         assert hit.name == "first" and scanned == 1
         hit, scanned = table.match(flow(src="10.2.0.5"))
         assert hit.name == "second" and scanned == 2
-        assert table.get("first").action is PolicyAction.DROP
-        assert table.get(None) is None
+        assert [p.name for p in table] == ["first", "second"]
 
     def test_compiled_default_cannot_chain(self):
         with pytest.raises(ValueError):
@@ -308,20 +307,6 @@ class TestTransactions:
         assert removed.name == "a"
         assert table.version == 2 and len(commits) == 2
 
-    def test_get_uses_name_index(self):
-        table = PolicyTable()
-        txn = table.begin()
-        for index in range(50):
-            txn.add(self.pol(f"p{index}", priority=index))
-        txn.commit()
-        assert table.get("p17").name == "p17"
-        assert table.get("nope") is None
-        # The index tracks transactional removals.
-        txn = table.begin()
-        txn.remove("p17")
-        txn.commit()
-        assert table.get("p17") is None
-
     def test_apply_compiled_resets_hits_and_preserves_order(self):
         result = compile_intents([
             intent("hi", PolicyAction.DROP, priority=200,
@@ -342,13 +327,12 @@ class TestTransactions:
         table = PolicyTable()
         table.apply_compiled(result.table)
         assert all(live is row for live, row in zip(table, result.table))
-        assert table.get("hi") is result.table.get("hi")
         assert table.default_action is PolicyAction.DROP
         # A commit serves the very rows it was handed, too.
         row = Policy(name="extra", selector=FlowSelector(),
                      action=PolicyAction.ALLOW, priority=1)
         table.add(row)
-        assert table.get("extra") is row and list(table)[-1] is row
+        assert list(table)[-1] is row
 
     def test_one_artifact_serves_two_tables_alike(self):
         result = compile_intents([
@@ -393,8 +377,9 @@ class TestTransactions:
 
 class TestHotReload:
     """The acceptance scenario: a live deployment hot-swaps policy
-    atomically without dropping established sessions; a conflicting
-    document is rejected while the committed table keeps serving."""
+    atomically, on every shard, and re-decides exactly the established
+    sessions whose policy it changes; a conflicting document is
+    rejected while the committed table keeps serving."""
 
     GATEWAY_IP = "10.255.255.254"
 
@@ -443,7 +428,7 @@ class TestHotReload:
         version_before = controller.policies.version
         gateway_rx_before = net.gateway.rx_bytes
 
-        commit = net.controller.reload_policies({
+        (commit,) = net.reload_policies({
             "schema_version": 2,
             "default_action": "allow",
             "intents": [
@@ -469,6 +454,182 @@ class TestHotReload:
         for flow in flows:
             flow.stop()
 
+    # -- a commit re-decides the live sessions it changes ---------------
+
+    def build_fabric(self, num_shards):
+        """Four users, one per switch of a 4-switch line, at any shard
+        count: their HTTP to the gateway rides the IDS on ovs1."""
+        from repro import build_livesec_network
+
+        def table():
+            return PolicyTable.serving(CompiledPolicyTable([Policy(
+                name="inspect-internet",
+                selector=FlowSelector(dst_ip=self.GATEWAY_IP),
+                action=PolicyAction.CHAIN, service_chain=("ids",),
+            )]))
+
+        net = build_livesec_network(
+            topology="linear", policies=table, num_shards=num_shards,
+            num_as=4, hosts_per_as=1,
+        )
+        net.add_element("ids", net.topology.as_switches[0])
+        net.start()
+        return net
+
+    @staticmethod
+    def live_sessions(net):
+        return [s for c in net.controllers for s in c.sessions]
+
+    @staticmethod
+    def document(*intents, default="allow"):
+        return {"schema_version": 2, "default_action": default,
+                "intents": list(intents)}
+
+    def inspect_row(self, **changes):
+        row = {"name": "inspect-internet", "action": "chain",
+               "service_chain": ["ids"],
+               "selector": {"dst_ip": self.GATEWAY_IP}}
+        row.update(changes)
+        return row
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_a_drop_commit_blocks_the_live_session_it_names(
+        self, num_shards
+    ):
+        from repro.core.events import EventKind
+
+        net = self.build_fabric(num_shards)
+        flows = self.start_traffic(net)
+        net.run(1.0)
+        victim = net.host("h1_1")
+        others = {
+            s.session_id: s.rules for s in self.live_sessions(net)
+            if s.src_mac != victim.mac
+        }
+        assert len(others) == 3
+
+        commits = net.reload_policies(self.document(
+            self.inspect_row(),
+            {"name": "cut-h1_1", "action": "drop", "priority": 300,
+             "selector": {"src_ip": victim.ip}},
+        ))
+        assert len(commits) == num_shards
+        net.run(0.01)  # one control round trip, and the frames in flight
+        delivered = [flow.delivered_bytes(net.gateway) for flow in flows]
+        net.run(1.0)
+        after = [flow.delivered_bytes(net.gateway) for flow in flows]
+        assert after[0] == delivered[0]
+        assert all(b > a for a, b in zip(delivered[1:], after[1:]))
+
+        (cut,) = [s for s in self.live_sessions(net)
+                  if s.src_mac == victim.mac]
+        assert cut.blocked and cut.policy.name == "cut-h1_1"
+        lines = [e for c in net.controllers for e in c.log.all()
+                 if e.kind in (EventKind.FLOW_BLOCKED,
+                               EventKind.FLOW_FAILOVER)]
+        assert [(e.kind, e.data.get("policy"), e.data.get("cause"),
+                 e.data.get("outcome")) for e in lines] == [
+            (EventKind.FLOW_BLOCKED, "cut-h1_1", None, None),
+            (EventKind.FLOW_FAILOVER, None, "policy:v1", "fail-closed"),
+        ]
+        assert "dead_element" not in lines[1].data
+        # Every other session kept the very rules it had.
+        assert {s.session_id: s.rules for s in self.live_sessions(net)
+                if s.src_mac != victim.mac} == others
+        assert all(
+            s.rules is others[s.session_id]
+            for s in self.live_sessions(net) if s.session_id in others
+        )
+        for flow in flows:
+            flow.stop()
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_a_chain_commit_puts_live_sessions_on_the_fresh_chain(
+        self, num_shards
+    ):
+        """``intents.json`` chains ``l7, ids`` and no l7 element is
+        deployed: the policy fails open, for the live sessions as for
+        a new one."""
+        from pathlib import Path
+
+        from repro.workloads import HttpFlow
+
+        net = self.build_fabric(num_shards)
+        flows = self.start_traffic(net)
+        net.run(1.0)
+        live = self.live_sessions(net)
+        assert len(live) == 4 and all(s.element_macs for s in live)
+
+        path = Path(__file__).parent.parent / "examples/policies/intents.json"
+        net.reload_policies(str(path))
+        fresh_flow = HttpFlow(net.sim, net.host("h2_1"), self.GATEWAY_IP,
+                              rate_bps=2e6, packet_size=1500).start()
+        net.run(0.5)
+        (fresh,) = [s for s in self.live_sessions(net) if s not in live]
+        assert fresh.policy.service_chain == ("l7", "ids")
+        assert all(s.policy is fresh.policy for s in live)
+        assert all(s.element_macs == fresh.element_macs == () for s in live)
+        for flow in flows + [fresh_flow]:
+            flow.stop()
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_a_commit_of_the_same_effect_only_repoints(self, num_shards):
+        """A rename, a priority bump and an unrelated row each leave
+        every session's entries alone: no re-decide line, no FlowMod,
+        the same ``rules`` list."""
+        from repro.core.events import EventKind
+
+        net = self.build_fabric(num_shards)
+        flows = self.start_traffic(net)
+        net.run(1.0)
+        sent = []
+        for controller in net.controllers:
+            controller.apply_rule = (
+                lambda *args, _apply=controller.apply_rule, **kw:
+                sent.append(args) or _apply(*args, **kw)
+            )
+        if net.coordinator is not None:
+            remote_rule = net.coordinator.remote_rule
+            net.coordinator.remote_rule = (
+                lambda *args: sent.append(args) or remote_rule(*args)
+            )
+        rules = {s.session_id: s.rules for s in self.live_sessions(net)}
+        assert len(rules) == 4
+        renamed = self.inspect_row(name="inspect-gateway")
+        bumped = dict(renamed, priority=250)
+        telnet = {"name": "no-telnet", "action": "drop", "priority": 300,
+                  "selector": {"nw_proto": 6, "tp_dst": 23}}
+        for rows in [(renamed,), (bumped,), (bumped, telnet)]:
+            net.reload_policies(self.document(*rows))
+            assert sent == []
+            for session in self.live_sessions(net):
+                assert session.rules is rules[session.session_id]
+                assert session.policy.name == "inspect-gateway"
+        net.run(0.5)
+        assert not [
+            e for c in net.controllers for e in c.log.all()
+            if e.kind in (EventKind.FLOW_FAILOVER, EventKind.FLOW_BLOCKED)
+        ]
+        for flow in flows:
+            flow.stop()
+
+    def test_a_restarted_shard_serves_the_reload_it_missed(self):
+        net = self.build_fabric(2)
+        live, restarted = net.members
+        restarted.fail()
+        net.run(0.5)
+        commits = net.reload_policies(self.document(
+            self.inspect_row(priority=250), default="drop"))
+        assert len(commits) == 1  # the live shard only
+        served = live.controller.policies
+        assert restarted.controller.policies.default_action is not (
+            served.default_action)
+        restarted.restart()
+        net.run(0.01)
+        table = restarted.controller.policies
+        assert list(table) == list(served)
+        assert table.default_action is served.default_action
+
     def test_rejected_reload_leaves_table_serving(self):
         net = self.build_net()
         controller = net.controller
@@ -479,7 +640,7 @@ class TestHotReload:
         gateway_rx_before = net.gateway.rx_bytes
 
         with pytest.raises(PolicyConflictError) as exc:
-            net.controller.reload_policies({
+            net.reload_policies({
                 "schema_version": 2,
                 "intents": [
                     {"name": "allow-web", "action": "allow",
@@ -505,7 +666,7 @@ class TestHotReload:
     def test_reload_rejects_unknown_service_chain(self):
         net = self.build_net()
         with pytest.raises(PolicyConflictError) as exc:
-            net.controller.reload_policies({
+            net.reload_policies({
                 "schema_version": 2,
                 "intents": [
                     {"name": "inspect", "action": "chain",
@@ -529,7 +690,7 @@ class TestHotReload:
         with pytest.raises(PolicyFormatError):
             net.controller.check_policies(document)
         with pytest.raises(PolicyFormatError):
-            net.controller.reload_policies(document)
+            net.reload_policies(document)
         assert net.controller.policies.version == version_before
 
     def test_deployment_builds_from_policy_file(self, tmp_path):
@@ -549,7 +710,7 @@ class TestHotReload:
         net = build_livesec_network(
             topology="linear", policy_file=path, num_as=2, hosts_per_as=1,
         )
-        assert net.controller.policies.get("no-gw") is not None
+        assert [p.name for p in net.controller.policies] == ["no-gw"]
         with pytest.raises(ValueError, match="not both"):
             build_livesec_network(
                 topology="linear", policy_file=path,

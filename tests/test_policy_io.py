@@ -126,7 +126,8 @@ class TestSchemaVersions:
             ],
         })
         assert table.default_action is PolicyAction.DROP
-        assert table.get("x").selector.dst_ip == "10.0.0.1"
+        (policy,) = table
+        assert policy.name == "x" and policy.selector.dst_ip == "10.0.0.1"
 
     def test_v2_intents_load_with_zones(self):
         table = table_from_dict({
@@ -136,7 +137,8 @@ class TestSchemaVersions:
                  "src_zone": "10.66.0.0/16", "priority": 150},
             ],
         })
-        policy = table.get("quarantine")
+        (policy,) = table
+        assert policy.name == "quarantine"
         assert policy.selector.src_cidr == "10.66.0.0/16"
         assert policy.priority == 150
 

@@ -152,7 +152,7 @@ def run_cases(net, cases):
                 key = (flow.nw_dst, flow.tp_dst, flow.nw_src, flow.tp_src)
             outcomes[key].append((
                 "chained" if session.element_macs else "allowed",
-                session.policy_name,
+                session.policy.name if session.policy else None,
             ))
         blocked_events += len(controller.log.query(kind=EventKind.FLOW_BLOCKED))
     created = sum(c.sessions.created for c in net.controllers)

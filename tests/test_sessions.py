@@ -22,7 +22,7 @@ def make_session(table, tp_src=1000, elements=()):
         flow=flow(tp_src),
         src_mac="mA",
         dst_mac="mB",
-        policy_name="p",
+        policy=None,
         element_macs=tuple(elements),
         now=1.0,
     )

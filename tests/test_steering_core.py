@@ -777,8 +777,9 @@ def only_on_quarantined_switch(net):
 )
 def test_decide_chain_ladder(fleet, policy_mode, verdict, fail_mode, steered):
     table = chaos_policy_table("open")
+    (row,) = table
     policy = replace(
-        table.get("chaos-ids"),
+        row,
         fail_mode=FailMode(policy_mode) if policy_mode else None,
     )
     table.begin(source="test").replace_all([policy]).commit()
