@@ -125,7 +125,9 @@ accountability-smoke:
 # shard-failover scenario -- a cross-pod roam must hand its established
 # session off intact, and killing a shard must re-home its switches
 # onto the survivors with the crashed pod's flows still delivering
-# bytes afterwards.
+# bytes afterwards and no session torn down (a dead shard's apps are
+# crashed, so nothing of it fails a session over), before the shard
+# restarts over an empty book.
 shard-smoke:
 	$(call same_digest,PYTHONPATH=src python -m repro shards --shards 4,combined digest: [0-9a-f]*,shard-fabric)
 	@grep -q 'east-west=1/1' /tmp/shard-fabric-a.txt || \
@@ -137,6 +139,8 @@ shard-smoke:
 		{ echo "cross-pod handoff dropped the session"; exit 1; }
 	@grep -q 'flows-after-crash=2/2' /tmp/shard-smoke.txt || \
 		{ echo "sessions did not survive the shard crash"; exit 1; }
+	@grep -q 'torn-down=0' /tmp/shard-smoke.txt || \
+		{ echo "a session was torn down across the shard crash"; exit 1; }
 
 # The fluid fast-forward kernel end to end: a seeded CBR mix must
 # match the packet-level oracle flow-for-flow and digest-for-digest

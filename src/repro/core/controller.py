@@ -423,6 +423,8 @@ class LiveSecController(ControllerBase):
         return self._app_watchdog
 
     def _watchdog_scan(self) -> None:
+        if self.shard is not None and self.shard.failed:
+            return  # a dead shard's apps wait for its restart
         for name in list(self._apps):
             app = self._apps[name]
             if app.state == APP_CRASHED:

@@ -136,7 +136,8 @@ class SessionTable:
     Beside the sessions sit the :class:`Block` entries: together, the
     one book of what the controller enforces.  Nothing lifts a block;
     it leaves this book only with its source, for the book of the shard
-    the source roamed to (:meth:`take_blocks`)."""
+    the source roamed to (:meth:`take_blocks`), or with the whole book
+    when its shard restarts."""
 
     def __init__(self, start: int = 1, step: int = 1) -> None:
         self._by_flow: Dict[FlowNineTuple, Session] = {}

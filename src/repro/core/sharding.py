@@ -254,8 +254,6 @@ class ShardMember:
     # -- observation hooks --------------------------------------------
 
     def _on_log_event(self, event) -> None:
-        if self.failed:
-            return
         if event.kind in (EventKind.HOST_JOIN, EventKind.HOST_MOVE):
             self.coordinator.host_seen(
                 self,
@@ -327,16 +325,13 @@ class ShardMember:
 
     def receive_handoff(self, handoff: SessionHandoff) -> None:
         self.pending_handoff.discard(handoff.mac)
-        if self.failed:
-            return
         self.controller.bus.publish(SessionHandoffIn(handoff=handoff))
 
     def receive(self, event) -> None:
         """A bus event another shard sent us -- a ``HostMoved`` for
         sessions of ours toward the mover, path evidence about a
         session we hold -- published here as if seen locally."""
-        if not self.failed:
-            self.controller.bus.publish(event)
+        self.controller.bus.publish(event)
 
     def receive_report(self, message) -> None:
         """An element report its home shard verified, about a flow
@@ -361,23 +356,47 @@ class ShardMember:
         self.controller.apply_rule(op, rule)
         self.controller.count("remote_rules_applied")
 
+    def deliver(self, call, *args) -> None:
+        """Run ``call`` -- a quarantine, a policy commit another shard
+        sent -- unless this member failed since it was sent."""
+        if not self.failed:
+            call(*args)
+
     # -- fault surface --------------------------------------------------
 
     def fail(self) -> None:
-        """Crash this shard: its channels drop, its clock stops
-        mattering.  Data-plane flow entries survive on the switches, so
-        established sessions keep forwarding while the coordinator's
-        liveness timeout runs down."""
+        """Crash this shard: ``crash_app`` on every app, and the
+        channels drop.  Nothing of a dead shard logs, decides or sends
+        a rule op; its flow entries stay on the switches, so its
+        sessions keep forwarding until they idle out."""
         self.failed = True
+        for app in self.controller.apps:
+            self.controller.crash_app(app.name)
         for channel in self.coordinator.channels_of(self):
             channel.disconnect()
 
     def restart(self) -> None:
-        """Rejoin the fabric as an empty live shard.  The member's old
-        switches stay with their re-homed owners; new ownership only
-        arrives through future re-homing decisions."""
+        """Rejoin live over an empty book -- sessions and blocks are
+        forgotten silently (their entries idle out; ids are never
+        reused), and so are switches re-homed away and the elements on
+        them -- then ``start_app`` every app and reconnect the rest."""
         self.failed = False
         self.pending_handoff.clear()
+        controller, book = self.controller, self.controller.sessions
+        for session in list(book):
+            book.end(session)
+        for block in book.blocks():
+            book.take_blocks(block.src_mac)
+        held = self.coordinator.shard_map.owned_by(self.shard_id)
+        for dpid in [d for d in controller.nib.switches if d not in held]:
+            controller.nib.remove_switch(dpid)
+        registry = controller.registry.elements
+        for mac in [m for m in registry if not controller.nib.host_by_mac(m)]:
+            del registry[mac]
+        for app in controller.apps:
+            controller.start_app(app.name)
+        for channel in self.coordinator.channels_of(self):
+            channel.connect()
         self.coordinator.member_restarted(self)
 
 
@@ -574,13 +593,13 @@ class ShardCoordinator:
         for other in peers:
             for dpid, reason in other.controller.quarantined_dpids.items():
                 self.sim.post(
-                    INTER_SHARD_LATENCY_S, member.controller.quarantine,
-                    dpid, reason,
+                    INTER_SHARD_LATENCY_S, member.deliver,
+                    member.controller.quarantine, dpid, reason,
                 )
         if peers:
-            table = member.controller.policies
             self.sim.post(
-                INTER_SHARD_LATENCY_S, table.apply_compiled,
+                INTER_SHARD_LATENCY_S, member.deliver,
+                member.controller.policies.apply_compiled,
                 peers[0].controller.policies.compiled, "shard-restart",
             )
 
@@ -778,8 +797,8 @@ class ShardCoordinator:
         for other in self.live_members():
             if other is not member:
                 self.sim.post(
-                    INTER_SHARD_LATENCY_S, other.controller.quarantine,
-                    dpid, reason,
+                    INTER_SHARD_LATENCY_S, other.deliver,
+                    other.controller.quarantine, dpid, reason,
                 )
 
     # -- introspection ---------------------------------------------------

@@ -399,8 +399,9 @@ class FaultInjector:
     def _restart_shard(self, member) -> None:
         member.restart()
         shard = member.shard_id
+        if self._pending_dpids.pop(shard, None):  # back before re-homing
+            self._recovered("shard", shard, self.net.sim.now)
         self._open.pop(("shard", shard), None)
-        self._pending_dpids.pop(shard, None)
         self._mark("shard-restart", log=self.net.coordinator.log, shard=shard)
 
     def _crash_app(self, controller, fault: AppCrash) -> None:
@@ -488,8 +489,12 @@ class FaultInjector:
             if action == "crash-detected":
                 self._detected("app", app, event.time)
             elif action == "restarted":
-                self._recovered("app", app, event.time)
-                self._open.pop(("app", app), None)
+                # Only a crash the watchdog detected: a shard restart
+                # revives every app and closes no fault.
+                record = self._open.get(("app", app))
+                if record is not None and record[1] is not None:
+                    self._recovered("app", app, event.time)
+                    del self._open[("app", app)]
         elif event.kind == EventKind.SHARD_DOWN:
             self._detected("shard", event.data.get("shard"), event.time)
         elif event.kind == EventKind.SHARD_REHOME:

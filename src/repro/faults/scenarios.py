@@ -413,6 +413,7 @@ def run_compromised_switch_scenario(
 
 ROAM_AT_S = 4.5
 SHARD_CRASH_AT_S = 6.0
+SHARD_RESTART_AT_S = 10.0
 
 
 def run_shard_failover_scenario(
@@ -434,7 +435,8 @@ def run_shard_failover_scenario(
     * at t=6s shard 1 crashes.  The coordinator's liveness scan must
       declare it down and re-home its datapaths onto the survivors,
       while the crashed shard's established sessions keep forwarding
-      on data-plane state the whole time.
+      on data-plane state the whole time;
+    * at t=10s shard 1 restarts, live over an empty book.
 
     The report scores both: ``roam_survived`` is the handoff verdict,
     ``flows_surviving`` counts the crashed pod's flows still delivering
@@ -462,7 +464,8 @@ def run_shard_failover_scenario(
         )
         net.add_element("ids", switch)
     crashed_shard = 1
-    plan = FaultPlan(seed=seed).shard_crash(SHARD_CRASH_AT_S, crashed_shard)
+    plan = FaultPlan(seed=seed).shard_crash(SHARD_CRASH_AT_S, crashed_shard,
+                                            restart_at_s=SHARD_RESTART_AT_S)
     injector = FaultInjector(net, plan)
     injector.arm()
     net.start()

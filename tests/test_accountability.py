@@ -334,6 +334,36 @@ class TestPathProofsOnShards:
         assert restarted.quarantined_dpids == {2: "mark-mismatch"}
         assert convicting.quarantined_dpids == {2: "mark-mismatch"}
 
+    def test_a_shard_failing_as_a_conviction_fans_out_books_it_later(self):
+        """Shard 1 fails in the instant shard 0 convicts: the fan-out,
+        one inter-shard hop behind, finds it dead and books nothing
+        (delivered, it would log ``switch-quarantined`` while dead);
+        the restart books it."""
+        net = build_accountable_shards()
+        convicting, restarted = net.controllers
+        net.start()
+        net.run(1.0)
+        # An egress proof at dpid 2 shard 0 holds, one stamp short.
+        secret = convicting.secret
+        desc = PathDescriptor.for_path(secret, 999, (1, 2))
+        tag = PathTag(descriptor=desc).stamped(
+            derive_switch_secret(secret, 1), 1
+        )
+        convicting.on_path_proof(ofmsg.PathProofReport(
+            dpid=2, cookie=0, descriptor=desc, marks=tag.marks,
+        ))
+        assert convicting.quarantined_dpids == {2: "chain-truncated"}
+        restarted.shard.fail()
+        lines = len(restarted.log)
+        net.run(0.5)
+        assert len(restarted.log) == lines
+        assert restarted.quarantined_dpids == {}
+        restarted.shard.restart()
+        net.run(0.01)
+        assert restarted.quarantined_dpids == {2: "chain-truncated"}
+        booked = restarted.log.query(kind=EventKind.SWITCH_QUARANTINED)
+        assert [e.data["dpid"] for e in booked] == [2]
+
     def test_a_conviction_fans_out_and_resteers_elsewhere(self):
         net = build_accountable_shards()
         net.start()

@@ -11,7 +11,12 @@ from repro.core.deployment import build_livesec_network
 from repro.core.events import EventKind
 from repro.core.nib import NetworkInformationBase
 from repro.core.policy import FlowSelector, Policy, PolicyAction, PolicyTable
-from repro.core.sharding import SYNC_INTERVAL_S, ShardMap, combined_digest
+from repro.core.sharding import (
+    SHARD_LIVENESS_TIMEOUT_S,
+    SYNC_INTERVAL_S,
+    ShardMap,
+    combined_digest,
+)
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.scenarios import GATEWAY_IP
 from repro.net.packet import Dhcp
@@ -630,6 +635,265 @@ class TestShardCrashRehome:
         for name in ("recovery.shard_time_to_detect_s",
                      "recovery.shard_time_to_recover_s"):
             assert snapshot.get(name).count == 2
+
+
+class TestShardCrashIsAppCrash:
+    """A shard crash is every app of the shard crashed, and a restart
+    revives them over an empty book (DESIGN 8, "Failure semantics")."""
+
+    def test_a_dead_shard_neither_logs_nor_sends(self):
+        """Shard 1's own IDS stops reporting to it when it dies.  A
+        dead shard whose apps kept running would expire that IDS, fail
+        its two sessions over and send 14 remote deletes for the live
+        shard to apply; this one is silent, and its flows ride the
+        entries it left, past the SHARD_DOWN and the re-homing, as
+        they do with no crash."""
+
+        def outage(crash):
+            net = two_shard_net(elements=[], element_timeout_s=1.5)
+            net.add_element("ids", net.topology.as_switches[2])
+            net.start()
+            live, dead = net.members
+            flows = [
+                CbrUdpFlow(net.sim, net.host(name), GATEWAY_IP,
+                           rate_bps=2e6, duration_s=9.0).start()
+                for name in ("h3_1", "h4_1")
+            ]
+            net.run(2.0)
+            assert [s.element_macs for s in dead.controller.sessions] == [
+                (net.elements[0].mac,)
+            ] * 2
+            lines = len(dead.controller.log)
+            ops = net.coordinator.status()["remote_rule_ops"]
+            sent = []  # what the dead shard's own sender is asked to do
+            dead.controller.apply_rule = (
+                lambda *args, _apply=dead.controller.apply_rule, **kw:
+                sent.append(args) or _apply(*args, **kw)
+            )
+            before = [flow.delivered_bytes(net.gateway) for flow in flows]
+            if crash:
+                dead.fail()
+            net.run(5.0)
+            if crash:
+                assert net.coordinator.status()["down"] == [1]
+                assert len(dead.controller.log) == lines
+                assert net.coordinator.status()["remote_rule_ops"] == ops
+                assert sent == []
+                # No session formed anywhere else either.
+                assert len(live.controller.sessions) == 0
+            delivered = [flow.delivered_bytes(net.gateway) - b
+                         for flow, b in zip(flows, before)]
+            if crash:
+                dead.restart()
+                assert len(dead.controller.sessions) == 0
+                assert all(app.state == "running"
+                           for app in dead.controller.apps)
+                # The IDS sits on ovs3, re-homed: its reports certify it
+                # on shard 0 now, and the restart forgets it, unexpired.
+                ids = net.elements[0].mac
+                assert dead.controller.registry.get(ids) is None
+                net.run(2.0)
+                assert live.controller.registry.get(ids).online
+                assert not dead.controller.log.query(
+                    kind=EventKind.ELEMENT_OFFLINE)
+            return delivered
+
+        assert outage(crash=True) == outage(crash=False)
+
+    def test_a_restart_after_a_missed_reload_changes_nothing(self):
+        """2 shards, 4 HTTP users, shard 1 down from 1 s, ``intents.json``
+        reloaded at 4 s, shard 1 back at 5.5 s.  Had the restart kept
+        its book, it would re-decide those stale sessions: 16 remote
+        ops, and h3_1 / h4_1 lose 3 000 / 1 500 B in the next second."""
+        from pathlib import Path
+
+        from repro.core.policy_compiler import CompiledPolicyTable
+        from repro.workloads import HttpFlow
+
+        intents = Path(__file__).parent.parent / "examples/policies/intents.json"
+
+        def table():
+            return PolicyTable.serving(CompiledPolicyTable([Policy(
+                name="inspect-internet",
+                selector=FlowSelector(dst_ip=GATEWAY_IP),
+                action=PolicyAction.CHAIN, service_chain=("ids",),
+            )]))
+
+        def second_after(restart):
+            net = build_livesec_network(
+                topology="linear", policies=table, num_shards=2,
+                num_as=4, hosts_per_as=1,
+            )
+            net.add_element("ids", net.topology.as_switches[0])
+            net.start()
+            users = [h for h in net.topology.hosts if h is not net.gateway]
+            flows = [
+                HttpFlow(net.sim, host, GATEWAY_IP, rate_bps=2e6,
+                         packet_size=1500).start(delay_s=offset * 0.05)
+                for offset, host in enumerate(users)
+            ]
+            member = net.members[1]
+            net.run(1.0)
+            member.fail()
+            net.run(3.0)
+            net.reload_policies(str(intents))
+            net.run(1.5)
+            ops = net.coordinator.status()["remote_rule_ops"]
+            before = [flow.delivered_bytes(net.gateway) for flow in flows]
+            if restart:
+                member.restart()
+                assert len(member.controller.sessions) == 0
+                assert member.controller.sessions.blocks() == []
+            net.run(1.0)
+            return (
+                [flow.delivered_bytes(net.gateway) - b
+                 for flow, b in zip(flows, before)],
+                net.coordinator.status()["remote_rule_ops"] - ops,
+            )
+
+        assert second_after(restart=True) == second_after(restart=False)
+
+    def test_a_short_crash_reconnects_its_switches(self):
+        """Back 0.5 s after the crash, before anyone declared it down:
+        nobody re-homed dpids 3 and 4, so the restart reconnects them
+        (left down, the channels would strand a new flow from h3_1:
+        0 B delivered)."""
+        def new_flow(crash):
+            net = two_shard_net(policies=None, elements=[])
+            net.start()
+            member = net.members[1]
+            net.run(1.0)
+            if crash:
+                member.fail()
+                net.run(0.5)
+                member.restart()
+                net.run(0.5)
+                assert net.coordinator.status()["down"] == []
+                for dpid in (3, 4):
+                    assert net.channels[dpid].connected
+                    assert net.owner(dpid) is member.controller
+                    assert dpid in member.controller.switches
+            flow = CbrUdpFlow(net.sim, net.host("h3_1"), GATEWAY_IP,
+                              rate_bps=2e6, duration_s=1.0).start()
+            net.run(1.5)
+            return flow.delivered_bytes(net.gateway)
+
+        assert new_flow(crash=True) == new_flow(crash=False) > 0
+
+    def test_the_watchdog_leaves_a_dead_shards_apps_alone(self):
+        """An app plan arms shard 1's watchdog; an app crashed while
+        the shard is down is revived by the restart, not by a watchdog
+        tick on the dead shard (that tick would log ``crash-detected``
+        and ``restarted`` for it at 3.5 s)."""
+        net = two_shard_net()
+        plan = (FaultPlan(seed=1)
+                .app_crash(2.0, "monitor", shard=1)
+                .shard_crash(3.0, 1, restart_at_s=4.0)
+                .app_crash(3.2, "topology", shard=1))
+        FaultInjector(net, plan).arm()
+        net.start()
+        net.run(4.5)
+        log = net.members[1].controller.log
+        lifecycle = [(e.time, e.data["app"], e.data["action"])
+                     for e in log.query(kind=EventKind.APP_LIFECYCLE)]
+        assert not [line for line in lifecycle if 3.0 <= line[0] < 4.0]
+        names = [app.name for app in net.members[1].controller.apps]
+        assert [line for line in lifecycle if line[0] == 4.0] == [
+            (4.0, name, "restarted") for name in names
+        ]
+
+    @pytest.mark.parametrize("restart_at", [3.7, 6.2])
+    def test_a_planned_restart_is_scored_and_revives_an_empty_book(
+        self, restart_at
+    ):
+        """``shard_crash(3.0, 1, restart_at_s=...)`` through the
+        injector, back before (3.7 s) and after (6.2 s) SHARD_DOWN.
+        Detection is the SHARD_DOWN, recovery the last re-homing, or
+        the restart that came first; the restart's six ``restarted``
+        lines close no app fault (the open ``monitor`` crash on shard 0
+        is scored by shard 0's watchdog)."""
+        net = two_shard_net()
+        plan = (FaultPlan(seed=1)
+                .shard_crash(3.0, 1, restart_at_s=restart_at)
+                .app_crash(restart_at - 0.1, "monitor", shard=0))
+        injector = FaultInjector(net, plan)
+        injector.arm()
+        net.start()
+        member = net.members[1]
+        for name in ("h3_1", "h4_1"):
+            CbrUdpFlow(net.sim, net.host(name), GATEWAY_IP, rate_bps=1e6,
+                       duration_s=8.0).start()
+        net.run(restart_at - 1e-3 - net.sim.now)
+        assert len(member.controller.sessions) == 2
+        books = []  # read at the restart's instant, right after it
+        net.sim.post_at(restart_at, lambda: books.append((
+            len(member.controller.sessions),
+            member.controller.sessions.blocks(),
+        )))
+        net.run(2.0)
+        assert books == [(0, [])]
+        snapshot = net.metrics_snapshot()
+        ttd = snapshot.get("recovery.shard_time_to_detect_s")
+        ttr = snapshot.get("recovery.shard_time_to_recover_s")
+        if restart_at < 3.0 + SHARD_LIVENESS_TIMEOUT_S:
+            assert ttd is None or ttd.count == 0
+            assert list(ttr.samples) == [pytest.approx(restart_at - 3.0)]
+        else:
+            assert ttd.count == 1 and ttr.count == 1
+            assert list(ttr.samples) == list(ttd.samples)
+        # Shard 0's watchdog ticks on the half second, 0.4 s after the
+        # crash it detects and revives.
+        for name in ("recovery.app_time_to_detect_s",
+                     "recovery.app_time_to_recover_s"):
+            assert list(snapshot.get(name).samples) == [pytest.approx(0.4)]
+
+    def test_a_dead_shards_hosts_resolve_in_one_arp(self):
+        """DESIGN 8: once shard 1 (ovs3, ovs4 and the gateway) is
+        declared down and its switches re-homed, the first ARP for the
+        gateway or h3_1 floods shard 0's periphery -- which now holds
+        ovs3 and ovs4 -- and both hosts join shard 0 on the reply; new
+        flows to each deliver what they do with no crash."""
+
+        def run(crash):
+            net = two_shard_net(policies=None, elements=[])
+            net.start()
+            live = net.members[0]
+            tracker = live.controller.app("host-tracker")
+            floods = []
+            flood = tracker.periphery_flood
+            tracker.periphery_flood = lambda frame, exclude: (
+                floods.append((net.sim.now, frame.payload.target_ip))
+                or flood(frame, exclude)
+            )
+            net.run(1.0)
+            if crash:
+                net.members[1].fail()
+            net.run(4.0)
+            assert net.coordinator.status()["down"] == ([1] if crash else [])
+            started = net.sim.now
+            target = net.host("h3_1")
+            flows = [
+                CbrUdpFlow(net.sim, net.host("h1_1"), GATEWAY_IP,
+                           rate_bps=2e6, duration_s=2.0).start(),
+                CbrUdpFlow(net.sim, net.host("h2_1"), target.ip,
+                           rate_bps=2e6, duration_s=2.0).start(),
+            ]
+            net.run(3.0)
+            joins = [
+                (e.time, e.data["ip"]) for e in live.controller.log.query(
+                    kind=EventKind.HOST_JOIN) if e.time >= started
+            ]
+            delivered = [flows[0].delivered_bytes(net.gateway),
+                         flows[1].delivered_bytes(target)]
+            return floods, joins, delivered
+
+        floods, joins, delivered = run(crash=True)
+        wanted = sorted([GATEWAY_IP, "10.0.0.3"])  # the gateway, h3_1
+        assert sorted(ip for __, ip in floods) == wanted
+        first = min(at for at, __ in floods)
+        assert sorted(ip for __, ip in joins) == wanted
+        assert all(first < at < first + 2e-3 for at, __ in joins)
+        assert delivered == run(crash=False)[2] == [501_000] * 2
 
 
 class TestDeterminismDigest:
