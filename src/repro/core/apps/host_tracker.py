@@ -6,6 +6,12 @@ The paper's Section III.C.2 machinery as one app: ARP frames are both
 proxied the same way; silent hosts expire; and the legacy fabric is
 taught where MACs live through rate-limited gratuitous-ARP
 announcements flooded out of switch uplinks.
+
+On a shard fabric the answers are the fabric's, as one controller's
+are its one NIB's: a host this NIB does not hold is located in the
+coordinator's directory, an unknown one is flooded to every live
+shard's periphery, and a silent host is kept while a session in any
+live shard's book still streams to it.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from repro.core.apps.base import App, AppContext
 from repro.core.bus import ArpIn, DhcpIn, HostExpired, HostMoved, UplinksLost
 from repro.core.events import EventKind
 from repro.core.nib import HostRecord
+from repro.core.sharding import INTER_SHARD_LATENCY_S
 from repro.net import packet as pkt
 from repro.net.packet import Ethernet
 from repro.openflow.actions import Output
@@ -171,8 +178,12 @@ class HostTrackerApp(App):
 
     def periphery_flood(self, frame: Ethernet,
                         exclude: Tuple[int, int]) -> None:
-        """Directory-proxy fallback for unknown ARP targets: deliver a
-        copy to every Network-Periphery port, never into the fabric."""
+        """Directory-proxy fallback for an unknown ARP target or first-
+        packet destination: deliver a copy to every Network-Periphery
+        port, never into the fabric.  On a shard fabric that is every
+        shard's periphery: the shard the frame entered on floods its
+        own and, one inter-shard hop later, each live peer floods its
+        own -- a peer holds no ``exclude`` dpid, so it fans out nothing."""
         for dpid, handle in self.ctx.controller.switches.items():
             uplinks = self.ctx.nib.uplink_ports(dpid)
             if not uplinks:
@@ -185,6 +196,16 @@ class HostTrackerApp(App):
             if outputs:
                 self.ctx.controller.send_packet_out(
                     dpid, actions=outputs, frame=frame.clone()
+                )
+        shard = self.ctx.controller.shard
+        if shard is None or exclude[0] not in self.ctx.controller.switches:
+            return
+        for other in shard.coordinator.live_members():
+            if other is not shard:
+                self.ctx.sim.post(
+                    INTER_SHARD_LATENCY_S, other.deliver,
+                    other.controller.app(self.name).periphery_flood,
+                    frame, exclude,
                 )
 
     # ------------------------------------------------------------------
@@ -212,10 +233,18 @@ class HostTrackerApp(App):
 
     def _has_live_session(self, record: HostRecord) -> bool:
         # A host with a live (unblocked) session is demonstrably
-        # present even if it has not ARPed lately -- keep it.
+        # present even if it has not ARPed lately -- keep it.  On a
+        # fabric the sessions toward it sit in their sources' books:
+        # ask every live one, as one controller asks its one book.
+        shard = self.ctx.controller.shard
+        books = [self.ctx.sessions] if shard is None else [
+            member.controller.sessions
+            for member in shard.coordinator.live_members()
+        ]
         return any(
             not session.blocked
-            for session in self.ctx.sessions.sessions_of_user(record.mac)
+            for book in books
+            for session in book.sessions_of_user(record.mac)
         )
 
     def expire_hosts(self) -> None:

@@ -394,10 +394,8 @@ def build_livesec_network(
         controllers.append(controller)
         if coordinator is not None:
             # Stride the id space so shard i of N mints ids i+1, i+1+N,
-            # ... -- globally unique without coordination, handoff-safe
-            # -- and the DHCP pool the same way.
+            # ... -- globally unique without coordination, handoff-safe.
             controller.sessions.reseed(shard_id + 1, num_shards)
-            controller.directory.reseed(shard_id + 1, num_shards)
             members.append(ShardMember(shard_id, controller, coordinator))
     network = LiveSecNetwork(
         sim=sim, topology=topo, controller=controllers[0],

@@ -9,11 +9,16 @@ The proxy answers ARP requests from the NIB (crafting a unicast reply
 injected at the requester's own switch) and runs a small DHCP server
 over the same punt path.  Only when the target is genuinely unknown is
 the request flooded, and the resulting reply teaches the NIB.
+
+On a shard fabric each shard runs its own proxy over its own NIB, but
+the global host information is the fabric's: the host tracker hands
+in a target located on another shard, and every proxy leases from the
+coordinator's one DHCP book (``leases``), so a client is offered one
+address whichever shard it asks.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -37,17 +42,13 @@ class DirectoryProxy:
                  dhcp_pool_base: str = "10.1.0.0"):
         self.nib = nib
         self.dhcp_pool_base = dhcp_pool_base
-        self._dhcp_leases: Dict[str, str] = {}  # mac -> ip
-        self._lease_numbers = itertools.count(1)
+        #: mac -> ip, never released: host number ``n`` of the pool is
+        #: the ``n``-th lease.  On a shard fabric every shard's proxy
+        #: holds the coordinator's one book here.
+        self.leases: Dict[str, str] = {}
         self.arp_replies = 0
         self.arp_floods = 0
         self.dhcp_acks = 0
-
-    def reseed(self, start: int, step: int = 1) -> None:
-        """Re-key the lease sequence: shard ``i`` of ``N`` leases host
-        numbers ``i+1, i+1+N, ...`` of the one pool (the stride of
-        :meth:`SessionTable.reseed`), never another shard's address."""
-        self._lease_numbers = itertools.count(start, step)
 
     # ------------------------------------------------------------------
     # ARP
@@ -97,12 +98,11 @@ class DirectoryProxy:
         return None
 
     def _lease_for(self, mac: str) -> str:
-        existing = self._dhcp_leases.get(mac)
-        if existing is not None:
-            return existing
-        ip = ip_address(next(self._lease_numbers), base=self.dhcp_pool_base)
-        self._dhcp_leases[mac] = ip
+        ip = self.leases.get(mac)
+        if ip is None:
+            ip = ip_address(len(self.leases) + 1, base=self.dhcp_pool_base)
+            self.leases[mac] = ip
         return ip
 
     def lease_of(self, mac: str) -> Optional[str]:
-        return self._dhcp_leases.get(mac)
+        return self.leases.get(mac)

@@ -25,9 +25,12 @@ as a horizontally scalable service):
   declared SHARD_DOWN and their switches re-homed onto the survivors
   over fresh secure channels.  It also keeps the one book of where a
   host is: a shard whose NIB does not hold a host reads the owner's
-  row here (:meth:`ShardCoordinator.locate`) and copies nothing.
+  row here (:meth:`ShardCoordinator.locate`) and copies nothing -- and
+  the one DHCP lease book every shard's directory proxy leases from.
 
-Cross-shard concerns are explicit typed protocol, never shared state:
+Cross-shard concerns are explicit typed protocol, never shared state,
+and every call sent to a member over the inter-shard hop goes in
+through :meth:`ShardMember.deliver`:
 
 * **Remote rules** (:meth:`ShardMember.receive_rule_op`): a session
   whose path crosses a shard boundary has its foreign-dpid rules
@@ -53,6 +56,9 @@ Cross-shard concerns are explicit typed protocol, never shared state:
   tagged punt goes to the shard holding the session -- the owner of
   its descriptor's ingress dpid -- and a conviction there quarantines
   the switch on every live shard.
+* **Periphery floods**: a target no shard knows is flooded by the
+  asking shard's host tracker and, one hop later, by every live
+  peer's, each on its own switches.
 * **Directory federation** (:class:`FederatedElement`): steering can
   place waypoints on elements homed to any live shard; an element's
   death propagates to every consumer shard in the next sync round.
@@ -248,6 +254,7 @@ class ShardMember:
         # arrives (or an empty transfer clears them).
         self.pending_handoff: set = set()
         controller.shard = self
+        controller.directory.leases = coordinator.leases
         controller.log.subscribe(self._on_log_event)
         coordinator.register(self)
 
@@ -336,18 +343,15 @@ class ShardMember:
     def receive_report(self, message) -> None:
         """An element report its home shard verified, about a flow
         whose source is ours: applied here, never forwarded again."""
-        if not self.failed:
-            self.controller.app("service-directory").handle_event_report(
-                message, forwarded=True
-            )
+        self.controller.app("service-directory").handle_event_report(
+            message, forwarded=True
+        )
 
     def receive_rule_op(self, op: str, rule) -> None:
         """Apply a rule another shard routed here (we hold its datapath
         -- possibly freshly, through re-homing) on the controller's own
         sender: no app sits in the path, so a stopped or crashed
         steering app on this shard cannot drop it."""
-        if self.failed:
-            return
         if rule.dpid not in self.controller.switches:
             # Never forwarded on: a stale owner map must not bounce
             # the op between shards.
@@ -357,8 +361,10 @@ class ShardMember:
         self.controller.count("remote_rules_applied")
 
     def deliver(self, call, *args) -> None:
-        """Run ``call`` -- a quarantine, a policy commit another shard
-        sent -- unless this member failed since it was sent."""
+        """The one way into a member from across the fabric: run
+        ``call`` -- a rule op, a report, a handoff, a bus event, a
+        quarantine, a policy commit, a flood another shard sent --
+        unless this member failed since it was sent."""
         if not self.failed:
             call(*args)
 
@@ -378,8 +384,9 @@ class ShardMember:
     def restart(self) -> None:
         """Rejoin live over an empty book -- sessions and blocks are
         forgotten silently (their entries idle out; ids are never
-        reused), and so are switches re-homed away and the elements on
-        them -- then ``start_app`` every app and reconnect the rest."""
+        reused), and so are switches re-homed away, the elements on
+        them and their hosts' directory rows -- then ``start_app``
+        every app and reconnect the rest."""
         self.failed = False
         self.pending_handoff.clear()
         controller, book = self.controller, self.controller.sessions
@@ -388,7 +395,11 @@ class ShardMember:
         for block in book.blocks():
             book.take_blocks(block.src_mac)
         held = self.coordinator.shard_map.owned_by(self.shard_id)
-        for dpid in [d for d in controller.nib.switches if d not in held]:
+        gone = [d for d in controller.nib.switches if d not in held]
+        for record in controller.nib.records():
+            if record.dpid in gone:
+                self.coordinator.host_left(self, record.mac)
+        for dpid in gone:
             controller.nib.remove_switch(dpid)
         registry = controller.registry.elements
         for mac in [m for m in registry if not controller.nib.host_by_mac(m)]:
@@ -438,6 +449,10 @@ class ShardCoordinator:
         # out the directory's own.
         self._location: Dict[str, Tuple[int, Optional[HostRecord]]] = {}
         self._mac_by_ip: Dict[str, str] = {}
+        #: mac -> ip: the deployment's one DHCP lease book, which every
+        #: member's directory proxy leases from (a roaming client keeps
+        #: its address on any shard).
+        self.leases: Dict[str, str] = {}
         self._federation: Dict[str, FederatedElement] = {}
         self._hello_count = self.metrics.counter(
             "sharding.hellos", "Sync-round hello exchanges"
@@ -678,7 +693,8 @@ class ShardCoordinator:
                  or self._row(None, flow.nw_src)[0])
         if owner in (None, member):
             return False
-        self.sim.post(INTER_SHARD_LATENCY_S, owner.receive_report, message)
+        self.sim.post(INTER_SHARD_LATENCY_S, owner.deliver,
+                      owner.receive_report, message)
         return True
 
     def host_seen(self, member: ShardMember, mac, ip, dpid, port) -> None:
@@ -720,7 +736,8 @@ class ShardCoordinator:
             moved = HostMoved(record)
             for other in self.live_members():
                 if crossed or other is not member:
-                    self.sim.post(INTER_SHARD_LATENCY_S, other.receive, moved)
+                    self.sim.post(INTER_SHARD_LATENCY_S, other.deliver,
+                                  other.receive, moved)
 
     def host_left(self, member: ShardMember, mac) -> None:
         """A shard's HOST_LEAVE empties the row, if still its: no port
@@ -758,7 +775,7 @@ class ShardCoordinator:
             mac=handoff.mac, from_shard=handoff.from_shard,
             to_shard=handoff.to_shard, sessions=len(handoff.records),
         )
-        member.receive_handoff(handoff)
+        member.deliver(member.receive_handoff, handoff)
 
     # -- remote rules, path evidence and quarantines --------------------
 
@@ -775,7 +792,8 @@ class ShardCoordinator:
             return False
         self._rule_ops.inc()
         self.sim.post(
-            INTER_SHARD_LATENCY_S, target.receive_rule_op, op, rule
+            INTER_SHARD_LATENCY_S, target.deliver, target.receive_rule_op,
+            op, rule,
         )
         return True
 
@@ -785,7 +803,8 @@ class ShardCoordinator:
         target = self._owner(dpid)
         if target is None or target is member:
             return False
-        self.sim.post(INTER_SHARD_LATENCY_S, target.receive, event)
+        self.sim.post(INTER_SHARD_LATENCY_S, target.deliver, target.receive,
+                      event)
         return True
 
     def quarantine_elsewhere(

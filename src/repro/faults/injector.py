@@ -27,6 +27,7 @@ risk" set is well defined.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.events import EventKind, NetworkEvent
@@ -88,7 +89,8 @@ class FaultInjector:
         self.armed = False
         # One record per *open* injection -- (family, target) ->
         # [injected_at, detected_at, kind] -- keyed by element MAC,
-        # compromised dpid, shard id or app name.  A restart closes it.
+        # compromised dpid, shard id or (shard, app name): two shards'
+        # apps of one name are two faults.  A restart closes it.
         self._open: Dict[Tuple[str, object], list] = {}
         # Datapaths of a crashed shard still waiting for a new owner.
         self._pending_dpids: Dict[int, set] = {}
@@ -137,10 +139,12 @@ class FaultInjector:
                 for edge, until in (("detect", detected),
                                     ("recover", recovered))
             )
-        for controller in net.controllers:
-            controller.log.subscribe(self._on_event)
+        # Each log tells the scorer whose it is: its shard's index in
+        # ``net.controllers`` (0 on one controller), None the fabric's.
+        for shard, controller in enumerate(net.controllers):
+            controller.log.subscribe(partial(self._on_event, shard))
         if net.coordinator is not None:
-            net.coordinator.log.subscribe(self._on_event)
+            net.coordinator.log.subscribe(partial(self._on_event, None))
 
     # ------------------------------------------------------------------
     # Target resolution
@@ -406,7 +410,8 @@ class FaultInjector:
 
     def _crash_app(self, controller, fault: AppCrash) -> None:
         controller.crash_app(fault.app)
-        self._opened("app", fault.app, "app-crash")
+        shard = self.net.controllers.index(controller)
+        self._opened("app", (shard, fault.app), "app-crash")
         data = {"app": fault.app}
         if fault.shard is not None:
             data["shard"] = fault.shard
@@ -446,7 +451,7 @@ class FaultInjector:
         self._latency[family][edge].observe(elapsed)
         self._samples.setdefault(record[2], ([], []))[edge].append(elapsed)
 
-    def _on_event(self, event: NetworkEvent) -> None:
+    def _on_event(self, shard: Optional[int], event: NetworkEvent) -> None:
         if event.kind == EventKind.ELEMENT_OFFLINE:
             mac = event.data.get("mac")
             controllers = self.net.controllers
@@ -484,7 +489,7 @@ class FaultInjector:
         elif event.kind == EventKind.PATH_VIOLATION:
             self._detected("switch", event.data.get("dpid"), event.time)
         elif event.kind == EventKind.APP_LIFECYCLE:
-            app = event.data.get("app")
+            app = (shard, event.data.get("app"))
             action = event.data.get("action")
             if action == "crash-detected":
                 self._detected("app", app, event.time)

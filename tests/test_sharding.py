@@ -517,8 +517,8 @@ class TestLocationDirectory:
         assert locate(mac=net.gateway.mac) is None
 
     def test_two_shards_never_lease_the_same_address(self):
-        """One pool, strided like the session ids (the parent offers
-        two clients on two shards 10.1.0.1 each)."""
+        """One pool and one book: every shard's proxy leases the
+        fabric's next address."""
         net = two_shard_net(num_shards=4, policies=None, elements=[])
         offers = [
             controller.directory.handle_dhcp(
@@ -528,7 +528,87 @@ class TestLocationDirectory:
             for n in range(3)
         ]
         assert len(set(offers)) == len(offers)
-        assert offers[:3] == ["10.1.0.1", "10.1.0.5", "10.1.0.9"]
+        assert offers == [f"10.1.0.{n}" for n in range(1, 13)]
+
+
+class TestOneDirectoryProxy:
+    """The directory proxy answers from the fabric, as one controller
+    answers from its one NIB (III.C.2): an unknown target is flooded to
+    every shard's periphery, a host another shard streams to is kept
+    alive by that stream, and a client has one lease."""
+
+    @staticmethod
+    def silent_host_reached(shards):
+        """h3_1 has expired on its owner (2 s timeout, 8 s of silence);
+        then h1_1 streams 2 s to it.  Returns (bytes delivered, floods)."""
+        net = two_shard_net(num_shards=shards, policies=None, elements=[],
+                            host_timeout_s=2.0)
+        net.start()
+        net.run(8.0)
+        target = net.host("h3_1")
+        assert net.owner(3).nib.host_by_mac(target.mac) is None
+        before = sum(c.directory.arp_floods for c in net.controllers)
+        flow = CbrUdpFlow(net.sim, net.host("h1_1"), target.ip,
+                          rate_bps=1e6, duration_s=2.0).start()
+        net.run(6.0)
+        floods = sum(c.directory.arp_floods for c in net.controllers)
+        return flow.delivered_bytes(target), floods - before
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_a_silent_host_on_another_shard_is_reached_by_one_flood(
+        self, shards
+    ):
+        """A flood of the asking shard's periphery only never reaches
+        h3_1: 5 floods, 0 B."""
+        assert self.silent_host_reached(shards) == (
+            self.silent_host_reached(1)
+        ) == (250_500, 1)
+
+    @staticmethod
+    def leaves_while_streamed_to(shards):
+        """h1_1 streams 12 s to h3_1, which never speaks (3 s timeout).
+        Returns (h3_1 in its owner's NIB, names of HOST_LEAVE hosts)."""
+        net = two_shard_net(num_shards=shards, policies=None, elements=[],
+                            host_timeout_s=3.0)
+        net.start()
+        target = net.host("h3_1")
+        CbrUdpFlow(net.sim, net.host("h1_1"), target.ip, rate_bps=1e6,
+                   duration_s=12.0).start()
+        net.run(14.0)
+        names = {host.mac: host.name for host in net.topology.hosts}
+        leaves = {
+            names[event.data["mac"]]
+            for controller in net.controllers
+            for event in controller.log.query(kind=EventKind.HOST_LEAVE)
+        }
+        held = net.owner(3).nib.host_by_mac(target.mac) is not None
+        return held, leaves
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_a_host_another_shard_streams_to_stays_alive(self, shards):
+        """The stream's session is in h1_1's book, on shard 0; h3_1's
+        owner asks every live book (asking its own alone, it expired
+        h3_1)."""
+        held, leaves = self.leaves_while_streamed_to(shards)
+        assert held and "h3_1" not in leaves
+        assert (held, leaves) == self.leaves_while_streamed_to(1)
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_a_client_keeps_one_lease_on_every_shard(self, shards):
+        """A client that asks each shard in turn -- roaming, say -- is
+        offered and acked one address (per-shard strides of the pool
+        offered it 10.1.0.1, .2, ...)."""
+        net = two_shard_net(num_shards=shards, policies=None, elements=[])
+        replies = [
+            controller.directory.handle_dhcp(
+                Dhcp(opcode=opcode, client_mac="roamer")
+            ).offered_ip
+            for controller in net.controllers
+            for opcode in ("discover", "request")
+        ]
+        assert replies == ["10.1.0.1"] * 2 * shards
+        assert all(controller.directory.lease_of("roamer") == "10.1.0.1"
+                   for controller in net.controllers)
 
 
 class TestRoamHandoff:
@@ -801,6 +881,56 @@ class TestShardCrashIsAppCrash:
         assert [line for line in lifecycle if line[0] == 4.0] == [
             (4.0, name, "restarted") for name in names
         ]
+
+    def test_two_shards_apps_of_one_name_are_two_faults(self):
+        """``monitor`` crashes on shard 0 at 2.1 s and on shard 1 at
+        2.2 s; each shard's watchdog detects and revives its own on the
+        2.5 s tick.  Two samples, 0.4 s and 0.3 s (keyed by name alone,
+        the two were one fault, scored once, 0.3 s)."""
+        net = two_shard_net()
+        plan = (FaultPlan(seed=1)
+                .app_crash(2.1, "monitor", shard=0)
+                .app_crash(2.2, "monitor", shard=1))
+        FaultInjector(net, plan).arm()
+        net.start()
+        net.run(3.0)
+        snapshot = net.metrics_snapshot()
+        for name in ("recovery.app_time_to_detect_s",
+                     "recovery.app_time_to_recover_s"):
+            assert sorted(snapshot.get(name).samples) == [
+                pytest.approx(0.3), pytest.approx(0.4)
+            ]
+
+    def test_a_restart_forgets_where_the_rehomed_hosts_were(self):
+        """Shard 1 (ovs3, ovs4) dies for 3 s while h3_1 streams to the
+        gateway on the entries it left, is re-homed onto shard 0 and
+        restarts.  Its dropped rows leave the directory too: shard 0
+        locates h3_1 nowhere and forwards no report about its flow to
+        shard 1 (rows left behind kept naming shard 1 for both) until
+        h3_1 is heard, at ovs3, on shard 0."""
+        net = two_shard_net(policies=None, elements=[])
+        net.start()
+        live, member = net.members
+        roamer = net.host("h3_1")
+        CbrUdpFlow(net.sim, roamer, GATEWAY_IP, rate_bps=1e6,
+                   duration_s=6.0).start()
+        net.run(1.0)
+        (session,) = member.controller.sessions
+        member.fail()
+        net.run(3.0)
+        assert net.coordinator.status()["down"] == [1]
+        member.restart()
+        net.run(1.0)
+        locate = live.controller.app("host-tracker").locate
+        assert live.controller.nib.host_by_mac(roamer.mac) is None
+        assert locate(mac=roamer.mac) is None
+        assert locate(ip=roamer.ip) is None
+        report = type("Report", (), {"flow": session.flow})()
+        assert not net.coordinator.forward_report(live, report)
+        roamer.announce()
+        net.run(0.1)
+        assert locate(mac=roamer.mac).dpid == 3
+        assert net.owner(3) is live.controller
 
     @pytest.mark.parametrize("restart_at", [3.7, 6.2])
     def test_a_planned_restart_is_scored_and_revives_an_empty_book(
