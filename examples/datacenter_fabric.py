@@ -7,7 +7,11 @@ runs the full LiveSec stack over a k=4 fat tree of ECMP legacy
 switches with the control plane split per pod -- four controller
 shards, one a pod -- pushes reliable TCP transfers across pods (so
 across shards) through an IDS service chain, and prints per-flow
-goodput plus the fabric's parallel-uplink load split.
+goodput plus the fabric's parallel-uplink load split.  Last, the
+directory proxy answers for the whole fabric (Section III.C.2): a host
+silent past its timeout in pod 4 is reached from pod 1 by one flood
+over every shard's periphery, and its ARP reply crosses back to the
+shard holding the asker's switch.
 
 Run with:  python examples/datacenter_fabric.py
 """
@@ -15,7 +19,9 @@ Run with:  python examples/datacenter_fabric.py
 from repro import Policy, PolicyTable
 from repro.analysis.ascii_charts import bar_chart
 from repro.core.deployment import build_livesec_network
+from repro.core.nib import DEFAULT_HOST_TIMEOUT_S
 from repro.core.policy import FlowSelector, PolicyAction
+from repro.workloads import CbrUdpFlow
 from repro.workloads.tcpflows import TcpServer, TcpTransfer
 
 
@@ -79,6 +85,21 @@ def main() -> None:
             print(f"\n{edge.name} parallel uplinks (bytes):")
             print(bar_chart({f"port {p}": float(v)
                              for p, v in loads.items()}))
+
+    # h7_2 (pod 4, shard 3) has said nothing since it announced itself:
+    # past the host timeout its shard expires it, and no NIB holds it.
+    net.run(DEFAULT_HOST_TIMEOUT_S + 10.0)
+    asker, target = net.host("h1_2"), net.host("h7_2")
+    floods = sum(c.directory.arp_floods for c in net.controllers)
+    stream = CbrUdpFlow(net.sim, asker, target.ip, rate_bps=1e6,
+                        duration_s=2.0).start()
+    net.run(1.0)
+    first_second = stream.delivered_bytes(target)
+    net.run(3.0)
+    floods = sum(c.directory.arp_floods for c in net.controllers) - floods
+    print(f"\nsilent {target.name} reached from {asker.name} after"
+          f" {floods} fabric-wide flood(s): {first_second} B in the first"
+          f" second, {stream.delivered_bytes(target)} B of the 2 s stream")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Fail on a second FlowMod writer or a second drop planner under
-``core/``, stdlib-only.
+"""Fail on a second FlowMod writer, a second drop planner or a second
+way across the shard fabric under ``core/``, stdlib-only.
 
 What the controller enforces is kept in one book and reaches the
 datapath one way: steering's ``_reconcile`` -> ``_apply`` ->
@@ -15,7 +15,12 @@ datapath one way: steering's ``_reconcile`` -> ``_apply`` ->
 * ``bpdu_drop_rule(`` -- the one entry no book holds -- is called from
   ``SteeringApp.on_switch_joined`` only: written on every join of a
   datapath, it needs no book, and written anywhere else it is an entry
-  nothing restores.
+  nothing restores;
+* ``INTER_SHARD_LATENCY_S`` is read in ``sharding.py`` (where
+  ``ShardMember.deliver`` spends it on every crossing) and in
+  ``SteeringApp._reconcile`` (the ingress entry's lag) only -- a post
+  that spends it anywhere else is a crossing the failed-member guard
+  does not see.
 
 Usage: python scripts/check_rule_writers.py [CORE_DIR]
 """
@@ -35,10 +40,13 @@ DROP_PLANNERS = {"drop_rule", "source_block_rule"}
 PLANNER_HOME = "_plan_block"
 GROUP_DROP = "bpdu_drop_rule"
 GROUP_DROP_HOME = "SteeringApp.on_switch_joined"
+HOP = "INTER_SHARD_LATENCY_S"
+HOP_HOME = "sharding.py"
+HOP_LAG = "SteeringApp._reconcile"
 
 
-def calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
-    """Every call with the dotted name of the classes and functions
+def nodes(tree: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
+    """Every node with the dotted name of the classes and functions
     enclosing it ("" at module level)."""
     stack: List[Tuple[ast.AST, str]] = [(tree, "")]
     while stack:
@@ -47,8 +55,7 @@ def calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call):
-            yield node, scope
+        yield node, scope
         stack.extend((child, scope) for child in ast.iter_child_nodes(node))
 
 
@@ -56,25 +63,34 @@ def check_file(path: Path, core: Path) -> List[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     in_apps = "apps" in path.relative_to(core).parts[:-1]
     problems = []
-    for call, scope in calls(tree):
-        func = call.func
+    for node, scope in nodes(tree):
+        if isinstance(node, ast.Name):
+            if node.id == HOP and path.name != HOP_HOME and scope != HOP_LAG:
+                problems.append(
+                    f"{path}:{node.lineno}: {HOP} outside {HOP_HOME} and"
+                    f" {HOP_LAG}(); cross with ShardMember.deliver()"
+                )
+            continue
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(
             func, "id", None
         )
         function = scope.rpartition(".")[2]
         if name == SENDER and path.name != SENDER_HOME:
             problems.append(
-                f"{path}:{call.lineno}: .{SENDER}() outside {SENDER_HOME};"
+                f"{path}:{node.lineno}: .{SENDER}() outside {SENDER_HOME};"
                 " use controller.apply_rule()"
             )
         elif in_apps and name in DROP_PLANNERS and function != PLANNER_HOME:
             problems.append(
-                f"{path}:{call.lineno}: {name}() outside {PLANNER_HOME}();"
+                f"{path}:{node.lineno}: {name}() outside {PLANNER_HOME}();"
                 " enter a Block and reconcile it"
             )
         elif name == GROUP_DROP and scope != GROUP_DROP_HOME:
             problems.append(
-                f"{path}:{call.lineno}: {name}() outside {GROUP_DROP_HOME}();"
+                f"{path}:{node.lineno}: {name}() outside {GROUP_DROP_HOME}();"
                 " nothing would restore it"
             )
     return sorted(problems)
@@ -88,7 +104,8 @@ def main(argv: List[str]) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
-        print(f"{len(problems)} stray rule writer(s)", file=sys.stderr)
+        print(f"{len(problems)} stray rule writer(s) or hop(s)",
+              file=sys.stderr)
         return 1
     return 0
 

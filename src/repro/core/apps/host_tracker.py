@@ -10,8 +10,9 @@ announcements flooded out of switch uplinks.
 On a shard fabric the answers are the fabric's, as one controller's
 are its one NIB's: a host this NIB does not hold is located in the
 coordinator's directory, an unknown one is flooded to every live
-shard's periphery, and a silent host is kept while a session in any
-live shard's book still streams to it.
+shard's periphery -- and its reply crosses back to the asker's switch
+-- and a silent host is kept while a session in any live shard's book
+still streams to it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.core.apps.base import App, AppContext
 from repro.core.bus import ArpIn, DhcpIn, HostExpired, HostMoved, UplinksLost
 from repro.core.events import EventKind
 from repro.core.nib import HostRecord
-from repro.core.sharding import INTER_SHARD_LATENCY_S
 from repro.net import packet as pkt
 from repro.net.packet import Ethernet
 from repro.openflow.actions import Output
@@ -81,12 +81,18 @@ class HostTrackerApp(App):
                 port=packet_in.in_port,
             )
         if not arp.is_request:
-            # Unicast reply: deliver to the target if we know where it is.
-            target = self.ctx.nib.host_by_mac(arp.target_mac)
-            if target is not None:
-                self.ctx.controller.send_packet_out(
-                    target.dpid, actions=(Output(target.port),),
-                    frame=packet_in.frame,
+            # Unicast reply: out on the asker's switch -- on a fabric,
+            # over the hop when another shard holds it.
+            asker = self.locate(mac=arp.target_mac)
+            controller, frame = self.ctx.controller, packet_in.frame
+            if asker is None:
+                return
+            actions = (Output(asker.port),)
+            if asker.dpid in controller.switches:
+                controller.send_packet_out(asker.dpid, actions, frame)
+            elif controller.shard is not None:
+                controller.shard.coordinator.remote_packet_out(
+                    asker.dpid, actions, frame
                 )
             return
         decision = self.ctx.directory.handle_arp_request(
@@ -202,11 +208,8 @@ class HostTrackerApp(App):
             return
         for other in shard.coordinator.live_members():
             if other is not shard:
-                self.ctx.sim.post(
-                    INTER_SHARD_LATENCY_S, other.deliver,
-                    other.controller.app(self.name).periphery_flood,
-                    frame, exclude,
-                )
+                other.deliver(other.controller.app(self.name).periphery_flood,
+                              frame, exclude)
 
     # ------------------------------------------------------------------
     # DHCP proxy

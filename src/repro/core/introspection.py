@@ -33,6 +33,7 @@ LEGACY_COUNTER_NAMES = (
     "remote_rules_dropped",
     "remote_rules_unowned",
     "remote_rules_applied",
+    "remote_packet_outs_unowned",
     "sessions_handed_off",
     "sessions_adopted",
     "handoff_dropped",

@@ -29,14 +29,16 @@ as a horizontally scalable service):
   the one DHCP lease book every shard's directory proxy leases from.
 
 Cross-shard concerns are explicit typed protocol, never shared state,
-and every call sent to a member over the inter-shard hop goes in
-through :meth:`ShardMember.deliver`:
+and every call into a member crosses one hop,
+:meth:`ShardMember.deliver`: it runs the call ``INTER_SHARD_LATENCY_S``
+later unless the member has failed by then.
 
 * **Remote rules** (:meth:`ShardMember.receive_rule_op`): a session
   whose path crosses a shard boundary has its foreign-dpid rules
-  delivered to the owning shard after ``INTER_SHARD_LATENCY_S`` and
-  applied by *that* shard's controller
-  (:meth:`~repro.core.controller.LiveSecController.apply_rule`).
+  delivered to the owning shard and applied by *that* shard's
+  controller
+  (:meth:`~repro.core.controller.LiveSecController.apply_rule`), if it
+  still holds the datapath when they arrive.
 * **Session handoff** (:class:`SessionHandoff`): a HOST_JOIN/HOST_MOVE
   observed by a shard that is not the host's previous owner triggers
   the handoff protocol -- new sessions for the host are deferred, the
@@ -58,7 +60,10 @@ through :meth:`ShardMember.deliver`:
   the switch on every live shard.
 * **Periphery floods**: a target no shard knows is flooded by the
   asking shard's host tracker and, one hop later, by every live
-  peer's, each on its own switches.
+  peer's, each on its own switches.  The target's unicast reply punts
+  on its own shard and goes back the way a rule op goes
+  (:meth:`ShardCoordinator.remote_packet_out`): a PacketOut on the
+  asker's switch, sent by the shard holding it.
 * **Directory federation** (:class:`FederatedElement`): steering can
   place waypoints on elements homed to any live shard; an element's
   death propagates to every consumer shard in the next sync round.
@@ -95,8 +100,9 @@ __all__ = [
     "combined_digest",
 ]
 
-# One-way latency of the inter-shard channel (handoffs, remote rule
-# ops, handoff requests).  Modeled as a dedicated control network,
+# One-way latency of the inter-shard channel, spent by
+# ShardMember.deliver on every crossing and by the coordinator's own
+# handoff request.  Modeled as a dedicated control network,
 # independent of the OpenFlow channels the chaos harness impairs.
 INTER_SHARD_LATENCY_S = 1e-3
 # Sync-round cadence: hello exchange, federation refresh, liveness
@@ -330,16 +336,6 @@ class ShardMember:
             blocks=steering.release_blocks_for_handoff(mac),
         )
 
-    def receive_handoff(self, handoff: SessionHandoff) -> None:
-        self.pending_handoff.discard(handoff.mac)
-        self.controller.bus.publish(SessionHandoffIn(handoff=handoff))
-
-    def receive(self, event) -> None:
-        """A bus event another shard sent us -- a ``HostMoved`` for
-        sessions of ours toward the mover, path evidence about a
-        session we hold -- published here as if seen locally."""
-        self.controller.bus.publish(event)
-
     def receive_report(self, message) -> None:
         """An element report its home shard verified, about a flow
         whose source is ours: applied here, never forwarded again."""
@@ -348,23 +344,41 @@ class ShardMember:
         )
 
     def receive_rule_op(self, op: str, rule) -> None:
-        """Apply a rule another shard routed here (we hold its datapath
-        -- possibly freshly, through re-homing) on the controller's own
-        sender: no app sits in the path, so a stopped or crashed
+        """Apply a rule another shard routed here on the controller's
+        own sender: no app sits in the path, so a stopped or crashed
         steering app on this shard cannot drop it."""
-        if rule.dpid not in self.controller.switches:
-            # Never forwarded on: a stale owner map must not bounce
-            # the op between shards.
-            self.controller.count("remote_rules_unowned")
-            return
-        self.controller.apply_rule(op, rule)
-        self.controller.count("remote_rules_applied")
+        if self._holds(rule.dpid, "remote_rules_unowned"):
+            self.controller.apply_rule(op, rule)
+            self.controller.count("remote_rules_applied")
+
+    def receive_packet_out(self, dpid: int, actions, frame) -> None:
+        """Send a PacketOut another shard routed here -- a host's ARP
+        reply to an asker on our switch -- on the controller's own
+        sender."""
+        if self._holds(dpid, "remote_packet_outs_unowned"):
+            self.controller.send_packet_out(dpid, actions, frame)
+
+    def _holds(self, dpid: int, unowned: str) -> bool:
+        """Do we hold ``dpid`` -- possibly freshly, through re-homing --
+        for a write another shard routed here?  One we do not (re-homed
+        away inside the hop, or a stale owner map) writes nothing, is
+        counted under ``unowned`` and is never forwarded on: a write
+        must not bounce between shards."""
+        if dpid in self.controller.switches:
+            return True
+        self.controller.count(unowned)
+        return False
 
     def deliver(self, call, *args) -> None:
-        """The one way into a member from across the fabric: run
-        ``call`` -- a rule op, a report, a handoff, a bus event, a
-        quarantine, a policy commit, a flood another shard sent --
-        unless this member failed since it was sent."""
+        """The one hop into a member from across the fabric: ``call`` --
+        a rule op, a report, a handoff, a bus event, a quarantine, a
+        policy commit, a flood, an ARP reply's PacketOut -- runs one
+        ``INTER_SHARD_LATENCY_S`` later, unless this member has failed
+        by then."""
+        self.coordinator.sim.post(INTER_SHARD_LATENCY_S, self._arrive,
+                                  call, args)
+
+    def _arrive(self, call, args) -> None:
         if not self.failed:
             call(*args)
 
@@ -607,13 +621,9 @@ class ShardCoordinator:
         peers = [m for m in self.live_members() if m is not member]
         for other in peers:
             for dpid, reason in other.controller.quarantined_dpids.items():
-                self.sim.post(
-                    INTER_SHARD_LATENCY_S, member.deliver,
-                    member.controller.quarantine, dpid, reason,
-                )
+                member.deliver(member.controller.quarantine, dpid, reason)
         if peers:
-            self.sim.post(
-                INTER_SHARD_LATENCY_S, member.deliver,
+            member.deliver(
                 member.controller.policies.apply_compiled,
                 peers[0].controller.policies.compiled, "shard-restart",
             )
@@ -693,8 +703,7 @@ class ShardCoordinator:
                  or self._row(None, flow.nw_src)[0])
         if owner in (None, member):
             return False
-        self.sim.post(INTER_SHARD_LATENCY_S, owner.deliver,
-                      owner.receive_report, message)
+        owner.deliver(owner.receive_report, message)
         return True
 
     def host_seen(self, member: ShardMember, mac, ip, dpid, port) -> None:
@@ -722,12 +731,14 @@ class ShardCoordinator:
             member.pending_handoff.add(mac)
             if old_member is None:
                 # The old owner is gone: nothing to transfer, do not defer.
-                self.sim.post(
-                    INTER_SHARD_LATENCY_S, self._deliver_handoff, member,
+                member.deliver(
+                    self._deliver_handoff, member,
                     SessionHandoff(mac=mac, ip=ip, from_shard=old_shard,
                                    to_shard=member.shard_id),
                 )
             else:
+                # Not a call into a member: it must run even if the old
+                # owner dies in the hop, to send the new one its handoff.
                 self.sim.post(
                     INTER_SHARD_LATENCY_S, self._request_handoff,
                     old_member, member, mac, ip,
@@ -736,8 +747,7 @@ class ShardCoordinator:
             moved = HostMoved(record)
             for other in self.live_members():
                 if crossed or other is not member:
-                    self.sim.post(INTER_SHARD_LATENCY_S, other.deliver,
-                                  other.receive, moved)
+                    other.deliver(other.controller.bus.publish, moved)
 
     def host_left(self, member: ShardMember, mac) -> None:
         """A shard's HOST_LEAVE empties the row, if still its: no port
@@ -762,9 +772,7 @@ class ShardCoordinator:
             handoff = old_member.collect_handoff(
                 mac, ip, new_member.shard_id
             )
-        self.sim.post(
-            INTER_SHARD_LATENCY_S, self._deliver_handoff, new_member, handoff
-        )
+        new_member.deliver(self._deliver_handoff, new_member, handoff)
 
     def _deliver_handoff(
         self, member: ShardMember, handoff: SessionHandoff
@@ -775,7 +783,8 @@ class ShardCoordinator:
             mac=handoff.mac, from_shard=handoff.from_shard,
             to_shard=handoff.to_shard, sessions=len(handoff.records),
         )
-        member.deliver(member.receive_handoff, handoff)
+        member.pending_handoff.discard(handoff.mac)
+        member.controller.bus.publish(SessionHandoffIn(handoff=handoff))
 
     # -- remote rules, path evidence and quarantines --------------------
 
@@ -791,11 +800,15 @@ class ShardCoordinator:
             self._rule_drops.inc()
             return False
         self._rule_ops.inc()
-        self.sim.post(
-            INTER_SHARD_LATENCY_S, target.deliver, target.receive_rule_op,
-            op, rule,
-        )
+        target.deliver(target.receive_rule_op, op, rule)
         return True
+
+    def remote_packet_out(self, dpid: int, actions, frame) -> None:
+        """Route a foreign-dpid PacketOut the way a rule op goes, to the
+        live shard owning its datapath, if any."""
+        target = self._owner(dpid)
+        if target is not None:
+            target.deliver(target.receive_packet_out, dpid, actions, frame)
 
     def post_to_owner(self, member: ShardMember, dpid: int, event) -> bool:
         """Send a bus event to the live shard owning ``dpid``; False
@@ -803,8 +816,7 @@ class ShardCoordinator:
         target = self._owner(dpid)
         if target is None or target is member:
             return False
-        self.sim.post(INTER_SHARD_LATENCY_S, target.deliver, target.receive,
-                      event)
+        target.deliver(target.controller.bus.publish, event)
         return True
 
     def quarantine_elsewhere(
@@ -815,10 +827,7 @@ class ShardCoordinator:
         re-steers its own sessions through elements homed on it."""
         for other in self.live_members():
             if other is not member:
-                self.sim.post(
-                    INTER_SHARD_LATENCY_S, other.deliver,
-                    other.controller.quarantine, dpid, reason,
-                )
+                other.deliver(other.controller.quarantine, dpid, reason)
 
     # -- introspection ---------------------------------------------------
 

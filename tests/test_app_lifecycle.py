@@ -617,3 +617,34 @@ class TestInstallsSurviveSteeringChurn:
         for name in ("sharding.remote_rule_ops", "controller.flowmods_sent",
                      "controller.remote_rules_sent"):
             assert after.get(name, 0) == before.get(name, 0), name
+
+    def test_packet_out_for_an_unheld_datapath_is_counted_and_not_forwarded(
+        self
+    ):
+        """The ARP reply's PacketOut takes the rule op's route and its
+        check: routed to a member that no longer holds the datapath (it
+        was re-homed inside the hop), it sends nothing, counts as a
+        PacketOut -- not as a rule op -- and is never routed on."""
+        from repro.net import packet as pkt
+        from repro.openflow.actions import Output
+
+        net, owner, host = self.two_shards_toward_the_gateway()
+        foreign = next(
+            dpid for dpid in sorted(net.shard_map.assignments)
+            if dpid not in owner.controller.switches
+        )
+        sent = []
+        for controller in net.controllers:
+            controller.send_packet_out = (
+                lambda *args, **kwargs: sent.append(args)
+            )
+        routed = []
+        net.coordinator.remote_packet_out = (
+            lambda *args: routed.append(args)
+        )
+        reply = pkt.make_arp_reply(host.mac, host.ip, "00:00:00:00:00:aa",
+                                   "10.0.0.99")
+        owner.receive_packet_out(foreign, (Output(1),), reply)
+        assert owner.controller.counters["remote_packet_outs_unowned"] == 1
+        assert owner.controller.counters["remote_rules_unowned"] == 0
+        assert sent == [] and routed == []

@@ -540,29 +540,45 @@ class TestOneDirectoryProxy:
     @staticmethod
     def silent_host_reached(shards):
         """h3_1 has expired on its owner (2 s timeout, 8 s of silence);
-        then h1_1 streams 2 s to it.  Returns (bytes delivered, floods)."""
+        then h1_1 streams 2 s to it.  Returns (bytes delivered, floods,
+        bytes delivered 1 s into the stream, proxy ARP replies), and
+        checks that h3_1's row is back in its owner's NIB and no other."""
         net = two_shard_net(num_shards=shards, policies=None, elements=[],
                             host_timeout_s=2.0)
         net.start()
         net.run(8.0)
         target = net.host("h3_1")
         assert net.owner(3).nib.host_by_mac(target.mac) is None
-        before = sum(c.directory.arp_floods for c in net.controllers)
+
+        def proxy_counts():
+            return (sum(c.directory.arp_floods for c in net.controllers),
+                    sum(c.directory.arp_replies for c in net.controllers))
+
+        floods, replies = proxy_counts()
         flow = CbrUdpFlow(net.sim, net.host("h1_1"), target.ip,
                           rate_bps=1e6, duration_s=2.0).start()
-        net.run(6.0)
-        floods = sum(c.directory.arp_floods for c in net.controllers)
-        return flow.delivered_bytes(target), floods - before
+        net.run(1.0)
+        first_second = flow.delivered_bytes(target)
+        net.run(5.0)
+        holders = [controller for controller in net.controllers
+                   if controller.nib.host_by_mac(target.mac) is not None]
+        assert holders == [net.owner(3)]
+        after = proxy_counts()
+        return (flow.delivered_bytes(target), after[0] - floods,
+                first_second, after[1] - replies)
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_a_silent_host_on_another_shard_is_reached_by_one_flood(
         self, shards
     ):
         """A flood of the asking shard's periphery only never reaches
-        h3_1: 5 floods, 0 B."""
+        h3_1: 5 floods, 0 B.  h3_1's reply to the flood crosses the hop
+        to h1_1's switch, so h1_1 resolves at once, as on one
+        controller; dropped on h3_1's shard, it cost 1 s: 0 B one
+        second in, and the retry's proxy reply."""
         assert self.silent_host_reached(shards) == (
             self.silent_host_reached(1)
-        ) == (250_500, 1)
+        ) == (250_500, 1, 126_000, 0)
 
     @staticmethod
     def leaves_while_streamed_to(shards):
@@ -646,6 +662,37 @@ class TestRoamHandoff:
         assert not new_owner.shard.pending_handoff
         counters = net.metrics.snapshot().counters()
         assert counters["sharding.handoff_sessions"] >= len(before & after)
+
+    def test_a_handoff_into_a_member_that_fails_in_the_hop_is_not_booked(
+        self
+    ):
+        """h1_1 roams onto dpid 3 and shard 1 fails 1.5 ms after its
+        HOST_JOIN, while the collected handoff is on the hop: nothing
+        is adopted, so nothing is logged or counted as handed off (the
+        coordinator booked it before the failed-member guard: one
+        ``SESSION_HANDOFF sessions=1``)."""
+        net = two_shard_net()
+        net.start()
+        roamer = net.host("h1_1")
+        CbrUdpFlow(net.sim, roamer, GATEWAY_IP, rate_bps=1e6,
+                   duration_s=6.0).start()
+        net.run(1.5)
+        new_owner = net.coordinator.member(1)
+
+        def fail_after_join(event):
+            if event.kind == EventKind.HOST_JOIN and \
+                    event.data.get("mac") == roamer.mac:
+                net.sim.post(1.5e-3, new_owner.fail)
+
+        new_owner.controller.log.subscribe(fail_after_join)
+        net.topology.move_host("h1_1", net.topology.as_switches[2])
+        roamer.announce()
+        net.run(0.1)
+        assert new_owner.failed
+        assert net.coordinator.log.query(kind=EventKind.SESSION_HANDOFF) == []
+        counters = net.metrics_snapshot().counters()
+        assert counters["sharding.handoff_sessions"] == 0
+        assert net.coordinator.status()["handoff_sessions"] == 0
 
 
 class TestShardCrashRehome:

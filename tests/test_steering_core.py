@@ -944,6 +944,14 @@ def test_the_tree_has_one_flowmod_writer_and_one_drop_planner():
      "        self._apply('add', bpdu_drop_rule(event.handle.dpid))\n",
      "steering.py:3: bpdu_drop_rule() outside"
      " SteeringApp.on_switch_joined()"),
+    # A crossing that skips ShardMember.deliver, and so its
+    # failed-member guard: two such posts once reached a dead shard.
+    ("apps/accountability.py",
+     "def on_conviction(self, sim, other, dpid, reason):\n"
+     "    sim.post(INTER_SHARD_LATENCY_S, other.controller.quarantine,"
+     " dpid, reason)\n",
+     "accountability.py:2: INTER_SHARD_LATENCY_S outside sharding.py and"
+     " SteeringApp._reconcile()"),
 ])
 def test_a_stray_rule_writer_fails_the_lint(tmp_path, path, source, complaint):
     (tmp_path / "apps").mkdir()
@@ -958,6 +966,13 @@ def test_a_stray_rule_writer_fails_the_lint(tmp_path, path, source, complaint):
         "class SteeringApp:\n"
         "    def on_switch_joined(self, event):\n"
         "        self._apply('add', bpdu_drop_rule(event.handle.dpid))\n"
+        "\n"
+        "    def _reconcile(self, owner, desired):\n"
+        "        owner.ready_at = self.ctx.sim.now + INTER_SHARD_LATENCY_S\n"
+    )
+    (tmp_path / "sharding.py").write_text(
+        "def deliver(self, call, *args):\n"
+        "    self.sim.post(INTER_SHARD_LATENCY_S, self._arrive, call, args)\n"
     )
     assert check_rule_writers(tmp_path).returncode == 0
     (tmp_path / path).write_text(source)
